@@ -16,6 +16,7 @@ is 2M-good.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -37,6 +38,11 @@ from .measures import (
 from .sofic import GoodnessReport, SoficApproximation, good_vertices
 
 Value = Union[ComplexRational, complex]
+
+# int64 runs a k-step kernel only while every partial sum stays below this
+_INT64_SAFE = 2 ** 62
+# cells per array in one batch of the power and walk kernels
+_BATCH_CELLS = 1 << 17
 
 
 class RuleValidationError(ValueError):
@@ -396,13 +402,6 @@ class InducedOperator:
             vals = vals.real
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
-    def neighbors(self) -> list:
-        """Row-wise adjacency [(col, value), ...] for sparse propagation."""
-        adj: list = [[] for _ in range(self.n)]
-        for (i, j), v in self.entries.items():
-            adj[i].append((j, v))
-        return adj
-
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for key in sorted(self.entries.keys()):
@@ -532,24 +531,87 @@ class PowerDiagonalReport:
                 "exact": self.exact, "n_tested": self.n_tested}
 
 
-def _sparse_power_diagonal(op: InducedOperator, k: int,
-                           vertices: np.ndarray) -> list:
-    """(H^k)(v, v) at the given vertices by exact sparse propagation."""
-    adj = op.neighbors()
-    zero = CZERO if op.exact else 0j
-    out = []
-    for v in vertices.tolist():
-        vec = {v: ComplexRational(Fraction(1)) if op.exact else 1 + 0j}
+def _scaled_numerators(values: list, exact: bool
+                       ) -> tuple[int, np.ndarray, np.ndarray]:
+    """(den, den*re, den*im) of a list of values.
+
+    Exact values go over their least common denominator as object arrays of
+    Python ints; float values come back as float64 arrays with den = 1.
+    """
+    if not exact:
+        c = np.asarray(values, dtype=complex).reshape(-1)
+        return 1, c.real.copy(), c.imag.copy()
+    den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    re = np.empty(len(values), dtype=object)
+    im = np.empty(len(values), dtype=object)
+    re[:] = [v.re.numerator * (den // v.re.denominator) for v in values]
+    im[:] = [v.im.numerator * (den // v.im.denominator) for v in values]
+    return den, re, im
+
+
+def _kernel_dtype(exact: bool, row_bound, k: int):
+    """Array dtype for a k-step product of numerators with this row bound.
+
+    row_bound is the largest row sum of |den*re| + |den*im|, so every entry
+    and every partial sum of a k-step product is at most row_bound^k in
+    magnitude: int64 is safe below 2^62 and anything larger runs on Python
+    ints (object arrays).  Float values always run on float64.
+    """
+    if not exact:
+        return np.float64
+    return np.int64 if row_bound ** k < _INT64_SAFE else object
+
+
+def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
+                           ) -> tuple[int, np.ndarray, np.ndarray]:
+    """diag((den*H)^k) at the given vertices, den from the operator's entries.
+
+    Returns (den, re, im) with length-len(vertices) numerator arrays.  A block
+    of unit columns goes through k CSR matvecs: gather the block at the
+    column indices, multiply by the entries, sum each row with
+    np.add.reduceat over the row pointers.  Vertices are processed in chunks
+    of at most _BATCH_CELLS cells per array.
+    """
+    n = op.n
+    keys = sorted(op.entries)
+    den, val_re, val_im = _scaled_numerators(
+        [op.entries[key] for key in keys], op.exact)
+    rows = np.array([i for i, _ in keys], dtype=np.int64)
+    cols = np.array([j for _, j in keys], dtype=np.int64)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    filled = np.diff(indptr) > 0
+    starts = indptr[:-1][filled]
+    bound = (np.add.reduceat(np.abs(val_re) + np.abs(val_im), starts).max()
+             if keys else 0)
+    dtype = _kernel_dtype(op.exact, bound, k)
+    val_re = val_re.astype(dtype)[:, None]
+    val_im = val_im.astype(dtype)[:, None]
+    real = not val_im.any()
+    re = np.zeros(len(vertices), dtype=dtype)
+    im = np.zeros(len(vertices), dtype=dtype)
+    chunk = max(1, _BATCH_CELLS // max(n, len(keys), 1))
+    for lo in range(0, len(vertices), chunk):
+        block = vertices[lo:lo + chunk]
+        unit = (block, np.arange(len(block)))
+        x_re = np.zeros((n, len(block)), dtype=dtype)
+        x_re[unit] = 1
+        x_im = np.zeros_like(x_re)
         for _ in range(k):
-            nxt: dict = {}
-            for x, a in vec.items():
-                for (y, h) in adj[x]:
-                    # accumulate a * H(x, y)
-                    prev = nxt.get(y, zero)
-                    nxt[y] = prev + a * h
-            vec = nxt
-        out.append(vec.get(v, zero))
-    return out
+            g_re = x_re[cols]
+            p_re = g_re * val_re
+            x_re = np.zeros_like(x_re)
+            if not real:
+                g_im = x_im[cols]
+                p_re -= g_im * val_im
+                p_im = g_re * val_im + g_im * val_re
+                x_im = np.zeros_like(x_im)
+            if len(starts):
+                x_re[filled] = np.add.reduceat(p_re, starts, axis=0)
+                if not real:
+                    x_im[filled] = np.add.reduceat(p_im, starts, axis=0)
+        re[lo:lo + len(block)] = x_re[unit]
+        im[lo:lo + len(block)] = x_im[unit]
+    return den, re, im
 
 
 @dataclass
@@ -588,36 +650,80 @@ def _walk_space(group: GroupSpec, M: int, k: int) -> _WalkSpace:
                       window_positions=window_positions)
 
 
-def _walk_value(rule: LocalRule, space: _WalkSpace, big_values,
-                k: int) -> Value:
-    """(H^w)^k(e, e) inside the walk ball; big_values holds w on B(e, kM/2+M)."""
+def _rule_numerators(rule: LocalRule, k: int) -> tuple[int, dict, bool, object]:
+    """Rule tables as den*c numerator arrays indexed by window code.
+
+    Returns (den, {g: (re, im)}, real, dtype) for a k-step walk; tables that
+    are identically zero are left out.
+    """
+    elements = list(rule.tables)
+    den, re, im = _scaled_numerators(
+        [v for g in elements for v in rule.tables[g].tolist()], rule.exact)
+    re = re.reshape(len(elements), rule.n_window_codes)
+    im = im.reshape(len(elements), rule.n_window_codes)
+    bound = (np.abs(re) + np.abs(im)).sum(axis=0).max()
+    dtype = _kernel_dtype(rule.exact, bound, k)
+    tables = {g: (re[i].astype(dtype), im[i].astype(dtype))
+              for i, g in enumerate(elements) if re[i].any() or im[i].any()}
+    return den, tables, not im.any(), dtype
+
+
+def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
+                 k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Closed-walk values (H^w)^k(e, e) inside the walk ball for B windows w.
+
+    big_vals[i, b] is the symbol of window b at element i of B(e, kM/2+M).
+    Returns (den, re, im) with length-B numerator arrays over den**k, den
+    being the common denominator of the rule tables (1 for float rules).  The
+    state is one length-B vector per walk site; Python loops run only over
+    steps, sites and transitions, in batches of at most _BATCH_CELLS cells.
+    """
+    den, tables, real, dtype = _rule_numerators(rule, k)
     A = rule.alphabet.size
-    group = rule.group
-    e_idx = space.site_index[group.identity()]
-    zero = rule.zero_value()
-    codes = []
-    for positions in space.window_positions:
-        code = 0
-        for p in reversed(positions):
-            code = code * A + int(big_values[p])
-        codes.append(code)
-    vec = {e_idx: ComplexRational(Fraction(1)) if rule.exact else 1 + 0j}
     M = rule.hopping
-    for step in range(1, k + 1):
-        limit = min(step, k - step) * M
-        nxt: dict = {}
-        for x, a in vec.items():
-            code = codes[x]
-            for (y, u) in space.transitions[x]:
-                if space.max_len[y] > limit:
+    e_idx = space.site_index[rule.group.identity()]
+    n_sites = len(space.sites)
+    B = big_vals.shape[1]
+    re = np.zeros(B, dtype=dtype)
+    im = np.zeros(B, dtype=dtype)
+    batch = max(1, _BATCH_CELLS // n_sites)
+    for lo in range(0, B, batch):
+        block = big_vals[:, lo:lo + batch].astype(np.int64)
+        width = block.shape[1]
+        codes = [sum(block[p] * A ** i for i, p in enumerate(positions))
+                 for positions in space.window_positions]
+        state: list = [None] * n_sites
+        state[e_idx] = [np.ones(width, dtype=dtype), np.zeros(width, dtype=dtype)]
+        for step in range(1, k + 1):
+            limit = min(step, k - step) * M
+            nxt: list = [None] * n_sites
+            for x, a in enumerate(state):
+                if a is None:
                     continue
-                c = rule.coefficient(u, code)   # H(x, u x) = c(u, window at x)
-                if _is_zero(c):
-                    continue
-                prev = nxt.get(y, zero)
-                nxt[y] = prev + a * c
-        vec = nxt
-    return vec.get(e_idx, zero)
+                a_re, a_im = a
+                for y, u in space.transitions[x]:
+                    table = tables.get(u)
+                    if table is None or space.max_len[y] > limit:
+                        continue
+                    # H(x, u x) = c(u, window at x)
+                    c_re = table[0][codes[x]]
+                    t_re = a_re * c_re
+                    if real:
+                        t_im = a_im     # the shared zero vector
+                    else:
+                        c_im = table[1][codes[x]]
+                        t_re -= a_im * c_im
+                        t_im = a_re * c_im + a_im * c_re
+                    if nxt[y] is None:
+                        nxt[y] = [t_re, t_im]
+                    else:
+                        nxt[y][0] += t_re
+                        if not real:
+                            nxt[y][1] += t_im
+            state = nxt
+        if state[e_idx] is not None:
+            re[lo:lo + width], im[lo:lo + width] = state[e_idx]
+    return den, re, im
 
 
 def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
@@ -625,7 +731,17 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
                          goodness: Optional[GoodnessReport] = None
                          ) -> PowerDiagonalReport:
     """Compare (H_n^rho)^k(v,v) with the closed-walk value of the pulled-back
-    operator at every 4kM-good vertex."""
+    operator at every 4kM-good vertex.
+
+    The two sides are independent kernels on integer numerator arrays, real
+    and imaginary parts apart: the matrix side takes k CSR matvecs of
+    den_op*H_n (den_op from the assembled entries), the walk side propagates
+    den_rule*c along closed walks in the Cayley ball.  Each side runs on
+    int64 when its largest row sum R has R^k < 2^62, on Python ints
+    otherwise, and on float64 for float rules.  Exact values are compared as
+    num_m * den_w^k == num_w * den_m^k; only differing pairs get a float
+    discrepancy.
+    """
     if k < 1:
         raise ValueError("power must be >= 1")
     M = rule.hopping
@@ -636,22 +752,22 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
         raise AssemblyError(f"need goodness at radius {radius}")
     op = assemble_induced(rule, sigma, rho)
     vertices = np.flatnonzero(goodness.good)
-    matrix_side = _sparse_power_diagonal(op, k, vertices)
+    den_m, m_re, m_im = _matrix_power_diagonal(op, k, vertices)
     space = _walk_space(rule.group, M, k)
     big = ball(rule.group, (k // 2) * M + M)
-    images = sigma.ball_images(big)
-    big_vals = rho.values[images]          # (|big|, n)
+    big_vals = rho.values[sigma.ball_images(big)[:, vertices]]
+    den_w, w_re, w_im = _walk_values(rule, space, big_vals, k)
+    scale_m, scale_w = den_m ** k, den_w ** k
     max_disc = 0.0
     exact_ok = rule.exact
-    for idx, v in enumerate(vertices.tolist()):
-        oracle = _walk_value(rule, space, big_vals[:, v], k)
-        got = matrix_side[idx]
-        if exact_ok:
-            if got != oracle:
-                diff = _to_complex(got) - _to_complex(oracle)
-                max_disc = max(max_disc, abs(diff))
-        else:
-            max_disc = max(max_disc, abs(_to_complex(got) - _to_complex(oracle)))
+    for got_re, got_im, want_re, want_im in zip(
+            m_re.tolist(), m_im.tolist(), w_re.tolist(), w_im.tolist()):
+        if (exact_ok and got_re * scale_w == want_re * scale_m
+                and got_im * scale_w == want_im * scale_m):
+            continue
+        diff = (complex(got_re / scale_m, got_im / scale_m)
+                - complex(want_re / scale_w, want_im / scale_w))
+        max_disc = max(max_disc, abs(diff))
     return PowerDiagonalReport(
         k=k, max_discrepancy=max_disc,
         fraction_tested=len(vertices) / sigma.n_vertices,
@@ -702,7 +818,12 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
 
     Exact mode enumerates the joint law of the window on the sites the walk
     can read; Monte Carlo mode averages the closed-walk value over sampled
-    windows and reports a standard error.
+    windows and reports a standard error.  Either way every window goes
+    through one batched closed-walk kernel on integer numerator arrays over
+    the rule tables' common denominator den (int64 when the largest row sum R
+    of den*c has R^k < 2^62, Python ints otherwise, float64 for float rules).
+    It shares no code with the matrix powers it checks.  Each value is the
+    exact numerator divided by den**k in Python ints, i.e. correctly rounded.
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
@@ -723,44 +844,46 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
                 read_index[site] = len(read_sites)
                 read_sites.append(site)
     A = rule.alphabet.size
-
-    def value_for(assign: dict) -> Value:
-        big_vals = np.zeros(len(big), dtype=np.int64)
-        for site, sym in assign.items():
-            big_vals[big.index(site)] = sym
-        return _walk_value(rule, space, big_vals, k)
-
     if mode == "exact":
         n_assign = A ** len(read_sites)
         if n_assign > budget:
             raise EnumerationBudgetError(
                 f"{A}^{len(read_sites)} window assignments exceed budget; "
                 "retry with mode='mc'")
+        index: dict = {}
+        law = [(index.setdefault(assignment, len(index)), prob)
+               for assignment, prob in _assignment_law(model, read_sites)]
+        values = _moment_values(rule, space, big, read_sites, list(index), k)
         total = 0.0
-        cache: dict = {}
-        for assignment, prob in _assignment_law(model, read_sites):
-            key = assignment
-            val = cache.get(key)
-            if val is None:
-                val = value_for(dict(zip(read_sites, assignment)))
-                cache[key] = val
-            c = _to_complex(val)
-            total += prob * c.real
+        for j, prob in law:
+            total += prob * values[j]
         return ExpectedMomentResult(k=k, value=total, standard_error=0.0,
                                     mode="exact")
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
-    vals = []
-    for j in range(samples):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
-        assignment = _sample_assignment(model, read_sites, rng)
-        v = value_for(dict(zip(read_sites, assignment)))
-        vals.append(_to_complex(v).real)
-    arr = np.asarray(vals)
+    assignments = [
+        _sample_assignment(model, read_sites, np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(j,))))
+        for j in range(samples)]
+    arr = np.asarray(_moment_values(rule, space, big, read_sites,
+                                    assignments, k))
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return ExpectedMomentResult(k=k, value=float(arr.mean()),
                                 standard_error=se, mode="mc")
+
+
+def _moment_values(rule: LocalRule, space: _WalkSpace, big: CayleyBall,
+                   read_sites: list, assignments: list, k: int) -> list:
+    """Closed-walk value as a float for each assignment of symbols to read
+    sites; every other site of the big ball holds symbol 0."""
+    symbols = np.array(assignments, dtype=np.int64).reshape(
+        len(assignments), len(read_sites))
+    big_vals = np.zeros((len(big), len(assignments)),
+                        dtype=np.min_scalar_type(rule.alphabet.size - 1))
+    big_vals[[big.index(site) for site in read_sites]] = symbols.T
+    den, re, _ = _walk_values(rule, space, big_vals, k)
+    scale = den ** k
+    return [num / scale for num in re.tolist()]
 
 
 def _check_model_group(model: MeasureModel, rule: LocalRule) -> None:
