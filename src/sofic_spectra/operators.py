@@ -11,11 +11,19 @@ coefficients between pairs of 2M-good vertices and zeroes everything else
 the graph Laplacian of the sofic graph plus a diagonal potential, the
 classical Schrodinger finite-volume analog; both agree wherever every vertex
 is 2M-good.
+
+An assembled operator stores a handful of distinct values in thousands of
+entries.  Its per-entry methods (Hermitian check, row sums, dense and sparse
+forms, matrix powers) therefore go through one value-coded pass, ``_coo``:
+row and column arrays plus a code per entry into the distinct values, so
+exact Gaussian-rational work runs once per distinct value and the rest is
+numpy on codes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,6 +148,47 @@ def _to_complex(v: Value) -> complex:
     if isinstance(v, ComplexRational):
         return v.to_complex()
     return complex(v)
+
+
+def _all_real(values, exact: bool) -> bool:
+    """Realness of the values of _coo: distinct exact values or a complex array."""
+    if exact:
+        return all(v.is_real() if isinstance(v, ComplexRational)
+                   else v.imag == 0 for v in values)
+    return bool((values.imag == 0).all())
+
+
+def _value_key(v: Value):
+    """Hashable key equal exactly when the values are: Gaussian rationals by
+    their lowest-terms integers, which hash far faster than Fractions."""
+    if isinstance(v, ComplexRational):
+        return (v.re.numerator, v.re.denominator,
+                v.im.numerator, v.im.denominator)
+    return v
+
+
+def _intern(values: list) -> tuple[np.ndarray, list]:
+    """(codes, distinct) with values[t] == distinct[codes[t]].
+
+    Objects are grouped by identity first, which is cheap because assembly
+    copies the same table objects; then one representative per object is
+    keyed by value, and equal representatives share a code.  Codes follow
+    first appearance.
+    """
+    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    index: dict = {}
+    distinct: list = []
+    codes = []
+    for t in first[order].tolist():
+        code = index.setdefault(_value_key(values[t]), len(distinct))
+        if code == len(distinct):
+            distinct.append(values[t])
+        codes.append(code)
+    code_of = np.empty(len(first), dtype=np.int64)
+    code_of[order] = codes
+    return code_of[inverse], distinct
 
 
 def _as_exact(x) -> ComplexRational:
@@ -365,41 +414,81 @@ class InducedOperator:
     def diagonal(self) -> list:
         return [self.entry(i, i) for i in range(self.n)]
 
+    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, object]:
+        """(rows, cols, codes, values) of the stored entries in dict order.
+
+        Entry t holds values[codes[t]].  Exact operators are value-coded:
+        values lists the distinct entries (see _intern), so exact work runs
+        once per distinct value.  Float operators are not interned, so +-0.0
+        and NaN are never merged: values is their complex array and codes is
+        arange(nnz).  Built afresh on every call, so mutations of entries are
+        always seen.
+        """
+        nnz = len(self.entries)
+        rows, cols = np.fromiter(itertools.chain.from_iterable(self.entries),
+                                 dtype=np.int64, count=2 * nnz
+                                 ).reshape(nnz, 2).T.copy()
+        if not self.exact:
+            values = np.fromiter(self.entries.values(), dtype=complex, count=nnz)
+            return rows, cols, np.arange(nnz), values
+        codes, values = _intern(list(self.entries.values()))
+        return rows, cols, codes, values
+
+    def _float_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals): float64 vals if every entry is real, else complex."""
+        rows, cols, codes, values = self._coo()
+        real = _all_real(values, self.exact)
+        if self.exact:
+            values = np.array([_to_complex(v) for v in values], dtype=complex)
+        return rows, cols, (values.real if real else values)[codes]
+
     def check_hermitian(self) -> None:
-        for (i, j), v in self.entries.items():
-            w = self.entries.get((j, i))
-            if w is None or _conj(w) != v:
-                raise AssemblyError(
-                    f"Hermitian symmetry violated at entry pair ({i},{j})")
+        """Every stored entry has a stored transpose equal to its conjugate.
+
+        Exact values are compared as codes: each distinct value maps to the
+        code of its conjugate (-1 if absent).  The first bad pair in dict
+        order is named.
+        """
+        rows, cols, codes, values = self._coo()
+        keys = rows * self.n + cols
+        transposed = cols * self.n + rows
+        order = np.argsort(keys)
+        slot = np.searchsorted(keys, transposed, sorter=order)
+        partner = order[np.minimum(slot, max(len(keys) - 1, 0))]
+        found = keys[partner] == transposed
+        if self.exact:
+            index = {_value_key(v): c for c, v in enumerate(values)}
+            conj = np.array([index.get(_value_key(_conj(v)), -1)
+                             for v in values], dtype=np.int64)
+            match = conj[codes[partner]] == codes
+        else:
+            match = values[partner].conj() == values
+        bad = np.flatnonzero(~(found & match))
+        if len(bad):
+            i, j = rows[bad[0]], cols[bad[0]]
+            raise AssemblyError(
+                f"Hermitian symmetry violated at entry pair ({i},{j})")
 
     def row_sum_bound(self) -> float:
-        sums = np.zeros(self.n)
-        for (i, _), v in self.entries.items():
-            sums[i] += _abs(v)
+        rows, _, codes, values = self._coo()
+        # np.hypot rounds like abs(complex); np.abs does not
+        mags = (np.array([_abs(v) for v in values], dtype=float) if self.exact
+                else np.hypot(values.real, values.imag))
+        sums = np.bincount(rows, weights=mags[codes], minlength=self.n)
         return float(sums.max()) if self.n else 0.0
 
     def is_real(self) -> bool:
-        return all(
-            v.is_real() if isinstance(v, ComplexRational) else v.imag == 0
-            for v in self.entries.values())
+        return _all_real(self._coo()[3], self.exact)
 
     def to_dense(self) -> np.ndarray:
-        real = self.is_real()
-        out = np.zeros((self.n, self.n), dtype=float if real else complex)
-        for (i, j), v in self.entries.items():
-            c = _to_complex(v)
-            out[i, j] = c.real if real else c
+        rows, cols, vals = self._float_coo()
+        out = np.zeros((self.n, self.n), dtype=vals.dtype)
+        out[rows, cols] = vals
         return out
 
     def to_sparse(self):
         import scipy.sparse as sp
-        if not self.entries:
-            return sp.csr_matrix((self.n, self.n))
-        rows, cols, vals = zip(*[(i, j, _to_complex(v))
-                                 for (i, j), v in self.entries.items()])
-        vals = np.asarray(vals)
-        if self.is_real():
-            vals = vals.real
+        rows, cols, vals = self._float_coo()
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
     def fingerprint(self) -> str:
@@ -442,20 +531,22 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     good = goodness.good
     b = rule.window_ball()
     entries: dict = {}
-    verts = np.arange(sigma.n_vertices)
     for g in b.elements:
         table = rule.tables.get(g)
         if table is None:
             continue
         img = sigma.perm_of(g)
-        mask = good & good[img]
-        rows = verts[mask]
-        vals = table[codes[mask]]
-        cols = img[mask]
-        for w, v, val in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            if _is_zero(val):
-                continue
-            entries[(w, v)] = val
+        rows = np.flatnonzero(good & good[img])
+        vals = table[codes[rows]]
+        if rule.exact:
+            val_codes, distinct = _intern(vals.tolist())
+            keep = np.array([not _is_zero(v) for v in distinct],
+                            dtype=bool)[val_codes]
+        else:
+            keep = vals != 0
+        rows = rows[keep]
+        entries.update(zip(zip(rows.tolist(), img[rows].tolist()),
+                           vals[keep].tolist()))
     op = InducedOperator(
         n=sigma.n_vertices, entries=entries, exact=rule.exact,
         hopping=M, goodness_radius=2 * M,
@@ -573,23 +664,23 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     of at most _BATCH_CELLS cells per array.
     """
     n = op.n
-    keys = sorted(op.entries)
-    den, val_re, val_im = _scaled_numerators(
-        [op.entries[key] for key in keys], op.exact)
-    rows = np.array([i for i, _ in keys], dtype=np.int64)
-    cols = np.array([j for _, j in keys], dtype=np.int64)
+    rows, cols, codes, values = op._coo()
+    den, val_re, val_im = _scaled_numerators(values, op.exact)
+    order = np.lexsort((cols, rows))        # CSR order
+    rows, cols, codes = rows[order], cols[order], codes[order]
+    val_re, val_im = val_re[codes], val_im[codes]
     indptr = np.searchsorted(rows, np.arange(n + 1))
     filled = np.diff(indptr) > 0
     starts = indptr[:-1][filled]
     bound = (np.add.reduceat(np.abs(val_re) + np.abs(val_im), starts).max()
-             if keys else 0)
+             if len(rows) else 0)
     dtype = _kernel_dtype(op.exact, bound, k)
     val_re = val_re.astype(dtype)[:, None]
     val_im = val_im.astype(dtype)[:, None]
     real = not val_im.any()
     re = np.zeros(len(vertices), dtype=dtype)
     im = np.zeros(len(vertices), dtype=dtype)
-    chunk = max(1, _BATCH_CELLS // max(n, len(keys), 1))
+    chunk = max(1, _BATCH_CELLS // max(n, len(rows), 1))
     for lo in range(0, len(vertices), chunk):
         block = vertices[lo:lo + chunk]
         unit = (block, np.arange(len(block)))

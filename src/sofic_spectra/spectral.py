@@ -1,16 +1,22 @@
 """Dense Hermitian spectra, counting functions, IDS curves and references.
 
 Spectra come from LAPACK's dense Hermitian solver with residual and
-orthogonality diagnostics; exact-rational diagonal operators bypass floating
-point entirely so that eigenvalue atoms at rational energies are counted
-exactly.  IDS curves are right-continuous step functions (finite volume) or
-piecewise-linear interpolants (analytic references); the Kolmogorov distance
-evaluates both on the merged breakpoint set including left limits.
+orthogonality diagnostics; for an operator the residual H v - lambda v is
+taken over its stored entries (sparse, O(nnz n)).  Exact-rational diagonal
+operators bypass floating point entirely so that eigenvalue atoms at rational
+energies are counted exactly: the spectrum is counted once per distinct
+value, and counting functions and atom masses bisect the sorted exact values
+with Fraction comparisons only.  IDS curves are right-continuous step
+functions (finite volume) or piecewise-linear interpolants (analytic
+references); the Kolmogorov distance evaluates both on the merged breakpoint
+set including left limits.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +38,8 @@ class EigensolverError(RuntimeError):
 class Spectrum:
     """Sorted eigenvalues with solver diagnostics.
 
-    ``exact_values`` is set for exact-rational diagonal operators; float
-    values are then just their float images.
+    ``exact_values`` (sorted Fractions) is set for exact-rational diagonal
+    operators; float values are then just their float images.
     """
 
     values: np.ndarray
@@ -68,12 +74,8 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
     """
     if isinstance(op, InducedOperator):
         if op.exact and op.is_diagonal():
-            diag = op.diagonal()
-            exact = tuple(sorted(
-                v.re if isinstance(v, ComplexRational) else Fraction(v)
-                for v in diag))
-            vals = np.array([float(x) for x in exact])
-            return Spectrum(values=vals, residual=0.0, exact_values=exact)
+            _, _, codes, values = op._coo()
+            return _exact_diagonal_spectrum(op.n, codes, values)
         dense = op.to_dense()
     else:
         dense = np.asarray(op)
@@ -89,8 +91,14 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
             f"eigensolver failed to converge (matrix {_matrix_hash(dense)})"
         ) from err
     scale = max(1.0, float(np.max(np.abs(w))))
-    resid = float(np.linalg.norm(dense @ vecs - vecs * w, axis=0).max()) / scale
-    ortho = float(np.abs(vecs.conj().T @ vecs - np.eye(n)).max())
+    # H V over the stored entries is O(nnz n); a bare matrix is multiplied dense
+    hv = (op.to_sparse() if isinstance(op, InducedOperator) else dense) @ vecs
+    hv -= vecs * w
+    resid = float(np.linalg.norm(hv, axis=0).max()) / scale
+    del hv
+    gram = vecs.conj().T @ vecs
+    gram[np.diag_indices(n)] -= 1
+    ortho = float(np.abs(gram).max())
     if resid > tol:
         raise EigensolverError(
             f"residual {resid:.3e} above tolerance {tol:.3e} "
@@ -98,15 +106,48 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
     return Spectrum(values=np.sort(w), residual=resid, orthogonality=ortho)
 
 
+def _exact_diagonal_spectrum(n: int, codes: np.ndarray, values: list
+                             ) -> Spectrum:
+    """Spectrum of a diagonal operator from its value-coded stored entries:
+    one count per distinct value, the n - nnz unstored entries are 0."""
+    counts: dict = {Fraction(0): n - len(codes)}
+    for v, c in zip(values, np.bincount(codes, minlength=len(values)).tolist()):
+        x = v.re if isinstance(v, ComplexRational) else Fraction(v)
+        counts[x] = counts.get(x, 0) + c
+    distinct = [x for x in sorted(counts) if counts[x]]
+    mult = [counts[x] for x in distinct]
+    exact = tuple(itertools.chain.from_iterable(
+        itertools.repeat(x, m) for x, m in zip(distinct, mult)))
+    vals = np.repeat(np.array([float(x) for x in distinct]), mult)
+    return Spectrum(values=vals, residual=0.0, exact_values=exact)
+
+
+def _exact_rank(spec: Spectrum, x, side: str) -> int:
+    """Exact eigenvalues < x (side "left") or <= x (side "right").
+
+    x is made a Fraction (a float by its exact binary value), so only
+    Fractions are compared; +inf lies above every eigenvalue and -inf and
+    NaN below none.
+    """
+    if isinstance(x, float) and not math.isfinite(x):
+        return spec.n if x > 0 else 0
+    find = bisect.bisect_right if side == "right" else bisect.bisect_left
+    return find(spec.exact_values, Fraction(x))
+
+
 def counting_function(spec: Spectrum, beta,
                       tie_tol: Optional[float] = None) -> int:
     """Number of eigenvalues <= beta (ties absorbed within tie_tol)."""
     if spec.is_exact:
-        b = Fraction(beta) if not isinstance(beta, float) else beta
-        return sum(1 for x in spec.exact_values if x <= b)
+        return _exact_rank(spec, beta, "right")
+    return int(_float_counts(spec, float(beta), tie_tol))
+
+
+def _float_counts(spec: Spectrum, beta, tie_tol: Optional[float]):
+    """Float eigenvalues <= beta + tie_tol, for a float or an array of them."""
     if tie_tol is None:
         tie_tol = 1e-9 * spec.scale()
-    return int(np.searchsorted(spec.values, float(beta) + tie_tol, side="right"))
+    return np.searchsorted(spec.values, beta + tie_tol, side="right")
 
 
 def atom_mass(spec: Spectrum, alpha,
@@ -115,8 +156,8 @@ def atom_mass(spec: Spectrum, alpha,
     if spec.n == 0:
         return 0.0
     if spec.is_exact:
-        a = Fraction(alpha) if not isinstance(alpha, float) else alpha
-        return sum(1 for x in spec.exact_values if x == a) / spec.n
+        return (_exact_rank(spec, alpha, "right")
+                - _exact_rank(spec, alpha, "left")) / spec.n
     if cluster_tol is None:
         cluster_tol = 1e-8 * spec.scale()
     return float(np.mean(np.abs(spec.values - float(alpha)) <= cluster_tol))
@@ -194,8 +235,9 @@ def ids_curve(spec: Spectrum, grid: Optional[Sequence[float]] = None,
         xs = np.unique(np.concatenate([np.asarray(grid, dtype=float), breaks]))
     else:
         xs = breaks
-    ys = np.array([counting_function(spec, x, tie_tol) for x in xs],
-                  dtype=float) / max(spec.n, 1)
+    counts = ([counting_function(spec, x) for x in xs] if spec.is_exact
+              else _float_counts(spec, xs, tie_tol))
+    ys = np.asarray(counts, dtype=float) / max(spec.n, 1)
     return IDSCurve(xs=xs, ys=ys, kind="step")
 
 

@@ -21,6 +21,7 @@ from sofic_spectra.measures import (
 import sofic_spectra.operators as operators_module
 from sofic_spectra.operators import (
     AssemblyError,
+    InducedOperator,
     _matrix_power_diagonal,
     _walk_space,
     _walk_values,
@@ -408,3 +409,180 @@ def test_power_diagonal_exact_on_random_rules(d, kind, k, potential, hop, seed):
     rep = power_diagonal_check(rule, sig, rho, k)
     assert rep.exact and rep.n_tested == side ** d
     assert rep.max_discrepancy == 0.0
+
+
+# Per-entry loops that the value-coded operator methods replaced, kept as the
+# reference they must reproduce exactly.
+def _ref_to_complex(v):
+    return v.to_complex() if isinstance(v, ComplexRational) else complex(v)
+
+
+def _ref_is_real(op):
+    return all(v.is_real() if isinstance(v, ComplexRational) else v.imag == 0
+               for v in op.entries.values())
+
+
+def _ref_row_sum_bound(op):
+    sums = np.zeros(op.n)
+    for (i, _), v in op.entries.items():
+        sums[i] += (float(v.abs2()) ** 0.5 if isinstance(v, ComplexRational)
+                    else abs(v))
+    return float(sums.max()) if op.n else 0.0
+
+
+def _ref_to_dense(op):
+    real = _ref_is_real(op)
+    out = np.zeros((op.n, op.n), dtype=float if real else complex)
+    for (i, j), v in op.entries.items():
+        c = _ref_to_complex(v)
+        out[i, j] = c.real if real else c
+    return out
+
+
+def _ref_to_sparse(op):
+    import scipy.sparse as sp
+    if not op.entries:
+        return sp.csr_matrix((op.n, op.n))
+    rows, cols, vals = zip(*[(i, j, _ref_to_complex(v))
+                             for (i, j), v in op.entries.items()])
+    vals = np.asarray(vals)
+    if _ref_is_real(op):
+        vals = vals.real
+    return sp.csr_matrix((vals, (rows, cols)), shape=(op.n, op.n))
+
+
+def _ref_hermitian_violation(op):
+    """The first entry, in dict order, without a conjugate transpose."""
+    for (i, j), v in op.entries.items():
+        w = op.entries.get((j, i))
+        conj = None if w is None else w.conjugate()
+        if w is None or conj != v:
+            return f"({i},{j})"
+    return None
+
+
+def _hermitian_violation(op):
+    try:
+        op.check_hermitian()
+    except AssemblyError as err:
+        return str(err).rsplit(" ", 1)[-1]
+    return None
+
+
+def _assert_same_dense(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    # the sign of every zero (real and imaginary parts alike) is kept
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(np.imag(got)), np.signbit(np.imag(want)))
+
+
+def _assert_same_sparse(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data, equal_nan=True)
+
+
+def _float_rule(rule):
+    """The same rule with every coefficient converted to a Python complex."""
+    import dataclasses
+    tables = {g: np.array([v.to_complex() for v in t.tolist()], dtype=complex)
+              for g, t in rule.tables.items()}
+    return dataclasses.replace(rule, tables=tables, exact=False)
+
+
+def _assert_matches_reference(op):
+    assert op.row_sum_bound().hex() == _ref_row_sum_bound(op).hex()
+    assert op.is_real() == _ref_is_real(op)
+    _assert_same_dense(op.to_dense(), _ref_to_dense(op))
+    _assert_same_sparse(op.to_sparse(), _ref_to_sparse(op))
+    assert _hermitian_violation(op) == _ref_hermitian_violation(op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), kind=st.sampled_from(
+           ["diagonal", "schrodinger", "complex hopping"]),
+       exact=st.booleans(), fresh=st.booleans(),
+       potential=st.tuples(RATIONALS, RATIONALS), hop=RATIONALS,
+       side=st.sampled_from([3, 4, 7]), seed=st.integers(0, 2**16),
+       tamper=st.integers(0, 10**6))
+def test_value_coded_methods_match_per_entry_loops(d, kind, exact, fresh,
+                                                   potential, hop, side, seed,
+                                                   tamper):
+    group = lattice_group(d)
+    if kind == "diagonal":
+        rule = diagonal_rule(group, BIN, list(potential))
+    elif kind == "schrodinger":
+        rule = schrodinger_rule(group, BIN, list(potential))
+    else:
+        rule = _hopping_rule(group, potential, hop)
+    if not exact:
+        rule = _float_rule(rule)
+    sig = torus_approximation(d, side)      # side 3 and 4 leave bad vertices
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, seed)
+    op = assemble_induced(rule, sig, rho)
+    if exact and fresh:
+        # one object per entry: interning must then merge by value alone
+        op.entries = {key: ComplexRational(Fraction(v.re.numerator,
+                                                    v.re.denominator),
+                                           Fraction(v.im.numerator,
+                                                    v.im.denominator))
+                      for key, v in op.entries.items()}
+    _assert_matches_reference(op)
+    if op.entries:
+        # break one entry: its transpose no longer holds the conjugate
+        keys = list(op.entries)
+        key = keys[tamper % len(keys)]
+        bump = (ComplexRational(Fraction(0), Fraction(1, 3)) if exact
+                else 1j / 3)
+        op.entries[key] = op.entries[key] + bump
+        _assert_matches_reference(op)
+        del op.entries[key]
+        _assert_matches_reference(op)
+
+
+def test_float_operator_zero_signs_and_nan():
+    one_minus_0j = complex(1.0, -0.0)       # the literal 1 - 0j has +0.0
+    entries = {(0, 0): one_minus_0j, (0, 1): 0.5j, (1, 0): -0.5j,
+               (1, 1): complex(-0.0, -0.0), (2, 2): complex(2.0, 0.0)}
+    op = InducedOperator(n=3, entries=entries, exact=False, hopping=1,
+                         goodness_radius=2)
+    _assert_matches_reference(op)
+    assert np.signbit(op.to_dense()[0, 0].imag)
+    real = InducedOperator(n=3, entries={(0, 0): one_minus_0j,
+                                         (1, 1): complex(-0.0, 0.0),
+                                         (2, 2): 1 + 0j},
+                           exact=False, hopping=0, goodness_radius=0)
+    _assert_matches_reference(real)
+    assert real.to_dense().dtype == np.float64
+    # NaN is never equal to its own conjugate, so it never passes
+    op.entries[(2, 2)] = complex(float("nan"), 0.0)
+    _assert_matches_reference(op)
+    assert _hermitian_violation(op) == "(2,2)"
+
+
+def test_check_hermitian_names_first_bad_pair_in_dict_order():
+    half_i = ComplexRational(Fraction(0), Fraction(1, 2))
+    one = ComplexRational(Fraction(1))
+
+    def op(entries):
+        return InducedOperator(n=3, entries=entries, exact=True, hopping=1,
+                               goodness_radius=2)
+
+    good = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i.conjugate(),
+               (1, 2): one, (2, 1): one})
+    good.check_hermitian()
+    # i/2 against i/2 is not a conjugate pair
+    same = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i})
+    with pytest.raises(AssemblyError, match=r"\(0,1\)$"):
+        same.check_hermitian()
+    # a missing transpose, stored before a conjugate mismatch that sorts first
+    missing = op({(1, 2): one, (0, 0): one, (1, 0): half_i, (0, 1): half_i})
+    with pytest.raises(AssemblyError, match=r"\(1,2\)$"):
+        missing.check_hermitian()
+    flipped = op({(1, 0): half_i, (0, 1): half_i, (1, 2): one})
+    with pytest.raises(AssemblyError, match=r"\(1,0\)$"):
+        flipped.check_hermitian()

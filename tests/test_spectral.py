@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Configuration, binary_alphabet
@@ -236,3 +238,88 @@ def test_spectral_measure_view():
     assert view.polynomial([1.0]) == 1.0
     assert view.polynomial([0.0, 1.0]) == pytest.approx(view.moment(1))
     assert view.interval_mass(-10, 10) == 1.0
+
+
+EXACT_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.tuples(EXACT_RATIONALS, EXACT_RATIONALS),
+       side=st.sampled_from([2, 5, 9]), pattern=st.integers(0, 2**9 - 1),
+       fresh=st.booleans())
+def test_exact_diagonal_spectrum_matches_sorted_diagonal(values, side,
+                                                         pattern, fresh):
+    from sofic_spectra.exact import ComplexRational
+    rule = diagonal_rule(Z1, BIN, list(values))
+    sig = torus_approximation(1, side)
+    rho = Configuration(values=np.array([(pattern >> v) & 1
+                                         for v in range(side)]))
+    op = assemble_induced(rule, sig, rho)
+    if fresh:
+        op.entries = {key: ComplexRational(Fraction(str(v.re)))
+                      for key, v in op.entries.items()}
+    spec = eigen_spectrum(op)
+    want = tuple(sorted(v.re for v in op.diagonal()))
+    assert spec.exact_values == want
+    assert [x.hex() for x in spec.values] == [float(x).hex() for x in want]
+
+
+def test_exact_counts_match_brute_force():
+    exact = (Fraction(-2), Fraction(1, 10), Fraction(1, 10), Fraction(1, 3),
+             Fraction(1, 2), Fraction(1, 2), Fraction(3))
+    spec = Spectrum(values=np.array([float(x) for x in exact]), residual=0.0,
+                    exact_values=exact)
+    points = [-3, 0, 3, 7, Fraction(1, 10), Fraction(1, 2), Fraction(1, 3),
+              0.1, 0.5, 1 / 3, -2.0, 3.0, 0.30000000000000004, np.float64(0.5),
+              float("inf"), float("-inf"), float("nan")]
+    for x in points:
+        below = sum(1 for v in spec.exact_values if v <= x)
+        at = sum(1 for v in spec.exact_values if v == x)
+        assert counting_function(spec, x) == below, x
+        assert atom_mass(spec, x) == at / spec.n, x
+    # a float is compared by its exact binary value: 0.5 is 1/2, 0.1 is not 1/10
+    assert atom_mass(spec, 0.5) == atom_mass(spec, Fraction(1, 2)) == 2 / 7
+    assert atom_mass(spec, 0.1) == 0.0 < atom_mass(spec, Fraction(1, 10))
+    assert counting_function(spec, 0.1) == 3
+    assert counting_function(spec, Fraction(1, 10) - Fraction(1, 10**30)) == 1
+
+
+def test_ids_curve_float_path_matches_pointwise_counts():
+    rng = np.random.default_rng(5)
+    values = np.sort(np.round(rng.normal(size=200), 2))
+    spec = Spectrum(values=values, residual=0.0)
+    grid = np.linspace(-3, 3, 301)
+    for tie_tol in (None, 0.0, 0.01):
+        curve = ids_curve(spec, grid, tie_tol)
+        # the per-point loop the vectorised path replaced
+        tol = 1e-9 * spec.scale() if tie_tol is None else tie_tol
+        want = [int(np.searchsorted(values, float(x) + tol, side="right"))
+                / spec.n for x in curve.xs]
+        assert [y.hex() for y in curve.ys] == [float(y).hex() for y in want]
+
+
+@pytest.mark.parametrize("hopping", ["real", "complex"])
+def test_operator_residual_uses_stored_entries(hopping):
+    from sofic_spectra.exact import ComplexRational
+    from sofic_spectra.measures import IIDProduct, sample_configuration
+    from sofic_spectra.operators import schrodinger_rule
+    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
+    sig = torus_approximation(1, 40)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, 2)
+    op = assemble_induced(rule, sig, rho)
+    if hopping == "complex":
+        half_i = ComplexRational(Fraction(0), Fraction(1, 2))
+        op.entries[(3, 4)] = op.entries[(3, 4)] + half_i
+        op.entries[(4, 3)] = op.entries[(4, 3)] - half_i
+    dense = op.to_dense()
+    from_op = eigen_spectrum(op)
+    from_matrix = eigen_spectrum(dense)
+    assert np.array_equal(from_op.values, from_matrix.values)
+    assert from_op.orthogonality == from_matrix.orthogonality
+    assert from_op.residual <= 1e-13
+    # the same quantity as the dense product, up to summation order
+    w, vecs = np.linalg.eigh(dense)
+    scale = max(1.0, float(np.abs(w).max()))
+    want = np.linalg.norm(dense @ vecs - vecs * w, axis=0).max() / scale
+    assert abs(from_op.residual - want) <= 1e-14
