@@ -395,7 +395,10 @@ def _pipeline_weak_convergence(config, group, sigmas, out, threads):
             rho = sample_configuration(model, sigma,
                                        sample_rng(config["seed"], size_index, j))
             op = assemble(rule, mode, sigma, rho, goodness)
-            spec = eigen_spectrum(op)
+            # only sample 0's spectrum is written (as its IDS); it keeps the
+            # eigenvector solver, because eigvalsh rounds degenerate
+            # eigenvalues differently and would move the written breakpoints
+            spec = eigen_spectrum(op, vectors=j == 0)
             A = op.to_sparse()
             moments = []
             power = A.copy()
@@ -405,7 +408,11 @@ def _pipeline_weak_convergence(config, group, sigmas, out, threads):
                 moments.append(power.diagonal().sum().real / sigma.n_vertices)
             return moments, spec
 
-        results = _parallel_map(run_sample, range(n_samples), threads)
+        # sample 0's eigenvector solve goes last: solved first, it leaves
+        # the heap fragmented and the values-only solves after it raise the
+        # peak memory; the results keep sample order
+        results = _parallel_map(run_sample, range(n_samples)[::-1],
+                                threads)[::-1]
         all_moments = np.array([m for m, _ in results])
         for k in range(1, k_max + 1):
             emp = all_moments[:, k - 1]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exact import ComplexRational, sum_abs_le
+from .exact import CZERO, ComplexRational, sum_abs_le
 from .groups import ball
 from .measures import Configuration
 from .operators import (
@@ -30,6 +30,7 @@ from .operators import (
     InducedOperator,
     LocalRule,
     Value,
+    _as_exact,
     _is_zero,
     _make_table,
     assemble_induced,
@@ -316,15 +317,16 @@ def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
     if a.n != b.n or not (a.exact and b.exact):
         raise AssemblyError("difference needs two exact operators of equal size")
     entries: dict = {}
+    # entries share the rule's value objects, so one subtraction per pair of
+    # objects; equal pairs then share their difference object as well
+    memo: dict = {}
     keys = set(a.entries) | set(b.entries)
     for key in keys:
-        av = a.entries.get(key, ComplexRational(Fraction(0)))
-        bv = b.entries.get(key, ComplexRational(Fraction(0)))
-        if not isinstance(av, ComplexRational):
-            av = ComplexRational(Fraction(av))
-        if not isinstance(bv, ComplexRational):
-            bv = ComplexRational(Fraction(bv))
-        dv = av - bv
+        av = a.entries.get(key, CZERO)
+        bv = b.entries.get(key, CZERO)
+        dv = memo.get((id(av), id(bv)))
+        if dv is None:
+            dv = memo[id(av), id(bv)] = _as_exact(av) - _as_exact(bv)
         if not dv.is_zero():
             entries[key] = dv
     return InducedOperator(n=a.n, entries=entries, exact=True,
@@ -433,7 +435,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
     target_op = assemble_induced(rule, sigma, rho, goodness)
     target_spec = eigen_spectrum(target_op)
     grid = [float(b) for b in beta_grid]
-    target_counts = [counting_function(target_spec, b) for b in grid]
+    target_counts = counting_function(target_spec, grid)
 
     ops: dict[int, InducedOperator] = {}
     specs: dict[int, Spectrum] = {}
@@ -475,7 +477,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
     d = sched.values.max_offdiag_per_row
     c = sched.gap_constant
     for m in range(1, m_max + 1):
-        counts = [counting_function(specs[m], b) for b in grid]
+        counts = counting_function(specs[m], grid)
         if prev_counts is not None:
             for b, now, before in zip(grid, counts, prev_counts):
                 if now > before:

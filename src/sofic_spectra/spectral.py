@@ -1,6 +1,11 @@
 """Dense Hermitian spectra, counting functions, IDS curves and references.
 
-Spectra come from LAPACK's dense Hermitian solver with residual and
+Spectra come from LAPACK's dense Hermitian solvers on two paths.  The
+default computes eigenvalues only and certifies them a posteriori in O(nnz):
+sum lambda = tr H and sum lambda^2 = ||H||_F^2, with tr H and ||H||_F^2 read
+from the operator's stored entries (or the bare array) rather than from the
+solver, and every |lambda| inside the row-sum (Gershgorin) bound.  With
+``vectors=True`` eigenvectors are computed too, with residual and
 orthogonality diagnostics; for an operator the residual H v - lambda v is
 taken over its stored entries (sparse, O(nnz n)).  Exact-rational diagonal
 operators bypass floating point entirely so that eigenvalue atoms at rational
@@ -39,12 +44,15 @@ class Spectrum:
     """Sorted eigenvalues with solver diagnostics.
 
     ``exact_values`` (sorted Fractions) is set for exact-rational diagonal
-    operators; float values are then just their float images.
+    operators; float values are then just their float images.  ``residual``
+    is the trace-identity defect of a values-only solve or the worst
+    relative eigenpair residual; ``orthogonality`` is None unless
+    eigenvectors were computed.
     """
 
     values: np.ndarray
     residual: float
-    orthogonality: float = 0.0
+    orthogonality: Optional[float] = None
     exact_values: Optional[tuple] = None
 
     @property
@@ -65,12 +73,16 @@ def _matrix_hash(a: np.ndarray) -> str:
 
 def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
                    tol: float = 1e-8,
-                   budget: int = DEFAULT_DENSE_BUDGET) -> Spectrum:
+                   budget: int = DEFAULT_DENSE_BUDGET,
+                   vectors: bool = False) -> Spectrum:
     """Full spectrum of a Hermitian operator (dense LAPACK path).
 
-    Exact-rational diagonal operators are solved exactly.  The float path
-    records the worst relative eigenpair residual and eigenvector
-    orthogonality defect and fails loudly when they exceed ``tol``.
+    Exact-rational diagonal operators are solved exactly.  By default the
+    float path computes eigenvalues only and certifies them in O(nnz) with
+    the trace identities and the row-sum enclosure (``_certify_values``);
+    ``vectors=True`` also computes eigenvectors and records the worst
+    relative eigenpair residual and the orthogonality defect.  Either check
+    fails loudly when it exceeds ``tol``.
     """
     if isinstance(op, InducedOperator):
         if op.exact and op.is_diagonal():
@@ -83,13 +95,18 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
     if n > budget:
         raise EigensolverError(f"dense solve of size {n} exceeds budget {budget}")
     if n == 0:
-        return Spectrum(values=np.empty(0), residual=0.0)
+        return Spectrum(values=np.empty(0), residual=0.0,
+                        orthogonality=0.0 if vectors else None)
     try:
-        w, vecs = np.linalg.eigh(dense)
+        solved = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(dense)
     except np.linalg.LinAlgError as err:
         raise EigensolverError(
             f"eigensolver failed to converge (matrix {_matrix_hash(dense)})"
         ) from err
+    if not vectors:
+        return Spectrum(values=solved,
+                        residual=_certify_values(op, dense, solved, tol))
+    w, vecs = solved
     scale = max(1.0, float(np.max(np.abs(w))))
     # H V over the stored entries is O(nnz n); a bare matrix is multiplied dense
     hv = (op.to_sparse() if isinstance(op, InducedOperator) else dense) @ vecs
@@ -104,6 +121,40 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
             f"residual {resid:.3e} above tolerance {tol:.3e} "
             f"(matrix {_matrix_hash(dense)})")
     return Spectrum(values=np.sort(w), residual=resid, orthogonality=ortho)
+
+
+def _certify_values(op: Union[InducedOperator, np.ndarray], dense: np.ndarray,
+                    w: np.ndarray, tol: float) -> float:
+    """Trace-identity defect of eigenvalues w of op, checked against tol.
+
+    tr H and ||H||_F^2 come from the operator's stored entries (O(nnz)), or
+    from the array itself, never from the solver.  The defect
+    max(|sum w - tr H| / scale, |sum w^2 - ||H||_F^2| / scale^2) exceeds tol
+    as soon as one eigenvalue is off by more than tol * scale; every
+    eigenvalue must also lie in the row-sum (Gershgorin) enclosure.
+    """
+    if isinstance(op, InducedOperator):
+        rows, cols, vals = op._float_coo()
+        trace = float(np.sum(vals[rows == cols].real))
+        frob2 = float(np.sum(vals.real ** 2 + vals.imag ** 2))
+        bound = op.row_sum_bound()
+    else:
+        trace = float(np.trace(dense).real)
+        frob2 = float(np.vdot(dense, dense).real)
+        bound = float(np.abs(dense).sum(axis=1).max())
+    top = float(np.max(np.abs(w)))
+    scale = max(1.0, top)
+    if not top <= bound + tol * scale:
+        raise EigensolverError(
+            f"eigenvalue {top:.6e} outside the row-sum bound "
+            f"{bound:.6e} (matrix {_matrix_hash(dense)})")
+    defect = max(abs(float(np.sum(w)) - trace) / scale,
+                 abs(float(np.dot(w, w)) - frob2) / scale ** 2)
+    if not defect <= tol:
+        raise EigensolverError(
+            f"trace-identity defect {defect:.3e} above tolerance {tol:.3e} "
+            f"(matrix {_matrix_hash(dense)})")
+    return defect
 
 
 def _exact_diagonal_spectrum(n: int, codes: np.ndarray, values: list
@@ -136,8 +187,17 @@ def _exact_rank(spec: Spectrum, x, side: str) -> int:
 
 
 def counting_function(spec: Spectrum, beta,
-                      tie_tol: Optional[float] = None) -> int:
-    """Number of eigenvalues <= beta (ties absorbed within tie_tol)."""
+                      tie_tol: Optional[float] = None):
+    """Number of eigenvalues <= beta (ties absorbed within tie_tol).
+
+    For a sequence of points the counts come back as a list of ints, from
+    one vectorised search (float) or one bisection per point (exact).
+    """
+    if np.ndim(beta):
+        if spec.is_exact:
+            return [_exact_rank(spec, b, "right") for b in beta]
+        return _float_counts(spec, np.asarray(beta, dtype=float),
+                             tie_tol).tolist()
     if spec.is_exact:
         return _exact_rank(spec, beta, "right")
     return int(_float_counts(spec, float(beta), tie_tol))
@@ -235,9 +295,8 @@ def ids_curve(spec: Spectrum, grid: Optional[Sequence[float]] = None,
         xs = np.unique(np.concatenate([np.asarray(grid, dtype=float), breaks]))
     else:
         xs = breaks
-    counts = ([counting_function(spec, x) for x in xs] if spec.is_exact
-              else _float_counts(spec, xs, tie_tol))
-    ys = np.asarray(counts, dtype=float) / max(spec.n, 1)
+    ys = np.asarray(counting_function(spec, xs, tie_tol),
+                    dtype=float) / max(spec.n, 1)
     return IDSCurve(xs=xs, ys=ys, kind="step")
 
 

@@ -13,12 +13,15 @@ from sofic_spectra.monotone import (
     ValueSets,
     apply_schedule,
     build_schedule,
+    _difference,
     gershgorin_psd,
     monotone_ids_report,
     schedule_step_psd_check,
     value_sets_of,
 )
 from sofic_spectra.operators import (
+    InducedOperator,
+    assemble_induced,
     diagonal_rule,
     schrodinger_rule,
     table_rule,
@@ -247,3 +250,52 @@ def test_monotone_diagonal_counting_jumps():
     by_m = {r.m: r.count_m for r in rep.rows}
     assert by_m[1] == 6 and by_m[2] == 6
     assert by_m[3] == 0 and by_m[4] == 0
+
+
+def _per_entry_difference(a, b):
+    """The per-entry loop _difference replaced: a new value for every entry."""
+    entries = {}
+    for key in set(a.entries) | set(b.entries):
+        av = a.entries.get(key, crat(0))
+        bv = b.entries.get(key, crat(0))
+        if not isinstance(av, ComplexRational):
+            av = crat(av)
+        if not isinstance(bv, ComplexRational):
+            bv = crat(bv)
+        if not (av - bv).is_zero():
+            entries[key] = av - bv
+    return entries
+
+
+def _exact_op(n, entries):
+    return InducedOperator(n=n, entries=entries, exact=True, hopping=1,
+                           goodness_radius=2)
+
+
+def test_difference_shares_one_value_per_pair_of_objects():
+    x, y, z = crat(1), crat(1), crat(1, 2)
+    a = _exact_op(5, {(0, 0): x, (1, 1): x, (2, 2): x, (3, 3): x,
+                      (0, 1): crat(0, 1), (1, 0): crat(0, -1)})
+    b = _exact_op(5, {(2, 2): z, (0, 0): y, (1, 1): z, (3, 3): z,
+                      (4, 4): Fraction(2), (0, 1): crat(0, 1)})
+    d = _difference(a, b)
+    assert list(d.entries.items()) == \
+        list(_per_entry_difference(a, b).items())
+    assert (0, 0) not in d.entries            # x - y is zero
+    assert d.entries[(1, 1)] is d.entries[(2, 2)] is d.entries[(3, 3)]
+
+
+def test_difference_of_schedule_depths_matches_per_entry_loop():
+    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
+    sched = build_schedule(value_sets_of(rule), 4)
+    sig = torus_approximation(1, 40)
+    rho = Configuration(values=np.arange(40) % 3 % 2)
+    ops = [assemble_induced(apply_schedule(rule, sched, m), sig, rho)
+           for m in (1, 2)]
+    d = _difference(ops[1], ops[0])
+    assert list(d.entries.items()) == \
+        list(_per_entry_difference(ops[1], ops[0]).items())
+    # one object per pair of rule value objects, not one per entry
+    pairs = {(id(ops[1].entries.get(k)), id(ops[0].entries.get(k)))
+             for k in d.entries}
+    assert len({id(v) for v in d.entries.values()}) == len(pairs) < 10

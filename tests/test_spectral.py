@@ -28,6 +28,7 @@ from sofic_spectra.spectral import (
     punctured_mass_bound,
     reference_ids,
 )
+from sofic_spectra.spectral import _matrix_hash
 
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
@@ -313,8 +314,8 @@ def test_operator_residual_uses_stored_entries(hopping):
         op.entries[(3, 4)] = op.entries[(3, 4)] + half_i
         op.entries[(4, 3)] = op.entries[(4, 3)] - half_i
     dense = op.to_dense()
-    from_op = eigen_spectrum(op)
-    from_matrix = eigen_spectrum(dense)
+    from_op = eigen_spectrum(op, vectors=True)
+    from_matrix = eigen_spectrum(dense, vectors=True)
     assert np.array_equal(from_op.values, from_matrix.values)
     assert from_op.orthogonality == from_matrix.orthogonality
     assert from_op.residual <= 1e-13
@@ -323,3 +324,171 @@ def test_operator_residual_uses_stored_entries(hopping):
     scale = max(1.0, float(np.abs(w).max()))
     want = np.linalg.norm(dense @ vecs - vecs * w, axis=0).max() / scale
     assert abs(from_op.residual - want) <= 1e-14
+
+
+# Values-only solves: the trace-identity certificate and where it is used.
+
+
+def _schrodinger_op(side=40, d=1, seed=2, hopping="real", exact=True):
+    """Schrodinger operator on a torus; "complex" adds +-i/2 to every hopping
+    entry (i/2 above the diagonal, -i/2 below), which keeps it Hermitian."""
+    import dataclasses
+
+    from sofic_spectra.exact import ComplexRational
+    from sofic_spectra.measures import IIDProduct, sample_configuration
+    from sofic_spectra.operators import schrodinger_rule
+    group = lattice_group(d)
+    rule = schrodinger_rule(group, BIN, [Fraction(0), Fraction(5, 3)])
+    sig = torus_approximation(d, side)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, seed)
+    op = assemble_induced(rule, sig, rho)
+    if hopping == "complex":
+        half_i = ComplexRational(Fraction(0), Fraction(1, 2))
+        op.entries = {(i, j): v + half_i if i < j else v - half_i
+                      if i > j else v for (i, j), v in op.entries.items()}
+    if not exact:
+        op = dataclasses.replace(
+            op, exact=False,
+            entries={key: v.to_complex() for key, v in op.entries.items()})
+    return op
+
+
+def _fake_eigvalsh(monkeypatch, change):
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def fake(a):
+        w = real_eigvalsh(a).copy()
+        change(w)
+        return w
+    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+
+
+@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("fault", ["move 1e-6", "move 2e-8", "negate",
+                                   "opposite pair"])
+def test_values_only_detects_wrong_eigenvalues(monkeypatch, bare, fault):
+    op = _schrodinger_op(hopping="complex")
+    dense = op.to_dense()
+    scale = max(1.0, float(np.abs(np.linalg.eigvalsh(dense)).max()))
+
+    def move(w):
+        if fault.startswith("move"):
+            # one eigenvalue off by just over tol * scale is enough
+            w[len(w) // 2] += float(fault.split()[1]) * scale
+        elif fault == "negate":
+            w[-1] = -w[-1]          # keeps sum w^2, breaks sum w
+        else:
+            w[-1] += 1e-6 * scale   # keeps sum w, breaks sum w^2
+            w[0] -= 1e-6 * scale
+    _fake_eigvalsh(monkeypatch, move)
+    with pytest.raises(EigensolverError,
+                       match=f"trace-identity .*{_matrix_hash(dense)}"):
+        eigen_spectrum(dense if bare else op)
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, bare):
+    op = _schrodinger_op()
+    dense = op.to_dense()
+    bound = op.row_sum_bound()
+
+    def push(w):
+        w[-1] = bound * (1 + 1e-6)
+    _fake_eigvalsh(monkeypatch, push)
+    with pytest.raises(EigensolverError,
+                       match=f"row-sum bound .*{_matrix_hash(dense)}"):
+        eigen_spectrum(dense if bare else op)
+
+
+def test_values_only_reports_lapack_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    dense = _schrodinger_op().to_dense()
+    with pytest.raises(EigensolverError,
+                       match=f"converge .*{_matrix_hash(dense)}"):
+        eigen_spectrum(dense)
+
+
+def test_counting_function_on_a_grid_matches_pointwise():
+    grid = np.linspace(-5, 2, 141)
+    exact = Spectrum(values=np.array([-1.0, 0.5, 0.5, 1.0]), residual=0.0,
+                     exact_values=(Fraction(-1), Fraction(1, 2),
+                                   Fraction(1, 2), Fraction(1)))
+    for spec in (eigen_spectrum(_schrodinger_op(side=30)), exact):
+        for tie_tol in (None, 0.0, 0.05):
+            got = counting_function(spec, grid, tie_tol)
+            assert all(type(c) is int for c in got)
+            assert got == [counting_function(spec, b, tie_tol) for b in grid]
+        points = [Fraction(1, 2), 0.5, float("inf"), -2]
+        assert counting_function(spec, points) == \
+            [counting_function(spec, b) for b in points]
+
+
+def test_values_only_and_vector_diagnostics():
+    op = _schrodinger_op()
+    values_only = eigen_spectrum(op)
+    with_vectors = eigen_spectrum(op, vectors=True)
+    assert values_only.orthogonality is None
+    assert 0.0 <= with_vectors.orthogonality <= 1e-12
+    assert values_only.residual <= 1e-12
+    assert eigen_spectrum(np.zeros((0, 0))).orthogonality is None
+    assert eigen_spectrum(np.zeros((0, 0)), vectors=True).orthogonality == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["real", "complex", "bare real", "bare complex"]),
+       exact=st.booleans(), d=st.sampled_from([1, 2]),
+       size=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_values_only_agrees_with_eigh(kind, exact, d, size, seed):
+    if kind.startswith("bare"):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((size, size))
+        if kind == "bare complex":
+            a = a + 1j * rng.standard_normal((size, size))
+        op = dense = a + a.conj().T
+    else:
+        side = max(3, size if d == 1 else int(np.sqrt(size)))
+        op = _schrodinger_op(side=side, d=d, seed=seed, hopping=kind,
+                             exact=exact)
+        dense = op.to_dense()
+    spec = eigen_spectrum(op)
+    w = np.linalg.eigh(dense)[0]
+    scale = max(1.0, float(np.abs(w).max()))
+    assert spec.residual <= 1e-12
+    assert np.abs(spec.values - w).max() <= 1e-12 * scale
+
+
+def test_written_ids_comes_from_eigenvector_solver(tmp_path):
+    """Sample 0's IDS file is the curve of the eigh values, byte for byte.
+
+    On the Z torus Laplacian the values-only solver rounds the degenerate
+    eigenvalues differently and the breakpoint rows change, so this pins
+    which solver the written spectrum comes from.
+    """
+    import json
+    from pathlib import Path
+
+    from sofic_spectra import cli
+    config = json.loads((Path(__file__).parent.parent / "configs"
+                         / "weak_convergence.json").read_text())
+    config.update(samples=3, k_max=2)
+    config["sofic"]["sizes"] = [16, 64]
+    cli.run(config, out_dir=tmp_path / "run")
+    group = cli.group_from_config(config["group"])
+    alphabet = cli.alphabet_from_config(config["measure"])
+    model = cli.measure_from_config(config["measure"], group)
+    rule, mode = cli.operator_from_config(config["operator"], group, alphabet)
+    for size_index, sigma in enumerate(cli.sofic_family(config, group)):
+        rho = cli.sample_configuration(
+            model, sigma, cli.sample_rng(config["seed"], size_index, 0))
+        op = cli.assemble(rule, mode, sigma, rho,
+                          cli.good_vertices(sigma, 2 * rule.hopping))
+        w = np.linalg.eigh(op.to_dense())[0]
+        curve = ids_curve(Spectrum(values=np.sort(w), residual=0.0),
+                          cli._beta_grid(config))
+        want = tmp_path / "want.csv"
+        cli.write_csv(want, ["beta", "value"], list(zip(curve.xs, curve.ys)))
+        got = tmp_path / "run" / f"ids_{sigma.n_vertices}.csv"
+        assert got.read_bytes() == want.read_bytes()
