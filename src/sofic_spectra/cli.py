@@ -12,11 +12,11 @@ reproduces the data files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,11 +134,18 @@ class ConfigError(ValueError):
     pass
 
 
-def validate_config(config: dict) -> None:
+@functools.cache
+def _config_validator():
+    """A validator for CONFIG_SCHEMA, built once: jsonschema.validate would
+    check the schema against its metaschema on every call."""
     import jsonschema
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def validate_config(config: dict) -> None:
+    from jsonschema.exceptions import best_match
+    err = best_match(_config_validator().iter_errors(config))
+    if err is not None:
         raise ConfigError(f"invalid config: {err.message}") from err
     sizes = config["sofic"]["sizes"]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -312,13 +319,6 @@ def sample_rng(master_seed: int, size_index: int,
         entropy=master_seed, spawn_key=(size_index, sample_index)))
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _check_fraction(x: float, what: str) -> float:
     if not -1e-12 <= x <= 1 + 1e-12:
         raise RuntimeError(f"{what} = {x} escapes [0, 1]")
@@ -339,7 +339,7 @@ set grid
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_sofic_diagnostics(config, group, sigmas, out, threads):
+def _pipeline_sofic_diagnostics(config, group, sigmas, out):
     radii = config.get("radii", {})
     r_good = radii.get("goodness", 2)
     r_defect = radii.get("defect", 2)
@@ -377,7 +377,7 @@ def _beta_grid(config) -> np.ndarray:
     return np.linspace(g["min"], g["max"], g["points"])
 
 
-def _pipeline_weak_convergence(config, group, sigmas, out, threads):
+def _pipeline_weak_convergence(config, group, sigmas, out):
     alphabet = alphabet_from_config(config.get("measure", {}))
     model = measure_from_config(config["measure"], group)
     rule, mode = operator_from_config(config["operator"], group, alphabet)
@@ -411,8 +411,7 @@ def _pipeline_weak_convergence(config, group, sigmas, out, threads):
         # sample 0's eigenvector solve goes last: solved first, it leaves
         # the heap fragmented and the values-only solves after it raise the
         # peak memory; the results keep sample order
-        results = _parallel_map(run_sample, range(n_samples)[::-1],
-                                threads)[::-1]
+        results = [run_sample(j) for j in range(n_samples)[::-1]][::-1]
         all_moments = np.array([m for m, _ in results])
         for k in range(1, k_max + 1):
             emp = all_moments[:, k - 1]
@@ -447,7 +446,7 @@ def _pipeline_weak_convergence(config, group, sigmas, out, threads):
     return outputs
 
 
-def _pipeline_luck_atoms(config, group, sigmas, out, threads):
+def _pipeline_luck_atoms(config, group, sigmas, out):
     alphabet = alphabet_from_config(config.get("measure", {}))
     model = measure_from_config(config["measure"], group)
     rule, mode = operator_from_config(config["operator"], group, alphabet)
@@ -465,7 +464,7 @@ def _pipeline_luck_atoms(config, group, sigmas, out, threads):
             op = assemble(rule, mode, sigma, rho, goodness)
             return eigen_spectrum(op), op.row_sum_bound()
 
-        results = _parallel_map(run_sample, range(n_samples), threads)
+        results = [run_sample(j) for j in range(n_samples)]
         for alpha in alphas:
             masses = np.array([atom_mass(spec, alpha) for spec, _ in results])
             atom_rows.append([sigma.n_vertices, str(alpha),
@@ -488,7 +487,7 @@ def _pipeline_luck_atoms(config, group, sigmas, out, threads):
     return ["atoms.csv", "punctured.csv"]
 
 
-def _pipeline_monotone(config, group, sigmas, out, threads):
+def _pipeline_monotone(config, group, sigmas, out):
     alphabet = alphabet_from_config(config.get("measure", {}))
     model = measure_from_config(config["measure"], group)
     rule, mode = operator_from_config(config["operator"], group, alphabet)
@@ -540,7 +539,7 @@ def _write_gnuplot(out: Path, pipeline: str, outputs: list[str]) -> None:
     (out / "plots.gp").write_text(GNUPLOT_TEMPLATE.format(plots="\n".join(plots)))
 
 
-def run(config: dict, out_dir=None, threads: int = 1) -> dict:
+def run(config: dict, out_dir=None) -> dict:
     """Execute a pipeline config; returns the manifest dict."""
     validate_config(config)
     out = Path(out_dir if out_dir is not None else config.get("out_dir", "results"))
@@ -556,7 +555,7 @@ def run(config: dict, out_dir=None, threads: int = 1) -> dict:
     }
     t0 = time.monotonic()
     try:
-        outputs = stages[pipeline](config, group, sigmas, out, threads)
+        outputs = stages[pipeline](config, group, sigmas, out)
     except Exception as err:
         partial = {
             "config_hash": config_hash(config), "pipeline": pipeline,
@@ -636,14 +635,13 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a pipeline config")
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
     p_cmp = sub.add_parser("compare", help="cross-run convergence table")
     p_cmp.add_argument("manifests", nargs="+", type=Path)
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             config = json.loads(args.config.read_text())
-            manifest = run(config, out_dir=args.out, threads=args.threads)
+            manifest = run(config, out_dir=args.out)
             print(json.dumps({"config_hash": manifest["config_hash"],
                               "outputs": manifest["outputs"]}, indent=1))
         else:

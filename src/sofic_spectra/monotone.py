@@ -33,6 +33,7 @@ from .operators import (
     _as_exact,
     _is_zero,
     _make_table,
+    _value_key,
     assemble_induced,
 )
 from .sofic import GoodnessReport, SoficApproximation, good_vertices
@@ -291,8 +292,13 @@ def gershgorin_psd(op: Union[InducedOperator, np.ndarray],
                         diag[i] = Fraction(v)
                 else:
                     rows[i].append(v)
+            # rows repeat a handful of value patterns: decide each once
+            verdicts: dict = {}
             for i in range(op.n):
-                if not sum_abs_le(rows[i], diag[i], strict=strict):
+                key = (diag[i], tuple(sorted(map(_value_key, rows[i]))))
+                if key not in verdicts:
+                    verdicts[key] = sum_abs_le(rows[i], diag[i], strict=strict)
+                if not verdicts[key]:
                     return GershgorinCertificate(certified=False, strict=strict,
                                                  witness_row=i, exact=True)
             return GershgorinCertificate(certified=True, strict=strict, exact=True)

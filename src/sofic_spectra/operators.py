@@ -657,51 +657,69 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
                            ) -> tuple[int, np.ndarray, np.ndarray]:
     """diag((den*H)^k) at the given vertices, den from the operator's entries.
 
-    Returns (den, re, im) with length-len(vertices) numerator arrays.  A block
-    of unit columns goes through k CSR matvecs: gather the block at the
-    column indices, multiply by the entries, sum each row with
-    np.add.reduceat over the row pointers.  Vertices are processed in chunks
-    of at most _BATCH_CELLS cells per array.
+    Returns (den, re, im) with length-len(vertices) numerator arrays.  By
+    finite propagation (den*H)^j e_v lives on the vertices j steps from v, so
+    the state is a sparse frontier of triples (w, s, re, im) holding
+    (den*H)^j(w, vertices[s]), sorted by the key w*B + s.  A step expands
+    each triple through column w (CSC order), multiplies by the entry
+    numerators and merges equal (row, s) keys with a stable sort and
+    np.add.reduceat, so each sum takes its terms in ascending column order.
+    A step costs O(entries in the frontier's columns).  Sources run in chunks
+    of B = _BATCH_CELLS // max(n, nnz), so a step holds at most
+    B * nnz <= _BATCH_CELLS terms.
     """
     n = op.n
     rows, cols, codes, values = op._coo()
     den, val_re, val_im = _scaled_numerators(values, op.exact)
-    order = np.lexsort((cols, rows))        # CSR order
-    rows, cols, codes = rows[order], cols[order], codes[order]
-    val_re, val_im = val_re[codes], val_im[codes]
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    filled = np.diff(indptr) > 0
-    starts = indptr[:-1][filled]
-    bound = (np.add.reduceat(np.abs(val_re) + np.abs(val_im), starts).max()
-             if len(rows) else 0)
+    order = np.lexsort((cols, rows))        # CSR order, for the row bound
+    row_mags = (np.abs(val_re) + np.abs(val_im))[codes[order]]
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    bound = np.add.reduceat(row_mags, starts).max() if len(rows) else 0
     dtype = _kernel_dtype(op.exact, bound, k)
-    val_re = val_re.astype(dtype)[:, None]
-    val_im = val_im.astype(dtype)[:, None]
-    real = not val_im.any()
+    order = np.lexsort((rows, cols))        # CSC order
+    rows, codes = rows[order], codes[order]
+    col_ptr = np.searchsorted(cols[order], np.arange(n + 1))
+    ent_re = val_re.astype(dtype)[codes]
+    ent_im = val_im.astype(dtype)[codes]
+    real = not ent_im.any()
     re = np.zeros(len(vertices), dtype=dtype)
     im = np.zeros(len(vertices), dtype=dtype)
     chunk = max(1, _BATCH_CELLS // max(n, len(rows), 1))
     for lo in range(0, len(vertices), chunk):
         block = vertices[lo:lo + chunk]
-        unit = (block, np.arange(len(block)))
-        x_re = np.zeros((n, len(block)), dtype=dtype)
-        x_re[unit] = 1
-        x_im = np.zeros_like(x_re)
+        width = len(block)
+        # one triple per source: each first-step sum has a single term, so
+        # the state need not start sorted
+        w, s = block, np.arange(width)
+        x_re = np.ones(width, dtype=dtype)
+        x_im = np.zeros(width, dtype=dtype)
         for _ in range(k):
-            g_re = x_re[cols]
-            p_re = g_re * val_re
-            x_re = np.zeros_like(x_re)
+            first, deg = col_ptr[w], col_ptr[w + 1] - col_ptr[w]
+            src = np.repeat(np.arange(len(w)), deg)
+            ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
+                                                  deg)
+            g_re, e_re = x_re[src], ent_re[ent]
+            t_re = g_re * e_re
             if not real:
-                g_im = x_im[cols]
-                p_re -= g_im * val_im
-                p_im = g_re * val_im + g_im * val_re
-                x_im = np.zeros_like(x_im)
-            if len(starts):
-                x_re[filled] = np.add.reduceat(p_re, starts, axis=0)
-                if not real:
-                    x_im[filled] = np.add.reduceat(p_im, starts, axis=0)
-        re[lo:lo + len(block)] = x_re[unit]
-        im[lo:lo + len(block)] = x_im[unit]
+                g_im, e_im = x_im[src], ent_im[ent]
+                t_re -= g_im * e_im
+                t_im = g_re * e_im + g_im * e_re
+            # a stable argsort of the (row, s) keys: tagged with the term
+            # index they are distinct, and a value sort is far faster; keys
+            # and term counts stay below max(n, nnz, _BATCH_CELLS), so the
+            # tagged keys fit int64
+            tagged = rows[ent] * width + s[src]
+            tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
+            key, order = np.divmod(tagged, len(tagged))
+            merged = np.flatnonzero(np.diff(key, prepend=-1))
+            w, s = np.divmod(key[merged], width)
+            x_re = np.add.reduceat(t_re[order], merged)
+            if not real:
+                x_im = np.add.reduceat(t_im[order], merged)
+        hit = np.flatnonzero(w == block[s])
+        re[lo + s[hit]] = x_re[hit]
+        if not real:
+            im[lo + s[hit]] = x_im[hit]
     return den, re, im
 
 
@@ -825,9 +843,11 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     operator at every 4kM-good vertex.
 
     The two sides are independent kernels on integer numerator arrays, real
-    and imaginary parts apart: the matrix side takes k CSR matvecs of
-    den_op*H_n (den_op from the assembled entries), the walk side propagates
-    den_rule*c along closed walks in the Cayley ball.  Each side runs on
+    and imaginary parts apart: the matrix side propagates a sparse frontier
+    of den_op*H_n applied k times to the unit vectors of the tested vertices
+    (den_op from the assembled entries), at a cost per step proportional to
+    the entries the frontier touches; the walk side propagates den_rule*c
+    along closed walks in the Cayley ball.  Each side runs on
     int64 when its largest row sum R has R^k < 2^62, on Python ints
     otherwise, and on float64 for float rules.  Exact values are compared as
     num_m * den_w^k == num_w * den_m^k; only differing pairs get a float

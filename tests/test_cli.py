@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sofic_spectra.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
     compare,
     config_hash,
@@ -42,6 +43,22 @@ def test_validate_config_errors():
     validate_config(base_config())
 
 
+def test_config_schema_is_a_valid_schema():
+    # the validator is built once without checking the schema, so check it here
+    import jsonschema
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+        CONFIG_SCHEMA)
+    # and it reports the error that jsonschema.validate picks
+    for bad in (base_config(pipeline="nope", seed="x"),
+                base_config(sofic={"kind": "torus", "sizes": []},
+                            measure=3)):
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            validate_config(bad)
+        assert str(got.value) == f"invalid config: {want.value.message}"
+
+
 def test_fmt_rendering():
     assert fmt("1/2") == "1/2"
     assert fmt(True) == "1"
@@ -60,15 +77,6 @@ def test_run_weak_convergence_deterministic(tmp_path):
     moments = (tmp_path / "a" / "moments.csv").read_text().splitlines()
     assert moments[0] == "n,k,empirical_mean,empirical_se,oracle,oracle_se"
     assert len(moments) == 1 + 2 * 3
-
-
-def test_run_threads_match_serial(tmp_path):
-    config = base_config()
-    m1 = run(config, out_dir=tmp_path / "serial", threads=1)
-    m2 = run(config, out_dir=tmp_path / "threaded", threads=4)
-    for name in m1["outputs"]:
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "threaded" / name).read_bytes()
 
 
 def test_run_reference_distances(tmp_path):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sofic_spectra.exact import ComplexRational
+from sofic_spectra.exact import ComplexRational, sum_abs_le
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Alphabet, Configuration, binary_alphabet
 from sofic_spectra.monotone import (
@@ -20,6 +22,7 @@ from sofic_spectra.monotone import (
     value_sets_of,
 )
 from sofic_spectra.operators import (
+    AssemblyError,
     InducedOperator,
     assemble_induced,
     diagonal_rule,
@@ -299,3 +302,103 @@ def test_difference_of_schedule_depths_matches_per_entry_loop():
     pairs = {(id(ops[1].entries.get(k)), id(ops[0].entries.get(k)))
              for k in d.entries}
     assert len({id(v) for v in d.entries.values()}) == len(pairs) < 10
+
+
+def _ref_gershgorin(op, strict):
+    """The per-row loop that row-pattern deduplication replaced."""
+    op.check_hermitian()
+    rows = {i: [] for i in range(op.n)}
+    diag = [Fraction(0)] * op.n
+    for (i, j), v in op.entries.items():
+        if i == j:
+            if isinstance(v, ComplexRational):
+                if v.im != 0:
+                    raise AssemblyError("non-real diagonal entry")
+                diag[i] = v.re
+            else:
+                diag[i] = Fraction(v)
+        else:
+            rows[i].append(v)
+    for i in range(op.n):
+        if not sum_abs_le(rows[i], diag[i], strict=strict):
+            return False, i
+    return True, None
+
+
+def _gershgorin_outcome(op, strict):
+    try:
+        cert = gershgorin_psd(op, strict=strict)
+    except AssemblyError as err:
+        return str(err)
+    assert cert.exact and cert.strict == strict
+    return cert.certified, cert.witness_row
+
+
+def _ref_outcome(op, strict):
+    try:
+        return _ref_gershgorin(op, strict)
+    except AssemblyError as err:
+        return str(err)
+
+
+# |1+i| and |1/2+i/3| are irrational, |3+4i| = 5 is not
+OFF_VALUES = [crat(1), crat(-1), crat(1, 1), crat(Fraction(1, 2), Fraction(1, 3)),
+              crat(3, 4), crat(0, Fraction(-1, 2))]
+DIAG_VALUES = [crat(0), crat(1), crat(2), crat(Fraction(5, 2)), crat(5),
+               crat(Fraction(29, 4)), Fraction(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 12), data=st.data(), strict=st.booleans())
+def test_exact_gershgorin_matches_per_row_loop(n, data, strict):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=2 * n) if pairs else st.just([]))
+    entries = {}
+    for i in range(n):
+        d = data.draw(st.sampled_from(DIAG_VALUES + [None]))
+        if d is not None:
+            entries[i, i] = d
+    for i, j in chosen:
+        v = data.draw(st.sampled_from(OFF_VALUES))
+        entries[i, j] = v
+        entries[j, i] = v.conjugate()
+    op = InducedOperator(n=n, entries=entries, exact=True, hopping=1,
+                         goodness_radius=0)
+    assert _gershgorin_outcome(op, strict) == _ref_outcome(op, strict)
+
+
+def test_exact_gershgorin_row_patterns_and_errors(monkeypatch):
+    def op(entries, n=4):
+        return InducedOperator(n=n, entries=entries, exact=True, hopping=1,
+                               goodness_radius=0)
+
+    # rows 0 and 2 share their off-diagonal pattern, not their diagonal
+    hop = {(0, 1): crat(1), (1, 0): crat(1), (2, 3): crat(1), (3, 2): crat(1)}
+    same_offdiag = op({**hop, (0, 0): crat(2), (1, 1): crat(5),
+                       (2, 2): crat(Fraction(1, 2)), (3, 3): crat(5)})
+    # rows 0 and 1 share everything but pass only non-strictly
+    boundary = op({**hop, (0, 0): crat(1), (1, 1): crat(1),
+                   (2, 2): crat(2), (3, 3): crat(2)})
+    # rows 0 and 2 share their diagonal and off-diagonal values, but row 2
+    # holds the value 1 twice
+    path = {(0, 1): crat(1), (1, 0): crat(1), (1, 2): crat(1),
+            (2, 1): crat(1), (2, 3): crat(1), (3, 2): crat(1)}
+    multiset = op({**path, (0, 0): crat(Fraction(3, 2)), (1, 1): crat(5),
+                   (2, 2): crat(Fraction(3, 2)), (3, 3): crat(5)})
+    for case in (same_offdiag, boundary, multiset):
+        for strict in (False, True):
+            assert _gershgorin_outcome(case, strict) == _ref_outcome(case,
+                                                                     strict)
+    assert _gershgorin_outcome(same_offdiag, False) == (False, 2)
+    assert _gershgorin_outcome(multiset, False) == (False, 2)
+    assert _gershgorin_outcome(boundary, False) == (True, None)
+    assert _gershgorin_outcome(boundary, True) == (False, 0)
+    # a non-real diagonal fails the Hermitian check first; without it, the
+    # diagonal check itself still refuses the operator
+    non_real = op({(0, 0): crat(1), (1, 1): crat(1, 1)}, n=2)
+    assert _gershgorin_outcome(non_real, False) == _ref_outcome(
+        non_real, False) == "Hermitian symmetry violated at entry pair (1,1)"
+    monkeypatch.setattr(InducedOperator, "check_hermitian", lambda self: None)
+    assert _gershgorin_outcome(non_real, True) == _ref_outcome(
+        non_real, True) == "non-real diagonal entry"

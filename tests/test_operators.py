@@ -36,7 +36,11 @@ from sofic_spectra.operators import (
     table_rule,
     validate_local_rule,
 )
-from sofic_spectra.sofic import good_vertices, torus_approximation
+from sofic_spectra.sofic import (
+    good_vertices,
+    random_permutation_approximation,
+    torus_approximation,
+)
 
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
@@ -319,7 +323,7 @@ def _dense_fraction_power_diagonal(op, k):
     return [power[i][i] for i in range(op.n)]
 
 
-def test_power_kernels_fall_back_to_python_ints():
+def test_power_kernels_fall_back_to_python_ints(monkeypatch):
     # den = 7 and row sum R = 10^6, so R^6 >= 2^62: int64 could wrap
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(10**6, 7)])
     k = 6
@@ -337,6 +341,15 @@ def test_power_kernels_fall_back_to_python_ints():
     den_m, re_m, _ = _matrix_power_diagonal(op, k, np.arange(9))
     assert re_m.dtype == object
     assert [Fraction(num, den_m ** k) for num in re_m.tolist()] == expect
+    # a few cells per batch: one source per chunk, in any order, repeated
+    monkeypatch.setattr(operators_module, "_BATCH_CELLS", 5)
+    vertices = np.array([4, 0, 8, 3, 4])
+    got = _matrix_power_diagonal(op, k, vertices)
+    assert got[1].dtype == object
+    _assert_same_power_diagonal(got, _ref_dense_power_diagonal(op, k, vertices))
+    assert [Fraction(num, den_m ** k) for num in got[1].tolist()] == [
+        expect[v] for v in vertices]
+    monkeypatch.undo()
 
     sig = torus_approximation(1, 50)     # 4kM-good everywhere
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
@@ -409,6 +422,168 @@ def test_power_diagonal_exact_on_random_rules(d, kind, k, potential, hop, seed):
     rep = power_diagonal_check(rule, sig, rho, k)
     assert rep.exact and rep.n_tested == side ** d
     assert rep.max_discrepancy == 0.0
+
+
+def _ref_dense_power_diagonal(op, k, vertices):
+    """diag((den*H)^k) by dense unit-column blocks through k CSR matvecs:
+    the kernel that the sparse-frontier propagation replaced, kept as the
+    reference it must reproduce, exactly for exact rules."""
+    n = op.n
+    rows, cols, codes, values = op._coo()
+    den, val_re, val_im = operators_module._scaled_numerators(values, op.exact)
+    order = np.lexsort((cols, rows))
+    rows, cols, codes = rows[order], cols[order], codes[order]
+    val_re, val_im = val_re[codes], val_im[codes]
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    filled = np.diff(indptr) > 0
+    starts = indptr[:-1][filled]
+    bound = (np.add.reduceat(np.abs(val_re) + np.abs(val_im), starts).max()
+             if len(rows) else 0)
+    dtype = operators_module._kernel_dtype(op.exact, bound, k)
+    val_re = val_re.astype(dtype)[:, None]
+    val_im = val_im.astype(dtype)[:, None]
+    real = not val_im.any()
+    re = np.zeros(len(vertices), dtype=dtype)
+    im = np.zeros(len(vertices), dtype=dtype)
+    chunk = max(1, operators_module._BATCH_CELLS // max(n, len(rows), 1))
+    for lo in range(0, len(vertices), chunk):
+        block = vertices[lo:lo + chunk]
+        unit = (block, np.arange(len(block)))
+        x_re = np.zeros((n, len(block)), dtype=dtype)
+        x_re[unit] = 1
+        x_im = np.zeros_like(x_re)
+        for _ in range(k):
+            g_re = x_re[cols]
+            p_re = g_re * val_re
+            x_re = np.zeros_like(x_re)
+            if not real:
+                g_im = x_im[cols]
+                p_re -= g_im * val_im
+                p_im = g_re * val_im + g_im * val_re
+                x_im = np.zeros_like(x_im)
+            if len(starts):
+                x_re[filled] = np.add.reduceat(p_re, starts, axis=0)
+                if not real:
+                    x_im[filled] = np.add.reduceat(p_im, starts, axis=0)
+        re[lo:lo + len(block)] = x_re[unit]
+        im[lo:lo + len(block)] = x_im[unit]
+    return den, re, im
+
+
+def _assert_same_power_diagonal(got, want, atol=0.0):
+    """Equal numerators (floats by float.hex), or float ones within atol."""
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype
+        if atol:
+            assert np.abs(a - b).max(initial=0.0) <= atol
+        elif a.dtype == np.float64:
+            assert list(map(float.hex, a.tolist())) == list(
+                map(float.hex, b.tolist()))
+        else:
+            assert a.tolist() == b.tolist()
+
+
+def _float_power_tolerance(op, k):
+    """A bound on how far two float evaluations of diag(H^k) that add the
+    same terms in different association can differ: each is within
+    2k(m + 1) eps R^k of the exact value (the 2 for complex products), for
+    row sums R and at most m entries per row, so they differ by twice that."""
+    if op.exact or not op.entries:
+        return 0.0
+    rows = np.array([i for i, _ in op.entries])
+    m = np.bincount(rows).max()
+    return 4 * k * (m + 1) * np.finfo(float).eps * max(op.row_sum_bound(),
+                                                       1.0) ** k
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["Z", "Z2", "F2"]), kind=st.sampled_from(
+           ["diagonal", "schrodinger", "complex hopping"]),
+       exact=st.booleans(), k=st.integers(1, 5),
+       potential=st.tuples(RATIONALS, RATIONALS), hop=RATIONALS,
+       size=st.integers(3, 9), seed=st.integers(0, 2**16),
+       subset=st.booleans(), cells=st.sampled_from([1 << 17, 40]))
+def test_frontier_power_diagonal_matches_dense_blocks(model, kind, exact, k,
+                                                      potential, hop, size,
+                                                      seed, subset, cells):
+    group = free_group(2) if model == "F2" else lattice_group(len(model))
+    if kind == "diagonal":
+        rule = diagonal_rule(group, BIN, list(potential))
+    elif kind == "schrodinger":
+        rule = schrodinger_rule(group, BIN, list(potential))
+    else:
+        rule = _hopping_rule(group, potential, hop)
+    if not exact:
+        rule = _float_rule(rule)
+    # small tori and permutation models leave bad vertices, whose entries
+    # assembly zeroes
+    sig = (random_permutation_approximation(2, 6 * size, seed)
+           if model == "F2" else torus_approximation(len(model), size))
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, seed)
+    op = assemble_induced(rule, sig, rho)
+    rng = np.random.default_rng(seed)
+    vertices = (rng.permutation(op.n)[:rng.integers(0, op.n + 1)] if subset
+                else np.arange(op.n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators_module, "_BATCH_CELLS", cells)
+        got = _matrix_power_diagonal(op, k, vertices)
+        want = _ref_dense_power_diagonal(op, k, vertices)
+    # np.add.reduceat sums a segment as t0 + (t1 + t2 + ...), and the dense
+    # blocks carry the zero terms of unreached columns, so a float sum can
+    # associate differently and move in the last bits
+    _assert_same_power_diagonal(got, want, _float_power_tolerance(op, k))
+
+
+def test_power_diagonal_catches_non_hermitian_hopping_at_k3(monkeypatch):
+    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
+    sig = torus_approximation(1, 40)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, 5)
+    v = 20
+    clean = assemble_induced(rule, sig, rho)
+
+    def corrupted(*args, **kwargs):
+        # H(v+1, v) moves, its transpose H(v, v+1) does not
+        op = assemble_induced(*args, **kwargs)
+        op.entries[v + 1, v] = op.entries[v + 1, v] + ComplexRational(
+            Fraction(1, 4))
+        return op
+
+    bad = corrupted(rule, sig, rho)
+    with pytest.raises(AssemblyError):
+        bad.check_hermitian()
+    den, re, _ = _matrix_power_diagonal(bad, 3, np.array([v]))
+    den_c, re_c, _ = _matrix_power_diagonal(clean, 3, np.array([v]))
+    got = Fraction(re[0], den ** 3)
+    assert got == _dense_fraction_power_diagonal(bad, 3)[v]
+    assert got != Fraction(re_c[0], den_c ** 3)
+    monkeypatch.setattr(operators_module, "assemble_induced", corrupted)
+    assert power_diagonal_check(rule, sig, rho, 1).max_discrepancy == 0.0
+    rep = power_diagonal_check(rule, sig, rho, 3)
+    assert rep.exact and rep.max_discrepancy > 0
+
+
+def test_power_diagonal_walks_cancelling_to_zero():
+    # diagonal -2 + F is -1, 0, 1 on symbols 0, 1, 2 and hopping is 1, so
+    # (H^3)(v,v) = p_v^3 + 4 p_v + p_{v-1} + p_{v+1} vanishes at a 0 between
+    # a -1 and a 1, and (H^3)(v,v) = 0 exactly there on both sides
+    tri = Alphabet(symbols=("0", "1", "2"))
+    rule = schrodinger_rule(Z1, tri, [Fraction(1), Fraction(2), Fraction(3)])
+    sig = torus_approximation(1, 30)
+    rho = Configuration(values=np.tile([0, 1, 2], 10))
+    op = assemble_induced(rule, sig, rho)
+    vertices = np.arange(op.n)
+    for exact in (True, False):
+        if not exact:
+            op = assemble_induced(_float_rule(rule), sig, rho)
+        den, re, im = _matrix_power_diagonal(op, 3, vertices)
+        _assert_same_power_diagonal(
+            (den, re, im), _ref_dense_power_diagonal(op, 3, vertices))
+        assert re.tolist() == [-4, 0, 4] * 10 and not im.any()
+    rep = power_diagonal_check(rule, sig, rho, 3)
+    assert rep.exact and rep.n_tested == 30 and rep.max_discrepancy == 0.0
 
 
 # Per-entry loops that the value-coded operator methods replaced, kept as the
