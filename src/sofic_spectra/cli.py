@@ -19,6 +19,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -215,22 +216,27 @@ def _parse_rational(text) -> Fraction:
     return Fraction(str(text))
 
 
-def operator_from_config(cfg: dict, group: GroupSpec,
-                         alphabet: Alphabet) -> tuple[LocalRule, str]:
-    """Returns (rule, assembly mode); mode is 'induced' or 'graph'."""
+def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
+                         ) -> tuple[LocalRule, Optional[list]]:
+    """Returns (rule, potential): the Schrodinger potential F when the
+    operator is assembled on the sofic graph, None for the induced
+    assembly."""
     kind = cfg["kind"]
+    potential = None
     if kind == "laplacian":
-        return laplacian_rule(group, alphabet), cfg.get("mode", "induced")
-    if kind == "adjacency":
-        return adjacency_rule(group, alphabet), cfg.get("mode", "induced")
-    if kind in ("schrodinger", "graph_schrodinger"):
-        pot = [_parse_rational(cfg["potential"][s]) for s in alphabet.symbols]
-        mode = "graph" if kind == "graph_schrodinger" else cfg.get("mode", "induced")
-        return schrodinger_rule(group, alphabet, pot), mode
-    if kind == "diagonal":
+        rule = laplacian_rule(group, alphabet)
+        potential = [Fraction(0)] * alphabet.size
+    elif kind == "adjacency":
+        rule = adjacency_rule(group, alphabet)
+        potential = [Fraction(group.n_generators)] * alphabet.size
+    elif kind in ("schrodinger", "graph_schrodinger"):
+        potential = [_parse_rational(cfg["potential"][s])
+                     for s in alphabet.symbols]
+        rule = schrodinger_rule(group, alphabet, potential)
+    elif kind == "diagonal":
         vals = [_parse_rational(cfg["values"][s]) for s in alphabet.symbols]
-        return diagonal_rule(group, alphabet, vals), cfg.get("mode", "induced")
-    if kind == "table":
+        rule = diagonal_rule(group, alphabet, vals)
+    elif kind == "table":
         entries = []
         for item in cfg["entries"]:
             g = _parse_element(group, item["g"])
@@ -238,8 +244,14 @@ def operator_from_config(cfg: dict, group: GroupSpec,
                                     _parse_rational(item.get("im", "0")))
             entries.append((g, tuple(item["window"]), value))
         rule = table_rule(group, alphabet, cfg["M"], entries)
-        return rule, cfg.get("mode", "induced")
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown operator kind {kind!r}")
+    if kind != "graph_schrodinger" and cfg.get("mode", "induced") != "graph":
+        return rule, None
+    if potential is None:
+        raise ConfigError("graph assembly takes a laplacian, adjacency or "
+                          "Schrodinger operator")
+    return rule, potential
 
 
 def _parse_element(group: GroupSpec, data):
@@ -248,30 +260,11 @@ def _parse_element(group: GroupSpec, data):
     return tuple(int(x) for x in data)
 
 
-def _schrodinger_potential(rule: LocalRule) -> list:
-    """Recover F from a hopping-1 rule table (graph assembly path)."""
-    from .groups import ball as cayley_ball
-    e = rule.group.identity()
-    e_pos = cayley_ball(rule.group, 1).index(e)
-    deg = rule.group.n_generators
-    A = rule.alphabet.size
-    diag = rule.tables[e]
-    out = []
-    for sym in range(A):
-        v = diag[sym * A**e_pos]  # window with w(e)=sym, zeros elsewhere
-        re = v.re if hasattr(v, "re") else complex(v).real
-        out.append(Fraction(re) + deg if isinstance(re, Fraction)
-                   else float(re) + deg)
-    return out
-
-
-def assemble(rule: LocalRule, mode: str, sigma: SoficApproximation,
-             rho: Configuration, goodness) -> InducedOperator:
-    if mode == "graph":
-        if rule.hopping != 1:
-            raise ConfigError("graph assembly is defined for hopping-1 rules")
-        return assemble_graph_schrodinger(sigma, rho, rule.alphabet,
-                                          _schrodinger_potential(rule))
+def assemble(rule: LocalRule, potential: Optional[list],
+             sigma: SoficApproximation, rho: Configuration,
+             goodness) -> InducedOperator:
+    if potential is not None:
+        return assemble_graph_schrodinger(sigma, rho, rule.alphabet, potential)
     return assemble_induced(rule, sigma, rho, goodness)
 
 
@@ -380,7 +373,7 @@ def _beta_grid(config) -> np.ndarray:
 def _pipeline_weak_convergence(config, group, sigmas, out):
     alphabet = alphabet_from_config(config.get("measure", {}))
     model = measure_from_config(config["measure"], group)
-    rule, mode = operator_from_config(config["operator"], group, alphabet)
+    rule, potential = operator_from_config(config["operator"], group, alphabet)
     k_max = config.get("k_max", 4)
     n_samples = config.get("samples", 10)
     grid = _beta_grid(config)
@@ -394,7 +387,7 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
         def run_sample(j):
             rho = sample_configuration(model, sigma,
                                        sample_rng(config["seed"], size_index, j))
-            op = assemble(rule, mode, sigma, rho, goodness)
+            op = assemble(rule, potential, sigma, rho, goodness)
             # only sample 0's spectrum is written (as its IDS); it keeps the
             # eigenvector solver, because eigvalsh rounds degenerate
             # eigenvalues differently and would move the written breakpoints
@@ -449,7 +442,7 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
 def _pipeline_luck_atoms(config, group, sigmas, out):
     alphabet = alphabet_from_config(config.get("measure", {}))
     model = measure_from_config(config["measure"], group)
-    rule, mode = operator_from_config(config["operator"], group, alphabet)
+    rule, potential = operator_from_config(config["operator"], group, alphabet)
     alphas = [Fraction(a) for a in config.get("alpha_values", ["0", "1"])]
     eps_list = config.get("punctured_eps", [1e-2])
     n_samples = config.get("samples", 20)
@@ -461,7 +454,7 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
         def run_sample(j):
             rho = sample_configuration(model, sigma,
                                        sample_rng(config["seed"], size_index, j))
-            op = assemble(rule, mode, sigma, rho, goodness)
+            op = assemble(rule, potential, sigma, rho, goodness)
             return eigen_spectrum(op), op.row_sum_bound()
 
         results = [run_sample(j) for j in range(n_samples)]
@@ -490,8 +483,8 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
 def _pipeline_monotone(config, group, sigmas, out):
     alphabet = alphabet_from_config(config.get("measure", {}))
     model = measure_from_config(config["measure"], group)
-    rule, mode = operator_from_config(config["operator"], group, alphabet)
-    if mode == "graph":
+    rule, potential = operator_from_config(config["operator"], group, alphabet)
+    if potential is not None:
         raise ConfigError("monotone pipeline uses the strict induced assembly")
     m_max = config.get("monotone", {}).get("m_max", 6)
     sched = build_schedule(value_sets_of(rule), m_max)
@@ -593,7 +586,11 @@ def compare(manifest_paths: list) -> dict:
     """Cross-run convergence table for runs sharing group/measure/operator."""
     manifests = []
     for p in manifest_paths:
-        manifests.append((Path(p).parent, json.loads(Path(p).read_text())))
+        manifest = json.loads(Path(p).read_text())
+        if "error" in manifest:
+            raise ConfigError(f"{p} is the manifest of a failed run: "
+                              f"{manifest['error']}")
+        manifests.append((Path(p).parent, manifest))
     hashes = {m["shared_hash"] for _, m in manifests}
     if len(hashes) > 1:
         raise ConfigError("manifests do not share group/measure/operator")

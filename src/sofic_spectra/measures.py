@@ -156,16 +156,6 @@ def lattice_periodic(alphabet: Alphabet, periods: Sequence[int],
                          periods=tuple(int(m) for m in periods))
 
 
-def lift_configuration(moduli: Sequence[int], quotient_pattern: Sequence[int],
-                       alphabet: Alphabet) -> PeriodicOrbit:
-    """Pull a pattern on (Z/m)^d back through Z^d -> (Z/m)^d.
-
-    The lift reads the quotient pattern through the projection, which is
-    exactly the periodic model with the moduli as periods.
-    """
-    return lattice_periodic(alphabet, moduli, quotient_pattern)
-
-
 def model_alphabet(model: MeasureModel) -> Alphabet:
     if isinstance(model, Mixture):
         alpha = model_alphabet(model.components[0])

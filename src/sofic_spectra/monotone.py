@@ -10,7 +10,12 @@ operators increase in the positive-semidefinite order and their eigenvalue
 counting functions decrease pointwise (Weyl monotonicity).
 
 All schedule inequalities are verified in exact rational arithmetic;
-magnitude sums are decided square-root-free.
+magnitude sums are decided square-root-free.  Operators are compared on
+their value-coded arrays: a difference merges the sorted row * n + col keys
+of both operators and subtracts once per distinct pair of value codes, and
+one step certificate (strict Gershgorin on the difference's support block,
+plus its least eigenvalue) serves both ``schedule_step_psd_check`` and
+``monotone_ids_report``.
 """
 
 from __future__ import annotations
@@ -30,10 +35,9 @@ from .operators import (
     InducedOperator,
     LocalRule,
     Value,
-    _as_exact,
     _is_zero,
     _make_table,
-    _value_key,
+    _value_coded,
     assemble_induced,
 )
 from .sofic import GoodnessReport, SoficApproximation, good_vertices
@@ -280,28 +284,7 @@ def gershgorin_psd(op: Union[InducedOperator, np.ndarray],
     if isinstance(op, InducedOperator):
         op.check_hermitian()
         if op.exact:
-            rows: dict[int, list] = {i: [] for i in range(op.n)}
-            diag = [Fraction(0)] * op.n
-            for (i, j), v in op.entries.items():
-                if i == j:
-                    if isinstance(v, ComplexRational):
-                        if v.im != 0:
-                            raise AssemblyError("non-real diagonal entry")
-                        diag[i] = v.re
-                    else:
-                        diag[i] = Fraction(v)
-                else:
-                    rows[i].append(v)
-            # rows repeat a handful of value patterns: decide each once
-            verdicts: dict = {}
-            for i in range(op.n):
-                key = (diag[i], tuple(sorted(map(_value_key, rows[i]))))
-                if key not in verdicts:
-                    verdicts[key] = sum_abs_le(rows[i], diag[i], strict=strict)
-                if not verdicts[key]:
-                    return GershgorinCertificate(certified=False, strict=strict,
-                                                 witness_row=i, exact=True)
-            return GershgorinCertificate(certified=True, strict=strict, exact=True)
+            return _exact_gershgorin(op, strict)
         dense = op.to_dense()
     else:
         dense = np.asarray(op)
@@ -318,27 +301,67 @@ def gershgorin_psd(op: Union[InducedOperator, np.ndarray],
     return GershgorinCertificate(certified=True, strict=strict, exact=False)
 
 
+def _exact_gershgorin(op: InducedOperator,
+                      strict: bool) -> GershgorinCertificate:
+    """Square-root-free dominance, row by row.  Rows repeat a handful of
+    value patterns, so each row is keyed on (diagonal code, sorted
+    off-diagonal codes) and each key is decided once; codes are equal
+    exactly when values are."""
+    on_diag = op.rows == op.cols
+    for c in np.unique(op.codes[on_diag]).tolist():
+        if not op.values[c].is_real():
+            raise AssemblyError("non-real diagonal entry")
+    diag = np.full(op.n, -1)            # -1: no stored diagonal, i.e. 0
+    diag[op.rows[on_diag]] = op.codes[on_diag]
+    off = np.flatnonzero(~on_diag)
+    off = off[np.lexsort((op.codes[off], op.rows[off]))]
+    bounds = np.searchsorted(op.rows[off], np.arange(op.n + 1)).tolist()
+    off_codes = op.codes[off].tolist()
+    verdicts: dict = {}
+    for i, d in enumerate(diag.tolist()):
+        key = (d, tuple(off_codes[bounds[i]:bounds[i + 1]]))
+        if key not in verdicts:
+            verdicts[key] = sum_abs_le(
+                [op.values[c] for c in key[1]],
+                op.values[d].re if d >= 0 else Fraction(0), strict=strict)
+        if not verdicts[key]:
+            return GershgorinCertificate(certified=False, strict=strict,
+                                         witness_row=i, exact=True)
+    return GershgorinCertificate(certified=True, strict=strict, exact=True)
+
+
+def _merged_codes(a: InducedOperator, b: InducedOperator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, code_a, code_b) on the sorted union of both supports, keyed
+    row * n + col: each operator's code there, len(its values) where it
+    stores no entry."""
+    key_a = a.rows * a.n + a.cols
+    key_b = b.rows * b.n + b.cols
+    keys, where = np.unique(np.concatenate([key_a, key_b]),
+                            return_inverse=True)
+    code_a = np.full(len(keys), len(a.values))
+    code_a[where[:len(key_a)]] = a.codes
+    code_b = np.full(len(keys), len(b.values))
+    code_b[where[len(key_a):]] = b.codes
+    return keys, code_a, code_b
+
+
 def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
-    """a - b as an exact sparse operator."""
+    """a - b as an exact operator, entries in ascending (row, col) order.
+
+    One subtraction per distinct pair of codes; entries that cancel are
+    left out.
+    """
     if a.n != b.n or not (a.exact and b.exact):
         raise AssemblyError("difference needs two exact operators of equal size")
-    entries: dict = {}
-    # entries share the rule's value objects, so one subtraction per pair of
-    # objects; equal pairs then share their difference object as well
-    memo: dict = {}
-    keys = set(a.entries) | set(b.entries)
-    for key in keys:
-        av = a.entries.get(key, CZERO)
-        bv = b.entries.get(key, CZERO)
-        dv = memo.get((id(av), id(bv)))
-        if dv is None:
-            dv = memo[id(av), id(bv)] = _as_exact(av) - _as_exact(bv)
-        if not dv.is_zero():
-            entries[key] = dv
-    return InducedOperator(n=a.n, entries=entries, exact=True,
-                           hopping=max(a.hopping, b.hopping),
-                           goodness_radius=a.goodness_radius,
-                           provenance={"mode": "difference"})
+    keys, code_a, code_b = _merged_codes(a, b)
+    width = len(b.values) + 1
+    pairs, pick = np.unique(code_a * width + code_b, return_inverse=True)
+    a_values, b_values = a.values + (CZERO,), b.values + (CZERO,)
+    diffs = [a_values[p // width] - b_values[p % width]
+             for p in pairs.tolist()]
+    rows, cols = np.divmod(keys, a.n)
+    return _value_coded(a.n, rows, cols, pick, diffs, exact=True)
 
 
 @dataclass
@@ -372,27 +395,28 @@ def schedule_step_psd_check(rule: LocalRule, sched: RationalSchedule, m: int,
     h_m = assemble_induced(apply_schedule(rule, sched, m), sigma, rho, goodness)
     h_next = assemble_induced(apply_schedule(rule, sched, m + 1), sigma, rho,
                               goodness)
+    return _psd_step(m, h_m, h_next)
+
+
+def _psd_step(m: int, h_m: InducedOperator,
+              h_next: InducedOperator) -> SchedulePsdStep:
+    """Certify h_next - h_m >= 0 by strict dominance on the support block of
+    the difference, and record the difference's least eigenvalue."""
     diff = _difference(h_next, h_m)
-    rows_with_entries = {i for (i, _) in diff.entries}
-    zero_rows = diff.n - len(rows_with_entries)
-    sub = diff
-    if zero_rows:
-        # strict dominance is checked on the support block only
-        index = sorted(rows_with_entries)
-        remap = {v: k for k, v in enumerate(index)}
-        sub = InducedOperator(
-            n=len(index),
-            entries={(remap[i], remap[j]): v for (i, j), v in diff.entries.items()},
-            exact=True, hopping=diff.hopping, goodness_radius=diff.goodness_radius)
-    cert = gershgorin_psd(sub, strict=True) if sub.n else \
-        GershgorinCertificate(certified=True, strict=True)
-    if not cert.certified:
-        raise ScheduleError(
-            f"schedule step {m}->{m+1} failed strict certification at row "
-            f"{cert.witness_row}; this indicates a schedule bug")
-    min_eig = float(eigen_spectrum(diff).values[0]) if diff.n else 0.0
+    nnz = len(diff.rows)
+    support, inverse = np.unique(np.concatenate([diff.rows, diff.cols]),
+                                 return_inverse=True)
+    if nnz:
+        block = InducedOperator(len(support), True, inverse[:nnz],
+                                inverse[nnz:], diff.codes, diff.values)
+        cert = gershgorin_psd(block, strict=True)
+        if not cert.certified:
+            raise ScheduleError(
+                f"schedule step {m}->{m+1} failed strict certification at "
+                f"row {cert.witness_row}; this indicates a schedule bug")
+    min_eig = float(eigen_spectrum(diff).values[0]) if nnz else 0.0
     return SchedulePsdStep(m=m, certified=True, min_eigenvalue=min_eig,
-                           n_zero_rows=zero_rows)
+                           n_zero_rows=diff.n - len(support))
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +474,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
                                   goodness)
         specs[m] = eigen_spectrum(ops[m])
 
-    psd_steps = []
-    for m in range(1, m_max):
-        diff = _difference(ops[m + 1], ops[m])
-        rows_with_entries = {i for (i, _) in diff.entries}
-        if rows_with_entries:
-            index = sorted(rows_with_entries)
-            remap = {v: k for k, v in enumerate(index)}
-            sub = InducedOperator(
-                n=len(index),
-                entries={(remap[i], remap[j]): v
-                         for (i, j), v in diff.entries.items()},
-                exact=True, hopping=diff.hopping,
-                goodness_radius=diff.goodness_radius)
-            cert = gershgorin_psd(sub, strict=True)
-        else:
-            cert = GershgorinCertificate(certified=True, strict=True)
-        if not cert.certified:
-            raise ScheduleError(
-                f"monotone step {m}->{m+1} failed strict certification")
-        min_eig = float(eigen_spectrum(diff).values[0]) if diff.entries else 0.0
-        psd_steps.append(SchedulePsdStep(m=m, certified=True,
-                                         min_eigenvalue=min_eig,
-                                         n_zero_rows=diff.n - len(rows_with_entries)))
+    psd_steps = [_psd_step(m, ops[m], ops[m + 1]) for m in range(1, m_max)]
 
     rows = []
     max_gap: dict[int, float] = {}
@@ -509,13 +511,14 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
 
 
 def _float_difference_norm(a: InducedOperator, b: InducedOperator) -> float:
-    """Row-sum norm of a - b (float; b may be a float-valued operator)."""
-    sums = np.zeros(a.n)
-    keys = set(a.entries) | set(b.entries)
-    for (i, j) in keys:
-        av = a.entries.get((i, j))
-        bv = b.entries.get((i, j))
-        fa = av.to_complex() if isinstance(av, ComplexRational) else complex(av or 0)
-        fb = bv.to_complex() if isinstance(bv, ComplexRational) else complex(bv or 0)
-        sums[i] += abs(fa - fb)
-    return float(sums.max()) if a.n else 0.0
+    """Row-sum norm of a - b in floats (b may be a float-valued operator),
+    each row summed in ascending column order."""
+    if not a.n:
+        return 0.0
+    keys, code_a, code_b = _merged_codes(a, b)
+    d = (np.append(a._complex_values, 0)[code_a]
+         - np.append(b._complex_values, 0)[code_b])
+    # np.hypot rounds like abs(complex); np.abs does not
+    sums = np.bincount(keys // a.n, weights=np.hypot(d.real, d.imag),
+                       minlength=a.n)
+    return float(sums.max())

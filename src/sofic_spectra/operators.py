@@ -12,20 +12,21 @@ the graph Laplacian of the sofic graph plus a diagonal potential, the
 classical Schrodinger finite-volume analog; both agree wherever every vertex
 is 2M-good.
 
-An assembled operator stores a handful of distinct values in thousands of
-entries.  Its per-entry methods (Hermitian check, row sums, dense and sparse
-forms, matrix powers) therefore go through one value-coded pass, ``_coo``:
-row and column arrays plus a code per entry into the distinct values, so
-exact Gaussian-rational work runs once per distinct value and the rest is
-numpy on codes.
+An assembled operator takes a handful of distinct values in thousands of
+entries, so it is stored value-coded, once, at assembly: row and column
+arrays plus a code per entry into the distinct values.  Its methods
+(Hermitian check, row sums, dense and sparse forms, matrix powers) read
+those arrays, so exact Gaussian-rational work runs once per distinct value
+and the rest is numpy on codes.  ``entries`` is a read-only mapping derived
+from the arrays.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -103,15 +104,6 @@ class LocalRule:
     def zero_value(self) -> Value:
         return CZERO if self.exact else 0j
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.name.encode())
-        for g in sorted(self.tables.keys()):
-            h.update(repr(g).encode())
-            for v in self.tables[g]:
-                h.update(repr(v).encode())
-        return h.hexdigest()[:16]
-
     def realized_value_sets(self) -> tuple[set, set]:
         """(diagonal values, off-diagonal values), zeros excluded."""
         e = self.group.identity()
@@ -132,39 +124,16 @@ def _is_zero(v: Value) -> bool:
     return v == 0
 
 
-def _conj(v: Value) -> Value:
-    if isinstance(v, ComplexRational):
-        return v.conjugate()
-    return v.conjugate()
-
-
 def _abs(v: Value) -> float:
     if isinstance(v, ComplexRational):
         return float(v.abs2()) ** 0.5
     return abs(v)
 
 
-def _to_complex(v: Value) -> complex:
-    if isinstance(v, ComplexRational):
-        return v.to_complex()
-    return complex(v)
-
-
-def _all_real(values, exact: bool) -> bool:
-    """Realness of the values of _coo: distinct exact values or a complex array."""
-    if exact:
-        return all(v.is_real() if isinstance(v, ComplexRational)
-                   else v.imag == 0 for v in values)
-    return bool((values.imag == 0).all())
-
-
-def _value_key(v: Value):
-    """Hashable key equal exactly when the values are: Gaussian rationals by
-    their lowest-terms integers, which hash far faster than Fractions."""
-    if isinstance(v, ComplexRational):
-        return (v.re.numerator, v.re.denominator,
-                v.im.numerator, v.im.denominator)
-    return v
+def _value_key(v: ComplexRational) -> tuple:
+    """Hashable key equal exactly when the values are: a Gaussian rational by
+    its lowest-terms integers, which hash far faster than Fractions."""
+    return (v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
 
 
 def _intern(values: list) -> tuple[np.ndarray, list]:
@@ -173,22 +142,25 @@ def _intern(values: list) -> tuple[np.ndarray, list]:
     Objects are grouped by identity first, which is cheap because assembly
     copies the same table objects; then one representative per object is
     keyed by value, and equal representatives share a code.  Codes follow
-    first appearance.
+    first appearance (see _compact).
     """
     ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    reps = [values[t] for t in first.tolist()]
     index: dict = {}
-    distinct: list = []
-    codes = []
-    for t in first[order].tolist():
-        code = index.setdefault(_value_key(values[t]), len(distinct))
-        if code == len(distinct):
-            distinct.append(values[t])
-        codes.append(code)
-    code_of = np.empty(len(first), dtype=np.int64)
-    code_of[order] = codes
-    return code_of[inverse], distinct
+    by_value = np.array([index.setdefault(_value_key(v), r)
+                         for r, v in enumerate(reps)], dtype=np.int64)
+    return _compact(by_value[inverse], reps)
+
+
+def _compact(codes: np.ndarray, values: list) -> tuple[np.ndarray, list]:
+    """Codes renumbered by first appearance, values cut to the codes used."""
+    used, first, inverse = np.unique(codes, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(used), dtype=np.int64)
+    rank[order] = np.arange(len(used))
+    return rank[inverse], [values[u] for u in used[order].tolist()]
 
 
 def _as_exact(x) -> ComplexRational:
@@ -364,7 +336,7 @@ def validate_local_rule(rule: LocalRule,
             lhs = tg[restricted[code]] if tg is not None else rule.zero_value()
             rhs = (tginv[translated[code]] if tginv is not None
                    else rule.zero_value())
-            if lhs != _conj(rhs):
+            if lhs != rhs.conjugate():
                 witnesses.append((g, tuple(int(digits[big.index(h), code])
                                            for h in big.elements)))
                 break  # one witness per g is enough
@@ -394,62 +366,106 @@ def validate_local_rule(rule: LocalRule,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class _Entries(Mapping):
+    """Read-only (row, col) -> value view of an operator, in entry order."""
+
+    def __init__(self, op: "InducedOperator"):
+        self._op = op
+
+    def __len__(self) -> int:
+        return len(self._op.rows)
+
+    def __iter__(self):
+        return zip(self._op.rows.tolist(), self._op.cols.tolist())
+
+    def __getitem__(self, key) -> Value:
+        return self._op._value(self._op._index[key])
+
+
+@dataclass(frozen=True, eq=False)
 class InducedOperator:
-    """Sparse Hermitian finite-volume operator with provenance."""
+    """Sparse Hermitian finite-volume operator, stored value-coded.
+
+    Entry t sits at (rows[t], cols[t]) and holds values[codes[t]].  Exact
+    operators keep their distinct ComplexRational values once, as a tuple
+    (see _intern), so exact work runs once per distinct value.  Float
+    operators are not interned, so +-0.0 and NaN are never merged: values is
+    their complex array and codes is arange(nnz).  Codes are numbered by
+    first appearance, and the arrays are read-only.
+    """
 
     n: int
-    entries: dict               # (row, col) -> nonzero Value
     exact: bool
-    hopping: int
-    goodness_radius: int
-    provenance: dict = field(default_factory=dict)
+    rows: np.ndarray
+    cols: np.ndarray
+    codes: np.ndarray
+    values: Union[tuple, np.ndarray]
+
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.codes, self.values):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+    @classmethod
+    def from_entries(cls, n: int, entries: dict,
+                     exact: bool) -> "InducedOperator":
+        """The operator storing exactly these (row, col) -> value entries,
+        zeros included; exact values become Gaussian rationals."""
+        nnz = len(entries)
+        rows, cols = np.array(list(entries), dtype=np.int64).reshape(nnz, 2).T
+        if exact:
+            codes, values = _intern([_as_exact(v) for v in entries.values()])
+            values = tuple(values)
+        else:
+            values = np.fromiter(entries.values(), dtype=complex, count=nnz)
+            codes = np.arange(nnz)
+        return cls(n, exact, rows.copy(), cols.copy(), codes, values)
+
+    @property
+    def entries(self) -> Mapping:
+        """(row, col) -> value, derived from the arrays; its length is nnz."""
+        return _Entries(self)
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """Entry number of each (row, col), built on the first lookup."""
+        return dict(zip(self.entries, range(len(self.rows))))
+
+    @functools.cached_property
+    def _complex_values(self) -> np.ndarray:
+        """One complex per code: the float images of exact values."""
+        if not self.exact:
+            return self.values
+        return np.array([v.to_complex() for v in self.values], dtype=complex)
+
+    def _value(self, t: int) -> Value:
+        v = self.values[self.codes[t]]
+        return v if self.exact else complex(v)
 
     def entry(self, i: int, j: int) -> Value:
-        return self.entries.get((i, j), CZERO if self.exact else 0j)
+        t = self._index.get((i, j))
+        return (CZERO if self.exact else 0j) if t is None else self._value(t)
 
     def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.entries)
+        return bool(np.array_equal(self.rows, self.cols))
 
     def diagonal(self) -> list:
         return [self.entry(i, i) for i in range(self.n)]
 
-    def _coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, object]:
-        """(rows, cols, codes, values) of the stored entries in dict order.
-
-        Entry t holds values[codes[t]].  Exact operators are value-coded:
-        values lists the distinct entries (see _intern), so exact work runs
-        once per distinct value.  Float operators are not interned, so +-0.0
-        and NaN are never merged: values is their complex array and codes is
-        arange(nnz).  Built afresh on every call, so mutations of entries are
-        always seen.
-        """
-        nnz = len(self.entries)
-        rows, cols = np.fromiter(itertools.chain.from_iterable(self.entries),
-                                 dtype=np.int64, count=2 * nnz
-                                 ).reshape(nnz, 2).T.copy()
-        if not self.exact:
-            values = np.fromiter(self.entries.values(), dtype=complex, count=nnz)
-            return rows, cols, np.arange(nnz), values
-        codes, values = _intern(list(self.entries.values()))
-        return rows, cols, codes, values
-
     def _float_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals): float64 vals if every entry is real, else complex."""
-        rows, cols, codes, values = self._coo()
-        real = _all_real(values, self.exact)
-        if self.exact:
-            values = np.array([_to_complex(v) for v in values], dtype=complex)
-        return rows, cols, (values.real if real else values)[codes]
+        values = self._complex_values
+        return self.rows, self.cols, (
+            values.real if self.is_real() else values)[self.codes]
 
     def check_hermitian(self) -> None:
         """Every stored entry has a stored transpose equal to its conjugate.
 
         Exact values are compared as codes: each distinct value maps to the
-        code of its conjugate (-1 if absent).  The first bad pair in dict
+        code of its conjugate (-1 if absent).  The first bad pair in entry
         order is named.
         """
-        rows, cols, codes, values = self._coo()
+        rows, cols, codes, values = self.rows, self.cols, self.codes, self.values
         keys = rows * self.n + cols
         transposed = cols * self.n + rows
         order = np.argsort(keys)
@@ -458,7 +474,7 @@ class InducedOperator:
         found = keys[partner] == transposed
         if self.exact:
             index = {_value_key(v): c for c, v in enumerate(values)}
-            conj = np.array([index.get(_value_key(_conj(v)), -1)
+            conj = np.array([index.get(_value_key(v.conjugate()), -1)
                              for v in values], dtype=np.int64)
             match = conj[codes[partner]] == codes
         else:
@@ -470,15 +486,18 @@ class InducedOperator:
                 f"Hermitian symmetry violated at entry pair ({i},{j})")
 
     def row_sum_bound(self) -> float:
-        rows, _, codes, values = self._coo()
         # np.hypot rounds like abs(complex); np.abs does not
+        values = self.values
         mags = (np.array([_abs(v) for v in values], dtype=float) if self.exact
                 else np.hypot(values.real, values.imag))
-        sums = np.bincount(rows, weights=mags[codes], minlength=self.n)
+        sums = np.bincount(self.rows, weights=mags[self.codes],
+                           minlength=self.n)
         return float(sums.max()) if self.n else 0.0
 
     def is_real(self) -> bool:
-        return _all_real(self._coo()[3], self.exact)
+        if self.exact:
+            return all(v.is_real() for v in self.values)
+        return bool((self.values.imag == 0).all())
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self._float_coo()
@@ -491,12 +510,28 @@ class InducedOperator:
         rows, cols, vals = self._float_coo()
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for key in sorted(self.entries.keys()):
-            h.update(repr(key).encode())
-            h.update(repr(self.entries[key]).encode())
-        return h.hexdigest()[:16]
+
+def _value_coded(n: int, rows: np.ndarray, cols: np.ndarray, pick: np.ndarray,
+                 candidates, exact: bool) -> InducedOperator:
+    """The operator with entry t = candidates[pick[t]] at (rows[t], cols[t]),
+    zero entries left out.
+
+    Exact candidates are interned once, not per entry; float ones are
+    copied per entry.
+    """
+    if exact:
+        cand_codes, distinct = _intern(list(candidates))
+        codes = cand_codes[pick]
+        keep = np.array([not v.is_zero() for v in distinct],
+                        dtype=bool)[codes]
+        codes, values = _compact(codes[keep], distinct)
+        values = tuple(values)
+    else:
+        values = np.asarray(candidates, dtype=complex)[pick]
+        keep = values != 0
+        values = values[keep]
+        codes = np.arange(len(values))
+    return InducedOperator(n, exact, rows[keep], cols[keep], codes, values)
 
 
 def window_codes(rule: LocalRule, sigma: SoficApproximation,
@@ -529,31 +564,19 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
         raise AssemblyError("configuration size does not match the model")
     codes = window_codes(rule, sigma, rho)
     good = goodness.good
-    b = rule.window_ball()
-    entries: dict = {}
-    for g in b.elements:
-        table = rule.tables.get(g)
-        if table is None:
-            continue
+    elements = [g for g in rule.window_ball().elements if g in rule.tables]
+    # an entry of ball element i takes candidate i * n_window_codes + code;
+    # good vertices have injective balls, so no (row, col) repeats
+    parts = [(np.empty(0, dtype=np.int64),) * 3]
+    for i, g in enumerate(elements):
         img = sigma.perm_of(g)
-        rows = np.flatnonzero(good & good[img])
-        vals = table[codes[rows]]
-        if rule.exact:
-            val_codes, distinct = _intern(vals.tolist())
-            keep = np.array([not _is_zero(v) for v in distinct],
-                            dtype=bool)[val_codes]
-        else:
-            keep = vals != 0
-        rows = rows[keep]
-        entries.update(zip(zip(rows.tolist(), img[rows].tolist()),
-                           vals[keep].tolist()))
-    op = InducedOperator(
-        n=sigma.n_vertices, entries=entries, exact=rule.exact,
-        hopping=M, goodness_radius=2 * M,
-        provenance={"rule": rule.fingerprint(), "sigma": sigma.fingerprint(),
-                    "rho": hashlib.sha256(
-                        np.ascontiguousarray(rho.values).tobytes()).hexdigest()[:16],
-                    "mode": "induced"})
+        r = np.flatnonzero(good & good[img])
+        parts.append((r, img[r], i * rule.n_window_codes + codes[r]))
+    rows, cols, pick = map(np.concatenate, zip(*parts))
+    candidates = np.concatenate([rule.tables[g] for g in elements]
+                                + [_make_table(0, rule.exact)])
+    op = _value_coded(sigma.n_vertices, rows, cols, pick, candidates,
+                      rule.exact)
     op.check_hermitian()
     return op
 
@@ -565,7 +588,9 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
 
     This is the classical finite-volume Schrodinger analog defined directly
     on the sofic graph; it coincides with the strict assembly of the
-    corresponding rule wherever all vertices are 2-good.
+    corresponding rule wherever all vertices are 2-good.  The entries are
+    the distinct-neighbour edges in ascending (row, col) order, then the
+    nonzero diagonal in vertex order.
     """
     from .sofic import edge_graph
     if len(potential) != alphabet.size:
@@ -574,33 +599,23 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
     graph = edge_graph(sigma)
     n = sigma.n_vertices
     keys = np.unique(graph.src.astype(np.int64) * n + graph.dst)
-    entries: dict = {}
+    deg = np.bincount(keys // n, minlength=n)
+    # the diagonal -deg(v) + F(rho(v)), made once per (degree, symbol) pair
+    pairs, pair_of = np.unique(deg * alphabet.size + rho.values,
+                               return_inverse=True)
+    degs, syms = np.divmod(pairs, alphabet.size)
+    diag = [ComplexRational(Fraction(-d) + Fraction(potential[s])) if exact
+            else complex(-d + potential[s])
+            for d, s in zip(degs.tolist(), syms.tolist())]
     one = ComplexRational(Fraction(1)) if exact else 1 + 0j
-    deg = np.zeros(n, dtype=np.int64)
-    for key in keys.tolist():
-        i, j = divmod(key, n)
-        entries[(i, j)] = one
-        deg[i] += 1
-    for v in range(n):
-        if exact:
-            val = ComplexRational(Fraction(int(-deg[v]))
-                                  + Fraction(potential[int(rho.values[v])]))
-        else:
-            val = complex(-int(deg[v]) + potential[int(rho.values[v])])
-        if not _is_zero(val):
-            entries[(v, v)] = val
-    op = InducedOperator(
-        n=n, entries=entries, exact=exact, hopping=1, goodness_radius=0,
-        provenance={"sigma": sigma.fingerprint(), "mode": "graph_schrodinger",
-                    "rho": hashlib.sha256(
-                        np.ascontiguousarray(rho.values).tobytes()).hexdigest()[:16]})
+    vertices = np.arange(n)
+    op = _value_coded(n, np.concatenate([keys // n, vertices]),
+                      np.concatenate([keys % n, vertices]),
+                      np.concatenate([np.zeros(len(keys), dtype=np.int64),
+                                      1 + pair_of]),
+                      [one] + diag, exact)
     op.check_hermitian()
     return op
-
-
-def export_matrix_market(op: InducedOperator, path) -> None:
-    import scipy.io
-    scipy.io.mmwrite(str(path), op.to_sparse())
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +684,8 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     B * nnz <= _BATCH_CELLS terms.
     """
     n = op.n
-    rows, cols, codes, values = op._coo()
-    den, val_re, val_im = _scaled_numerators(values, op.exact)
+    rows, cols, codes = op.rows, op.cols, op.codes
+    den, val_re, val_im = _scaled_numerators(op.values, op.exact)
     order = np.lexsort((cols, rows))        # CSR order, for the row bound
     row_mags = (np.abs(val_re) + np.abs(val_im))[codes[order]]
     starts = np.flatnonzero(np.diff(rows[order], prepend=-1))

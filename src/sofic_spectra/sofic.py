@@ -9,7 +9,6 @@ vectorized permutation arrays.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -87,13 +86,6 @@ class SoficApproximation:
             raise BallCapacityError(
                 f"image matrix {len(b)}x{self.n_vertices} exceeds budget {budget}")
         return np.stack([self.perm_of(g) for g in b.elements])
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.provenance.encode())
-        for p in self.perms:
-            h.update(np.ascontiguousarray(p).tobytes())
-        return h.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +265,6 @@ class LabeledFiniteGraph:
         uniq = np.unique(keys)
         np.add.at(deg, (uniq // self.n_vertices).astype(np.int64), 1)
         return deg
-
-    def adjacency(self):
-        """Sparse 0/1 adjacency with distinct-neighbor edges."""
-        import scipy.sparse as sp
-        keys = np.unique(self.src.astype(np.int64) * self.n_vertices + self.dst)
-        rows = keys // self.n_vertices
-        cols = keys % self.n_vertices
-        data = np.ones(len(keys))
-        return sp.csr_matrix((data, (rows, cols)),
-                             shape=(self.n_vertices, self.n_vertices))
 
 
 def edge_graph(sigma: SoficApproximation) -> LabeledFiniteGraph:

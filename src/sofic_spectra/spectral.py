@@ -29,7 +29,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .exact import ComplexRational
 from .operators import InducedOperator
 
 DEFAULT_DENSE_BUDGET = 4096
@@ -86,8 +85,7 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
     """
     if isinstance(op, InducedOperator):
         if op.exact and op.is_diagonal():
-            _, _, codes, values = op._coo()
-            return _exact_diagonal_spectrum(op.n, codes, values)
+            return _exact_diagonal_spectrum(op.n, op.codes, op.values)
         dense = op.to_dense()
     else:
         dense = np.asarray(op)
@@ -157,14 +155,13 @@ def _certify_values(op: Union[InducedOperator, np.ndarray], dense: np.ndarray,
     return defect
 
 
-def _exact_diagonal_spectrum(n: int, codes: np.ndarray, values: list
+def _exact_diagonal_spectrum(n: int, codes: np.ndarray, values: tuple
                              ) -> Spectrum:
     """Spectrum of a diagonal operator from its value-coded stored entries:
     one count per distinct value, the n - nnz unstored entries are 0."""
     counts: dict = {Fraction(0): n - len(codes)}
     for v, c in zip(values, np.bincount(codes, minlength=len(values)).tolist()):
-        x = v.re if isinstance(v, ComplexRational) else Fraction(v)
-        counts[x] = counts.get(x, 0) + c
+        counts[v.re] = counts.get(v.re, 0) + c
     distinct = [x for x in sorted(counts) if counts[x]]
     mult = [counts[x] for x in distinct]
     exact = tuple(itertools.chain.from_iterable(
@@ -340,33 +337,3 @@ def _arcsine_ids(beta: np.ndarray) -> np.ndarray:
     out[beta <= -4.0] = 0.0
     out[beta >= 0.0] = 1.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# Spectral measure view
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpectralMeasureView:
-    """theta(f) integrals against the normalized eigenvalue measure."""
-
-    spectrum: Spectrum
-
-    def moment(self, k: int) -> float:
-        return float(np.mean(self.spectrum.values ** k)) if self.spectrum.n else 0.0
-
-    def polynomial(self, coeffs: Sequence[float]) -> float:
-        """theta(p) for p(x) = sum coeffs[i] x^i."""
-        vals = self.spectrum.values
-        acc = np.zeros_like(vals)
-        for c in reversed(list(coeffs)):
-            acc = acc * vals + c
-        return float(acc.mean()) if self.spectrum.n else 0.0
-
-    def interval_mass(self, lo: float, hi: float) -> float:
-        """theta(]lo, hi]) with the step-counting convention."""
-        vals = self.spectrum.values
-        if self.spectrum.n == 0:
-            return 0.0
-        return float(np.mean((vals > lo) & (vals <= hi)))

@@ -230,6 +230,41 @@ def test_compare(tmp_path):
                  tmp_path / "r2" / "manifest.json"])
 
 
+def test_compare_refuses_a_failed_run(tmp_path):
+    # the monotone pipeline refuses graph assembly inside its stage, after
+    # run has created the output directory, so a partial manifest is written
+    config = base_config(pipeline="monotone",
+                         operator={"kind": "graph_schrodinger",
+                                   "potential": {"0": "0", "1": "1"}})
+    with pytest.raises(ConfigError, match="strict induced assembly"):
+        run(config, out_dir=tmp_path)
+    path = tmp_path / "manifest.json"
+    error = json.loads(path.read_text())["error"]
+    assert error.startswith("ConfigError: ")
+    with pytest.raises(ConfigError) as err:
+        compare([path])
+    assert str(path) in str(err.value) and error in str(err.value)
+    assert main(["compare", str(path)]) == 1
+
+
+def test_graph_mode_takes_the_configured_potential(tmp_path):
+    # every vertex of these tori is 2-good, so the graph assembly with the
+    # potential of the kind equals the strict assembly: same data files
+    for kind in ("laplacian", "adjacency"):
+        outputs = []
+        for mode in ("induced", "graph"):
+            config = base_config(operator={"kind": kind, "mode": mode},
+                                 samples=1, k_max=2)
+            outputs.append(run(config, out_dir=tmp_path / kind / mode))
+        for name in outputs[0]["outputs"]:
+            assert (tmp_path / kind / "induced" / name).read_bytes() == \
+                (tmp_path / kind / "graph" / name).read_bytes(), name
+    diagonal = base_config(operator={"kind": "diagonal", "mode": "graph",
+                                     "values": {"0": "0", "1": "1"}})
+    with pytest.raises(ConfigError, match="graph assembly"):
+        run(diagonal, out_dir=tmp_path / "diagonal")
+
+
 def test_main_exit_codes(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(base_config(samples=1, k_max=1)))

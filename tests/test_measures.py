@@ -12,7 +12,6 @@ from sofic_spectra.measures import (
     empirical_window_distribution,
     lattice_periodic,
     le_diagnostic,
-    lift_configuration,
     pullback_window,
     pushforward_window_distribution,
     sample_configuration,
@@ -182,12 +181,12 @@ def test_le_diagnostic_distinct_finite_model():
 
 
 def test_lift_configuration():
-    const = lift_configuration([1], [1], BIN)
+    const = lattice_periodic(BIN, [1], [1])
     assert target_marginal_on(const, Z1, 1).probs == {(1, 1, 1): 1.0}
-    period2 = lift_configuration([2], [0, 1], BIN)
+    period2 = lattice_periodic(BIN, [2], [0, 1])
     assert target_marginal_on(period2, Z1, 1).probs == \
         {(0, 1, 0): 0.5, (1, 0, 1): 0.5}
-    checker = lift_configuration([2, 2], [0, 1, 1, 0], BIN)
+    checker = lattice_periodic(BIN, [2, 2], [0, 1, 1, 0])
     assert len(checker.orbit()) == 2
 
 

@@ -16,6 +16,7 @@ from sofic_spectra.monotone import (
     apply_schedule,
     build_schedule,
     _difference,
+    _float_difference_norm,
     gershgorin_psd,
     monotone_ids_report,
     schedule_step_psd_check,
@@ -159,8 +160,7 @@ def test_gershgorin_exact_boundary():
     # |3+4i| = 5 exactly: boundary row certified non-strict only
     entries = {(0, 0): crat(5), (1, 1): crat(5),
                (0, 1): crat(3, 4), (1, 0): crat(3, -4)}
-    op = InducedOperator(n=2, entries=entries, exact=True, hopping=1,
-                         goodness_radius=0)
+    op = InducedOperator.from_entries(2, entries, exact=True)
     assert gershgorin_psd(op).certified
     assert not gershgorin_psd(op, strict=True).certified
     assert gershgorin_psd(op).exact
@@ -271,8 +271,7 @@ def _per_entry_difference(a, b):
 
 
 def _exact_op(n, entries):
-    return InducedOperator(n=n, entries=entries, exact=True, hopping=1,
-                           goodness_radius=2)
+    return InducedOperator.from_entries(n, entries, exact=True)
 
 
 def test_difference_shares_one_value_per_pair_of_objects():
@@ -282,8 +281,8 @@ def test_difference_shares_one_value_per_pair_of_objects():
     b = _exact_op(5, {(2, 2): z, (0, 0): y, (1, 1): z, (3, 3): z,
                       (4, 4): Fraction(2), (0, 1): crat(0, 1)})
     d = _difference(a, b)
-    assert list(d.entries.items()) == \
-        list(_per_entry_difference(a, b).items())
+    assert dict(d.entries) == _per_entry_difference(a, b)
+    assert list(d.entries) == sorted(d.entries)
     assert (0, 0) not in d.entries            # x - y is zero
     assert d.entries[(1, 1)] is d.entries[(2, 2)] is d.entries[(3, 3)]
 
@@ -296,12 +295,82 @@ def test_difference_of_schedule_depths_matches_per_entry_loop():
     ops = [assemble_induced(apply_schedule(rule, sched, m), sig, rho)
            for m in (1, 2)]
     d = _difference(ops[1], ops[0])
-    assert list(d.entries.items()) == \
-        list(_per_entry_difference(ops[1], ops[0]).items())
+    assert dict(d.entries) == _per_entry_difference(ops[1], ops[0])
+    assert list(d.entries) == sorted(d.entries)
     # one object per pair of rule value objects, not one per entry
     pairs = {(id(ops[1].entries.get(k)), id(ops[0].entries.get(k)))
              for k in d.entries}
     assert len({id(v) for v in d.entries.values()}) == len(pairs) < 10
+
+
+def _per_entry_norm(a, b):
+    """The per-entry loop _float_difference_norm replaced, with each row
+    summed in ascending column order."""
+    sums = np.zeros(a.n)
+    for (i, j) in sorted(set(a.entries) | set(b.entries)):
+        av = a.entries.get((i, j))
+        bv = b.entries.get((i, j))
+        fa = av.to_complex() if isinstance(av, ComplexRational) else complex(av or 0)
+        fb = bv.to_complex() if isinstance(bv, ComplexRational) else complex(bv or 0)
+        sums[i] += abs(fa - fb)
+    return float(sums.max()) if a.n else 0.0
+
+
+DIFF_VALUES = [crat(1), crat(-1), crat(Fraction(1, 3)), crat(Fraction(2, 7), 1),
+               crat(0, Fraction(-5, 3)), crat(Fraction(10**20 + 1, 3)),
+               crat(Fraction(1, 2**53))]
+
+
+def _random_exact_op(data, n, keys):
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True,
+                                max_size=len(keys)) if keys else st.just([]))
+    return _exact_op(n, {key: data.draw(st.sampled_from(DIFF_VALUES))
+                         for key in chosen})
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 7), data=st.data(), layout=st.sampled_from(
+           ["overlapping", "disjoint", "equal support"]), float_b=st.booleans())
+def test_merged_difference_and_norm_match_per_entry_loops(n, data, layout,
+                                                          float_b):
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    a = _random_exact_op(data, n, keys)
+    if layout == "disjoint":
+        b = _random_exact_op(data, n, [k for k in keys if k not in a.entries])
+    elif layout == "equal support":
+        # some entries cancel to zero, some do not
+        b = _exact_op(n, {key: v if data.draw(st.booleans())
+                          else data.draw(st.sampled_from(DIFF_VALUES))
+                          for key, v in a.entries.items()})
+    else:
+        b = _random_exact_op(data, n, keys)
+    d = _difference(a, b)
+    assert dict(d.entries) == _per_entry_difference(a, b)
+    assert list(d.entries) == sorted(d.entries)
+    if float_b:
+        b = InducedOperator.from_entries(
+            n, {key: v.to_complex() for key, v in b.entries.items()},
+            exact=False)
+    assert _float_difference_norm(a, b).hex() == _per_entry_norm(a, b).hex()
+
+
+def test_difference_norm_sums_rows_in_ascending_column_order():
+    # 1 + 2^-53 + 2^-53 rounds to 1; 2^-53 + 2^-53 + 1 would be 1 + 2^-52
+    tiny = crat(Fraction(1, 2**53))
+    a = _exact_op(3, {(0, 2): tiny, (0, 0): crat(1), (0, 1): tiny})
+    assert _float_difference_norm(a, _exact_op(3, {})) == 1.0
+
+
+def test_difference_norm_of_schedule_depths_matches_per_entry_loop():
+    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
+    sched = build_schedule(value_sets_of(rule), 5)
+    sig = torus_approximation(1, 40)
+    rho = Configuration(values=np.arange(40) % 3 % 2)
+    target = assemble_induced(rule, sig, rho)
+    for m in range(1, 6):
+        op = assemble_induced(apply_schedule(rule, sched, m), sig, rho)
+        assert _float_difference_norm(op, target).hex() == \
+            _per_entry_norm(op, target).hex()
 
 
 def _ref_gershgorin(op, strict):
@@ -363,15 +432,13 @@ def test_exact_gershgorin_matches_per_row_loop(n, data, strict):
         v = data.draw(st.sampled_from(OFF_VALUES))
         entries[i, j] = v
         entries[j, i] = v.conjugate()
-    op = InducedOperator(n=n, entries=entries, exact=True, hopping=1,
-                         goodness_radius=0)
+    op = InducedOperator.from_entries(n, entries, exact=True)
     assert _gershgorin_outcome(op, strict) == _ref_outcome(op, strict)
 
 
 def test_exact_gershgorin_row_patterns_and_errors(monkeypatch):
     def op(entries, n=4):
-        return InducedOperator(n=n, entries=entries, exact=True, hopping=1,
-                               goodness_radius=0)
+        return InducedOperator.from_entries(n, entries, exact=True)
 
     # rows 0 and 2 share their off-diagonal pattern, not their diagonal
     hop = {(0, 1): crat(1), (1, 0): crat(1), (2, 3): crat(1), (3, 2): crat(1)}

@@ -259,7 +259,7 @@ def test_expected_moment_free_group_tree():
 def test_hermitian_check_rejects_tampering():
     sig = torus_approximation(1, 8)
     op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
-    op.entries[(0, 1)] = ComplexRational(Fraction(2))
+    op = _with_entries(op, {(0, 1): ComplexRational(Fraction(2))})
     with pytest.raises(AssemblyError):
         op.check_hermitian()
 
@@ -268,17 +268,6 @@ def test_row_sum_bound():
     sig = torus_approximation(1, 8)
     op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
     assert op.row_sum_bound() == 4.0
-
-
-def test_matrix_market_export(tmp_path):
-    from sofic_spectra.operators import export_matrix_market
-    sig = torus_approximation(1, 8)
-    op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
-    path = tmp_path / "op.mtx"
-    export_matrix_market(op, path)
-    import scipy.io
-    back = scipy.io.mmread(str(path))
-    assert np.array_equal(back.toarray(), op.to_dense())
 
 
 # Values of the Fraction-dict closed-walk oracle that the integer-array
@@ -369,9 +358,8 @@ def test_power_diagonal_detects_corrupted_entry(monkeypatch):
 
     def corrupted(*args, **kwargs):
         op = assemble_induced(*args, **kwargs)
-        for key, d in delta.items():
-            op.entries[key] = op.entries[key] + d
-        return op
+        return _with_entries(op, {key: op.entries[key] + d
+                                  for key, d in delta.items()})
 
     monkeypatch.setattr(operators_module, "assemble_induced", corrupted)
     # k = 1 sees only the diagonal shift; k = 2 also sees the imaginary
@@ -429,8 +417,9 @@ def _ref_dense_power_diagonal(op, k, vertices):
     the kernel that the sparse-frontier propagation replaced, kept as the
     reference it must reproduce, exactly for exact rules."""
     n = op.n
-    rows, cols, codes, values = op._coo()
-    den, val_re, val_im = operators_module._scaled_numerators(values, op.exact)
+    rows, cols, codes = op.rows, op.cols, op.codes
+    den, val_re, val_im = operators_module._scaled_numerators(op.values,
+                                                              op.exact)
     order = np.lexsort((cols, rows))
     rows, cols, codes = rows[order], cols[order], codes[order]
     val_re, val_im = val_re[codes], val_im[codes]
@@ -547,9 +536,8 @@ def test_power_diagonal_catches_non_hermitian_hopping_at_k3(monkeypatch):
     def corrupted(*args, **kwargs):
         # H(v+1, v) moves, its transpose H(v, v+1) does not
         op = assemble_induced(*args, **kwargs)
-        op.entries[v + 1, v] = op.entries[v + 1, v] + ComplexRational(
-            Fraction(1, 4))
-        return op
+        return _with_entries(op, {(v + 1, v): op.entries[v + 1, v]
+                                  + ComplexRational(Fraction(1, 4))})
 
     bad = corrupted(rule, sig, rho)
     with pytest.raises(AssemblyError):
@@ -584,6 +572,13 @@ def test_power_diagonal_walks_cancelling_to_zero():
         assert re.tolist() == [-4, 0, 4] * 10 and not im.any()
     rep = power_diagonal_check(rule, sig, rho, 3)
     assert rep.exact and rep.n_tested == 30 and rep.max_discrepancy == 0.0
+
+
+def _with_entries(op, changed):
+    """op with some entries set anew, rebuilt through from_entries: the way
+    fault-injection tests corrupt an assembled operator."""
+    return InducedOperator.from_entries(op.n, {**op.entries, **changed},
+                                        op.exact)
 
 
 # Per-entry loops that the value-coded operator methods replaced, kept as the
@@ -701,11 +696,12 @@ def test_value_coded_methods_match_per_entry_loops(d, kind, exact, fresh,
     op = assemble_induced(rule, sig, rho)
     if exact and fresh:
         # one object per entry: interning must then merge by value alone
-        op.entries = {key: ComplexRational(Fraction(v.re.numerator,
-                                                    v.re.denominator),
-                                           Fraction(v.im.numerator,
-                                                    v.im.denominator))
-                      for key, v in op.entries.items()}
+        op = InducedOperator.from_entries(
+            op.n, {key: ComplexRational(Fraction(v.re.numerator,
+                                                 v.re.denominator),
+                                        Fraction(v.im.numerator,
+                                                 v.im.denominator))
+                   for key, v in op.entries.items()}, exact=True)
     _assert_matches_reference(op)
     if op.entries:
         # break one entry: its transpose no longer holds the conjugate
@@ -713,9 +709,11 @@ def test_value_coded_methods_match_per_entry_loops(d, kind, exact, fresh,
         key = keys[tamper % len(keys)]
         bump = (ComplexRational(Fraction(0), Fraction(1, 3)) if exact
                 else 1j / 3)
-        op.entries[key] = op.entries[key] + bump
+        op = _with_entries(op, {key: op.entries[key] + bump})
         _assert_matches_reference(op)
-        del op.entries[key]
+        entries = dict(op.entries)
+        del entries[key]
+        op = InducedOperator.from_entries(op.n, entries, op.exact)
         _assert_matches_reference(op)
 
 
@@ -723,18 +721,16 @@ def test_float_operator_zero_signs_and_nan():
     one_minus_0j = complex(1.0, -0.0)       # the literal 1 - 0j has +0.0
     entries = {(0, 0): one_minus_0j, (0, 1): 0.5j, (1, 0): -0.5j,
                (1, 1): complex(-0.0, -0.0), (2, 2): complex(2.0, 0.0)}
-    op = InducedOperator(n=3, entries=entries, exact=False, hopping=1,
-                         goodness_radius=2)
+    op = InducedOperator.from_entries(3, entries, exact=False)
     _assert_matches_reference(op)
     assert np.signbit(op.to_dense()[0, 0].imag)
-    real = InducedOperator(n=3, entries={(0, 0): one_minus_0j,
-                                         (1, 1): complex(-0.0, 0.0),
-                                         (2, 2): 1 + 0j},
-                           exact=False, hopping=0, goodness_radius=0)
+    real = InducedOperator.from_entries(3, {(0, 0): one_minus_0j,
+                                            (1, 1): complex(-0.0, 0.0),
+                                            (2, 2): 1 + 0j}, exact=False)
     _assert_matches_reference(real)
     assert real.to_dense().dtype == np.float64
     # NaN is never equal to its own conjugate, so it never passes
-    op.entries[(2, 2)] = complex(float("nan"), 0.0)
+    op = _with_entries(op, {(2, 2): complex(float("nan"), 0.0)})
     _assert_matches_reference(op)
     assert _hermitian_violation(op) == "(2,2)"
 
@@ -744,8 +740,7 @@ def test_check_hermitian_names_first_bad_pair_in_dict_order():
     one = ComplexRational(Fraction(1))
 
     def op(entries):
-        return InducedOperator(n=3, entries=entries, exact=True, hopping=1,
-                               goodness_radius=2)
+        return InducedOperator.from_entries(3, entries, exact=True)
 
     good = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i.conjugate(),
                (1, 2): one, (2, 1): one})
@@ -761,3 +756,122 @@ def test_check_hermitian_names_first_bad_pair_in_dict_order():
     flipped = op({(1, 0): half_i, (0, 1): half_i, (1, 2): one})
     with pytest.raises(AssemblyError, match=r"\(1,0\)$"):
         flipped.check_hermitian()
+
+
+# Array storage: from_entries round trip and the graph assembly from arrays.
+
+
+def _same_operator(a, b):
+    """Equal arrays and identical results from every method."""
+    assert (a.n, a.exact) == (b.n, b.exact)
+    for name in ("rows", "cols", "codes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    if a.exact:
+        assert a.values == b.values
+    else:
+        assert a.values.tobytes() == b.values.tobytes()
+    assert list(a.entries.items()) == list(b.entries.items())
+    assert a.row_sum_bound().hex() == b.row_sum_bound().hex()
+    assert (a.is_real(), a.is_diagonal()) == (b.is_real(), b.is_diagonal())
+    assert a.diagonal() == b.diagonal()
+    _assert_same_dense(a.to_dense(), b.to_dense())
+    _assert_same_sparse(a.to_sparse(), b.to_sparse())
+    assert _hermitian_violation(a) == _hermitian_violation(b)
+    vertices = np.arange(a.n)
+    _assert_same_power_diagonal(_matrix_power_diagonal(a, 3, vertices),
+                                _matrix_power_diagonal(b, 3, vertices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2]), kind=st.sampled_from(
+           ["diagonal", "schrodinger", "complex hopping", "graph"]),
+       exact=st.booleans(), potential=st.tuples(RATIONALS, RATIONALS),
+       hop=RATIONALS, side=st.sampled_from([3, 4, 7]),
+       seed=st.integers(0, 2**16), tamper=st.integers(0, 10**6))
+def test_from_entries_round_trip(d, kind, exact, potential, hop, side, seed,
+                                 tamper):
+    group = lattice_group(d)
+    sig = torus_approximation(d, side)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, seed)
+    if kind == "graph":
+        op = assemble_graph_schrodinger(
+            sig, rho, BIN, list(potential) if exact
+            else [float(x) for x in potential])
+    else:
+        if kind == "diagonal":
+            rule = diagonal_rule(group, BIN, list(potential))
+        elif kind == "schrodinger":
+            rule = schrodinger_rule(group, BIN, list(potential))
+        else:
+            rule = _hopping_rule(group, potential, hop)
+        op = assemble_induced(rule if exact else _float_rule(rule), sig, rho)
+    for a in (op.rows, op.cols, op.codes, op.values):
+        if isinstance(a, np.ndarray):
+            assert not a.flags.writeable
+    assert len(op.entries) == len(op.rows)
+    with pytest.raises(TypeError):
+        op.entries[(0, 0)] = op.entry(0, 0)
+    _same_operator(InducedOperator.from_entries(op.n, dict(op.entries),
+                                                op.exact), op)
+    if op.entries:
+        # a corrupted copy is rebuilt as faithfully
+        key = list(op.entries)[tamper % len(op.entries)]
+        bad = _with_entries(op, {key: op.entries[key] + op.entries[key]})
+        _same_operator(InducedOperator.from_entries(
+            bad.n, dict(bad.entries), bad.exact), bad)
+
+
+def _dict_graph_schrodinger(sigma, rho, potential):
+    """The per-vertex dict loop the array assembly replaced: sorted edge
+    keys, then the nonzero diagonal -deg(v) + F(rho(v)) in vertex order."""
+    from sofic_spectra.sofic import edge_graph
+    exact = all(isinstance(x, (int, Fraction)) for x in potential)
+    graph = edge_graph(sigma)
+    n = sigma.n_vertices
+    keys = np.unique(graph.src.astype(np.int64) * n + graph.dst)
+    entries = {}
+    one = ComplexRational(Fraction(1)) if exact else 1 + 0j
+    deg = np.zeros(n, dtype=np.int64)
+    for key in keys.tolist():
+        i, j = divmod(key, n)
+        entries[(i, j)] = one
+        deg[i] += 1
+    for v in range(n):
+        if exact:
+            val = ComplexRational(Fraction(int(-deg[v]))
+                                  + Fraction(potential[int(rho.values[v])]))
+        else:
+            val = complex(-int(deg[v]) + potential[int(rho.values[v])])
+        if val != (ComplexRational(Fraction(0)) if exact else 0):
+            entries[(v, v)] = val
+    return entries
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_graph_schrodinger_matches_dict_loop(exact):
+    # potential = degree: the diagonal vanishes at full-degree vertices of
+    # symbol 0, and small F_2 models collapse multi-edges and fixed points,
+    # so degrees below 4 occur too
+    potentials = ([Fraction(4), Fraction(5, 2)], [Fraction(4), Fraction(3)],
+                  [Fraction(3), Fraction(1)])
+    seen_zero_diagonal = seen_low_degree = False
+    for n in (3, 5, 8, 13):
+        for seed in range(4):
+            sig = random_permutation_approximation(2, n, seed)
+            rho = sample_configuration(
+                IIDProduct(alphabet=BIN, weights=(0.5, 0.5)), sig, seed)
+            for potential in potentials:
+                if not exact:
+                    potential = [float(x) for x in potential]
+                want = _dict_graph_schrodinger(sig, rho, potential)
+                op = assemble_graph_schrodinger(sig, rho, BIN, potential)
+                assert list(op.entries) == list(want)
+                assert all(type(op.entries[k]) is type(v) and
+                           op.entries[k] == v for k, v in want.items())
+                _same_operator(op, InducedOperator.from_entries(n, want,
+                                                                exact))
+                diag = {i for i, j in want if i == j}
+                seen_zero_diagonal |= len(diag) < n
+                seen_low_degree |= len(want) - len(diag) < 4 * n
+    assert seen_zero_diagonal and seen_low_degree
