@@ -34,7 +34,9 @@ from .measures import (
     Mixture,
     lattice_periodic,
     le_diagnostic,
+    model_alphabet,
     sample_configuration,
+    sample_rng,
 )
 from .monotone import build_schedule, monotone_ids_report, value_sets_of
 from .operators import (
@@ -72,6 +74,9 @@ CONFIG_SCHEMA = {
     "type": "object",
     "required": ["pipeline", "group", "sofic", "seed"],
     "additionalProperties": False,
+    "if": {"properties": {"pipeline": {"enum": list(PIPELINES[1:])}},
+           "required": ["pipeline"]},
+    "then": {"required": ["measure", "operator"]},
     "properties": {
         "pipeline": {"enum": list(PIPELINES)},
         "group": {
@@ -95,6 +100,9 @@ CONFIG_SCHEMA = {
                 "seed": {"type": "integer"},
                 "moduli": {"type": "array", "items": {"type": "integer"}},
             },
+            "if": {"properties": {"kind": {"const": "product"}},
+                   "required": ["kind"]},
+            "then": {"required": ["moduli"]},
         },
         "measure": {"type": "object"},
         "operator": {"type": "object"},
@@ -212,6 +220,18 @@ def measure_from_config(cfg: dict, group: GroupSpec) -> MeasureModel:
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
+def _model_and_rule(config: dict, group: GroupSpec):
+    """The measure, and the operator over the measure's alphabet (for a
+    mixture, the alphabet its components share)."""
+    model = measure_from_config(config["measure"], group)
+    try:
+        alphabet = model_alphabet(model)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    rule, potential = operator_from_config(config["operator"], group, alphabet)
+    return model, rule, potential
+
+
 def _parse_rational(text) -> Fraction:
     return Fraction(str(text))
 
@@ -306,12 +326,6 @@ def shared_hash(config: dict) -> str:
         json.dumps(subset, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def sample_rng(master_seed: int, size_index: int,
-               sample_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(size_index, sample_index)))
-
-
 def _check_fraction(x: float, what: str) -> float:
     if not -1e-12 <= x <= 1 + 1e-12:
         raise RuntimeError(f"{what} = {x} escapes [0, 1]")
@@ -371,9 +385,7 @@ def _beta_grid(config) -> np.ndarray:
 
 
 def _pipeline_weak_convergence(config, group, sigmas, out):
-    alphabet = alphabet_from_config(config.get("measure", {}))
-    model = measure_from_config(config["measure"], group)
-    rule, potential = operator_from_config(config["operator"], group, alphabet)
+    model, rule, potential = _model_and_rule(config, group)
     k_max = config.get("k_max", 4)
     n_samples = config.get("samples", 10)
     grid = _beta_grid(config)
@@ -440,9 +452,7 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
 
 
 def _pipeline_luck_atoms(config, group, sigmas, out):
-    alphabet = alphabet_from_config(config.get("measure", {}))
-    model = measure_from_config(config["measure"], group)
-    rule, potential = operator_from_config(config["operator"], group, alphabet)
+    model, rule, potential = _model_and_rule(config, group)
     alphas = [Fraction(a) for a in config.get("alpha_values", ["0", "1"])]
     eps_list = config.get("punctured_eps", [1e-2])
     n_samples = config.get("samples", 20)
@@ -481,9 +491,7 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
 
 
 def _pipeline_monotone(config, group, sigmas, out):
-    alphabet = alphabet_from_config(config.get("measure", {}))
-    model = measure_from_config(config["measure"], group)
-    rule, potential = operator_from_config(config["operator"], group, alphabet)
+    model, rule, potential = _model_and_rule(config, group)
     if potential is not None:
         raise ConfigError("monotone pipeline uses the strict induced assembly")
     m_max = config.get("monotone", {}).get("m_max", 6)
@@ -567,8 +575,8 @@ def run(config: dict, out_dir=None) -> dict:
         "pipeline": pipeline,
         "sizes": config["sofic"]["sizes"],
         "per_size_seeds": [
-            [int(np.random.SeedSequence(entropy=config["seed"],
-                                        spawn_key=(i, 0)).generate_state(1)[0])]
+            [int(sample_rng(config["seed"], i, 0).bit_generator.seed_seq
+                 .generate_state(1)[0])]
             for i in range(len(config["sofic"]["sizes"]))],
         "outputs": outputs,
         "wall_clock_seconds": elapsed,

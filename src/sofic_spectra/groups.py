@@ -350,9 +350,6 @@ class PatternWindow:
     radius: int
     values: tuple
 
-    def value_at(self, window_ball: CayleyBall, g: Element):
-        return self.values[window_ball.index(g)]
-
 
 def translate_window(group: GroupSpec, g: Element, window: PatternWindow,
                      radius: int) -> PatternWindow:

@@ -165,9 +165,68 @@ def model_alphabet(model: MeasureModel) -> Alphabet:
     return model.alphabet
 
 
+def periodic_groups(model: MeasureModel) -> list:
+    """Groups of the finite quotients that the periodic parts of a model use."""
+    if isinstance(model, Mixture):
+        return [g for c in model.components for g in periodic_groups(c)]
+    return [model.quotient.group] if isinstance(model, PeriodicOrbit) else []
+
+
 # ---------------------------------------------------------------------------
-# Sampling
+# Site laws and sampling
 # ---------------------------------------------------------------------------
+
+
+def site_law(model: MeasureModel, sites: list):
+    """Yield (symbol assignment tuple, probability) of the infinite-volume law
+    on the given sites: i.i.d. assignments in base-A code order, site 0 least
+    significant; one per periodic translate, repeats included."""
+    if isinstance(model, IIDProduct):
+        A = model.alphabet.size
+        for code in range(A ** len(sites)):
+            assign = _decode(code, A, len(sites))
+            p = 1.0
+            for s in assign:
+                p *= model.weights[s]
+            if p > 0:
+                yield assign, p
+        return
+    if isinstance(model, PeriodicOrbit):
+        q = model.quotient.size
+        # value of the t-translate at site g is pattern[q^g(t)]
+        perms = [model.quotient.act_perm(g) for g in sites]
+        for t in range(q):
+            yield tuple(model.pattern[perm[t]] for perm in perms), 1.0 / q
+        return
+    if isinstance(model, Mixture):
+        for comp, w in zip(model.components, model.weights):
+            for assign, p in site_law(comp, sites):
+                yield assign, w * p
+        return
+    raise TypeError(f"unknown model {type(model)!r}")
+
+
+def sample_sites(model: MeasureModel, sites: list,
+                 rng: np.random.Generator) -> tuple:
+    """One assignment over the given sites drawn from site_law's law."""
+    if isinstance(model, IIDProduct):
+        return tuple(rng.choice(model.alphabet.size, size=len(sites),
+                                p=np.asarray(model.weights)).tolist())
+    if isinstance(model, PeriodicOrbit):
+        t = int(rng.integers(model.quotient.size))
+        return tuple(model.pattern[model.quotient.act_perm(g)[t]]
+                     for g in sites)
+    if isinstance(model, Mixture):
+        kk = rng.choice(len(model.components), p=np.asarray(model.weights))
+        return sample_sites(model.components[kk], sites, rng)
+    raise TypeError(f"unknown model {type(model)!r}")
+
+
+def sample_rng(master_seed: int, size_index: int,
+               sample_index: int) -> np.random.Generator:
+    """The stream of sample j at size i: every sampled run draws from it."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(size_index, sample_index)))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -250,9 +309,6 @@ class WindowDistribution:
     probs: dict
     counts: Optional[dict] = None
 
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
-
     def tv(self, other: "WindowDistribution") -> float:
         keys = set(self.probs) | set(other.probs)
         return 0.5 * sum(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0))
@@ -291,62 +347,27 @@ def empirical_window_distribution(rho: Configuration, sigma: SoficApproximation,
     return WindowDistribution(radius=radius, probs=probs, counts=counts)
 
 
-def target_marginal(model: MeasureModel, radius: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> WindowDistribution:
-    """Exact radius-R cylinder marginal of the infinite-volume law."""
-    group = _model_group(model)
-    b = ball(group, radius)
-    return _target_marginal_on(model, b, budget)
-
-
-def _model_group(model: MeasureModel) -> GroupSpec:
-    if isinstance(model, Mixture):
-        return _model_group(model.components[0])
-    if isinstance(model, PeriodicOrbit):
-        return model.quotient.group
-    raise ValueError(
-        "an IID model has no intrinsic group; use target_marginal_on with a ball")
-
-
 def target_marginal_on(model: MeasureModel, group: GroupSpec, radius: int,
                        budget: int = DEFAULT_ENUM_BUDGET) -> WindowDistribution:
-    return _target_marginal_on(model, ball(group, radius), budget)
-
-
-def _target_marginal_on(model: MeasureModel, b: CayleyBall,
-                        budget: int) -> WindowDistribution:
-    if isinstance(model, IIDProduct):
-        A = model.alphabet.size
-        if A ** len(b) > budget:
-            raise EnumerationBudgetError(
-                f"{A}^{len(b)} patterns exceed budget {budget}; "
-                "use Monte Carlo estimation instead")
-        probs: dict = {}
-        for code in range(A ** len(b)):
-            pat = _decode(code, A, len(b))
-            p = 1.0
-            for s in pat:
-                p *= model.weights[s]
-            if p > 0:
-                probs[pat] = p
-        return WindowDistribution(radius=b.radius, probs=probs)
-    if isinstance(model, PeriodicOrbit):
-        q = model.quotient.size
-        # value of the t-translate at ball element g is pattern[q^g(t)]
-        perms = [model.quotient.act_perm(g) for g in b.elements]
-        probs = {}
-        for t in range(q):
-            pat = tuple(model.pattern[perm[t]] for perm in perms)
-            probs[pat] = probs.get(pat, 0.0) + 1.0 / q
-        return WindowDistribution(radius=b.radius, probs=probs)
+    """Exact radius-R cylinder marginal of the infinite-volume law: site_law
+    merged per pattern over the ball, a mixture weighting the merged
+    marginals of its components."""
+    b = ball(group, radius)
+    probs: dict = {}
     if isinstance(model, Mixture):
-        probs = {}
         for comp, w in zip(model.components, model.weights):
-            sub = _target_marginal_on(comp, b, budget)
+            sub = target_marginal_on(comp, group, radius, budget)
             for pat, p in sub.probs.items():
                 probs[pat] = probs.get(pat, 0.0) + w * p
         return WindowDistribution(radius=b.radius, probs=probs)
-    raise TypeError(f"unknown model {type(model)!r}")
+    A = model.alphabet.size
+    if isinstance(model, IIDProduct) and A ** len(b) > budget:
+        raise EnumerationBudgetError(
+            f"{A}^{len(b)} patterns exceed budget {budget}; "
+            "use Monte Carlo estimation instead")
+    for pat, p in site_law(model, b.elements):
+        probs[pat] = probs.get(pat, 0.0) + p
+    return WindowDistribution(radius=b.radius, probs=probs)
 
 
 def _decode(code: int, base: int, length: int) -> tuple:
@@ -435,12 +456,6 @@ class LeDiagnosticRow:
     le_fraction: float
     le_halfwidth: float
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "R": self.radius, "eps": self.eps,
-                "lw_fraction": self.lw_fraction,
-                "le_fraction": self.le_fraction,
-                "le_halfwidth": self.le_halfwidth}
-
 
 def le_diagnostic(target_model: MeasureModel,
                   sigmas: Sequence[SoficApproximation],
@@ -483,9 +498,8 @@ def le_diagnostic(target_model: MeasureModel,
         lw_fraction = good_hits / n
         hits = 0
         for j in range(sample_count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(size_index, j)))
-            rho = sample_configuration(finite_model, sigma, rng)
+            rho = sample_configuration(finite_model, sigma,
+                                       sample_rng(seed, size_index, j))
             emp = empirical_window_distribution(rho, sigma, radius)
             if emp.tv(target) < eps:
                 hits += 1

@@ -371,11 +371,6 @@ class SchedulePsdStep:
     min_eigenvalue: float
     n_zero_rows: int
 
-    def to_json(self) -> dict:
-        return {"m": self.m, "certified": self.certified,
-                "min_eigenvalue": self.min_eigenvalue,
-                "n_zero_rows": self.n_zero_rows}
-
 
 def schedule_step_psd_check(rule: LocalRule, sched: RationalSchedule, m: int,
                             sigma: SoficApproximation, rho: Configuration,
@@ -431,11 +426,6 @@ class MonotoneReportRow:
     count_m: int
     count_target: int
     psd_certified: bool
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "beta": self.beta, "N_m": self.count_m,
-                "N_target": self.count_target,
-                "psd_certified": self.psd_certified}
 
 
 @dataclass

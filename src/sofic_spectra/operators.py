@@ -39,10 +39,11 @@ from .measures import (
     Configuration,
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
-    IIDProduct,
     MeasureModel,
-    Mixture,
-    PeriodicOrbit,
+    model_alphabet,
+    periodic_groups,
+    sample_sites,
+    site_law,
 )
 from .sofic import GoodnessReport, SoficApproximation, good_vertices
 
@@ -287,12 +288,6 @@ class RuleValidationReport:
     diagonal_values: set       # realized F1 (zeros excluded)
     offdiagonal_values: set    # realized F2 (zeros excluded)
     row_sum_bound: float
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "n_witnesses": len(self.witnesses),
-                "row_sum_bound": self.row_sum_bound,
-                "n_diagonal_values": len(self.diagonal_values),
-                "n_offdiagonal_values": len(self.offdiagonal_values)}
 
 
 def validate_local_rule(rule: LocalRule,
@@ -912,10 +907,6 @@ class ExpectedMomentResult:
     standard_error: float
     mode: str
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "value": self.value,
-            "standard_error": self.standard_error, "mode": self.mode}
-
 
 def _influential_positions(rule: LocalRule) -> list[int]:
     """Ball positions that can change any coefficient of the rule."""
@@ -978,7 +969,7 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
                 "retry with mode='mc'")
         index: dict = {}
         law = [(index.setdefault(assignment, len(index)), prob)
-               for assignment, prob in _assignment_law(model, read_sites)]
+               for assignment, prob in site_law(model, read_sites)]
         values = _moment_values(rule, space, big, read_sites, list(index), k)
         total = 0.0
         for j, prob in law:
@@ -988,7 +979,7 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     assignments = [
-        _sample_assignment(model, read_sites, np.random.default_rng(
+        sample_sites(model, read_sites, np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(j,))))
         for j in range(samples)]
     arr = np.asarray(_moment_values(rule, space, big, read_sites,
@@ -1013,58 +1004,7 @@ def _moment_values(rule: LocalRule, space: _WalkSpace, big: CayleyBall,
 
 
 def _check_model_group(model: MeasureModel, rule: LocalRule) -> None:
-    if isinstance(model, Mixture):
-        for comp in model.components:
-            _check_model_group(comp, rule)
-        return
-    if model.alphabet.size != rule.alphabet.size:
+    if model_alphabet(model).size != rule.alphabet.size:
         raise RuleValidationError("model and rule alphabets disagree")
-    if isinstance(model, PeriodicOrbit) and model.quotient.group != rule.group:
+    if any(g != rule.group for g in periodic_groups(model)):
         raise RuleValidationError("periodic model lives over a different group")
-
-
-def _assignment_law(model: MeasureModel, sites: list):
-    """Yield (symbol assignment tuple, probability) over the given sites."""
-    if isinstance(model, IIDProduct):
-        A = model.alphabet.size
-        n = len(sites)
-        for code in range(A ** n):
-            assign = []
-            c = code
-            p = 1.0
-            for _ in range(n):
-                s = c % A
-                c //= A
-                assign.append(s)
-                p *= model.weights[s]
-            if p > 0:
-                yield tuple(assign), p
-        return
-    if isinstance(model, PeriodicOrbit):
-        q = model.quotient.size
-        for t in range(q):
-            assign = tuple(model.pattern[model.quotient.act_perm(g)[t]]
-                           for g in sites)
-            yield assign, 1.0 / q
-        return
-    if isinstance(model, Mixture):
-        for comp, w in zip(model.components, model.weights):
-            for assign, p in _assignment_law(comp, sites):
-                yield assign, w * p
-        return
-    raise TypeError(f"unknown model {type(model)!r}")
-
-
-def _sample_assignment(model: MeasureModel, sites: list,
-                       rng: np.random.Generator) -> tuple:
-    if isinstance(model, IIDProduct):
-        return tuple(rng.choice(model.alphabet.size, size=len(sites),
-                                p=np.asarray(model.weights)).tolist())
-    if isinstance(model, PeriodicOrbit):
-        t = int(rng.integers(model.quotient.size))
-        return tuple(model.pattern[model.quotient.act_perm(g)[t]]
-                     for g in sites)
-    if isinstance(model, Mixture):
-        kk = rng.choice(len(model.components), p=np.asarray(model.weights))
-        return _sample_assignment(model.components[kk], sites, rng)
-    raise TypeError(f"unknown model {type(model)!r}")

@@ -9,6 +9,7 @@ vectorized permutation arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -76,9 +77,6 @@ class SoficApproximation:
         self._word_cache[g] = arr
         return arr
 
-    def apply(self, g: Element, v: int) -> int:
-        return int(self.perm_of(g)[v])
-
     def ball_images(self, b: CayleyBall,
                     budget: int = DEFAULT_IMAGE_BUDGET) -> np.ndarray:
         """Matrix images[i, v] = sigma^{g_i}(v) over the ball elements."""
@@ -100,22 +98,27 @@ def torus_approximation(d: int, n: int,
         raise ValueError("torus side must be >= 2")
     if n**d > vertex_budget:
         raise BallCapacityError(f"torus has {n**d} vertices, budget {vertex_budget}")
-    group = lattice_group(d)
-    size = n**d
-    idx = np.arange(size)
-    # vertex v encodes coordinates base n, coordinate 0 least significant
+    return SoficApproximation(
+        group=lattice_group(d), n_vertices=n**d,
+        perms=tuple(_box_shifts([n] * d)),
+        provenance="torus", meta={"d": d, "n": n})
+
+
+def _box_shifts(moduli: Sequence[int]) -> list[np.ndarray]:
+    """Unit shifts up and down each coordinate of the box prod Z/m_i, in the
+    generator order of lattice_group: index c encodes the coordinates in
+    mixed radix, coordinate 0 least significant."""
+    idx = np.arange(math.prod(moduli))
     perms = []
-    for coord in range(d):
-        stride = n**coord
-        block = n**(coord + 1)
+    stride = 1
+    for m in moduli:
+        block = stride * m
         base = idx - (idx % block)
         offset = idx % block
-        up = base + (offset + stride) % block
-        down = base + (offset - stride) % block
-        perms.extend([up, down])
-    return SoficApproximation(
-        group=group, n_vertices=size, perms=tuple(perms),
-        provenance="torus", meta={"d": d, "n": n})
+        perms += [base + (offset + stride) % block,
+                  base + (offset - stride) % block]
+        stride = block
+    return perms
 
 
 def random_permutation_approximation(rank: int, n: int,
@@ -179,9 +182,6 @@ class FiniteQuotient:
             out = [self.perms[letter][c] for c in out]
         return out
 
-    def coset_of(self, g: Element) -> int:
-        return self.act_perm(g)[0]
-
     def representative_words(self) -> list[tuple]:
         """One geodesic word per coset index, by BFS from the identity coset."""
         words: dict[int, tuple] = {0: ()}
@@ -204,19 +204,9 @@ def lattice_quotient(d: int, moduli: Sequence[int]) -> FiniteQuotient:
     """The quotient Z^d -> prod Z/m_i Z as a FiniteQuotient."""
     if len(moduli) != d or any(m < 1 for m in moduli):
         raise ValueError("need one modulus >= 1 per coordinate")
-    group = lattice_group(d)
-    size = int(np.prod(moduli))
-    idx = np.arange(size)
-    perms = []
-    for coord in range(d):
-        stride = int(np.prod(moduli[:coord]))
-        block = stride * moduli[coord]
-        base = idx - (idx % block)
-        offset = idx % block
-        up = base + (offset + stride) % block
-        down = base + (offset - stride) % block
-        perms.extend([tuple(int(x) for x in up), tuple(int(x) for x in down)])
-    return FiniteQuotient(group=group, size=size, perms=tuple(perms))
+    return FiniteQuotient(group=lattice_group(d), size=int(math.prod(moduli)),
+                          perms=tuple(tuple(p.tolist())
+                                      for p in _box_shifts(moduli)))
 
 
 def product_with_quotient(base: SoficApproximation,
@@ -363,15 +353,6 @@ class SoficDefectReport:
     fix_fractions: dict     # g -> fraction of v with sigma^g(v) == v
     max_hom_defect: float
     max_fix_defect: float
-
-    def to_json(self) -> dict:
-        return {
-            "radius": self.radius,
-            "max_hom_defect": self.max_hom_defect,
-            "max_fix_defect": self.max_fix_defect,
-            "n_pairs": len(self.hom_fractions),
-            "n_elements": len(self.fix_fractions),
-        }
 
 
 def sofic_defect(sigma: SoficApproximation, radius: int) -> SoficDefectReport:

@@ -57,6 +57,27 @@ def test_config_schema_is_a_valid_schema():
         with pytest.raises(ConfigError) as got:
             validate_config(bad)
         assert str(got.value) == f"invalid config: {want.value.message}"
+    # keys a pipeline or a sofic kind needs are required by the schema, so a
+    # missing one is reported by name instead of raising a bare KeyError
+    missing = []
+    for pipeline in ("weak-convergence", "luck-atoms", "monotone"):
+        for key in ("measure", "operator"):
+            config = base_config(pipeline=pipeline)
+            del config[key]
+            missing.append((config, key))
+    missing.append((base_config(pipeline="sofic-diagnostics",
+                                sofic={"kind": "product", "sizes": [8]}),
+                    "moduli"))
+    for bad, key in missing:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            run(bad)
+        assert str(got.value) == f"invalid config: {want.value.message}" \
+            == f"invalid config: '{key}' is a required property"
+    diagnostics = base_config(pipeline="sofic-diagnostics")
+    del diagnostics["measure"], diagnostics["operator"]
+    validate_config(diagnostics)
 
 
 def test_fmt_rendering():
@@ -295,3 +316,38 @@ def test_manifest_contents(tmp_path):
     assert stored["pipeline"] == "weak-convergence"
     assert set(stored["outputs"]) == set(manifest["outputs"])
     assert len(stored["per_size_seeds"]) == 2
+
+
+def _three_symbol_mixture(**component_alphabets):
+    return {"kind": "mixture", "weights": [0.5, 0.5],
+            # the top-level alphabet key is not a mixture's alphabet
+            "alphabet": ["0", "1"],
+            "components": [
+                {"kind": "iid", "weights": [0.2, 0.3, 0.5],
+                 "alphabet": component_alphabets.get("first", ["0", "1", "2"])},
+                {"kind": "periodic", "period": [2], "pattern": [0, 2],
+                 "alphabet": ["0", "1", "2"]}]}
+
+
+@pytest.mark.parametrize("pipeline,operator", [
+    ("luck-atoms", {"kind": "diagonal",
+                    "values": {"0": "0", "1": "1", "2": "2"}}),
+    ("luck-atoms", {"kind": "schrodinger",
+                    "potential": {"0": "0", "1": "1", "2": "2"}}),
+    ("weak-convergence", {"kind": "schrodinger",
+                          "potential": {"0": "0", "1": "1", "2": "2"}}),
+])
+def test_mixture_alphabet_comes_from_its_components(tmp_path, pipeline,
+                                                    operator):
+    config = base_config(pipeline=pipeline, measure=_three_symbol_mixture(),
+                         operator=operator, samples=2, k_max=2,
+                         alpha_values=["2"],
+                         sofic={"kind": "torus", "sizes": [8]})
+    run(config, out_dir=tmp_path)
+    if operator["kind"] == "diagonal":
+        # the periodic component puts symbol 2 on every other vertex
+        rows = (tmp_path / "atoms.csv").read_text().splitlines()[1:]
+        assert rows and all(float(r.split(",")[2]) > 0 for r in rows)
+    disagree = _three_symbol_mixture(first=["a", "b", "c"])
+    with pytest.raises(ConfigError, match="disagree on the alphabet"):
+        run(dict(config, measure=disagree), out_dir=tmp_path / "bad")

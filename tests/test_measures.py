@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sofic_spectra.groups import ball, lattice_group
 from sofic_spectra.measures import (
@@ -8,6 +10,7 @@ from sofic_spectra.measures import (
     EnumerationBudgetError,
     IIDProduct,
     Mixture,
+    PeriodicOrbit,
     binary_alphabet,
     empirical_window_distribution,
     lattice_periodic,
@@ -15,6 +18,7 @@ from sofic_spectra.measures import (
     pullback_window,
     pushforward_window_distribution,
     sample_configuration,
+    site_law,
     target_marginal_on,
 )
 from sofic_spectra.sofic import (
@@ -211,3 +215,158 @@ def test_quotient_product_periodic_sampling():
     target = target_marginal_on(model, Z1, 1)
     push = pushforward_window_distribution(model, prod, 0, 1)
     assert push.tv(target) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# site_law and target_marginal_on against their former separate copies
+# ---------------------------------------------------------------------------
+
+
+def _old_target_marginal_on(model, b, budget):
+    """The cylinder marginal as computed before it was a merge of site_law."""
+    if isinstance(model, IIDProduct):
+        A = model.alphabet.size
+        if A ** len(b) > budget:
+            raise EnumerationBudgetError(
+                f"{A}^{len(b)} patterns exceed budget {budget}; "
+                "use Monte Carlo estimation instead")
+        probs = {}
+        for code in range(A ** len(b)):
+            pat = []
+            c = code
+            for _ in range(len(b)):
+                pat.append(c % A)
+                c //= A
+            p = 1.0
+            for s in pat:
+                p *= model.weights[s]
+            if p > 0:
+                probs[tuple(pat)] = p
+        return probs
+    if isinstance(model, PeriodicOrbit):
+        q = model.quotient.size
+        perms = [model.quotient.act_perm(g) for g in b.elements]
+        probs = {}
+        for t in range(q):
+            pat = tuple(model.pattern[perm[t]] for perm in perms)
+            probs[pat] = probs.get(pat, 0.0) + 1.0 / q
+        return probs
+    probs = {}
+    for comp, w in zip(model.components, model.weights):
+        for pat, p in _old_target_marginal_on(comp, b, budget).items():
+            probs[pat] = probs.get(pat, 0.0) + w * p
+    return probs
+
+
+def _old_assignment_law(model, sites):
+    """The site enumeration as the moment oracle ran it before the move."""
+    if isinstance(model, IIDProduct):
+        A = model.alphabet.size
+        n = len(sites)
+        for code in range(A ** n):
+            assign = []
+            c = code
+            p = 1.0
+            for _ in range(n):
+                s = c % A
+                c //= A
+                assign.append(s)
+                p *= model.weights[s]
+            if p > 0:
+                yield tuple(assign), p
+        return
+    if isinstance(model, PeriodicOrbit):
+        q = model.quotient.size
+        for t in range(q):
+            assign = tuple(model.pattern[model.quotient.act_perm(g)[t]]
+                           for g in sites)
+            yield assign, 1.0 / q
+        return
+    for comp, w in zip(model.components, model.weights):
+        for assign, p in _old_assignment_law(comp, sites):
+            yield assign, w * p
+
+
+ALPHABETS = [Alphabet(symbols=tuple(str(s) for s in range(a)))
+             for a in (1, 2, 3)]
+
+
+@st.composite
+def _weights(draw, size, positive=False):
+    raw = draw(st.lists(st.integers(1 if positive else 0, 5),
+                        min_size=size, max_size=size).filter(any))
+    return tuple(r / sum(raw) for r in raw)
+
+
+@st.composite
+def _site_models(draw, d, depth=2):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    kind = draw(st.sampled_from(["iid", "periodic", "mixture"]
+                                if depth else ["iid", "periodic"]))
+    if kind == "iid":
+        return IIDProduct(alphabet=alphabet,
+                          weights=draw(_weights(alphabet.size)))
+    if kind == "periodic":
+        periods = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+        pattern = draw(st.lists(st.integers(0, alphabet.size - 1),
+                                min_size=int(np.prod(periods)),
+                                max_size=int(np.prod(periods))))
+        return lattice_periodic(alphabet, periods, pattern)
+    comps = draw(st.lists(_site_models(d, depth - 1), min_size=1, max_size=3))
+    return Mixture(components=tuple(comps),
+                   weights=draw(_weights(len(comps), positive=True)))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except EnumerationBudgetError as err:
+        return ("budget", str(err))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]),
+       budget=st.sampled_from([10, 100, 5000]))
+def test_site_law_merge_matches_the_former_marginal(data, d, budget):
+    group = lattice_group(d)
+    model = data.draw(_site_models(d))
+    radius = data.draw(st.integers(0, 3 if d == 1 else 2))
+    b = ball(group, radius)
+    old = _outcome(lambda: _old_target_marginal_on(model, b, budget))
+    new = _outcome(lambda: target_marginal_on(model, group, radius,
+                                              budget).probs)
+    # == on every probability and the same insertion order
+    assert new == old
+    assert not isinstance(old, dict) or list(new) == list(old)
+    sites = data.draw(st.lists(st.sampled_from(b.elements), max_size=6))
+    assert list(site_law(model, sites)) == list(
+        _old_assignment_law(model, sites))
+
+
+def test_site_law_keeps_repeated_translates():
+    # period 4 with pattern 0101: translates t and t+2 coincide, and both
+    # are yielded, each with weight 1/4
+    model = lattice_periodic(BIN, [4], [0, 1, 0, 1])
+    sites = ball(Z1, 1).elements
+    law = list(site_law(model, sites))
+    assert law == list(_old_assignment_law(model, sites))
+    assert [p for _, p in law] == [0.25] * 4
+    assert target_marginal_on(model, Z1, 1).probs == \
+        {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
+
+
+def test_target_marginal_budget_error_is_the_former_one():
+    iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    per = lattice_periodic(BIN, [2], [0, 1])
+    mix = Mixture(components=(per, iid), weights=(0.5, 0.5))
+    b = ball(Z1, 3)
+    for model in (iid, mix):
+        with pytest.raises(EnumerationBudgetError) as err:
+            target_marginal_on(model, Z1, 3, budget=100)
+        assert _outcome(lambda: _old_target_marginal_on(model, b, 100)) == \
+            ("budget", str(err.value)) == \
+            ("budget", "2^7 patterns exceed budget 100; "
+                       "use Monte Carlo estimation instead")
+    # a periodic law is never over budget
+    assert target_marginal_on(per, Z1, 3, budget=1).probs == \
+        _old_target_marginal_on(per, b, 1)
