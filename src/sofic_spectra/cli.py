@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -151,11 +152,84 @@ def _config_validator():
     return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+_TYPE_TESTS = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    # stricter than jsonschema, which also takes 2.0 as an integer
+    "integer": lambda x: type(x) is int,
+    "number": lambda x: type(x) in (int, float),
+}
+# the keywords an "if" may use: they are decided exactly, as jsonschema does
+_EXACT_KEYWORDS = ("properties", "required", "enum", "const")
+
+
+def _conforms(x, schema: dict, exact: bool = False) -> bool:
+    """Structural check of x against a schema of CONFIG_SCHEMA's keywords.
+
+    True only where jsonschema accepts x; it may say False where jsonschema
+    accepts, except with ``exact`` (an ``if`` branch), where the answer is
+    jsonschema's.  A keyword it does not handle raises ValueError.
+    """
+    for key, want in schema.items():
+        if exact and key not in _EXACT_KEYWORDS:
+            raise ValueError(f"'if' branch uses {key!r}, not decided exactly")
+        if key == "type":
+            if want not in _TYPE_TESTS:
+                raise ValueError(f"config check does not handle type {want!r}")
+            ok = _TYPE_TESTS[want](x)
+        elif key in ("enum", "const"):
+            options = want if key == "enum" else [want]
+            if not all(isinstance(o, str) for o in options):
+                raise ValueError(f"config check handles string {key} only")
+            ok = isinstance(x, str) and x in options
+        elif key in ("required", "properties", "additionalProperties"):
+            if not isinstance(x, dict):
+                continue          # as in jsonschema, these pass non-objects
+            if key == "required":
+                ok = all(k in x for k in want)
+            elif key == "properties":
+                ok = all(_conforms(x[k], sub, exact)
+                         for k, sub in want.items() if k in x)
+            elif want is False:
+                ok = set(x) <= set(schema.get("properties", ()))
+            else:
+                raise ValueError("config check handles additionalProperties "
+                                 "false only")
+        elif key == "items":
+            ok = isinstance(x, list) and all(_conforms(y, want) for y in x)
+        elif key == "minItems":
+            ok = isinstance(x, list) and len(x) >= want
+        elif key == "minimum":
+            ok = _TYPE_TESTS["number"](x) and x >= want
+        elif key == "exclusiveMinimum":
+            ok = _TYPE_TESTS["number"](x) and x > want
+        elif key == "if":
+            ok = not _conforms(x, want, exact=True) or \
+                _conforms(x, schema.get("then", {}))
+        elif key == "then":
+            continue              # applied with its "if"
+        else:
+            raise ValueError(f"config check does not handle {key!r}")
+        if not ok:
+            return False
+    return True
+
+
 def validate_config(config: dict) -> None:
-    from jsonschema.exceptions import best_match
-    err = best_match(_config_validator().iter_errors(config))
-    if err is not None:
-        raise ConfigError(f"invalid config: {err.message}") from err
+    """Check a config against CONFIG_SCHEMA and the size schedule.
+
+    A structural check (`_conforms`) runs first.  It may be stricter than
+    jsonschema, never looser: every config it accepts jsonschema accepts.
+    Only when it rejects a config is jsonschema imported; jsonschema then
+    decides, its `best_match` words the error, and a config it finds no
+    error in is accepted.
+    """
+    if not _conforms(config, CONFIG_SCHEMA):
+        from jsonschema.exceptions import best_match
+        err = best_match(_config_validator().iter_errors(config))
+        if err is not None:
+            raise ConfigError(f"invalid config: {err.message}") from err
     sizes = config["sofic"]["sizes"]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("size schedule must be strictly increasing")
@@ -250,12 +324,10 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
         rule = adjacency_rule(group, alphabet)
         potential = [Fraction(group.n_generators)] * alphabet.size
     elif kind in ("schrodinger", "graph_schrodinger"):
-        potential = [_parse_rational(cfg["potential"][s])
-                     for s in alphabet.symbols]
+        potential = _per_symbol(cfg, "potential", alphabet)
         rule = schrodinger_rule(group, alphabet, potential)
     elif kind == "diagonal":
-        vals = [_parse_rational(cfg["values"][s]) for s in alphabet.symbols]
-        rule = diagonal_rule(group, alphabet, vals)
+        rule = diagonal_rule(group, alphabet, _per_symbol(cfg, "values", alphabet))
     elif kind == "table":
         entries = []
         for item in cfg["entries"]:
@@ -272,6 +344,15 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
         raise ConfigError("graph assembly takes a laplacian, adjacency or "
                           "Schrodinger operator")
     return rule, potential
+
+
+def _per_symbol(cfg: dict, key: str, alphabet: Alphabet) -> list[Fraction]:
+    """The operator's map cfg[key], read once per symbol of the alphabet."""
+    table = cfg.get(key, {})
+    for s in alphabet.symbols:
+        if s not in table:
+            raise ConfigError(f"operator {key!r} gives no value for symbol {s!r}")
+    return [_parse_rational(table[s]) for s in alphabet.symbols]
 
 
 def _parse_element(group: GroupSpec, data):
@@ -465,28 +546,41 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
             rho = sample_configuration(model, sigma,
                                        sample_rng(config["seed"], size_index, j))
             op = assemble(rule, potential, sigma, rho, goodness)
-            return eigen_spectrum(op), op.row_sum_bound()
+            return eigen_spectrum(op), op.row_sum_bound(), op.denominator()
 
         results = [run_sample(j) for j in range(n_samples)]
         for alpha in alphas:
-            masses = np.array([atom_mass(spec, alpha) for spec, _ in results])
+            masses = np.array([atom_mass(spec, alpha) for spec, _, _ in results])
             atom_rows.append([sigma.n_vertices, str(alpha),
                               float(masses.mean()),
                               float(masses.std(ddof=1)) if len(masses) > 1 else 0.0,
                               n_samples])
+        # D*H has Gaussian-integer entries for every sample's H; float
+        # operators have no such D and get no bound
+        dens = [den for _, _, den in results]
+        den = None if None in dens else math.lcm(*dens)
         for eps in eps_list:
             worst = 0.0
             bound = 0.0
-            for spec, rb in results:
-                r = max(1.0, rb)
-                worst = max(worst, punctured_mass(spec, 0.0, eps))
-                bound = max(bound, punctured_mass_bound(r, eps))
-            punct_rows.append([sigma.n_vertices, eps, worst, bound,
-                               worst <= bound])
+            ok = True
+            for spec, rb, _ in results:
+                mass = punctured_mass(spec, 0.0, eps)
+                worst = max(worst, mass)
+                if den is not None and den * eps < 1:
+                    b = punctured_mass_bound(max(1.0, den * rb), eps, den)
+                    bound = max(bound, b)
+                    ok = ok and mass <= b
+            if den is None or den * eps >= 1:
+                bound = ok = "na"
+            punct_rows.append([sigma.n_vertices, eps, worst, bound, ok])
     write_csv(out / "atoms.csv",
               ["n", "alpha", "mean_mass", "sd", "samples"], atom_rows)
     write_csv(out / "punctured.csv",
               ["n", "eps", "max_punctured", "bound", "ok"], punct_rows)
+    violated = [row[:2] for row in punct_rows if row[4] is False]
+    if violated:
+        raise RuntimeError(f"punctured-interval bound violated at (n, eps) "
+                           f"= {violated}; see punctured.csv")
     return ["atoms.csv", "punctured.csv"]
 
 

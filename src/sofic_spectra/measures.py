@@ -165,11 +165,16 @@ def model_alphabet(model: MeasureModel) -> Alphabet:
     return model.alphabet
 
 
+def _periodic_parts(model: MeasureModel) -> list:
+    """The periodic laws a model is made of, mixture components unfolded."""
+    if isinstance(model, Mixture):
+        return [p for c in model.components for p in _periodic_parts(c)]
+    return [model] if isinstance(model, PeriodicOrbit) else []
+
+
 def periodic_groups(model: MeasureModel) -> list:
     """Groups of the finite quotients that the periodic parts of a model use."""
-    if isinstance(model, Mixture):
-        return [g for c in model.components for g in periodic_groups(c)]
-    return [model.quotient.group] if isinstance(model, PeriodicOrbit) else []
+    return [p.quotient.group for p in _periodic_parts(model)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,15 @@ def _sample_values(model: MeasureModel, sigma: SoficApproximation,
     return _periodic_base_values(model, sigma, t)
 
 
+def _periodic_translates(model: MeasureModel,
+                         sigma: SoficApproximation) -> dict:
+    """id(part) -> (q, n) array whose row t is the t-translate on sigma, for
+    each periodic part of the model."""
+    return {id(p): np.stack([_periodic_base_values(p, sigma, t)
+                             for t in range(p.quotient.size)])
+            for p in _periodic_parts(model)}
+
+
 def _periodic_base_values(model: PeriodicOrbit, sigma: SoficApproximation,
                           t: int) -> np.ndarray:
     """Configuration of the t-translate of the periodic pattern on sigma."""
@@ -327,18 +341,30 @@ class WindowDistribution:
 def empirical_window_distribution(rho: Configuration, sigma: SoficApproximation,
                                   radius: int) -> WindowDistribution:
     """Frequencies of the vertex-rooted pullback windows (exact counts)."""
-    b = ball(sigma.group, radius)
-    images = sigma.ball_images(b)
-    vals = rho.values[images]                       # (|B|, n)
-    n = sigma.n_vertices
+    vals = rho.values[sigma.ball_images(ball(sigma.group, radius))]
+    return _window_distribution(vals, radius, _window_histogram(vals))
+
+
+def _window_histogram(vals: np.ndarray):
+    """(base, distinct window codes ascending, their counts) of the window
+    columns of vals (|B|, n), in base max value + 1; None when a code could
+    reach 2^62."""
     base = int(vals.max()) + 1 if vals.size else 1
+    if base ** len(vals) >= 2**62:
+        return None
+    weights = base ** np.arange(len(vals), dtype=np.int64)
+    codes = (vals.astype(np.int64) * weights[:, None]).sum(axis=0)
+    return (base, *np.unique(codes, return_counts=True))
+
+
+def _window_distribution(vals: np.ndarray, radius: int,
+                         histogram) -> WindowDistribution:
+    size, n = vals.shape
     counts: dict = {}
-    if base ** len(b) < 2**62:
-        weights = base ** np.arange(len(b), dtype=np.int64)
-        codes = (vals.astype(np.int64) * weights[:, None]).sum(axis=0)
-        uniq, cnt = np.unique(codes, return_counts=True)
+    if histogram is not None:
+        base, uniq, cnt = histogram
         for code, c in zip(uniq, cnt):
-            counts[_decode(int(code), base, len(b))] = int(c)
+            counts[_decode(int(code), base, size)] = int(c)
     else:
         for v in range(n):
             pat = tuple(int(x) for x in vals[:, v])
@@ -395,12 +421,13 @@ def pushforward_window_distribution(model: MeasureModel,
     """
     b = ball(sigma.group, radius)
     image = [int(sigma.perm_of(g)[v]) for g in b.elements]
-    return _pushforward_on(model, sigma, b, image, budget)
+    return _pushforward_on(model, b, image, budget,
+                           _periodic_translates(model, sigma))
 
 
-def _pushforward_on(model: MeasureModel, sigma: SoficApproximation,
-                    b: CayleyBall, image: list[int],
-                    budget: int) -> WindowDistribution:
+def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
+                    budget: int, translates: dict) -> WindowDistribution:
+    """translates is _periodic_translates of the model on the finite model."""
     if isinstance(model, IIDProduct):
         classes: dict[int, list[int]] = {}
         for pos, u in enumerate(image):
@@ -427,15 +454,14 @@ def _pushforward_on(model: MeasureModel, sigma: SoficApproximation,
     if isinstance(model, PeriodicOrbit):
         q = model.quotient.size
         probs = {}
-        for t in range(q):
-            rho = _periodic_base_values(model, sigma, t)
-            pat = tuple(int(rho[u]) for u in image)
+        for pat in translates[id(model)][:, image].tolist():
+            pat = tuple(pat)
             probs[pat] = probs.get(pat, 0.0) + 1.0 / q
         return WindowDistribution(radius=b.radius, probs=probs)
     if isinstance(model, Mixture):
         probs = {}
         for comp, w in zip(model.components, model.weights):
-            sub = _pushforward_on(comp, sigma, b, image, budget)
+            sub = _pushforward_on(comp, b, image, budget, translates)
             for pat, p in sub.probs.items():
                 probs[pat] = probs.get(pat, 0.0) + w * p
         return WindowDistribution(radius=b.radius, probs=probs)
@@ -482,26 +508,37 @@ def le_diagnostic(target_model: MeasureModel,
         target = target_marginal_on(target_model, sigma.group, radius, budget)
         b = ball(sigma.group, radius)
         images = sigma.ball_images(b)
-        cache: dict = {}
-        good_hits = 0
+        translates = _periodic_translates(finite_model, sigma)
         n = sigma.n_vertices
-        for v in range(n):
-            image = tuple(int(images[i, v]) for i in range(len(b)))
-            key = _pushforward_key(finite_model, sigma, image)
-            tv = cache.get(key)
-            if tv is None:
-                push = _pushforward_on(finite_model, sigma, b, list(image), budget)
-                tv = push.tv(target)
-                cache[key] = tv
-            if tv < eps:
-                good_hits += 1
+        # the pushforward at v is a function of its key column, so it is
+        # computed once per distinct column, at the column's first vertex
+        keys = _pushforward_keys(finite_model, images, translates)
+        _, first, mult = np.unique(keys.T, axis=0, return_index=True,
+                                   return_counts=True)
+        good_hits = 0
+        for v, m in zip(first.tolist(), mult.tolist()):
+            push = _pushforward_on(finite_model, b, images[:, v].tolist(),
+                                   budget, translates)
+            if push.tv(target) < eps:
+                good_hits += m
         lw_fraction = good_hits / n
+        # the window distribution is a function of the window-code
+        # histogram, so samples with equal histograms share one TV
+        tv_of: dict = {}
         hits = 0
         for j in range(sample_count):
             rho = sample_configuration(finite_model, sigma,
                                        sample_rng(seed, size_index, j))
-            emp = empirical_window_distribution(rho, sigma, radius)
-            if emp.tv(target) < eps:
+            vals = rho.values[images]
+            histogram = _window_histogram(vals)
+            key = None if histogram is None else (
+                histogram[0], histogram[1].tobytes(), histogram[2].tobytes())
+            tv = tv_of.get(key)
+            if tv is None:
+                tv = _window_distribution(vals, radius, histogram).tv(target)
+                if key is not None:
+                    tv_of[key] = tv
+            if tv < eps:
                 hits += 1
         f = hits / sample_count
         half = 1.96 * math.sqrt(max(f * (1 - f), 1e-12) / sample_count)
@@ -511,18 +548,20 @@ def le_diagnostic(target_model: MeasureModel,
     return rows
 
 
-def _pushforward_key(model: MeasureModel, sigma: SoficApproximation,
-                     image: tuple):
+def _pushforward_keys(model: MeasureModel, images: np.ndarray,
+                      translates: dict) -> np.ndarray:
+    """Rows whose column v determines the pushforward at vertex v: for an
+    i.i.d. law the collision partition of the ball image (row i holds the
+    first ball position with the same image as position i), for a periodic
+    law the window of every translate, for a mixture its components' rows."""
     if isinstance(model, IIDProduct):
-        # the pushforward depends only on the collision partition
-        first = {}
-        key = []
-        for u in image:
-            key.append(first.setdefault(u, len(first)))
-        return ("iid", tuple(key))
+        first = np.empty_like(images)
+        for i in range(len(images)):
+            first[i] = np.argmax(images[:i + 1] == images[i], axis=0)
+        return first
     if isinstance(model, PeriodicOrbit):
-        return ("periodic", image)
+        return translates[id(model)][:, images].reshape(-1, images.shape[1])
     if isinstance(model, Mixture):
-        return ("mix", tuple(_pushforward_key(c, sigma, image)
-                             for c in model.components))
+        return np.vstack([_pushforward_keys(c, images, translates)
+                          for c in model.components])
     raise TypeError(f"unknown model {type(model)!r}")

@@ -480,6 +480,11 @@ class InducedOperator:
             raise AssemblyError(
                 f"Hermitian symmetry violated at entry pair ({i},{j})")
 
+    def denominator(self) -> Optional[int]:
+        """Least common denominator of the stored values, so that
+        denominator * H has Gaussian-integer entries; None when not exact."""
+        return _common_denominator(self.values) if self.exact else None
+
     def row_sum_bound(self) -> float:
         # np.hypot rounds like abs(complex); np.abs does not
         values = self.values
@@ -632,6 +637,10 @@ class PowerDiagonalReport:
                 "exact": self.exact, "n_tested": self.n_tested}
 
 
+def _common_denominator(values) -> int:
+    return math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+
+
 def _scaled_numerators(values: list, exact: bool
                        ) -> tuple[int, np.ndarray, np.ndarray]:
     """(den, den*re, den*im) of a list of values.
@@ -642,7 +651,7 @@ def _scaled_numerators(values: list, exact: bool
     if not exact:
         c = np.asarray(values, dtype=complex).reshape(-1)
         return 1, c.real.copy(), c.imag.copy()
-    den = math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
+    den = _common_denominator(values)
     re = np.empty(len(values), dtype=object)
     im = np.empty(len(values), dtype=object)
     re[:] = [v.re.numerator * (den // v.re.denominator) for v in values]

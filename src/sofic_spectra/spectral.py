@@ -231,18 +231,21 @@ def punctured_mass(spec: Spectrum, alpha: float, eps: float,
     return float(np.mean((d > cluster_tol) & (d < eps)))
 
 
-def punctured_mass_bound(norm_bound: float, eps: float) -> float:
-    """log(R)/log(1/eps): determinant-arithmetic bound on punctured mass at 0.
+def punctured_mass_bound(norm_bound: float, eps: float,
+                         denominator: int = 1) -> float:
+    """log(R)/log(1/(D*eps)): determinant-arithmetic bound on punctured mass
+    at 0.
 
-    For integer-coefficient Hermitian H with ||H|| <= R, the product of the
-    nonzero eigenvalues is a nonzero integer, so at most a log(R)/log(1/eps)
-    fraction of them can lie in the punctured interval (-eps, eps) \\ {0}.
+    For Hermitian H with D*H of Gaussian-integer entries and ||D*H|| <= R,
+    the product of the nonzero eigenvalues of D*H is a nonzero integer, so
+    at most a log(R)/log(1/(D*eps)) fraction of the eigenvalues of H can lie
+    in the punctured interval (-eps, eps) \\ {0}.  D = 1 is the integer case.
     """
     if norm_bound < 1:
         raise ValueError("norm bound must be >= 1")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    return math.log(norm_bound) / math.log(1.0 / eps)
+    if not 0 < denominator * eps < 1:
+        raise ValueError("denominator * eps must lie in (0, 1)")
+    return math.log(norm_bound) / math.log(1.0 / (denominator * eps))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import copy
 import json
+import math
+import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sofic_spectra.cli import (
     CONFIG_SCHEMA,
@@ -351,3 +357,208 @@ def test_mixture_alphabet_comes_from_its_components(tmp_path, pipeline,
     disagree = _three_symbol_mixture(first=["a", "b", "c"])
     with pytest.raises(ConfigError, match="disagree on the alphabet"):
         run(dict(config, measure=disagree), out_dir=tmp_path / "bad")
+
+
+# ---------------------------------------------------------------------------
+# the structural config check that runs before jsonschema
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED = [json.loads(p.read_text())
+           for p in sorted((REPO / "configs").glob("*.json"))]
+REPLACEMENTS = [True, False, None, 0, 1, -1, 2, 0.0, 1.0, 2.0, -0.5, 1e-3,
+                float("nan"), "", "x", "0", "product", "torus", "lattice",
+                "sofic-diagnostics", "luck-atoms", [], [0], [3, 2], [1.5],
+                ["0"], [True], {}, {"kind": "product"}]
+
+
+def _paths(x, prefix=()):
+    yield prefix, x
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+def _mutated(config, data):
+    config = copy.deepcopy(config)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, _ = data.draw(st.sampled_from(list(_paths(config))))
+        kind = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if not path:
+            continue
+        *head, last = path
+        parent = config
+        for k in head:
+            parent = parent[k]
+        if kind == "delete" and isinstance(parent, dict):
+            del parent[last]
+            continue
+        new = copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS)))
+        if kind == "add" and isinstance(parent, dict):
+            key = data.draw(st.sampled_from(
+                ["extra", "moduli", "measure", "operator", "radii", "eps",
+                 "samples", "seed", "d", "rank"]))
+            parent[key] = new
+        else:
+            parent[last] = new
+    return config
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(SHIPPED))), st.data())
+def test_structural_check_never_accepts_what_jsonschema_rejects(index, data):
+    from jsonschema.exceptions import best_match
+
+    from sofic_spectra.cli import _config_validator, _conforms
+    config = _mutated(SHIPPED[index], data)
+    errors = list(_config_validator().iter_errors(config))
+    if _conforms(config, CONFIG_SCHEMA):
+        assert not errors
+    if errors:
+        with pytest.raises(ConfigError) as got:
+            validate_config(config)
+        assert str(got.value) == \
+            f"invalid config: {best_match(iter(errors)).message}"
+
+
+def _single_mutations(config):
+    """Every config one replacement, deletion or added key away."""
+    for path, _ in _paths(config):
+        if not path:
+            continue
+        for new in REPLACEMENTS + ["delete"]:
+            mutated = copy.deepcopy(config)
+            parent = mutated
+            for k in path[:-1]:
+                parent = parent[k]
+            if new != "delete":
+                parent[path[-1]] = copy.deepcopy(new)
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            yield mutated
+    for path, value in _paths(config):
+        if isinstance(value, dict):
+            for key in ("extra", "moduli", "measure", "operator"):
+                mutated = copy.deepcopy(config)
+                parent = mutated
+                for k in path:
+                    parent = parent[k]
+                parent.setdefault(key, 1)
+                yield mutated
+
+
+def test_structural_check_on_every_single_mutation():
+    from sofic_spectra.cli import _config_validator, _conforms
+    accepted = 0
+    for config in SHIPPED:
+        for mutated in _single_mutations(config):
+            if _conforms(mutated, CONFIG_SCHEMA):
+                accepted += 1
+                assert not list(_config_validator().iter_errors(mutated))
+    assert accepted > 100
+
+
+def test_shipped_configs_pass_the_structural_check():
+    from sofic_spectra.cli import _conforms
+    assert all(_conforms(config, CONFIG_SCHEMA) for config in SHIPPED)
+    # stricter, never looser: a float size passes jsonschema, and only it
+    config = dict(SHIPPED[0], sofic={"kind": "torus", "sizes": [16.0]})
+    assert not _conforms(config, CONFIG_SCHEMA)
+    validate_config(config)
+
+
+def test_structural_check_refuses_keywords_it_does_not_handle():
+    from sofic_spectra.cli import _conforms
+    with pytest.raises(ValueError, match="does not handle 'maxItems'"):
+        _conforms([1], {"type": "array", "maxItems": 3})
+    with pytest.raises(ValueError, match="not decided exactly"):
+        _conforms({}, {"if": {"type": "object"}, "then": {}})
+    with pytest.raises(ValueError, match="string enum"):
+        _conforms(1, {"enum": [1, 2]})
+
+
+def test_valid_config_runs_without_importing_jsonschema(tmp_path):
+    import subprocess
+    import sys
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(base_config(samples=1, k_max=1)))
+    script = ("import json, sys\n"
+              "from sofic_spectra import cli\n"
+              "cli.run(json.loads(open(sys.argv[1]).read()), sys.argv[2])\n"
+              "print('jsonschema' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.stdout.strip() == "False"
+
+
+def test_missing_symbol_is_a_config_error(tmp_path):
+    config = base_config(
+        pipeline="luck-atoms", sofic={"kind": "torus", "sizes": [8]},
+        measure={"kind": "iid", "weights": [0.5, 0.3, 0.2],
+                 "alphabet": ["0", "1", "2"]},
+        operator={"kind": "diagonal", "values": {"0": "0", "1": "1"}})
+    with pytest.raises(ConfigError,
+                       match="operator 'values' gives no value for symbol '2'"):
+        run(config, out_dir=tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the punctured-interval bound of rational rules
+# ---------------------------------------------------------------------------
+
+
+def _luck_atoms(values, eps):
+    return base_config(
+        pipeline="luck-atoms", sofic={"kind": "torus", "sizes": [40]},
+        operator={"kind": "diagonal", "values": values},
+        alpha_values=["0"], punctured_eps=eps, samples=4)
+
+
+def _punctured_rows(path):
+    return [r.split(",") for r in
+            (path / "punctured.csv").read_text().splitlines()[1:]]
+
+
+def test_punctured_bound_takes_the_operator_denominator(tmp_path):
+    # D = 1000: no bound at eps = 0.01, where the 1/1000 atoms sit inside
+    # the punctured interval; log(max(1, D*R))/log(1/(D*eps)) = 0 at 1e-4
+    run(_luck_atoms({"0": "0", "1": "1/1000"}, [0.01, 1e-4]), tmp_path)
+    (n, eps, mass, bound, ok), (_, _, mass2, bound2, ok2) = \
+        _punctured_rows(tmp_path)
+    assert (eps, bound, ok) == ("0.01", "na", "na") and float(mass) > 0
+    assert (mass2, bound2, ok2) == ("0", "0", "1")
+    # D = 2 and R = 3/2: the bound is log 3 / log(1/(2 eps))
+    run(_luck_atoms({"0": "-1/2", "1": "3/2"}, [0.01]), tmp_path / "b")
+    [[_, _, mass, bound, ok]] = _punctured_rows(tmp_path / "b")
+    assert float(bound) == pytest.approx(math.log(3) / math.log(50))
+    assert (mass, ok) == ("0", "1")
+
+
+def test_float_operators_get_no_punctured_bound(tmp_path, monkeypatch):
+    from sofic_spectra import cli
+    from sofic_spectra.operators import InducedOperator
+    exact = cli.assemble
+
+    def float_assemble(*args):
+        op = exact(*args)
+        return InducedOperator.from_entries(
+            op.n, {k: v.to_complex() for k, v in op.entries.items()}, False)
+
+    monkeypatch.setattr(cli, "assemble", float_assemble)
+    run(_luck_atoms({"0": "0", "1": "1"}, [0.01]), tmp_path)
+    assert [r[3:] for r in _punctured_rows(tmp_path)] == [["na", "na"]]
+
+
+def test_violated_punctured_bound_fails_the_run(tmp_path, monkeypatch):
+    from sofic_spectra import cli
+    monkeypatch.setattr(cli, "punctured_mass", lambda *args: 0.5)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_luck_atoms({"0": "0", "1": "1"}, [0.01])))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    [row] = _punctured_rows(tmp_path / "out")
+    assert row[2:] == ["0.5", "0", "0"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "punctured-interval bound violated" in manifest["error"]

@@ -370,3 +370,143 @@ def test_target_marginal_budget_error_is_the_former_one():
     # a periodic law is never over budget
     assert target_marginal_on(per, Z1, 3, budget=1).probs == \
         _old_target_marginal_on(per, b, 1)
+
+
+# ---------------------------------------------------------------------------
+# le_diagnostic against a copy of its former per-vertex and per-sample loops
+# ---------------------------------------------------------------------------
+
+
+def _former_pushforward_on(model, sigma, b, image, budget):
+    from sofic_spectra.measures import (
+        WindowDistribution,
+        _decode,
+        _periodic_base_values,
+    )
+    if isinstance(model, IIDProduct):
+        classes = {}
+        for pos, u in enumerate(image):
+            classes.setdefault(u, []).append(pos)
+        reps = list(classes.values())
+        A = model.alphabet.size
+        if A ** len(reps) > budget:
+            raise EnumerationBudgetError("pushforward enumeration over budget")
+        probs = {}
+        pat = [0] * len(b)
+        for code in range(A ** len(reps)):
+            assign = _decode(code, A, len(reps))
+            p = 1.0
+            for s in assign:
+                p *= model.weights[s]
+            if p == 0:
+                continue
+            for cls, s in zip(reps, assign):
+                for pos in cls:
+                    pat[pos] = s
+            key = tuple(pat)
+            probs[key] = probs.get(key, 0.0) + p
+        return WindowDistribution(radius=b.radius, probs=probs)
+    if isinstance(model, PeriodicOrbit):
+        q = model.quotient.size
+        probs = {}
+        for t in range(q):
+            rho = _periodic_base_values(model, sigma, t)
+            pat = tuple(int(rho[u]) for u in image)
+            probs[pat] = probs.get(pat, 0.0) + 1.0 / q
+        return WindowDistribution(radius=b.radius, probs=probs)
+    probs = {}
+    for comp, w in zip(model.components, model.weights):
+        sub = _former_pushforward_on(comp, sigma, b, image, budget)
+        for pat, p in sub.probs.items():
+            probs[pat] = probs.get(pat, 0.0) + w * p
+    return WindowDistribution(radius=b.radius, probs=probs)
+
+
+def _former_pushforward_key(model, image):
+    if isinstance(model, IIDProduct):
+        first = {}
+        return ("iid", tuple(first.setdefault(u, len(first)) for u in image))
+    if isinstance(model, PeriodicOrbit):
+        return ("periodic", image)
+    return ("mix", tuple(_former_pushforward_key(c, image)
+                         for c in model.components))
+
+
+def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed,
+                          budget=10**6):
+    import math
+
+    from sofic_spectra.measures import LeDiagnosticRow, sample_rng
+    rows = []
+    for size_index, sigma in enumerate(sigmas):
+        target = target_marginal_on(model, sigma.group, radius, budget)
+        b = ball(sigma.group, radius)
+        images = sigma.ball_images(b)
+        cache = {}
+        good_hits = 0
+        n = sigma.n_vertices
+        for v in range(n):
+            image = tuple(int(images[i, v]) for i in range(len(b)))
+            key = _former_pushforward_key(model, image)
+            tv = cache.get(key)
+            if tv is None:
+                push = _former_pushforward_on(model, sigma, b, list(image),
+                                              budget)
+                tv = push.tv(target)
+                cache[key] = tv
+            if tv < eps:
+                good_hits += 1
+        hits = 0
+        for j in range(sample_count):
+            rho = sample_configuration(model, sigma,
+                                       sample_rng(seed, size_index, j))
+            if empirical_window_distribution(rho, sigma, radius).tv(target) \
+                    < eps:
+                hits += 1
+        f = hits / sample_count
+        half = 1.96 * math.sqrt(max(f * (1 - f), 1e-12) / sample_count)
+        rows.append(LeDiagnosticRow(n=n, radius=radius, eps=eps,
+                                    lw_fraction=good_hits / n,
+                                    le_fraction=f, le_halfwidth=half))
+    return rows
+
+
+def _le_cases():
+    from sofic_spectra.groups import free_group
+    from sofic_spectra.sofic import random_permutation_approximation
+    tri = Alphabet(symbols=("0", "1", "2"))
+    iid = IIDProduct(alphabet=tri, weights=(0.5, 0.3, 0.2))
+    per = lattice_periodic(tri, [3], [0, 1, 2])
+    tori = [torus_approximation(1, n) for n in (3, 6, 12)]
+    quot = lattice_quotient(1, [3])
+    products = [product_with_quotient(torus_approximation(1, n), quot)
+                for n in (2, 4)]
+    on_quot = PeriodicOrbit(alphabet=tri, quotient=quot, pattern=(2, 0, 2))
+    checker = lattice_periodic(BIN, [2, 2], [0, 1, 1, 0])
+    coin = IIDProduct(alphabet=BIN, weights=(0.6, 0.4))
+    both = (1, 2)
+    return [
+        (per, tori, both), (iid, tori, both),
+        (Mixture(components=(iid, per, per), weights=(0.5, 0.25, 0.25)),
+         tori, both),
+        (on_quot, products, both), (iid, products, both),
+        (Mixture(components=(on_quot, iid), weights=(0.7, 0.3)), products,
+         both),
+        (Mixture(components=(checker, coin), weights=(0.5, 0.5)),
+         [torus_approximation(2, n) for n in (2, 4)], both),
+        (coin, [torus_approximation(1, n) for n in (16, 48)], both),
+        # the free-group ball of radius 2 has 17 elements, too many to
+        # enumerate the target marginal quickly
+        (coin, [random_permutation_approximation(2, n, seed=n)
+                for n in (5, 9)], (1,)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_le_diagnostic_matches_the_former_loops(case):
+    model, sigmas, radii = _le_cases()[case]
+    for radius in radii:
+        for eps in (0.05, 0.15, 0.3):
+            args = (model, sigmas, radius, eps)
+            assert le_diagnostic(*args, sample_count=24, seed=4) == \
+                _former_le_diagnostic(*args, sample_count=24, seed=4)

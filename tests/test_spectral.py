@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sofic_spectra.exact import ComplexRational
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Configuration, binary_alphabet
 from sofic_spectra.operators import (
@@ -486,3 +488,46 @@ def test_written_ids_comes_from_eigenvector_solver(tmp_path):
         cli.write_csv(want, ["beta", "value"], list(zip(curve.xs, curve.ys)))
         got = tmp_path / "run" / f"ids_{sigma.n_vertices}.csv"
         assert got.read_bytes() == want.read_bytes()
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4),
+                             st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rational_punctured_bound_brute_force(data):
+    # log(max(1, D*R))/log(1/(D*eps)) bounds the fraction of eigenvalues in
+    # 0 < |lambda| < eps of a rational Hermitian matrix with D*H integral;
+    # counted on the float spectrum, away from ties
+    n = data.draw(st.integers(1, 6))
+    hopping = data.draw(st.booleans())
+    entries = {}
+    for i in range(n):
+        entries[(i, i)] = ComplexRational(data.draw(_SMALL_FRACTIONS))
+        for j in range(i + 1, n):
+            if hopping and data.draw(st.booleans()):
+                v = ComplexRational(data.draw(_SMALL_FRACTIONS),
+                                    data.draw(_SMALL_FRACTIONS))
+                entries[(i, j)], entries[(j, i)] = v, v.conjugate()
+    # shifting by a rational next to an eigenvalue makes a small one
+    q = data.draw(st.sampled_from([None, 5, 7, 10, 16]))
+    if q is not None:
+        dense = InducedOperator.from_entries(n, entries, True).to_dense()
+        lam = np.linalg.eigvalsh(dense)[data.draw(st.integers(0, n - 1))]
+        shift = Fraction(round(lam * q), q)
+        for i in range(n):
+            entries[(i, i)] = entries[(i, i)] - ComplexRational(shift)
+    op = InducedOperator.from_entries(n, entries, True)
+    den = lcm(*(f.denominator for v in entries.values()
+                for f in (v.re, v.im)))
+    assert op.denominator() == den
+    eps = data.draw(st.sampled_from([0.3, 0.1, 1e-2, 1e-3]))
+    assume(den * eps < 1)
+    d = np.abs(np.linalg.eigvalsh(op.to_dense()))
+    assume(not np.any((d > 1e-12) & (d < 1e-7)))
+    assume(not np.any(np.abs(d - eps) < 1e-7))
+    mass = float(np.mean((d > 1e-12) & (d < eps)))
+    bound = punctured_mass_bound(max(1.0, den * op.row_sum_bound()), eps,
+                                 den)
+    assert mass <= bound
