@@ -3,7 +3,10 @@
 Four pipelines: sofic-diagnostics (goodness/defect/le statistics),
 weak-convergence (trace moments against the enumeration oracle plus IDS
 distances), luck-atoms (atom masses and the integer punctured-interval law)
-and monotone (rational schedule convergence).  A run emits CSV/JSON files
+and monotone (rational schedule convergence).  The two sampled operator
+pipelines share one ensemble (`_ensemble`), which draws sample j of size i
+from `sample_rng(seed, i, j)`; monotone draws its one sample (j = 0) from the
+same stream.  A run emits CSV/JSON files
 with fixed 17-significant-digit float rendering plus a gnuplot script, and a
 manifest that pins config hash, seeds and outputs; re-running a manifest
 reproduces the data files byte for byte.
@@ -29,7 +32,6 @@ from .exact import ComplexRational
 from .groups import GroupSpec, finite_group, free_group, lattice_group
 from .measures import (
     Alphabet,
-    Configuration,
     IIDProduct,
     MeasureModel,
     Mixture,
@@ -60,6 +62,7 @@ from .sofic import (
     torus_approximation,
 )
 from .spectral import (
+    PUNCTURED_CLUSTER_TOL,
     atom_mass,
     eigen_spectrum,
     ids_curve,
@@ -128,7 +131,8 @@ CONFIG_SCHEMA = {
         "k_max": {"type": "integer", "minimum": 1},
         "eps": {"type": "number", "exclusiveMinimum": 0},
         "alpha_values": {"type": "array", "items": {"type": "string"}},
-        "punctured_eps": {"type": "array", "items": {"type": "number"}},
+        "punctured_eps": {"type": "array", "items": {
+            "type": "number", "exclusiveMinimum": PUNCTURED_CLUSTER_TOL}},
         "monotone": {
             "type": "object",
             "properties": {"m_max": {"type": "integer", "minimum": 1}},
@@ -306,8 +310,11 @@ def _model_and_rule(config: dict, group: GroupSpec):
     return model, rule, potential
 
 
-def _parse_rational(text) -> Fraction:
-    return Fraction(str(text))
+def _parse_rational(text, key: str) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"{key!r} value {text!r} is not a rational") from err
 
 
 def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
@@ -332,8 +339,8 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
         entries = []
         for item in cfg["entries"]:
             g = _parse_element(group, item["g"])
-            value = ComplexRational(_parse_rational(item.get("re", "0")),
-                                    _parse_rational(item.get("im", "0")))
+            value = ComplexRational(_parse_rational(item.get("re", "0"), "re"),
+                                    _parse_rational(item.get("im", "0"), "im"))
             entries.append((g, tuple(item["window"]), value))
         rule = table_rule(group, alphabet, cfg["M"], entries)
     else:
@@ -352,7 +359,7 @@ def _per_symbol(cfg: dict, key: str, alphabet: Alphabet) -> list[Fraction]:
     for s in alphabet.symbols:
         if s not in table:
             raise ConfigError(f"operator {key!r} gives no value for symbol {s!r}")
-    return [_parse_rational(table[s]) for s in alphabet.symbols]
+    return [_parse_rational(table[s], key) for s in alphabet.symbols]
 
 
 def _parse_element(group: GroupSpec, data):
@@ -361,12 +368,23 @@ def _parse_element(group: GroupSpec, data):
     return tuple(int(x) for x in data)
 
 
-def assemble(rule: LocalRule, potential: Optional[list],
-             sigma: SoficApproximation, rho: Configuration,
-             goodness) -> InducedOperator:
-    if potential is not None:
-        return assemble_graph_schrodinger(sigma, rho, rule.alphabet, potential)
-    return assemble_induced(rule, sigma, rho, goodness)
+def _ensemble(config: dict, model: MeasureModel, rule: LocalRule,
+              potential: Optional[list], sigmas: list, n_samples: int):
+    """Per size i, sigma and a generator assembling sample j = 0..n_samples-1
+    on sample_configuration(model, sigma, sample_rng(seed, i, j)): on the
+    sofic graph given a potential, else strictly over one 2M-goodness scan."""
+    def operators(size_index, sigma):
+        if potential is None:
+            goodness = good_vertices(sigma, 2 * rule.hopping)
+        for j in range(n_samples):
+            rho = sample_configuration(model, sigma,
+                                       sample_rng(config["seed"], size_index, j))
+            if potential is None:
+                yield assemble_induced(rule, sigma, rho, goodness)
+            else:
+                yield assemble_graph_schrodinger(sigma, rho, rule.alphabet,
+                                                 potential)
+    return ((sigma, operators(i, sigma)) for i, sigma in enumerate(sigmas))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +420,8 @@ def config_hash(config: dict) -> str:
 
 
 def shared_hash(config: dict) -> str:
-    subset = {k: config.get(k) for k in ("group", "measure", "operator")}
-    return hashlib.sha256(
-        json.dumps(subset, sort_keys=True).encode()).hexdigest()[:16]
+    shared = ("group", "measure", "operator")
+    return config_hash({k: config.get(k) for k in shared})
 
 
 def _check_fraction(x: float, what: str) -> float:
@@ -465,46 +482,44 @@ def _beta_grid(config) -> np.ndarray:
     return np.linspace(g["min"], g["max"], g["points"])
 
 
+def _trace_moments(op: InducedOperator, k_max: int) -> list[float]:
+    """tr(H^k) / n for k = 1..k_max, from sparse powers."""
+    A = power = op.to_sparse()
+    moments = [A.diagonal().sum().real / op.n]
+    for _ in range(k_max - 1):
+        power = power @ A
+        moments.append(power.diagonal().sum().real / op.n)
+    return moments
+
+
 def _pipeline_weak_convergence(config, group, sigmas, out):
     model, rule, potential = _model_and_rule(config, group)
+    use_reference = config.get("reference") == "lattice_laplacian"
+    if use_reference and (group.kind != "lattice" or group.d not in (1, 2)):
+        raise ConfigError("reference lattice_laplacian needs Z or Z^2")
     k_max = config.get("k_max", 4)
-    n_samples = config.get("samples", 10)
     grid = _beta_grid(config)
     oracle = {k: expected_moment(rule, model, k) for k in range(1, k_max + 1)}
     moment_rows = []
     dist_rows = []
     curves = {}
-    for size_index, sigma in enumerate(sigmas):
-        goodness = good_vertices(sigma, 2 * rule.hopping)
-
-        def run_sample(j):
-            rho = sample_configuration(model, sigma,
-                                       sample_rng(config["seed"], size_index, j))
-            op = assemble(rule, potential, sigma, rho, goodness)
-            # only sample 0's spectrum is written (as its IDS); it keeps the
-            # eigenvector solver, because eigvalsh rounds degenerate
-            # eigenvalues differently and would move the written breakpoints
-            spec = eigen_spectrum(op, vectors=j == 0)
-            A = op.to_sparse()
-            moments = []
-            power = A.copy()
-            for k in range(1, k_max + 1):
-                if k > 1:
-                    power = power @ A
-                moments.append(power.diagonal().sum().real / sigma.n_vertices)
-            return moments, spec
-
-        # sample 0's eigenvector solve goes last: solved first, it leaves
-        # the heap fragmented and the values-only solves after it raise the
-        # peak memory; the results keep sample order
-        results = [run_sample(j) for j in range(n_samples)[::-1]][::-1]
-        all_moments = np.array([m for m, _ in results])
-        for k in range(1, k_max + 1):
-            emp = all_moments[:, k - 1]
+    for sigma, operators in _ensemble(config, model, rule, potential, sigmas,
+                                      config.get("samples", 10)):
+        # sample 0's spectrum is written (as its IDS): it keeps eigh, whose
+        # rounding of degenerate eigenvalues the written breakpoints follow,
+        # and is solved after samples 1..n-1, so that their values-only solves
+        # do not run on the heap it fragments; its operator is the one held
+        first = next(operators)
+        moments = [_trace_moments(first, k_max)]
+        for op in operators:
+            eigen_spectrum(op)
+            moments.append(_trace_moments(op, k_max))
+        spec = eigen_spectrum(first, vectors=True)
+        for k, emp in enumerate(np.array(moments).T, start=1):
             se = float(emp.std(ddof=1) / np.sqrt(len(emp))) if len(emp) > 1 else 0.0
             moment_rows.append([sigma.n_vertices, k, float(emp.mean()), se,
                                 oracle[k].value, oracle[k].standard_error])
-        curve = ids_curve(results[0][1], grid)
+        curve = ids_curve(spec, grid)
         curves[sigma.n_vertices] = curve
         write_csv(out / f"ids_{sigma.n_vertices}.csv", ["beta", "value"],
                   [[b, _check_fraction(v, "IDS value")]
@@ -515,7 +530,6 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
     write_csv(out / "moments.csv",
               ["n", "k", "empirical_mean", "empirical_se", "oracle",
                "oracle_se"], moment_rows)
-    use_reference = config.get("reference") == "lattice_laplacian"
     biggest = max(curves)
     for n, curve in sorted(curves.items()):
         if use_reference:
@@ -534,21 +548,16 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
 
 def _pipeline_luck_atoms(config, group, sigmas, out):
     model, rule, potential = _model_and_rule(config, group)
-    alphas = [Fraction(a) for a in config.get("alpha_values", ["0", "1"])]
+    alphas = [_parse_rational(a, "alpha_values")
+              for a in config.get("alpha_values", ["0", "1"])]
     eps_list = config.get("punctured_eps", [1e-2])
     n_samples = config.get("samples", 20)
     atom_rows = []
     punct_rows = []
-    for size_index, sigma in enumerate(sigmas):
-        goodness = good_vertices(sigma, 2 * rule.hopping)
-
-        def run_sample(j):
-            rho = sample_configuration(model, sigma,
-                                       sample_rng(config["seed"], size_index, j))
-            op = assemble(rule, potential, sigma, rho, goodness)
-            return eigen_spectrum(op), op.row_sum_bound(), op.denominator()
-
-        results = [run_sample(j) for j in range(n_samples)]
+    for sigma, operators in _ensemble(config, model, rule, potential, sigmas,
+                                      n_samples):
+        results = [(eigen_spectrum(op), op.row_sum_bound(), op.denominator())
+                   for op in operators]
         for alpha in alphas:
             masses = np.array([atom_mass(spec, alpha) for spec, _, _ in results])
             atom_rows.append([sigma.n_vertices, str(alpha),
@@ -560,19 +569,15 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
         dens = [den for _, _, den in results]
         den = None if None in dens else math.lcm(*dens)
         for eps in eps_list:
-            worst = 0.0
-            bound = 0.0
-            ok = True
-            for spec, rb, _ in results:
-                mass = punctured_mass(spec, 0.0, eps)
-                worst = max(worst, mass)
-                if den is not None and den * eps < 1:
-                    b = punctured_mass_bound(max(1.0, den * rb), eps, den)
-                    bound = max(bound, b)
-                    ok = ok and mass <= b
+            punct = [punctured_mass(spec, 0.0, eps) for spec, _, _ in results]
             if den is None or den * eps >= 1:
                 bound = ok = "na"
-            punct_rows.append([sigma.n_vertices, eps, worst, bound, ok])
+            else:
+                bounds = [punctured_mass_bound(max(1.0, den * rb), eps, den)
+                          for _, rb, _ in results]
+                bound = max(bounds)
+                ok = all(m <= b for m, b in zip(punct, bounds))
+            punct_rows.append([sigma.n_vertices, eps, max(punct), bound, ok])
     write_csv(out / "atoms.csv",
               ["n", "alpha", "mean_mass", "sd", "samples"], atom_rows)
     write_csv(out / "punctured.csv",
@@ -699,15 +704,9 @@ def compare(manifest_paths: list) -> dict:
     table = {"distances": [], "atoms": [], "le": [], "monotone_flags": []}
     for base, manifest in manifests:
         for name in manifest["outputs"]:
-            path = base / name
-            if not path.exists():
-                continue
-            if name == "distances.csv":
-                table["distances"] += _read_csv_rows(path)
-            elif name == "atoms.csv":
-                table["atoms"] += _read_csv_rows(path)
-            elif name == "le.csv":
-                table["le"] += _read_csv_rows(path)
+            if name in ("distances.csv", "atoms.csv", "le.csv") and \
+                    (base / name).exists():
+                table[name.removesuffix(".csv")] += _read_csv_rows(base / name)
     dist = sorted((float(r["n"]), float(r["kolmogorov"]))
                   for r in table["distances"])
     decreasing = all(b[1] <= a[1] for a, b in zip(dist, dist[1:]))

@@ -338,11 +338,6 @@ def ball(group: GroupSpec, radius: int,
     return _ball_cached(group, radius, capacity)
 
 
-def multiply(group: GroupSpec, g: Element, h: Element) -> Element:
-    """Canonical product g * h."""
-    return group.multiply(g, h)
-
-
 @dataclass(frozen=True)
 class PatternWindow:
     """Symbols on a Cayley ball, stored in the canonical ball order."""

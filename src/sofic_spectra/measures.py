@@ -10,6 +10,7 @@ while identifying collided coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -108,25 +109,28 @@ class PeriodicOrbit:
         if any(not (0 <= int(p) < self.alphabet.size) for p in self.pattern):
             raise ValueError("pattern symbols out of alphabet range")
 
+    @functools.cached_property
+    def translate_table(self) -> np.ndarray:
+        """Read-only (q, q) array whose row t is the pattern of the
+        t-translate: its value at coset c is pattern[q^rep_c(t)]."""
+        perms = np.asarray(self.quotient.perms, dtype=np.int64)
+        act = []                                # act[c][t] = q^rep_c(t)
+        for word in self.quotient.representative_words():
+            perm = np.arange(self.quotient.size)
+            for letter in reversed(word):
+                perm = perms[letter][perm]
+            act.append(perm)
+        table = np.asarray(self.pattern, dtype=np.int64)[np.array(act).T]
+        table.setflags(write=False)
+        return table
+
     def translate_pattern(self, t: int) -> tuple:
         """Pattern of the t-translate: value at coset c is pattern[q^rep_c(t)]."""
-        reps = self.quotient.representative_words()
-        out = []
-        for c in range(self.quotient.size):
-            perm = list(range(self.quotient.size))
-            for letter in reversed(reps[c]):
-                perm = [self.quotient.perms[letter][x] for x in perm]
-            out.append(self.pattern[perm[t]])
-        return tuple(out)
+        return tuple(self.translate_table[t].tolist())
 
     def orbit(self) -> list[tuple]:
         """Distinct translate patterns; uniform sampling weights them equally."""
-        seen = []
-        for t in range(self.quotient.size):
-            p = self.translate_pattern(t)
-            if p not in seen:
-                seen.append(p)
-        return seen
+        return list(dict.fromkeys(map(tuple, self.translate_table.tolist())))
 
 
 @dataclass(frozen=True)
@@ -264,15 +268,18 @@ def _periodic_translates(model: MeasureModel,
                          sigma: SoficApproximation) -> dict:
     """id(part) -> (q, n) array whose row t is the t-translate on sigma, for
     each periodic part of the model."""
-    return {id(p): np.stack([_periodic_base_values(p, sigma, t)
-                             for t in range(p.quotient.size)])
+    return {id(p): p.translate_table[:, _cosets(p, sigma)]
             for p in _periodic_parts(model)}
 
 
 def _periodic_base_values(model: PeriodicOrbit, sigma: SoficApproximation,
                           t: int) -> np.ndarray:
     """Configuration of the t-translate of the periodic pattern on sigma."""
-    pattern = np.asarray(model.translate_pattern(t), dtype=np.int64)
+    return model.translate_table[t][_cosets(model, sigma)]
+
+
+def _cosets(model: PeriodicOrbit, sigma: SoficApproximation) -> np.ndarray:
+    """The quotient coset of each vertex of sigma."""
     if sigma.provenance == "torus" and model.periods is not None:
         d = sigma.meta["d"]
         n = sigma.meta["n"]
@@ -281,22 +288,18 @@ def _periodic_base_values(model: PeriodicOrbit, sigma: SoficApproximation,
         if any(n % m != 0 for m in model.periods):
             raise SoficCompatibilityError(
                 f"torus side {n} is not a multiple of the periods {model.periods}")
-        idx = np.arange(sigma.n_vertices)
-        coset = np.zeros(sigma.n_vertices, dtype=np.int64)
-        stride = 1
-        for coord, m in enumerate(model.periods):
-            coords = (idx // n**coord) % n
-            coset += (coords % m) * stride
-            stride *= m
-        return pattern[coset]
+        # coordinate 0 is the least significant, of vertices and of cosets
+        coords = np.unravel_index(np.arange(sigma.n_vertices), (n,) * d,
+                                  order="F")
+        return np.ravel_multi_index(
+            [c % m for c, m in zip(coords, model.periods)], model.periods,
+            order="F")
     if sigma.provenance == "product_with_quotient":
-        quotient = sigma.meta.get("quotient")
-        if quotient != model.quotient:
+        if sigma.meta.get("quotient") != model.quotient:
             raise SoficCompatibilityError(
                 "sofic model was built with a different quotient than the measure")
-        q = quotient.size
-        # translate_pattern already resolved the coset values of the t-shift
-        return np.tile(pattern, sigma.n_vertices // q)
+        # vertex (v, c) is v * q + c
+        return np.arange(sigma.n_vertices) % model.quotient.size
     raise SoficCompatibilityError(
         f"periodic model incompatible with sofic approximation "
         f"of provenance {sigma.provenance!r}")

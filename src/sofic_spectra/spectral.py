@@ -32,6 +32,7 @@ import numpy as np
 from .operators import InducedOperator
 
 DEFAULT_DENSE_BUDGET = 4096
+PUNCTURED_CLUSTER_TOL = 1e-9
 
 
 class EigensolverError(RuntimeError):
@@ -221,7 +222,7 @@ def atom_mass(spec: Spectrum, alpha,
 
 
 def punctured_mass(spec: Spectrum, alpha: float, eps: float,
-                   cluster_tol: float = 1e-9) -> float:
+                   cluster_tol: float = PUNCTURED_CLUSTER_TOL) -> float:
     """Fraction of eigenvalues with cluster_tol < |lambda - alpha| < eps."""
     if not 0 < cluster_tol < eps:
         raise ValueError("need 0 < cluster_tol < eps")

@@ -540,14 +540,14 @@ def test_punctured_bound_takes_the_operator_denominator(tmp_path):
 def test_float_operators_get_no_punctured_bound(tmp_path, monkeypatch):
     from sofic_spectra import cli
     from sofic_spectra.operators import InducedOperator
-    exact = cli.assemble
+    exact = cli.assemble_induced
 
     def float_assemble(*args):
         op = exact(*args)
         return InducedOperator.from_entries(
             op.n, {k: v.to_complex() for k, v in op.entries.items()}, False)
 
-    monkeypatch.setattr(cli, "assemble", float_assemble)
+    monkeypatch.setattr(cli, "assemble_induced", float_assemble)
     run(_luck_atoms({"0": "0", "1": "1"}, [0.01]), tmp_path)
     assert [r[3:] for r in _punctured_rows(tmp_path)] == [["na", "na"]]
 
@@ -562,3 +562,134 @@ def test_violated_punctured_bound_fails_the_run(tmp_path, monkeypatch):
     assert row[2:] == ["0.5", "0", "0"]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "punctured-interval bound violated" in manifest["error"]
+
+
+# ---------------------------------------------------------------------------
+# config faults that only a solve used to reveal
+# ---------------------------------------------------------------------------
+
+
+def _free_group_reference():
+    return base_config(group={"kind": "free", "rank": 2},
+                       sofic={"kind": "random_perm", "sizes": [8]},
+                       measure={"kind": "iid", "weights": [1.0],
+                                "alphabet": ["0"]},
+                       operator={"kind": "laplacian"},
+                       reference="lattice_laplacian")
+
+
+@pytest.mark.parametrize("config, match", [
+    (_free_group_reference(), "lattice_laplacian needs Z or Z\\^2"),
+    (base_config(group={"kind": "lattice", "d": 3},
+                 sofic={"kind": "torus", "sizes": [6]},
+                 operator={"kind": "laplacian"},
+                 reference="lattice_laplacian"),
+     "lattice_laplacian needs Z or Z\\^2"),
+    (_luck_atoms({"0": "0", "1": "1"}, [0.01, 0]), "less than or equal"),
+    (_luck_atoms({"0": "0", "1": "1"}, [-0.5]), "less than or equal"),
+    (_luck_atoms({"0": "0", "1": "1"}, [1e-9]), "less than or equal"),
+    (dict(_luck_atoms({"0": "0", "1": "1"}, [0.01]), alpha_values=["abc"]),
+     "'alpha_values' value 'abc' is not a rational"),
+    (_luck_atoms({"0": "abc", "1": "1"}, [0.01]),
+     "'values' value 'abc' is not a rational"),
+    (base_config(operator={"kind": "schrodinger",
+                           "potential": {"0": "1/0", "1": "1"}}),
+     "'potential' value '1/0' is not a rational"),
+])
+def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
+                                             match):
+    from sofic_spectra import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigen_spectrum called")
+
+    monkeypatch.setattr(cli, "eigen_spectrum", no_solve)
+    with pytest.raises(ConfigError, match=match):
+        run(config, out_dir=tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the sample ensemble of the operator pipelines
+# ---------------------------------------------------------------------------
+
+
+def _graph_config():
+    return base_config(group={"kind": "free", "rank": 2},
+                       sofic={"kind": "random_perm", "sizes": [12, 20],
+                              "seed": 5},
+                       measure={"kind": "iid", "weights": [0.5, 0.5],
+                                "alphabet": ["0", "1"]},
+                       operator={"kind": "graph_schrodinger",
+                                 "potential": {"0": "4", "1": "9/2"}})
+
+
+def test_eigenvector_solve_is_the_last_of_each_size(tmp_path, monkeypatch):
+    from sofic_spectra import cli
+    solve = cli.eigen_spectrum
+    calls = []
+
+    def recorded(op, **kwargs):
+        calls.append((op.n, kwargs.get("vectors", False)))
+        return solve(op, **kwargs)
+
+    monkeypatch.setattr(cli, "eigen_spectrum", recorded)
+    run(base_config(samples=4), out_dir=tmp_path)
+    assert calls == [(n, j == 3) for n in (16, 32) for j in range(4)]
+
+
+@pytest.mark.parametrize("config", [base_config(), _graph_config()],
+                         ids=["induced-torus", "graph-random-perm"])
+def test_ensemble_operators_are_the_seeded_samples(config):
+    from sofic_spectra import cli
+    from sofic_spectra.operators import (
+        assemble_graph_schrodinger,
+        assemble_induced,
+    )
+    from sofic_spectra.sofic import good_vertices
+    group = cli.group_from_config(config["group"])
+    sigmas = cli.sofic_family(config, group)
+    model, rule, potential = cli._model_and_rule(config, group)
+    graph = config["operator"]["kind"] == "graph_schrodinger"
+    assert (potential is None) != graph
+    for i, (sigma, operators) in enumerate(
+            cli._ensemble(config, model, rule, potential, sigmas, 3)):
+        assert sigma is sigmas[i]
+        ops = list(operators)
+        assert len(ops) == 3
+        for j, op in enumerate(ops):
+            rho = cli.sample_configuration(
+                model, sigma, cli.sample_rng(config["seed"], i, j))
+            if potential is None:
+                want = assemble_induced(rule, sigma, rho,
+                                        good_vertices(sigma, 2 * rule.hopping))
+            else:
+                want = assemble_graph_schrodinger(sigma, rho, rule.alphabet,
+                                                  potential)
+            assert op.n == want.n and op.exact == want.exact
+            assert dict(op.entries) == dict(want.entries)
+
+
+def test_graph_assembly_scans_no_goodness(tmp_path, monkeypatch):
+    from sofic_spectra import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("good_vertices called")
+
+    monkeypatch.setattr(cli, "good_vertices", no_scan)
+    run(_graph_config(), out_dir=tmp_path / "weak")
+    run(dict(_graph_config(), pipeline="luck-atoms", punctured_eps=[1e-3]),
+        out_dir=tmp_path / "luck")
+
+
+def test_appending_sizes_preserves_earlier_luck_atoms_rows(tmp_path):
+    short = _luck_atoms({"0": "0", "1": "1"}, [0.01, 1e-4])
+    short.update(sofic={"kind": "torus", "sizes": [16, 32]},
+                 alpha_values=["0", "1/2"])
+    longer = dict(short, sofic={"kind": "torus", "sizes": [16, 32, 64]})
+    run(short, out_dir=tmp_path / "short")
+    run(longer, out_dir=tmp_path / "long")
+    for name in ("atoms.csv", "punctured.csv"):
+        short_rows = (tmp_path / "short" / name).read_text().splitlines()
+        long_rows = (tmp_path / "long" / name).read_text().splitlines()
+        assert len(long_rows) > len(short_rows)
+        assert long_rows[:len(short_rows)] == short_rows

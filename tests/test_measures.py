@@ -510,3 +510,62 @@ def test_le_diagnostic_matches_the_former_loops(case):
             args = (model, sigmas, radius, eps)
             assert le_diagnostic(*args, sample_count=24, seed=4) == \
                 _former_le_diagnostic(*args, sample_count=24, seed=4)
+
+
+# ---------------------------------------------------------------------------
+# the translate table of a periodic law against the former per-call code
+# ---------------------------------------------------------------------------
+
+
+def _former_translate_pattern(model, t):
+    reps = model.quotient.representative_words()
+    out = []
+    for c in range(model.quotient.size):
+        perm = list(range(model.quotient.size))
+        for letter in reversed(reps[c]):
+            perm = [model.quotient.perms[letter][x] for x in perm]
+        out.append(model.pattern[perm[t]])
+    return tuple(out)
+
+
+def _former_base_values(model, sigma, t):
+    pattern = np.asarray(_former_translate_pattern(model, t), dtype=np.int64)
+    if sigma.provenance == "torus":
+        n = sigma.meta["n"]
+        idx = np.arange(sigma.n_vertices)
+        coset = np.zeros(sigma.n_vertices, dtype=np.int64)
+        stride = 1
+        for coord, m in enumerate(model.periods):
+            coset += (((idx // n**coord) % n) % m) * stride
+            stride *= m
+        return pattern[coset]
+    return np.tile(pattern, sigma.n_vertices // model.quotient.size)
+
+
+@pytest.mark.parametrize("periods, pattern", [
+    ((2,), (0, 1)), ((3,), (1, 0, 2)), ((2, 3), (0, 1, 1, 2, 0, 0))])
+def test_translate_table_matches_the_former_per_call_code(periods, pattern):
+    from sofic_spectra.measures import _periodic_base_values, \
+        _periodic_translates
+    model = lattice_periodic(Alphabet(symbols=("a", "b", "c")), periods,
+                             pattern)
+    q = model.quotient.size
+    table = model.translate_table
+    assert table is model.translate_table and not table.flags.writeable
+    assert table.shape == (q, q)
+    former = [_former_translate_pattern(model, t) for t in range(q)]
+    assert [model.translate_pattern(t) for t in range(q)] == former
+    assert table.tolist() == [list(p) for p in former]
+    assert model.orbit() == list(dict.fromkeys(former))
+    d = len(periods)
+    sides = (6, 12) if d == 1 else (6,)
+    sigmas = [torus_approximation(d, n) for n in sides] + \
+        [product_with_quotient(torus_approximation(d, n), model.quotient)
+         for n in sides]
+    for sigma in sigmas:
+        rows = _periodic_translates(model, sigma)[id(model)]
+        for t in range(q):
+            want = _former_base_values(model, sigma, t)
+            got = _periodic_base_values(model, sigma, t)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(rows[t], want)

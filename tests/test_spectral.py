@@ -475,12 +475,14 @@ def test_written_ids_comes_from_eigenvector_solver(tmp_path):
     group = cli.group_from_config(config["group"])
     alphabet = cli.alphabet_from_config(config["measure"])
     model = cli.measure_from_config(config["measure"], group)
-    rule, mode = cli.operator_from_config(config["operator"], group, alphabet)
+    rule, potential = cli.operator_from_config(config["operator"], group,
+                                               alphabet)
+    assert potential is None
     for size_index, sigma in enumerate(cli.sofic_family(config, group)):
         rho = cli.sample_configuration(
             model, sigma, cli.sample_rng(config["seed"], size_index, 0))
-        op = cli.assemble(rule, mode, sigma, rho,
-                          cli.good_vertices(sigma, 2 * rule.hopping))
+        op = cli.assemble_induced(rule, sigma, rho,
+                                  cli.good_vertices(sigma, 2 * rule.hopping))
         w = np.linalg.eigh(op.to_dense())[0]
         curve = ids_curve(Spectrum(values=np.sort(w), residual=0.0),
                           cli._beta_grid(config))
