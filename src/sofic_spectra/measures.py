@@ -26,6 +26,8 @@ from .sofic import (
 )
 
 DEFAULT_ENUM_BUDGET = 10**6
+# codes per block of an i.i.d. site-law enumeration
+_LAW_CHUNK = 1 << 16
 
 WEIGHT_TOL = 1e-12
 
@@ -192,13 +194,18 @@ def site_law(model: MeasureModel, sites: list):
     significant; one per periodic translate, repeats included."""
     if isinstance(model, IIDProduct):
         A = model.alphabet.size
-        for code in range(A ** len(sites)):
-            assign = _decode(code, A, len(sites))
-            p = 1.0
-            for s in assign:
-                p *= model.weights[s]
-            if p > 0:
-                yield assign, p
+        weights = np.asarray(model.weights, dtype=float)
+        n_codes = A ** len(sites)
+        for lo in range(0, n_codes, _LAW_CHUNK):
+            digits = _digits(np.arange(lo, min(lo + _LAW_CHUNK, n_codes)), A,
+                             len(sites))
+            # site by site, so each product rounds as 1.0 * w_0 * w_1 * ...
+            probs = np.ones(digits.shape[1])
+            for row in digits:
+                probs *= weights[row]
+            keep = probs > 0
+            yield from zip(map(tuple, digits[:, keep].T.tolist()),
+                           probs[keep].tolist())
         return
     if isinstance(model, PeriodicOrbit):
         q = model.quotient.size
@@ -366,8 +373,8 @@ def _window_distribution(vals: np.ndarray, radius: int,
     counts: dict = {}
     if histogram is not None:
         base, uniq, cnt = histogram
-        for code, c in zip(uniq, cnt):
-            counts[_decode(int(code), base, size)] = int(c)
+        counts = dict(zip(map(tuple, _digits(uniq, base, size).T.tolist()),
+                          cnt.tolist()))
     else:
         for v in range(n):
             pat = tuple(int(x) for x in vals[:, v])
@@ -399,12 +406,14 @@ def target_marginal_on(model: MeasureModel, group: GroupSpec, radius: int,
     return WindowDistribution(radius=b.radius, probs=probs)
 
 
-def _decode(code: int, base: int, length: int) -> tuple:
-    out = []
-    for _ in range(length):
-        out.append(code % base)
-        code //= base
-    return tuple(out)
+def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
+    """Digit matrix D[pos, code] of base-`base` expansions."""
+    out = np.empty((length, len(codes)), dtype=np.int64)
+    c = codes.copy()
+    for pos in range(length):
+        out[pos] = c % base
+        c //= base
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +450,8 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
             raise EnumerationBudgetError("pushforward enumeration over budget")
         probs: dict = {}
         pat = [0] * len(b)
-        for code in range(A ** len(reps)):
-            assign = _decode(code, A, len(reps))
-            p = 1.0
-            for s in assign:
-                p *= model.weights[s]
-            if p == 0:
-                continue
+        # one i.i.d. symbol per collision class
+        for assign, p in site_law(model, reps):
             for cls, s in zip(reps, assign):
                 for pos in cls:
                     pat[pos] = s

@@ -40,6 +40,7 @@ from .measures import (
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
     MeasureModel,
+    _digits,
     model_alphabet,
     periodic_groups,
     sample_sites,
@@ -66,16 +67,6 @@ class AssemblyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Local rules
 # ---------------------------------------------------------------------------
-
-
-def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
-    """Digit matrix D[pos, code] of base-`base` expansions."""
-    out = np.empty((length, len(codes)), dtype=np.int64)
-    c = codes.copy()
-    for pos in range(length):
-        out[pos] = c % base
-        c //= base
-    return out
 
 
 @dataclass
@@ -662,83 +653,128 @@ def _scaled_numerators(values: list, exact: bool
 def _kernel_dtype(exact: bool, row_bound, k: int):
     """Array dtype for a k-step product of numerators with this row bound.
 
-    row_bound is the largest row sum of |den*re| + |den*im|, so every entry
-    and every partial sum of a k-step product is at most row_bound^k in
-    magnitude: int64 is safe below 2^62 and anything larger runs on Python
-    ints (object arrays).  Float values always run on float64.
+    row_bound is R, the largest row sum of |den*re| + |den*im|.  Row sums of
+    entrywise magnitudes are submultiplicative, and so is the l1 norm
+    |re| + |im| of a Gaussian integer, so every entry of |den*H|^j, and
+    every partial sum of a j-step product or of a dot of an r-step row with
+    a c-step column (r + c = j), is at most R^j in each of its real and
+    imaginary parts.  int64 is therefore safe while R^k < 2^62, and anything
+    larger runs on Python ints (object arrays).  Float values always run on
+    float64.
     """
     if not exact:
         return np.float64
     return np.int64 if row_bound ** k < _INT64_SAFE else object
 
 
+def _propagate(ptr: np.ndarray, other: np.ndarray, ent_re: np.ndarray,
+               ent_im: np.ndarray, real: bool, n: int, s: np.ndarray,
+               w: np.ndarray, x_re: np.ndarray, x_im: np.ndarray, steps: int):
+    """`steps` frontier steps through a compressed operator.
+
+    The entries of line w (a row in CSR order, a column in CSC order) are
+    ptr[w]..ptr[w+1]-1, with other[t] the index at the other end of entry t.
+    The frontier holds (s, w, re, im) sorted by the key s*n + w.  A step
+    expands each triple through its line, multiplies by the entry numerators
+    and merges equal (s, other) keys with a stable sort and np.add.reduceat,
+    so each sum takes its terms in ascending w order.  It costs O(entries in
+    the frontier's lines).
+    """
+    for _ in range(steps):
+        first, deg = ptr[w], ptr[w + 1] - ptr[w]
+        src = np.repeat(np.arange(len(w)), deg)
+        ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
+                                              deg)
+        g_re, e_re = x_re[src], ent_re[ent]
+        t_re = g_re * e_re
+        if not real:
+            g_im, e_im = x_im[src], ent_im[ent]
+            t_re -= g_im * e_im
+            t_im = g_re * e_im + g_im * e_re
+        # a stable argsort of the (s, other) keys: tagged with the term index
+        # they are distinct, and a value sort is far faster; keys stay below
+        # width*n and terms below width*bound (see _matrix_power_diagonal),
+        # so the tagged keys fit int64 for n < 2^29
+        tagged = s[src] * n + other[ent]
+        tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
+        key, order = np.divmod(tagged, len(tagged))
+        merged = np.flatnonzero(np.diff(key, prepend=-1))
+        s, w = np.divmod(key[merged], n)
+        x_re = np.add.reduceat(t_re[order], merged)
+        if not real:
+            x_im = np.add.reduceat(t_im[order], merged)
+    return s, w, x_re, x_im
+
+
 def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
                            ) -> tuple[int, np.ndarray, np.ndarray]:
     """diag((den*H)^k) at the given vertices, den from the operator's entries.
 
-    Returns (den, re, im) with length-len(vertices) numerator arrays.  By
-    finite propagation (den*H)^j e_v lives on the vertices j steps from v, so
-    the state is a sparse frontier of triples (w, s, re, im) holding
-    (den*H)^j(w, vertices[s]), sorted by the key w*B + s.  A step expands
-    each triple through column w (CSC order), multiplies by the entry
-    numerators and merges equal (row, s) keys with a stable sort and
-    np.add.reduceat, so each sum takes its terms in ascending column order.
-    A step costs O(entries in the frontier's columns).  Sources run in chunks
-    of B = _BATCH_CELLS // max(n, nnz), so a step holds at most
-    B * nnz <= _BATCH_CELLS terms.
+    Returns (den, re, im) with length-len(vertices) numerator arrays.  It
+    meets in the middle: with c = floor(k/2) and r = k - c,
+
+        (den*H)^k(v, v) = sum_w (den*H)^r(v, w) * (den*H)^c(w, v).
+
+    By finite propagation both factors live on the vertices a few steps from
+    v, so a row frontier (v's row of (den*H)^j, through CSR order) walks r
+    steps and a column frontier (v's column, through CSC order) walks c
+    steps from the same sources (see _propagate).  Each source then takes
+    one dot product over the keys the two frontiers share, its terms in
+    ascending w order.  No symmetry of H is assumed.  With dmax the largest
+    row or column count, a source's frontier expands to at most
+    min(nnz, dmax^r) terms in a step, so sources run in chunks of
+    B = _BATCH_CELLS // min(nnz, dmax^r) and a step holds at most
+    _BATCH_CELLS terms (one source per chunk when the bound is larger).
     """
     n = op.n
     rows, cols, codes = op.rows, op.cols, op.codes
     den, val_re, val_im = _scaled_numerators(op.values, op.exact)
-    order = np.lexsort((cols, rows))        # CSR order, for the row bound
-    row_mags = (np.abs(val_re) + np.abs(val_im))[codes[order]]
-    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    csr = np.lexsort((cols, rows))
+    csc = np.lexsort((rows, cols))
+    row_ptr = np.searchsorted(rows[csr], np.arange(n + 1))
+    col_ptr = np.searchsorted(cols[csc], np.arange(n + 1))
+    row_mags = (np.abs(val_re) + np.abs(val_im))[codes[csr]]
+    starts = np.flatnonzero(np.diff(rows[csr], prepend=-1))
     bound = np.add.reduceat(row_mags, starts).max() if len(rows) else 0
     dtype = _kernel_dtype(op.exact, bound, k)
-    order = np.lexsort((rows, cols))        # CSC order
-    rows, codes = rows[order], codes[order]
-    col_ptr = np.searchsorted(cols[order], np.arange(n + 1))
-    ent_re = val_re.astype(dtype)[codes]
-    ent_im = val_im.astype(dtype)[codes]
+    ent_re, ent_im = val_re.astype(dtype)[codes], val_im.astype(dtype)[codes]
     real = not ent_im.any()
+    c = k // 2
+    r = k - c
+    # (ptr, other end, entry numerators) of a row and of a column frontier
+    row_side = (row_ptr, cols[csr], ent_re[csr], ent_im[csr], real, n)
+    col_side = (col_ptr, rows[csc], ent_re[csc], ent_im[csc], real, n)
+    dmax = int(max(np.diff(row_ptr).max(initial=0),
+                   np.diff(col_ptr).max(initial=0)))
+    chunk = max(1, _BATCH_CELLS // max(1, min(len(rows), dmax ** r)))
     re = np.zeros(len(vertices), dtype=dtype)
     im = np.zeros(len(vertices), dtype=dtype)
-    chunk = max(1, _BATCH_CELLS // max(n, len(rows), 1))
     for lo in range(0, len(vertices), chunk):
         block = vertices[lo:lo + chunk]
-        width = len(block)
-        # one triple per source: each first-step sum has a single term, so
-        # the state need not start sorted
-        w, s = block, np.arange(width)
-        x_re = np.ones(width, dtype=dtype)
-        x_im = np.zeros(width, dtype=dtype)
-        for _ in range(k):
-            first, deg = col_ptr[w], col_ptr[w + 1] - col_ptr[w]
-            src = np.repeat(np.arange(len(w)), deg)
-            ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
-                                                  deg)
-            g_re, e_re = x_re[src], ent_re[ent]
-            t_re = g_re * e_re
-            if not real:
-                g_im, e_im = x_im[src], ent_im[ent]
-                t_re -= g_im * e_im
-                t_im = g_re * e_im + g_im * e_re
-            # a stable argsort of the (row, s) keys: tagged with the term
-            # index they are distinct, and a value sort is far faster; keys
-            # and term counts stay below max(n, nnz, _BATCH_CELLS), so the
-            # tagged keys fit int64
-            tagged = rows[ent] * width + s[src]
-            tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
-            key, order = np.divmod(tagged, len(tagged))
-            merged = np.flatnonzero(np.diff(key, prepend=-1))
-            w, s = np.divmod(key[merged], width)
-            x_re = np.add.reduceat(t_re[order], merged)
-            if not real:
-                x_im = np.add.reduceat(t_im[order], merged)
-        hit = np.flatnonzero(w == block[s])
-        re[lo + s[hit]] = x_re[hit]
+        # one unit triple per source, already sorted by s*n + w
+        unit = (np.arange(len(block)), block,
+                np.ones(len(block), dtype=dtype),
+                np.zeros(len(block), dtype=dtype))
+        s_r, w_r, r_re, r_im = _propagate(*row_side, *unit, r)
+        s_c, w_c, c_re, c_im = _propagate(*col_side, *unit, c)
+        # the shared keys: the column frontier's keys looked up in the row's
+        key_r = s_r * n + w_r
+        key_c = s_c * n + w_c
+        pos = np.searchsorted(key_r, key_c)
+        ic = np.flatnonzero(pos < len(key_r))
+        ic = ic[key_r[pos[ic]] == key_c[ic]]
+        if not len(ic):
+            continue
+        ir = pos[ic]
+        p_re = r_re[ir] * c_re[ic]
         if not real:
-            im[lo + s[hit]] = x_im[hit]
+            p_re -= r_im[ir] * c_im[ic]
+            p_im = r_re[ir] * c_im[ic] + r_im[ir] * c_re[ic]
+        src = s_c[ic]
+        first = np.flatnonzero(np.diff(src, prepend=-1))
+        re[lo + src[first]] = np.add.reduceat(p_re, first)
+        if not real:
+            im[lo + src[first]] = np.add.reduceat(p_im, first)
     return den, re, im
 
 

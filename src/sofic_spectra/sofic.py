@@ -39,7 +39,8 @@ class SoficApproximation:
 
     ``perms[i]`` maps vertex v to sigma^{s_i}(v).  The inverse pairing
     perms[inv(i)] = perms[i]^{-1} holds exactly, so the extension along any
-    word is consistent under free cancellation.
+    word is consistent under free cancellation.  Word permutations and
+    goodness masks are cached on the model, so perms must not change.
     """
 
     group: GroupSpec
@@ -49,6 +50,7 @@ class SoficApproximation:
     meta: dict = field(default_factory=dict)
 
     _word_cache: dict = field(default_factory=dict, repr=False)
+    _good_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = self.n_vertices
@@ -306,13 +308,28 @@ def good_vertices(sigma: SoficApproximation, radius: int,
     graph morphism and forces its image to exhaust the graph ball), (2) the
     |B| images must be pairwise distinct, (3) no graph edge may leave the
     sphere and re-enter the image (no chords absent from the Cayley ball).
-    Radius 0 is trivially good everywhere.
+    Radius 0 is trivially good everywhere.  The read-only mask is scanned
+    once per model and radius; the image budget is checked on every call.
     """
     n = sigma.n_vertices
     if radius == 0:
         return GoodnessReport(radius=0, good=np.ones(n, dtype=bool))
     b = ball(sigma.group, radius)
-    images = sigma.ball_images(b, budget=budget)
+    cached = sigma._good_cache.get(radius)
+    if cached is None:
+        cached = _scan_good(sigma, b, sigma.ball_images(b, budget=budget))
+        cached.setflags(write=False)
+        sigma._good_cache[radius] = cached
+    elif len(b) * n > budget:
+        raise BallCapacityError(
+            f"image matrix {len(b)}x{n} exceeds budget {budget}")
+    return GoodnessReport(radius=radius, good=cached)
+
+
+def _scan_good(sigma: SoficApproximation, b: CayleyBall,
+               images: np.ndarray) -> np.ndarray:
+    """The goodness mask over the ball b from its image matrix."""
+    n = sigma.n_vertices
     ok = np.ones(n, dtype=bool)
     # (1) edge consistency between canonical-word extensions
     for (i, j, s) in b.edges:
@@ -326,7 +343,7 @@ def good_vertices(sigma: SoficApproximation, radius: int,
     cols = np.arange(n, dtype=np.int64)
     image_keys = (images.astype(np.int64) * n + cols[None, :]).ravel()
     image_keys.sort()
-    for i in b.sphere_indices(radius):
+    for i in b.sphere_indices(b.radius):
         g = b.elements[i]
         for s in range(sigma.group.n_generators):
             sg = sigma.group.multiply(sigma.group.generator(s), g)
@@ -338,7 +355,7 @@ def good_vertices(sigma: SoficApproximation, radius: int,
             pos = np.minimum(pos, len(image_keys) - 1)
             hit = (image_keys[pos] == cand) & (stepped != images[i])
             ok &= ~hit
-    return GoodnessReport(radius=radius, good=ok)
+    return ok
 
 
 # ---------------------------------------------------------------------------

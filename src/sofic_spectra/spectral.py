@@ -115,10 +115,11 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
     gram = vecs.conj().T @ vecs
     gram[np.diag_indices(n)] -= 1
     ortho = float(np.abs(gram).max())
-    if resid > tol:
-        raise EigensolverError(
-            f"residual {resid:.3e} above tolerance {tol:.3e} "
-            f"(matrix {_matrix_hash(dense)})")
+    for name, defect in (("residual", resid), ("orthogonality defect", ortho)):
+        if defect > tol:
+            raise EigensolverError(
+                f"{name} {defect:.3e} above tolerance {tol:.3e} "
+                f"(matrix {_matrix_hash(dense)})")
     return Spectrum(values=np.sort(w), residual=resid, orthogonality=ortho)
 
 

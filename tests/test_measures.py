@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sofic_spectra.measures as measures_module
 from sofic_spectra.groups import ball, lattice_group
 from sofic_spectra.measures import (
     Alphabet,
@@ -355,6 +356,48 @@ def test_site_law_keeps_repeated_translates():
         {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
 
 
+def _decode(code, base, length):
+    """Base-`base` digits of code, least significant first."""
+    out = []
+    for _ in range(length):
+        out.append(code % base)
+        code //= base
+    return tuple(out)
+
+
+def _per_code_iid_law(model, sites):
+    """The i.i.d. branch of site_law as a per-code loop."""
+    A = model.alphabet.size
+    for code in range(A ** len(sites)):
+        assign = _decode(code, A, len(sites))
+        p = 1.0
+        for s in assign:
+            p *= model.weights[s]
+        if p > 0:
+            yield assign, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alphabet=st.sampled_from(ALPHABETS),
+       n_sites=st.integers(0, 7), chunk=st.sampled_from([1 << 16, 1, 5]))
+def test_iid_site_law_matches_the_per_code_loop(data, alphabet, n_sites,
+                                                chunk):
+    # weights with zeros and with sums that round, so any change in the
+    # order of the products would show in the last bits
+    raw = data.draw(st.lists(st.sampled_from([0, 1, 3, 7, 10]),
+                             min_size=alphabet.size, max_size=alphabet.size
+                             ).filter(any))
+    model = IIDProduct(alphabet=alphabet,
+                       weights=tuple(r / sum(raw) for r in raw))
+    sites = ball(Z1, 3).elements[:n_sites]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures_module, "_LAW_CHUNK", chunk)
+        got = list(site_law(model, sites))
+    want = list(_per_code_iid_law(model, sites))
+    assert [(a, p.hex()) for a, p in got] == [(a, p.hex()) for a, p in want]
+    assert all(type(s) is int for a, _ in got for s in a)
+
+
 def test_target_marginal_budget_error_is_the_former_one():
     iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
     per = lattice_periodic(BIN, [2], [0, 1])
@@ -380,7 +423,6 @@ def test_target_marginal_budget_error_is_the_former_one():
 def _former_pushforward_on(model, sigma, b, image, budget):
     from sofic_spectra.measures import (
         WindowDistribution,
-        _decode,
         _periodic_base_values,
     )
     if isinstance(model, IIDProduct):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sofic_spectra.exact import ComplexRational
@@ -489,13 +489,15 @@ def _float_power_tolerance(op, k):
 @settings(max_examples=40, deadline=None)
 @given(model=st.sampled_from(["Z", "Z2", "F2"]), kind=st.sampled_from(
            ["diagonal", "schrodinger", "complex hopping"]),
-       exact=st.booleans(), k=st.integers(1, 5),
+       exact=st.booleans(), k=st.integers(1, 8),
        potential=st.tuples(RATIONALS, RATIONALS), hop=RATIONALS,
        size=st.integers(3, 9), seed=st.integers(0, 2**16),
        subset=st.booleans(), cells=st.sampled_from([1 << 17, 40]))
 def test_frontier_power_diagonal_matches_dense_blocks(model, kind, exact, k,
                                                       potential, hop, size,
                                                       seed, subset, cells):
+    # float cases stay at k <= 5, the range _float_power_tolerance is checked on
+    assume(exact or k <= 5)
     group = free_group(2) if model == "F2" else lattice_group(len(model))
     if kind == "diagonal":
         rule = diagonal_rule(group, BIN, list(potential))
@@ -519,10 +521,33 @@ def test_frontier_power_diagonal_matches_dense_blocks(model, kind, exact, k,
         mp.setattr(operators_module, "_BATCH_CELLS", cells)
         got = _matrix_power_diagonal(op, k, vertices)
         want = _ref_dense_power_diagonal(op, k, vertices)
-    # np.add.reduceat sums a segment as t0 + (t1 + t2 + ...), and the dense
-    # blocks carry the zero terms of unreached columns, so a float sum can
-    # associate differently and move in the last bits
+    # the frontiers meet in the middle and their dot adds products of
+    # partial sums, while the dense blocks carry k full matvecs with the zero
+    # terms of unreached columns, so a float sum can associate differently
+    # and move in the last bits
     _assert_same_power_diagonal(got, want, _float_power_tolerance(op, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 7), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1, 10**5]), cells=st.sampled_from([1 << 17, 3]))
+def test_power_diagonal_on_random_non_symmetric_exact_operators(n, k, seed,
+                                                                scale, cells):
+    # random sparse real entries, stored zeros included, with no symmetry;
+    # scale 10^5 pushes R^k past 2^62 and onto Python ints
+    rng = np.random.default_rng(seed)
+    entries = {(i, j): Fraction(int(rng.integers(-9, 10)) * scale,
+                                int(rng.integers(1, 7)))
+               for i in range(n) for j in range(n) if rng.random() < 0.5}
+    op = InducedOperator.from_entries(n, entries, exact=True)
+    vertices = rng.integers(0, n, size=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators_module, "_BATCH_CELLS", cells)
+        den, re, im = _matrix_power_diagonal(op, k, vertices)
+    expect = _dense_fraction_power_diagonal(op, k)
+    assert [Fraction(num, den ** k) for num in re.tolist()] == [
+        expect[v] for v in vertices]
+    assert not im.any()
 
 
 def test_power_diagonal_catches_non_hermitian_hopping_at_k3(monkeypatch):

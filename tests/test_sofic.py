@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from sofic_spectra.groups import free_group, lattice_group
+import sofic_spectra.sofic as sofic_module
+from sofic_spectra.groups import (
+    BallCapacityError,
+    ball,
+    free_group,
+    lattice_group,
+)
 from sofic_spectra.sofic import (
     FiniteQuotient,
     SoficCompatibilityError,
@@ -46,6 +52,39 @@ def test_goodness_monotone_in_radius():
     g2 = good_vertices(sig, 2)
     assert np.all(g1.good[g2.good])          # R+1-good set inside R-good set
     assert g2.fraction <= g1.fraction
+
+
+def test_goodness_is_scanned_once_per_model_and_radius(monkeypatch):
+    scans = []
+    scan = sofic_module._scan_good
+
+    def counted(sigma, b, images):
+        scans.append(b.radius)
+        return scan(sigma, b, images)
+    monkeypatch.setattr(sofic_module, "_scan_good", counted)
+    models = [lambda: random_permutation_approximation(2, 300, seed=5),
+              lambda: torus_approximation(2, 6)]
+    for make in models:
+        sig = make()
+        for radius in (2, 1, 2, 1, 3):
+            cached = good_vertices(sig, radius)
+            fresh = good_vertices(make(), radius)
+            assert cached.radius == fresh.radius == radius
+            assert np.array_equal(cached.good, fresh.good)
+            assert not cached.good.flags.writeable
+            with pytest.raises(ValueError):
+                cached.good[0] = not cached.good[0]
+    # each radius once on the kept model, and once per fresh model
+    assert scans == [2, 2, 1, 1, 2, 1, 3, 3] * 2
+
+
+def test_goodness_budget_is_checked_on_a_cached_radius():
+    sig = random_permutation_approximation(2, 300, seed=5)
+    need = len(ball(sig.group, 2)) * sig.n_vertices
+    first = good_vertices(sig, 2, budget=need)
+    with pytest.raises(BallCapacityError, match="exceeds budget"):
+        good_vertices(sig, 2, budget=need - 1)
+    assert good_vertices(sig, 2, budget=need).good is first.good
 
 
 def test_goodness_radius_zero_trivial():

@@ -407,6 +407,19 @@ def test_values_only_reports_lapack_failure(monkeypatch):
         eigen_spectrum(dense)
 
 
+def test_vectors_path_rejects_non_orthogonal_eigenvectors(monkeypatch):
+    # two equal unit columns: I v = 1 v holds exactly, so the residual is 0,
+    # but the Gram matrix has an off-diagonal 1
+    def repeated(a):
+        return np.ones(2), np.array([[1.0, 1.0], [0.0, 0.0]])
+    monkeypatch.setattr(np.linalg, "eigh", repeated)
+    dense = np.eye(2)
+    with pytest.raises(EigensolverError,
+                       match=f"orthogonality defect 1.000e\\+00 .*"
+                             f"{_matrix_hash(dense)}"):
+        eigen_spectrum(dense, vectors=True)
+
+
 def test_counting_function_on_a_grid_matches_pointwise():
     grid = np.linspace(-5, 2, 141)
     exact = Spectrum(values=np.array([-1.0, 0.5, 0.5, 1.0]), residual=0.0,
