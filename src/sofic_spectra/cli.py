@@ -6,10 +6,11 @@ distances), luck-atoms (atom masses and the integer punctured-interval law)
 and monotone (rational schedule convergence).  The two sampled operator
 pipelines share one ensemble (`_ensemble`), which draws sample j of size i
 from `sample_rng(seed, i, j)`; monotone draws its one sample (j = 0) from the
-same stream.  A run emits CSV/JSON files
-with fixed 17-significant-digit float rendering plus a gnuplot script, and a
-manifest that pins config hash, seeds and outputs; re-running a manifest
-reproduces the data files byte for byte.
+same stream.  Only `assemble_induced` picks the goodness radius of an
+induced operator; the pipelines pass it no report.  A run emits CSV/JSON
+files with fixed 17-significant-digit float rendering plus a gnuplot script,
+and a manifest that pins config hash, seeds and outputs; re-running a
+manifest reproduces the data files byte for byte.
 """
 
 from __future__ import annotations
@@ -244,13 +245,21 @@ def validate_config(config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _need(cfg: dict, key: str, what: str):
+    """cfg[key]; a missing key is a ConfigError that names it."""
+    if key not in cfg:
+        raise ConfigError(f"{what} config needs {key!r}")
+    return cfg[key]
+
+
 def group_from_config(cfg: dict) -> GroupSpec:
     kind = cfg["kind"]
     if kind == "lattice":
-        return lattice_group(cfg["d"])
+        return lattice_group(_need(cfg, "d", "lattice group"))
     if kind == "free":
-        return free_group(cfg["rank"])
-    return finite_group(cfg["table"], cfg["generators"])
+        return free_group(_need(cfg, "rank", "free group"))
+    return finite_group(_need(cfg, "table", "finite group"),
+                        _need(cfg, "generators", "finite group"))
 
 
 def sofic_family(config: dict, group: GroupSpec) -> list[SoficApproximation]:
@@ -283,26 +292,30 @@ def alphabet_from_config(cfg: dict) -> Alphabet:
 
 
 def measure_from_config(cfg: dict, group: GroupSpec) -> MeasureModel:
-    kind = cfg["kind"]
+    kind = _need(cfg, "kind", "measure")
     if kind == "iid":
         alpha = alphabet_from_config(cfg)
-        return IIDProduct(alphabet=alpha, weights=tuple(cfg["weights"]))
+        return IIDProduct(alphabet=alpha,
+                          weights=tuple(_need(cfg, "weights", "iid measure")))
     if kind == "periodic":
         alpha = alphabet_from_config(cfg)
         if group.kind != "lattice":
             raise ConfigError("periodic measures ship for lattice groups only")
-        return lattice_periodic(alpha, cfg["period"], cfg["pattern"])
+        return lattice_periodic(alpha, _need(cfg, "period", "periodic measure"),
+                                _need(cfg, "pattern", "periodic measure"))
     if kind == "mixture":
-        comps = tuple(measure_from_config(c, group) for c in cfg["components"])
-        return Mixture(components=comps, weights=tuple(cfg["weights"]))
+        comps = tuple(measure_from_config(c, group)
+                      for c in _need(cfg, "components", "mixture measure"))
+        return Mixture(components=comps,
+                       weights=tuple(_need(cfg, "weights", "mixture measure")))
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
 def _model_and_rule(config: dict, group: GroupSpec):
     """The measure, and the operator over the measure's alphabet (for a
     mixture, the alphabet its components share)."""
-    model = measure_from_config(config["measure"], group)
     try:
+        model = measure_from_config(config["measure"], group)
         alphabet = model_alphabet(model)
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -322,7 +335,7 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
     """Returns (rule, potential): the Schrodinger potential F when the
     operator is assembled on the sofic graph, None for the induced
     assembly."""
-    kind = cfg["kind"]
+    kind = _need(cfg, "kind", "operator")
     potential = None
     if kind == "laplacian":
         rule = laplacian_rule(group, alphabet)
@@ -337,12 +350,13 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
         rule = diagonal_rule(group, alphabet, _per_symbol(cfg, "values", alphabet))
     elif kind == "table":
         entries = []
-        for item in cfg["entries"]:
+        for item in _need(cfg, "entries", "table operator"):
             g = _parse_element(group, item["g"])
             value = ComplexRational(_parse_rational(item.get("re", "0"), "re"),
                                     _parse_rational(item.get("im", "0"), "im"))
             entries.append((g, tuple(item["window"]), value))
-        rule = table_rule(group, alphabet, cfg["M"], entries)
+        rule = table_rule(group, alphabet, _need(cfg, "M", "table operator"),
+                          entries)
     else:
         raise ConfigError(f"unknown operator kind {kind!r}")
     if kind != "graph_schrodinger" and cfg.get("mode", "induced") != "graph":
@@ -372,15 +386,14 @@ def _ensemble(config: dict, model: MeasureModel, rule: LocalRule,
               potential: Optional[list], sigmas: list, n_samples: int):
     """Per size i, sigma and a generator assembling sample j = 0..n_samples-1
     on sample_configuration(model, sigma, sample_rng(seed, i, j)): on the
-    sofic graph given a potential, else strictly over one 2M-goodness scan."""
+    sofic graph given a potential, else by assemble_induced, which picks the
+    goodness radius and scans it once per model."""
     def operators(size_index, sigma):
-        if potential is None:
-            goodness = good_vertices(sigma, 2 * rule.hopping)
         for j in range(n_samples):
             rho = sample_configuration(model, sigma,
                                        sample_rng(config["seed"], size_index, j))
             if potential is None:
-                yield assemble_induced(rule, sigma, rho, goodness)
+                yield assemble_induced(rule, sigma, rho)
             else:
                 yield assemble_graph_schrodinger(sigma, rho, rule.alphabet,
                                                  potential)

@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Rational = Union[int, Fraction]
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -29,10 +27,6 @@ class ComplexRational:
 
     re: Fraction
     im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(re: Rational, im: Rational = 0) -> "ComplexRational":
-        return ComplexRational(Fraction(re), Fraction(im))
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
         return ComplexRational(self.re + other.re, self.im + other.im)
@@ -140,8 +134,3 @@ def sum_abs_le(values: Iterable[ComplexRational], threshold: Fraction,
     """Decide sum |z_j| < t (strict) or <= t for Gaussian rationals z_j."""
     rads = [z.abs2() for z in values if not z.is_zero()]
     return compare_sum_sqrt(rads, Fraction(threshold), strict)
-
-
-def abs_upper_bound(z: ComplexRational, bits: int = 64) -> Fraction:
-    """Certified rational upper bound on |z|."""
-    return sqrt_bounds(z.abs2(), bits)[1]

@@ -296,9 +296,6 @@ class CayleyBall:
     def sphere_indices(self, radius: int) -> list[int]:
         return [i for i, L in enumerate(self.word_lengths) if L == radius]
 
-    def identity_index(self) -> int:
-        return self._index[self.group.identity()]
-
 
 @lru_cache(maxsize=None)
 def _ball_cached(group: GroupSpec, radius: int, capacity: int) -> CayleyBall:

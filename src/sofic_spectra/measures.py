@@ -126,14 +126,6 @@ class PeriodicOrbit:
         table.setflags(write=False)
         return table
 
-    def translate_pattern(self, t: int) -> tuple:
-        """Pattern of the t-translate: value at coset c is pattern[q^rep_c(t)]."""
-        return tuple(self.translate_table[t].tolist())
-
-    def orbit(self) -> list[tuple]:
-        """Distinct translate patterns; uniform sampling weights them equally."""
-        return list(dict.fromkeys(map(tuple, self.translate_table.tolist())))
-
 
 @dataclass(frozen=True)
 class Mixture:
@@ -220,6 +212,17 @@ def site_law(model: MeasureModel, sites: list):
                 yield assign, w * p
         return
     raise TypeError(f"unknown model {type(model)!r}")
+
+
+def site_law_size(model: MeasureModel, n_sites: int) -> int:
+    """How many assignments site_law enumerates on n_sites sites: A^sites
+    for an i.i.d. law, q translates for a periodic one, summed over the
+    components of a mixture."""
+    if isinstance(model, Mixture):
+        return sum(site_law_size(c, n_sites) for c in model.components)
+    if isinstance(model, PeriodicOrbit):
+        return model.quotient.size
+    return model.alphabet.size ** n_sites
 
 
 def sample_sites(model: MeasureModel, sites: list,
@@ -337,15 +340,6 @@ class WindowDistribution:
         keys = set(self.probs) | set(other.probs)
         return 0.5 * sum(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0))
                          for k in keys)
-
-    def restrict(self, big_ball: CayleyBall, small_ball: CayleyBall) -> "WindowDistribution":
-        """Marginal on a smaller ball, summing over the outer positions."""
-        take = [big_ball.index(g) for g in small_ball.elements]
-        out: dict = {}
-        for pat, p in self.probs.items():
-            sub = tuple(pat[i] for i in take)
-            out[sub] = out.get(sub, 0.0) + p
-        return WindowDistribution(radius=small_ball.radius, probs=out)
 
 
 def empirical_window_distribution(rho: Configuration, sigma: SoficApproximation,

@@ -15,7 +15,9 @@ their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
 one step certificate (strict Gershgorin on the difference's support block,
 plus its least eigenvalue) serves both ``schedule_step_psd_check`` and
-``monotone_ids_report``.
+``monotone_ids_report``.  Every depth is assembled by ``assemble_induced``
+without a goodness report: it alone picks the radius 2M, and the model's
+goodness cache scans it once for all depths.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .operators import (
     _value_coded,
     assemble_induced,
 )
-from .sofic import GoodnessReport, SoficApproximation, good_vertices
+from .sofic import SoficApproximation
 from .spectral import Spectrum, counting_function, eigen_spectrum
 
 
@@ -61,7 +63,8 @@ def _parts(v: Value) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class ValueSets:
-    """Realized nonzero coefficient values of a rule, plus row width D."""
+    """Realized coefficient values of a rule, plus row width D: nonzero
+    values, and 0 on the diagonal when it has hopping to absorb."""
 
     f1: tuple          # diagonal values as they appear in the rule tables
     f2: tuple          # off-diagonal values, closed under conjugation
@@ -72,8 +75,9 @@ class ValueSets:
             re, im = _parts(v)
             if im != 0:
                 raise ScheduleError("diagonal values must be real")
-            if re == 0:
-                raise ScheduleError("0 is not allowed in the diagonal value set")
+            if re == 0 and not self.f2:
+                raise ScheduleError("0 is in the diagonal value set only "
+                                    "beside off-diagonal values")
         f2_parts = {_parts(v) for v in self.f2}
         for re, im in f2_parts:
             if re == 0 and im == 0:
@@ -92,7 +96,13 @@ class ValueSets:
 
 
 def value_sets_of(rule: LocalRule) -> ValueSets:
+    """The rule's value sets.  A diagonal 0 beside hopping is scheduled like
+    any other diagonal value: kept at 0, its row's off-diagonal drift would
+    break the positive step H_{m+1} - H_m."""
     f1, f2 = rule.realized_value_sets()
+    diagonal = rule.tables.get(rule.group.identity())
+    if f2 and (diagonal is None or any(map(_is_zero, diagonal.tolist()))):
+        f1.add(rule.zero_value())
     d = len(ball(rule.group, rule.hopping)) - 1
     return ValueSets(f1=tuple(sorted(f1, key=_parts)),
                      f2=tuple(sorted(f2, key=_parts)),
@@ -228,11 +238,12 @@ def _verify_schedule(sched: RationalSchedule) -> None:
 
 
 def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRule:
-    """Replace every realized value by its depth-m approximant (zeros stay).
+    """Replace every realized value by its depth-m approximant (zeros stay,
+    but for a zero diagonal beside hopping: see value_sets_of).
 
     The result is an exact rational rule, adapted to the input by
-    construction: equal values map to equal values and the zero pattern is
-    untouched.
+    construction: equal values map to equal values and the off-diagonal
+    zero pattern is untouched.
     """
     if not 1 <= m <= sched.m_max:
         raise ScheduleError(f"depth {m} outside schedule range 1..{sched.m_max}")
@@ -241,15 +252,17 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
             or set(rule_sets.f2) != set(sched.values.f2)):
         raise ScheduleError("rule value sets do not match the schedule")
     e = rule.group.identity()
+    zero_scheduled = rule.zero_value() in rule_sets.f1
+    source = dict(rule.tables)
+    if zero_scheduled:
+        source.setdefault(e, _make_table(rule.n_window_codes, rule.exact))
     tables: dict = {}
-    for g, table in rule.tables.items():
+    for g, table in source.items():
         new = _make_table(len(table), exact=True)
         for code, v in enumerate(table.tolist()):
-            if _is_zero(v):
-                continue
-            if g == e:
+            if g == e and (zero_scheduled or not _is_zero(v)):
                 new[code] = ComplexRational(sched.diagonal(m, v))
-            else:
+            elif not _is_zero(v):
                 new[code] = sched.offdiagonal(m, v)
         tables[g] = new
     return LocalRule(group=rule.group, alphabet=rule.alphabet,
@@ -373,23 +386,19 @@ class SchedulePsdStep:
 
 
 def schedule_step_psd_check(rule: LocalRule, sched: RationalSchedule, m: int,
-                            sigma: SoficApproximation, rho: Configuration,
-                            goodness: Optional[GoodnessReport] = None
+                            sigma: SoficApproximation, rho: Configuration
                             ) -> SchedulePsdStep:
     """Certify H_{m+1} - H_m >= 0: strict dominance on every nonzero row.
 
     Rows zeroed by the goodness fallback stay identically zero in the
-    difference (the schedule preserves zero patterns), so the difference is
+    difference (assembly zeroes them at every depth), so the difference is
     strictly positive definite on its support and positive semi-definite
     overall; a certification failure indicates a schedule bug.
     """
     if m + 1 > sched.m_max:
         raise ScheduleError("step m+1 exceeds the schedule depth")
-    if goodness is None:
-        goodness = good_vertices(sigma, 2 * rule.hopping)
-    h_m = assemble_induced(apply_schedule(rule, sched, m), sigma, rho, goodness)
-    h_next = assemble_induced(apply_schedule(rule, sched, m + 1), sigma, rho,
-                              goodness)
+    h_m = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
+    h_next = assemble_induced(apply_schedule(rule, sched, m + 1), sigma, rho)
     return _psd_step(m, h_m, h_next)
 
 
@@ -451,8 +460,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
     """
     if m_max is None:
         m_max = sched.m_max
-    goodness = good_vertices(sigma, 2 * rule.hopping)
-    target_op = assemble_induced(rule, sigma, rho, goodness)
+    target_op = assemble_induced(rule, sigma, rho)
     target_spec = eigen_spectrum(target_op)
     grid = [float(b) for b in beta_grid]
     target_counts = counting_function(target_spec, grid)
@@ -460,8 +468,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
     ops: dict[int, InducedOperator] = {}
     specs: dict[int, Spectrum] = {}
     for m in range(1, m_max + 1):
-        ops[m] = assemble_induced(apply_schedule(rule, sched, m), sigma, rho,
-                                  goodness)
+        ops[m] = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
         specs[m] = eigen_spectrum(ops[m])
 
     psd_steps = [_psd_step(m, ops[m], ops[m + 1]) for m in range(1, m_max)]

@@ -45,6 +45,7 @@ from .measures import (
     periodic_groups,
     sample_sites,
     site_law,
+    site_law_size,
 )
 from .sofic import GoodnessReport, SoficApproximation, good_vertices
 
@@ -86,12 +87,6 @@ class LocalRule:
     @property
     def n_window_codes(self) -> int:
         return self.alphabet.size ** len(self.window_ball())
-
-    def coefficient(self, g: Element, code: int) -> Value:
-        table = self.tables.get(g)
-        if table is None:
-            return CZERO if self.exact else 0j
-        return table[code]
 
     def zero_value(self) -> Value:
         return CZERO if self.exact else 0j
@@ -544,6 +539,11 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     H(w, v) = c(g, window at w) for v = sigma^g(w) with |g| <= M and both
     endpoints 2M-good; zero otherwise.  Hermitian symmetry is asserted after
     assembly (it is guaranteed by rule validation).
+
+    This is the one place that picks the goodness radius 2M: package callers
+    pass no report, and ``good_vertices`` scans each model and radius once.
+    ``goodness`` stays for callers that hold a report already (the benchmark
+    worker, ``perfbench/worker.py``, passes one); its radius must be 2M.
     """
     M = rule.hopping
     if goodness is None:
@@ -891,9 +891,7 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
 
 
 def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
-                         rho: Configuration, k: int,
-                         goodness: Optional[GoodnessReport] = None
-                         ) -> PowerDiagonalReport:
+                         rho: Configuration, k: int) -> PowerDiagonalReport:
     """Compare (H_n^rho)^k(v,v) with the closed-walk value of the pulled-back
     operator at every 4kM-good vertex.
 
@@ -911,13 +909,8 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     if k < 1:
         raise ValueError("power must be >= 1")
     M = rule.hopping
-    radius = 4 * k * M
-    if goodness is None:
-        goodness = good_vertices(sigma, radius)
-    if goodness.radius != radius:
-        raise AssemblyError(f"need goodness at radius {radius}")
     op = assemble_induced(rule, sigma, rho)
-    vertices = np.flatnonzero(goodness.good)
+    vertices = np.flatnonzero(good_vertices(sigma, 4 * k * M).good)
     den_m, m_re, m_im = _matrix_power_diagonal(op, k, vertices)
     space = _walk_space(rule.group, M, k)
     big = ball(rule.group, (k // 2) * M + M)
@@ -1005,12 +998,11 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
             if site not in read_index:
                 read_index[site] = len(read_sites)
                 read_sites.append(site)
-    A = rule.alphabet.size
     if mode == "exact":
-        n_assign = A ** len(read_sites)
+        n_assign = site_law_size(model, len(read_sites))
         if n_assign > budget:
             raise EnumerationBudgetError(
-                f"{A}^{len(read_sites)} window assignments exceed budget; "
+                f"{n_assign} window assignments exceed budget; "
                 "retry with mode='mc'")
         index: dict = {}
         law = [(index.setdefault(assignment, len(index)), prob)

@@ -248,16 +248,6 @@ class LabeledFiniteGraph:
     dst: np.ndarray
     labels: np.ndarray
 
-    def degrees(self) -> np.ndarray:
-        """Number of distinct neighbors per vertex (multi-labels coalesced)."""
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        if len(self.src) == 0:
-            return deg
-        keys = self.src.astype(np.int64) * self.n_vertices + self.dst
-        uniq = np.unique(keys)
-        np.add.at(deg, (uniq // self.n_vertices).astype(np.int64), 1)
-        return deg
-
 
 def edge_graph(sigma: SoficApproximation) -> LabeledFiniteGraph:
     """Edges {(v, sigma^s(v))} for all generators, loops removed."""
@@ -289,14 +279,6 @@ class GoodnessReport:
     @property
     def fraction(self) -> float:
         return float(self.good.mean()) if len(self.good) else 0.0
-
-    @property
-    def good_count(self) -> int:
-        return int(self.good.sum())
-
-    def to_json(self) -> dict:
-        return {"radius": self.radius, "fraction": self.fraction,
-                "good_count": self.good_count}
 
 
 def good_vertices(sigma: SoficApproximation, radius: int,

@@ -87,12 +87,12 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
     if isinstance(op, InducedOperator):
         if op.exact and op.is_diagonal():
             return _exact_diagonal_spectrum(op.n, op.codes, op.values)
-        dense = op.to_dense()
+        n = op.n
     else:
-        dense = np.asarray(op)
-    n = dense.shape[0]
+        n = np.shape(op)[0]
     if n > budget:
         raise EigensolverError(f"dense solve of size {n} exceeds budget {budget}")
+    dense = op.to_dense() if isinstance(op, InducedOperator) else np.asarray(op)
     if n == 0:
         return Spectrum(values=np.empty(0), residual=0.0,
                         orthogonality=0.0 if vectors else None)

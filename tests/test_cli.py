@@ -595,6 +595,16 @@ def _free_group_reference():
     (base_config(operator={"kind": "schrodinger",
                            "potential": {"0": "1/0", "1": "1"}}),
      "'potential' value '1/0' is not a rational"),
+    (base_config(group={"kind": "lattice"}), "lattice group config needs 'd'"),
+    (base_config(measure={"kind": "iid", "alphabet": ["0", "1"]}),
+     "iid measure config needs 'weights'"),
+    (base_config(measure={"kind": "periodic", "period": [2]}),
+     "periodic measure config needs 'pattern'"),
+    (base_config(operator={"kind": "table", "entries": []}),
+     "table operator config needs 'M'"),
+    (base_config(measure={"kind": "iid", "weights": [1.0],
+                          "alphabet": ["0", "1"]}),
+     "one weight per symbol required"),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):
@@ -670,12 +680,13 @@ def test_ensemble_operators_are_the_seeded_samples(config):
 
 
 def test_graph_assembly_scans_no_goodness(tmp_path, monkeypatch):
-    from sofic_spectra import cli
+    from sofic_spectra import cli, operators
 
     def no_scan(*args, **kwargs):
         raise AssertionError("good_vertices called")
 
-    monkeypatch.setattr(cli, "good_vertices", no_scan)
+    for module in (cli, operators):
+        monkeypatch.setattr(module, "good_vertices", no_scan)
     run(_graph_config(), out_dir=tmp_path / "weak")
     run(dict(_graph_config(), pipeline="luck-atoms", punctured_eps=[1e-3]),
         out_dir=tmp_path / "luck")

@@ -87,7 +87,7 @@ def _brute_force_good(sigma, v, radius):
     cverts, cedges, b = _cayley_ball_graph(sigma.group, radius)
     if len(gverts) != len(cverts):
         return False
-    e_idx = b.identity_index()
+    e_idx = b.index(sigma.group.identity())
 
     gadj = {x: {} for x in gverts}
     for (x, y), labs in gedges.items():
@@ -202,7 +202,7 @@ def test_induced_rows_complete_at_4m_good_vertices():
         code = sum(val * 2 ** i for i, val in enumerate(win.values))
         for g in b.elements:
             v = int(bad.perm_of(g)[w])
-            assert op.entry(w, v) == rule.coefficient(g, code)
+            assert op.entry(w, v) == rule.tables[g][code]
 
 
 # ---------------------------------------------------------------------------

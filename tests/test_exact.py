@@ -4,7 +4,6 @@ import numpy as np
 
 from sofic_spectra.exact import (
     ComplexRational,
-    abs_upper_bound,
     compare_sum_sqrt,
     rational_sqrt,
     sqrt_bounds,
@@ -102,10 +101,3 @@ def test_sum_abs_matches_float(seed=3):
         got = sum_abs_le(zs, t)
         if abs(total - float(t)) > 1e-9:
             assert got == (total <= float(t))
-
-
-def test_abs_upper_bound():
-    z = crat(1, 1)
-    ub = abs_upper_bound(z)
-    assert float(ub) >= 2 ** 0.5
-    assert float(ub) - 2 ** 0.5 < 1e-15

@@ -12,6 +12,7 @@ from sofic_spectra.measures import (
     IIDProduct,
     Mixture,
     PeriodicOrbit,
+    WindowDistribution,
     binary_alphabet,
     empirical_window_distribution,
     lattice_periodic,
@@ -139,8 +140,13 @@ def test_marginal_coherence_shell_sum():
     for m in (model, per, mix):
         big = target_marginal_on(m, Z1, 2)
         small = target_marginal_on(m, Z1, 1)
-        restricted = big.restrict(ball(Z1, 2), ball(Z1, 1))
-        assert restricted.tv(small) < 1e-12
+        # marginal on the radius-1 positions, summing over the outer shell
+        take = [ball(Z1, 2).index(g) for g in ball(Z1, 1).elements]
+        marginal: dict = {}
+        for pat, p in big.probs.items():
+            sub = tuple(pat[i] for i in take)
+            marginal[sub] = marginal.get(sub, 0.0) + p
+        assert WindowDistribution(radius=1, probs=marginal).tv(small) < 1e-12
 
 
 def test_pushforward_at_good_vertices_equals_target():
@@ -192,7 +198,7 @@ def test_lift_configuration():
     assert target_marginal_on(period2, Z1, 1).probs == \
         {(0, 1, 0): 0.5, (1, 0, 1): 0.5}
     checker = lattice_periodic(BIN, [2, 2], [0, 1, 1, 0])
-    assert len(checker.orbit()) == 2
+    assert len({tuple(row) for row in checker.translate_table.tolist()}) == 2
 
 
 def test_enumeration_budget_error():
@@ -421,10 +427,7 @@ def test_target_marginal_budget_error_is_the_former_one():
 
 
 def _former_pushforward_on(model, sigma, b, image, budget):
-    from sofic_spectra.measures import (
-        WindowDistribution,
-        _periodic_base_values,
-    )
+    from sofic_spectra.measures import _periodic_base_values
     if isinstance(model, IIDProduct):
         classes = {}
         for pos, u in enumerate(image):
@@ -596,9 +599,7 @@ def test_translate_table_matches_the_former_per_call_code(periods, pattern):
     assert table is model.translate_table and not table.flags.writeable
     assert table.shape == (q, q)
     former = [_former_translate_pattern(model, t) for t in range(q)]
-    assert [model.translate_pattern(t) for t in range(q)] == former
     assert table.tolist() == [list(p) for p in former]
-    assert model.orbit() == list(dict.fromkeys(former))
     d = len(periods)
     sides = (6, 12) if d == 1 else (6,)
     sigmas = [torus_approximation(d, n) for n in sides] + \

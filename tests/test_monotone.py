@@ -138,6 +138,27 @@ def test_apply_schedule_irrational_schrodinger():
     assert all(float(d) < target for d in diags)
 
 
+@pytest.mark.parametrize("rule", [
+    schrodinger_rule(Z1, BIN, [Fraction(2), math.sqrt(2)]),
+    table_rule(Z1, ONE, 1, [((1,), (0, 0, 0), 1), ((-1,), (0, 0, 0), 1)]),
+], ids=["zero on one symbol", "no diagonal table"])
+def test_zero_diagonal_beside_hopping_is_scheduled(rule):
+    # kept at 0, the diagonal of these rows could not absorb the drift of
+    # their off-diagonal approximants, and no step would be positive
+    vs = value_sets_of(rule)
+    assert rule.zero_value() in vs.f1
+    sched = build_schedule(vs, 3)
+    for m in (1, 2, 3):
+        out = apply_schedule(rule, sched, m)
+        assert validate_local_rule(out).ok
+        assert out.tables[Z1.identity()][0] == crat(
+            sched.diagonal(m, rule.zero_value()))
+    sig = torus_approximation(1, 6)
+    rho = Configuration(values=np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size)
+    for m in (1, 2):
+        assert schedule_step_psd_check(rule, sched, m, sig, rho).certified
+
+
 def test_apply_schedule_value_mismatch():
     rule = diagonal_rule(Z1, ONE, [Fraction(2)])
     sched = build_schedule(
@@ -241,6 +262,30 @@ def test_monotone_report_rational_target():
     grid = np.linspace(-4, 4, 81)
     rep = monotone_ids_report(rule, sched, sig, zero_config(32), grid)
     assert rep.max_gap_per_m[8] <= 0.07
+
+
+@settings(max_examples=15, deadline=None)
+@given(potential=st.lists(st.fractions(-3, 3, max_denominator=8), min_size=1,
+                          max_size=2),
+       m_max=st.integers(2, 4), side=st.integers(3, 12),
+       seed=st.integers(0, 2**16))
+def test_weyl_monotonicity_along_random_schedules(potential, m_max, side,
+                                                  seed):
+    # small rationals plus the float target sqrt(2), one per symbol
+    alphabet = Alphabet(symbols=tuple("abc"[:len(potential) + 1]))
+    rule = schrodinger_rule(Z1, alphabet, potential + [math.sqrt(2)])
+    sched = build_schedule(value_sets_of(rule), m_max)
+    sig = torus_approximation(1, side)
+    rho = Configuration(
+        values=np.random.default_rng(seed).integers(0, alphabet.size, side))
+    grid = np.linspace(-4, 6, 41)
+    rep = monotone_ids_report(rule, sched, sig, rho, grid)
+    assert [s.m for s in rep.psd_steps] == list(range(1, m_max))
+    assert all(s.certified for s in rep.psd_steps)
+    counts = {(r.m, r.beta): r.count_m for r in rep.rows}
+    for m in range(2, m_max + 1):
+        for b in grid:
+            assert counts[m, b] <= counts[m - 1, b]
 
 
 def test_monotone_diagonal_counting_jumps():

@@ -11,6 +11,7 @@ from sofic_spectra.groups import ball, free_group, lattice_group
 from sofic_spectra.measures import (
     Alphabet,
     Configuration,
+    EnumerationBudgetError,
     IIDProduct,
     Mixture,
     binary_alphabet,
@@ -224,6 +225,33 @@ def test_expected_moment_periodic_model():
     assert expected_moment(rule, per, 2).value == 0.5
 
 
+@pytest.mark.parametrize("k", [6, 8])
+def test_expected_moment_budget_counts_the_law_support(k):
+    # the walk reads 25 (k = 6) or 41 (k = 8) sites, but the periodic law
+    # has 4 translates; the torus side 10 > k, so no closed walk wraps
+    z2 = lattice_group(2)
+    rule = schrodinger_rule(z2, BIN, [Fraction(0), Fraction(5, 3)])
+    per = lattice_periodic(BIN, [2, 2], [0, 1, 1, 1])
+    got = expected_moment(rule, per, k).value
+    sig = torus_approximation(2, 10)
+    op = assemble_induced(rule, sig, sample_configuration(per, sig, 0))
+    den, re, _ = _matrix_power_diagonal(op, k, np.arange(sig.n_vertices))
+    want = Fraction(sum(re.tolist()), den ** k * sig.n_vertices)
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_expected_moment_refuses_iid_over_budget_before_enumerating(
+        monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("site_law called")
+
+    monkeypatch.setattr(operators_module, "site_law", no_enumeration)
+    rule = schrodinger_rule(lattice_group(2), BIN, [Fraction(0), Fraction(1)])
+    iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    with pytest.raises(EnumerationBudgetError, match="retry with mode='mc'"):
+        expected_moment(rule, iid, 6)
+
+
 def test_expected_moment_monte_carlo_cross_oracle():
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
     iid = IIDProduct(alphabet=BIN, weights=(0.7, 0.3))
@@ -387,6 +415,30 @@ def _hopping_rule(group, potential, hop):
 
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A=st.integers(1, 3), data=st.data(), side=st.integers(2, 9),
+       seed=st.integers(0, 2**16))
+def test_random_self_adjoint_table_rules_assemble_hermitian(A, data, side,
+                                                            seed):
+    # on Z with M = 1: a real diagonal of the whole window, hopping
+    # f(w(e), w(+1)) to +1 and its adjoint conj f(w(-1), w(e)) to -1
+    b = ball(Z1, 1)
+    e, right, left = (b.index(g) for g in [(0,), (1,), (-1,)])
+    f = {pair: data.draw(st.builds(ComplexRational, RATIONALS, RATIONALS))
+         for pair in itertools.product(range(A), repeat=2)}
+    entries = []
+    for w in itertools.product(range(A), repeat=len(b)):
+        entries += [((0,), w, ComplexRational(data.draw(RATIONALS))),
+                    ((1,), w, f[w[e], w[right]]),
+                    ((-1,), w, f[w[left], w[e]].conjugate())]
+    rule = table_rule(Z1, Alphabet(symbols=tuple("abc"[:A])), 1, entries)
+    assert rule.exact and validate_local_rule(rule).ok
+    sig = torus_approximation(1, side)
+    rho = Configuration(values=np.random.default_rng(seed).integers(0, A, side))
+    dense = assemble_induced(rule, sig, rho).to_dense()
+    assert np.array_equal(dense, dense.conj().T)
 
 
 @settings(max_examples=25, deadline=None)

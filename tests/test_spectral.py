@@ -73,6 +73,20 @@ def test_eigen_budget():
         eigen_spectrum(np.zeros((10, 10)), budget=5)
 
 
+def test_eigen_budget_is_checked_before_densifying(monkeypatch):
+    budget = 5
+    sig = torus_approximation(1, budget + 1)
+    op = assemble_induced(laplacian_rule(Z1), sig,
+                          Configuration(values=np.zeros(budget + 1, dtype=int)))
+
+    def no_dense(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(InducedOperator, "to_dense", no_dense)
+    with pytest.raises(EigensolverError, match="exceeds budget"):
+        eigen_spectrum(op, budget=budget)
+
+
 def test_counting_examples():
     spec = torus_laplacian_spectrum(4)
     assert counting_function(spec, -2) == 3
