@@ -351,10 +351,11 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
     elif kind == "table":
         entries = []
         for item in _need(cfg, "entries", "table operator"):
-            g = _parse_element(group, item["g"])
+            g = _parse_element(group, _need(item, "g", "table entry"))
             value = ComplexRational(_parse_rational(item.get("re", "0"), "re"),
                                     _parse_rational(item.get("im", "0"), "im"))
-            entries.append((g, tuple(item["window"]), value))
+            entries.append((g, tuple(_need(item, "window", "table entry")),
+                            value))
         rule = table_rule(group, alphabet, _need(cfg, "M", "table operator"),
                           entries)
     else:

@@ -83,6 +83,8 @@ class IIDProduct:
     weights: tuple
 
     def __post_init__(self):
+        # a tuple keeps the model hashable: the moment oracle caches by model
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != self.alphabet.size:
             raise ValueError("one weight per symbol required")
         if any(w < 0 for w in self.weights):
@@ -106,6 +108,7 @@ class PeriodicOrbit:
     periods: Optional[tuple] = None   # set for lattice models
 
     def __post_init__(self):
+        object.__setattr__(self, "pattern", tuple(self.pattern))
         if len(self.pattern) != self.quotient.size:
             raise ValueError("pattern must cover every coset")
         if any(not (0 <= int(p) < self.alphabet.size) for p in self.pattern):
@@ -133,6 +136,8 @@ class Mixture:
     weights: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.components) != len(self.weights):
             raise ValueError("one weight per component required")
         if any(w <= 0 for w in self.weights):

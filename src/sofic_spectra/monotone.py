@@ -373,8 +373,7 @@ def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
     a_values, b_values = a.values + (CZERO,), b.values + (CZERO,)
     diffs = [a_values[p // width] - b_values[p % width]
              for p in pairs.tolist()]
-    rows, cols = np.divmod(keys, a.n)
-    return _value_coded(a.n, rows, cols, pick, diffs, exact=True)
+    return _value_coded(a.n, keys, pick, diffs, exact=True)
 
 
 @dataclass
@@ -411,6 +410,7 @@ def _psd_step(m: int, h_m: InducedOperator,
     support, inverse = np.unique(np.concatenate([diff.rows, diff.cols]),
                                  return_inverse=True)
     if nnz:
+        # the relabelling increases, so the block keeps row-major order
         block = InducedOperator(len(support), True, inverse[:nnz],
                                 inverse[nnz:], diff.codes, diff.values)
         cert = gershgorin_psd(block, strict=True)

@@ -14,20 +14,22 @@ is 2M-good.
 
 An assembled operator takes a handful of distinct values in thousands of
 entries, so it is stored value-coded, once, at assembly: row and column
-arrays plus a code per entry into the distinct values.  Its methods
-(Hermitian check, row sums, dense and sparse forms, matrix powers) read
-those arrays, so exact Gaussian-rational work runs once per distinct value
-and the rest is numpy on codes.  ``entries`` is a read-only mapping derived
-from the arrays.
+arrays in row-major order plus a code per entry into the distinct values.
+Its methods (Hermitian check, row sums, dense and sparse forms, matrix
+powers) read those arrays, so exact Gaussian-rational work runs once per
+distinct value and the rest is numpy on codes.  ``entries`` is a read-only
+mapping derived from the arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -70,16 +72,64 @@ class AssemblyError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LocalRule:
-    """Coefficient table c(g, window) over the hopping ball B_S(e, M)."""
+    """Coefficient table c(g, window) over the hopping ball B_S(e, M).
+
+    Frozen, with a read-only mapping of read-only tables, so what the moment
+    oracles derive from a rule is built once per rule (see _walk_setup).
+    """
 
     group: GroupSpec
     alphabet: Alphabet
     hopping: int
-    tables: dict            # ball element -> np.ndarray indexed by window code
+    tables: Mapping         # ball element -> np.ndarray indexed by window code
     exact: bool
     name: str = "rule"
+    # reach -> _walk_setup; (model, reach) -> _exact_law
+    _walks: dict = field(default_factory=dict, init=False, repr=False)
+    _laws: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for table in self.tables.values():
+            table.setflags(write=False)
+        object.__setattr__(self, "tables", MappingProxyType(dict(self.tables)))
+
+    @functools.cached_property
+    def influential_positions(self) -> list[int]:
+        """Ball positions that can change any coefficient of the rule."""
+        A = self.alphabet.size
+        K = len(self.window_ball())
+        influential = set()
+        for table in self.tables.values():
+            arr = table.reshape([A] * K) if K else table
+            for pos in range(K):
+                if pos in influential:
+                    continue
+                # numpy axes index window positions in reverse code order
+                axis = K - 1 - pos
+                first = np.take(arr, 0, axis=axis)
+                for s in range(1, A):
+                    if np.any(np.take(arr, s, axis=axis) != first):
+                        influential.add(pos)
+                        break
+        return sorted(influential)
+
+    @functools.cached_property
+    def _numerators(self) -> tuple[int, dict, object, bool]:
+        """(den, {g: (re, im)}, R, real): den*c(g, .) by window code for the
+        tables that are not identically zero, den their common denominator
+        (1 for float rules; see _scaled_numerators), R the largest row sum
+        of |den*re| + |den*im|, and whether every coefficient is real.  The
+        closed-walk kernel reads it, once per rule."""
+        elements = list(self.tables)
+        den, re, im = _scaled_numerators(
+            [v for g in elements for v in self.tables[g].tolist()], self.exact)
+        re = re.reshape(len(elements), self.n_window_codes)
+        im = im.reshape(len(elements), self.n_window_codes)
+        bound = (np.abs(re) + np.abs(im)).sum(axis=0).max()
+        return den, {g: (re[i], im[i]) for i, g in enumerate(elements)
+                     if re[i].any() or im[i].any()}, bound, not im.any()
 
     def window_ball(self) -> CayleyBall:
         return ball(self.group, self.hopping)
@@ -141,13 +191,18 @@ def _intern(values: list) -> tuple[np.ndarray, list]:
 
 
 def _compact(codes: np.ndarray, values: list) -> tuple[np.ndarray, list]:
-    """Codes renumbered by first appearance, values cut to the codes used."""
-    used, first, inverse = np.unique(codes, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(used), dtype=np.int64)
-    rank[order] = np.arange(len(used))
-    return rank[inverse], [values[u] for u in used[order].tolist()]
+    """Codes renumbered by first appearance, values cut to the codes used.
+
+    The first appearance of each code is one np.minimum.at pass, which is
+    far cheaper than sorting the codes.
+    """
+    first = np.full(len(values), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    used = np.flatnonzero(first < len(codes))
+    used = used[np.argsort(first[used])]
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    return rank[codes], [values[u] for u in used.tolist()]
 
 
 def _as_exact(x) -> ComplexRational:
@@ -207,9 +262,9 @@ def laplacian_rule(group: GroupSpec,
     """Combinatorial graph Laplacian as a rule (potential identically zero)."""
     if alphabet is None:
         alphabet = Alphabet(symbols=("0",))
-    rule = schrodinger_rule(group, alphabet, [Fraction(0)] * alphabet.size)
-    rule.name = "laplacian"
-    return rule
+    return dataclasses.replace(
+        schrodinger_rule(group, alphabet, [Fraction(0)] * alphabet.size),
+        name="laplacian")
 
 
 def adjacency_rule(group: GroupSpec,
@@ -218,9 +273,9 @@ def adjacency_rule(group: GroupSpec,
     if alphabet is None:
         alphabet = Alphabet(symbols=("0",))
     deg = group.n_generators
-    rule = schrodinger_rule(group, alphabet, [Fraction(deg)] * alphabet.size)
-    rule.name = "adjacency"
-    return rule
+    return dataclasses.replace(
+        schrodinger_rule(group, alphabet, [Fraction(deg)] * alphabet.size),
+        name="adjacency")
 
 
 def diagonal_rule(group: GroupSpec, alphabet: Alphabet,
@@ -367,12 +422,15 @@ class _Entries(Mapping):
 class InducedOperator:
     """Sparse Hermitian finite-volume operator, stored value-coded.
 
-    Entry t sits at (rows[t], cols[t]) and holds values[codes[t]].  Exact
-    operators keep their distinct ComplexRational values once, as a tuple
-    (see _intern), so exact work runs once per distinct value.  Float
-    operators are not interned, so +-0.0 and NaN are never merged: values is
-    their complex array and codes is arange(nnz).  Codes are numbered by
-    first appearance, and the arrays are read-only.
+    Entry t sits at (rows[t], cols[t]) and holds values[codes[t]].  The
+    entries are in row-major order: the keys rows * n + cols strictly
+    increase, so the arrays are the operator's CSR order and no (row, col)
+    repeats.  Exact operators keep their distinct ComplexRational values
+    once, as a tuple (see _intern), so exact work runs once per distinct
+    value.  Float operators are not interned, so +-0.0 and NaN are never
+    merged: values is their complex array and codes is arange(nnz).  Codes
+    are numbered by first appearance in row-major order, and the arrays are
+    read-only.
     """
 
     n: int
@@ -386,21 +444,29 @@ class InducedOperator:
         for a in (self.rows, self.cols, self.codes, self.values):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+        keys = self.rows * self.n + self.cols
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("operator entries must be in strictly "
+                             "increasing row-major order, no (row, col) twice")
 
     @classmethod
     def from_entries(cls, n: int, entries: dict,
                      exact: bool) -> "InducedOperator":
         """The operator storing exactly these (row, col) -> value entries,
-        zeros included; exact values become Gaussian rationals."""
+        zeros included, in row-major order; exact values become Gaussian
+        rationals."""
         nnz = len(entries)
         rows, cols = np.array(list(entries), dtype=np.int64).reshape(nnz, 2).T
+        order = np.argsort(rows * n + cols)
+        values = list(entries.values())
+        values = [values[t] for t in order.tolist()]
         if exact:
-            codes, values = _intern([_as_exact(v) for v in entries.values()])
+            codes, values = _intern([_as_exact(v) for v in values])
             values = tuple(values)
         else:
-            values = np.fromiter(entries.values(), dtype=complex, count=nnz)
+            values = np.fromiter(values, dtype=complex, count=nnz)
             codes = np.arange(nnz)
-        return cls(n, exact, rows.copy(), cols.copy(), codes, values)
+        return cls(n, exact, rows[order], cols[order], codes, values)
 
     @property
     def entries(self) -> Mapping:
@@ -443,15 +509,14 @@ class InducedOperator:
         """Every stored entry has a stored transpose equal to its conjugate.
 
         Exact values are compared as codes: each distinct value maps to the
-        code of its conjugate (-1 if absent).  The first bad pair in entry
-        order is named.
+        code of its conjugate (-1 if absent).  The first bad pair in
+        row-major order is named.
         """
         rows, cols, codes, values = self.rows, self.cols, self.codes, self.values
         keys = rows * self.n + cols
         transposed = cols * self.n + rows
-        order = np.argsort(keys)
-        slot = np.searchsorted(keys, transposed, sorter=order)
-        partner = order[np.minimum(slot, max(len(keys) - 1, 0))]
+        partner = np.minimum(np.searchsorted(keys, transposed),
+                             max(len(keys) - 1, 0))
         found = keys[partner] == transposed
         if self.exact:
             index = {_value_key(v): c for c, v in enumerate(values)}
@@ -492,15 +557,19 @@ class InducedOperator:
         return out
 
     def to_sparse(self):
+        """The CSR matrix, read off the row-major arrays without a sort."""
         import scipy.sparse as sp
         rows, cols, vals = self._float_coo()
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return sp.csr_matrix((vals, cols, indptr), shape=(self.n, self.n))
 
 
-def _value_coded(n: int, rows: np.ndarray, cols: np.ndarray, pick: np.ndarray,
-                 candidates, exact: bool) -> InducedOperator:
-    """The operator with entry t = candidates[pick[t]] at (rows[t], cols[t]),
-    zero entries left out.
+def _value_coded(n: int, keys: np.ndarray, pick: np.ndarray, candidates,
+                 exact: bool) -> InducedOperator:
+    """The operator with entry t = candidates[pick[t]] at row-major key
+    keys[t] = row * n + col, zero entries left out; keys must strictly
+    increase.
 
     Exact candidates are interned once, not per entry; float ones are
     copied per entry.
@@ -517,7 +586,8 @@ def _value_coded(n: int, rows: np.ndarray, cols: np.ndarray, pick: np.ndarray,
         keep = values != 0
         values = values[keep]
         codes = np.arange(len(values))
-    return InducedOperator(n, exact, rows[keep], cols[keep], codes, values)
+    rows, cols = np.divmod(keys[keep], n)
+    return InducedOperator(n, exact, rows, cols, codes, values)
 
 
 def window_codes(rule: LocalRule, sigma: SoficApproximation,
@@ -558,16 +628,18 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     elements = [g for g in rule.window_ball().elements if g in rule.tables]
     # an entry of ball element i takes candidate i * n_window_codes + code;
     # good vertices have injective balls, so no (row, col) repeats
-    parts = [(np.empty(0, dtype=np.int64),) * 3]
+    n = sigma.n_vertices
+    parts = [(np.empty(0, dtype=np.int64),) * 2]
     for i, g in enumerate(elements):
         img = sigma.perm_of(g)
         r = np.flatnonzero(good & good[img])
-        parts.append((r, img[r], i * rule.n_window_codes + codes[r]))
-    rows, cols, pick = map(np.concatenate, zip(*parts))
+        parts.append((r * n + img[r], i * rule.n_window_codes + codes[r]))
+    keys, pick = map(np.concatenate, zip(*parts))
+    # each part is a sorted run, which a stable (merging) sort joins fast
+    order = np.argsort(keys, kind="stable")
     candidates = np.concatenate([rule.tables[g] for g in elements]
                                 + [_make_table(0, rule.exact)])
-    op = _value_coded(sigma.n_vertices, rows, cols, pick, candidates,
-                      rule.exact)
+    op = _value_coded(n, keys[order], pick[order], candidates, rule.exact)
     op.check_hermitian()
     return op
 
@@ -580,8 +652,7 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
     This is the classical finite-volume Schrodinger analog defined directly
     on the sofic graph; it coincides with the strict assembly of the
     corresponding rule wherever all vertices are 2-good.  The entries are
-    the distinct-neighbour edges in ascending (row, col) order, then the
-    nonzero diagonal in vertex order.
+    the distinct-neighbour edges and the nonzero diagonal.
     """
     from .sofic import edge_graph
     if len(potential) != alphabet.size:
@@ -599,11 +670,12 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
             else complex(-d + potential[s])
             for d, s in zip(degs.tolist(), syms.tolist())]
     one = ComplexRational(Fraction(1)) if exact else 1 + 0j
-    vertices = np.arange(n)
-    op = _value_coded(n, np.concatenate([keys // n, vertices]),
-                      np.concatenate([keys % n, vertices]),
-                      np.concatenate([np.zeros(len(keys), dtype=np.int64),
-                                      1 + pair_of]),
+    # the edge keys are sorted and hold no loop: merge the diagonal in
+    diag_keys = np.arange(n) * (n + 1)
+    slots = np.searchsorted(keys, diag_keys)
+    op = _value_coded(n, np.insert(keys, slots, diag_keys),
+                      np.insert(np.zeros(len(keys), dtype=np.int64), slots,
+                                1 + pair_of),
                       [one] + diag, exact)
     op.check_hermitian()
     return op
@@ -667,21 +739,35 @@ def _kernel_dtype(exact: bool, row_bound, k: int):
     return np.int64 if row_bound ** k < _INT64_SAFE else object
 
 
-def _propagate(ptr: np.ndarray, other: np.ndarray, ent_re: np.ndarray,
+def _line_starts(lines: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted array: the first
+    entry of each nonempty line when lines[t] is the line of entry t."""
+    new = np.ones(len(lines), dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _longest_line(lines: np.ndarray) -> int:
+    return int(np.diff(_line_starts(lines), append=len(lines)).max(initial=0))
+
+
+def _propagate(lines: np.ndarray, other: np.ndarray, ent_re: np.ndarray,
                ent_im: np.ndarray, real: bool, n: int, s: np.ndarray,
                w: np.ndarray, x_re: np.ndarray, x_im: np.ndarray, steps: int):
     """`steps` frontier steps through a compressed operator.
 
-    The entries of line w (a row in CSR order, a column in CSC order) are
-    ptr[w]..ptr[w+1]-1, with other[t] the index at the other end of entry t.
-    The frontier holds (s, w, re, im) sorted by the key s*n + w.  A step
-    expands each triple through its line, multiplies by the entry numerators
-    and merges equal (s, other) keys with a stable sort and np.add.reduceat,
-    so each sum takes its terms in ascending w order.  It costs O(entries in
-    the frontier's lines).
+    The entries are sorted by line (rows in CSR order, columns in CSC
+    order): lines[t] is the line of entry t and other[t] the index at its
+    other end, so line w holds the entries searchsorted finds for w and no
+    array of length n is built.  The frontier holds (s, w, re, im) sorted by
+    the key s*n + w.  A step expands each triple through its line,
+    multiplies by the entry numerators and merges equal (s, other) keys with
+    a stable sort and np.add.reduceat, so each sum takes its terms in
+    ascending w order.  It costs O(entries in the frontier's lines).
     """
     for _ in range(steps):
-        first, deg = ptr[w], ptr[w + 1] - ptr[w]
+        first = np.searchsorted(lines, w)
+        deg = np.searchsorted(lines, w, side="right") - first
         src = np.repeat(np.arange(len(w)), deg)
         ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
                                               deg)
@@ -692,13 +778,17 @@ def _propagate(ptr: np.ndarray, other: np.ndarray, ent_re: np.ndarray,
             t_re -= g_im * e_im
             t_im = g_re * e_im + g_im * e_re
         # a stable argsort of the (s, other) keys: tagged with the term index
-        # they are distinct, and a value sort is far faster; keys stay below
-        # width*n and terms below width*bound (see _matrix_power_diagonal),
-        # so the tagged keys fit int64 for n < 2^29
+        # they are distinct, and a value sort is far faster.  s is sorted, so
+        # the keys are below width*n for width = s[-1] + 1 and the tagged
+        # keys below width*n*len(src), which must fit int64
+        if len(src) and (int(s[-1]) + 1) * n * len(src) > 2 ** 63:
+            raise OverflowError(
+                f"frontier keys of {int(s[-1]) + 1} sources x {n} vertices "
+                f"x {len(src)} terms overflow int64")
         tagged = s[src] * n + other[ent]
         tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
         key, order = np.divmod(tagged, len(tagged))
-        merged = np.flatnonzero(np.diff(key, prepend=-1))
+        merged = _line_starts(key)
         s, w = np.divmod(key[merged], n)
         x_re = np.add.reduceat(t_re[order], merged)
         if not real:
@@ -716,36 +806,37 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
         (den*H)^k(v, v) = sum_w (den*H)^r(v, w) * (den*H)^c(w, v).
 
     By finite propagation both factors live on the vertices a few steps from
-    v, so a row frontier (v's row of (den*H)^j, through CSR order) walks r
-    steps and a column frontier (v's column, through CSC order) walks c
-    steps from the same sources (see _propagate).  Each source then takes
-    one dot product over the keys the two frontiers share, its terms in
-    ascending w order.  No symmetry of H is assumed.  With dmax the largest
-    row or column count, a source's frontier expands to at most
+    v, so a row frontier (v's row of (den*H)^j, through the row-major
+    storage) walks r steps and a column frontier (v's column, through CSC
+    order) walks c steps from the same sources (see _propagate).  Each source
+    then takes one dot product over the keys the two frontiers share, its
+    terms in ascending w order.  No symmetry of H is assumed.  With dmax the
+    largest row or column count, a source's frontier expands to at most
     min(nnz, dmax^r) terms in a step, so sources run in chunks of
     B = _BATCH_CELLS // min(nnz, dmax^r) and a step holds at most
     _BATCH_CELLS terms (one source per chunk when the bound is larger).
+    Nothing of length n is built, only arrays over entries and sources.
     """
     n = op.n
     rows, cols, codes = op.rows, op.cols, op.codes
     den, val_re, val_im = _scaled_numerators(op.values, op.exact)
-    csr = np.lexsort((cols, rows))
-    csc = np.lexsort((rows, cols))
-    row_ptr = np.searchsorted(rows[csr], np.arange(n + 1))
-    col_ptr = np.searchsorted(cols[csc], np.arange(n + 1))
-    row_mags = (np.abs(val_re) + np.abs(val_im))[codes[csr]]
-    starts = np.flatnonzero(np.diff(rows[csr], prepend=-1))
-    bound = np.add.reduceat(row_mags, starts).max() if len(rows) else 0
+    # the entries are row-major; a stable sort by column keeps rows ascending
+    csc = np.argsort(cols, kind="stable")
+    dmax = max(_longest_line(rows), _longest_line(cols[csc]))
+    # a row sum of magnitudes is at most dmax times the largest, so it adds
+    # up on int64 when that fits
+    mags = np.abs(val_re) + np.abs(val_im)
+    mags = mags.astype(_kernel_dtype(op.exact, mags.max(initial=0) * dmax, 1))
+    bound = max(np.add.reduceat(mags[codes], _line_starts(rows)).tolist(),
+                default=0)
     dtype = _kernel_dtype(op.exact, bound, k)
     ent_re, ent_im = val_re.astype(dtype)[codes], val_im.astype(dtype)[codes]
     real = not ent_im.any()
     c = k // 2
     r = k - c
-    # (ptr, other end, entry numerators) of a row and of a column frontier
-    row_side = (row_ptr, cols[csr], ent_re[csr], ent_im[csr], real, n)
-    col_side = (col_ptr, rows[csc], ent_re[csc], ent_im[csc], real, n)
-    dmax = int(max(np.diff(row_ptr).max(initial=0),
-                   np.diff(col_ptr).max(initial=0)))
+    # (lines, other end, entry numerators) of a row and of a column frontier
+    row_side = (rows, cols, ent_re, ent_im, real, n)
+    col_side = (cols[csc], rows[csc], ent_re[csc], ent_im[csc], real, n)
     chunk = max(1, _BATCH_CELLS // max(1, min(len(rows), dmax ** r)))
     re = np.zeros(len(vertices), dtype=dtype)
     im = np.zeros(len(vertices), dtype=dtype)
@@ -771,7 +862,7 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
             p_re -= r_im[ir] * c_im[ic]
             p_im = r_re[ir] * c_im[ic] + r_im[ir] * c_re[ic]
         src = s_c[ic]
-        first = np.flatnonzero(np.diff(src, prepend=-1))
+        first = _line_starts(src)
         re[lo + src[first]] = np.add.reduceat(p_re, first)
         if not real:
             im[lo + src[first]] = np.add.reduceat(p_im, first)
@@ -814,22 +905,45 @@ def _walk_space(group: GroupSpec, M: int, k: int) -> _WalkSpace:
                       window_positions=window_positions)
 
 
+def _walk_setup(rule: LocalRule, k: int
+                ) -> tuple[_WalkSpace, CayleyBall, list]:
+    """(walk space, big ball B(e, reach + M), read sites) of the rule's
+    k-step closed walks, reach = floor(k/2) M.
+
+    The read sites are the sites that feed some influential window digit of
+    some walk site.  All three are built once per rule and reach, so k = 2j
+    and 2j + 1 share them.
+    """
+    M = rule.hopping
+    reach = (k // 2) * M
+    setup = rule._walks.get(reach)
+    if setup is None:
+        group = rule.group
+        space = _walk_space(group, M, k)
+        step_ball = ball(group, M)
+        read_sites: list[Element] = []
+        seen: set = set()
+        for x in space.sites:
+            for pos in rule.influential_positions:
+                site = group.multiply(step_ball.elements[pos], x)
+                if site not in seen:
+                    seen.add(site)
+                    read_sites.append(site)
+        setup = (space, ball(group, reach + M), read_sites)
+        rule._walks[reach] = setup
+    return setup
+
+
 def _rule_numerators(rule: LocalRule, k: int) -> tuple[int, dict, bool, object]:
     """Rule tables as den*c numerator arrays indexed by window code.
 
     Returns (den, {g: (re, im)}, real, dtype) for a k-step walk; tables that
     are identically zero are left out.
     """
-    elements = list(rule.tables)
-    den, re, im = _scaled_numerators(
-        [v for g in elements for v in rule.tables[g].tolist()], rule.exact)
-    re = re.reshape(len(elements), rule.n_window_codes)
-    im = im.reshape(len(elements), rule.n_window_codes)
-    bound = (np.abs(re) + np.abs(im)).sum(axis=0).max()
+    den, tables, bound, real = rule._numerators
     dtype = _kernel_dtype(rule.exact, bound, k)
-    tables = {g: (re[i].astype(dtype), im[i].astype(dtype))
-              for i, g in enumerate(elements) if re[i].any() or im[i].any()}
-    return den, tables, not im.any(), dtype
+    return den, {g: (re.astype(dtype), im.astype(dtype))
+                 for g, (re, im) in tables.items()}, real, dtype
 
 
 def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
@@ -893,7 +1007,15 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
 def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
                          rho: Configuration, k: int) -> PowerDiagonalReport:
     """Compare (H_n^rho)^k(v,v) with the closed-walk value of the pulled-back
-    operator at every 4kM-good vertex.
+    operator at every (floor(k/2) + 2)M-good vertex.
+
+    That radius suffices.  If v is R-good, every vertex at distance d from v
+    is (R - d)-good.  A closed k-walk from v stays within floor(k/2)M of v,
+    since each entry moves at most M, so every entry it uses joins two
+    2M-good vertices (which assembly keeps) and every window it reads lies
+    in B(v, (floor(k/2) + 1)M), inside v's isomorphic ball.  So the matrix
+    side sums exactly the walks the walk side sums, with the same
+    coefficients.
 
     The two sides are independent kernels on integer numerator arrays, real
     and imaginary parts apart: the matrix side propagates a sparse frontier
@@ -910,10 +1032,9 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
         raise ValueError("power must be >= 1")
     M = rule.hopping
     op = assemble_induced(rule, sigma, rho)
-    vertices = np.flatnonzero(good_vertices(sigma, 4 * k * M).good)
+    vertices = np.flatnonzero(good_vertices(sigma, (k // 2 + 2) * M).good)
     den_m, m_re, m_im = _matrix_power_diagonal(op, k, vertices)
-    space = _walk_space(rule.group, M, k)
-    big = ball(rule.group, (k // 2) * M + M)
+    space, big, _ = _walk_setup(rule, k)
     big_vals = rho.values[sigma.ball_images(big)[:, vertices]]
     den_w, w_re, w_im = _walk_values(rule, space, big_vals, k)
     scale_m, scale_w = den_m ** k, den_w ** k
@@ -946,26 +1067,6 @@ class ExpectedMomentResult:
     mode: str
 
 
-def _influential_positions(rule: LocalRule) -> list[int]:
-    """Ball positions that can change any coefficient of the rule."""
-    A = rule.alphabet.size
-    K = len(rule.window_ball())
-    influential = set()
-    for table in rule.tables.values():
-        arr = table.reshape([A] * K) if K else table
-        for pos in range(K):
-            if pos in influential:
-                continue
-            # numpy axes index window positions in reverse code order
-            axis = K - 1 - pos
-            first = np.take(arr, 0, axis=axis)
-            for s in range(1, A):
-                if np.any(np.take(arr, s, axis=axis) != first):
-                    influential.add(pos)
-                    break
-    return sorted(influential)
-
-
 def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
                     mode: str = "exact", samples: int = 200, seed: int = 0,
                     budget: int = DEFAULT_ENUM_BUDGET) -> ExpectedMomentResult:
@@ -979,37 +1080,23 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
     of den*c has R^k < 2^62, Python ints otherwise, float64 for float rules).
     It shares no code with the matrix powers it checks.  Each value is the
     exact numerator divided by den**k in Python ints, i.e. correctly rounded.
+    The walk structures and the enumerated law are built once per rule,
+    model and reach floor(k/2) M (see _walk_setup and _exact_law).
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    group = rule.group
     _check_model_group(model, rule)
-    M = rule.hopping
-    space = _walk_space(group, M, k)
-    big = ball(group, (k // 2) * M + M)
-    step_ball = ball(group, M)
-    infl = _influential_positions(rule)
-    # sites that feed some influential window digit of some walk site
-    read_sites: list[Element] = []
-    read_index: dict = {}
-    for x in space.sites:
-        for pos in infl:
-            site = group.multiply(step_ball.elements[pos], x)
-            if site not in read_index:
-                read_index[site] = len(read_sites)
-                read_sites.append(site)
+    space, big, read_sites = _walk_setup(rule, k)
     if mode == "exact":
         n_assign = site_law_size(model, len(read_sites))
         if n_assign > budget:
             raise EnumerationBudgetError(
                 f"{n_assign} window assignments exceed budget; "
                 "retry with mode='mc'")
-        index: dict = {}
-        law = [(index.setdefault(assignment, len(index)), prob)
-               for assignment, prob in site_law(model, read_sites)]
-        values = _moment_values(rule, space, big, read_sites, list(index), k)
+        which, probs, big_vals = _exact_law(rule, model, k)
+        values = _moment_values(rule, space, big_vals, k)
         total = 0.0
-        for j, prob in law:
+        for j, prob in zip(which.tolist(), probs.tolist()):
             total += prob * values[j]
         return ExpectedMomentResult(k=k, value=total, standard_error=0.0,
                                     mode="exact")
@@ -1019,22 +1106,51 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
         sample_sites(model, read_sites, np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(j,))))
         for j in range(samples)]
-    arr = np.asarray(_moment_values(rule, space, big, read_sites,
-                                    assignments, k))
+    arr = np.asarray(_moment_values(
+        rule, space, _window_symbols(rule, big, read_sites, assignments), k))
     se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return ExpectedMomentResult(k=k, value=float(arr.mean()),
                                 standard_error=se, mode="mc")
 
 
-def _moment_values(rule: LocalRule, space: _WalkSpace, big: CayleyBall,
-                   read_sites: list, assignments: list, k: int) -> list:
-    """Closed-walk value as a float for each assignment of symbols to read
-    sites; every other site of the big ball holds symbol 0."""
+def _exact_law(rule: LocalRule, model: MeasureModel, k: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(which, probs, big_vals): the model's law on the read sites of k-step
+    walks, in site_law order.  Assignment t has probability probs[t] and is
+    distinct assignment which[t], numbered by first appearance; big_vals
+    holds the distinct assignments' windows (see _window_symbols).  Built
+    once per rule, model and reach."""
+    reach = (k // 2) * rule.hopping
+    cached = rule._laws.get((model, reach))
+    if cached is None:
+        _, big, read_sites = _walk_setup(rule, k)
+        index: dict = {}
+        which, probs = [], []
+        for assignment, prob in site_law(model, read_sites):
+            which.append(index.setdefault(assignment, len(index)))
+            probs.append(prob)
+        cached = (np.array(which, dtype=np.int64), np.array(probs),
+                  _window_symbols(rule, big, read_sites, list(index)))
+        rule._laws[(model, reach)] = cached
+    return cached
+
+
+def _window_symbols(rule: LocalRule, big: CayleyBall, read_sites: list,
+                    assignments: list) -> np.ndarray:
+    """big_vals[i, j]: the symbol at element i of the big ball under
+    assignment j of symbols to the read sites; every other site holds 0."""
     symbols = np.array(assignments, dtype=np.int64).reshape(
         len(assignments), len(read_sites))
     big_vals = np.zeros((len(big), len(assignments)),
                         dtype=np.min_scalar_type(rule.alphabet.size - 1))
     big_vals[[big.index(site) for site in read_sites]] = symbols.T
+    big_vals.setflags(write=False)
+    return big_vals
+
+
+def _moment_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
+                   k: int) -> list:
+    """Closed-walk value as a float for each window column of big_vals."""
     den, re, _ = _walk_values(rule, space, big_vals, k)
     scale = den ** k
     return [num / scale for num in re.tolist()]

@@ -605,6 +605,12 @@ def _free_group_reference():
     (base_config(measure={"kind": "iid", "weights": [1.0],
                           "alphabet": ["0", "1"]}),
      "one weight per symbol required"),
+    (base_config(operator={"kind": "table", "M": 1,
+                           "entries": [{"g": [0], "re": "1"}]}),
+     "table entry config needs 'window'"),
+    (base_config(operator={"kind": "table", "M": 1,
+                           "entries": [{"window": [0, 0, 0], "re": "1"}]}),
+     "table entry config needs 'g'"),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -328,16 +329,22 @@ def test_expected_moment_bit_identical_to_fraction_oracle():
 
 
 def _dense_fraction_power_diagonal(op, k):
-    """diag(H^k) by dense Fraction matrix products (real operators only)."""
-    h = [[Fraction(0)] * op.n for _ in range(op.n)]
-    for (i, j), v in op.entries.items():
-        assert v.im == 0
-        h[i][j] = v.re
+    """diag(H^k) as Fractions, by dense products of the integer matrix den*H
+    (real exact operators only): int64 while every entry of |den*H|^k stays
+    below 2^62, Python ints otherwise."""
+    assert op.exact and op.is_real()
+    den = math.lcm(*(v.re.denominator for v in op.values))
+    numerators = [v.re.numerator * (den // v.re.denominator)
+                  for v in op.values]
+    rows_abs = np.zeros(op.n, dtype=object)
+    np.add.at(rows_abs, op.rows, [abs(numerators[c]) for c in op.codes])
+    dtype = np.int64 if max(rows_abs, default=0) ** k < 2 ** 62 else object
+    h = np.zeros((op.n, op.n), dtype=dtype)
+    h[op.rows, op.cols] = np.array(numerators, dtype=object)[op.codes]
     power = h
     for _ in range(k - 1):
-        power = [[sum(power[i][m] * h[m][j] for m in range(op.n))
-                  for j in range(op.n)] for i in range(op.n)]
-    return [power[i][i] for i in range(op.n)]
+        power = power @ h
+    return [Fraction(int(x), den ** k) for x in np.diagonal(power).tolist()]
 
 
 def test_power_kernels_fall_back_to_python_ints(monkeypatch):
@@ -368,7 +375,7 @@ def test_power_kernels_fall_back_to_python_ints(monkeypatch):
         expect[v] for v in vertices]
     monkeypatch.undo()
 
-    sig = torus_approximation(1, 50)     # 4kM-good everywhere
+    sig = torus_approximation(1, 50)     # (k/2 + 2)M-good everywhere
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, 3)
     rep = power_diagonal_check(rule, sig, rho, k)
@@ -812,7 +819,7 @@ def test_float_operator_zero_signs_and_nan():
     assert _hermitian_violation(op) == "(2,2)"
 
 
-def test_check_hermitian_names_first_bad_pair_in_dict_order():
+def test_check_hermitian_names_first_bad_pair_in_row_major_order():
     half_i = ComplexRational(Fraction(0), Fraction(1, 2))
     one = ComplexRational(Fraction(1))
 
@@ -826,13 +833,14 @@ def test_check_hermitian_names_first_bad_pair_in_dict_order():
     same = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i})
     with pytest.raises(AssemblyError, match=r"\(0,1\)$"):
         same.check_hermitian()
-    # a missing transpose, stored before a conjugate mismatch that sorts first
+    # the dict order is not kept: a missing transpose given first is named
+    # after a conjugate mismatch that sorts first
     missing = op({(1, 2): one, (0, 0): one, (1, 0): half_i, (0, 1): half_i})
-    with pytest.raises(AssemblyError, match=r"\(1,2\)$"):
+    with pytest.raises(AssemblyError, match=r"\(0,1\)$"):
         missing.check_hermitian()
-    flipped = op({(1, 0): half_i, (0, 1): half_i, (1, 2): one})
-    with pytest.raises(AssemblyError, match=r"\(1,0\)$"):
-        flipped.check_hermitian()
+    alone = op({(2, 2): one, (1, 2): one, (0, 0): one})
+    with pytest.raises(AssemblyError, match=r"\(1,2\)$"):
+        alone.check_hermitian()
 
 
 # Array storage: from_entries round trip and the graph assembly from arrays.
@@ -900,8 +908,9 @@ def test_from_entries_round_trip(d, kind, exact, potential, hop, side, seed,
 
 
 def _dict_graph_schrodinger(sigma, rho, potential):
-    """The per-vertex dict loop the array assembly replaced: sorted edge
-    keys, then the nonzero diagonal -deg(v) + F(rho(v)) in vertex order."""
+    """The per-vertex dict loop the array assembly replaced: the sorted edge
+    keys, then the nonzero diagonal -deg(v) + F(rho(v)) in vertex order
+    (an operator stores them in row-major order)."""
     from sofic_spectra.sofic import edge_graph
     exact = all(isinstance(x, (int, Fraction)) for x in potential)
     graph = edge_graph(sigma)
@@ -943,7 +952,7 @@ def test_graph_schrodinger_matches_dict_loop(exact):
                     potential = [float(x) for x in potential]
                 want = _dict_graph_schrodinger(sig, rho, potential)
                 op = assemble_graph_schrodinger(sig, rho, BIN, potential)
-                assert list(op.entries) == list(want)
+                assert list(op.entries) == sorted(want)
                 assert all(type(op.entries[k]) is type(v) and
                            op.entries[k] == v for k, v in want.items())
                 _same_operator(op, InducedOperator.from_entries(n, want,
@@ -952,3 +961,213 @@ def test_graph_schrodinger_matches_dict_loop(exact):
                 seen_zero_diagonal |= len(diag) < n
                 seen_low_degree |= len(want) - len(diag) < 4 * n
     assert seen_zero_diagonal and seen_low_degree
+
+
+# The power-diagonal test radius: every (floor(k/2) + 2)M-good vertex.
+
+
+def _range_two_rule(group):
+    """Potential F(w(e)) in {0, 5/3}, hopping 1 to the words of length 1 and
+    f(w(e), w(g)) to the words g of length 2, f symmetric: a self-adjoint
+    rule of hopping range M = 2."""
+    b = ball(group, 2)
+    e = group.identity()
+    f = [[Fraction(1), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(2)]]
+    entries = []
+    for window in itertools.product(range(BIN.size), repeat=len(b)):
+        here = window[b.index(e)]
+        entries.append((e, window, [Fraction(0), Fraction(5, 3)][here]))
+        for g, length in zip(b.elements, b.word_lengths):
+            if length == 1:
+                entries.append((g, window, Fraction(1)))
+            elif length == 2:
+                entries.append((g, window, f[here][window[b.index(g)]]))
+    return table_rule(group, BIN, 2, entries)
+
+
+def _walk_values_at(rule, sig, rho, k, radius):
+    """The radius-good vertices, and the closed-walk value at each of them as
+    a Fraction."""
+    M = rule.hopping
+    vertices = np.flatnonzero(good_vertices(sig, radius).good)
+    big = ball(rule.group, (k // 2) * M + M)
+    big_vals = rho.values[sig.ball_images(big)[:, vertices]]
+    den, re, im = _walk_values(rule, _walk_space(rule.group, M, k), big_vals,
+                               k)
+    assert not im.any()
+    return vertices, [Fraction(num, den ** k) for num in re.tolist()]
+
+
+def _radius_cases():
+    iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    for rank in (1, 2):
+        group = free_group(rank)
+        rules = [schrodinger_rule(group, BIN, [Fraction(0), Fraction(5, 3)])]
+        if rank == 1:
+            rules.append(_range_two_rule(group))
+        for n in (30, 60, 200):
+            for seed in range(3):
+                sig = random_permutation_approximation(rank, n, seed)
+                rho = sample_configuration(iid, sig, seed)
+                yield from ((rule, sig, rho) for rule in rules)
+    Z2 = lattice_group(2)
+    for side in (6, 8, 12):
+        sig = torus_approximation(2, side)
+        rho = sample_configuration(iid, sig, side)
+        yield schrodinger_rule(Z2, BIN, [Fraction(0), Fraction(5, 3)]), sig, rho
+
+
+def test_power_diagonal_radius_is_sound():
+    # at every tested vertex the dense matrix power equals the closed-walk
+    # value; F_1 models with n >= 60 and the 8 x 8 and 12 x 12 tori test
+    # vertices at k >= 2 that the radius 4kM left out.  One M less is not
+    # enough: some (floor(k/2) + 1)M-good vertex sees a different value
+    tested = 0
+    too_small = False
+    for rule, sig, rho in _radius_cases():
+        op = assemble_induced(rule, sig, rho)
+        M = rule.hopping
+        for k in range(1, 7):
+            if M == 2 and k > 4:
+                continue            # windows of 41 sites: enough at k <= 4
+            dense = _dense_fraction_power_diagonal(op, k)
+            vertices, walks = _walk_values_at(rule, sig, rho, k,
+                                              (k // 2 + 2) * M)
+            assert [dense[v] for v in vertices.tolist()] == walks
+            rep = power_diagonal_check(rule, sig, rho, k)
+            assert rep.exact and rep.max_discrepancy == 0.0
+            assert rep.n_tested == len(vertices)
+            tested += len(vertices)
+            vertices, walks = _walk_values_at(rule, sig, rho, k,
+                                              (k // 2 + 1) * M)
+            too_small |= [dense[v] for v in vertices.tolist()] != walks
+    assert tested > 0 and too_small
+
+
+def test_power_diagonal_tests_free_group_models():
+    # F_2 at n = 200: the radius 4kM = 4 left no vertex at k = 1, and the
+    # radius-12 ball of k = 3 exceeded the ball capacity
+    group = free_group(2)
+    rule = schrodinger_rule(group, BIN, [Fraction(0), Fraction(5, 3)])
+    sig = random_permutation_approximation(2, 200, 0)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, 0)
+    assert not good_vertices(sig, 4).good.any()
+    reports = [power_diagonal_check(rule, sig, rho, k) for k in (1, 3)]
+    assert reports[0].n_tested > 0
+    assert all(rep.exact and rep.max_discrepancy == 0.0 for rep in reports)
+
+
+# Row-major operator storage.
+
+
+def _keys(op):
+    return op.rows * op.n + op.cols
+
+
+def _assert_row_major(op):
+    """Strictly increasing keys, codes numbered by first appearance."""
+    assert (np.diff(_keys(op)) > 0).all()
+    _, first = np.unique(op.codes, return_index=True)
+    assert np.array_equal(op.codes[np.sort(first)], np.arange(len(first)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 7), exact=st.booleans(), seed=st.integers(0, 2**16))
+def test_from_entries_stores_row_major(n, exact, seed):
+    rng = np.random.default_rng(seed)
+    keys = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
+    rng.shuffle(keys)
+    values = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+              for _ in keys]
+    entries = dict(zip(keys, values if exact else map(complex, values)))
+    op = InducedOperator.from_entries(n, entries, exact)
+    _assert_row_major(op)
+    assert list(op.entries) == sorted(entries)
+    assert all(op.entries[key] == (ComplexRational(v) if exact else v)
+               for key, v in entries.items())
+    # the CSR matrix is the one scipy builds from the coordinates
+    import scipy.sparse as sp
+    rows, cols, vals = op._float_coo()
+    _assert_same_sparse(op.to_sparse(),
+                        sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+def test_every_constructor_stores_row_major():
+    from sofic_spectra.monotone import _difference
+    group = free_group(2)
+    sig = random_permutation_approximation(2, 40, 1)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, 1)
+    strict = assemble_induced(
+        schrodinger_rule(group, BIN, [Fraction(0), Fraction(5, 3)]), sig, rho)
+    graph = assemble_graph_schrodinger(sig, rho, BIN,
+                                       [Fraction(1), Fraction(2)])
+    float_graph = assemble_graph_schrodinger(sig, rho, BIN, [1.0, 2.5])
+    for op in (strict, graph, float_graph, _difference(strict, graph)):
+        _assert_row_major(op)
+
+
+def test_operator_rejects_unsorted_or_repeated_entries():
+    one = (ComplexRational(Fraction(1)),)
+
+    def op(rows, cols):
+        return InducedOperator(3, True, np.array(rows), np.array(cols),
+                               np.zeros(len(rows), dtype=np.int64), one)
+
+    op([0, 1, 2], [1, 0, 2])
+    with pytest.raises(ValueError, match="row-major"):
+        op([1, 0], [0, 1])
+    with pytest.raises(ValueError, match="row-major"):
+        op([0, 1, 1], [1, 2, 2])
+    with pytest.raises(ValueError, match="row-major"):
+        op([0, 0], [2, 1])
+
+
+def test_frontier_keys_refuse_int64_overflow(monkeypatch):
+    # n = 2^29 with two stored entries: each source expands to one term, so
+    # w sources give tagged keys below w * 2^29 * w, which fits int64 up to
+    # w = 2^17 sources; at 2^18 the check raises instead of wrapping, and
+    # nothing of length n is built on the way
+    import tracemalloc
+    n = 2 ** 29
+    op = InducedOperator.from_entries(n, {(0, 0): Fraction(2),
+                                          (n - 1, n - 1): Fraction(3)},
+                                      exact=True)
+    sources = np.zeros(2 ** 17, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        den, re, im = _matrix_power_diagonal(op, 2, sources)
+        assert den == 1 and (re == 4).all() and not im.any()
+        monkeypatch.setattr(operators_module, "_BATCH_CELLS", 2 ** 18)
+        with pytest.raises(OverflowError, match="overflow int64"):
+            _matrix_power_diagonal(op, 2, np.zeros(2 ** 18, dtype=np.int64))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 27
+    finally:
+        tracemalloc.stop()
+
+
+# expected_moment builds its walk structures once per rule, model and reach.
+
+
+def test_expected_moment_caches_per_reach():
+    from sofic_spectra.operators import _walk_setup
+    import dataclasses
+    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
+    iid = IIDProduct(alphabet=BIN, weights=(0.7, 0.3))
+    values = [expected_moment(rule, iid, k).value for k in range(1, 9)]
+    assert sorted(rule._walks) == [0, 1, 2, 3, 4]
+    assert sorted(rule._laws) == [(iid, r) for r in range(5)]
+    assert _walk_setup(rule, 4) is _walk_setup(rule, 5)
+    # an equal model hits the cache, and the values do not move
+    same = IIDProduct(alphabet=BIN, weights=[0.7, 0.3])
+    assert [expected_moment(rule, same, k).value
+            for k in range(1, 9)] == values
+    assert len(rule._laws) == 5
+    # the rule is frozen and its tables read-only
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.hopping = 2
+    with pytest.raises(TypeError):
+        rule.tables[(5,)] = rule.tables[(1,)]
+    with pytest.raises(ValueError):
+        rule.tables[(1,)][0] = rule.tables[(1,)][1]
