@@ -16,7 +16,6 @@ manifest reproduces the data files byte for byte.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -149,92 +148,81 @@ class ConfigError(ValueError):
     pass
 
 
-@functools.cache
-def _config_validator():
-    """A validator for CONFIG_SCHEMA, built once: jsonschema.validate would
-    check the schema against its metaschema on every call."""
-    import jsonschema
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
 _TYPE_TESTS = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
-    # stricter than jsonschema, which also takes 2.0 as an integer
+    # stricter than JSON Schema, which takes 2.0 as an integer and NaN or
+    # infinity as a number
     "integer": lambda x: type(x) is int,
-    "number": lambda x: type(x) in (int, float),
+    "number": lambda x: type(x) is int or (type(x) is float
+                                            and math.isfinite(x)),
 }
-# the keywords an "if" may use: they are decided exactly, as jsonschema does
-_EXACT_KEYWORDS = ("properties", "required", "enum", "const")
 
 
-def _conforms(x, schema: dict, exact: bool = False) -> bool:
-    """Structural check of x against a schema of CONFIG_SCHEMA's keywords.
+def _violations(x, schema: dict, path: str = "config"):
+    """Each way x breaks a schema of CONFIG_SCHEMA's keywords, lazily, as
+    "<path> <reason>".
 
-    True only where jsonschema accepts x; it may say False where jsonschema
-    accepts, except with ``exact`` (an ``if`` branch), where the answer is
-    jsonschema's.  A keyword it does not handle raises ValueError.
+    Only the type tests are stricter than JSON Schema; every other keyword
+    passes a value of a type it does not apply to, as in JSON Schema, so an
+    ``if`` that tests no type is decided as JSON Schema decides it.  A
+    keyword the check does not handle raises ValueError.
     """
+    is_number = _TYPE_TESTS["number"](x)
     for key, want in schema.items():
-        if exact and key not in _EXACT_KEYWORDS:
-            raise ValueError(f"'if' branch uses {key!r}, not decided exactly")
         if key == "type":
             if want not in _TYPE_TESTS:
                 raise ValueError(f"config check does not handle type {want!r}")
-            ok = _TYPE_TESTS[want](x)
+            if not _TYPE_TESTS[want](x):
+                yield f"{path} fails type {want!r}"
         elif key in ("enum", "const"):
             options = want if key == "enum" else [want]
             if not all(isinstance(o, str) for o in options):
                 raise ValueError(f"config check handles string {key} only")
-            ok = isinstance(x, str) and x in options
-        elif key in ("required", "properties", "additionalProperties"):
-            if not isinstance(x, dict):
-                continue          # as in jsonschema, these pass non-objects
-            if key == "required":
-                ok = all(k in x for k in want)
-            elif key == "properties":
-                ok = all(_conforms(x[k], sub, exact)
-                         for k, sub in want.items() if k in x)
-            elif want is False:
-                ok = set(x) <= set(schema.get("properties", ()))
-            else:
+            if x not in options:
+                yield f"{path} is {x!r}, not one of {options}"
+        elif key in ("if", "then"):     # "then" applies with its "if"
+            if key == "if" and next(_violations(x, want, path), None) is None:
+                yield from _violations(x, schema.get("then", {}), path)
+        elif key == "properties":
+            for k, sub in want.items():
+                if isinstance(x, dict) and k in x:
+                    yield from _violations(x[k], sub, f"{path}.{k}")
+        elif key == "items":
+            for i, y in enumerate(x if isinstance(x, list) else ()):
+                yield from _violations(y, want, f"{path}[{i}]")
+        elif key == "required":
+            for k in want if isinstance(x, dict) else ():
+                if k not in x:
+                    yield f"{path} needs {k!r}"
+        elif key == "additionalProperties":
+            if want is not False:
                 raise ValueError("config check handles additionalProperties "
                                  "false only")
-        elif key == "items":
-            ok = isinstance(x, list) and all(_conforms(y, want) for y in x)
+            for k in x if isinstance(x, dict) else ():
+                if k not in schema.get("properties", ()):
+                    yield f"{path} has unexpected key {k!r}"
         elif key == "minItems":
-            ok = isinstance(x, list) and len(x) >= want
+            if isinstance(x, list) and len(x) < want:
+                yield f"{path} has fewer than {want} items"
         elif key == "minimum":
-            ok = _TYPE_TESTS["number"](x) and x >= want
+            if is_number and x < want:
+                yield f"{path} is less than the minimum {want}"
         elif key == "exclusiveMinimum":
-            ok = _TYPE_TESTS["number"](x) and x > want
-        elif key == "if":
-            ok = not _conforms(x, want, exact=True) or \
-                _conforms(x, schema.get("then", {}))
-        elif key == "then":
-            continue              # applied with its "if"
+            if is_number and x <= want:
+                yield f"{path} is less than or equal to the exclusive " \
+                      f"minimum {want}"
         else:
             raise ValueError(f"config check does not handle {key!r}")
-        if not ok:
-            return False
-    return True
 
 
 def validate_config(config: dict) -> None:
-    """Check a config against CONFIG_SCHEMA and the size schedule.
-
-    A structural check (`_conforms`) runs first.  It may be stricter than
-    jsonschema, never looser: every config it accepts jsonschema accepts.
-    Only when it rejects a config is jsonschema imported; jsonschema then
-    decides, its `best_match` words the error, and a config it finds no
-    error in is accepted.
-    """
-    if not _conforms(config, CONFIG_SCHEMA):
-        from jsonschema.exceptions import best_match
-        err = best_match(_config_validator().iter_errors(config))
-        if err is not None:
-            raise ConfigError(f"invalid config: {err.message}") from err
+    """Check a config against CONFIG_SCHEMA and the size schedule.  The
+    first violation of the schema is a ConfigError naming its path."""
+    reason = next(_violations(config, CONFIG_SCHEMA), None)
+    if reason is not None:
+        raise ConfigError(reason)
     sizes = config["sofic"]["sizes"]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("size schedule must be strictly increasing")
@@ -311,14 +299,19 @@ def measure_from_config(cfg: dict, group: GroupSpec) -> MeasureModel:
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def _model_and_rule(config: dict, group: GroupSpec):
-    """The measure, and the operator over the measure's alphabet (for a
-    mixture, the alphabet its components share)."""
+def _model_and_alphabet(config: dict, group: GroupSpec):
+    """The measure and its alphabet (for a mixture, the alphabet its
+    components share); a measure its constructor refuses is a ConfigError."""
     try:
         model = measure_from_config(config["measure"], group)
-        alphabet = model_alphabet(model)
+        return model, model_alphabet(model)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+
+
+def _model_and_rule(config: dict, group: GroupSpec):
+    """The measure, and the operator over the measure's alphabet."""
+    model, alphabet = _model_and_alphabet(config, group)
     rule, potential = operator_from_config(config["operator"], group, alphabet)
     return model, rule, potential
 
@@ -462,6 +455,8 @@ def _pipeline_sofic_diagnostics(config, group, sigmas, out):
     radii = config.get("radii", {})
     r_good = radii.get("goodness", 2)
     r_defect = radii.get("defect", 2)
+    model = _model_and_alphabet(config, group)[0] if "measure" in config \
+        else None
     rows = []
     for sigma in sigmas:
         rep = good_vertices(sigma, r_good)
@@ -473,8 +468,7 @@ def _pipeline_sofic_diagnostics(config, group, sigmas, out):
               ["n", "radius", "good_fraction", "max_hom_defect",
                "max_fix_defect"], rows)
     outputs = ["goodness.csv"]
-    if "measure" in config:
-        model = measure_from_config(config["measure"], group)
+    if model is not None:
         r_cyl = radii.get("cylinder", 1)
         le_rows = le_diagnostic(model, sigmas, r_cyl,
                                 eps=config.get("eps", 0.05),
@@ -615,7 +609,7 @@ def _pipeline_monotone(config, group, sigmas, out):
     for size_index, sigma in enumerate(sigmas):
         rho = sample_configuration(model, sigma,
                                    sample_rng(config["seed"], size_index, 0))
-        report = monotone_ids_report(rule, sched, sigma, rho, grid, m_max)
+        report = monotone_ids_report(rule, sched, sigma, rho, grid)
         rows = [[r.m, r.beta, r.count_m / report.n, r.count_target / report.n,
                  r.psd_certified] for r in report.rows]
         name = f"monotone_{sigma.n_vertices}.csv"
@@ -656,10 +650,13 @@ def _write_gnuplot(out: Path, pipeline: str, outputs: list[str]) -> None:
 def run(config: dict, out_dir=None) -> dict:
     """Execute a pipeline config; returns the manifest dict."""
     validate_config(config)
+    try:
+        group = group_from_config(config["group"])
+        sigmas = sofic_family(config, group)
+    except ValueError as err:       # a ConfigError keeps its message
+        raise ConfigError(str(err)) from err
     out = Path(out_dir if out_dir is not None else config.get("out_dir", "results"))
     out.mkdir(parents=True, exist_ok=True)
-    group = group_from_config(config["group"])
-    sigmas = sofic_family(config, group)
     pipeline = config["pipeline"]
     stages = {
         "sofic-diagnostics": _pipeline_sofic_diagnostics,

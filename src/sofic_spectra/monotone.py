@@ -449,17 +449,16 @@ class MonotoneIDSReport:
 
 def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
                         sigma: SoficApproximation, rho: Configuration,
-                        beta_grid: Sequence[float], m_max: Optional[int] = None
-                        ) -> MonotoneIDSReport:
-    """Counting functions along the schedule, with certified Weyl direction.
+                        beta_grid: Sequence[float]) -> MonotoneIDSReport:
+    """Counting functions at depths 1..sched.m_max of the schedule, with
+    certified Weyl direction.
 
     Asserts N_m(beta) nonincreasing in m at every grid point (hard failure
     otherwise: it would contradict the certified PSD steps) and reports the
     decay of max_beta (N_m - N_target) together with exact operator-norm
     gaps and their proven dyadic bounds.
     """
-    if m_max is None:
-        m_max = sched.m_max
+    m_max = sched.m_max
     target_op = assemble_induced(rule, sigma, rho)
     target_spec = eigen_spectrum(target_op)
     grid = [float(b) for b in beta_grid]

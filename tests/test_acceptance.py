@@ -204,7 +204,7 @@ def test_criterion_6_monotone_schedule():
     grid = np.linspace(-5.0, 2.0, 401)
     # monotone_ids_report certifies every step strictly and raises on any
     # counting-function increase, so reaching the report means zero violations
-    report = ss.monotone_ids_report(rule, sched, sigma, rho, grid, 8)
+    report = ss.monotone_ids_report(rule, sched, sigma, rho, grid)
     all_certified = all(s.certified for s in report.psd_steps)
     strict_numeric = all(s.min_eigenvalue > 0 for s in report.psd_steps)
     gap8 = report.max_gap_per_m[8]

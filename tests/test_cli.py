@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -50,19 +49,26 @@ def test_validate_config_errors():
 
 
 def test_config_schema_is_a_valid_schema():
-    # the validator is built once without checking the schema, so check it here
     import jsonschema
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
         CONFIG_SCHEMA)
-    # and it reports the error that jsonschema.validate picks
-    for bad in (base_config(pipeline="nope", seed="x"),
-                base_config(sofic={"kind": "torus", "sizes": []},
-                            measure=3)):
-        with pytest.raises(jsonschema.ValidationError) as want:
+    # the first violation, in schema order, is reported with its path
+    for bad, message in (
+            (base_config(pipeline="nope", seed="x"),
+             "config.pipeline is 'nope', not one of ['sofic-diagnostics', "
+             "'weak-convergence', 'luck-atoms', 'monotone']"),
+            (base_config(sofic={"kind": "torus", "sizes": []}, measure=3),
+             "config.sofic.sizes has fewer than 1 items"),
+            (base_config(extra=1), "config has unexpected key 'extra'"),
+            (base_config(eps=0), "config.eps is less than or equal to the "
+                                 "exclusive minimum 0"),
+            (base_config(samples=0), "config.samples is less than the "
+                                     "minimum 1")):
+        with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, CONFIG_SCHEMA)
         with pytest.raises(ConfigError) as got:
             validate_config(bad)
-        assert str(got.value) == f"invalid config: {want.value.message}"
+        assert str(got.value) == message
     # keys a pipeline or a sofic kind needs are required by the schema, so a
     # missing one is reported by name instead of raising a bare KeyError
     missing = []
@@ -75,12 +81,12 @@ def test_config_schema_is_a_valid_schema():
                                 sofic={"kind": "product", "sizes": [8]}),
                     "moduli"))
     for bad, key in missing:
-        with pytest.raises(jsonschema.ValidationError) as want:
+        with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, CONFIG_SCHEMA)
         with pytest.raises(ConfigError) as got:
             run(bad)
-        assert str(got.value) == f"invalid config: {want.value.message}" \
-            == f"invalid config: '{key}' is a required property"
+        where = "config.sofic" if key == "moduli" else "config"
+        assert str(got.value) == f"{where} needs '{key}'"
     diagnostics = base_config(pipeline="sofic-diagnostics")
     del diagnostics["measure"], diagnostics["operator"]
     validate_config(diagnostics)
@@ -360,7 +366,7 @@ def test_mixture_alphabet_comes_from_its_components(tmp_path, pipeline,
 
 
 # ---------------------------------------------------------------------------
-# the structural config check that runs before jsonschema
+# the structural config check, against jsonschema as the reference
 # ---------------------------------------------------------------------------
 
 REPO = Path(__file__).resolve().parent.parent
@@ -378,6 +384,17 @@ def _paths(x, prefix=()):
         enumerate(x) if isinstance(x, list) else ()
     for k, v in items:
         yield from _paths(v, prefix + (k,))
+
+
+def _first_violation(config):
+    from sofic_spectra.cli import _violations
+    return next(_violations(config, CONFIG_SCHEMA), None)
+
+
+def _jsonschema_errors(config):
+    import jsonschema
+    validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    return list(validator(CONFIG_SCHEMA).iter_errors(config))
 
 
 def _mutated(config, data):
@@ -408,18 +425,15 @@ def _mutated(config, data):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(range(len(SHIPPED))), st.data())
 def test_structural_check_never_accepts_what_jsonschema_rejects(index, data):
-    from jsonschema.exceptions import best_match
-
-    from sofic_spectra.cli import _config_validator, _conforms
     config = _mutated(SHIPPED[index], data)
-    errors = list(_config_validator().iter_errors(config))
-    if _conforms(config, CONFIG_SCHEMA):
-        assert not errors
-    if errors:
+    violation = _first_violation(config)
+    if violation is None:
+        assert not _jsonschema_errors(config)
+    else:
+        assert violation.startswith("config")
         with pytest.raises(ConfigError) as got:
             validate_config(config)
-        assert str(got.value) == \
-            f"invalid config: {best_match(iter(errors)).message}"
+        assert str(got.value) == violation
 
 
 def _single_mutations(config):
@@ -449,49 +463,83 @@ def _single_mutations(config):
 
 
 def test_structural_check_on_every_single_mutation():
-    from sofic_spectra.cli import _config_validator, _conforms
     accepted = 0
     for config in SHIPPED:
         for mutated in _single_mutations(config):
-            if _conforms(mutated, CONFIG_SCHEMA):
+            if _first_violation(mutated) is None:
                 accepted += 1
-                assert not list(_config_validator().iter_errors(mutated))
+                assert not _jsonschema_errors(mutated)
     assert accepted > 100
 
 
 def test_shipped_configs_pass_the_structural_check():
-    from sofic_spectra.cli import _conforms
-    assert all(_conforms(config, CONFIG_SCHEMA) for config in SHIPPED)
-    # stricter, never looser: a float size passes jsonschema, and only it
+    assert all(_first_violation(config) is None for config in SHIPPED)
+    # stricter, never looser: a float size passes jsonschema, not the check
     config = dict(SHIPPED[0], sofic={"kind": "torus", "sizes": [16.0]})
-    assert not _conforms(config, CONFIG_SCHEMA)
-    validate_config(config)
+    assert not _jsonschema_errors(config)
+    with pytest.raises(ConfigError) as got:
+        validate_config(config)
+    assert str(got.value) == "config.sofic.sizes[0] fails type 'integer'"
+
+
+def _diagnostics_config(**overrides):
+    config = {"pipeline": "sofic-diagnostics",
+              "group": {"kind": "lattice", "d": 1},
+              "sofic": {"kind": "torus", "sizes": [8]},
+              "measure": {"kind": "iid", "weights": [0.5, 0.5],
+                          "alphabet": ["0", "1"]},
+              "seed": 1}
+    config.update(overrides)
+    return config
+
+
+@pytest.mark.parametrize("config, path", [
+    (base_config(sofic={"kind": "torus", "sizes": [16.0]}),
+     "config.sofic.sizes[0]"),
+    (base_config(samples=2.0), "config.samples"),
+    (base_config(k_max=2.0), "config.k_max"),
+    (base_config(pipeline="monotone", monotone={"m_max": 2.0}),
+     "config.monotone.m_max"),
+    (base_config(beta_grid={"min": -5, "max": 1, "points": 61.0}),
+     "config.beta_grid.points"),
+    (_diagnostics_config(radii={"goodness": 2.0}), "config.radii.goodness"),
+    (_diagnostics_config(eps=float("nan")), "config.eps"),
+])
+def test_whole_number_floats_and_nan_are_config_errors(tmp_path, config, path):
+    # JSON Schema takes each of these; they used to crash a later stage or,
+    # for radii and eps, run with wrong numbers
+    assert not _jsonschema_errors(config)
+    want = "number" if path == "config.eps" else "integer"
+    with pytest.raises(ConfigError) as got:
+        run(config, out_dir=tmp_path / "out")
+    assert str(got.value) == f"{path} fails type '{want}'"
+    assert not (tmp_path / "out").exists()
 
 
 def test_structural_check_refuses_keywords_it_does_not_handle():
-    from sofic_spectra.cli import _conforms
+    from sofic_spectra.cli import _violations
     with pytest.raises(ValueError, match="does not handle 'maxItems'"):
-        _conforms([1], {"type": "array", "maxItems": 3})
-    with pytest.raises(ValueError, match="not decided exactly"):
-        _conforms({}, {"if": {"type": "object"}, "then": {}})
+        next(_violations([1], {"type": "array", "maxItems": 3}))
     with pytest.raises(ValueError, match="string enum"):
-        _conforms(1, {"enum": [1, 2]})
+        next(_violations(1, {"enum": [1, 2]}))
 
 
-def test_valid_config_runs_without_importing_jsonschema(tmp_path):
-    import subprocess
-    import sys
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(base_config(samples=1, k_max=1)))
-    script = ("import json, sys\n"
-              "from sofic_spectra import cli\n"
-              "cli.run(json.loads(open(sys.argv[1]).read()), sys.argv[2])\n"
-              "print('jsonschema' in sys.modules)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
-    assert proc.stdout.strip() == "False"
+def test_no_source_module_imports_jsonschema():
+    import ast
+    imported = set()
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, a.name) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert imported
+    assert not [(f, m) for f, m in imported
+                if m.split(".")[0] == "jsonschema"]
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == \
+        ["numpy", "scipy"]
 
 
 def test_missing_symbol_is_a_config_error(tmp_path):
@@ -611,6 +659,23 @@ def _free_group_reference():
     (base_config(operator={"kind": "table", "M": 1,
                            "entries": [{"window": [0, 0, 0], "re": "1"}]}),
      "table entry config needs 'g'"),
+    (base_config(sofic={"kind": "torus", "sizes": [1]}),
+     "torus side must be >= 2"),
+    (_diagnostics_config(sofic={"kind": "product", "sizes": [8],
+                                "moduli": [2, 2]}),
+     "one modulus >= 1 per coordinate"),
+    (_diagnostics_config(sofic={"kind": "product", "sizes": [8],
+                                "moduli": [0]}),
+     "one modulus >= 1 per coordinate"),
+    (_diagnostics_config(group={"kind": "free", "rank": 2},
+                         sofic={"kind": "random_perm", "sizes": [0]}),
+     "need at least one vertex"),
+    (_diagnostics_config(group={"kind": "finite", "table": [[0, 1], [1, 1]],
+                                "generators": [1]}),
+     "element 1 has no inverse"),
+    (_diagnostics_config(measure={"kind": "iid", "weights": [0.5, 0.2],
+                                  "alphabet": ["0", "1"]}),
+     "weights must sum to 1"),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):
@@ -622,6 +687,8 @@ def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
     monkeypatch.setattr(cli, "eigen_spectrum", no_solve)
     with pytest.raises(ConfigError, match=match):
         run(config, out_dir=tmp_path)
+    # at most the failed run's manifest, and no data file
+    assert {p.name for p in tmp_path.iterdir()} <= {"manifest.json"}
 
 
 # ---------------------------------------------------------------------------

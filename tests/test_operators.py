@@ -462,7 +462,7 @@ def test_power_diagonal_exact_on_random_rules(d, kind, k, potential, hop, seed):
     else:
         rule = _hopping_rule(group, potential, hop)
     assert rule.exact and validate_local_rule(rule).ok
-    side = 2 * 4 * k * rule.hopping + 2 if rule.hopping else 3
+    side = 2 * (k // 2 + 2) * rule.hopping + 2 if rule.hopping else 3
     sig = torus_approximation(d, side)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, seed)
