@@ -32,6 +32,7 @@ from .exact import ComplexRational
 from .groups import GroupSpec, finite_group, free_group, lattice_group
 from .measures import (
     Alphabet,
+    EnumerationBudgetError,
     IIDProduct,
     MeasureModel,
     Mixture,
@@ -53,6 +54,7 @@ from .operators import (
     laplacian_rule,
     schrodinger_rule,
     table_rule,
+    validate_local_rule,
 )
 from .sofic import (
     SoficApproximation,
@@ -101,7 +103,7 @@ CONFIG_SCHEMA = {
                 "kind": {"enum": ["torus", "random_perm", "product"]},
                 "sizes": {"type": "array", "items": {"type": "integer"},
                           "minItems": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "moduli": {"type": "array", "items": {"type": "integer"}},
             },
             "if": {"properties": {"kind": {"const": "product"}},
@@ -138,7 +140,7 @@ CONFIG_SCHEMA = {
             "properties": {"m_max": {"type": "integer", "minimum": 1}},
         },
         "reference": {"enum": ["lattice_laplacian"]},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string"},
     },
 }
@@ -327,7 +329,8 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
                          ) -> tuple[LocalRule, Optional[list]]:
     """Returns (rule, potential): the Schrodinger potential F when the
     operator is assembled on the sofic graph, None for the induced
-    assembly."""
+    assembly.  Only a table rule is validated: the other kinds are
+    self-adjoint by construction."""
     kind = _need(cfg, "kind", "operator")
     potential = None
     if kind == "laplacian":
@@ -351,6 +354,13 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
                             value))
         rule = table_rule(group, alphabet, _need(cfg, "M", "table operator"),
                           entries)
+        try:
+            witnesses = validate_local_rule(rule).witnesses
+        except EnumerationBudgetError:
+            witnesses = []  # too many windows: assembly's Hermitian check decides
+        if witnesses:
+            raise ConfigError("table operator is not self-adjoint: element "
+                              "{}, window {}".format(*witnesses[0]))
     else:
         raise ConfigError(f"unknown operator kind {kind!r}")
     if kind != "graph_schrodinger" and cfg.get("mode", "induced") != "graph":

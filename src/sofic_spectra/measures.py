@@ -422,9 +422,7 @@ def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
 
 def pushforward_window_distribution(model: MeasureModel,
                                     sigma: SoficApproximation, v: int,
-                                    radius: int,
-                                    budget: int = DEFAULT_ENUM_BUDGET
-                                    ) -> WindowDistribution:
+                                    radius: int) -> WindowDistribution:
     """Exact law of the radius-R window of Pi_v under the finite-model law.
 
     Collisions sigma^g(v) = sigma^h(v) identify the coordinates g and h, so
@@ -432,12 +430,11 @@ def pushforward_window_distribution(model: MeasureModel,
     """
     b = ball(sigma.group, radius)
     image = [int(sigma.perm_of(g)[v]) for g in b.elements]
-    return _pushforward_on(model, b, image, budget,
-                           _periodic_translates(model, sigma))
+    return _pushforward_on(model, b, image, _periodic_translates(model, sigma))
 
 
 def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
-                    budget: int, translates: dict) -> WindowDistribution:
+                    translates: dict) -> WindowDistribution:
     """translates is _periodic_translates of the model on the finite model."""
     if isinstance(model, IIDProduct):
         classes: dict[int, list[int]] = {}
@@ -445,7 +442,7 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
             classes.setdefault(u, []).append(pos)
         reps = list(classes.values())
         A = model.alphabet.size
-        if A ** len(reps) > budget:
+        if A ** len(reps) > DEFAULT_ENUM_BUDGET:
             raise EnumerationBudgetError("pushforward enumeration over budget")
         probs: dict = {}
         pat = [0] * len(b)
@@ -467,7 +464,7 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
     if isinstance(model, Mixture):
         probs = {}
         for comp, w in zip(model.components, model.weights):
-            sub = _pushforward_on(comp, b, image, budget, translates)
+            sub = _pushforward_on(comp, b, image, translates)
             for pat, p in sub.probs.items():
                 probs[pat] = probs.get(pat, 0.0) + w * p
         return WindowDistribution(radius=b.radius, probs=probs)
@@ -492,9 +489,8 @@ class LeDiagnosticRow:
 def le_diagnostic(target_model: MeasureModel,
                   sigmas: Sequence[SoficApproximation],
                   radius: int, eps: float, sample_count: int = 200,
-                  seed: int = 0,
-                  finite_model: Optional[MeasureModel] = None,
-                  budget: int = DEFAULT_ENUM_BUDGET) -> list[LeDiagnosticRow]:
+                  seed: int = 0, finite_model: Optional[MeasureModel] = None
+                  ) -> list[LeDiagnosticRow]:
     """Locally-weak* and local-empirical convergence statistics per size.
 
     lw*: exact fraction of vertices whose pushforward marginal (of the finite
@@ -511,7 +507,7 @@ def le_diagnostic(target_model: MeasureModel,
         finite_model = target_model
     rows = []
     for size_index, sigma in enumerate(sigmas):
-        target = target_marginal_on(target_model, sigma.group, radius, budget)
+        target = target_marginal_on(target_model, sigma.group, radius)
         b = ball(sigma.group, radius)
         images = sigma.ball_images(b)
         translates = _periodic_translates(finite_model, sigma)
@@ -524,7 +520,7 @@ def le_diagnostic(target_model: MeasureModel,
         good_hits = 0
         for v, m in zip(first.tolist(), mult.tolist()):
             push = _pushforward_on(finite_model, b, images[:, v].tolist(),
-                                   budget, translates)
+                                   translates)
             if push.tv(target) < eps:
                 good_hits += m
         lw_fraction = good_hits / n

@@ -37,8 +37,7 @@ from .operators import (
     InducedOperator,
     LocalRule,
     Value,
-    _is_zero,
-    _make_table,
+    _coded_rule,
     _value_coded,
     assemble_induced,
 )
@@ -100,8 +99,8 @@ def value_sets_of(rule: LocalRule) -> ValueSets:
     any other diagonal value: kept at 0, its row's off-diagonal drift would
     break the positive step H_{m+1} - H_m."""
     f1, f2 = rule.realized_value_sets()
-    diagonal = rule.tables.get(rule.group.identity())
-    if f2 and (diagonal is None or any(map(_is_zero, diagonal.tolist()))):
+    diagonal = rule._rows.get(rule.group.identity())
+    if f2 and (diagonal is None or rule._zeros[diagonal].any()):
         f1.add(rule.zero_value())
     d = len(ball(rule.group, rule.hopping)) - 1
     return ValueSets(f1=tuple(sorted(f1, key=_parts)),
@@ -253,21 +252,27 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
         raise ScheduleError("rule value sets do not match the schedule")
     e = rule.group.identity()
     zero_scheduled = rule.zero_value() in rule_sets.f1
-    source = dict(rule.tables)
+    # the last code is the 0 of an identity table added for a scheduled 0
+    values = [*(rule.values if rule.exact else rule.values.tolist()),
+              rule.zero_value()]
+    zeros = np.append(rule._zeros, True)
+    rows = dict(rule._rows)
     if zero_scheduled:
-        source.setdefault(e, _make_table(rule.n_window_codes, rule.exact))
-    tables: dict = {}
-    for g, table in source.items():
-        new = _make_table(len(table), exact=True)
-        for code, v in enumerate(table.tolist()):
-            if g == e and (zero_scheduled or not _is_zero(v)):
-                new[code] = ComplexRational(sched.diagonal(m, v))
-            elif not _is_zero(v):
-                new[code] = sched.offdiagonal(m, v)
-        tables[g] = new
-    return LocalRule(group=rule.group, alphabet=rule.alphabet,
-                     hopping=rule.hopping, tables=tables, exact=True,
-                     name=f"{rule.name}@m{m}")
+        rows.setdefault(e, np.full(rule.n_window_codes, len(values) - 1))
+    # one approximant per distinct (on the diagonal, value code) pair
+    keys = np.array([row + len(values) * (g == e) for g, row in rows.items()],
+                    dtype=np.int64).reshape(len(rows), rule.n_window_codes)
+    pairs, picks = np.unique(keys, return_inverse=True)
+    candidates = []
+    for on_diagonal, c in (divmod(p, len(values)) for p in pairs.tolist()):
+        if on_diagonal and (zero_scheduled or not zeros[c]):
+            candidates.append(sched.diagonal(m, values[c]))
+        else:
+            candidates.append(0 if zeros[c]
+                              else sched.offdiagonal(m, values[c]))
+    return _coded_rule(rule.group, rule.alphabet, rule.hopping,
+                       dict(zip(rows, picks.reshape(keys.shape))),
+                       candidates, f"{rule.name}@m{m}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ the graph Laplacian of the sofic graph plus a diagonal potential, the
 classical Schrodinger finite-volume analog; both agree wherever every vertex
 is 2M-good.
 
-An assembled operator takes a handful of distinct values in thousands of
-entries, so it is stored value-coded, once, at assembly: row and column
-arrays in row-major order plus a code per entry into the distinct values.
-Its methods (Hermitian check, row sums, dense and sparse forms, matrix
-powers) read those arrays, so exact Gaussian-rational work runs once per
-distinct value and the rest is numpy on codes.  ``entries`` is a read-only
-mapping derived from the arrays.
+Rules and the operators they assemble take a handful of distinct values in
+many cells, so both are stored value-coded, as codes into those values: a
+rule as one row of codes per ball element, by window code (only _coded_rule
+makes its values exact or float), an operator as row, column and code arrays
+in row-major order, built once at assembly.  Every consumer reads the codes,
+so exact Gaussian-rational work runs once per distinct value and the rest is
+numpy.  ``tables`` and ``entries`` are read-only mappings derived from them.
 """
 
 from __future__ import annotations
@@ -74,16 +74,21 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LocalRule:
-    """Coefficient table c(g, window) over the hopping ball B_S(e, M).
+    """Coefficient table c(g, window) over the hopping ball B_S(e, M):
+    c(elements[i], w) = values[codes[i, w]], elements in ball order.
 
-    Frozen, with a read-only mapping of read-only tables, so what the moment
-    oracles derive from a rule is built once per rule (see _walk_setup).
+    values holds an exact rule's distinct ComplexRationals once, as a tuple,
+    or a float rule's candidate values as a complex array (see _coded_rule).
+    Frozen, with read-only arrays, so what the moment oracles derive from a
+    rule is built once per rule (see _walk_setup).
     """
 
     group: GroupSpec
     alphabet: Alphabet
     hopping: int
-    tables: Mapping         # ball element -> np.ndarray indexed by window code
+    elements: tuple
+    codes: np.ndarray       # (len(elements), n_window_codes) value codes
+    values: Union[tuple, np.ndarray]
     exact: bool
     name: str = "rule"
     # reach -> _walk_setup; (model, reach) -> _exact_law
@@ -91,29 +96,42 @@ class LocalRule:
     _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for table in self.tables.values():
-            table.setflags(write=False)
-        object.__setattr__(self, "tables", MappingProxyType(dict(self.tables)))
+        for a in (self.codes, self.values):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+    @functools.cached_property
+    def tables(self) -> Mapping:
+        """Ball element -> read-only coefficient array by window code,
+        derived from the arrays."""
+        values = (np.fromiter(self.values, dtype=object, count=len(self.values))
+                  if self.exact else self.values)
+        cells = values[self.codes]
+        cells.setflags(write=False)
+        return MappingProxyType(dict(zip(self.elements, cells)))
+
+    @functools.cached_property
+    def _rows(self) -> dict:
+        """Ball element -> its row of value codes."""
+        return dict(zip(self.elements, self.codes))
+
+    @functools.cached_property
+    def _zeros(self) -> np.ndarray:
+        """Whether each value is zero, by code."""
+        if self.exact:
+            return np.array([v.is_zero() for v in self.values], dtype=bool)
+        return self.values == 0
 
     @functools.cached_property
     def influential_positions(self) -> list[int]:
         """Ball positions that can change any coefficient of the rule."""
-        A = self.alphabet.size
-        K = len(self.window_ball())
-        influential = set()
-        for table in self.tables.values():
-            arr = table.reshape([A] * K) if K else table
-            for pos in range(K):
-                if pos in influential:
-                    continue
-                # numpy axes index window positions in reverse code order
-                axis = K - 1 - pos
-                first = np.take(arr, 0, axis=axis)
-                for s in range(1, A):
-                    if np.any(np.take(arr, s, axis=axis) != first):
-                        influential.add(pos)
-                        break
-        return sorted(influential)
+        A, K = self.alphabet.size, len(self.window_ball())
+        cells = np.array(list(self.tables.values())).reshape(-1, *[A] * K)
+        # after the axis of elements, numpy axes index window positions in
+        # reverse code order
+        return [pos for pos in range(K) if np.any(
+            np.take(cells, range(1, A), axis=K - pos)
+            != np.take(cells, [0], axis=K - pos))]
 
     @functools.cached_property
     def _numerators(self) -> tuple[int, dict, object, bool]:
@@ -122,13 +140,10 @@ class LocalRule:
         (1 for float rules; see _scaled_numerators), R the largest row sum
         of |den*re| + |den*im|, and whether every coefficient is real.  The
         closed-walk kernel reads it, once per rule."""
-        elements = list(self.tables)
-        den, re, im = _scaled_numerators(
-            [v for g in elements for v in self.tables[g].tolist()], self.exact)
-        re = re.reshape(len(elements), self.n_window_codes)
-        im = im.reshape(len(elements), self.n_window_codes)
+        den, re, im = _scaled_numerators(self.values, self.exact)
+        re, im = re[self.codes], im[self.codes]
         bound = (np.abs(re) + np.abs(im)).sum(axis=0).max()
-        return den, {g: (re[i], im[i]) for i, g in enumerate(elements)
+        return den, {g: (re[i], im[i]) for i, g in enumerate(self.elements)
                      if re[i].any() or im[i].any()}, bound, not im.any()
 
     def window_ball(self) -> CayleyBall:
@@ -144,27 +159,19 @@ class LocalRule:
     def realized_value_sets(self) -> tuple[set, set]:
         """(diagonal values, off-diagonal values), zeros excluded."""
         e = self.group.identity()
-        f1: set = set()
-        f2: set = set()
-        for g, table in self.tables.items():
-            vals = {v for v in table.tolist() if not _is_zero(v)}
-            if g == e:
-                f1 |= vals
-            else:
-                f2 |= vals
-        return f1, f2
+        values = list(self.values) if self.exact else self.values.tolist()
+        sets: tuple = (set(), set())
+        for g, row in self._rows.items():
+            used = np.unique(row)
+            sets[g != e].update(values[c] for c in used[~self._zeros[used]])
+        return sets
 
 
-def _is_zero(v: Value) -> bool:
-    if isinstance(v, ComplexRational):
-        return v.is_zero()
-    return v == 0
-
-
-def _abs(v: Value) -> float:
-    if isinstance(v, ComplexRational):
-        return float(v.abs2()) ** 0.5
-    return abs(v)
+def _magnitudes(values, exact: bool) -> np.ndarray:
+    """|v| per value; np.hypot rounds like abs(complex), np.abs does not."""
+    if exact:
+        return np.array([float(v.abs2()) ** 0.5 for v in values], dtype=float)
+    return np.hypot(values.real, values.imag)
 
 
 def _value_key(v: ComplexRational) -> tuple:
@@ -173,21 +180,21 @@ def _value_key(v: ComplexRational) -> tuple:
     return (v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
 
 
-def _intern(values: list) -> tuple[np.ndarray, list]:
-    """(codes, distinct) with values[t] == distinct[codes[t]].
+def _conjugate_codes(values) -> np.ndarray:
+    """The code of each distinct exact value's conjugate, -1 if absent."""
+    index = {_value_key(v): c for c, v in enumerate(values)}
+    return np.array([index.get(_value_key(v.conjugate()), -1)
+                     for v in values], dtype=np.int64)
 
-    Objects are grouped by identity first, which is cheap because assembly
-    copies the same table objects; then one representative per object is
-    keyed by value, and equal representatives share a code.  Codes follow
-    first appearance (see _compact).
-    """
-    ids = np.fromiter(map(id, values), dtype=np.uintp, count=len(values))
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    reps = [values[t] for t in first.tolist()]
+
+def _intern(values: list) -> tuple[np.ndarray, list]:
+    """(codes, distinct) with values[t] == distinct[codes[t]], values keyed
+    by value and codes numbered by first appearance."""
     index: dict = {}
-    by_value = np.array([index.setdefault(_value_key(v), r)
-                         for r, v in enumerate(reps)], dtype=np.int64)
-    return _compact(by_value[inverse], reps)
+    codes = np.array([index.setdefault(_value_key(v), len(index))
+                      for v in values], dtype=np.int64)
+    _, first = np.unique(codes, return_index=True)
+    return codes, [values[t] for t in first.tolist()]
 
 
 def _compact(codes: np.ndarray, values: list) -> tuple[np.ndarray, list]:
@@ -211,12 +218,30 @@ def _as_exact(x) -> ComplexRational:
     return ComplexRational(Fraction(x))
 
 
-def _make_table(size: int, exact: bool) -> np.ndarray:
+def _coded_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
+                picks: dict, candidates: list, name: str) -> LocalRule:
+    """The rule with c(g, w) = candidates[picks[g][w]].
+
+    The one place rule values become exact or float.  With every candidate
+    an int, Fraction or ComplexRational, the rule keeps the distinct values
+    its cells pick, numbered by first appearance in row-major order;
+    otherwise it keeps the candidates as complex numbers and picks as codes.
+    """
+    b = ball(group, hopping)
+    elements = sorted(picks, key=b.index)
+    codes = np.array([picks[g] for g in elements], dtype=np.int64).reshape(
+        len(elements), alphabet.size ** len(b))
+    exact = all(isinstance(v, (int, Fraction, ComplexRational))
+                for v in candidates)
     if exact:
-        t = np.empty(size, dtype=object)
-        t[:] = CZERO
-        return t
-    return np.zeros(size, dtype=complex)
+        cand_codes, distinct = _intern([_as_exact(v) for v in candidates])
+        flat, values = _compact(cand_codes[codes.ravel()], distinct)
+        codes, values = flat.reshape(codes.shape), tuple(values)
+    else:
+        values = np.array([complex(v) for v in candidates], dtype=complex)
+    return LocalRule(group=group, alphabet=alphabet, hopping=hopping,
+                     elements=tuple(elements), codes=codes, values=values,
+                     exact=exact, name=name)
 
 
 def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
@@ -227,34 +252,17 @@ def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
     """
     if len(potential) != alphabet.size:
         raise RuleValidationError("one potential value per symbol required")
-    exact = all(isinstance(x, (int, Fraction)) for x in potential)
     b = ball(group, 1)
     A = alphabet.size
     e = group.identity()
-    e_pos = b.index(e)
-    n_codes = A ** len(b)
-    codes = np.arange(n_codes)
-    digits = _digits(codes, A, len(b))
-    tables: dict = {}
     deg = group.n_generators
-    diag = _make_table(n_codes, exact)
-    for code in codes:
-        sym = int(digits[e_pos, code])
-        if exact:
-            diag[code] = ComplexRational(Fraction(-deg) + Fraction(potential[sym]))
-        else:
-            diag[code] = complex(-deg + potential[sym])
-    tables[e] = diag
-    one = ComplexRational(Fraction(1)) if exact else 1 + 0j
-    for i in range(group.n_generators):
-        s = group.generator(i)
-        if s in tables:
-            continue  # involutive generator already covered
-        t = _make_table(n_codes, exact)
-        t[:] = one
-        tables[s] = t
-    return LocalRule(group=group, alphabet=alphabet, hopping=1, tables=tables,
-                     exact=exact, name="schrodinger")
+    # candidate s is -|S| + F(s), picked by the symbol at e; candidate A is
+    # the hopping 1, once per generator (an involutive one is its inverse)
+    picks = {e: np.arange(A ** len(b)) // A ** b.index(e) % A}
+    for i in range(deg):
+        picks.setdefault(group.generator(i), np.full(A ** len(b), A))
+    return _coded_rule(group, alphabet, 1, picks,
+                       [-deg + x for x in potential] + [1], "schrodinger")
 
 
 def laplacian_rule(group: GroupSpec,
@@ -283,14 +291,9 @@ def diagonal_rule(group: GroupSpec, alphabet: Alphabet,
     """Hopping-range-0 rule c(e, w) = F(w(e))."""
     if len(values) != alphabet.size:
         raise RuleValidationError("one value per symbol required")
-    exact = all(isinstance(x, (int, Fraction)) for x in values)
-    e = group.identity()
-    table = _make_table(alphabet.size, exact)
-    for sym in range(alphabet.size):
-        table[sym] = (_as_exact(values[sym]) if exact
-                      else complex(values[sym]))
-    return LocalRule(group=group, alphabet=alphabet, hopping=0,
-                     tables={e: table}, exact=exact, name="diagonal")
+    return _coded_rule(group, alphabet, 0,
+                       {group.identity(): np.arange(alphabet.size)},
+                       list(values), "diagonal")
 
 
 def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
@@ -298,23 +301,18 @@ def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
     """Explicit rule from (ball element, window tuple, value) triples."""
     b = ball(group, hopping)
     A = alphabet.size
-    n_codes = A ** len(b)
-    exact = all(isinstance(v, (int, Fraction, ComplexRational))
-                for (_, _, v) in entries)
-    tables: dict = {}
+    candidates: list = [0]      # the coefficient of every cell no entry sets
+    picks: dict = {}
     for g, window, value in entries:
         if g not in b:
             raise RuleValidationError(f"element {g} outside the hopping ball")
         if len(window) != len(b):
             raise RuleValidationError("window length must match the ball")
-        code = 0
-        for pos in reversed(range(len(b))):
-            code = code * A + int(window[pos])
-        if g not in tables:
-            tables[g] = _make_table(n_codes, exact)
-        tables[g][code] = _as_exact(value) if exact else complex(value)
-    return LocalRule(group=group, alphabet=alphabet, hopping=hopping,
-                     tables=tables, exact=exact, name="table")
+        code = sum(int(s) * A ** pos for pos, s in enumerate(window))
+        picks.setdefault(g, np.zeros(A ** len(b), dtype=np.int64))[code] = \
+            len(candidates)
+        candidates.append(value)
+    return _coded_rule(group, alphabet, hopping, picks, candidates, "table")
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +329,15 @@ class RuleValidationReport:
     row_sum_bound: float
 
 
-def validate_local_rule(rule: LocalRule,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> RuleValidationReport:
+def validate_local_rule(rule: LocalRule) -> RuleValidationReport:
     """Finite self-adjointness certificate plus realized value sets.
 
     Checks, for every g in the hopping ball and every window w on B(e, 2M),
     that c(g, w|_M) equals the conjugate of c(g^{-1}, (g.w)|_M), and that the
     diagonal is real.  Passing makes every assembled operator Hermitian.
+    Both sides are arrays over w: exact values as codes, mapped to the code
+    of the conjugate on the right as in check_hermitian, float values as
+    complex numbers.
     """
     group = rule.group
     M = rule.hopping
@@ -345,56 +345,52 @@ def validate_local_rule(rule: LocalRule,
     small = ball(group, M)
     big = ball(group, 2 * M)
     n_big = A ** len(big)
-    if n_big > budget:
+    if n_big > DEFAULT_ENUM_BUDGET:
         raise EnumerationBudgetError(
             f"validation needs {A}^{len(big)} window evaluations")
-    codes = np.arange(n_big)
-    digits = _digits(codes, A, len(big))
+    digits = _digits(np.arange(n_big), A, len(big))
     weights = A ** np.arange(len(small), dtype=np.int64)
 
     def subcode(position_map: list[int]) -> np.ndarray:
-        gathered = digits[position_map, :]
-        return (gathered * weights[:, None]).sum(axis=0)
+        return (digits[position_map] * weights[:, None]).sum(axis=0)
 
-    restrict_map = [big.index(h) for h in small.elements]
-    restricted = subcode(restrict_map)
+    restricted = subcode([big.index(h) for h in small.elements])
+    # a cell of a missing table reads code `absent`, which stands for 0
+    values = rule.values
+    absent = len(values)
+    if rule.exact:
+        # codes of distinct values, so that both zeros share one
+        same, distinct = _intern(list(values) + [CZERO])
+        conj = _conjugate_codes(distinct)[same]
+        real = np.array([v.is_real() for v in distinct], dtype=bool)[same]
+    else:
+        same = np.append(values, 0)
+        conj = same.conj()
+        real = same.imag == 0
+    no_table = np.full(rule.n_window_codes, absent)
 
     e = group.identity()
     witnesses = []
     for g in small.elements:
-        ginv = group.inverse(g)
         # (g.w)(h) = w(h*g), so the translated window gathers digits at h*g
-        translate_map = [big.index(group.multiply(h, g)) for h in small.elements]
-        translated = subcode(translate_map)
-        tg = rule.tables.get(g)
-        tginv = rule.tables.get(ginv)
-        for code in codes:
-            lhs = tg[restricted[code]] if tg is not None else rule.zero_value()
-            rhs = (tginv[translated[code]] if tginv is not None
-                   else rule.zero_value())
-            if lhs != rhs.conjugate():
-                witnesses.append((g, tuple(int(digits[big.index(h), code])
-                                           for h in big.elements)))
-                break  # one witness per g is enough
-        if g == e and tg is not None:
-            for v in tg.tolist():
-                real = v.is_real() if isinstance(v, ComplexRational) else v.imag == 0
-                if not real:
-                    witnesses.append((e, "non-real diagonal value"))
-                    break
+        translated = subcode([big.index(group.multiply(h, g))
+                              for h in small.elements])
+        lhs = same[rule._rows.get(g, no_table)[restricted]]
+        rhs = conj[rule._rows.get(group.inverse(g), no_table)[translated]]
+        bad = np.flatnonzero(lhs != rhs)
+        if len(bad):
+            witnesses.append((g, tuple(digits[:, bad[0]].tolist())))
+        if g == e and not real[rule._rows.get(e, no_table)].all():
+            witnesses.append((e, "non-real diagonal value"))
 
     f1, f2 = rule.realized_value_sets()
-    small_codes = np.arange(A ** len(small))
-    row_sums = np.zeros(len(small_codes))
-    for g in small.elements:
-        tg = rule.tables.get(g)
-        if tg is None:
-            continue
-        row_sums += np.array([_abs(v) for v in tg.tolist()])
-    bound = float(row_sums.max()) if len(row_sums) else 0.0
+    mags = _magnitudes(values, rule.exact)
+    row_sums = np.zeros(A ** len(small))
+    for row in rule.codes:
+        row_sums += mags[row]
     return RuleValidationReport(ok=not witnesses, witnesses=witnesses,
                                 diagonal_values=f1, offdiagonal_values=f2,
-                                row_sum_bound=bound)
+                                row_sum_bound=float(row_sums.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +515,7 @@ class InducedOperator:
                              max(len(keys) - 1, 0))
         found = keys[partner] == transposed
         if self.exact:
-            index = {_value_key(v): c for c, v in enumerate(values)}
-            conj = np.array([index.get(_value_key(v.conjugate()), -1)
-                             for v in values], dtype=np.int64)
-            match = conj[codes[partner]] == codes
+            match = _conjugate_codes(values)[codes[partner]] == codes
         else:
             match = values[partner].conj() == values
         bad = np.flatnonzero(~(found & match))
@@ -537,10 +530,7 @@ class InducedOperator:
         return _common_denominator(self.values) if self.exact else None
 
     def row_sum_bound(self) -> float:
-        # np.hypot rounds like abs(complex); np.abs does not
-        values = self.values
-        mags = (np.array([_abs(v) for v in values], dtype=float) if self.exact
-                else np.hypot(values.real, values.imag))
+        mags = _magnitudes(self.values, self.exact)
         sums = np.bincount(self.rows, weights=mags[self.codes],
                            minlength=self.n)
         return float(sums.max()) if self.n else 0.0
@@ -623,23 +613,20 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
             f"assembly needs goodness at radius {2*M}, got {goodness.radius}")
     if rho.n_vertices != sigma.n_vertices:
         raise AssemblyError("configuration size does not match the model")
-    codes = window_codes(rule, sigma, rho)
+    windows = window_codes(rule, sigma, rho)
     good = goodness.good
-    elements = [g for g in rule.window_ball().elements if g in rule.tables]
-    # an entry of ball element i takes candidate i * n_window_codes + code;
+    # an entry of ball element g takes g's value code of its row's window;
     # good vertices have injective balls, so no (row, col) repeats
     n = sigma.n_vertices
     parts = [(np.empty(0, dtype=np.int64),) * 2]
-    for i, g in enumerate(elements):
+    for g, codes in zip(rule.elements, rule.codes):
         img = sigma.perm_of(g)
         r = np.flatnonzero(good & good[img])
-        parts.append((r * n + img[r], i * rule.n_window_codes + codes[r]))
+        parts.append((r * n + img[r], codes[windows[r]]))
     keys, pick = map(np.concatenate, zip(*parts))
     # each part is a sorted run, which a stable (merging) sort joins fast
     order = np.argsort(keys, kind="stable")
-    candidates = np.concatenate([rule.tables[g] for g in elements]
-                                + [_make_table(0, rule.exact)])
-    op = _value_coded(n, keys[order], pick[order], candidates, rule.exact)
+    op = _value_coded(n, keys[order], pick[order], rule.values, rule.exact)
     op.check_hermitian()
     return op
 
@@ -1068,8 +1055,8 @@ class ExpectedMomentResult:
 
 
 def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
-                    mode: str = "exact", samples: int = 200, seed: int = 0,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> ExpectedMomentResult:
+                    mode: str = "exact", samples: int = 200,
+                    seed: int = 0) -> ExpectedMomentResult:
     """E[ (H^w)^k(e,e) ] over the model: the k-th density-of-states moment.
 
     Exact mode enumerates the joint law of the window on the sites the walk
@@ -1089,7 +1076,7 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
     space, big, read_sites = _walk_setup(rule, k)
     if mode == "exact":
         n_assign = site_law_size(model, len(read_sites))
-        if n_assign > budget:
+        if n_assign > DEFAULT_ENUM_BUDGET:
             raise EnumerationBudgetError(
                 f"{n_assign} window assignments exceed budget; "
                 "retry with mode='mc'")

@@ -27,6 +27,7 @@ from .groups import (
 
 # |ball| * n_vertices guard for the image matrices used by goodness scans
 DEFAULT_IMAGE_BUDGET = 5 * 10**7
+TORUS_VERTEX_BUDGET = 10**7     # vertex guard for torus_approximation
 
 
 class SoficCompatibilityError(ValueError):
@@ -93,13 +94,13 @@ class SoficApproximation:
 # ---------------------------------------------------------------------------
 
 
-def torus_approximation(d: int, n: int,
-                        vertex_budget: int = 10**7) -> SoficApproximation:
+def torus_approximation(d: int, n: int) -> SoficApproximation:
     """Quotient Z^d -> (Z/nZ)^d: coordinate shifts on the n^d torus."""
     if n < 2:
         raise ValueError("torus side must be >= 2")
-    if n**d > vertex_budget:
-        raise BallCapacityError(f"torus has {n**d} vertices, budget {vertex_budget}")
+    if n**d > TORUS_VERTEX_BUDGET:
+        raise BallCapacityError(
+            f"torus has {n**d} vertices, budget {TORUS_VERTEX_BUDGET}")
     return SoficApproximation(
         group=lattice_group(d), n_vertices=n**d,
         perms=tuple(_box_shifts([n] * d)),

@@ -209,17 +209,16 @@ def _float_counts(spec: Spectrum, beta, tie_tol: Optional[float]):
     return np.searchsorted(spec.values, beta + tie_tol, side="right")
 
 
-def atom_mass(spec: Spectrum, alpha,
-              cluster_tol: Optional[float] = None) -> float:
-    """Fraction of eigenvalues within cluster_tol of alpha (exact if rational)."""
+def atom_mass(spec: Spectrum, alpha) -> float:
+    """Fraction of eigenvalues at alpha: exact if rational, else within
+    1e-8 * scale of alpha."""
     if spec.n == 0:
         return 0.0
     if spec.is_exact:
         return (_exact_rank(spec, alpha, "right")
                 - _exact_rank(spec, alpha, "left")) / spec.n
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * spec.scale()
-    return float(np.mean(np.abs(spec.values - float(alpha)) <= cluster_tol))
+    return float(np.mean(np.abs(spec.values - float(alpha))
+                         <= 1e-8 * spec.scale()))
 
 
 def punctured_mass(spec: Spectrum, alpha: float, eps: float,

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller outside the tests.
+"""Every definition in the package has a caller outside the tests, and every
+parameter with a default is passed by some call.
 
 The package's own modules (``src/``) and the benchmark's programs
 (``perfbench/*.py``) are parsed with ``ast``.  A top-level function or class,
@@ -8,6 +9,12 @@ tracer's ``"InducedOperator.check_hermitian"``.  Dunders, the names that
 ``sofic_spectra/__init__.py`` exports and the allowlist below count as used
 too.  A method shares its name with every other method of that name, so a
 dead method whose name some live method also bears is not seen here.
+
+A parameter with a default, of a top-level function or of a method of a
+top-level class, counts as passed when some call in ``src/``,
+``perfbench/*.py`` or ``tests/`` to a name or attribute of that function's
+name gives it by keyword, or gives it by position before any ``*`` argument.
+Names are matched as above, and ``**`` arguments pass nothing.
 """
 
 import ast
@@ -74,3 +81,72 @@ def test_allowlisted_names_are_defined_and_otherwise_unused():
     used = _referenced() | _exported()
     for name in ALLOWED:
         assert name in defined and name not in used
+
+
+def _defaulted_parameters():
+    """(qualified name, function name, parameter, position) of each parameter
+    with a default; position counts the arguments a call passes before it,
+    and is None for a keyword-only parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, FUNCTIONS):
+                functions, prefix = [(node, False)], path.stem
+            elif isinstance(node, ast.ClassDef):
+                prefix = f"{path.stem}.{node.name}"
+                functions = [(item, not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list))
+                    for item in node.body if isinstance(item, FUNCTIONS)]
+            else:
+                continue
+            for function, bound in functions:
+                args = function.args
+                # a bound method's first parameter is given by the call's
+                # receiver, not by its arguments
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                positional = positional[1:] if bound else positional
+                with_default = positional[len(positional) - len(args.defaults):]
+                for position, name in enumerate(positional):
+                    if name in with_default:
+                        yield (f"{prefix}.{function.name}", function.name,
+                               name, position)
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield (f"{prefix}.{function.name}", function.name,
+                               a.arg, None)
+
+
+def _passed() -> tuple[set, dict]:
+    """({(function name, keyword)}, {function name: most positional
+    arguments before any * argument}) over every call."""
+    keywords, positional = set(), {}
+    paths = (sorted(ROOT.glob("src/**/*.py"))
+             + sorted(ROOT.glob("perfbench/*.py"))
+             + sorted(ROOT.glob("tests/**/*.py")))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            count = next((i for i, a in enumerate(node.args)
+                          if isinstance(a, ast.Starred)), len(node.args))
+            positional[name] = max(positional.get(name, 0), count)
+            keywords |= {(name, k.arg) for k in node.keywords if k.arg}
+    return keywords, positional
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    keywords, positional = _passed()
+    unpassed = [f"{qualified}({name})"
+                for qualified, function, name, position
+                in _defaulted_parameters()
+                if (function, name) not in keywords
+                and (position is None
+                     or positional.get(function, 0) <= position)]
+    assert unpassed == []

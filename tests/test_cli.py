@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,27 @@ def test_whole_number_floats_and_nan_are_config_errors(tmp_path, config, path):
     assert not (tmp_path / "out").exists()
 
 
+def _shipped(name, **overrides):
+    config = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    config.update(overrides)
+    return config
+
+
+@pytest.mark.parametrize("config, path", [
+    (_shipped("luck_atoms", seed=-1), "config.seed"),
+    (_shipped("kesten_free_group", sofic={"kind": "random_perm",
+                                          "sizes": [8], "seed": -1}),
+     "config.sofic.seed"),
+])
+def test_negative_seeds_are_config_errors(tmp_path, config, path):
+    # the seed reaches np.random.SeedSequence, which refuses it only after
+    # the run has begun
+    with pytest.raises(ConfigError) as got:
+        run(config, out_dir=tmp_path / "out")
+    assert str(got.value) == f"{path} is less than the minimum 0"
+    assert not (tmp_path / "out").exists()
+
+
 def test_structural_check_refuses_keywords_it_does_not_handle():
     from sofic_spectra.cli import _violations
     with pytest.raises(ValueError, match="does not handle 'maxItems'"):
@@ -676,6 +698,11 @@ def _free_group_reference():
     (_diagnostics_config(measure={"kind": "iid", "weights": [0.5, 0.2],
                                   "alphabet": ["0", "1"]}),
      "weights must sum to 1"),
+    (_shipped("luck_atoms", sofic={"kind": "torus", "sizes": [16]},
+              operator={"kind": "table", "M": 1, "entries": [
+                  {"g": [1], "window": [0, 0, 0], "re": "1"}]}),
+     re.escape("table operator is not self-adjoint: element (-1,), "
+               "window (0, 0, 0, 0, 0)")),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):

@@ -742,9 +742,8 @@ def _assert_same_sparse(got, want):
 def _float_rule(rule):
     """The same rule with every coefficient converted to a Python complex."""
     import dataclasses
-    tables = {g: np.array([v.to_complex() for v in t.tolist()], dtype=complex)
-              for g, t in rule.tables.items()}
-    return dataclasses.replace(rule, tables=tables, exact=False)
+    values = np.array([v.to_complex() for v in rule.values], dtype=complex)
+    return dataclasses.replace(rule, values=values, exact=False)
 
 
 def _assert_matches_reference(op):
@@ -1164,10 +1163,238 @@ def test_expected_moment_caches_per_reach():
     assert [expected_moment(rule, same, k).value
             for k in range(1, 9)] == values
     assert len(rule._laws) == 5
-    # the rule is frozen and its tables read-only
+    # the rule is frozen, and its arrays and derived tables read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
         rule.hopping = 2
     with pytest.raises(TypeError):
         rule.tables[(5,)] = rule.tables[(1,)]
     with pytest.raises(ValueError):
         rule.tables[(1,)][0] = rule.tables[(1,)][1]
+    with pytest.raises(ValueError):
+        rule.codes[0, 0] = rule.codes[0, 1]
+    float_rule = _float_rule(rule)
+    with pytest.raises(ValueError):
+        float_rule.values[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# Value-coded rules against the per-cell code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _per_cell_tables(group, alphabet, hopping, entries):
+    """The per-cell table_rule: ({g: one value per window code}, exact)."""
+    from sofic_spectra.exact import CZERO
+    b = ball(group, hopping)
+    A = alphabet.size
+    exact = all(isinstance(v, (int, Fraction, ComplexRational))
+                for (_, _, v) in entries)
+    tables = {}
+    for g, window, value in entries:
+        code = 0
+        for pos in reversed(range(len(b))):
+            code = code * A + int(window[pos])
+        if g not in tables:
+            tables[g] = (np.full(A ** len(b), CZERO, dtype=object) if exact
+                         else np.zeros(A ** len(b), dtype=complex))
+        tables[g][code] = (
+            (value if isinstance(value, ComplexRational)
+             else ComplexRational(Fraction(value))) if exact
+            else complex(value))
+    return tables, exact
+
+
+def _cell_is_zero(v):
+    return v.is_zero() if isinstance(v, ComplexRational) else v == 0
+
+
+def _per_cell_value_sets(tables, e):
+    """The per-cell realized_value_sets."""
+    f1, f2 = set(), set()
+    for g, table in tables.items():
+        vals = {v for v in table.tolist() if not _cell_is_zero(v)}
+        if g == e:
+            f1 |= vals
+        else:
+            f2 |= vals
+    return f1, f2
+
+
+def _per_cell_influential(tables, A, K):
+    """The per-table influential_positions."""
+    influential = set()
+    for table in tables.values():
+        arr = table.reshape([A] * K)
+        for pos in range(K):
+            axis = K - 1 - pos
+            first = np.take(arr, 0, axis=axis)
+            if any(np.any(np.take(arr, s, axis=axis) != first)
+                   for s in range(1, A)):
+                influential.add(pos)
+    return sorted(influential)
+
+
+def _per_cell_validation(group, alphabet, hopping, tables, exact):
+    """The per-cell validate_local_rule: (witnesses, row_sum_bound)."""
+    from sofic_spectra.exact import CZERO
+    from sofic_spectra.measures import _digits
+    zero = CZERO if exact else 0j
+    A = alphabet.size
+    small = ball(group, hopping)
+    big = ball(group, 2 * hopping)
+    codes = np.arange(A ** len(big))
+    digits = _digits(codes, A, len(big))
+    weights = A ** np.arange(len(small), dtype=np.int64)
+
+    def subcode(position_map):
+        return (digits[position_map, :] * weights[:, None]).sum(axis=0)
+
+    restricted = subcode([big.index(h) for h in small.elements])
+    e = group.identity()
+    witnesses = []
+    for g in small.elements:
+        translated = subcode([big.index(group.multiply(h, g))
+                              for h in small.elements])
+        tg = tables.get(g)
+        tginv = tables.get(group.inverse(g))
+        for code in codes:
+            lhs = tg[restricted[code]] if tg is not None else zero
+            rhs = tginv[translated[code]] if tginv is not None else zero
+            if lhs != rhs.conjugate():
+                witnesses.append((g, tuple(int(digits[big.index(h), code])
+                                           for h in big.elements)))
+                break
+        if g == e and tg is not None:
+            for v in tg.tolist():
+                real = (v.is_real() if isinstance(v, ComplexRational)
+                        else v.imag == 0)
+                if not real:
+                    witnesses.append((e, "non-real diagonal value"))
+                    break
+    row_sums = np.zeros(A ** len(small))
+    for g in small.elements:
+        if g in tables:
+            row_sums += np.array([
+                float(v.abs2()) ** 0.5 if isinstance(v, ComplexRational)
+                else abs(v) for v in tables[g].tolist()])
+    return witnesses, float(row_sums.max())
+
+
+def _per_cell_schedule(tables, exact, e, n_codes, sched, m):
+    """The per-cell apply_schedule on the tables, with its value sets."""
+    from sofic_spectra.exact import CZERO
+    f1, f2 = _per_cell_value_sets(tables, e)
+    diagonal = tables.get(e)
+    zero = CZERO if exact else 0j
+    if f2 and (diagonal is None
+               or any(map(_cell_is_zero, diagonal.tolist()))):
+        f1.add(zero)
+    source = dict(tables)
+    if zero in f1:
+        source.setdefault(e, np.full(n_codes, zero, dtype=object))
+    out = {}
+    for g, table in source.items():
+        new = np.full(len(table), CZERO, dtype=object)
+        for code, v in enumerate(table.tolist()):
+            if g == e and (zero in f1 or not _cell_is_zero(v)):
+                new[code] = ComplexRational(sched.diagonal(m, v))
+            elif not _cell_is_zero(v):
+                new[code] = sched.offdiagonal(m, v)
+        out[g] = new
+    return out, (f1, f2)
+
+
+def _same_tables(got, want):
+    assert set(got) == set(want)
+    for g, table in want.items():
+        assert got[g].dtype == table.dtype
+        if table.dtype == object:
+            assert got[g].tolist() == table.tolist()
+        else:
+            assert got[g].tobytes() == table.tobytes()
+
+
+CELL_VALUES = [0, 1, Fraction(-1, 2), Fraction(5, 3), Fraction(7, 4),
+               ComplexRational(Fraction(1), Fraction(1)),
+               ComplexRational(Fraction(0), Fraction(-2)),
+               ComplexRational(Fraction(1, 3), Fraction(-1, 5))]
+
+
+def _as_exact(v):
+    return v if isinstance(v, ComplexRational) else ComplexRational(Fraction(v))
+
+
+def _as_float_value(v):
+    return v.to_complex() if isinstance(v, ComplexRational) else float(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), group=st.sampled_from(["Z", "F2"]),
+       hopping=st.integers(0, 1), A=st.integers(1, 3), exact=st.booleans(),
+       self_adjoint=st.booleans())
+def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
+                                                 exact, self_adjoint):
+    from sofic_spectra.monotone import (
+        ScheduleError,
+        apply_schedule,
+        build_schedule,
+        value_sets_of,
+    )
+    group = Z1 if group == "Z" else free_group(2)
+    if group.kind == "free" and hopping == 1:
+        A = 1       # 17 sites in B(e, 2): keep the per-cell loops small
+    alphabet = Alphabet(symbols=tuple("abc"[:A]))
+    b = ball(group, hopping)
+    e = group.identity()
+    windows = list(itertools.product(range(A), repeat=len(b)))
+    real = [v for v in CELL_VALUES if not isinstance(v, ComplexRational)
+            or v.is_real()]
+    entries = []
+    if self_adjoint:
+        # a real diagonal of the window; one value on each generator and
+        # its conjugate on the inverse, whatever the window
+        for w in data.draw(st.lists(st.sampled_from(windows), max_size=6)):
+            entries.append((e, w, data.draw(st.sampled_from(real))))
+        for g in b.elements:
+            if g != e and g < group.inverse(g) and data.draw(st.booleans()):
+                h = _as_exact(data.draw(st.sampled_from(CELL_VALUES)))
+                entries += [(g, w, h) for w in windows]
+                entries += [(group.inverse(g), w, h.conjugate())
+                            for w in windows]
+    else:
+        entries = data.draw(st.lists(st.tuples(
+            st.sampled_from(b.elements), st.sampled_from(windows),
+            st.sampled_from(CELL_VALUES)), max_size=12))
+    if not exact:
+        entries = [(g, w, _as_float_value(v)) for g, w, v in entries]
+    rule = table_rule(group, alphabet, hopping, entries)
+    tables, exact = _per_cell_tables(group, alphabet, hopping, entries)
+    # a rule with no float entry is exact
+    assert rule.exact == exact
+    assert list(rule.elements) == [g for g in b.elements if g in tables]
+    _same_tables(rule.tables, tables)
+    assert rule.realized_value_sets() == _per_cell_value_sets(tables, e)
+    assert rule.influential_positions == _per_cell_influential(tables, A,
+                                                               len(b))
+
+    report = validate_local_rule(rule)
+    witnesses, bound = _per_cell_validation(group, alphabet, hopping,
+                                            tables, exact)
+    assert report.witnesses == witnesses
+    assert report.ok == (not witnesses)
+    assert (report.diagonal_values, report.offdiagonal_values) == \
+        _per_cell_value_sets(tables, e)
+    assert report.row_sum_bound.hex() == bound.hex()
+    if self_adjoint:
+        assert report.ok
+
+    try:
+        sched = build_schedule(value_sets_of(rule), 3)
+    except ScheduleError:
+        return
+    for m in range(1, 4):
+        want, value_sets = _per_cell_schedule(tables, exact, e,
+                                              rule.n_window_codes, sched, m)
+        assert (set(sched.values.f1), set(sched.values.f2)) == value_sets
+        _same_tables(apply_schedule(rule, sched, m).tables, want)
+
