@@ -46,6 +46,7 @@ from .monotone import build_schedule, monotone_ids_report, value_sets_of
 from .operators import (
     InducedOperator,
     LocalRule,
+    RuleValidationError,
     adjacency_rule,
     assemble_graph_schrodinger,
     assemble_induced,
@@ -352,8 +353,11 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
                                     _parse_rational(item.get("im", "0"), "im"))
             entries.append((g, tuple(_need(item, "window", "table entry")),
                             value))
-        rule = table_rule(group, alphabet, _need(cfg, "M", "table operator"),
-                          entries)
+        try:
+            rule = table_rule(group, alphabet,
+                              _need(cfg, "M", "table operator"), entries)
+        except RuleValidationError as err:
+            raise ConfigError(str(err)) from err
         try:
             witnesses = validate_local_rule(rule).witnesses
         except EnumerationBudgetError:
@@ -582,13 +586,11 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
                               float(masses.mean()),
                               float(masses.std(ddof=1)) if len(masses) > 1 else 0.0,
                               n_samples])
-        # D*H has Gaussian-integer entries for every sample's H; float
-        # operators have no such D and get no bound
-        dens = [den for _, _, den in results]
-        den = None if None in dens else math.lcm(*dens)
+        # D*H has Gaussian-integer entries for every sample's H
+        den = math.lcm(*(den for _, _, den in results))
         for eps in eps_list:
             punct = [punctured_mass(spec, 0.0, eps) for spec, _, _ in results]
-            if den is None or den * eps >= 1:
+            if den * eps >= 1:
                 bound = ok = "na"
             else:
                 bounds = [punctured_mass_bound(max(1.0, den * rb), eps, den)

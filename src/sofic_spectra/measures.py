@@ -87,6 +87,9 @@ class IIDProduct:
         object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.weights) != self.alphabet.size:
             raise ValueError("one weight per symbol required")
+        # NaN would pass both checks below
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
@@ -140,6 +143,8 @@ class Mixture:
         object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.components) != len(self.weights):
             raise ValueError("one weight per component required")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("mixture weights must be finite")
         if any(w <= 0 for w in self.weights):
             raise ValueError("mixture weights must be positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:

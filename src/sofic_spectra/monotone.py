@@ -23,6 +23,7 @@ goodness cache scans it once for all depths.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -36,7 +37,6 @@ from .operators import (
     AssemblyError,
     InducedOperator,
     LocalRule,
-    Value,
     _coded_rule,
     _value_coded,
     assemble_induced,
@@ -53,13 +53,6 @@ class MonotonicityError(RuntimeError):
     """Counting functions increased along a certified monotone schedule."""
 
 
-def _parts(v: Value) -> tuple[Fraction, Fraction]:
-    if isinstance(v, ComplexRational):
-        return v.re, v.im
-    c = complex(v)
-    return Fraction(c.real), Fraction(c.imag)
-
-
 @dataclass(frozen=True)
 class ValueSets:
     """Realized coefficient values of a rule, plus row width D: nonzero
@@ -71,25 +64,22 @@ class ValueSets:
 
     def __post_init__(self):
         for v in self.f1:
-            re, im = _parts(v)
-            if im != 0:
+            if not v.is_real():
                 raise ScheduleError("diagonal values must be real")
-            if re == 0 and not self.f2:
+            if v.is_zero() and not self.f2:
                 raise ScheduleError("0 is in the diagonal value set only "
                                     "beside off-diagonal values")
-        f2_parts = {_parts(v) for v in self.f2}
-        for re, im in f2_parts:
-            if re == 0 and im == 0:
+        for v in self.f2:
+            if v.is_zero():
                 raise ScheduleError("0 is not allowed in the off-diagonal value set")
-            if (re, -im) not in f2_parts:
+            if v.conjugate() not in self.f2:
                 raise ScheduleError("off-diagonal value set must be conjugation-closed")
 
     def positive_representatives(self) -> list:
         """One value per conjugate pair: Im > 0 member, or the real value."""
         reps = []
         for v in self.f2:
-            _, im = _parts(v)
-            if im >= 0:
+            if v.im >= 0:
                 reps.append(v)
         return reps
 
@@ -101,10 +91,11 @@ def value_sets_of(rule: LocalRule) -> ValueSets:
     f1, f2 = rule.realized_value_sets()
     diagonal = rule._rows.get(rule.group.identity())
     if f2 and (diagonal is None or rule._zeros[diagonal].any()):
-        f1.add(rule.zero_value())
+        f1.add(CZERO)
     d = len(ball(rule.group, rule.hopping)) - 1
-    return ValueSets(f1=tuple(sorted(f1, key=_parts)),
-                     f2=tuple(sorted(f2, key=_parts)),
+    parts = operator.attrgetter("re", "im")
+    return ValueSets(f1=tuple(sorted(f1, key=parts)),
+                     f2=tuple(sorted(f2, key=parts)),
                      max_offdiag_per_row=d)
 
 
@@ -155,33 +146,24 @@ def build_schedule(values: ValueSets, m_max: int) -> RationalSchedule:
         q = Fraction(4) ** m
         nudge = Fraction(1, 4 ** (m + 1))
         for f in values.f1:
-            fr, _ = _parts(f)
-            a = Fraction(math.floor(fr * q)) / q - 2 * c / q
+            a = Fraction(math.floor(f.re * q)) / q - 2 * c / q
             if a == 0:
                 a -= nudge
             sched.a[(m, f)] = a
         for h in reps:
-            hre, him = _parts(h)
-            bre = Fraction(math.ceil(hre * q) + 1) / q
-            if him > 0:
-                bim = Fraction(math.ceil(him * q) + 1) / q
+            bre = Fraction(math.ceil(h.re * q) + 1) / q
+            if h.im > 0:
+                bim = Fraction(math.ceil(h.im * q) + 1) / q
             else:
                 bim = Fraction(0)
             if bre == 0 and bim == 0:
                 bre -= nudge
             bb = ComplexRational(bre, bim)
             sched.b[(m, h)] = bb
-            conj_h = _conj_value(h)
-            if conj_h != h:
-                sched.b[(m, conj_h)] = bb.conjugate()
+            if h.im != 0:
+                sched.b[(m, h.conjugate())] = bb.conjugate()
     _verify_schedule(sched)
     return sched
-
-
-def _conj_value(v: Value):
-    if isinstance(v, ComplexRational):
-        return v.conjugate()
-    return complex(v).conjugate()
 
 
 def _verify_schedule(sched: RationalSchedule) -> None:
@@ -189,7 +171,7 @@ def _verify_schedule(sched: RationalSchedule) -> None:
     d = vs.max_offdiag_per_row
     reps = vs.positive_representatives()
     for f in vs.f1:
-        fr, _ = _parts(f)
+        fr = f.re
         for m in range(1, sched.m_max + 1):
             a = sched.a[(m, f)]
             if a == 0:
@@ -199,15 +181,14 @@ def _verify_schedule(sched: RationalSchedule) -> None:
             if abs(fr - a) > Fraction(2 * sched.gap_constant + 2, 4 ** m):
                 raise ScheduleError("diagonal approximant drifted out of range")
     for h in vs.f2:
-        hre, him = _parts(h)
         for m in range(1, sched.m_max + 1):
             b = sched.b[(m, h)]
             if b.is_zero():
                 raise ScheduleError("schedule produced a zero off-diagonal value")
-            if sched.b[(m, _conj_value(h))] != b.conjugate():
+            if sched.b[(m, h.conjugate())] != b.conjugate():
                 raise ScheduleError("conjugation symmetry broken")
-            drift = b - ComplexRational(hre, him)
-            if him >= 0:
+            drift = b - h
+            if h.im >= 0:
                 if drift.re < 0 or drift.im < 0:
                     raise ScheduleError("off-diagonal approach must be from above")
             # |b - h| < 3 * 4^-m, compared on squared magnitudes
@@ -217,7 +198,7 @@ def _verify_schedule(sched: RationalSchedule) -> None:
                 nxt = sched.b[(m + 1, h)]
                 dre = nxt.re - b.re
                 dim = nxt.im - b.im
-                if him >= 0 and (dre > 0 or dim > 0):
+                if h.im >= 0 and (dre > 0 or dim > 0):
                     raise ScheduleError("off-diagonal parts must be nonincreasing")
     for f in vs.f1:
         for m in range(1, sched.m_max):
@@ -226,8 +207,7 @@ def _verify_schedule(sched: RationalSchedule) -> None:
                 raise ScheduleError("diagonal approximants must strictly increase")
             drifts = []
             for h in reps:
-                hre, him = _parts(h)
-                z = sched.b[(m, h)] - ComplexRational(hre, him)
+                z = sched.b[(m, h)] - h
                 if not z.is_zero():
                     drifts.append(ComplexRational(2 * d * z.re, 2 * d * z.im))
             if drifts and not sum_abs_le(drifts, gap, strict=True):
@@ -251,10 +231,9 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
             or set(rule_sets.f2) != set(sched.values.f2)):
         raise ScheduleError("rule value sets do not match the schedule")
     e = rule.group.identity()
-    zero_scheduled = rule.zero_value() in rule_sets.f1
+    zero_scheduled = CZERO in rule_sets.f1
     # the last code is the 0 of an identity table added for a scheduled 0
-    values = [*(rule.values if rule.exact else rule.values.tolist()),
-              rule.zero_value()]
+    values = [*rule.values, CZERO]
     zeros = np.append(rule._zeros, True)
     rows = dict(rule._rows)
     if zero_scheduled:
@@ -285,7 +264,6 @@ class GershgorinCertificate:
     certified: bool
     strict: bool
     witness_row: Optional[int] = None
-    exact: bool = True
 
     def __bool__(self) -> bool:
         return self.certified
@@ -295,19 +273,16 @@ def gershgorin_psd(op: Union[InducedOperator, np.ndarray],
                    strict: bool = False) -> GershgorinCertificate:
     """Diagonal-dominance certificate for positive (semi-)definiteness.
 
-    Exact-rational operators are decided square-root-free; float matrices
-    fall back to floating-point comparisons.  Certified (non-strict) implies
-    min eigenvalue >= 0; strict implies > 0.
+    An operator is exact, so it is decided square-root-free; a bare float
+    matrix falls back to floating-point comparisons.  Certified (non-strict)
+    implies min eigenvalue >= 0; strict implies > 0.
     """
     if isinstance(op, InducedOperator):
         op.check_hermitian()
-        if op.exact:
-            return _exact_gershgorin(op, strict)
-        dense = op.to_dense()
-    else:
-        dense = np.asarray(op)
-        if not np.array_equal(dense, dense.conj().T):
-            raise AssemblyError("gershgorin_psd needs a Hermitian matrix")
+        return _exact_gershgorin(op, strict)
+    dense = np.asarray(op)
+    if not np.array_equal(dense, dense.conj().T):
+        raise AssemblyError("gershgorin_psd needs a Hermitian matrix")
     diag = np.real(np.diag(dense)).astype(float)
     if np.any(np.abs(np.imag(np.diag(dense))) > 0):
         raise AssemblyError("non-real diagonal entry")
@@ -315,8 +290,8 @@ def gershgorin_psd(op: Union[InducedOperator, np.ndarray],
     okay = diag > offsum if strict else diag >= offsum
     if not np.all(okay):
         return GershgorinCertificate(certified=False, strict=strict,
-                                     witness_row=int(np.argmin(okay)), exact=False)
-    return GershgorinCertificate(certified=True, strict=strict, exact=False)
+                                     witness_row=int(np.argmin(okay)))
+    return GershgorinCertificate(certified=True, strict=strict)
 
 
 def _exact_gershgorin(op: InducedOperator,
@@ -344,8 +319,8 @@ def _exact_gershgorin(op: InducedOperator,
                 op.values[d].re if d >= 0 else Fraction(0), strict=strict)
         if not verdicts[key]:
             return GershgorinCertificate(certified=False, strict=strict,
-                                         witness_row=i, exact=True)
-    return GershgorinCertificate(certified=True, strict=strict, exact=True)
+                                         witness_row=i)
+    return GershgorinCertificate(certified=True, strict=strict)
 
 
 def _merged_codes(a: InducedOperator, b: InducedOperator
@@ -365,20 +340,20 @@ def _merged_codes(a: InducedOperator, b: InducedOperator
 
 
 def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
-    """a - b as an exact operator, entries in ascending (row, col) order.
+    """a - b, entries in ascending (row, col) order.
 
     One subtraction per distinct pair of codes; entries that cancel are
     left out.
     """
-    if a.n != b.n or not (a.exact and b.exact):
-        raise AssemblyError("difference needs two exact operators of equal size")
+    if a.n != b.n:
+        raise AssemblyError("difference needs two operators of equal size")
     keys, code_a, code_b = _merged_codes(a, b)
     width = len(b.values) + 1
     pairs, pick = np.unique(code_a * width + code_b, return_inverse=True)
     a_values, b_values = a.values + (CZERO,), b.values + (CZERO,)
     diffs = [a_values[p // width] - b_values[p % width]
              for p in pairs.tolist()]
-    return _value_coded(a.n, keys, pick, diffs, exact=True)
+    return _value_coded(a.n, keys, pick, diffs)
 
 
 @dataclass
@@ -416,7 +391,7 @@ def _psd_step(m: int, h_m: InducedOperator,
                                  return_inverse=True)
     if nnz:
         # the relabelling increases, so the block keeps row-major order
-        block = InducedOperator(len(support), True, inverse[:nnz],
+        block = InducedOperator(len(support), inverse[:nnz],
                                 inverse[nnz:], diff.codes, diff.values)
         cert = gershgorin_psd(block, strict=True)
         if not cert.certified:
@@ -512,8 +487,8 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
 
 
 def _float_difference_norm(a: InducedOperator, b: InducedOperator) -> float:
-    """Row-sum norm of a - b in floats (b may be a float-valued operator),
-    each row summed in ascending column order."""
+    """Row-sum norm of a - b in floats, each row summed in ascending column
+    order."""
     if not a.n:
         return 0.0
     keys, code_a, code_b = _merged_codes(a, b)

@@ -2,8 +2,10 @@
 
 A local rule is the coefficient table of an equivariant finite-hopping-range
 operator family: c(g, w) gives the matrix entry H^w(e, g) as a function of the
-configuration window w on the hopping ball.  Entries are exact Gaussian
-rationals whenever the rule is rational-valued, floats otherwise.
+configuration window w on the hopping ball.  Every rule and every operator
+is exact: its entries are Gaussian rationals, and a float or complex
+coefficient is taken at its exact binary value (a dyadic rational), as the
+paper reaches real coefficients through rational approximants.
 
 Two finite-volume constructions ship.  ``assemble_induced`` copies
 coefficients between pairs of 2M-good vertices and zeroes everything else
@@ -15,7 +17,7 @@ is 2M-good.
 Rules and the operators they assemble take a handful of distinct values in
 many cells, so both are stored value-coded, as codes into those values: a
 rule as one row of codes per ball element, by window code (only _coded_rule
-makes its values exact or float), an operator as row, column and code arrays
+makes its values exact), an operator as row, column and code arrays
 in row-major order, built once at assembly.  Every consumer reads the codes,
 so exact Gaussian-rational work runs once per distinct value and the rest is
 numpy.  ``tables`` and ``entries`` are read-only mappings derived from them.
@@ -26,11 +28,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +53,6 @@ from .measures import (
     site_law_size,
 )
 from .sofic import GoodnessReport, SoficApproximation, good_vertices
-
-Value = Union[ComplexRational, complex]
 
 # int64 runs a k-step kernel only while every partial sum stays below this
 _INT64_SAFE = 2 ** 62
@@ -77,10 +78,10 @@ class LocalRule:
     """Coefficient table c(g, window) over the hopping ball B_S(e, M):
     c(elements[i], w) = values[codes[i, w]], elements in ball order.
 
-    values holds an exact rule's distinct ComplexRationals once, as a tuple,
-    or a float rule's candidate values as a complex array (see _coded_rule).
-    Frozen, with read-only arrays, so what the moment oracles derive from a
-    rule is built once per rule (see _walk_setup).
+    values holds the rule's distinct ComplexRationals once, as a tuple (a
+    float given to a constructor is there at its exact binary value; see
+    _coded_rule).  Frozen, with read-only arrays, so what the moment oracles
+    derive from a rule is built once per rule (see _walk_setup).
     """
 
     group: GroupSpec
@@ -88,24 +89,20 @@ class LocalRule:
     hopping: int
     elements: tuple
     codes: np.ndarray       # (len(elements), n_window_codes) value codes
-    values: Union[tuple, np.ndarray]
-    exact: bool
+    values: tuple
     name: str = "rule"
     # reach -> _walk_setup; (model, reach) -> _exact_law
     _walks: dict = field(default_factory=dict, init=False, repr=False)
     _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.codes, self.values):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        self.codes.setflags(write=False)
 
     @functools.cached_property
     def tables(self) -> Mapping:
         """Ball element -> read-only coefficient array by window code,
         derived from the arrays."""
-        values = (np.fromiter(self.values, dtype=object, count=len(self.values))
-                  if self.exact else self.values)
+        values = np.fromiter(self.values, dtype=object, count=len(self.values))
         cells = values[self.codes]
         cells.setflags(write=False)
         return MappingProxyType(dict(zip(self.elements, cells)))
@@ -118,9 +115,7 @@ class LocalRule:
     @functools.cached_property
     def _zeros(self) -> np.ndarray:
         """Whether each value is zero, by code."""
-        if self.exact:
-            return np.array([v.is_zero() for v in self.values], dtype=bool)
-        return self.values == 0
+        return np.array([v.is_zero() for v in self.values], dtype=bool)
 
     @functools.cached_property
     def influential_positions(self) -> list[int]:
@@ -137,10 +132,10 @@ class LocalRule:
     def _numerators(self) -> tuple[int, dict, object, bool]:
         """(den, {g: (re, im)}, R, real): den*c(g, .) by window code for the
         tables that are not identically zero, den their common denominator
-        (1 for float rules; see _scaled_numerators), R the largest row sum
-        of |den*re| + |den*im|, and whether every coefficient is real.  The
-        closed-walk kernel reads it, once per rule."""
-        den, re, im = _scaled_numerators(self.values, self.exact)
+        (see _scaled_numerators), R the largest row sum of |den*re| +
+        |den*im|, and whether every coefficient is real.  The closed-walk
+        kernel reads it, once per rule."""
+        den, re, im = _scaled_numerators(self.values)
         re, im = re[self.codes], im[self.codes]
         bound = (np.abs(re) + np.abs(im)).sum(axis=0).max()
         return den, {g: (re[i], im[i]) for i, g in enumerate(self.elements)
@@ -153,25 +148,20 @@ class LocalRule:
     def n_window_codes(self) -> int:
         return self.alphabet.size ** len(self.window_ball())
 
-    def zero_value(self) -> Value:
-        return CZERO if self.exact else 0j
-
     def realized_value_sets(self) -> tuple[set, set]:
         """(diagonal values, off-diagonal values), zeros excluded."""
         e = self.group.identity()
-        values = list(self.values) if self.exact else self.values.tolist()
         sets: tuple = (set(), set())
         for g, row in self._rows.items():
             used = np.unique(row)
-            sets[g != e].update(values[c] for c in used[~self._zeros[used]])
+            sets[g != e].update(self.values[c]
+                                for c in used[~self._zeros[used]])
         return sets
 
 
-def _magnitudes(values, exact: bool) -> np.ndarray:
-    """|v| per value; np.hypot rounds like abs(complex), np.abs does not."""
-    if exact:
-        return np.array([float(v.abs2()) ** 0.5 for v in values], dtype=float)
-    return np.hypot(values.real, values.imag)
+def _magnitudes(values) -> np.ndarray:
+    """|v| per value, as a float."""
+    return np.array([float(v.abs2()) ** 0.5 for v in values], dtype=float)
 
 
 def _value_key(v: ComplexRational) -> tuple:
@@ -181,7 +171,7 @@ def _value_key(v: ComplexRational) -> tuple:
 
 
 def _conjugate_codes(values) -> np.ndarray:
-    """The code of each distinct exact value's conjugate, -1 if absent."""
+    """The code of each distinct value's conjugate, -1 if absent."""
     index = {_value_key(v): c for c, v in enumerate(values)}
     return np.array([index.get(_value_key(v.conjugate()), -1)
                      for v in values], dtype=np.int64)
@@ -213,42 +203,43 @@ def _compact(codes: np.ndarray, values: list) -> tuple[np.ndarray, list]:
 
 
 def _as_exact(x) -> ComplexRational:
+    """x as a Gaussian rational: an int, Fraction or ComplexRational as it
+    is, a float or complex at its exact binary value.  NaN and infinities
+    are refused."""
     if isinstance(x, ComplexRational):
         return x
-    return ComplexRational(Fraction(x))
+    if not isinstance(x, numbers.Complex):
+        raise RuleValidationError(f"coefficient {x!r} is not a number")
+    try:
+        return ComplexRational(Fraction(x.real), Fraction(x.imag))
+    except (ValueError, OverflowError):
+        raise RuleValidationError(f"coefficient {x!r} is not finite") from None
 
 
 def _coded_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
                 picks: dict, candidates: list, name: str) -> LocalRule:
     """The rule with c(g, w) = candidates[picks[g][w]].
 
-    The one place rule values become exact or float.  With every candidate
-    an int, Fraction or ComplexRational, the rule keeps the distinct values
-    its cells pick, numbered by first appearance in row-major order;
-    otherwise it keeps the candidates as complex numbers and picks as codes.
+    The one place rule values become exact (see _as_exact): the rule keeps
+    the distinct values its cells pick, numbered by first appearance in
+    row-major order.
     """
     b = ball(group, hopping)
     elements = sorted(picks, key=b.index)
     codes = np.array([picks[g] for g in elements], dtype=np.int64).reshape(
         len(elements), alphabet.size ** len(b))
-    exact = all(isinstance(v, (int, Fraction, ComplexRational))
-                for v in candidates)
-    if exact:
-        cand_codes, distinct = _intern([_as_exact(v) for v in candidates])
-        flat, values = _compact(cand_codes[codes.ravel()], distinct)
-        codes, values = flat.reshape(codes.shape), tuple(values)
-    else:
-        values = np.array([complex(v) for v in candidates], dtype=complex)
+    cand_codes, distinct = _intern([_as_exact(v) for v in candidates])
+    flat, values = _compact(cand_codes[codes.ravel()], distinct)
     return LocalRule(group=group, alphabet=alphabet, hopping=hopping,
-                     elements=tuple(elements), codes=codes, values=values,
-                     exact=exact, name=name)
+                     elements=tuple(elements), codes=flat.reshape(codes.shape),
+                     values=tuple(values), name=name)
 
 
 def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
                      potential: Sequence) -> LocalRule:
     """Graph Laplacian plus diagonal potential F: c(e,w) = -|S| + F(w(e)).
 
-    ``potential[i]`` is F on symbol i; Fractions/ints keep the rule exact.
+    ``potential[i]`` is F on symbol i, a float at its exact binary value.
     """
     if len(potential) != alphabet.size:
         raise RuleValidationError("one potential value per symbol required")
@@ -261,8 +252,10 @@ def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
     picks = {e: np.arange(A ** len(b)) // A ** b.index(e) % A}
     for i in range(deg):
         picks.setdefault(group.generator(i), np.full(A ** len(b), A))
+    shift = ComplexRational(Fraction(-deg))
     return _coded_rule(group, alphabet, 1, picks,
-                       [-deg + x for x in potential] + [1], "schrodinger")
+                       [shift + _as_exact(x) for x in potential] + [1],
+                       "schrodinger")
 
 
 def laplacian_rule(group: GroupSpec,
@@ -298,7 +291,8 @@ def diagonal_rule(group: GroupSpec, alphabet: Alphabet,
 
 def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
                entries: Sequence[tuple]) -> LocalRule:
-    """Explicit rule from (ball element, window tuple, value) triples."""
+    """Explicit rule from (ball element, window tuple, value) triples, each
+    (element, window) at most once."""
     b = ball(group, hopping)
     A = alphabet.size
     candidates: list = [0]      # the coefficient of every cell no entry sets
@@ -308,9 +302,15 @@ def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
             raise RuleValidationError(f"element {g} outside the hopping ball")
         if len(window) != len(b):
             raise RuleValidationError("window length must match the ball")
+        if not all(s in range(A) for s in window):
+            raise RuleValidationError(
+                f"window {tuple(window)} has a symbol outside 0..{A - 1}")
         code = sum(int(s) * A ** pos for pos, s in enumerate(window))
-        picks.setdefault(g, np.zeros(A ** len(b), dtype=np.int64))[code] = \
-            len(candidates)
+        row = picks.setdefault(g, np.zeros(A ** len(b), dtype=np.int64))
+        if row[code]:
+            raise RuleValidationError(
+                f"element {g}, window {tuple(window)} is given twice")
+        row[code] = len(candidates)
         candidates.append(value)
     return _coded_rule(group, alphabet, hopping, picks, candidates, "table")
 
@@ -335,9 +335,8 @@ def validate_local_rule(rule: LocalRule) -> RuleValidationReport:
     Checks, for every g in the hopping ball and every window w on B(e, 2M),
     that c(g, w|_M) equals the conjugate of c(g^{-1}, (g.w)|_M), and that the
     diagonal is real.  Passing makes every assembled operator Hermitian.
-    Both sides are arrays over w: exact values as codes, mapped to the code
-    of the conjugate on the right as in check_hermitian, float values as
-    complex numbers.
+    Both sides are arrays of value codes over w, mapped to the code of the
+    conjugate on the right as in check_hermitian.
     """
     group = rule.group
     M = rule.hopping
@@ -356,17 +355,11 @@ def validate_local_rule(rule: LocalRule) -> RuleValidationReport:
 
     restricted = subcode([big.index(h) for h in small.elements])
     # a cell of a missing table reads code `absent`, which stands for 0
-    values = rule.values
-    absent = len(values)
-    if rule.exact:
-        # codes of distinct values, so that both zeros share one
-        same, distinct = _intern(list(values) + [CZERO])
-        conj = _conjugate_codes(distinct)[same]
-        real = np.array([v.is_real() for v in distinct], dtype=bool)[same]
-    else:
-        same = np.append(values, 0)
-        conj = same.conj()
-        real = same.imag == 0
+    absent = len(rule.values)
+    # codes of distinct values, so that both zeros share one
+    same, distinct = _intern(list(rule.values) + [CZERO])
+    conj = _conjugate_codes(distinct)[same]
+    real = np.array([v.is_real() for v in distinct], dtype=bool)[same]
     no_table = np.full(rule.n_window_codes, absent)
 
     e = group.identity()
@@ -384,7 +377,7 @@ def validate_local_rule(rule: LocalRule) -> RuleValidationReport:
             witnesses.append((e, "non-real diagonal value"))
 
     f1, f2 = rule.realized_value_sets()
-    mags = _magnitudes(values, rule.exact)
+    mags = _magnitudes(rule.values)
     row_sums = np.zeros(A ** len(small))
     for row in rule.codes:
         row_sums += mags[row]
@@ -410,8 +403,9 @@ class _Entries(Mapping):
     def __iter__(self):
         return zip(self._op.rows.tolist(), self._op.cols.tolist())
 
-    def __getitem__(self, key) -> Value:
-        return self._op._value(self._op._index[key])
+    def __getitem__(self, key) -> ComplexRational:
+        op = self._op
+        return op.values[op.codes[op._index[key]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,48 +415,37 @@ class InducedOperator:
     Entry t sits at (rows[t], cols[t]) and holds values[codes[t]].  The
     entries are in row-major order: the keys rows * n + cols strictly
     increase, so the arrays are the operator's CSR order and no (row, col)
-    repeats.  Exact operators keep their distinct ComplexRational values
-    once, as a tuple (see _intern), so exact work runs once per distinct
-    value.  Float operators are not interned, so +-0.0 and NaN are never
-    merged: values is their complex array and codes is arange(nnz).  Codes
-    are numbered by first appearance in row-major order, and the arrays are
-    read-only.
+    repeats.  Every operator is exact: it keeps its distinct ComplexRational
+    values once, as a tuple (see _intern), so exact work runs once per
+    distinct value.  Codes are numbered by first appearance in row-major
+    order, and the arrays are read-only.
     """
 
     n: int
-    exact: bool
     rows: np.ndarray
     cols: np.ndarray
     codes: np.ndarray
-    values: Union[tuple, np.ndarray]
+    values: tuple
 
     def __post_init__(self):
-        for a in (self.rows, self.cols, self.codes, self.values):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        for a in (self.rows, self.cols, self.codes):
+            a.setflags(write=False)
         keys = self.rows * self.n + self.cols
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("operator entries must be in strictly "
                              "increasing row-major order, no (row, col) twice")
 
     @classmethod
-    def from_entries(cls, n: int, entries: dict,
-                     exact: bool) -> "InducedOperator":
+    def from_entries(cls, n: int, entries: dict) -> "InducedOperator":
         """The operator storing exactly these (row, col) -> value entries,
-        zeros included, in row-major order; exact values become Gaussian
-        rationals."""
+        zeros included, in row-major order; values become Gaussian
+        rationals (see _as_exact)."""
         nnz = len(entries)
         rows, cols = np.array(list(entries), dtype=np.int64).reshape(nnz, 2).T
         order = np.argsort(rows * n + cols)
         values = list(entries.values())
-        values = [values[t] for t in order.tolist()]
-        if exact:
-            codes, values = _intern([_as_exact(v) for v in values])
-            values = tuple(values)
-        else:
-            values = np.fromiter(values, dtype=complex, count=nnz)
-            codes = np.arange(nnz)
-        return cls(n, exact, rows[order], cols[order], codes, values)
+        codes, values = _intern([_as_exact(values[t]) for t in order.tolist()])
+        return cls(n, rows[order], cols[order], codes, tuple(values))
 
     @property
     def entries(self) -> Mapping:
@@ -476,18 +459,12 @@ class InducedOperator:
 
     @functools.cached_property
     def _complex_values(self) -> np.ndarray:
-        """One complex per code: the float images of exact values."""
-        if not self.exact:
-            return self.values
+        """One complex per code: the float images of the values."""
         return np.array([v.to_complex() for v in self.values], dtype=complex)
 
-    def _value(self, t: int) -> Value:
-        v = self.values[self.codes[t]]
-        return v if self.exact else complex(v)
-
-    def entry(self, i: int, j: int) -> Value:
+    def entry(self, i: int, j: int) -> ComplexRational:
         t = self._index.get((i, j))
-        return (CZERO if self.exact else 0j) if t is None else self._value(t)
+        return CZERO if t is None else self.values[self.codes[t]]
 
     def is_diagonal(self) -> bool:
         return bool(np.array_equal(self.rows, self.cols))
@@ -504,41 +481,36 @@ class InducedOperator:
     def check_hermitian(self) -> None:
         """Every stored entry has a stored transpose equal to its conjugate.
 
-        Exact values are compared as codes: each distinct value maps to the
-        code of its conjugate (-1 if absent).  The first bad pair in
-        row-major order is named.
+        Values are compared as codes: each distinct value maps to the code
+        of its conjugate (-1 if absent).  The first bad pair in row-major
+        order is named.
         """
-        rows, cols, codes, values = self.rows, self.cols, self.codes, self.values
+        rows, cols, codes = self.rows, self.cols, self.codes
         keys = rows * self.n + cols
         transposed = cols * self.n + rows
         partner = np.minimum(np.searchsorted(keys, transposed),
                              max(len(keys) - 1, 0))
         found = keys[partner] == transposed
-        if self.exact:
-            match = _conjugate_codes(values)[codes[partner]] == codes
-        else:
-            match = values[partner].conj() == values
+        match = _conjugate_codes(self.values)[codes[partner]] == codes
         bad = np.flatnonzero(~(found & match))
         if len(bad):
             i, j = rows[bad[0]], cols[bad[0]]
             raise AssemblyError(
                 f"Hermitian symmetry violated at entry pair ({i},{j})")
 
-    def denominator(self) -> Optional[int]:
+    def denominator(self) -> int:
         """Least common denominator of the stored values, so that
-        denominator * H has Gaussian-integer entries; None when not exact."""
-        return _common_denominator(self.values) if self.exact else None
+        denominator * H has Gaussian-integer entries."""
+        return _common_denominator(self.values)
 
     def row_sum_bound(self) -> float:
-        mags = _magnitudes(self.values, self.exact)
+        mags = _magnitudes(self.values)
         sums = np.bincount(self.rows, weights=mags[self.codes],
                            minlength=self.n)
         return float(sums.max()) if self.n else 0.0
 
     def is_real(self) -> bool:
-        if self.exact:
-            return all(v.is_real() for v in self.values)
-        return bool((self.values.imag == 0).all())
+        return all(v.is_real() for v in self.values)
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self._float_coo()
@@ -555,29 +527,19 @@ class InducedOperator:
         return sp.csr_matrix((vals, cols, indptr), shape=(self.n, self.n))
 
 
-def _value_coded(n: int, keys: np.ndarray, pick: np.ndarray, candidates,
-                 exact: bool) -> InducedOperator:
+def _value_coded(n: int, keys: np.ndarray, pick: np.ndarray,
+                 candidates) -> InducedOperator:
     """The operator with entry t = candidates[pick[t]] at row-major key
     keys[t] = row * n + col, zero entries left out; keys must strictly
-    increase.
-
-    Exact candidates are interned once, not per entry; float ones are
-    copied per entry.
+    increase.  The ComplexRational candidates are interned once, not per
+    entry.
     """
-    if exact:
-        cand_codes, distinct = _intern(list(candidates))
-        codes = cand_codes[pick]
-        keep = np.array([not v.is_zero() for v in distinct],
-                        dtype=bool)[codes]
-        codes, values = _compact(codes[keep], distinct)
-        values = tuple(values)
-    else:
-        values = np.asarray(candidates, dtype=complex)[pick]
-        keep = values != 0
-        values = values[keep]
-        codes = np.arange(len(values))
+    cand_codes, distinct = _intern(list(candidates))
+    codes = cand_codes[pick]
+    keep = np.array([not v.is_zero() for v in distinct], dtype=bool)[codes]
+    codes, values = _compact(codes[keep], distinct)
     rows, cols = np.divmod(keys[keep], n)
-    return InducedOperator(n, exact, rows, cols, codes, values)
+    return InducedOperator(n, rows, cols, codes, tuple(values))
 
 
 def window_codes(rule: LocalRule, sigma: SoficApproximation,
@@ -626,7 +588,7 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     keys, pick = map(np.concatenate, zip(*parts))
     # each part is a sorted run, which a stable (merging) sort joins fast
     order = np.argsort(keys, kind="stable")
-    op = _value_coded(n, keys[order], pick[order], rule.values, rule.exact)
+    op = _value_coded(n, keys[order], pick[order], rule.values)
     op.check_hermitian()
     return op
 
@@ -639,12 +601,13 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
     This is the classical finite-volume Schrodinger analog defined directly
     on the sofic graph; it coincides with the strict assembly of the
     corresponding rule wherever all vertices are 2-good.  The entries are
-    the distinct-neighbour edges and the nonzero diagonal.
+    the distinct-neighbour edges and the nonzero diagonal; a float potential
+    is taken at its exact binary value.
     """
     from .sofic import edge_graph
     if len(potential) != alphabet.size:
         raise RuleValidationError("one potential value per symbol required")
-    exact = all(isinstance(x, (int, Fraction)) for x in potential)
+    potential = [_as_exact(x) for x in potential]
     graph = edge_graph(sigma)
     n = sigma.n_vertices
     keys = np.unique(graph.src.astype(np.int64) * n + graph.dst)
@@ -653,17 +616,15 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
     pairs, pair_of = np.unique(deg * alphabet.size + rho.values,
                                return_inverse=True)
     degs, syms = np.divmod(pairs, alphabet.size)
-    diag = [ComplexRational(Fraction(-d) + Fraction(potential[s])) if exact
-            else complex(-d + potential[s])
+    diag = [ComplexRational(Fraction(-d)) + potential[s]
             for d, s in zip(degs.tolist(), syms.tolist())]
-    one = ComplexRational(Fraction(1)) if exact else 1 + 0j
     # the edge keys are sorted and hold no loop: merge the diagonal in
     diag_keys = np.arange(n) * (n + 1)
     slots = np.searchsorted(keys, diag_keys)
     op = _value_coded(n, np.insert(keys, slots, diag_keys),
                       np.insert(np.zeros(len(keys), dtype=np.int64), slots,
                                 1 + pair_of),
-                      [one] + diag, exact)
+                      [ComplexRational(Fraction(1))] + diag)
     op.check_hermitian()
     return op
 
@@ -675,32 +636,26 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
 
 @dataclass
 class PowerDiagonalReport:
+    """A power-diagonal check, always decided in exact arithmetic."""
+
     k: int
     max_discrepancy: float
     fraction_tested: float
-    exact: bool
     n_tested: int
 
     def to_json(self) -> dict:
         return {"k": self.k, "max_discrepancy": self.max_discrepancy,
                 "fraction_tested": self.fraction_tested,
-                "exact": self.exact, "n_tested": self.n_tested}
+                "exact": True, "n_tested": self.n_tested}
 
 
 def _common_denominator(values) -> int:
     return math.lcm(*(f.denominator for v in values for f in (v.re, v.im)))
 
 
-def _scaled_numerators(values: list, exact: bool
-                       ) -> tuple[int, np.ndarray, np.ndarray]:
-    """(den, den*re, den*im) of a list of values.
-
-    Exact values go over their least common denominator as object arrays of
-    Python ints; float values come back as float64 arrays with den = 1.
-    """
-    if not exact:
-        c = np.asarray(values, dtype=complex).reshape(-1)
-        return 1, c.real.copy(), c.imag.copy()
+def _scaled_numerators(values) -> tuple[int, np.ndarray, np.ndarray]:
+    """(den, den*re, den*im) of a sequence of ComplexRationals: the values
+    over their least common denominator, as object arrays of Python ints."""
     den = _common_denominator(values)
     re = np.empty(len(values), dtype=object)
     im = np.empty(len(values), dtype=object)
@@ -709,7 +664,7 @@ def _scaled_numerators(values: list, exact: bool
     return den, re, im
 
 
-def _kernel_dtype(exact: bool, row_bound, k: int):
+def _kernel_dtype(row_bound, k: int):
     """Array dtype for a k-step product of numerators with this row bound.
 
     row_bound is R, the largest row sum of |den*re| + |den*im|.  Row sums of
@@ -718,11 +673,9 @@ def _kernel_dtype(exact: bool, row_bound, k: int):
     every partial sum of a j-step product or of a dot of an r-step row with
     a c-step column (r + c = j), is at most R^j in each of its real and
     imaginary parts.  int64 is therefore safe while R^k < 2^62, and anything
-    larger runs on Python ints (object arrays).  Float values always run on
-    float64.
+    larger, such as the numerators of a float's dyadic value, runs on Python
+    ints (object arrays).
     """
-    if not exact:
-        return np.float64
     return np.int64 if row_bound ** k < _INT64_SAFE else object
 
 
@@ -806,17 +759,17 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     """
     n = op.n
     rows, cols, codes = op.rows, op.cols, op.codes
-    den, val_re, val_im = _scaled_numerators(op.values, op.exact)
+    den, val_re, val_im = _scaled_numerators(op.values)
     # the entries are row-major; a stable sort by column keeps rows ascending
     csc = np.argsort(cols, kind="stable")
     dmax = max(_longest_line(rows), _longest_line(cols[csc]))
     # a row sum of magnitudes is at most dmax times the largest, so it adds
     # up on int64 when that fits
     mags = np.abs(val_re) + np.abs(val_im)
-    mags = mags.astype(_kernel_dtype(op.exact, mags.max(initial=0) * dmax, 1))
+    mags = mags.astype(_kernel_dtype(mags.max(initial=0) * dmax, 1))
     bound = max(np.add.reduceat(mags[codes], _line_starts(rows)).tolist(),
                 default=0)
-    dtype = _kernel_dtype(op.exact, bound, k)
+    dtype = _kernel_dtype(bound, k)
     ent_re, ent_im = val_re.astype(dtype)[codes], val_im.astype(dtype)[codes]
     real = not ent_im.any()
     c = k // 2
@@ -928,7 +881,7 @@ def _rule_numerators(rule: LocalRule, k: int) -> tuple[int, dict, bool, object]:
     are identically zero are left out.
     """
     den, tables, bound, real = rule._numerators
-    dtype = _kernel_dtype(rule.exact, bound, k)
+    dtype = _kernel_dtype(bound, k)
     return den, {g: (re.astype(dtype), im.astype(dtype))
                  for g, (re, im) in tables.items()}, real, dtype
 
@@ -939,9 +892,9 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
 
     big_vals[i, b] is the symbol of window b at element i of B(e, kM/2+M).
     Returns (den, re, im) with length-B numerator arrays over den**k, den
-    being the common denominator of the rule tables (1 for float rules).  The
-    state is one length-B vector per walk site; Python loops run only over
-    steps, sites and transitions, in batches of at most _BATCH_CELLS cells.
+    being the common denominator of the rule tables.  The state is one
+    length-B vector per walk site; Python loops run only over steps, sites
+    and transitions, in batches of at most _BATCH_CELLS cells.
     """
     den, tables, real, dtype = _rule_numerators(rule, k)
     A = rule.alphabet.size
@@ -1009,11 +962,11 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     of den_op*H_n applied k times to the unit vectors of the tested vertices
     (den_op from the assembled entries), at a cost per step proportional to
     the entries the frontier touches; the walk side propagates den_rule*c
-    along closed walks in the Cayley ball.  Each side runs on
-    int64 when its largest row sum R has R^k < 2^62, on Python ints
-    otherwise, and on float64 for float rules.  Exact values are compared as
-    num_m * den_w^k == num_w * den_m^k; only differing pairs get a float
-    discrepancy.
+    along closed walks in the Cayley ball.  Each side runs on int64 when its
+    largest row sum R has R^k < 2^62, and on Python ints otherwise.  Every
+    rule is exact, a float coefficient at its binary value, so the sides are
+    compared exactly, as num_m * den_w^k == num_w * den_m^k; only differing
+    pairs get a float discrepancy.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
@@ -1026,10 +979,9 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     den_w, w_re, w_im = _walk_values(rule, space, big_vals, k)
     scale_m, scale_w = den_m ** k, den_w ** k
     max_disc = 0.0
-    exact_ok = rule.exact
     for got_re, got_im, want_re, want_im in zip(
             m_re.tolist(), m_im.tolist(), w_re.tolist(), w_im.tolist()):
-        if (exact_ok and got_re * scale_w == want_re * scale_m
+        if (got_re * scale_w == want_re * scale_m
                 and got_im * scale_w == want_im * scale_m):
             continue
         diff = (complex(got_re / scale_m, got_im / scale_m)
@@ -1038,7 +990,7 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     return PowerDiagonalReport(
         k=k, max_discrepancy=max_disc,
         fraction_tested=len(vertices) / sigma.n_vertices,
-        exact=exact_ok, n_tested=len(vertices))
+        n_tested=len(vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1016,7 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
     windows and reports a standard error.  Either way every window goes
     through one batched closed-walk kernel on integer numerator arrays over
     the rule tables' common denominator den (int64 when the largest row sum R
-    of den*c has R^k < 2^62, Python ints otherwise, float64 for float rules).
+    of den*c has R^k < 2^62, Python ints otherwise).
     It shares no code with the matrix powers it checks.  Each value is the
     exact numerator divided by den**k in Python ints, i.e. correctly rounded.
     The walk structures and the enumerated law are built once per rule,

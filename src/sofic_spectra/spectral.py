@@ -7,14 +7,14 @@ from the operator's stored entries (or the bare array) rather than from the
 solver, and every |lambda| inside the row-sum (Gershgorin) bound.  With
 ``vectors=True`` eigenvectors are computed too, with residual and
 orthogonality diagnostics; for an operator the residual H v - lambda v is
-taken over its stored entries (sparse, O(nnz n)).  Exact-rational diagonal
-operators bypass floating point entirely so that eigenvalue atoms at rational
-energies are counted exactly: the spectrum is counted once per distinct
-value, and counting functions and atom masses bisect the sorted exact values
-with Fraction comparisons only.  IDS curves are right-continuous step
-functions (finite volume) or piecewise-linear interpolants (analytic
-references); the Kolmogorov distance evaluates both on the merged breakpoint
-set including left limits.
+taken over its stored entries (sparse, O(nnz n)).  Every operator is
+exact-rational, and a diagonal one bypasses floating point entirely so that
+eigenvalue atoms at rational energies are counted exactly: the spectrum is
+counted once per distinct value, and counting functions and atom masses
+bisect the sorted exact values with Fraction comparisons only.  IDS curves
+are right-continuous step functions (finite volume) or piecewise-linear
+interpolants (analytic references); the Kolmogorov distance evaluates both
+on the merged breakpoint set including left limits.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ class EigensolverError(RuntimeError):
 class Spectrum:
     """Sorted eigenvalues with solver diagnostics.
 
-    ``exact_values`` (sorted Fractions) is set for exact-rational diagonal
-    operators; float values are then just their float images.  ``residual``
-    is the trace-identity defect of a values-only solve or the worst
-    relative eigenpair residual; ``orthogonality`` is None unless
-    eigenvectors were computed.
+    ``exact_values`` (sorted Fractions) is set for diagonal operators; float
+    values are then just their float images.  ``residual`` is the
+    trace-identity defect of a values-only solve or the worst relative
+    eigenpair residual; ``orthogonality`` is None unless eigenvectors were
+    computed.
     """
 
     values: np.ndarray
@@ -77,15 +77,15 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
                    vectors: bool = False) -> Spectrum:
     """Full spectrum of a Hermitian operator (dense LAPACK path).
 
-    Exact-rational diagonal operators are solved exactly.  By default the
-    float path computes eigenvalues only and certifies them in O(nnz) with
-    the trace identities and the row-sum enclosure (``_certify_values``);
+    Diagonal operators are solved exactly.  By default the float path
+    computes eigenvalues only and certifies them in O(nnz) with the trace
+    identities and the row-sum enclosure (``_certify_values``);
     ``vectors=True`` also computes eigenvectors and records the worst
     relative eigenpair residual and the orthogonality defect.  Either check
     fails loudly when it exceeds ``tol``.
     """
     if isinstance(op, InducedOperator):
-        if op.exact and op.is_diagonal():
+        if op.is_diagonal():
             return _exact_diagonal_spectrum(op.n, op.codes, op.values)
         n = op.n
     else:

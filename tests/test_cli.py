@@ -608,6 +608,9 @@ def test_punctured_bound_takes_the_operator_denominator(tmp_path):
 
 
 def test_float_operators_get_no_punctured_bound(tmp_path, monkeypatch):
+    # an operator built from floats takes them at their binary values: the
+    # float 1/3 has denominator 2^54, so D * eps >= 1 and no bound is given
+    # at eps = 0.01, where the exact 1/3 (D = 3) gets one
     from sofic_spectra import cli
     from sofic_spectra.operators import InducedOperator
     exact = cli.assemble_induced
@@ -615,11 +618,16 @@ def test_float_operators_get_no_punctured_bound(tmp_path, monkeypatch):
     def float_assemble(*args):
         op = exact(*args)
         return InducedOperator.from_entries(
-            op.n, {k: v.to_complex() for k, v in op.entries.items()}, False)
+            op.n, {k: v.to_complex() for k, v in op.entries.items()})
 
+    config = _luck_atoms({"0": "0", "1": "1/3"}, [0.01])
+    run(config, tmp_path / "exact")
+    [row] = _punctured_rows(tmp_path / "exact")
+    assert row[3] != "na" and row[4] == "1"
     monkeypatch.setattr(cli, "assemble_induced", float_assemble)
-    run(_luck_atoms({"0": "0", "1": "1"}, [0.01]), tmp_path)
-    assert [r[3:] for r in _punctured_rows(tmp_path)] == [["na", "na"]]
+    run(config, tmp_path / "float")
+    assert [r[3:] for r in _punctured_rows(tmp_path / "float")] == [
+        ["na", "na"]]
 
 
 def test_violated_punctured_bound_fails_the_run(tmp_path, monkeypatch):
@@ -703,6 +711,17 @@ def _free_group_reference():
                   {"g": [1], "window": [0, 0, 0], "re": "1"}]}),
      re.escape("table operator is not self-adjoint: element (-1,), "
                "window (0, 0, 0, 0, 0)")),
+    (_diagnostics_config(measure={"kind": "iid", "alphabet": ["0", "1"],
+                                  "weights": [float("nan"), 0.3]}),
+     "weights must be finite"),
+    (_shipped("luck_atoms", sofic={"kind": "torus", "sizes": [16]},
+              operator={"kind": "table", "M": 1, "entries": [
+                  {"g": [2], "window": [0, 0, 0], "re": "1"}]}),
+     re.escape("element (2,) outside the hopping ball")),
+    (_shipped("luck_atoms", sofic={"kind": "torus", "sizes": [16]},
+              operator={"kind": "table", "M": 1, "entries": [
+                  {"g": [0], "window": [0, 0, 5], "re": "1"}]}),
+     re.escape("window (0, 0, 5) has a symbol outside 0..1")),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):
@@ -775,7 +794,7 @@ def test_ensemble_operators_are_the_seeded_samples(config):
             else:
                 want = assemble_graph_schrodinger(sigma, rho, rule.alphabet,
                                                   potential)
-            assert op.n == want.n and op.exact == want.exact
+            assert op.n == want.n
             assert dict(op.entries) == dict(want.entries)
 
 

@@ -258,7 +258,7 @@ def test_gershgorin_exact_beats_float_ties():
         (0, 1): ComplexRational(Fraction(3), Fraction(4)),
         (1, 0): ComplexRational(Fraction(3), Fraction(-4)),
     }
-    op = InducedOperator.from_entries(2, entries, exact=True)
+    op = InducedOperator.from_entries(2, entries)
     assert gershgorin_psd(op, strict=True).certified
     float_diag = float(Fraction(5) + margin)
     assert not (float_diag > 5.0)         # the float tie the exact path avoids
@@ -268,7 +268,7 @@ def test_gershgorin_exact_beats_float_ties():
         (0, 1): ComplexRational(Fraction(3), Fraction(4)),
         (1, 0): ComplexRational(Fraction(3), Fraction(-4)),
     }
-    op2 = InducedOperator.from_entries(2, below, exact=True)
+    op2 = InducedOperator.from_entries(2, below)
     assert not gershgorin_psd(op2).certified
 
 

@@ -43,6 +43,17 @@ def test_alphabet_validation():
         IIDProduct(alphabet=BIN, weights=(0.7, 0.2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_are_refused(bad):
+    # NaN passes both w < 0 and the sum check, and numpy refused it only
+    # when sampling
+    with pytest.raises(ValueError, match="weights must be finite"):
+        IIDProduct(alphabet=BIN, weights=(bad, 0.3))
+    iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    with pytest.raises(ValueError, match="mixture weights must be finite"):
+        Mixture(components=(iid, iid), weights=(bad, 0.3))
+
+
 def test_iid_point_mass_sample():
     sig = torus_approximation(1, 16)
     model = IIDProduct(alphabet=BIN, weights=(1.0, 0.0))

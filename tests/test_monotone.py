@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sofic_spectra.exact import ComplexRational, sum_abs_le
+from sofic_spectra.exact import CZERO, ComplexRational, sum_abs_le
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Alphabet, Configuration, binary_alphabet
 from sofic_spectra.monotone import (
@@ -112,7 +112,6 @@ def test_apply_schedule_diagonal():
     rule = diagonal_rule(Z1, ONE, [Fraction(1)])
     sched = build_schedule(value_sets_of(rule), 3)
     out = apply_schedule(rule, sched, 2)
-    assert out.exact
     e = Z1.identity()
     assert out.tables[e][0] == crat(Fraction(7, 8))
     assert validate_local_rule(out).ok
@@ -132,7 +131,7 @@ def test_apply_schedule_irrational_schrodinger():
     diags = []
     for m in (1, 2, 3):
         out = apply_schedule(rule, sched, m)
-        assert out.exact and validate_local_rule(out).ok
+        assert validate_local_rule(out).ok
         diags.append(out.tables[Z1.identity()][0].re)
     assert all(b > a for a, b in zip(diags, diags[1:]))
     assert all(float(d) < target for d in diags)
@@ -146,13 +145,13 @@ def test_zero_diagonal_beside_hopping_is_scheduled(rule):
     # kept at 0, the diagonal of these rows could not absorb the drift of
     # their off-diagonal approximants, and no step would be positive
     vs = value_sets_of(rule)
-    assert rule.zero_value() in vs.f1
+    assert CZERO in vs.f1
     sched = build_schedule(vs, 3)
     for m in (1, 2, 3):
         out = apply_schedule(rule, sched, m)
         assert validate_local_rule(out).ok
         assert out.tables[Z1.identity()][0] == crat(
-            sched.diagonal(m, rule.zero_value()))
+            sched.diagonal(m, CZERO))
     sig = torus_approximation(1, 6)
     rho = Configuration(values=np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size)
     for m in (1, 2):
@@ -181,10 +180,9 @@ def test_gershgorin_exact_boundary():
     # |3+4i| = 5 exactly: boundary row certified non-strict only
     entries = {(0, 0): crat(5), (1, 1): crat(5),
                (0, 1): crat(3, 4), (1, 0): crat(3, -4)}
-    op = InducedOperator.from_entries(2, entries, exact=True)
+    op = InducedOperator.from_entries(2, entries)
     assert gershgorin_psd(op).certified
     assert not gershgorin_psd(op, strict=True).certified
-    assert gershgorin_psd(op).exact
 
 
 def test_gershgorin_soundness_against_eigensolver():
@@ -316,7 +314,7 @@ def _per_entry_difference(a, b):
 
 
 def _exact_op(n, entries):
-    return InducedOperator.from_entries(n, entries, exact=True)
+    return InducedOperator.from_entries(n, entries)
 
 
 def test_difference_shares_one_value_per_pair_of_objects():
@@ -393,9 +391,9 @@ def test_merged_difference_and_norm_match_per_entry_loops(n, data, layout,
     assert dict(d.entries) == _per_entry_difference(a, b)
     assert list(d.entries) == sorted(d.entries)
     if float_b:
+        # b rebuilt from its float images, at their exact binary values
         b = InducedOperator.from_entries(
-            n, {key: v.to_complex() for key, v in b.entries.items()},
-            exact=False)
+            n, {key: v.to_complex() for key, v in b.entries.items()})
     assert _float_difference_norm(a, b).hex() == _per_entry_norm(a, b).hex()
 
 
@@ -444,7 +442,7 @@ def _gershgorin_outcome(op, strict):
         cert = gershgorin_psd(op, strict=strict)
     except AssemblyError as err:
         return str(err)
-    assert cert.exact and cert.strict == strict
+    assert cert.strict == strict
     return cert.certified, cert.witness_row
 
 
@@ -477,13 +475,13 @@ def test_exact_gershgorin_matches_per_row_loop(n, data, strict):
         v = data.draw(st.sampled_from(OFF_VALUES))
         entries[i, j] = v
         entries[j, i] = v.conjugate()
-    op = InducedOperator.from_entries(n, entries, exact=True)
+    op = InducedOperator.from_entries(n, entries)
     assert _gershgorin_outcome(op, strict) == _ref_outcome(op, strict)
 
 
 def test_exact_gershgorin_row_patterns_and_errors(monkeypatch):
     def op(entries, n=4):
-        return InducedOperator.from_entries(n, entries, exact=True)
+        return InducedOperator.from_entries(n, entries)
 
     # rows 0 and 2 share their off-diagonal pattern, not their diagonal
     hop = {(0, 1): crat(1), (1, 0): crat(1), (2, 3): crat(1), (3, 2): crat(1)}

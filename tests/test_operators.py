@@ -24,6 +24,7 @@ import sofic_spectra.operators as operators_module
 from sofic_spectra.operators import (
     AssemblyError,
     InducedOperator,
+    RuleValidationError,
     _matrix_power_diagonal,
     _walk_space,
     _walk_values,
@@ -51,6 +52,12 @@ TRIV = Alphabet(symbols=("0",))
 
 def zero_config(n):
     return Configuration(values=np.zeros(n, dtype=np.int64))
+
+
+def _same_rule(a, b):
+    """Equal elements, codes and values."""
+    assert a.elements == b.elements and a.values == b.values
+    assert np.array_equal(a.codes, b.codes)
 
 
 def test_schrodinger_rule_values():
@@ -264,16 +271,74 @@ def test_expected_moment_monte_carlo_cross_oracle():
 
 
 def test_power_diagonal_float_mode():
-    import math
+    # a float potential is its dyadic value, so both sides agree exactly;
+    # den = 2^52 puts R^k past 2^62 from k = 2 on, onto Python ints
     rule = schrodinger_rule(Z1, BIN, [0.0, math.sqrt(2)])
-    assert not rule.exact
+    _same_rule(rule, schrodinger_rule(Z1, BIN, [Fraction(0),
+                                                Fraction(math.sqrt(2))]))
     sig = torus_approximation(1, 16)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, 6)
-    rep = power_diagonal_check(rule, sig, rho, 2)
-    assert not rep.exact
-    bound = assemble_induced(rule, sig, rho).row_sum_bound()
-    assert rep.max_discrepancy <= 1e-10 * bound ** 2
+    for k in range(1, 7):
+        rep = power_diagonal_check(rule, sig, rho, k)
+        assert rep.max_discrepancy == 0.0 and rep.n_tested == 16
+        assert rep.to_json()["exact"] is True
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf"),
+              complex(0.0, float("nan"))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: schrodinger_rule(Z1, BIN, [Fraction(0), bad]),
+    lambda bad: diagonal_rule(Z1, BIN, [bad, Fraction(1)]),
+    lambda bad: table_rule(Z1, BIN, 1, [((1,), (0, 1, 0), bad)]),
+    lambda bad: assemble_graph_schrodinger(
+        torus_approximation(1, 4), zero_config(4), BIN, [bad, Fraction(0)]),
+], ids=["schrodinger_rule", "diagonal_rule", "table_rule",
+        "assemble_graph_schrodinger"])
+def test_constructors_refuse_non_finite_values(build):
+    for bad in NON_FINITE:
+        with pytest.raises(RuleValidationError, match="not finite"):
+            build(bad)
+
+
+def test_table_rule_refuses_bad_symbols_and_repeated_cells():
+    for window in [(0, 0, 5), (0, -1, 0), (0, 0.5, 0)]:
+        with pytest.raises(RuleValidationError,
+                           match="has a symbol outside 0..1"):
+            table_rule(Z1, BIN, 1, [((0,), window, 1)])
+    with pytest.raises(RuleValidationError,
+                       match=r"\(1,\), window \(0, 1, 0\) is given twice"):
+        table_rule(Z1, BIN, 1, [((1,), (0, 1, 0), 1), ((-1,), (0, 1, 0), 1),
+                                ((1,), (0, 1, 0), 0)])
+    # one window under two elements, two windows under one: distinct cells
+    rule = table_rule(Z1, BIN, 1, [((1,), (0, 1, 0), 1),
+                                   ((-1,), (0, 1, 0), 2),
+                                   ((1,), (1, 1, 0), 3)])
+    assert [[v.re for v in t.tolist()] for t in rule.tables.values()] == [
+        [0, 0, 2, 0, 0, 0, 0, 0], [0, 0, 1, 3, 0, 0, 0, 0]]
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(FINITE_FLOATS, st.complex_numbers(allow_nan=False,
+                                                      allow_infinity=False)),
+       kind=st.sampled_from(["schrodinger", "diagonal", "table"]))
+def test_float_coefficients_are_their_dyadic_values(x, kind):
+    def build(v):
+        if kind == "schrodinger":
+            return schrodinger_rule(Z1, BIN, [v, Fraction(1, 3)])
+        if kind == "diagonal":
+            return diagonal_rule(Z1, BIN, [Fraction(1, 3), v])
+        return table_rule(Z1, BIN, 1, [((1,), (0, 1, 1), v),
+                                       ((0,), (1, 0, 0), v),
+                                       ((-1,), (0, 0, 1), Fraction(1, 3))])
+
+    _same_rule(build(x), build(ComplexRational(Fraction(x.real),
+                                               Fraction(x.imag))))
 
 
 def test_expected_moment_free_group_tree():
@@ -330,9 +395,9 @@ def test_expected_moment_bit_identical_to_fraction_oracle():
 
 def _dense_fraction_power_diagonal(op, k):
     """diag(H^k) as Fractions, by dense products of the integer matrix den*H
-    (real exact operators only): int64 while every entry of |den*H|^k stays
+    (real operators only): int64 while every entry of |den*H|^k stays
     below 2^62, Python ints otherwise."""
-    assert op.exact and op.is_real()
+    assert op.is_real()
     den = math.lcm(*(v.re.denominator for v in op.values))
     numerators = [v.re.numerator * (den // v.re.denominator)
                   for v in op.values]
@@ -379,7 +444,7 @@ def test_power_kernels_fall_back_to_python_ints(monkeypatch):
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, 3)
     rep = power_diagonal_check(rule, sig, rho, k)
-    assert rep.exact and rep.n_tested == 50
+    assert rep.n_tested == 50
     assert rep.max_discrepancy == 0.0
 
 
@@ -401,7 +466,7 @@ def test_power_diagonal_detects_corrupted_entry(monkeypatch):
     # hopping error through H(3,4) H(4,3) = 1 + i/4
     for k in (1, 2):
         rep = power_diagonal_check(rule, sig, rho, k)
-        assert rep.exact and rep.max_discrepancy > 0
+        assert rep.max_discrepancy > 0
     assert power_diagonal_check(rule, sig, rho, 1).max_discrepancy == 0.25
 
 
@@ -415,10 +480,23 @@ def _hopping_rule(group, potential, hop):
     for window in itertools.product(range(BIN.size), repeat=len(b)):
         entries.append((e, window, potential[window[b.index(e)]]))
         for axis, s in enumerate(group.generators()[::2]):
-            value = half_i if axis == 0 else ComplexRational(hop)
+            value = half_i if axis == 0 else hop
             entries.append((s, window, value))
             entries.append((group.inverse(s), window, value.conjugate()))
     return table_rule(group, BIN, 1, entries)
+
+
+def _rule_of(kind, group, potential, hop, dyadic=False):
+    """A diagonal, Schrodinger or complex-hopping rule on BIN.  dyadic
+    builds it from the floats nearest the rationals, which it takes at their
+    exact binary values."""
+    if dyadic:
+        potential, hop = [float(x) for x in potential], float(hop)
+    if kind == "diagonal":
+        return diagonal_rule(group, BIN, list(potential))
+    if kind == "schrodinger":
+        return schrodinger_rule(group, BIN, list(potential))
+    return _hopping_rule(group, potential, hop)
 
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -441,7 +519,7 @@ def test_random_self_adjoint_table_rules_assemble_hermitian(A, data, side,
                     ((1,), w, f[w[e], w[right]]),
                     ((-1,), w, f[w[left], w[e]].conjugate())]
     rule = table_rule(Z1, Alphabet(symbols=tuple("abc"[:A])), 1, entries)
-    assert rule.exact and validate_local_rule(rule).ok
+    assert validate_local_rule(rule).ok
     sig = torus_approximation(1, side)
     rho = Configuration(values=np.random.default_rng(seed).integers(0, A, side))
     dense = assemble_induced(rule, sig, rho).to_dense()
@@ -452,33 +530,28 @@ def test_random_self_adjoint_table_rules_assemble_hermitian(A, data, side,
 @given(d=st.sampled_from([1, 2]), kind=st.sampled_from(
            ["diagonal", "schrodinger", "complex hopping"]),
        k=st.integers(1, 4), potential=st.tuples(RATIONALS, RATIONALS),
-       hop=RATIONALS, seed=st.integers(0, 2**16))
-def test_power_diagonal_exact_on_random_rules(d, kind, k, potential, hop, seed):
-    group = lattice_group(d)
-    if kind == "diagonal":
-        rule = diagonal_rule(group, BIN, list(potential))
-    elif kind == "schrodinger":
-        rule = schrodinger_rule(group, BIN, list(potential))
-    else:
-        rule = _hopping_rule(group, potential, hop)
-    assert rule.exact and validate_local_rule(rule).ok
+       hop=RATIONALS, dyadic=st.booleans(), seed=st.integers(0, 2**16))
+def test_power_diagonal_exact_on_random_rules(d, kind, k, potential, hop,
+                                              dyadic, seed):
+    # a dyadic rule (from floats) is checked exactly too, on Python ints
+    rule = _rule_of(kind, lattice_group(d), potential, hop, dyadic)
+    assert validate_local_rule(rule).ok
     side = 2 * (k // 2 + 2) * rule.hopping + 2 if rule.hopping else 3
     sig = torus_approximation(d, side)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, seed)
     rep = power_diagonal_check(rule, sig, rho, k)
-    assert rep.exact and rep.n_tested == side ** d
+    assert rep.n_tested == side ** d
     assert rep.max_discrepancy == 0.0
 
 
 def _ref_dense_power_diagonal(op, k, vertices):
     """diag((den*H)^k) by dense unit-column blocks through k CSR matvecs:
     the kernel that the sparse-frontier propagation replaced, kept as the
-    reference it must reproduce, exactly for exact rules."""
+    reference it must reproduce exactly."""
     n = op.n
     rows, cols, codes = op.rows, op.cols, op.codes
-    den, val_re, val_im = operators_module._scaled_numerators(op.values,
-                                                              op.exact)
+    den, val_re, val_im = operators_module._scaled_numerators(op.values)
     order = np.lexsort((cols, rows))
     rows, cols, codes = rows[order], cols[order], codes[order]
     val_re, val_im = val_re[codes], val_im[codes]
@@ -487,7 +560,7 @@ def _ref_dense_power_diagonal(op, k, vertices):
     starts = indptr[:-1][filled]
     bound = (np.add.reduceat(np.abs(val_re) + np.abs(val_im), starts).max()
              if len(rows) else 0)
-    dtype = operators_module._kernel_dtype(op.exact, bound, k)
+    dtype = operators_module._kernel_dtype(bound, k)
     val_re = val_re.astype(dtype)[:, None]
     val_im = val_im.astype(dtype)[:, None]
     real = not val_im.any()
@@ -518,54 +591,26 @@ def _ref_dense_power_diagonal(op, k, vertices):
     return den, re, im
 
 
-def _assert_same_power_diagonal(got, want, atol=0.0):
-    """Equal numerators (floats by float.hex), or float ones within atol."""
+def _assert_same_power_diagonal(got, want):
+    """Equal denominators, dtypes and numerators."""
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         assert a.dtype == b.dtype
-        if atol:
-            assert np.abs(a - b).max(initial=0.0) <= atol
-        elif a.dtype == np.float64:
-            assert list(map(float.hex, a.tolist())) == list(
-                map(float.hex, b.tolist()))
-        else:
-            assert a.tolist() == b.tolist()
-
-
-def _float_power_tolerance(op, k):
-    """A bound on how far two float evaluations of diag(H^k) that add the
-    same terms in different association can differ: each is within
-    2k(m + 1) eps R^k of the exact value (the 2 for complex products), for
-    row sums R and at most m entries per row, so they differ by twice that."""
-    if op.exact or not op.entries:
-        return 0.0
-    rows = np.array([i for i, _ in op.entries])
-    m = np.bincount(rows).max()
-    return 4 * k * (m + 1) * np.finfo(float).eps * max(op.row_sum_bound(),
-                                                       1.0) ** k
+        assert a.tolist() == b.tolist()
 
 
 @settings(max_examples=40, deadline=None)
 @given(model=st.sampled_from(["Z", "Z2", "F2"]), kind=st.sampled_from(
            ["diagonal", "schrodinger", "complex hopping"]),
-       exact=st.booleans(), k=st.integers(1, 8),
+       dyadic=st.booleans(), k=st.integers(1, 8),
        potential=st.tuples(RATIONALS, RATIONALS), hop=RATIONALS,
        size=st.integers(3, 9), seed=st.integers(0, 2**16),
        subset=st.booleans(), cells=st.sampled_from([1 << 17, 40]))
-def test_frontier_power_diagonal_matches_dense_blocks(model, kind, exact, k,
+def test_frontier_power_diagonal_matches_dense_blocks(model, kind, dyadic, k,
                                                       potential, hop, size,
                                                       seed, subset, cells):
-    # float cases stay at k <= 5, the range _float_power_tolerance is checked on
-    assume(exact or k <= 5)
     group = free_group(2) if model == "F2" else lattice_group(len(model))
-    if kind == "diagonal":
-        rule = diagonal_rule(group, BIN, list(potential))
-    elif kind == "schrodinger":
-        rule = schrodinger_rule(group, BIN, list(potential))
-    else:
-        rule = _hopping_rule(group, potential, hop)
-    if not exact:
-        rule = _float_rule(rule)
+    rule = _rule_of(kind, group, potential, hop, dyadic)
     # small tori and permutation models leave bad vertices, whose entries
     # assembly zeroes
     sig = (random_permutation_approximation(2, 6 * size, seed)
@@ -580,11 +625,7 @@ def test_frontier_power_diagonal_matches_dense_blocks(model, kind, exact, k,
         mp.setattr(operators_module, "_BATCH_CELLS", cells)
         got = _matrix_power_diagonal(op, k, vertices)
         want = _ref_dense_power_diagonal(op, k, vertices)
-    # the frontiers meet in the middle and their dot adds products of
-    # partial sums, while the dense blocks carry k full matvecs with the zero
-    # terms of unreached columns, so a float sum can associate differently
-    # and move in the last bits
-    _assert_same_power_diagonal(got, want, _float_power_tolerance(op, k))
+    _assert_same_power_diagonal(got, want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -598,7 +639,7 @@ def test_power_diagonal_on_random_non_symmetric_exact_operators(n, k, seed,
     entries = {(i, j): Fraction(int(rng.integers(-9, 10)) * scale,
                                 int(rng.integers(1, 7)))
                for i in range(n) for j in range(n) if rng.random() < 0.5}
-    op = InducedOperator.from_entries(n, entries, exact=True)
+    op = InducedOperator.from_entries(n, entries)
     vertices = rng.integers(0, n, size=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators_module, "_BATCH_CELLS", cells)
@@ -634,7 +675,7 @@ def test_power_diagonal_catches_non_hermitian_hopping_at_k3(monkeypatch):
     monkeypatch.setattr(operators_module, "assemble_induced", corrupted)
     assert power_diagonal_check(rule, sig, rho, 1).max_discrepancy == 0.0
     rep = power_diagonal_check(rule, sig, rho, 3)
-    assert rep.exact and rep.max_discrepancy > 0
+    assert rep.max_discrepancy > 0
 
 
 def test_power_diagonal_walks_cancelling_to_zero():
@@ -647,40 +688,30 @@ def test_power_diagonal_walks_cancelling_to_zero():
     rho = Configuration(values=np.tile([0, 1, 2], 10))
     op = assemble_induced(rule, sig, rho)
     vertices = np.arange(op.n)
-    for exact in (True, False):
-        if not exact:
-            op = assemble_induced(_float_rule(rule), sig, rho)
-        den, re, im = _matrix_power_diagonal(op, 3, vertices)
-        _assert_same_power_diagonal(
-            (den, re, im), _ref_dense_power_diagonal(op, 3, vertices))
-        assert re.tolist() == [-4, 0, 4] * 10 and not im.any()
+    den, re, im = _matrix_power_diagonal(op, 3, vertices)
+    _assert_same_power_diagonal(
+        (den, re, im), _ref_dense_power_diagonal(op, 3, vertices))
+    assert re.tolist() == [-4, 0, 4] * 10 and not im.any()
     rep = power_diagonal_check(rule, sig, rho, 3)
-    assert rep.exact and rep.n_tested == 30 and rep.max_discrepancy == 0.0
+    assert rep.n_tested == 30 and rep.max_discrepancy == 0.0
 
 
 def _with_entries(op, changed):
     """op with some entries set anew, rebuilt through from_entries: the way
     fault-injection tests corrupt an assembled operator."""
-    return InducedOperator.from_entries(op.n, {**op.entries, **changed},
-                                        op.exact)
+    return InducedOperator.from_entries(op.n, {**op.entries, **changed})
 
 
 # Per-entry loops that the value-coded operator methods replaced, kept as the
 # reference they must reproduce exactly.
-def _ref_to_complex(v):
-    return v.to_complex() if isinstance(v, ComplexRational) else complex(v)
-
-
 def _ref_is_real(op):
-    return all(v.is_real() if isinstance(v, ComplexRational) else v.imag == 0
-               for v in op.entries.values())
+    return all(v.is_real() for v in op.entries.values())
 
 
 def _ref_row_sum_bound(op):
     sums = np.zeros(op.n)
     for (i, _), v in op.entries.items():
-        sums[i] += (float(v.abs2()) ** 0.5 if isinstance(v, ComplexRational)
-                    else abs(v))
+        sums[i] += float(v.abs2()) ** 0.5
     return float(sums.max()) if op.n else 0.0
 
 
@@ -688,7 +719,7 @@ def _ref_to_dense(op):
     real = _ref_is_real(op)
     out = np.zeros((op.n, op.n), dtype=float if real else complex)
     for (i, j), v in op.entries.items():
-        c = _ref_to_complex(v)
+        c = v.to_complex()
         out[i, j] = c.real if real else c
     return out
 
@@ -697,7 +728,7 @@ def _ref_to_sparse(op):
     import scipy.sparse as sp
     if not op.entries:
         return sp.csr_matrix((op.n, op.n))
-    rows, cols, vals = zip(*[(i, j, _ref_to_complex(v))
+    rows, cols, vals = zip(*[(i, j, v.to_complex())
                              for (i, j), v in op.entries.items()])
     vals = np.asarray(vals)
     if _ref_is_real(op):
@@ -739,13 +770,6 @@ def _assert_same_sparse(got, want):
     assert np.array_equal(got.data, want.data, equal_nan=True)
 
 
-def _float_rule(rule):
-    """The same rule with every coefficient converted to a Python complex."""
-    import dataclasses
-    values = np.array([v.to_complex() for v in rule.values], dtype=complex)
-    return dataclasses.replace(rule, values=values, exact=False)
-
-
 def _assert_matches_reference(op):
     assert op.row_sum_bound().hex() == _ref_row_sum_bound(op).hex()
     assert op.is_real() == _ref_is_real(op)
@@ -757,65 +781,61 @@ def _assert_matches_reference(op):
 @settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from([1, 2]), kind=st.sampled_from(
            ["diagonal", "schrodinger", "complex hopping"]),
-       exact=st.booleans(), fresh=st.booleans(),
+       dyadic=st.booleans(), fresh=st.booleans(),
        potential=st.tuples(RATIONALS, RATIONALS), hop=RATIONALS,
        side=st.sampled_from([3, 4, 7]), seed=st.integers(0, 2**16),
        tamper=st.integers(0, 10**6))
-def test_value_coded_methods_match_per_entry_loops(d, kind, exact, fresh,
+def test_value_coded_methods_match_per_entry_loops(d, kind, dyadic, fresh,
                                                    potential, hop, side, seed,
                                                    tamper):
-    group = lattice_group(d)
-    if kind == "diagonal":
-        rule = diagonal_rule(group, BIN, list(potential))
-    elif kind == "schrodinger":
-        rule = schrodinger_rule(group, BIN, list(potential))
-    else:
-        rule = _hopping_rule(group, potential, hop)
-    if not exact:
-        rule = _float_rule(rule)
+    rule = _rule_of(kind, lattice_group(d), potential, hop, dyadic)
     sig = torus_approximation(d, side)      # side 3 and 4 leave bad vertices
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, seed)
     op = assemble_induced(rule, sig, rho)
-    if exact and fresh:
+    if fresh:
         # one object per entry: interning must then merge by value alone
         op = InducedOperator.from_entries(
             op.n, {key: ComplexRational(Fraction(v.re.numerator,
                                                  v.re.denominator),
                                         Fraction(v.im.numerator,
                                                  v.im.denominator))
-                   for key, v in op.entries.items()}, exact=True)
+                   for key, v in op.entries.items()})
     _assert_matches_reference(op)
     if op.entries:
         # break one entry: its transpose no longer holds the conjugate
         keys = list(op.entries)
         key = keys[tamper % len(keys)]
-        bump = (ComplexRational(Fraction(0), Fraction(1, 3)) if exact
-                else 1j / 3)
+        bump = ComplexRational(Fraction(0), Fraction(1, 3))
         op = _with_entries(op, {key: op.entries[key] + bump})
         _assert_matches_reference(op)
         entries = dict(op.entries)
         del entries[key]
-        op = InducedOperator.from_entries(op.n, entries, op.exact)
+        op = InducedOperator.from_entries(op.n, entries)
         _assert_matches_reference(op)
 
 
 def test_float_operator_zero_signs_and_nan():
+    # float entries are their exact values: a zero of either sign is 0, so
+    # 1 - 0.0j is the real 1 and -0.0 a stored exact zero; NaN and the
+    # infinities have no exact value and are refused
     one_minus_0j = complex(1.0, -0.0)       # the literal 1 - 0j has +0.0
     entries = {(0, 0): one_minus_0j, (0, 1): 0.5j, (1, 0): -0.5j,
                (1, 1): complex(-0.0, -0.0), (2, 2): complex(2.0, 0.0)}
-    op = InducedOperator.from_entries(3, entries, exact=False)
+    op = InducedOperator.from_entries(3, entries)
     _assert_matches_reference(op)
-    assert np.signbit(op.to_dense()[0, 0].imag)
+    assert op.entries[0, 0] == ComplexRational(Fraction(1))
+    assert op.entries[1, 1].is_zero()
+    assert not np.signbit(op.to_dense()[0, 0].imag)
     real = InducedOperator.from_entries(3, {(0, 0): one_minus_0j,
                                             (1, 1): complex(-0.0, 0.0),
-                                            (2, 2): 1 + 0j}, exact=False)
+                                            (2, 2): 1 + 0j})
     _assert_matches_reference(real)
     assert real.to_dense().dtype == np.float64
-    # NaN is never equal to its own conjugate, so it never passes
-    op = _with_entries(op, {(2, 2): complex(float("nan"), 0.0)})
-    _assert_matches_reference(op)
-    assert _hermitian_violation(op) == "(2,2)"
+    for bad in (float("nan"), complex(float("nan"), 0.0), float("-inf"),
+                complex(0.0, float("inf"))):
+        with pytest.raises(RuleValidationError, match="not finite"):
+            InducedOperator.from_entries(3, {**entries, (2, 2): bad})
 
 
 def test_check_hermitian_names_first_bad_pair_in_row_major_order():
@@ -823,7 +843,7 @@ def test_check_hermitian_names_first_bad_pair_in_row_major_order():
     one = ComplexRational(Fraction(1))
 
     def op(entries):
-        return InducedOperator.from_entries(3, entries, exact=True)
+        return InducedOperator.from_entries(3, entries)
 
     good = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i.conjugate(),
                (1, 2): one, (2, 1): one})
@@ -847,13 +867,10 @@ def test_check_hermitian_names_first_bad_pair_in_row_major_order():
 
 def _same_operator(a, b):
     """Equal arrays and identical results from every method."""
-    assert (a.n, a.exact) == (b.n, b.exact)
+    assert a.n == b.n
     for name in ("rows", "cols", "codes"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    if a.exact:
-        assert a.values == b.values
-    else:
-        assert a.values.tobytes() == b.values.tobytes()
+    assert a.values == b.values
     assert list(a.entries.items()) == list(b.entries.items())
     assert a.row_sum_bound().hex() == b.row_sum_bound().hex()
     assert (a.is_real(), a.is_diagonal()) == (b.is_real(), b.is_diagonal())
@@ -869,72 +886,61 @@ def _same_operator(a, b):
 @settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from([1, 2]), kind=st.sampled_from(
            ["diagonal", "schrodinger", "complex hopping", "graph"]),
-       exact=st.booleans(), potential=st.tuples(RATIONALS, RATIONALS),
+       dyadic=st.booleans(), potential=st.tuples(RATIONALS, RATIONALS),
        hop=RATIONALS, side=st.sampled_from([3, 4, 7]),
        seed=st.integers(0, 2**16), tamper=st.integers(0, 10**6))
-def test_from_entries_round_trip(d, kind, exact, potential, hop, side, seed,
+def test_from_entries_round_trip(d, kind, dyadic, potential, hop, side, seed,
                                  tamper):
-    group = lattice_group(d)
     sig = torus_approximation(d, side)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, seed)
     if kind == "graph":
         op = assemble_graph_schrodinger(
-            sig, rho, BIN, list(potential) if exact
-            else [float(x) for x in potential])
+            sig, rho, BIN, [float(x) for x in potential] if dyadic
+            else list(potential))
     else:
-        if kind == "diagonal":
-            rule = diagonal_rule(group, BIN, list(potential))
-        elif kind == "schrodinger":
-            rule = schrodinger_rule(group, BIN, list(potential))
-        else:
-            rule = _hopping_rule(group, potential, hop)
-        op = assemble_induced(rule if exact else _float_rule(rule), sig, rho)
-    for a in (op.rows, op.cols, op.codes, op.values):
-        if isinstance(a, np.ndarray):
-            assert not a.flags.writeable
+        op = assemble_induced(
+            _rule_of(kind, lattice_group(d), potential, hop, dyadic), sig, rho)
+    for a in (op.rows, op.cols, op.codes):
+        assert not a.flags.writeable
     assert len(op.entries) == len(op.rows)
     with pytest.raises(TypeError):
         op.entries[(0, 0)] = op.entry(0, 0)
-    _same_operator(InducedOperator.from_entries(op.n, dict(op.entries),
-                                                op.exact), op)
+    _same_operator(InducedOperator.from_entries(op.n, dict(op.entries)), op)
     if op.entries:
         # a corrupted copy is rebuilt as faithfully
         key = list(op.entries)[tamper % len(op.entries)]
         bad = _with_entries(op, {key: op.entries[key] + op.entries[key]})
         _same_operator(InducedOperator.from_entries(
-            bad.n, dict(bad.entries), bad.exact), bad)
+            bad.n, dict(bad.entries)), bad)
 
 
 def _dict_graph_schrodinger(sigma, rho, potential):
     """The per-vertex dict loop the array assembly replaced: the sorted edge
     keys, then the nonzero diagonal -deg(v) + F(rho(v)) in vertex order
-    (an operator stores them in row-major order)."""
+    (an operator stores them in row-major order); a float potential at its
+    exact value."""
     from sofic_spectra.sofic import edge_graph
-    exact = all(isinstance(x, (int, Fraction)) for x in potential)
     graph = edge_graph(sigma)
     n = sigma.n_vertices
     keys = np.unique(graph.src.astype(np.int64) * n + graph.dst)
     entries = {}
-    one = ComplexRational(Fraction(1)) if exact else 1 + 0j
+    one = ComplexRational(Fraction(1))
     deg = np.zeros(n, dtype=np.int64)
     for key in keys.tolist():
         i, j = divmod(key, n)
         entries[(i, j)] = one
         deg[i] += 1
     for v in range(n):
-        if exact:
-            val = ComplexRational(Fraction(int(-deg[v]))
-                                  + Fraction(potential[int(rho.values[v])]))
-        else:
-            val = complex(-int(deg[v]) + potential[int(rho.values[v])])
-        if val != (ComplexRational(Fraction(0)) if exact else 0):
+        val = ComplexRational(Fraction(int(-deg[v]))
+                              + Fraction(potential[int(rho.values[v])]))
+        if not val.is_zero():
             entries[(v, v)] = val
     return entries
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_graph_schrodinger_matches_dict_loop(exact):
+@pytest.mark.parametrize("floats", [False, True])
+def test_graph_schrodinger_matches_dict_loop(floats):
     # potential = degree: the diagonal vanishes at full-degree vertices of
     # symbol 0, and small F_2 models collapse multi-edges and fixed points,
     # so degrees below 4 occur too
@@ -947,15 +953,14 @@ def test_graph_schrodinger_matches_dict_loop(exact):
             rho = sample_configuration(
                 IIDProduct(alphabet=BIN, weights=(0.5, 0.5)), sig, seed)
             for potential in potentials:
-                if not exact:
+                if floats:
                     potential = [float(x) for x in potential]
                 want = _dict_graph_schrodinger(sig, rho, potential)
                 op = assemble_graph_schrodinger(sig, rho, BIN, potential)
                 assert list(op.entries) == sorted(want)
                 assert all(type(op.entries[k]) is type(v) and
                            op.entries[k] == v for k, v in want.items())
-                _same_operator(op, InducedOperator.from_entries(n, want,
-                                                                exact))
+                _same_operator(op, InducedOperator.from_entries(n, want))
                 diag = {i for i, j in want if i == j}
                 seen_zero_diagonal |= len(diag) < n
                 seen_low_degree |= len(want) - len(diag) < 4 * n
@@ -1034,7 +1039,7 @@ def test_power_diagonal_radius_is_sound():
                                               (k // 2 + 2) * M)
             assert [dense[v] for v in vertices.tolist()] == walks
             rep = power_diagonal_check(rule, sig, rho, k)
-            assert rep.exact and rep.max_discrepancy == 0.0
+            assert rep.max_discrepancy == 0.0
             assert rep.n_tested == len(vertices)
             tested += len(vertices)
             vertices, walks = _walk_values_at(rule, sig, rho, k,
@@ -1054,7 +1059,7 @@ def test_power_diagonal_tests_free_group_models():
     assert not good_vertices(sig, 4).good.any()
     reports = [power_diagonal_check(rule, sig, rho, k) for k in (1, 3)]
     assert reports[0].n_tested > 0
-    assert all(rep.exact and rep.max_discrepancy == 0.0 for rep in reports)
+    assert all(rep.max_discrepancy == 0.0 for rep in reports)
 
 
 # Row-major operator storage.
@@ -1072,19 +1077,18 @@ def _assert_row_major(op):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 7), exact=st.booleans(), seed=st.integers(0, 2**16))
-def test_from_entries_stores_row_major(n, exact, seed):
+@given(n=st.integers(0, 7), floats=st.booleans(), seed=st.integers(0, 2**16))
+def test_from_entries_stores_row_major(n, floats, seed):
     rng = np.random.default_rng(seed)
     keys = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
     rng.shuffle(keys)
     values = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
               for _ in keys]
-    entries = dict(zip(keys, values if exact else map(complex, values)))
-    op = InducedOperator.from_entries(n, entries, exact)
+    entries = dict(zip(keys, map(complex, values) if floats else values))
+    op = InducedOperator.from_entries(n, entries)
     _assert_row_major(op)
     assert list(op.entries) == sorted(entries)
-    assert all(op.entries[key] == (ComplexRational(v) if exact else v)
-               for key, v in entries.items())
+    assert all(op.entries[key] == _as_exact(v) for key, v in entries.items())
     # the CSR matrix is the one scipy builds from the coordinates
     import scipy.sparse as sp
     rows, cols, vals = op._float_coo()
@@ -1111,7 +1115,7 @@ def test_operator_rejects_unsorted_or_repeated_entries():
     one = (ComplexRational(Fraction(1)),)
 
     def op(rows, cols):
-        return InducedOperator(3, True, np.array(rows), np.array(cols),
+        return InducedOperator(3, np.array(rows), np.array(cols),
                                np.zeros(len(rows), dtype=np.int64), one)
 
     op([0, 1, 2], [1, 0, 2])
@@ -1131,8 +1135,7 @@ def test_frontier_keys_refuse_int64_overflow(monkeypatch):
     import tracemalloc
     n = 2 ** 29
     op = InducedOperator.from_entries(n, {(0, 0): Fraction(2),
-                                          (n - 1, n - 1): Fraction(3)},
-                                      exact=True)
+                                          (n - 1, n - 1): Fraction(3)})
     sources = np.zeros(2 ** 17, dtype=np.int64)
     tracemalloc.start()
     try:
@@ -1172,9 +1175,8 @@ def test_expected_moment_caches_per_reach():
         rule.tables[(1,)][0] = rule.tables[(1,)][1]
     with pytest.raises(ValueError):
         rule.codes[0, 0] = rule.codes[0, 1]
-    float_rule = _float_rule(rule)
-    with pytest.raises(ValueError):
-        float_rule.values[0] = 0
+    with pytest.raises(TypeError):
+        rule.values[0] = rule.values[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1183,36 +1185,26 @@ def test_expected_moment_caches_per_reach():
 
 
 def _per_cell_tables(group, alphabet, hopping, entries):
-    """The per-cell table_rule: ({g: one value per window code}, exact)."""
+    """The per-cell table_rule: {g: one exact value per window code}."""
     from sofic_spectra.exact import CZERO
     b = ball(group, hopping)
     A = alphabet.size
-    exact = all(isinstance(v, (int, Fraction, ComplexRational))
-                for (_, _, v) in entries)
     tables = {}
     for g, window, value in entries:
         code = 0
         for pos in reversed(range(len(b))):
             code = code * A + int(window[pos])
         if g not in tables:
-            tables[g] = (np.full(A ** len(b), CZERO, dtype=object) if exact
-                         else np.zeros(A ** len(b), dtype=complex))
-        tables[g][code] = (
-            (value if isinstance(value, ComplexRational)
-             else ComplexRational(Fraction(value))) if exact
-            else complex(value))
-    return tables, exact
-
-
-def _cell_is_zero(v):
-    return v.is_zero() if isinstance(v, ComplexRational) else v == 0
+            tables[g] = np.full(A ** len(b), CZERO, dtype=object)
+        tables[g][code] = _as_exact(value)
+    return tables
 
 
 def _per_cell_value_sets(tables, e):
     """The per-cell realized_value_sets."""
     f1, f2 = set(), set()
     for g, table in tables.items():
-        vals = {v for v in table.tolist() if not _cell_is_zero(v)}
+        vals = {v for v in table.tolist() if not v.is_zero()}
         if g == e:
             f1 |= vals
         else:
@@ -1234,11 +1226,10 @@ def _per_cell_influential(tables, A, K):
     return sorted(influential)
 
 
-def _per_cell_validation(group, alphabet, hopping, tables, exact):
+def _per_cell_validation(group, alphabet, hopping, tables):
     """The per-cell validate_local_rule: (witnesses, row_sum_bound)."""
     from sofic_spectra.exact import CZERO
     from sofic_spectra.measures import _digits
-    zero = CZERO if exact else 0j
     A = alphabet.size
     small = ball(group, hopping)
     big = ball(group, 2 * hopping)
@@ -1258,47 +1249,43 @@ def _per_cell_validation(group, alphabet, hopping, tables, exact):
         tg = tables.get(g)
         tginv = tables.get(group.inverse(g))
         for code in codes:
-            lhs = tg[restricted[code]] if tg is not None else zero
-            rhs = tginv[translated[code]] if tginv is not None else zero
+            lhs = tg[restricted[code]] if tg is not None else CZERO
+            rhs = tginv[translated[code]] if tginv is not None else CZERO
             if lhs != rhs.conjugate():
                 witnesses.append((g, tuple(int(digits[big.index(h), code])
                                            for h in big.elements)))
                 break
         if g == e and tg is not None:
             for v in tg.tolist():
-                real = (v.is_real() if isinstance(v, ComplexRational)
-                        else v.imag == 0)
-                if not real:
+                if not v.is_real():
                     witnesses.append((e, "non-real diagonal value"))
                     break
     row_sums = np.zeros(A ** len(small))
     for g in small.elements:
         if g in tables:
-            row_sums += np.array([
-                float(v.abs2()) ** 0.5 if isinstance(v, ComplexRational)
-                else abs(v) for v in tables[g].tolist()])
+            row_sums += np.array([float(v.abs2()) ** 0.5
+                                  for v in tables[g].tolist()])
     return witnesses, float(row_sums.max())
 
 
-def _per_cell_schedule(tables, exact, e, n_codes, sched, m):
+def _per_cell_schedule(tables, e, n_codes, sched, m):
     """The per-cell apply_schedule on the tables, with its value sets."""
     from sofic_spectra.exact import CZERO
     f1, f2 = _per_cell_value_sets(tables, e)
     diagonal = tables.get(e)
-    zero = CZERO if exact else 0j
     if f2 and (diagonal is None
-               or any(map(_cell_is_zero, diagonal.tolist()))):
-        f1.add(zero)
+               or any(v.is_zero() for v in diagonal.tolist())):
+        f1.add(CZERO)
     source = dict(tables)
-    if zero in f1:
-        source.setdefault(e, np.full(n_codes, zero, dtype=object))
+    if CZERO in f1:
+        source.setdefault(e, np.full(n_codes, CZERO, dtype=object))
     out = {}
     for g, table in source.items():
         new = np.full(len(table), CZERO, dtype=object)
         for code, v in enumerate(table.tolist()):
-            if g == e and (zero in f1 or not _cell_is_zero(v)):
+            if g == e and (CZERO in f1 or not v.is_zero()):
                 new[code] = ComplexRational(sched.diagonal(m, v))
-            elif not _cell_is_zero(v):
+            elif not v.is_zero():
                 new[code] = sched.offdiagonal(m, v)
         out[g] = new
     return out, (f1, f2)
@@ -1321,7 +1308,10 @@ CELL_VALUES = [0, 1, Fraction(-1, 2), Fraction(5, 3), Fraction(7, 4),
 
 
 def _as_exact(v):
-    return v if isinstance(v, ComplexRational) else ComplexRational(Fraction(v))
+    """v at its exact value: a float or complex by its binary value."""
+    if isinstance(v, ComplexRational):
+        return v
+    return ComplexRational(Fraction(v.real), Fraction(v.imag))
 
 
 def _as_float_value(v):
@@ -1330,10 +1320,10 @@ def _as_float_value(v):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), group=st.sampled_from(["Z", "F2"]),
-       hopping=st.integers(0, 1), A=st.integers(1, 3), exact=st.booleans(),
+       hopping=st.integers(0, 1), A=st.integers(1, 3), dyadic=st.booleans(),
        self_adjoint=st.booleans())
 def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
-                                                 exact, self_adjoint):
+                                                 dyadic, self_adjoint):
     from sofic_spectra.monotone import (
         ScheduleError,
         apply_schedule,
@@ -1353,7 +1343,8 @@ def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
     if self_adjoint:
         # a real diagonal of the window; one value on each generator and
         # its conjugate on the inverse, whatever the window
-        for w in data.draw(st.lists(st.sampled_from(windows), max_size=6)):
+        for w in data.draw(st.lists(st.sampled_from(windows), max_size=6,
+                                    unique=True)):
             entries.append((e, w, data.draw(st.sampled_from(real))))
         for g in b.elements:
             if g != e and g < group.inverse(g) and data.draw(st.booleans()):
@@ -1364,13 +1355,12 @@ def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
     else:
         entries = data.draw(st.lists(st.tuples(
             st.sampled_from(b.elements), st.sampled_from(windows),
-            st.sampled_from(CELL_VALUES)), max_size=12))
-    if not exact:
+            st.sampled_from(CELL_VALUES)), max_size=12,
+            unique_by=lambda entry: entry[:2]))
+    if dyadic:
         entries = [(g, w, _as_float_value(v)) for g, w, v in entries]
     rule = table_rule(group, alphabet, hopping, entries)
-    tables, exact = _per_cell_tables(group, alphabet, hopping, entries)
-    # a rule with no float entry is exact
-    assert rule.exact == exact
+    tables = _per_cell_tables(group, alphabet, hopping, entries)
     assert list(rule.elements) == [g for g in b.elements if g in tables]
     _same_tables(rule.tables, tables)
     assert rule.realized_value_sets() == _per_cell_value_sets(tables, e)
@@ -1378,8 +1368,7 @@ def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
                                                                len(b))
 
     report = validate_local_rule(rule)
-    witnesses, bound = _per_cell_validation(group, alphabet, hopping,
-                                            tables, exact)
+    witnesses, bound = _per_cell_validation(group, alphabet, hopping, tables)
     assert report.witnesses == witnesses
     assert report.ok == (not witnesses)
     assert (report.diagonal_values, report.offdiagonal_values) == \
@@ -1393,8 +1382,8 @@ def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
     except ScheduleError:
         return
     for m in range(1, 4):
-        want, value_sets = _per_cell_schedule(tables, exact, e,
-                                              rule.n_window_codes, sched, m)
+        want, value_sets = _per_cell_schedule(tables, e, rule.n_window_codes,
+                                              sched, m)
         assert (set(sched.values.f1), set(sched.values.f2)) == value_sets
         _same_tables(apply_schedule(rule, sched, m).tables, want)
 

@@ -266,7 +266,7 @@ def test_exact_diagonal_spectrum_matches_sorted_diagonal(values, side,
     if fresh:
         op = InducedOperator.from_entries(
             op.n, {key: ComplexRational(Fraction(str(v.re)))
-                   for key, v in op.entries.items()}, exact=True)
+                   for key, v in op.entries.items()})
     spec = eigen_spectrum(op)
     want = tuple(sorted(v.re for v in op.diagonal()))
     assert spec.exact_values == want
@@ -322,7 +322,7 @@ def test_operator_residual_uses_stored_entries(hopping):
         entries = dict(op.entries)
         entries[(3, 4)] = entries[(3, 4)] + half_i
         entries[(4, 3)] = entries[(4, 3)] - half_i
-        op = InducedOperator.from_entries(op.n, entries, exact=True)
+        op = InducedOperator.from_entries(op.n, entries)
     dense = op.to_dense()
     from_op = eigen_spectrum(op, vectors=True)
     from_matrix = eigen_spectrum(dense, vectors=True)
@@ -339,9 +339,11 @@ def test_operator_residual_uses_stored_entries(hopping):
 # Values-only solves: the trace-identity certificate and where it is used.
 
 
-def _schrodinger_op(side=40, d=1, seed=2, hopping="real", exact=True):
+def _schrodinger_op(side=40, d=1, seed=2, hopping="real", dyadic=False):
     """Schrodinger operator on a torus; "complex" adds +-i/2 to every hopping
-    entry (i/2 above the diagonal, -i/2 below), which keeps it Hermitian."""
+    entry (i/2 above the diagonal, -i/2 below), which keeps it Hermitian.
+    dyadic rebuilds it from the float images of its entries, which it takes
+    at their exact binary values."""
     from sofic_spectra.exact import ComplexRational
     from sofic_spectra.measures import IIDProduct, sample_configuration
     from sofic_spectra.operators import schrodinger_rule
@@ -355,12 +357,10 @@ def _schrodinger_op(side=40, d=1, seed=2, hopping="real", exact=True):
         half_i = ComplexRational(Fraction(0), Fraction(1, 2))
         op = InducedOperator.from_entries(
             op.n, {(i, j): v + half_i if i < j else v - half_i
-                   if i > j else v for (i, j), v in op.entries.items()},
-            exact=True)
-    if not exact:
+                   if i > j else v for (i, j), v in op.entries.items()})
+    if dyadic:
         op = InducedOperator.from_entries(
-            op.n, {key: v.to_complex() for key, v in op.entries.items()},
-            exact=False)
+            op.n, {key: v.to_complex() for key, v in op.entries.items()})
     return op
 
 
@@ -462,9 +462,9 @@ def test_values_only_and_vector_diagnostics():
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["real", "complex", "bare real", "bare complex"]),
-       exact=st.booleans(), d=st.sampled_from([1, 2]),
+       dyadic=st.booleans(), d=st.sampled_from([1, 2]),
        size=st.integers(1, 64), seed=st.integers(0, 2**16))
-def test_values_only_agrees_with_eigh(kind, exact, d, size, seed):
+def test_values_only_agrees_with_eigh(kind, dyadic, d, size, seed):
     if kind.startswith("bare"):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((size, size))
@@ -474,7 +474,7 @@ def test_values_only_agrees_with_eigh(kind, exact, d, size, seed):
     else:
         side = max(3, size if d == 1 else int(np.sqrt(size)))
         op = _schrodinger_op(side=side, d=d, seed=seed, hopping=kind,
-                             exact=exact)
+                             dyadic=dyadic)
         dense = op.to_dense()
     spec = eigen_spectrum(op)
     w = np.linalg.eigh(dense)[0]
@@ -542,12 +542,12 @@ def test_rational_punctured_bound_brute_force(data):
     # shifting by a rational next to an eigenvalue makes a small one
     q = data.draw(st.sampled_from([None, 5, 7, 10, 16]))
     if q is not None:
-        dense = InducedOperator.from_entries(n, entries, True).to_dense()
+        dense = InducedOperator.from_entries(n, entries).to_dense()
         lam = np.linalg.eigvalsh(dense)[data.draw(st.integers(0, n - 1))]
         shift = Fraction(round(lam * q), q)
         for i in range(n):
             entries[(i, i)] = entries[(i, i)] - ComplexRational(shift)
-    op = InducedOperator.from_entries(n, entries, True)
+    op = InducedOperator.from_entries(n, entries)
     den = lcm(*(f.denominator for v in entries.values()
                 for f in (v.re, v.im)))
     assert op.denominator() == den
