@@ -10,7 +10,9 @@ same stream.  Only `assemble_induced` picks the goodness radius of an
 induced operator; the pipelines pass it no report.  A run emits CSV/JSON
 files with fixed 17-significant-digit float rendering plus a gnuplot script,
 and a manifest that pins config hash, seeds and outputs; re-running a
-manifest reproduces the data files byte for byte.
+manifest reproduces the data files byte for byte.  `run` checks a config
+and builds its objects before it makes the output directory, so a config
+fault writes nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -29,13 +32,14 @@ import numpy as np
 
 from . import __version__
 from .exact import ComplexRational
-from .groups import GroupSpec, finite_group, free_group, lattice_group
+from .groups import BallCapacityError, GroupSpec, free_group, lattice_group
 from .measures import (
     Alphabet,
     EnumerationBudgetError,
     IIDProduct,
     MeasureModel,
     Mixture,
+    check_fits,
     lattice_periodic,
     le_diagnostic,
     model_alphabet,
@@ -46,7 +50,6 @@ from .monotone import build_schedule, monotone_ids_report, value_sets_of
 from .operators import (
     InducedOperator,
     LocalRule,
-    RuleValidationError,
     adjacency_rule,
     assemble_graph_schrodinger,
     assemble_induced,
@@ -60,11 +63,14 @@ from .operators import (
 from .sofic import (
     SoficApproximation,
     good_vertices,
+    lattice_quotient,
+    product_with_quotient,
     random_permutation_approximation,
     sofic_defect,
     torus_approximation,
 )
 from .spectral import (
+    DEFAULT_DENSE_BUDGET,
     PUNCTURED_CLUSTER_TOL,
     atom_mass,
     eigen_spectrum,
@@ -77,73 +83,121 @@ from .spectral import (
 
 PIPELINES = ("sofic-diagnostics", "weak-convergence", "luck-atoms", "monotone")
 
+
+def _kind(*kinds: str) -> dict:
+    return {"properties": {"kind": {"enum": list(kinds)}}, "required": ["kind"]}
+
+
+def _if(condition: dict, then: dict) -> dict:
+    """An object with condition's keys, each matching there, matches then."""
+    return {"if": {"properties": condition, "required": list(condition)},
+            "then": then}
+
+
+def _fact(description: str, condition: dict, **then: dict) -> dict:
+    """A config matching condition has the properties then; a config that
+    breaks the fact is told its description."""
+    return _if(condition, {"properties": then, "description": description})
+
+
+def _needs(what: str, key: str) -> dict:
+    return {"required": [key], "description": f"{what} config needs {key!r}"}
+
+
+def _kinds(noun: str, properties: dict, *branches: dict, **needs) -> dict:
+    """A config object of a kind among needs' keys, needing the keys listed
+    for its kind, with the given properties only, and branches."""
+    return {"type": "object", "required": ["kind"],
+            "additionalProperties": False,
+            "properties": {"kind": {"enum": list(needs)}, **properties},
+            "allOf": [*branches, *(
+                _if({"kind": {"const": kind}}, _needs(f"{kind} {noun}", key))
+                for kind, keys in needs.items() for key in keys)]}
+
+
+def _at_least(minimum: int) -> dict:
+    return {"type": "integer", "minimum": minimum}
+
+
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+_NUMBER = {"type": "number"}
+_MEASURE = {"alphabet": _STRINGS, "period": _INTEGERS, "pattern": _INTEGERS,
+            "weights": {"type": "array", "items": {**_NUMBER, "minimum": 0}}}
+_MEASURE_NEEDS = {"iid": ["weights"], "periodic": ["period", "pattern"]}
+_GRAPH_KINDS = ["laplacian", "adjacency", "schrodinger", "graph_schrodinger"]
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["pipeline", "group", "sofic", "seed"],
     "additionalProperties": False,
-    "if": {"properties": {"pipeline": {"enum": list(PIPELINES[1:])}},
-           "required": ["pipeline"]},
-    "then": {"required": ["measure", "operator"]},
     "properties": {
         "pipeline": {"enum": list(PIPELINES)},
-        "group": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["lattice", "free", "finite"]},
-                "d": {"type": "integer", "minimum": 1},
-                "rank": {"type": "integer", "minimum": 1},
-                "table": {"type": "array"},
-                "generators": {"type": "array"},
-            },
-        },
-        "sofic": {
-            "type": "object",
-            "required": ["kind", "sizes"],
-            "properties": {
-                "kind": {"enum": ["torus", "random_perm", "product"]},
-                "sizes": {"type": "array", "items": {"type": "integer"},
-                          "minItems": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "moduli": {"type": "array", "items": {"type": "integer"}},
-            },
-            "if": {"properties": {"kind": {"const": "product"}},
-                   "required": ["kind"]},
-            "then": {"required": ["moduli"]},
-        },
-        "measure": {"type": "object"},
-        "operator": {"type": "object"},
-        "radii": {
-            "type": "object",
-            "properties": {
-                "cylinder": {"type": "integer", "minimum": 0},
-                "goodness": {"type": "integer", "minimum": 0},
-                "defect": {"type": "integer", "minimum": 1},
-            },
-        },
-        "beta_grid": {
-            "type": "object",
-            "required": ["min", "max", "points"],
-            "properties": {
-                "min": {"type": "number"},
-                "max": {"type": "number"},
-                "points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "samples": {"type": "integer", "minimum": 1},
-        "k_max": {"type": "integer", "minimum": 1},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "alpha_values": {"type": "array", "items": {"type": "string"}},
+        "group": _kinds("group", {"d": _at_least(1), "rank": _at_least(1)},
+                        lattice=["d"], free=["rank"]),
+        "sofic": _kinds("sofic", {"sizes": {**_INTEGERS, "minItems": 1},
+                                  "seed": _at_least(0), "moduli": _INTEGERS},
+                        torus=["sizes"], random_perm=["sizes"],
+                        product=["sizes", "moduli"]),
+        "measure": _kinds("measure", {**_MEASURE, "components": {
+            "type": "array", "items": _kinds("measure", _MEASURE,
+                                             **_MEASURE_NEEDS)}},
+            **_MEASURE_NEEDS, mixture=["components", "weights"]),
+        "operator": _kinds("operator", {
+            "mode": {"enum": ["induced", "graph"]}, "M": _at_least(0),
+            "potential": {"type": "object"}, "values": {"type": "object"},
+            "entries": {"type": "array", "items": {
+                "type": "object", "additionalProperties": False,
+                "properties": {"g": _INTEGERS, "window": _INTEGERS,
+                               "re": {"type": "string"},
+                               "im": {"type": "string"}},
+                "allOf": [_needs("table entry", "g"),
+                          _needs("table entry", "window")]}}},
+            _if({"mode": {"const": "graph"}}, {
+                **_kind(*_GRAPH_KINDS), "description": "graph assembly takes "
+                "a laplacian, adjacency or Schrodinger operator"}),
+            laplacian=[], adjacency=[], schrodinger=["potential"],
+            graph_schrodinger=["potential"], diagonal=["values"],
+            table=["M", "entries"]),
+        "radii": {"type": "object", "additionalProperties": False,
+                  "properties": {"cylinder": _at_least(0),
+                                 "goodness": _at_least(0),
+                                 "defect": _at_least(1)}},
+        "beta_grid": {"type": "object", "additionalProperties": False,
+                      "required": ["min", "max", "points"],
+                      "properties": {"min": _NUMBER, "max": _NUMBER,
+                                     "points": _at_least(2)}},
+        "samples": _at_least(1),
+        "k_max": _at_least(1),
+        "eps": {**_NUMBER, "exclusiveMinimum": 0},
+        "alpha_values": _STRINGS,
         "punctured_eps": {"type": "array", "items": {
-            "type": "number", "exclusiveMinimum": PUNCTURED_CLUSTER_TOL}},
-        "monotone": {
-            "type": "object",
-            "properties": {"m_max": {"type": "integer", "minimum": 1}},
-        },
+            **_NUMBER, "exclusiveMinimum": PUNCTURED_CLUSTER_TOL}},
+        "monotone": {"type": "object", "additionalProperties": False,
+                     "properties": {"m_max": _at_least(1)}},
         "reference": {"enum": ["lattice_laplacian"]},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": _at_least(0),
         "out_dir": {"type": "string"},
     },
+    # facts across objects, checked once each object passes on its own
+    "allOf": [
+        _if({"pipeline": {"enum": list(PIPELINES[1:])}},
+            {"required": ["measure", "operator"]}),
+        _fact("torus and product models need a lattice group",
+              {"sofic": _kind("torus", "product")}, group=_kind("lattice")),
+        _fact("random_perm models need a free group",
+              {"sofic": _kind("random_perm")}, group=_kind("free")),
+        _fact("periodic measures need a lattice group", {"group": _kind("free")},
+              measure={"properties": {"kind": {"enum": ["iid", "mixture"]},
+                                      "components": {"items": _kind("iid")}}}),
+        _fact("reference lattice_laplacian needs Z or Z^2", {"reference": {}},
+              group={"properties": {"kind": {"const": "lattice"},
+                                    "d": {"maximum": 2}}}),
+        _fact("the monotone pipeline uses the strict induced assembly",
+              {"pipeline": {"const": "monotone"}}, operator={"properties": {
+                  "kind": {"enum": _GRAPH_KINDS[:3] + ["diagonal", "table"]},
+                  "mode": {"const": "induced"}}}),
+    ],
 }
 
 
@@ -165,13 +219,19 @@ _TYPE_TESTS = {
 
 def _violations(x, schema: dict, path: str = "config"):
     """Each way x breaks a schema of CONFIG_SCHEMA's keywords, lazily, as
-    "<path> <reason>".
+    "<path> <reason>"; a schema with a description is broken at most once,
+    as "<path>: <description>".
 
     Only the type tests are stricter than JSON Schema; every other keyword
     passes a value of a type it does not apply to, as in JSON Schema, so an
     ``if`` that tests no type is decided as JSON Schema decides it.  A
     keyword the check does not handle raises ValueError.
     """
+    if "description" in schema:
+        rest = {k: v for k, v in schema.items() if k != "description"}
+        if next(_violations(x, rest, path), None) is not None:
+            yield f"{path}: {schema['description']}"
+        return
     is_number = _TYPE_TESTS["number"](x)
     for key, want in schema.items():
         if key == "type":
@@ -188,6 +248,9 @@ def _violations(x, schema: dict, path: str = "config"):
         elif key in ("if", "then"):     # "then" applies with its "if"
             if key == "if" and next(_violations(x, want, path), None) is None:
                 yield from _violations(x, schema.get("then", {}), path)
+        elif key == "allOf":
+            for sub in want:
+                yield from _violations(x, sub, path)
         elif key == "properties":
             for k, sub in want.items():
                 if isinstance(x, dict) and k in x:
@@ -212,6 +275,9 @@ def _violations(x, schema: dict, path: str = "config"):
         elif key == "minimum":
             if is_number and x < want:
                 yield f"{path} is less than the minimum {want}"
+        elif key == "maximum":
+            if is_number and x > want:
+                yield f"{path} is greater than the maximum {want}"
         elif key == "exclusiveMinimum":
             if is_number and x <= want:
                 yield f"{path} is less than or equal to the exclusive " \
@@ -228,7 +294,7 @@ def validate_config(config: dict) -> None:
         raise ConfigError(reason)
     sizes = config["sofic"]["sizes"]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError("size schedule must be strictly increasing")
+        raise ConfigError("config.sofic.sizes must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -236,94 +302,100 @@ def validate_config(config: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _need(cfg: dict, key: str, what: str):
-    """cfg[key]; a missing key is a ConfigError that names it."""
-    if key not in cfg:
-        raise ConfigError(f"{what} config needs {key!r}")
-    return cfg[key]
+@dataclass(frozen=True)
+class ConfigObjects:
+    """What a config names, each built once by build_objects.  The measure,
+    the rule with its graph potential (None for the induced assembly) and
+    the alpha values are left at their defaults where no pipeline reads
+    them."""
+
+    group: GroupSpec
+    sigmas: list
+    model: Optional[MeasureModel] = None
+    rule: Optional[LocalRule] = None
+    potential: Optional[list] = None
+    alphas: tuple = ()
 
 
-def group_from_config(cfg: dict) -> GroupSpec:
-    kind = cfg["kind"]
-    if kind == "lattice":
-        return lattice_group(_need(cfg, "d", "lattice group"))
-    if kind == "free":
-        return free_group(_need(cfg, "rank", "free group"))
-    return finite_group(_need(cfg, "table", "finite group"),
-                        _need(cfg, "generators", "finite group"))
+def build_objects(config: dict) -> ConfigObjects:
+    """The objects of a config that passes validate_config.  A constructor's
+    refusal is a ConfigError naming the object, and so is a size the dense
+    eigensolver would refuse: a rule with a nonzero off-identity
+    coefficient keeps its operators off the exact diagonal path."""
+    g = config["group"]
+    group = lattice_group(g["d"]) if g["kind"] == "lattice" else \
+        free_group(g["rank"])
+    path = "config.sofic"
+    try:
+        sigmas = sofic_family(config, group)
+        if "measure" not in config:
+            return ConfigObjects(group, sigmas)
+        path = "config.measure"
+        model = measure_from_config(config["measure"], group)
+        alphabet = model_alphabet(model)
+        for sigma in sigmas:
+            check_fits(model, sigma)
+        if config["pipeline"] == "sofic-diagnostics":
+            return ConfigObjects(group, sigmas, model)
+        path = "config.operator"
+        rule, potential = operator_from_config(config["operator"], group,
+                                               alphabet)
+        path = "config"
+        alphas = tuple(_parse_rational(a, "alpha_values")
+                       for a in config.get("alpha_values", ["0", "1"]))
+    except ConfigError:         # the period check names its own path
+        raise
+    except (ValueError, BallCapacityError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+    for i, sigma in enumerate(sigmas if rule.realized_value_sets()[1] else ()):
+        if sigma.n_vertices > DEFAULT_DENSE_BUDGET:
+            raise ConfigError(
+                f"config.sofic.sizes[{i}]: {sigma.n_vertices} vertices exceed "
+                f"the dense eigensolver budget {DEFAULT_DENSE_BUDGET}")
+    return ConfigObjects(group, sigmas, model, rule, potential, alphas)
 
 
 def sofic_family(config: dict, group: GroupSpec) -> list[SoficApproximation]:
     scfg = config["sofic"]
     sigmas = []
     for size_index, n in enumerate(scfg["sizes"]):
-        if scfg["kind"] == "torus":
-            if group.kind != "lattice":
-                raise ConfigError("torus models require a lattice group")
-            sigmas.append(torus_approximation(group.d, n))
-        elif scfg["kind"] == "product":
-            if group.kind != "lattice":
-                raise ConfigError("product models ship for lattice groups")
-            from .sofic import lattice_quotient, product_with_quotient
-            base = torus_approximation(group.d, n)
-            quot = lattice_quotient(group.d, scfg["moduli"])
-            sigmas.append(product_with_quotient(base, quot))
-        else:
-            if group.kind != "free":
-                raise ConfigError("random_perm models require a free group")
+        if scfg["kind"] == "random_perm":
             seed = int(np.random.SeedSequence(
                 entropy=scfg.get("seed", 0),
                 spawn_key=(size_index,)).generate_state(1)[0])
             sigmas.append(random_permutation_approximation(group.rank, n, seed))
+            continue
+        sigma = torus_approximation(group.d, n)
+        if scfg["kind"] == "product":
+            sigma = product_with_quotient(
+                sigma, lattice_quotient(group.d, scfg["moduli"]))
+        sigmas.append(sigma)
     return sigmas
 
 
-def alphabet_from_config(cfg: dict) -> Alphabet:
-    return Alphabet(symbols=tuple(cfg.get("alphabet", ["0", "1"])))
-
-
-def measure_from_config(cfg: dict, group: GroupSpec) -> MeasureModel:
-    kind = _need(cfg, "kind", "measure")
-    if kind == "iid":
-        alpha = alphabet_from_config(cfg)
-        return IIDProduct(alphabet=alpha,
-                          weights=tuple(_need(cfg, "weights", "iid measure")))
-    if kind == "periodic":
-        alpha = alphabet_from_config(cfg)
-        if group.kind != "lattice":
-            raise ConfigError("periodic measures ship for lattice groups only")
-        return lattice_periodic(alpha, _need(cfg, "period", "periodic measure"),
-                                _need(cfg, "pattern", "periodic measure"))
-    if kind == "mixture":
-        comps = tuple(measure_from_config(c, group)
-                      for c in _need(cfg, "components", "mixture measure"))
-        return Mixture(components=comps,
-                       weights=tuple(_need(cfg, "weights", "mixture measure")))
-    raise ConfigError(f"unknown measure kind {kind!r}")
-
-
-def _model_and_alphabet(config: dict, group: GroupSpec):
-    """The measure and its alphabet (for a mixture, the alphabet its
-    components share); a measure its constructor refuses is a ConfigError."""
-    try:
-        model = measure_from_config(config["measure"], group)
-        return model, model_alphabet(model)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
-def _model_and_rule(config: dict, group: GroupSpec):
-    """The measure, and the operator over the measure's alphabet."""
-    model, alphabet = _model_and_alphabet(config, group)
-    rule, potential = operator_from_config(config["operator"], group, alphabet)
-    return model, rule, potential
+def measure_from_config(cfg: dict, group: GroupSpec,
+                        path: str = "config.measure") -> MeasureModel:
+    """The measure at path; a period that is not one length per coordinate
+    of the lattice is a ConfigError naming it."""
+    if cfg["kind"] == "mixture":
+        return Mixture(components=tuple(
+            measure_from_config(c, group, f"{path}.components[{i}]")
+            for i, c in enumerate(cfg["components"])),
+            weights=tuple(cfg["weights"]))
+    alpha = Alphabet(symbols=tuple(cfg.get("alphabet", ["0", "1"])))
+    if cfg["kind"] == "iid":
+        return IIDProduct(alphabet=alpha, weights=tuple(cfg["weights"]))
+    if len(cfg["period"]) != group.d:
+        raise ConfigError(f"{path}.period needs one length per coordinate "
+                          f"of Z^{group.d}, not {len(cfg['period'])}")
+    return lattice_periodic(alpha, cfg["period"], cfg["pattern"])
 
 
 def _parse_rational(text, key: str) -> Fraction:
     try:
         return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"{key!r} value {text!r} is not a rational") from err
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key!r} value {text!r} is not a rational") from None
 
 
 def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
@@ -332,7 +404,7 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
     operator is assembled on the sofic graph, None for the induced
     assembly.  Only a table rule is validated: the other kinds are
     self-adjoint by construction."""
-    kind = _need(cfg, "kind", "operator")
+    kind = cfg["kind"]
     potential = None
     if kind == "laplacian":
         rule = laplacian_rule(group, alphabet)
@@ -345,67 +417,48 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
         rule = schrodinger_rule(group, alphabet, potential)
     elif kind == "diagonal":
         rule = diagonal_rule(group, alphabet, _per_symbol(cfg, "values", alphabet))
-    elif kind == "table":
-        entries = []
-        for item in _need(cfg, "entries", "table operator"):
-            g = _parse_element(group, _need(item, "g", "table entry"))
-            value = ComplexRational(_parse_rational(item.get("re", "0"), "re"),
-                                    _parse_rational(item.get("im", "0"), "im"))
-            entries.append((g, tuple(_need(item, "window", "table entry")),
-                            value))
-        try:
-            rule = table_rule(group, alphabet,
-                              _need(cfg, "M", "table operator"), entries)
-        except RuleValidationError as err:
-            raise ConfigError(str(err)) from err
+    else:
+        rule = table_rule(group, alphabet, cfg["M"], [
+            (tuple(item["g"]), tuple(item["window"]),
+             ComplexRational(_parse_rational(item.get("re", "0"), "re"),
+                             _parse_rational(item.get("im", "0"), "im")))
+            for item in cfg["entries"]])
         try:
             witnesses = validate_local_rule(rule).witnesses
         except EnumerationBudgetError:
             witnesses = []  # too many windows: assembly's Hermitian check decides
         if witnesses:
-            raise ConfigError("table operator is not self-adjoint: element "
-                              "{}, window {}".format(*witnesses[0]))
-    else:
-        raise ConfigError(f"unknown operator kind {kind!r}")
-    if kind != "graph_schrodinger" and cfg.get("mode", "induced") != "graph":
-        return rule, None
-    if potential is None:
-        raise ConfigError("graph assembly takes a laplacian, adjacency or "
-                          "Schrodinger operator")
-    return rule, potential
+            raise ValueError("table operator is not self-adjoint: element "
+                             "{}, window {}".format(*witnesses[0]))
+    graph = kind == "graph_schrodinger" or cfg.get("mode") == "graph"
+    return rule, potential if graph else None
 
 
 def _per_symbol(cfg: dict, key: str, alphabet: Alphabet) -> list[Fraction]:
     """The operator's map cfg[key], read once per symbol of the alphabet."""
-    table = cfg.get(key, {})
+    table = cfg[key]
     for s in alphabet.symbols:
         if s not in table:
-            raise ConfigError(f"operator {key!r} gives no value for symbol {s!r}")
+            raise ValueError(f"{key!r} gives no value for symbol {s!r}")
     return [_parse_rational(table[s], key) for s in alphabet.symbols]
 
 
-def _parse_element(group: GroupSpec, data):
-    if group.kind == "finite":
-        return int(data)
-    return tuple(int(x) for x in data)
-
-
-def _ensemble(config: dict, model: MeasureModel, rule: LocalRule,
-              potential: Optional[list], sigmas: list, n_samples: int):
+def _ensemble(config: dict, objects: ConfigObjects, n_samples: int):
     """Per size i, sigma and a generator assembling sample j = 0..n_samples-1
     on sample_configuration(model, sigma, sample_rng(seed, i, j)): on the
     sofic graph given a potential, else by assemble_induced, which picks the
     goodness radius and scans it once per model."""
     def operators(size_index, sigma):
         for j in range(n_samples):
-            rho = sample_configuration(model, sigma,
+            rho = sample_configuration(objects.model, sigma,
                                        sample_rng(config["seed"], size_index, j))
-            if potential is None:
-                yield assemble_induced(rule, sigma, rho)
+            if objects.potential is None:
+                yield assemble_induced(objects.rule, sigma, rho)
             else:
-                yield assemble_graph_schrodinger(sigma, rho, rule.alphabet,
-                                                 potential)
-    return ((sigma, operators(i, sigma)) for i, sigma in enumerate(sigmas))
+                yield assemble_graph_schrodinger(
+                    sigma, rho, objects.rule.alphabet, objects.potential)
+    return ((sigma, operators(i, sigma))
+            for i, sigma in enumerate(objects.sigmas))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +518,12 @@ set grid
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_sofic_diagnostics(config, group, sigmas, out):
+def _pipeline_sofic_diagnostics(config, objects, out):
     radii = config.get("radii", {})
     r_good = radii.get("goodness", 2)
     r_defect = radii.get("defect", 2)
-    model = _model_and_alphabet(config, group)[0] if "measure" in config \
-        else None
     rows = []
-    for sigma in sigmas:
+    for sigma in objects.sigmas:
         rep = good_vertices(sigma, r_good)
         defects = sofic_defect(sigma, r_defect)
         rows.append([sigma.n_vertices, r_good,
@@ -482,9 +533,9 @@ def _pipeline_sofic_diagnostics(config, group, sigmas, out):
               ["n", "radius", "good_fraction", "max_hom_defect",
                "max_fix_defect"], rows)
     outputs = ["goodness.csv"]
-    if model is not None:
+    if objects.model is not None:
         r_cyl = radii.get("cylinder", 1)
-        le_rows = le_diagnostic(model, sigmas, r_cyl,
+        le_rows = le_diagnostic(objects.model, objects.sigmas, r_cyl,
                                 eps=config.get("eps", 0.05),
                                 sample_count=config.get("samples", 200),
                                 seed=config["seed"])
@@ -514,18 +565,15 @@ def _trace_moments(op: InducedOperator, k_max: int) -> list[float]:
     return moments
 
 
-def _pipeline_weak_convergence(config, group, sigmas, out):
-    model, rule, potential = _model_and_rule(config, group)
-    use_reference = config.get("reference") == "lattice_laplacian"
-    if use_reference and (group.kind != "lattice" or group.d not in (1, 2)):
-        raise ConfigError("reference lattice_laplacian needs Z or Z^2")
+def _pipeline_weak_convergence(config, objects, out):
     k_max = config.get("k_max", 4)
     grid = _beta_grid(config)
-    oracle = {k: expected_moment(rule, model, k) for k in range(1, k_max + 1)}
+    oracle = {k: expected_moment(objects.rule, objects.model, k)
+              for k in range(1, k_max + 1)}
     moment_rows = []
     dist_rows = []
     curves = {}
-    for sigma, operators in _ensemble(config, model, rule, potential, sigmas,
+    for sigma, operators in _ensemble(config, objects,
                                       config.get("samples", 10)):
         # sample 0's spectrum is written (as its IDS): it keeps eigh, whose
         # rounding of degenerate eigenvalues the written breakpoints follow,
@@ -554,10 +602,11 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
                "oracle_se"], moment_rows)
     biggest = max(curves)
     for n, curve in sorted(curves.items()):
-        if use_reference:
+        if "reference" in config:
             # evaluate the analytic curve on the merged grid so the distance
             # is not floored by interpolation error at the band edges
-            target = reference_ids("lattice_laplacian", group.d, curve.xs)
+            target = reference_ids(config["reference"], objects.group.d,
+                                   curve.xs)
         else:
             target = curves[biggest]
         dist_rows.append([n, kolmogorov_distance(curve, target)])
@@ -568,19 +617,15 @@ def _pipeline_weak_convergence(config, group, sigmas, out):
     return outputs
 
 
-def _pipeline_luck_atoms(config, group, sigmas, out):
-    model, rule, potential = _model_and_rule(config, group)
-    alphas = [_parse_rational(a, "alpha_values")
-              for a in config.get("alpha_values", ["0", "1"])]
+def _pipeline_luck_atoms(config, objects, out):
     eps_list = config.get("punctured_eps", [1e-2])
     n_samples = config.get("samples", 20)
     atom_rows = []
     punct_rows = []
-    for sigma, operators in _ensemble(config, model, rule, potential, sigmas,
-                                      n_samples):
+    for sigma, operators in _ensemble(config, objects, n_samples):
         results = [(eigen_spectrum(op), op.row_sum_bound(), op.denominator())
                    for op in operators]
-        for alpha in alphas:
+        for alpha in objects.alphas:
             masses = np.array([atom_mass(spec, alpha) for spec, _, _ in results])
             atom_rows.append([sigma.n_vertices, str(alpha),
                               float(masses.mean()),
@@ -609,19 +654,16 @@ def _pipeline_luck_atoms(config, group, sigmas, out):
     return ["atoms.csv", "punctured.csv"]
 
 
-def _pipeline_monotone(config, group, sigmas, out):
-    model, rule, potential = _model_and_rule(config, group)
-    if potential is not None:
-        raise ConfigError("monotone pipeline uses the strict induced assembly")
+def _pipeline_monotone(config, objects, out):
     m_max = config.get("monotone", {}).get("m_max", 6)
-    sched = build_schedule(value_sets_of(rule), m_max)
+    sched = build_schedule(value_sets_of(objects.rule), m_max)
     grid = _beta_grid(config)
     outputs = []
     summary_rows = []
-    for size_index, sigma in enumerate(sigmas):
-        rho = sample_configuration(model, sigma,
+    for size_index, sigma in enumerate(objects.sigmas):
+        rho = sample_configuration(objects.model, sigma,
                                    sample_rng(config["seed"], size_index, 0))
-        report = monotone_ids_report(rule, sched, sigma, rho, grid)
+        report = monotone_ids_report(objects.rule, sched, sigma, rho, grid)
         rows = [[r.m, r.beta, r.count_m / report.n, r.count_target / report.n,
                  r.psd_certified] for r in report.rows]
         name = f"monotone_{sigma.n_vertices}.csv"
@@ -660,13 +702,10 @@ def _write_gnuplot(out: Path, pipeline: str, outputs: list[str]) -> None:
 
 
 def run(config: dict, out_dir=None) -> dict:
-    """Execute a pipeline config; returns the manifest dict."""
+    """Execute a pipeline config; returns the manifest dict.  Every config
+    fault is a ConfigError raised before the output directory is made."""
     validate_config(config)
-    try:
-        group = group_from_config(config["group"])
-        sigmas = sofic_family(config, group)
-    except ValueError as err:       # a ConfigError keeps its message
-        raise ConfigError(str(err)) from err
+    objects = build_objects(config)
     out = Path(out_dir if out_dir is not None else config.get("out_dir", "results"))
     out.mkdir(parents=True, exist_ok=True)
     pipeline = config["pipeline"]
@@ -678,7 +717,7 @@ def run(config: dict, out_dir=None) -> dict:
     }
     t0 = time.monotonic()
     try:
-        outputs = stages[pipeline](config, group, sigmas, out)
+        outputs = stages[pipeline](config, objects, out)
     except Exception as err:
         partial = {
             "config_hash": config_hash(config), "pipeline": pipeline,

@@ -298,6 +298,13 @@ def _periodic_base_values(model: PeriodicOrbit, sigma: SoficApproximation,
     return model.translate_table[t][_cosets(model, sigma)]
 
 
+def check_fits(model: MeasureModel, sigma: SoficApproximation) -> None:
+    """Raise SoficCompatibilityError unless every periodic part of the model
+    factors through sigma's vertices, as sampling on sigma needs."""
+    for part in _periodic_parts(model):
+        _cosets(part, sigma)
+
+
 def _cosets(model: PeriodicOrbit, sigma: SoficApproximation) -> np.ndarray:
     """The quotient coset of each vertex of sigma."""
     if sigma.provenance == "torus" and model.periods is not None:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -86,8 +87,9 @@ def test_config_schema_is_a_valid_schema():
             jsonschema.validate(bad, CONFIG_SCHEMA)
         with pytest.raises(ConfigError) as got:
             run(bad)
-        where = "config.sofic" if key == "moduli" else "config"
-        assert str(got.value) == f"{where} needs '{key}'"
+        want = "config.sofic: product sofic config needs 'moduli'" \
+            if key == "moduli" else f"config needs '{key}'"
+        assert str(got.value) == want
     diagnostics = base_config(pipeline="sofic-diagnostics")
     del diagnostics["measure"], diagnostics["operator"]
     validate_config(diagnostics)
@@ -264,17 +266,16 @@ def test_compare(tmp_path):
                  tmp_path / "r2" / "manifest.json"])
 
 
-def test_compare_refuses_a_failed_run(tmp_path):
-    # the monotone pipeline refuses graph assembly inside its stage, after
-    # run has created the output directory, so a partial manifest is written
-    config = base_config(pipeline="monotone",
-                         operator={"kind": "graph_schrodinger",
-                                   "potential": {"0": "0", "1": "1"}})
-    with pytest.raises(ConfigError, match="strict induced assembly"):
-        run(config, out_dir=tmp_path)
+def test_compare_refuses_a_failed_run(tmp_path, monkeypatch):
+    # a check that fails inside a pipeline, after run has created the
+    # output directory, leaves the manifest of a failed run
+    from sofic_spectra import cli
+    monkeypatch.setattr(cli, "punctured_mass", lambda *args: 0.5)
+    with pytest.raises(RuntimeError, match="punctured-interval bound"):
+        run(_luck_atoms({"0": "0", "1": "1"}, [0.01]), out_dir=tmp_path)
     path = tmp_path / "manifest.json"
     error = json.loads(path.read_text())["error"]
-    assert error.startswith("ConfigError: ")
+    assert error.startswith("RuntimeError: ")
     with pytest.raises(ConfigError) as err:
         compare([path])
     assert str(path) in str(err.value) and error in str(err.value)
@@ -437,6 +438,33 @@ def test_structural_check_never_accepts_what_jsonschema_rejects(index, data):
         assert str(got.value) == violation
 
 
+def _small(config):
+    """A shipped config at sizes and sample counts that run in milliseconds."""
+    config = copy.deepcopy(config)
+    config["sofic"]["sizes"] = [8, 16]
+    if "samples" in config:
+        config["samples"] = 2
+    return config
+
+
+SMALL_LATTICE = [_small(c) for c in SHIPPED if c["group"]["kind"] == "lattice"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(SMALL_LATTICE))), st.data())
+def test_run_completes_or_refuses_before_any_output(index, data):
+    # every config fault is a ConfigError naming a config path, raised
+    # before the output directory is made; anything else runs to the end
+    config = _mutated(SMALL_LATTICE[index], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        try:
+            run(config, out_dir=out)
+        except ConfigError as err:
+            assert str(err).startswith("config")
+            assert not out.exists()
+
+
 def _single_mutations(config):
     """Every config one replacement, deletion or added key away."""
     for path, _ in _paths(config):
@@ -476,7 +504,7 @@ def test_structural_check_on_every_single_mutation():
 def test_shipped_configs_pass_the_structural_check():
     assert all(_first_violation(config) is None for config in SHIPPED)
     # stricter, never looser: a float size passes jsonschema, not the check
-    config = dict(SHIPPED[0], sofic={"kind": "torus", "sizes": [16.0]})
+    config = _shipped("luck_atoms", sofic={"kind": "torus", "sizes": [16.0]})
     assert not _jsonschema_errors(config)
     with pytest.raises(ConfigError) as got:
         validate_config(config)
@@ -570,9 +598,11 @@ def test_missing_symbol_is_a_config_error(tmp_path):
         measure={"kind": "iid", "weights": [0.5, 0.3, 0.2],
                  "alphabet": ["0", "1", "2"]},
         operator={"kind": "diagonal", "values": {"0": "0", "1": "1"}})
-    with pytest.raises(ConfigError,
-                       match="operator 'values' gives no value for symbol '2'"):
-        run(config, out_dir=tmp_path)
+    with pytest.raises(ConfigError) as got:
+        run(config, out_dir=tmp_path / "out")
+    assert str(got.value) == \
+        "config.operator: 'values' gives no value for symbol '2'"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +730,8 @@ def _free_group_reference():
     (_diagnostics_config(group={"kind": "free", "rank": 2},
                          sofic={"kind": "random_perm", "sizes": [0]}),
      "need at least one vertex"),
-    (_diagnostics_config(group={"kind": "finite", "table": [[0, 1], [1, 1]],
-                                "generators": [1]}),
-     "element 1 has no inverse"),
+    (_diagnostics_config(group={"kind": "free", "rank": 2}),
+     "models need a lattice group"),
     (_diagnostics_config(measure={"kind": "iid", "weights": [0.5, 0.2],
                                   "alphabet": ["0", "1"]}),
      "weights must sum to 1"),
@@ -713,7 +742,7 @@ def _free_group_reference():
                "window (0, 0, 0, 0, 0)")),
     (_diagnostics_config(measure={"kind": "iid", "alphabet": ["0", "1"],
                                   "weights": [float("nan"), 0.3]}),
-     "weights must be finite"),
+     "weights.0. fails type 'number'"),
     (_shipped("luck_atoms", sofic={"kind": "torus", "sizes": [16]},
               operator={"kind": "table", "M": 1, "entries": [
                   {"g": [2], "window": [0, 0, 0], "re": "1"}]}),
@@ -722,6 +751,36 @@ def _free_group_reference():
               operator={"kind": "table", "M": 1, "entries": [
                   {"g": [0], "window": [0, 0, 5], "re": "1"}]}),
      re.escape("window (0, 0, 5) has a symbol outside 0..1")),
+    (base_config(operator={"kind": "laplacian", "mode": "grpah"}),
+     re.escape("config.operator.mode is 'grpah', not one of "
+               "['induced', 'graph']")),
+    (_shipped("sofic_diagnostics", group={"kind": "lattice", "d": 2}),
+     re.escape("config.measure.period needs one length per coordinate of "
+               "Z^2, not 1")),
+    (_diagnostics_config(measure={"kind": "mixture", "weights": [1.0],
+                                  "components": [{"kind": "periodic",
+                                                  "period": [2, 2],
+                                                  "pattern": [0, 1, 1, 0]}]}),
+     re.escape("config.measure.components[0].period needs one length")),
+    (_diagnostics_config(group={"kind": "free", "rank": 2},
+                         sofic={"kind": "random_perm", "sizes": [8]},
+                         measure={"kind": "periodic", "period": [2],
+                                  "pattern": [0, 1]}),
+     "config: periodic measures need a lattice group"),
+    (_diagnostics_config(sofic={"kind": "random_perm", "sizes": [8]}),
+     "config: random_perm models need a free group"),
+    (_diagnostics_config(sofic={"kind": "torus", "sizes": [9]},
+                         measure={"kind": "periodic", "period": [2],
+                                  "pattern": [0, 1]}),
+     re.escape("config.measure: torus side 9 is not a multiple of the "
+               "periods (2,)")),
+    (base_config(pipeline="monotone",
+                 operator={"kind": "graph_schrodinger",
+                           "potential": {"0": "0", "1": "1"}}),
+     "config: the monotone pipeline uses the strict induced assembly"),
+    (_shipped("monotone", group={"kind": "lattice", "d": 2}),
+     re.escape("config.sofic.sizes[0]: 65536 vertices exceed the dense "
+               "eigensolver budget 4096")),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):
@@ -731,10 +790,25 @@ def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
         raise AssertionError("eigen_spectrum called")
 
     monkeypatch.setattr(cli, "eigen_spectrum", no_solve)
-    with pytest.raises(ConfigError, match=match):
-        run(config, out_dir=tmp_path)
-    # at most the failed run's manifest, and no data file
-    assert {p.name for p in tmp_path.iterdir()} <= {"manifest.json"}
+    with pytest.raises(ConfigError, match=match) as got:
+        run(config, out_dir=tmp_path / "out")
+    assert str(got.value).startswith("config")
+    assert not (tmp_path / "out").exists()
+
+
+def test_diagonal_operators_pass_the_dense_budget(tmp_path, monkeypatch):
+    # a diagonal rule is solved exactly whatever its size, so 5000 vertices
+    # are no budget fault; a hopping rule of that size is one
+    from sofic_spectra.spectral import DEFAULT_DENSE_BUDGET
+    config = _shipped("luck_atoms", sofic={"kind": "torus", "sizes": [5000]},
+                      samples=2)
+    assert 5000 > DEFAULT_DENSE_BUDGET
+    run(config, out_dir=tmp_path / "diagonal")
+    assert (tmp_path / "diagonal" / "atoms.csv").exists()
+    hopping = dict(config, operator={"kind": "laplacian"})
+    with pytest.raises(ConfigError, match="5000 vertices exceed"):
+        run(hopping, out_dir=tmp_path / "hopping")
+    assert not (tmp_path / "hopping").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -775,14 +849,12 @@ def test_ensemble_operators_are_the_seeded_samples(config):
         assemble_induced,
     )
     from sofic_spectra.sofic import good_vertices
-    group = cli.group_from_config(config["group"])
-    sigmas = cli.sofic_family(config, group)
-    model, rule, potential = cli._model_and_rule(config, group)
+    objects = cli.build_objects(config)
+    model, rule, potential = objects.model, objects.rule, objects.potential
     graph = config["operator"]["kind"] == "graph_schrodinger"
     assert (potential is None) != graph
-    for i, (sigma, operators) in enumerate(
-            cli._ensemble(config, model, rule, potential, sigmas, 3)):
-        assert sigma is sigmas[i]
+    for i, (sigma, operators) in enumerate(cli._ensemble(config, objects, 3)):
+        assert sigma is objects.sigmas[i]
         ops = list(operators)
         assert len(ops) == 3
         for j, op in enumerate(ops):

@@ -499,15 +499,12 @@ def test_written_ids_comes_from_eigenvector_solver(tmp_path):
     config.update(samples=3, k_max=2)
     config["sofic"]["sizes"] = [16, 64]
     cli.run(config, out_dir=tmp_path / "run")
-    group = cli.group_from_config(config["group"])
-    alphabet = cli.alphabet_from_config(config["measure"])
-    model = cli.measure_from_config(config["measure"], group)
-    rule, potential = cli.operator_from_config(config["operator"], group,
-                                               alphabet)
-    assert potential is None
-    for size_index, sigma in enumerate(cli.sofic_family(config, group)):
+    objects = cli.build_objects(config)
+    rule = objects.rule
+    assert objects.potential is None
+    for size_index, sigma in enumerate(objects.sigmas):
         rho = cli.sample_configuration(
-            model, sigma, cli.sample_rng(config["seed"], size_index, 0))
+            objects.model, sigma, cli.sample_rng(config["seed"], size_index, 0))
         op = cli.assemble_induced(rule, sigma, rho,
                                   cli.good_vertices(sigma, 2 * rule.hopping))
         w = np.linalg.eigh(op.to_dense())[0]
