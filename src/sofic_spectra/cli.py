@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -34,6 +34,7 @@ from . import __version__
 from .exact import ComplexRational
 from .groups import BallCapacityError, GroupSpec, free_group, lattice_group
 from .measures import (
+    DEFAULT_ENUM_BUDGET,
     Alphabet,
     EnumerationBudgetError,
     IIDProduct,
@@ -305,9 +306,9 @@ def validate_config(config: dict) -> None:
 @dataclass(frozen=True)
 class ConfigObjects:
     """What a config names, each built once by build_objects.  The measure,
-    the rule with its graph potential (None for the induced assembly) and
-    the alpha values are left at their defaults where no pipeline reads
-    them."""
+    the rule with its graph potential (None for the induced assembly), the
+    alpha values and the weak-convergence moment oracle {k: expected_moment}
+    are left at their defaults where no pipeline reads them."""
 
     group: GroupSpec
     sigmas: list
@@ -315,13 +316,15 @@ class ConfigObjects:
     rule: Optional[LocalRule] = None
     potential: Optional[list] = None
     alphas: tuple = ()
+    oracle: dict = field(default_factory=dict)
 
 
 def build_objects(config: dict) -> ConfigObjects:
     """The objects of a config that passes validate_config.  A constructor's
     refusal is a ConfigError naming the object, and so is a size the dense
-    eigensolver would refuse: a rule with a nonzero off-identity
-    coefficient keeps its operators off the exact diagonal path."""
+    eigensolver would refuse (a rule with a nonzero off-identity
+    coefficient keeps its operators off the exact diagonal path) and a
+    k_max whose exact moment oracle would enumerate too many windows."""
     g = config["group"]
     group = lattice_group(g["d"]) if g["kind"] == "lattice" else \
         free_group(g["rank"])
@@ -352,7 +355,20 @@ def build_objects(config: dict) -> ConfigObjects:
             raise ConfigError(
                 f"config.sofic.sizes[{i}]: {sigma.n_vertices} vertices exceed "
                 f"the dense eigensolver budget {DEFAULT_DENSE_BUDGET}")
-    return ConfigObjects(group, sigmas, model, rule, potential, alphas)
+    oracle = {}
+    if config["pipeline"] == "weak-convergence":
+        k_max = config.get("k_max", 4)
+        try:
+            # the highest order reads the most sites, so it meets the
+            # budget before any lower order is enumerated
+            oracle = {k: expected_moment(rule, model, k)
+                      for k in range(k_max, 0, -1)}
+        except EnumerationBudgetError:
+            raise ConfigError(
+                f"config.k_max: the exact moment of order {k_max} needs more "
+                f"window assignments than the budget {DEFAULT_ENUM_BUDGET}"
+            ) from None
+    return ConfigObjects(group, sigmas, model, rule, potential, alphas, oracle)
 
 
 def sofic_family(config: dict, group: GroupSpec) -> list[SoficApproximation]:
@@ -566,10 +582,8 @@ def _trace_moments(op: InducedOperator, k_max: int) -> list[float]:
 
 
 def _pipeline_weak_convergence(config, objects, out):
-    k_max = config.get("k_max", 4)
+    k_max = len(objects.oracle)
     grid = _beta_grid(config)
-    oracle = {k: expected_moment(objects.rule, objects.model, k)
-              for k in range(1, k_max + 1)}
     moment_rows = []
     dist_rows = []
     curves = {}
@@ -588,7 +602,8 @@ def _pipeline_weak_convergence(config, objects, out):
         for k, emp in enumerate(np.array(moments).T, start=1):
             se = float(emp.std(ddof=1) / np.sqrt(len(emp))) if len(emp) > 1 else 0.0
             moment_rows.append([sigma.n_vertices, k, float(emp.mean()), se,
-                                oracle[k].value, oracle[k].standard_error])
+                                objects.oracle[k].value,
+                                objects.oracle[k].standard_error])
         curve = ids_curve(spec, grid)
         curves[sigma.n_vertices] = curve
         write_csv(out / f"ids_{sigma.n_vertices}.csv", ["beta", "value"],

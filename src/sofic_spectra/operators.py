@@ -691,24 +691,39 @@ def _longest_line(lines: np.ndarray) -> int:
     return int(np.diff(_line_starts(lines), append=len(lines)).max(initial=0))
 
 
-def _propagate(lines: np.ndarray, other: np.ndarray, ent_re: np.ndarray,
+def _next_lines(lines: np.ndarray, keys: np.ndarray, order: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(first, deg) of entry order[j]: where the line keys[j] starts among
+    the entries sorted by line, and how many entries it holds.  The keys
+    ascend, which keeps the binary searches short."""
+    lo = np.searchsorted(lines, keys)
+    first, deg = np.empty_like(lo), np.empty_like(lo)
+    first[order] = lo
+    deg[order] = np.searchsorted(lines, keys, side="right") - lo
+    return first, deg
+
+
+def _propagate(lines: np.ndarray, other: np.ndarray, spans, ent_re: np.ndarray,
                ent_im: np.ndarray, real: bool, n: int, s: np.ndarray,
                w: np.ndarray, x_re: np.ndarray, x_im: np.ndarray, steps: int):
     """`steps` frontier steps through a compressed operator.
 
     The entries are sorted by line (rows in CSR order, columns in CSC
     order): lines[t] is the line of entry t and other[t] the index at its
-    other end, so line w holds the entries searchsorted finds for w and no
-    array of length n is built.  The frontier holds (s, w, re, im) sorted by
-    the key s*n + w.  A step expands each triple through its line,
-    multiplies by the entry numerators and merges equal (s, other) keys with
-    a stable sort and np.add.reduceat, so each sum takes its terms in
-    ascending w order.  It costs O(entries in the frontier's lines).
+    other end.  The frontier holds (s, w, re, im) sorted by the key
+    s*n + w.  A step expands each triple through its line, multiplies by the
+    entry numerators and merges equal (s, other) keys with a stable sort and
+    np.add.reduceat, so each sum takes its terms in ascending w order.  The
+    sources' lines are searched for; after that a merged term keeps the
+    entry of its first term, and spans = (first, deg) of the line at each
+    entry's other end (see _next_lines; None for a single step) gives the
+    term's next line, so no array of length n is built.  A step costs
+    O(entries in the frontier's lines).
     """
-    for _ in range(steps):
-        first = np.searchsorted(lines, w)
-        deg = np.searchsorted(lines, w, side="right") - first
-        src = np.repeat(np.arange(len(w)), deg)
+    first = np.searchsorted(lines, w)
+    deg = np.searchsorted(lines, w, side="right") - first
+    for step in range(steps):
+        src = np.repeat(np.arange(len(deg)), deg)
         ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
                                               deg)
         g_re, e_re = x_re[src], ent_re[ent]
@@ -733,6 +748,9 @@ def _propagate(lines: np.ndarray, other: np.ndarray, ent_re: np.ndarray,
         x_re = np.add.reduceat(t_re[order], merged)
         if not real:
             x_im = np.add.reduceat(t_im[order], merged)
+        if step + 1 < steps:
+            kept = ent[order[merged]]
+            first, deg = spans[0][kept], spans[1][kept]
     return s, w, x_re, x_im
 
 
@@ -762,7 +780,8 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     den, val_re, val_im = _scaled_numerators(op.values)
     # the entries are row-major; a stable sort by column keeps rows ascending
     csc = np.argsort(cols, kind="stable")
-    dmax = max(_longest_line(rows), _longest_line(cols[csc]))
+    csc_cols = cols[csc]
+    dmax = max(_longest_line(rows), _longest_line(csc_cols))
     # a row sum of magnitudes is at most dmax times the largest, so it adds
     # up on int64 when that fits
     mags = np.abs(val_re) + np.abs(val_im)
@@ -774,9 +793,17 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     real = not ent_im.any()
     c = k // 2
     r = k - c
-    # (lines, other end, entry numerators) of a row and of a column frontier
-    row_side = (rows, cols, ent_re, ent_im, real, n)
-    col_side = (cols[csc], rows[csc], ent_re[csc], ent_im[csc], real, n)
+    # (lines, other end, next line spans, entry numerators) of a row and of
+    # a column frontier.  The spans are looked up on ascending keys: the
+    # row entries' other ends ascend in CSC order, and the column entries'
+    # in row-major order, where entry j sits at inv[j] in CSC order
+    inv = np.empty_like(csc)
+    inv[csc] = np.arange(len(csc))
+    row_side = (rows, cols, _next_lines(rows, csc_cols, csc) if r > 1 else None,
+                ent_re, ent_im, real, n)
+    col_side = (csc_cols, rows[csc],
+                _next_lines(csc_cols, rows, inv) if c > 1 else None,
+                ent_re[csc], ent_im[csc], real, n)
     chunk = max(1, _BATCH_CELLS // max(1, min(len(rows), dmax ** r)))
     re = np.zeros(len(vertices), dtype=dtype)
     im = np.zeros(len(vertices), dtype=dtype)

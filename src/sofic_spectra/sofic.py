@@ -148,7 +148,7 @@ class FiniteQuotient:
 
     ``perms[i]`` is the permutation of coset indices induced by generator i;
     index 0 is the identity coset.  The action must be a genuine homomorphism
-    and is checked on generator pairs (and exhaustively for finite groups).
+    and is checked on generator pairs.
     """
 
     group: GroupSpec
@@ -382,32 +382,3 @@ def sofic_defect(sigma: SoficApproximation, radius: int) -> SoficDefectReport:
         max_fix_defect=max(fix.values()) if fix else 0.0,
     )
 
-
-def goodness_defect_bound(sigma: SoficApproximation, radius: int) -> float:
-    """Lower bound on the R-good fraction from defect statistics.
-
-    A vertex that fails the R-good scan witnesses either a homomorphism
-    failure of some pair (s, g), s in S, g in B(e, 2R+1), at a vertex of the
-    form sigma^h(v) with h in B(e, 2R+1), or a freeness failure of some
-    g in B(e, 2R+2) at v itself.  Union-bounding over pulled-back events
-    (permutations preserve counts) gives the bound; it is loose but sound.
-    """
-    b_pairs = ball(sigma.group, 2 * radius + 1)
-    b_free = ball(sigma.group, 2 * radius + 2)
-    e = sigma.group.identity()
-    hom_sum = 0.0
-    for s_idx in range(sigma.group.n_generators):
-        s = sigma.group.generator(s_idx)
-        ps = sigma.perms[s_idx]
-        for g in b_pairs.elements:
-            pg = sigma.perm_of(g)
-            psg = sigma.perm_of(sigma.group.multiply(s, g))
-            hom_sum += float(np.mean(ps[pg] != psg))
-    ident = np.arange(sigma.n_vertices)
-    fix_sum = 0.0
-    for g in b_free.elements:
-        if g == e:
-            continue
-        fix_sum += float(np.mean(sigma.perm_of(g) == ident))
-    penalty = len(b_pairs) * hom_sum + fix_sum
-    return max(0.0, 1.0 - penalty)

@@ -781,6 +781,9 @@ def _free_group_reference():
     (_shipped("monotone", group={"kind": "lattice", "d": 2}),
      re.escape("config.sofic.sizes[0]: 65536 vertices exceed the dense "
                "eigensolver budget 4096")),
+    (base_config(sofic={"kind": "torus", "sizes": [16]}, samples=1, k_max=40),
+     re.escape("config.k_max: the exact moment of order 40 needs more window "
+               "assignments than the budget 1000000")),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):

@@ -2,24 +2,14 @@ import pytest
 
 from sofic_spectra.groups import (
     BallCapacityError,
+    GroupSpec,
     GroupValidationError,
     PatternWindow,
     ball,
-    finite_group,
     free_group,
     lattice_group,
     translate_window,
 )
-
-
-def s3_table():
-    # permutations of {0,1,2} composed left-to-right; index = lexicographic
-    import itertools
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(q[p[x]] for x in range(3))] for q in perms]
-             for p in perms]
-    return table, perms, index
 
 
 def test_lattice_ball_counts():
@@ -145,26 +135,10 @@ def test_translate_window_radius_error():
         translate_window(z1, (1,), w, 1)
 
 
-def test_finite_group_s3():
-    table, perms, index = s3_table()
-    transpositions = [i for i, p in enumerate(perms)
-                      if sum(p[x] != x for x in range(3)) == 2]
-    g = finite_group(table, transpositions)
-    assert g.identity() == index[(0, 1, 2)]
-    assert len(ball(g, 1)) == 4
-    assert len(ball(g, 2)) == 6       # transpositions generate S3, diameter 2
-    e = g.identity()
-    for a in range(6):
-        assert g.multiply(a, g.inverse(a)) == e
-
-
-def test_finite_group_validation_errors():
+def test_group_constructors_refuse_bad_parameters():
     with pytest.raises(GroupValidationError):
-        finite_group([[0, 1], [1, 1]], [1])      # broken group law
-    table, perms, index = s3_table()
+        lattice_group(0)
     with pytest.raises(GroupValidationError):
-        finite_group(table, [index[(0, 1, 2)]])  # identity as generator
-    three_cycles = [i for i, p in enumerate(perms)
-                    if sum(p[x] != x for x in range(3)) == 3]
+        free_group(0)
     with pytest.raises(GroupValidationError):
-        finite_group(table, three_cycles[:1])    # not symmetric
+        GroupSpec(kind="finite")

@@ -13,7 +13,6 @@ from sofic_spectra.sofic import (
     SoficCompatibilityError,
     edge_graph,
     good_vertices,
-    goodness_defect_bound,
     lattice_quotient,
     product_with_quotient,
     random_permutation_approximation,
@@ -178,27 +177,6 @@ def test_corrupted_torus_loses_goodness():
     assert good_vertices(bad, 2).fraction <= rep.fraction
 
 
-def test_finite_group_left_action_all_good():
-    import itertools
-    perms3 = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms3)}
-    table = [[index[tuple(q[p[x]] for x in range(3))] for q in perms3]
-             for p in perms3]
-    from sofic_spectra.groups import finite_group
-    transpositions = [i for i, p in enumerate(perms3)
-                      if sum(p[x] != x for x in range(3)) == 2]
-    g = finite_group(table, transpositions)
-    # left-regular action: perm(s)[v] = s*v, an exact homomorphism
-    perms = tuple(np.array([g.multiply(s, v) for v in range(6)])
-                  for s in g.generators())
-    from sofic_spectra.sofic import SoficApproximation
-    sig = SoficApproximation(group=g, n_vertices=6, perms=perms,
-                             provenance="explicit")
-    for radius in (1, 2, 3):
-        assert good_vertices(sig, radius).fraction == 1.0
-    assert sofic_defect(sig, 2).max_hom_defect == 0.0
-
-
 def test_product_with_quotient_formula():
     base = torus_approximation(1, 4)
     quot = lattice_quotient(1, [2])
@@ -246,10 +224,3 @@ def test_quotient_homomorphism_check():
         FiniteQuotient(group=lattice_group(2), size=3,
                        perms=((1, 2, 0), (2, 0, 1),
                               (1, 0, 2), (1, 0, 2)))
-
-
-def test_goodness_defect_bound_sound():
-    for sig in (torus_approximation(1, 8),
-                random_permutation_approximation(2, 800, seed=2)):
-        frac = good_vertices(sig, 1).fraction
-        assert frac >= goodness_defect_bound(sig, 1)
