@@ -69,9 +69,6 @@ class GroupSpec:
             return tuple(vec)
         return (i,)
 
-    def generators(self) -> list[Element]:
-        return [self.generator(i) for i in range(self.n_generators)]
-
     def inverse_generator_index(self, i: int) -> int:
         return i ^ 1
 

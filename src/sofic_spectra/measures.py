@@ -1,17 +1,18 @@
 """Invariant laws on configuration spaces and their finite-volume counterparts.
 
 Three model families: i.i.d. product laws, periodic-orbit laws (uniform on
-the orbit of a pattern that factors through a finite quotient) and convex
-mixtures.  Each model knows how to sample finite configurations on a
-compatible sofic approximation, how to compute exact radius-R cylinder
-marginals, and how to push a finite-model law forward through a vertex map
-while identifying collided coordinates.
+the orbit of a pattern that factors through a finite quotient of Z^d) and
+convex mixtures.  Each model knows how to sample finite configurations on a
+compatible sofic approximation (one whose lattice box the periods divide),
+how to compute exact radius-R cylinder marginals, and how to push a
+finite-model law forward through a vertex map identifying collided sites.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -98,37 +99,30 @@ class IIDProduct:
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """Uniform law on the orbit of a pattern factoring through G -> G/N.
-
-    ``pattern[c]`` is the symbol index on coset c of the quotient.  For
-    lattices the quotient is the box (Z/m_1) x ... x (Z/m_d) with coordinate 0
-    least significant in the coset index.
-    """
+    """Uniform law on the orbit of a pattern factoring through Z^d -> Z^d/L:
+    ``pattern[c]`` is the symbol index on coset c of the quotient's box."""
 
     alphabet: Alphabet
     quotient: FiniteQuotient
     pattern: tuple
-    periods: Optional[tuple] = None   # set for lattice models
 
     def __post_init__(self):
-        object.__setattr__(self, "pattern", tuple(self.pattern))
+        for p in self.pattern:
+            if (isinstance(p, bool) or not isinstance(p, numbers.Integral)
+                    or not 0 <= p < self.alphabet.size):
+                raise ValueError(f"pattern symbol {p!r} is not an integer "
+                                 f"in 0..{self.alphabet.size - 1}")
+        object.__setattr__(self, "pattern", tuple(int(p) for p in self.pattern))
         if len(self.pattern) != self.quotient.size:
             raise ValueError("pattern must cover every coset")
-        if any(not (0 <= int(p) < self.alphabet.size) for p in self.pattern):
-            raise ValueError("pattern symbols out of alphabet range")
 
     @functools.cached_property
     def translate_table(self) -> np.ndarray:
         """Read-only (q, q) array whose row t is the pattern of the
-        t-translate: its value at coset c is pattern[q^rep_c(t)]."""
-        perms = np.asarray(self.quotient.perms, dtype=np.int64)
-        act = []                                # act[c][t] = q^rep_c(t)
-        for word in self.quotient.representative_words():
-            perm = np.arange(self.quotient.size)
-            for letter in reversed(word):
-                perm = perms[letter][perm]
-            act.append(perm)
-        table = np.asarray(self.pattern, dtype=np.int64)[np.array(act).T]
+        t-translate: its value at coset c is pattern[coset of t + c]."""
+        x = self.quotient.coordinates
+        table = np.asarray(self.pattern, dtype=np.int64)[
+            self.quotient.coset_of(x[:, :, None] + x[:, None, :])]
         table.setflags(write=False)
         return table
 
@@ -157,11 +151,8 @@ MeasureModel = Union[IIDProduct, PeriodicOrbit, Mixture]
 def lattice_periodic(alphabet: Alphabet, periods: Sequence[int],
                      pattern: Sequence[int]) -> PeriodicOrbit:
     """Periodic model on Z^d with a diagonal period lattice."""
-    d = len(periods)
-    quotient = lattice_quotient(d, periods)
-    return PeriodicOrbit(alphabet=alphabet, quotient=quotient,
-                         pattern=tuple(int(p) for p in pattern),
-                         periods=tuple(int(m) for m in periods))
+    return PeriodicOrbit(alphabet, lattice_quotient(len(periods), periods),
+                         tuple(pattern))
 
 
 def model_alphabet(model: MeasureModel) -> Alphabet:
@@ -288,48 +279,37 @@ def _periodic_translates(model: MeasureModel,
                          sigma: SoficApproximation) -> dict:
     """id(part) -> (q, n) array whose row t is the t-translate on sigma, for
     each periodic part of the model."""
-    return {id(p): p.translate_table[:, _cosets(p, sigma)]
+    return {id(p): p.translate_table[:, _cosets(p.quotient, sigma)]
             for p in _periodic_parts(model)}
 
 
 def _periodic_base_values(model: PeriodicOrbit, sigma: SoficApproximation,
                           t: int) -> np.ndarray:
     """Configuration of the t-translate of the periodic pattern on sigma."""
-    return model.translate_table[t][_cosets(model, sigma)]
+    return model.translate_table[t][_cosets(model.quotient, sigma)]
 
 
 def check_fits(model: MeasureModel, sigma: SoficApproximation) -> None:
     """Raise SoficCompatibilityError unless every periodic part of the model
     factors through sigma's vertices, as sampling on sigma needs."""
     for part in _periodic_parts(model):
-        _cosets(part, sigma)
+        _cosets(part.quotient, sigma)
 
 
-def _cosets(model: PeriodicOrbit, sigma: SoficApproximation) -> np.ndarray:
-    """The quotient coset of each vertex of sigma."""
-    if sigma.provenance == "torus" and model.periods is not None:
-        d = sigma.meta["d"]
-        n = sigma.meta["n"]
-        if len(model.periods) != d:
-            raise SoficCompatibilityError("period dimension mismatch")
-        if any(n % m != 0 for m in model.periods):
+def _cosets(quotient: FiniteQuotient,
+            sigma: SoficApproximation) -> np.ndarray:
+    """The quotient coset of each vertex of sigma: the point of sigma's box
+    that the vertex carries, reduced mod the periods."""
+    box, periods = sigma.box, quotient.moduli
+    if box is None or len(box) != len(periods):
+        raise SoficCompatibilityError(f"periods {periods} need a sofic model "
+                                      f"with a lattice box, not box {box}")
+    for side, m in zip(box, periods):
+        if side % m:
             raise SoficCompatibilityError(
-                f"torus side {n} is not a multiple of the periods {model.periods}")
-        # coordinate 0 is the least significant, of vertices and of cosets
-        coords = np.unravel_index(np.arange(sigma.n_vertices), (n,) * d,
-                                  order="F")
-        return np.ravel_multi_index(
-            [c % m for c, m in zip(coords, model.periods)], model.periods,
-            order="F")
-    if sigma.provenance == "product_with_quotient":
-        if sigma.meta.get("quotient") != model.quotient:
-            raise SoficCompatibilityError(
-                "sofic model was built with a different quotient than the measure")
-        # vertex (v, c) is v * q + c
-        return np.arange(sigma.n_vertices) % model.quotient.size
-    raise SoficCompatibilityError(
-        f"periodic model incompatible with sofic approximation "
-        f"of provenance {sigma.provenance!r}")
+                f"torus side {side} is not a multiple of the periods {periods}")
+    return quotient.coset_of(np.unravel_index(
+        np.arange(sigma.n_vertices) % math.prod(box), box, order="F"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Sofic approximations: permutation models, labeled graphs, goodness, defects.
 
 A sofic approximation stores one permutation of the vertex set per generator
-and extends to arbitrary group elements along canonical words.  The induced
-labeled graph, the R-good vertex scan (labeled-ball isomorphism onto the
-Cayley ball) and the homomorphism/freeness defect statistics all operate on
-vectorized permutation arrays.
+and extends to arbitrary group elements along canonical words; a model of Z^d
+may name the lattice box its vertices map onto.  A finite quotient of Z^d is
+such a box, acted on by coordinate arithmetic.  The labeled graph, the R-good
+vertex scan (labeled-ball isomorphism onto the Cayley ball) and the
+homomorphism/freeness defect statistics operate on permutation arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,13 +45,16 @@ class SoficApproximation:
     perms[inv(i)] = perms[i]^{-1} holds exactly, so the extension along any
     word is consistent under free cancellation.  Word permutations and
     goodness masks are cached on the model, so perms must not change.
+
+    ``box`` (models of Z^d) names sides b_i: vertex v carries the point of
+    prod Z/b_i with index v mod prod(box), coordinate 0 least significant,
+    and sigma^g moves it by g.  None means that no box is known.
     """
 
     group: GroupSpec
     n_vertices: int
     perms: tuple
-    provenance: str = "explicit"
-    meta: dict = field(default_factory=dict)
+    box: Optional[tuple] = None
 
     _word_cache: dict = field(default_factory=dict, repr=False)
     _good_cache: dict = field(default_factory=dict, repr=False)
@@ -103,8 +109,7 @@ def torus_approximation(d: int, n: int) -> SoficApproximation:
             f"torus has {n**d} vertices, budget {TORUS_VERTEX_BUDGET}")
     return SoficApproximation(
         group=lattice_group(d), n_vertices=n**d,
-        perms=tuple(_box_shifts([n] * d)),
-        provenance="torus", meta={"d": d, "n": n})
+        perms=tuple(_box_shifts([n] * d)), box=(n,) * d)
 
 
 def _box_shifts(moduli: Sequence[int]) -> list[np.ndarray]:
@@ -137,102 +142,68 @@ def random_permutation_approximation(rank: int, n: int,
         inv = np.empty(n, dtype=np.int64)
         inv[p] = np.arange(n)
         perms.extend([p, inv])
-    return SoficApproximation(
-        group=group, n_vertices=n, perms=tuple(perms),
-        provenance="random_permutation", meta={"rank": rank, "n": n, "seed": seed})
+    return SoficApproximation(group=group, n_vertices=n, perms=tuple(perms))
 
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """Action of G on a finite coset space G/N by left multiplication.
-
-    ``perms[i]`` is the permutation of coset indices induced by generator i;
-    index 0 is the identity coset.  The action must be a genuine homomorphism
-    and is checked on generator pairs.
-    """
+    """The quotient Z^d -> prod Z/m_i by the diagonal lattice of the moduli:
+    coset c is the point of the box prod Z/m_i whose mixed-radix index is c,
+    coordinate 0 least significant, so coset 0 is the identity coset."""
 
     group: GroupSpec
-    size: int
-    perms: tuple
+    moduli: tuple
 
     def __post_init__(self):
-        ident = tuple(range(self.size))
-        for i, p in enumerate(self.perms):
-            if tuple(sorted(p)) != ident:
-                raise SoficCompatibilityError(f"quotient perm {i} is not a bijection")
-        for i in range(self.group.n_generators):
-            j = self.group.inverse_generator_index(i)
-            pi, pj = self.perms[i], self.perms[j]
-            if any(pi[pj[c]] != c for c in range(self.size)):
-                raise SoficCompatibilityError("quotient inverse pairing broken")
-        self._check_homomorphism()
+        for m in self.moduli:
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+                raise ValueError(f"modulus {m!r} is not an integer")
+        moduli = tuple(int(m) for m in self.moduli)
+        if (self.group.kind != "lattice" or len(moduli) != self.group.d
+                or any(m < 1 for m in moduli)):
+            raise ValueError(f"need one modulus >= 1 per coordinate of the "
+                             f"lattice, not {moduli}")
+        object.__setattr__(self, "moduli", moduli)
 
-    def _check_homomorphism(self):
-        gens = self.group.generators()
-        for i, s in enumerate(gens):
-            for j, t in enumerate(gens):
-                st = self.group.multiply(s, t)
-                composed = tuple(self.perms[i][self.perms[j][c]]
-                                 for c in range(self.size))
-                if composed != tuple(self.act_perm(st)):
-                    raise SoficCompatibilityError(
-                        f"quotient action fails homomorphism check on pair ({i},{j})")
+    @property
+    def size(self) -> int:
+        return math.prod(self.moduli)
 
-    def act_perm(self, g: Element) -> list[int]:
-        word = self.group.canonical_word(g)
-        out = list(range(self.size))
-        for letter in reversed(word):
-            out = [self.perms[letter][c] for c in out]
-        return out
+    @functools.cached_property
+    def coordinates(self) -> np.ndarray:
+        """Read-only (d, size) array: column c is the box point of coset c."""
+        coords = np.array(np.unravel_index(np.arange(self.size), self.moduli,
+                                           order="F"), dtype=np.int64)
+        coords.setflags(write=False)
+        return coords
 
-    def representative_words(self) -> list[tuple]:
-        """One geodesic word per coset index, by BFS from the identity coset."""
-        words: dict[int, tuple] = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for i in range(self.group.n_generators):
-                    c2 = self.perms[i][c]
-                    if c2 not in words:
-                        words[c2] = (i,) + words[c]
-                        nxt.append(c2)
-            frontier = nxt
-        if len(words) != self.size:
-            raise SoficCompatibilityError("quotient action is not transitive")
-        return [words[c] for c in range(self.size)]
+    def coset_of(self, points) -> np.ndarray:
+        """The coset of each lattice point, coordinate i in row i of points."""
+        return np.ravel_multi_index(
+            [x % m for x, m in zip(points, self.moduli)], self.moduli, order="F")
+
+    def act_perm(self, g: Element) -> np.ndarray:
+        """Index array mapping coset c to the coset of g + c."""
+        return self.coset_of([x + a for x, a in zip(self.coordinates, g)])
 
 
 def lattice_quotient(d: int, moduli: Sequence[int]) -> FiniteQuotient:
     """The quotient Z^d -> prod Z/m_i Z as a FiniteQuotient."""
-    if len(moduli) != d or any(m < 1 for m in moduli):
-        raise ValueError("need one modulus >= 1 per coordinate")
-    return FiniteQuotient(group=lattice_group(d), size=int(math.prod(moduli)),
-                          perms=tuple(tuple(p.tolist())
-                                      for p in _box_shifts(moduli)))
+    return FiniteQuotient(group=lattice_group(d), moduli=tuple(moduli))
 
 
 def product_with_quotient(base: SoficApproximation,
                           quotient: FiniteQuotient) -> SoficApproximation:
-    """Product model sigma^g(v, hN) = (sigma_base^g(v), g.hN).
-
-    Vertex (v, c) is flattened as v * |G/N| + c.
-    """
+    """Product model sigma^g(v, c) = (sigma_base^g(v), g + c); vertex (v, c)
+    is flattened as v * |G/N| + c, so the model's box is the quotient's."""
     if base.group != quotient.group:
         raise SoficCompatibilityError("base and quotient live over different groups")
     q = quotient.size
-    n = base.n_vertices * q
-    cos = np.arange(q)
-    perms = []
-    for i in range(base.group.n_generators):
-        qp = np.asarray(quotient.perms[i])
-        new = (base.perms[i][:, None] * q + qp[None, :]).reshape(n)
-        perms.append(new)
-    return SoficApproximation(
-        group=base.group, n_vertices=n, perms=tuple(perms),
-        provenance="product_with_quotient",
-        meta={"base": base.provenance, "base_meta": dict(base.meta),
-              "quotient_size": q, "quotient": quotient})
+    perms = tuple(
+        (p[:, None] * q + quotient.act_perm(base.group.generator(i))).ravel()
+        for i, p in enumerate(base.perms))
+    return SoficApproximation(group=base.group, n_vertices=base.n_vertices * q,
+                              perms=perms, box=quotient.moduli)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,36 @@ def test_product_sofic_pipeline(tmp_path):
     assert all(r.split(",")[2] == "1" for r in rows)   # exact quotient
 
 
+def test_product_takes_a_period_that_divides_its_moduli(tmp_path):
+    from sofic_spectra.cli import build_objects
+    from sofic_spectra.measures import (
+        pushforward_window_distribution,
+        sample_configuration,
+        sample_rng,
+        target_marginal_on,
+    )
+    config = _diagnostics_config(
+        sofic={"kind": "product", "sizes": [4, 8], "moduli": [4]},
+        measure={"kind": "periodic", "period": [2], "pattern": [0, 1]},
+        samples=20)
+    run(config, out_dir=tmp_path)
+    rows = [r.split(",") for r in
+            (tmp_path / "le.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[3], r[4]) for r in rows] == [("16", "1", "1"),
+                                                 ("32", "1", "1")]
+    objects = build_objects(config)
+    target = target_marginal_on(objects.model, objects.group, 1)
+    for i, sigma in enumerate(objects.sigmas):
+        n = sigma.n_vertices
+        seen = {tuple(sample_configuration(objects.model, sigma,
+                                           sample_rng(1, i, j)).values)
+                for j in range(20)}
+        assert seen == {(0, 1) * (n // 2), (1, 0) * (n // 2)}
+        for v in range(n):
+            push = pushforward_window_distribution(objects.model, sigma, v, 1)
+            assert push.tv(target) == 0.0
+
+
 def test_ids_json_emitted(tmp_path):
     config = base_config(samples=1, k_max=1,
                          sofic={"kind": "torus", "sizes": [16]})
@@ -784,6 +814,12 @@ def _free_group_reference():
     (base_config(sofic={"kind": "torus", "sizes": [16]}, samples=1, k_max=40),
      re.escape("config.k_max: the exact moment of order 40 needs more window "
                "assignments than the budget 1000000")),
+    (_diagnostics_config(sofic={"kind": "product", "sizes": [8],
+                                "moduli": [3]},
+                         measure={"kind": "periodic", "period": [2],
+                                  "pattern": [0, 1]}),
+     re.escape("config.measure: torus side 3 is not a multiple of the "
+               "periods (2,)")),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):

@@ -166,7 +166,7 @@ def test_goodness_matches_brute_force_corrupted():
     perms[1] = np.empty(10, dtype=np.int64)
     perms[1][perms[0]] = np.arange(10)
     bad = SoficApproximation(group=sigma.group, n_vertices=10,
-                             perms=tuple(perms), provenance="explicit")
+                             perms=tuple(perms))
     for radius in (1, 2):
         fast = good_vertices(bad, radius).good
         for v in range(10):
@@ -189,8 +189,7 @@ def test_induced_rows_complete_at_4m_good_vertices():
     perms[0][[0, 5]] = perms[0][[5, 0]]   # corrupt two sites
     perms[1] = np.empty(16, dtype=np.int64)
     perms[1][perms[0]] = np.arange(16)
-    bad = SoficApproximation(group=z1, n_vertices=16, perms=tuple(perms),
-                             provenance="explicit")
+    bad = SoficApproximation(group=z1, n_vertices=16, perms=tuple(perms))
     rho = sample_configuration(
         IIDProduct(alphabet=binary_alphabet(), weights=(0.5, 0.5)), bad, 3)
     op = assemble_induced(rule, bad, rho)

@@ -1,9 +1,14 @@
+import functools
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sofic_spectra.measures as measures_module
+import sofic_spectra.sofic as sofic_module
 from sofic_spectra.groups import ball, lattice_group
 from sofic_spectra.measures import (
     Alphabet,
@@ -14,6 +19,7 @@ from sofic_spectra.measures import (
     PeriodicOrbit,
     WindowDistribution,
     binary_alphabet,
+    check_fits,
     empirical_window_distribution,
     lattice_periodic,
     le_diagnostic,
@@ -91,6 +97,41 @@ def test_periodic_incompatible_torus():
     model = lattice_periodic(BIN, [2], [0, 1])
     with pytest.raises(SoficCompatibilityError):
         sample_configuration(model, torus_approximation(1, 5), 0)
+
+
+def test_periodic_law_needs_a_model_with_a_lattice_box():
+    from sofic_spectra.groups import free_group
+    from sofic_spectra.sofic import SoficApproximation, \
+        random_permutation_approximation
+    model = lattice_periodic(BIN, [2], [0, 1])
+    torus = torus_approximation(1, 4)
+    explicit = SoficApproximation(group=Z1, n_vertices=4, perms=torus.perms)
+    free = random_permutation_approximation(1, 4, seed=0)
+    assert free.group == free_group(1)
+    for sigma in (explicit, free):
+        with pytest.raises(SoficCompatibilityError, match="lattice box"):
+            check_fits(model, sigma)
+        with pytest.raises(SoficCompatibilityError, match="lattice box"):
+            sample_configuration(model, sigma, 0)
+    product = product_with_quotient(torus, lattice_quotient(1, [3]))
+    with pytest.raises(SoficCompatibilityError, match=re.escape(
+            "torus side 3 is not a multiple of the periods (2,)")):
+        check_fits(model, product)
+
+
+@pytest.mark.parametrize("pattern, match", [
+    ((0, 1.5), re.escape("pattern symbol 1.5 is not an integer in 0..1")),
+    ((0, 1.7), "pattern symbol 1.7 is not an integer"),
+    ((True, 0), "pattern symbol True is not an integer"),
+    ((0, 2), "pattern symbol 2 is not an integer in"),
+    ((-1, 0), "pattern symbol -1 is not an integer in"),
+])
+def test_periodic_pattern_refuses_symbols_by_value(pattern, match):
+    with pytest.raises(ValueError, match=match):
+        PeriodicOrbit(alphabet=BIN, quotient=lattice_quotient(1, [2]),
+                      pattern=pattern)
+    with pytest.raises(ValueError, match=match):
+        lattice_periodic(BIN, [2], list(pattern))
 
 
 def test_mixture_of_constants():
@@ -240,6 +281,31 @@ def test_quotient_product_periodic_sampling():
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_shifts(moduli):
+    return [p.tolist() for p in sofic_module._box_shifts(moduli)]
+
+
+def _walk(moduli, g, start=0):
+    """The coset reached from coset start along the canonical word of the
+    lattice vector g, one unit shift of the box prod Z/m_i at a time."""
+    shifts = _unit_shifts(tuple(moduli))
+    c = start
+    for letter in reversed(lattice_group(len(moduli)).canonical_word(g)):
+        c = shifts[letter][c]
+    return c
+
+
+def _mixed_radix(c, sides):
+    """The point of the box with the given sides whose index is c,
+    coordinate 0 least significant."""
+    point = []
+    for m in sides:
+        point.append(c % m)
+        c //= m
+    return tuple(point)
+
+
 def _old_target_marginal_on(model, b, budget):
     """The cylinder marginal as computed before it was a merge of site_law."""
     if isinstance(model, IIDProduct):
@@ -263,10 +329,10 @@ def _old_target_marginal_on(model, b, budget):
         return probs
     if isinstance(model, PeriodicOrbit):
         q = model.quotient.size
-        perms = [model.quotient.act_perm(g) for g in b.elements]
         probs = {}
         for t in range(q):
-            pat = tuple(model.pattern[perm[t]] for perm in perms)
+            pat = tuple(model.pattern[_walk(model.quotient.moduli, g, t)]
+                        for g in b.elements)
             probs[pat] = probs.get(pat, 0.0) + 1.0 / q
         return probs
     probs = {}
@@ -296,7 +362,7 @@ def _old_assignment_law(model, sites):
     if isinstance(model, PeriodicOrbit):
         q = model.quotient.size
         for t in range(q):
-            assign = tuple(model.pattern[model.quotient.act_perm(g)[t]]
+            assign = tuple(model.pattern[_walk(model.quotient.moduli, g, t)]
                            for g in sites)
             yield assign, 1.0 / q
         return
@@ -574,32 +640,24 @@ def test_le_diagnostic_matches_the_former_loops(case):
 
 
 def _former_translate_pattern(model, t):
-    reps = model.quotient.representative_words()
-    out = []
-    for c in range(model.quotient.size):
-        perm = list(range(model.quotient.size))
-        for letter in reversed(reps[c]):
-            perm = [model.quotient.perms[letter][x] for x in perm]
-        out.append(model.pattern[perm[t]])
-    return tuple(out)
+    moduli = model.quotient.moduli
+    return tuple(model.pattern[_walk(moduli, _mixed_radix(c, moduli), t)]
+                 for c in range(model.quotient.size))
 
 
-def _former_base_values(model, sigma, t):
-    pattern = np.asarray(_former_translate_pattern(model, t), dtype=np.int64)
-    if sigma.provenance == "torus":
-        n = sigma.meta["n"]
-        idx = np.arange(sigma.n_vertices)
-        coset = np.zeros(sigma.n_vertices, dtype=np.int64)
-        stride = 1
-        for coord, m in enumerate(model.periods):
-            coset += (((idx // n**coord) % n) % m) * stride
-            stride *= m
-        return pattern[coset]
-    return np.tile(pattern, sigma.n_vertices // model.quotient.size)
+def _former_cosets(model, box, n_vertices):
+    """The coset of each vertex of a model whose vertex v carries the point
+    of the given box with index v mod |box|, reached along the canonical
+    word of that point."""
+    size = math.prod(box)
+    return [_walk(model.quotient.moduli, _mixed_radix(v % size, box))
+            for v in range(n_vertices)]
 
 
 @pytest.mark.parametrize("periods, pattern", [
-    ((2,), (0, 1)), ((3,), (1, 0, 2)), ((2, 3), (0, 1, 1, 2, 0, 0))])
+    ((2,), (0, 1)), ((3,), (1, 0, 2)), ((2, 3), (0, 1, 1, 2, 0, 0)),
+    ((5,), (2, 0, 1, 1, 0)), ((3, 2), (2, 1, 0, 0, 1, 1)),
+    ((2, 2, 3), (0, 1, 2, 2, 1, 0, 0, 0, 1, 2, 2, 1))])
 def test_translate_table_matches_the_former_per_call_code(periods, pattern):
     from sofic_spectra.measures import _periodic_base_values, \
         _periodic_translates
@@ -612,14 +670,20 @@ def test_translate_table_matches_the_former_per_call_code(periods, pattern):
     former = [_former_translate_pattern(model, t) for t in range(q)]
     assert table.tolist() == [list(p) for p in former]
     d = len(periods)
-    sides = (6, 12) if d == 1 else (6,)
-    sigmas = [torus_approximation(d, n) for n in sides] + \
-        [product_with_quotient(torus_approximation(d, n), model.quotient)
-         for n in sides]
-    for sigma in sigmas:
+    sides = [n for n in ((5, 6, 10, 12) if d == 1 else (6,))
+             if all(n % m == 0 for m in periods)]
+    # a product whose moduli are the periods or multiples of them
+    cases = [((n,) * d, torus_approximation(d, n)) for n in sides] + \
+        [(moduli, product_with_quotient(torus_approximation(d, n),
+                                        lattice_quotient(d, moduli)))
+         for n in sides[:1] + [2]
+         for moduli in (periods, tuple(2 * m for m in periods))]
+    for box, sigma in cases:
+        assert sigma.box == box
+        cosets = _former_cosets(model, box, sigma.n_vertices)
         rows = _periodic_translates(model, sigma)[id(model)]
         for t in range(q):
-            want = _former_base_values(model, sigma, t)
+            want = np.array(former[t], dtype=np.int64)[cosets]
             got = _periodic_base_values(model, sigma, t)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert np.array_equal(rows[t], want)

@@ -479,7 +479,8 @@ def _hopping_rule(group, potential, hop):
     entries = []
     for window in itertools.product(range(BIN.size), repeat=len(b)):
         entries.append((e, window, potential[window[b.index(e)]]))
-        for axis, s in enumerate(group.generators()[::2]):
+        for axis in range(group.d):
+            s = group.generator(2 * axis)
             value = half_i if axis == 0 else hop
             entries.append((s, window, value))
             entries.append((group.inverse(s), window, value.conjugate()))

@@ -1,6 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sofic_spectra.measures as measures_module
 import sofic_spectra.sofic as sofic_module
 from sofic_spectra.groups import (
     BallCapacityError,
@@ -10,7 +16,7 @@ from sofic_spectra.groups import (
 )
 from sofic_spectra.sofic import (
     FiniteQuotient,
-    SoficCompatibilityError,
+    SoficApproximation,
     edge_graph,
     good_vertices,
     lattice_quotient,
@@ -145,9 +151,8 @@ def test_edge_graph_examples():
 def test_edge_graph_identity_perms_empty():
     sig = torus_approximation(1, 4)
     ident = np.arange(4)
-    from sofic_spectra.sofic import SoficApproximation
     trivial = SoficApproximation(group=sig.group, n_vertices=4,
-                                 perms=(ident, ident), provenance="explicit")
+                                 perms=(ident, ident))
     g = edge_graph(trivial)
     assert len(g.src) == 0
     assert np.all(_distinct_degrees(g) == 0)
@@ -169,9 +174,8 @@ def test_corrupted_torus_loses_goodness():
     perms[0][[0, 1]] = perms[0][[1, 0]]
     perms[1] = np.empty(12, dtype=np.int64)
     perms[1][perms[0]] = np.arange(12)
-    from sofic_spectra.sofic import SoficApproximation
     bad = SoficApproximation(group=sig.group, n_vertices=12,
-                             perms=tuple(perms), provenance="explicit")
+                             perms=tuple(perms))
     rep = good_vertices(bad, 1)
     assert rep.fraction < 1.0
     assert good_vertices(bad, 2).fraction <= rep.fraction
@@ -197,30 +201,75 @@ def test_product_with_trivial_quotient_is_base():
 
 
 def test_product_preserves_defect():
-    base = random_permutation_approximation(2, 200, seed=1)
-    perms = (
-        (1, 0),
-        (1, 0),
-        (0, 1),
-        (0, 1),
-    )
-    quot = FiniteQuotient(group=free_group(2), size=2, perms=perms)
-    prod = product_with_quotient(base, quot)
+    # a Z^2 model whose two generator permutations do not commute
+    free = random_permutation_approximation(2, 200, seed=1)
+    base = SoficApproximation(group=lattice_group(2), n_vertices=200,
+                              perms=free.perms)
+    prod = product_with_quotient(base, lattice_quotient(2, [2, 3]))
     base_rep = sofic_defect(base, 2)
     prod_rep = sofic_defect(prod, 2)
+    assert base_rep.max_hom_defect > 0
     assert base_rep.max_hom_defect == prod_rep.max_hom_defect
     for g_el, frac in base_rep.fix_fractions.items():
         # freeness can only improve in the product
         assert prod_rep.fix_fractions[g_el] <= frac + 1e-12
 
 
-def test_quotient_homomorphism_check():
-    # Z quotient where the two "inverse" permutations do not invert
-    with pytest.raises(SoficCompatibilityError):
-        FiniteQuotient(group=lattice_group(1), size=3,
-                       perms=((1, 2, 0), (1, 2, 0)))
-    # non-commuting action for Z^2 fails on generator pairs
-    with pytest.raises(SoficCompatibilityError):
-        FiniteQuotient(group=lattice_group(2), size=3,
-                       perms=((1, 2, 0), (2, 0, 1),
-                              (1, 0, 2), (1, 0, 2)))
+@pytest.mark.parametrize("moduli, match", [
+    ([2.9], "modulus 2.9 is not an integer"),
+    ([2.0], "modulus 2.0 is not an integer"),
+    ([True], "modulus True is not an integer"),
+    ([0], re.escape("one modulus >= 1 per coordinate of the lattice, not (0,)")),
+    ([2, 2], re.escape("one modulus >= 1 per coordinate of the lattice, "
+                       "not (2, 2)")),
+])
+def test_lattice_quotient_refuses_moduli_by_value(moduli, match):
+    with pytest.raises(ValueError, match=match):
+        lattice_quotient(1, moduli)
+
+
+def test_models_name_their_lattice_box():
+    assert torus_approximation(2, 6).box == (6, 6)
+    quot = lattice_quotient(2, [2, 3])
+    assert quot.size == 6 and quot.moduli == (2, 3)
+    assert quot.coordinates.tolist() == [[0, 1, 0, 1, 0, 1],
+                                         [0, 0, 1, 1, 2, 2]]
+    assert not quot.coordinates.flags.writeable
+    assert quot.act_perm((1, 0)).tolist() == [1, 0, 3, 2, 5, 4]
+    assert quot.act_perm((0, -1)).tolist() == [4, 5, 0, 1, 2, 3]
+    assert product_with_quotient(torus_approximation(2, 4), quot).box == (2, 3)
+    assert random_permutation_approximation(2, 8, seed=0).box is None
+    with pytest.raises(ValueError, match="of the lattice"):
+        FiniteQuotient(group=free_group(1), moduli=(2,))
+
+
+@st.composite
+def _lattice_models(draw):
+    """(moduli, a torus or product model whose box sides the moduli divide)."""
+    d = draw(st.integers(1, 3))
+    moduli = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        side = max(2, math.lcm(*moduli) * draw(st.integers(1, 2)))
+        return moduli, torus_approximation(d, side)
+    multiples = [m * draw(st.integers(1, 2)) for m in moduli]
+    base = torus_approximation(d, draw(st.integers(2, 3)))
+    return moduli, product_with_quotient(base, lattice_quotient(d, multiples))
+
+
+_VECTORS = st.lists(st.integers(-5, 5), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_models(), _VECTORS, _VECTORS)
+def test_quotient_action_is_a_homomorphism_the_box_carries(model, g, h):
+    moduli, sigma = model
+    d = len(moduli)
+    quot = lattice_quotient(d, moduli)
+    cos = measures_module._cosets(quot, sigma)
+    for i in range(sigma.group.n_generators):
+        act = quot.act_perm(sigma.group.generator(i))
+        assert np.array_equal(cos[sigma.perms[i]], act[cos])
+    g, h = tuple(g[:d]), tuple(h[:d])
+    gh = tuple(a + b for a, b in zip(g, h))
+    assert np.array_equal(quot.act_perm(g)[quot.act_perm(h)],
+                          quot.act_perm(gh))
