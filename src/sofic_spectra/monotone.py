@@ -9,7 +9,8 @@ diagonal dominance of the difference operator, so consecutive induced
 operators increase in the positive-semidefinite order and their eigenvalue
 counting functions decrease pointwise (Weyl monotonicity).
 
-All schedule inequalities are verified in exact rational arithmetic;
+All schedule inequalities, and every Gershgorin certificate (its one input
+is an exact InducedOperator), are verified in exact rational arithmetic;
 magnitude sums are decided square-root-free.  Operators are compared on
 their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
@@ -26,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -269,37 +270,17 @@ class GershgorinCertificate:
         return self.certified
 
 
-def gershgorin_psd(op: Union[InducedOperator, np.ndarray],
+def gershgorin_psd(op: InducedOperator,
                    strict: bool = False) -> GershgorinCertificate:
-    """Diagonal-dominance certificate for positive (semi-)definiteness.
-
-    An operator is exact, so it is decided square-root-free; a bare float
-    matrix falls back to floating-point comparisons.  Certified (non-strict)
+    """Diagonal-dominance certificate for positive (semi-)definiteness,
+    decided exactly and square-root-free, row by row.  Certified (non-strict)
     implies min eigenvalue >= 0; strict implies > 0.
+
+    Rows repeat a handful of value patterns, so each row is keyed on
+    (diagonal code, sorted off-diagonal codes) and each key is decided once;
+    codes are equal exactly when values are.
     """
-    if isinstance(op, InducedOperator):
-        op.check_hermitian()
-        return _exact_gershgorin(op, strict)
-    dense = np.asarray(op)
-    if not np.array_equal(dense, dense.conj().T):
-        raise AssemblyError("gershgorin_psd needs a Hermitian matrix")
-    diag = np.real(np.diag(dense)).astype(float)
-    if np.any(np.abs(np.imag(np.diag(dense))) > 0):
-        raise AssemblyError("non-real diagonal entry")
-    offsum = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
-    okay = diag > offsum if strict else diag >= offsum
-    if not np.all(okay):
-        return GershgorinCertificate(certified=False, strict=strict,
-                                     witness_row=int(np.argmin(okay)))
-    return GershgorinCertificate(certified=True, strict=strict)
-
-
-def _exact_gershgorin(op: InducedOperator,
-                      strict: bool) -> GershgorinCertificate:
-    """Square-root-free dominance, row by row.  Rows repeat a handful of
-    value patterns, so each row is keyed on (diagonal code, sorted
-    off-diagonal codes) and each key is decided once; codes are equal
-    exactly when values are."""
+    op.check_hermitian()
     on_diag = op.rows == op.cols
     for c in np.unique(op.codes[on_diag]).tolist():
         if not op.values[c].is_real():

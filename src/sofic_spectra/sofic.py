@@ -48,7 +48,9 @@ class SoficApproximation:
 
     ``box`` (models of Z^d) names sides b_i: vertex v carries the point of
     prod Z/b_i with index v mod prod(box), coordinate 0 least significant,
-    and sigma^g moves it by g.  None means that no box is known.
+    and sigma^g moves it by g.  None means that no box is known.  A box is
+    checked: n_vertices must be a multiple of prod(box), and each generator
+    must move every vertex's box point by its unit vector.
     """
 
     group: GroupSpec
@@ -72,6 +74,15 @@ class SoficApproximation:
             if not np.array_equal(self.perms[i][self.perms[j]], ident):
                 raise SoficCompatibilityError(
                     f"perm({j}) is not the exact inverse of perm({i})")
+        if self.box is not None:
+            side = math.prod(self.box)
+            if (self.group.kind != "lattice" or len(self.box) != self.group.d
+                    or min(self.box) < 1 or n % side
+                    or any(not np.array_equal(p % side, shift[ident % side])
+                           for p, shift in zip(self.perms,
+                                               _box_shifts(self.box)))):
+                raise SoficCompatibilityError(
+                    f"box {self.box} is not a lattice box of this model")
 
     def perm_of(self, g: Element) -> np.ndarray:
         """sigma^g as an index array, composed along the canonical word of g."""

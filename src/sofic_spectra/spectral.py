@@ -1,14 +1,15 @@
 """Dense Hermitian spectra, counting functions, IDS curves and references.
 
-Spectra come from LAPACK's dense Hermitian solvers on two paths.  The
-default computes eigenvalues only and certifies them a posteriori in O(nnz):
-sum lambda = tr H and sum lambda^2 = ||H||_F^2, with tr H and ||H||_F^2 read
-from the operator's stored entries (or the bare array) rather than from the
-solver, and every |lambda| inside the row-sum (Gershgorin) bound.  With
-``vectors=True`` eigenvectors are computed too, with residual and
-orthogonality diagnostics; for an operator the residual H v - lambda v is
-taken over its stored entries (sparse, O(nnz n)).  Every operator is
-exact-rational, and a diagonal one bypasses floating point entirely so that
+The one input is an exact InducedOperator.  Spectra come from LAPACK's
+dense Hermitian solvers on two paths.  The default computes eigenvalues only
+and certifies them a posteriori in O(nnz): sum lambda = tr H and
+sum lambda^2 = ||H||_F^2, with tr H and ||H||_F^2 read from the operator's
+stored entries rather than from the solver, and every |lambda| inside the
+row-sum (Gershgorin) bound.  With ``vectors=True`` eigenvectors are computed
+too, with residual and orthogonality diagnostics; the residual H v - lambda v
+is taken over the stored entries (sparse, O(nnz n)).  Both checks hold to
+SOLVE_TOL.  Every operator is exact-rational, and a diagonal one (the empty
+and the zero operator too) bypasses floating point entirely so that
 eigenvalue atoms at rational energies are counted exactly: the spectrum is
 counted once per distinct value, and counting functions and atom masses
 bisect the sorted exact values with Fraction comparisons only.  IDS curves
@@ -25,13 +26,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .operators import InducedOperator
 
 DEFAULT_DENSE_BUDGET = 4096
+SOLVE_TOL = 1e-8                # eigensolver certificate tolerance
 PUNCTURED_CLUSTER_TOL = 1e-9
 
 
@@ -71,31 +73,22 @@ def _matrix_hash(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
-                   tol: float = 1e-8,
-                   budget: int = DEFAULT_DENSE_BUDGET,
-                   vectors: bool = False) -> Spectrum:
+def eigen_spectrum(op: InducedOperator, vectors: bool = False) -> Spectrum:
     """Full spectrum of a Hermitian operator (dense LAPACK path).
 
-    Diagonal operators are solved exactly.  By default the float path
-    computes eigenvalues only and certifies them in O(nnz) with the trace
-    identities and the row-sum enclosure (``_certify_values``);
-    ``vectors=True`` also computes eigenvectors and records the worst
-    relative eigenpair residual and the orthogonality defect.  Either check
-    fails loudly when it exceeds ``tol``.
+    Diagonal operators are solved exactly, others densely up to size
+    DEFAULT_DENSE_BUDGET.  By default the float path computes eigenvalues
+    only and certifies them in O(nnz) with the trace identities and the
+    row-sum enclosure (``_certify_values``); ``vectors=True`` also computes
+    eigenvectors and records the worst relative eigenpair residual and the
+    orthogonality defect.  Either check fails loudly above SOLVE_TOL.
     """
-    if isinstance(op, InducedOperator):
-        if op.is_diagonal():
-            return _exact_diagonal_spectrum(op.n, op.codes, op.values)
-        n = op.n
-    else:
-        n = np.shape(op)[0]
-    if n > budget:
-        raise EigensolverError(f"dense solve of size {n} exceeds budget {budget}")
-    dense = op.to_dense() if isinstance(op, InducedOperator) else np.asarray(op)
-    if n == 0:
-        return Spectrum(values=np.empty(0), residual=0.0,
-                        orthogonality=0.0 if vectors else None)
+    if op.is_diagonal():
+        return _exact_diagonal_spectrum(op.n, op.codes, op.values)
+    if op.n > DEFAULT_DENSE_BUDGET:
+        raise EigensolverError(f"dense solve of size {op.n} exceeds budget "
+                               f"{DEFAULT_DENSE_BUDGET}")
+    dense = op.to_dense()
     try:
         solved = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(dense)
     except np.linalg.LinAlgError as err:
@@ -104,56 +97,53 @@ def eigen_spectrum(op: Union[InducedOperator, np.ndarray],
         ) from err
     if not vectors:
         return Spectrum(values=solved,
-                        residual=_certify_values(op, dense, solved, tol))
+                        residual=_certify_values(op, dense, solved))
     w, vecs = solved
     scale = max(1.0, float(np.max(np.abs(w))))
-    # H V over the stored entries is O(nnz n); a bare matrix is multiplied dense
-    hv = (op.to_sparse() if isinstance(op, InducedOperator) else dense) @ vecs
+    # H V over the stored entries is O(nnz n)
+    hv = op.to_sparse() @ vecs
     hv -= vecs * w
     resid = float(np.linalg.norm(hv, axis=0).max()) / scale
     del hv
     gram = vecs.conj().T @ vecs
-    gram[np.diag_indices(n)] -= 1
+    gram[np.diag_indices(op.n)] -= 1
     ortho = float(np.abs(gram).max())
     for name, defect in (("residual", resid), ("orthogonality defect", ortho)):
-        if defect > tol:
+        if defect > SOLVE_TOL:
             raise EigensolverError(
-                f"{name} {defect:.3e} above tolerance {tol:.3e} "
+                f"{name} {defect:.3e} above tolerance {SOLVE_TOL:.3e} "
                 f"(matrix {_matrix_hash(dense)})")
     return Spectrum(values=np.sort(w), residual=resid, orthogonality=ortho)
 
 
-def _certify_values(op: Union[InducedOperator, np.ndarray], dense: np.ndarray,
-                    w: np.ndarray, tol: float) -> float:
-    """Trace-identity defect of eigenvalues w of op, checked against tol.
+def _certify_values(op: InducedOperator, dense: np.ndarray,
+                    w: np.ndarray) -> float:
+    """Trace-identity defect of eigenvalues w of op, checked against
+    SOLVE_TOL (dense only names the matrix in errors).
 
-    tr H and ||H||_F^2 come from the operator's stored entries (O(nnz)), or
-    from the array itself, never from the solver.  The defect
-    max(|sum w - tr H| / scale, |sum w^2 - ||H||_F^2| / scale^2) exceeds tol
-    as soon as one eigenvalue is off by more than tol * scale; every
-    eigenvalue must also lie in the row-sum (Gershgorin) enclosure.
+    tr H and ||H||_F^2 come from the operator's stored entries (O(nnz)),
+    never from the solver.  The defect
+    max(|sum w - tr H| / scale, |sum w^2 - ||H||_F^2| / scale^2) exceeds the
+    tolerance as soon as one eigenvalue is off by more than SOLVE_TOL *
+    scale; every eigenvalue must also lie in the row-sum (Gershgorin)
+    enclosure.
     """
-    if isinstance(op, InducedOperator):
-        rows, cols, vals = op._float_coo()
-        trace = float(np.sum(vals[rows == cols].real))
-        frob2 = float(np.sum(vals.real ** 2 + vals.imag ** 2))
-        bound = op.row_sum_bound()
-    else:
-        trace = float(np.trace(dense).real)
-        frob2 = float(np.vdot(dense, dense).real)
-        bound = float(np.abs(dense).sum(axis=1).max())
+    rows, cols, vals = op._float_coo()
+    trace = float(np.sum(vals[rows == cols].real))
+    frob2 = float(np.sum(vals.real ** 2 + vals.imag ** 2))
+    bound = op.row_sum_bound()
     top = float(np.max(np.abs(w)))
     scale = max(1.0, top)
-    if not top <= bound + tol * scale:
+    if not top <= bound + SOLVE_TOL * scale:
         raise EigensolverError(
             f"eigenvalue {top:.6e} outside the row-sum bound "
             f"{bound:.6e} (matrix {_matrix_hash(dense)})")
     defect = max(abs(float(np.sum(w)) - trace) / scale,
                  abs(float(np.dot(w, w)) - frob2) / scale ** 2)
-    if not defect <= tol:
+    if not defect <= SOLVE_TOL:
         raise EigensolverError(
-            f"trace-identity defect {defect:.3e} above tolerance {tol:.3e} "
-            f"(matrix {_matrix_hash(dense)})")
+            f"trace-identity defect {defect:.3e} above tolerance "
+            f"{SOLVE_TOL:.3e} (matrix {_matrix_hash(dense)})")
     return defect
 
 

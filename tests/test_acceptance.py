@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Tolerances are pinned here, not configurable.  Matrices on which a
+Tolerances are pinned here, not configurable.  Operators on which a
 diagonal-dominance certificate is issued during the suite are registered and
 re-checked against the dense eigensolver by the final soundness criterion.
 """
@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 import sofic_spectra as ss
+from sofic_spectra.exact import CZERO, ComplexRational
 
-# (label, certified operator/matrix) pairs accumulated across criteria
+from dense_operators import operator_of
+
+# (label, certified operator) pairs accumulated across criteria
 CERTIFIED = []
 
 
@@ -23,8 +26,17 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _register_certified(label: str, matrix) -> None:
-    CERTIFIED.append((label, matrix))
+def _register_certified(label: str, op) -> None:
+    CERTIFIED.append((label, op))
+
+
+def _shifted(op, shift: float):
+    """op + shift * I, exactly."""
+    entries = dict(op.entries)
+    for i in range(op.n):
+        entries[i, i] = entries.get((i, i), CZERO) + \
+            ComplexRational(Fraction(shift))
+    return ss.InducedOperator.from_entries(op.n, entries)
 
 
 Z1 = ss.lattice_group(1)
@@ -52,10 +64,9 @@ def test_criterion_1_arcsine_ids():
         curve = ss.ids_curve(spec, grid)
         reference = ss.reference_ids("lattice_laplacian", 1, grid)
         distances[n] = ss.kolmogorov_distance(curve, reference)
-        shift = op.row_sum_bound()
-        dense = op.to_dense() + shift * np.eye(n)
-        if ss.gershgorin_psd(dense).certified:
-            _register_certified(f"c1 shifted laplacian n={n}", dense)
+        shifted = _shifted(op, op.row_sum_bound())
+        if ss.gershgorin_psd(shifted).certified:
+            _register_certified(f"c1 shifted laplacian n={n}", shifted)
     elapsed = time.monotonic() - t0
     ok = all(distances[n] <= tol for n, tol in tolerances.items())
     ok = ok and elapsed < 30.0
@@ -89,10 +100,9 @@ def test_criterion_2_moment_oracle():
                 power = power @ sparse
             empirical[k].append(power.diagonal().sum().real / n)
         if j == 0:
-            shift = op.row_sum_bound()
-            dense = op.to_dense() + shift * np.eye(n)
-            if ss.gershgorin_psd(dense).certified:
-                _register_certified("c2 shifted schrodinger", dense)
+            shifted = _shifted(op, op.row_sum_bound())
+            if ss.gershgorin_psd(shifted).certified:
+                _register_certified("c2 shifted schrodinger", shifted)
     details = []
     ok = True
     for k in range(1, k_max + 1):
@@ -147,8 +157,8 @@ def test_criterion_4_integer_punctured_law():
     for _ in range(500):
         n = int(rng.integers(10, 101))
         raw = rng.integers(-1, 2, size=(n, n))
-        h = (np.triu(raw) + np.triu(raw, 1).T).astype(float)
-        spec = ss.eigen_spectrum(h, tol=1e-6)
+        h = np.triu(raw) + np.triu(raw, 1).T
+        spec = ss.eigen_spectrum(operator_of(h))
         norm = max(1.0, float(np.max(np.abs(spec.values))))
         for eps in (1e-2, 1e-4):
             checked += 1
@@ -215,7 +225,7 @@ def test_criterion_6_monotone_schedule():
         from sofic_spectra.monotone import _difference
         diff = _difference(h_next, h_m)
         if ss.gershgorin_psd(diff, strict=True).certified:
-            _register_certified(f"c6 schedule step {m}", diff.to_dense())
+            _register_certified(f"c6 schedule step {m}", diff)
     elapsed = time.monotonic() - t0
     ok = all_certified and strict_numeric and gap8 <= 0.02 and elapsed < 60.0
     _report("criterion 6 (monotone schedule)", ok,
@@ -248,14 +258,12 @@ def test_criterion_8_certificate_soundness():
     if not CERTIFIED:
         pytest.skip("criteria 1-6 did not run in this session")
     worst = 0.0
-    for label, matrix in CERTIFIED:
-        dense = np.asarray(matrix)
-        spec = ss.eigen_spectrum(dense, tol=1e-6,
-                                 budget=max(4096, dense.shape[0]))
+    for label, op in CERTIFIED:
+        spec = ss.eigen_spectrum(op)
         scale = max(1.0, float(np.max(np.abs(spec.values))))
         margin = float(spec.values[0]) / scale
         worst = min(worst, margin) if worst else margin
         assert spec.values[0] >= -1e-10 * scale, label
     _report("criterion 8 (certificate soundness)", True,
-            f"{len(CERTIFIED)} certified matrices from criteria 1-6, "
+            f"{len(CERTIFIED)} certified operators from criteria 1-6, "
             f"worst normalized min eigenvalue {worst:.2e} >= -1e-10")

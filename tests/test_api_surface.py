@@ -12,10 +12,11 @@ used.  A method shares its name with every other method of that name, so a
 dead method whose name some live method also bears is not seen here.
 
 A parameter with a default, of a top-level function or of a method of a
-top-level class, counts as passed when some call in ``src/``,
-``perfbench/*.py`` or ``tests/`` to a name or attribute of that function's
-name gives it by keyword, or gives it by position before any ``*`` argument.
-Names are matched as above, and ``**`` arguments pass nothing.
+top-level class, counts as passed when some call in ``src/`` or
+``perfbench/*.py`` to a name or attribute of that function's name gives it
+by keyword, or gives it by position before any ``*`` argument.  Names are
+matched as above, and ``**`` arguments pass nothing.  A call in the tests is
+no use of its own: an option only tests set needs a reason in its allowlist.
 """
 
 import ast
@@ -44,6 +45,28 @@ ALLOWED = {
     "schedule_step_psd_check": "the one-step certificate that the tests of "
                                "hand-built schedules use",
     "binary_alphabet": "the README example's alphabet",
+}
+
+# defaulted parameter -> why it stays although only tests pass it
+ALLOWED_DEFAULTS = {
+    "operators.expected_moment(mode)": "the Monte Carlo oracle that "
+                                       "EnumerationBudgetError tells the "
+                                       "caller to retry with",
+    "operators.expected_moment(samples)": "the Monte Carlo oracle's sample "
+                                          "count",
+    "operators.expected_moment(seed)": "the Monte Carlo oracle's seed",
+    "measures.le_diagnostic(finite_model)": "a finite law other than the "
+                                            "target",
+    "spectral.ids_curve(tie_tol)": "a float width that tests check at other "
+                                   "values until atom counts are certified",
+    "spectral.punctured_mass(cluster_tol)": "a float width that tests check "
+                                            "at other values until atom "
+                                            "counts are certified",
+    "spectral.reference_ids(quadrature_points)": "its error bound is tested "
+                                                 "at a coarser rule",
+    "groups.ball(capacity)": "a guard that tests shrink to reach the refusal",
+    "sofic.good_vertices(budget)": "a guard that tests shrink to reach the "
+                                   "refusal",
 }
 
 
@@ -128,9 +151,7 @@ def _passed() -> tuple[set, dict]:
     """({(function name, keyword)}, {function name: most positional
     arguments before any * argument}) over every call."""
     keywords, positional = set(), {}
-    paths = (sorted(ROOT.glob("src/**/*.py"))
-             + sorted(ROOT.glob("perfbench/*.py"))
-             + sorted(ROOT.glob("tests/**/*.py")))
+    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
@@ -157,4 +178,5 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 if (function, name) not in keywords
                 and (position is None
                      or positional.get(function, 0) <= position)]
-    assert unpassed == []
+    # an allowlisted parameter must exist and still be passed by no caller
+    assert sorted(unpassed) == sorted(ALLOWED_DEFAULTS)

@@ -34,6 +34,8 @@ from sofic_spectra.operators import (
 from sofic_spectra.sofic import torus_approximation
 from sofic_spectra.spectral import eigen_spectrum
 
+from dense_operators import operator_of
+
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
 ONE = Alphabet(symbols=("a",))
@@ -167,11 +169,13 @@ def test_apply_schedule_value_mismatch():
 
 
 def test_gershgorin_float_examples():
-    assert gershgorin_psd(np.eye(3), strict=True).certified
-    assert gershgorin_psd(np.array([[2.0, 1.0], [1.0, 2.0]])).certified
-    cert = gershgorin_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert gershgorin_psd(operator_of(np.eye(3)), strict=True).certified
+    assert gershgorin_psd(operator_of(np.array([[2.0, 1.0],
+                                                [1.0, 2.0]]))).certified
+    indefinite = operator_of(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    cert = gershgorin_psd(indefinite)
     assert not cert.certified and cert.witness_row == 0
-    spec = eigen_spectrum(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    spec = eigen_spectrum(indefinite)
     assert np.allclose(spec.values, [-1, 3])
 
 
@@ -185,16 +189,43 @@ def test_gershgorin_exact_boundary():
     assert not gershgorin_psd(op, strict=True).certified
 
 
-def test_gershgorin_soundness_against_eigensolver():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(2, 20))
-        a = rng.normal(size=(n, n))
-        a = (a + a.T) / 2
-        np.fill_diagonal(a, np.abs(a).sum(axis=1))
-        cert = gershgorin_psd(a)
+DYADICS = st.builds(lambda k, j: Fraction(k, 2 ** j), st.integers(-16, 16),
+                    st.integers(0, 4))
+
+
+def _modulus_bound(v):
+    """|v| where it is rational (as for 3/4 + i), else |Re v| + |Im v|."""
+    a = v.abs2()
+    root = Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
+    return root if root * root == a else abs(v.re) + abs(v.im)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 20), data=st.data(), strict=st.booleans(),
+       low=st.sampled_from([Fraction(-1, 8), Fraction(0), Fraction(1, 8)]))
+def test_gershgorin_soundness_against_eigensolver(n, data, strict, low):
+    # each diagonal is a bound on its row's Gershgorin radius, exact where
+    # the moduli are rational, plus a slack of low or low + 1/8
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=3 * n) if pairs else st.just([]))
+    entries = {}
+    for i, j in chosen:
+        im = data.draw(st.just(Fraction(0)) | DYADICS)
+        v = ComplexRational(data.draw(DYADICS), im)
+        entries[i, j], entries[j, i] = v, v.conjugate()
+    slack = [low + data.draw(st.sampled_from([0, Fraction(1, 8)]))
+             for _ in range(n)]
+    for i in range(n):
+        radius = sum((_modulus_bound(v) for (row, _), v in entries.items()
+                      if row == i), Fraction(0))
+        entries[i, i] = ComplexRational(radius + slack[i])
+    op = InducedOperator.from_entries(n, entries)
+    cert = gershgorin_psd(op, strict=strict)
+    if min(slack) > 0 or (min(slack) == 0 and not strict):
         assert cert.certified
-        spec = eigen_spectrum(a)
+    if cert.certified:
+        spec = eigen_spectrum(op)
         scale = max(1.0, float(np.max(np.abs(spec.values))))
         assert spec.values[0] >= -1e-10 * scale
 

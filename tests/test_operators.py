@@ -76,11 +76,9 @@ def test_schrodinger_rule_values():
 
 def test_validate_laplacian():
     rule = laplacian_rule(Z1)
-    rep = validate_local_rule(rule)
-    assert rep.ok
-    assert rep.row_sum_bound == 4.0
-    assert rep.diagonal_values == {ComplexRational(Fraction(-2))}
-    assert rep.offdiagonal_values == {ComplexRational(Fraction(1))}
+    assert validate_local_rule(rule).ok
+    assert rule.realized_value_sets() == ({ComplexRational(Fraction(-2))},
+                                          {ComplexRational(Fraction(1))})
 
 
 def test_validate_self_adjointness_violation():
@@ -132,8 +130,7 @@ def test_assemble_diagonal_rule():
 
 def test_assembly_zero_pattern_invariant():
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
-    rep = validate_local_rule(rule)
-    allowed = rep.diagonal_values | rep.offdiagonal_values
+    allowed = set().union(*rule.realized_value_sets())
     sig = torus_approximation(1, 32)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, 1)
@@ -1228,7 +1225,7 @@ def _per_cell_influential(tables, A, K):
 
 
 def _per_cell_validation(group, alphabet, hopping, tables):
-    """The per-cell validate_local_rule: (witnesses, row_sum_bound)."""
+    """The per-cell validate_local_rule's witnesses."""
     from sofic_spectra.exact import CZERO
     from sofic_spectra.measures import _digits
     A = alphabet.size
@@ -1261,12 +1258,7 @@ def _per_cell_validation(group, alphabet, hopping, tables):
                 if not v.is_real():
                     witnesses.append((e, "non-real diagonal value"))
                     break
-    row_sums = np.zeros(A ** len(small))
-    for g in small.elements:
-        if g in tables:
-            row_sums += np.array([float(v.abs2()) ** 0.5
-                                  for v in tables[g].tolist()])
-    return witnesses, float(row_sums.max())
+    return witnesses
 
 
 def _per_cell_schedule(tables, e, n_codes, sched, m):
@@ -1369,12 +1361,9 @@ def test_value_coded_rules_match_per_cell_tables(data, group, hopping, A,
                                                                len(b))
 
     report = validate_local_rule(rule)
-    witnesses, bound = _per_cell_validation(group, alphabet, hopping, tables)
+    witnesses = _per_cell_validation(group, alphabet, hopping, tables)
     assert report.witnesses == witnesses
     assert report.ok == (not witnesses)
-    assert (report.diagonal_values, report.offdiagonal_values) == \
-        _per_cell_value_sets(tables, e)
-    assert report.row_sum_bound.hex() == bound.hex()
     if self_adjoint:
         assert report.ok
 

@@ -17,6 +17,7 @@ from sofic_spectra.groups import (
 from sofic_spectra.sofic import (
     FiniteQuotient,
     SoficApproximation,
+    SoficCompatibilityError,
     edge_graph,
     good_vertices,
     lattice_quotient,
@@ -241,6 +242,30 @@ def test_models_name_their_lattice_box():
     assert random_permutation_approximation(2, 8, seed=0).box is None
     with pytest.raises(ValueError, match="of the lattice"):
         FiniteQuotient(group=free_group(1), moduli=(2,))
+
+
+def test_a_named_box_is_checked_against_the_permutations():
+    def with_box(model, box):
+        return SoficApproximation(group=model.group,
+                                  n_vertices=model.n_vertices,
+                                  perms=model.perms, box=box)
+
+    cycle = torus_approximation(1, 6)
+    for box in [(3,), (6,), (1,)]:
+        assert with_box(cycle, box).box == box
+    square = torus_approximation(2, 4)
+    for box in [(4, 4), (4, 2), (4, 1)]:
+        assert with_box(square, box).box == box
+    free = random_permutation_approximation(1, 6, seed=0)
+    # (4,): 6 is no multiple of 4; (2, 3): one side per coordinate of Z;
+    # (2, 2) on the 4x4 torus: the second generator moves vertex v by 4,
+    # which keeps its box point v mod 4 fixed; (0,): no box is empty; a
+    # free group has no lattice box
+    for model, box in [(cycle, (4,)), (cycle, (2, 3)), (square, (2, 2)),
+                       (cycle, (0,)), (free, (6,))]:
+        with pytest.raises(SoficCompatibilityError,
+                           match=re.escape(f"box {box} is not a lattice box")):
+            with_box(model, box)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sofic_spectra import spectral
 from sofic_spectra.exact import ComplexRational
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Configuration, binary_alphabet
@@ -32,6 +33,8 @@ from sofic_spectra.spectral import (
 )
 from sofic_spectra.spectral import _matrix_hash
 
+from dense_operators import operator_of
+
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
 
@@ -46,9 +49,9 @@ def torus_laplacian_spectrum(n):
 
 
 def test_eigen_zero_and_diag():
-    spec = eigen_spectrum(np.zeros((5, 5)))
+    spec = eigen_spectrum(operator_of(np.zeros((5, 5))))
     assert np.array_equal(spec.values, np.zeros(5))
-    spec = eigen_spectrum(np.diag([3.0, 1.0, 2.0]))
+    spec = eigen_spectrum(operator_of(np.diag([3.0, 1.0, 2.0])))
     assert np.allclose(spec.values, [1, 2, 3])
     assert spec.residual <= 1e-12
 
@@ -68,13 +71,15 @@ def test_eigen_torus4():
     assert np.allclose(spec.values, [-4, -2, -2, 0], atol=1e-12)
 
 
-def test_eigen_budget():
+def test_eigen_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_DENSE_BUDGET", 5)
     with pytest.raises(EigensolverError):
-        eigen_spectrum(np.zeros((10, 10)), budget=5)
+        eigen_spectrum(operator_of(np.eye(10, k=1) + np.eye(10, k=-1)))
 
 
 def test_eigen_budget_is_checked_before_densifying(monkeypatch):
     budget = 5
+    monkeypatch.setattr(spectral, "DEFAULT_DENSE_BUDGET", budget)
     sig = torus_approximation(1, budget + 1)
     op = assemble_induced(laplacian_rule(Z1), sig,
                           Configuration(values=np.zeros(budget + 1, dtype=int)))
@@ -83,8 +88,8 @@ def test_eigen_budget_is_checked_before_densifying(monkeypatch):
         raise AssertionError("to_dense called")
 
     monkeypatch.setattr(InducedOperator, "to_dense", no_dense)
-    with pytest.raises(EigensolverError, match="exceeds budget"):
-        eigen_spectrum(op, budget=budget)
+    with pytest.raises(EigensolverError, match="exceeds budget 5"):
+        eigen_spectrum(op)
 
 
 def test_counting_examples():
@@ -111,7 +116,7 @@ def test_atom_mass_examples():
     assert atom_mass(spec, 1.0) == 0.30
     lap = torus_laplacian_spectrum(8)
     assert atom_mass(lap, 1.0) == 0.0
-    zero = eigen_spectrum(np.zeros((4, 4)))
+    zero = eigen_spectrum(operator_of(np.zeros((4, 4))))
     assert atom_mass(zero, 0.0) == 1.0
 
 
@@ -139,7 +144,7 @@ def test_integer_punctured_law_small_ensemble():
         n = int(rng.integers(10, 60))
         raw = rng.integers(-1, 2, size=(n, n))
         h = np.triu(raw) + np.triu(raw, 1).T
-        spec = eigen_spectrum(h.astype(float), tol=1e-6)
+        spec = eigen_spectrum(operator_of(h))
         r = max(1.0, float(np.max(np.abs(spec.values))) if n else 1.0)
         for eps in (1e-2, 1e-4):
             assert punctured_mass(spec, 0.0, eps, 1e-9) <= \
@@ -151,9 +156,9 @@ def test_rational_shift_reduction():
     rng = np.random.default_rng(3)
     h = rng.integers(-2, 3, size=(40, 40))
     h = np.triu(h) + np.triu(h, 1).T
-    spec = eigen_spectrum(h.astype(float), tol=1e-6)
+    spec = eigen_spectrum(operator_of(h))
     p, q = 1, 2
-    shifted = eigen_spectrum((q * h - p * np.eye(40)).astype(float), tol=1e-6)
+    shifted = eigen_spectrum(operator_of(q * h - p * np.eye(40, dtype=int)))
     eps = 0.3
     assert punctured_mass(spec, p / q, eps, 1e-9) == \
         punctured_mass(shifted, 0.0, q * eps, q * 1e-9)
@@ -185,8 +190,8 @@ def test_weyl_interlacing_direction():
     a = (a + a.T) / 2
     r = rng.normal(size=(30, 30))
     psd = r.T @ r
-    sa = eigen_spectrum(a)
-    sb = eigen_spectrum(a + psd)
+    sa = eigen_spectrum(operator_of(a))
+    sb = eigen_spectrum(operator_of(a + psd))
     for beta in np.linspace(-10, 10, 41):
         assert counting_function(sb, beta) <= counting_function(sa, beta)
 
@@ -325,12 +330,12 @@ def test_operator_residual_uses_stored_entries(hopping):
         op = InducedOperator.from_entries(op.n, entries)
     dense = op.to_dense()
     from_op = eigen_spectrum(op, vectors=True)
-    from_matrix = eigen_spectrum(dense, vectors=True)
-    assert np.array_equal(from_op.values, from_matrix.values)
-    assert from_op.orthogonality == from_matrix.orthogonality
+    w, vecs = np.linalg.eigh(dense)
+    gram = vecs.conj().T @ vecs - np.eye(op.n)
+    assert np.array_equal(from_op.values, np.sort(w))
+    assert from_op.orthogonality == float(np.abs(gram).max())
     assert from_op.residual <= 1e-13
     # the same quantity as the dense product, up to summation order
-    w, vecs = np.linalg.eigh(dense)
     scale = max(1.0, float(np.abs(w).max()))
     want = np.linalg.norm(dense @ vecs - vecs * w, axis=0).max() / scale
     assert abs(from_op.residual - want) <= 1e-14
@@ -374,11 +379,11 @@ def _fake_eigvalsh(monkeypatch, change):
     monkeypatch.setattr(np.linalg, "eigvalsh", fake)
 
 
-@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("dyadic", [False, True])
 @pytest.mark.parametrize("fault", ["move 1e-6", "move 2e-8", "negate",
                                    "opposite pair"])
-def test_values_only_detects_wrong_eigenvalues(monkeypatch, bare, fault):
-    op = _schrodinger_op(hopping="complex")
+def test_values_only_detects_wrong_eigenvalues(monkeypatch, dyadic, fault):
+    op = _schrodinger_op(hopping="complex", dyadic=dyadic)
     dense = op.to_dense()
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(dense)).max()))
 
@@ -394,12 +399,12 @@ def test_values_only_detects_wrong_eigenvalues(monkeypatch, bare, fault):
     _fake_eigvalsh(monkeypatch, move)
     with pytest.raises(EigensolverError,
                        match=f"trace-identity .*{_matrix_hash(dense)}"):
-        eigen_spectrum(dense if bare else op)
+        eigen_spectrum(op)
 
 
-@pytest.mark.parametrize("bare", [False, True])
-def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, bare):
-    op = _schrodinger_op()
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, dyadic):
+    op = _schrodinger_op(dyadic=dyadic)
     dense = op.to_dense()
     bound = op.row_sum_bound()
 
@@ -408,30 +413,34 @@ def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, bare):
     _fake_eigvalsh(monkeypatch, push)
     with pytest.raises(EigensolverError,
                        match=f"row-sum bound .*{_matrix_hash(dense)}"):
-        eigen_spectrum(dense if bare else op)
+        eigen_spectrum(op)
 
 
 def test_values_only_reports_lapack_failure(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    dense = _schrodinger_op().to_dense()
+    op = _schrodinger_op()
     with pytest.raises(EigensolverError,
-                       match=f"converge .*{_matrix_hash(dense)}"):
-        eigen_spectrum(dense)
+                       match=f"converge .*{_matrix_hash(op.to_dense())}"):
+        eigen_spectrum(op)
 
 
 def test_vectors_path_rejects_non_orthogonal_eigenvectors(monkeypatch):
-    # two equal unit columns: I v = 1 v holds exactly, so the residual is 0,
-    # but the Gram matrix has an off-diagonal 1
+    # e_0 twice beside an eigenvector of the swap block: H v = lambda v
+    # holds exactly for each column, so the residual is 0, but the Gram
+    # matrix has an off-diagonal 1
+    s = 0.5 ** 0.5
+
     def repeated(a):
-        return np.ones(2), np.array([[1.0, 1.0], [0.0, 0.0]])
+        return (np.array([-1.0, 1.0, 1.0]),
+                np.array([[0.0, 1.0, 1.0], [s, 0.0, 0.0], [-s, 0.0, 0.0]]))
     monkeypatch.setattr(np.linalg, "eigh", repeated)
-    dense = np.eye(2)
+    op = operator_of(np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
     with pytest.raises(EigensolverError,
                        match=f"orthogonality defect 1.000e\\+00 .*"
-                             f"{_matrix_hash(dense)}"):
-        eigen_spectrum(dense, vectors=True)
+                             f"{_matrix_hash(op.to_dense())}"):
+        eigen_spectrum(op, vectors=True)
 
 
 def test_counting_function_on_a_grid_matches_pointwise():
@@ -456,26 +465,31 @@ def test_values_only_and_vector_diagnostics():
     assert values_only.orthogonality is None
     assert 0.0 <= with_vectors.orthogonality <= 1e-12
     assert values_only.residual <= 1e-12
-    assert eigen_spectrum(np.zeros((0, 0))).orthogonality is None
-    assert eigen_spectrum(np.zeros((0, 0)), vectors=True).orthogonality == 0.0
+    # the empty operator is diagonal: both paths solve it exactly
+    empty = operator_of(np.zeros((0, 0)))
+    for vectors in (False, True):
+        spec = eigen_spectrum(empty, vectors=vectors)
+        assert spec.is_exact and spec.n == 0 and spec.orthogonality is None
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["real", "complex", "bare real", "bare complex"]),
+@given(kind=st.sampled_from(["real", "complex", "dense real",
+                             "dense complex"]),
        dyadic=st.booleans(), d=st.sampled_from([1, 2]),
        size=st.integers(1, 64), seed=st.integers(0, 2**16))
 def test_values_only_agrees_with_eigh(kind, dyadic, d, size, seed):
-    if kind.startswith("bare"):
+    if kind.startswith("dense"):
+        # a generic dense Hermitian operator at the exact values of its floats
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((size, size))
-        if kind == "bare complex":
+        if kind == "dense complex":
             a = a + 1j * rng.standard_normal((size, size))
-        op = dense = a + a.conj().T
+        op = operator_of(a + a.conj().T)
     else:
         side = max(3, size if d == 1 else int(np.sqrt(size)))
         op = _schrodinger_op(side=side, d=d, seed=seed, hopping=kind,
                              dyadic=dyadic)
-        dense = op.to_dense()
+    dense = op.to_dense()
     spec = eigen_spectrum(op)
     w = np.linalg.eigh(dense)[0]
     scale = max(1.0, float(np.abs(w).max()))
