@@ -8,11 +8,9 @@ from .groups import (
     CayleyBall,
     GroupSpec,
     GroupValidationError,
-    PatternWindow,
     ball,
     free_group,
     lattice_group,
-    translate_window,
 )
 from .sofic import (
     FiniteQuotient,
@@ -38,12 +36,9 @@ from .measures import (
     PeriodicOrbit,
     WindowDistribution,
     binary_alphabet,
-    empirical_window_distribution,
     lattice_periodic,
     le_diagnostic,
     model_alphabet,
-    pullback_window,
-    pushforward_window_distribution,
     sample_configuration,
     target_marginal_on,
 )
@@ -87,6 +82,5 @@ from .monotone import (
     build_schedule,
     gershgorin_psd,
     monotone_ids_report,
-    schedule_step_psd_check,
     value_sets_of,
 )

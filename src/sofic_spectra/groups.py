@@ -200,29 +200,3 @@ def ball(group: GroupSpec, radius: int,
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return _ball_cached(group, radius, capacity)
-
-
-@dataclass(frozen=True)
-class PatternWindow:
-    """Symbols on a Cayley ball, stored in the canonical ball order."""
-
-    radius: int
-    values: tuple
-
-
-def translate_window(group: GroupSpec, g: Element, window: PatternWindow,
-                     radius: int) -> PatternWindow:
-    """Restrict the shifted configuration g.w to B_S(e, radius).
-
-    The input window must live on B_S(e, radius + |g|); the result value at h
-    is the input value at h*g, matching the right-translation shift action.
-    """
-    need = radius + group.word_length(g)
-    if window.radius < need:
-        raise ValueError(
-            f"window radius {window.radius} insufficient, need {need}")
-    big = ball(group, window.radius)
-    small = ball(group, radius)
-    vals = tuple(window.values[big.index(group.multiply(h, g))]
-                 for h in small.elements)
-    return PatternWindow(radius=radius, values=vals)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .groups import CayleyBall, GroupSpec, PatternWindow, ball
+from .groups import CayleyBall, GroupSpec, ball
 from .sofic import (
     FiniteQuotient,
     SoficApproximation,
@@ -36,7 +36,8 @@ WEIGHT_TOL = 1e-12
 class EnumerationBudgetError(RuntimeError):
     """Exact enumeration would exceed the configured budget.
 
-    Callers that can tolerate sampling error should retry in Monte Carlo mode.
+    Every oracle here is exact, so the caller must ask for less: a smaller
+    radius or moment order, or a law with fewer assignments.
     """
 
 
@@ -226,22 +227,6 @@ def site_law_size(model: MeasureModel, n_sites: int) -> int:
     return model.alphabet.size ** n_sites
 
 
-def sample_sites(model: MeasureModel, sites: list,
-                 rng: np.random.Generator) -> tuple:
-    """One assignment over the given sites drawn from site_law's law."""
-    if isinstance(model, IIDProduct):
-        return tuple(rng.choice(model.alphabet.size, size=len(sites),
-                                p=np.asarray(model.weights)).tolist())
-    if isinstance(model, PeriodicOrbit):
-        t = int(rng.integers(model.quotient.size))
-        return tuple(model.pattern[model.quotient.act_perm(g)[t]]
-                     for g in sites)
-    if isinstance(model, Mixture):
-        kk = rng.choice(len(model.components), p=np.asarray(model.weights))
-        return sample_sites(model.components[kk], sites, rng)
-    raise TypeError(f"unknown model {type(model)!r}")
-
-
 def sample_rng(master_seed: int, size_index: int,
                sample_index: int) -> np.random.Generator:
     """The stream of sample j at size i: every sampled run draws from it."""
@@ -317,33 +302,17 @@ def _cosets(quotient: FiniteQuotient,
 # ---------------------------------------------------------------------------
 
 
-def pullback_window(rho: Configuration, sigma: SoficApproximation, v: int,
-                    radius: int) -> PatternWindow:
-    """Window g -> rho(sigma^g(v)) on the Cayley ball, canonical order."""
-    b = ball(sigma.group, radius)
-    vals = tuple(int(rho.values[sigma.perm_of(g)[v]]) for g in b.elements)
-    return PatternWindow(radius=radius, values=vals)
-
-
 @dataclass
 class WindowDistribution:
     """Probabilities over radius-R patterns (tuples of symbol indices)."""
 
     radius: int
     probs: dict
-    counts: Optional[dict] = None
 
     def tv(self, other: "WindowDistribution") -> float:
         keys = set(self.probs) | set(other.probs)
         return 0.5 * sum(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0))
                          for k in keys)
-
-
-def empirical_window_distribution(rho: Configuration, sigma: SoficApproximation,
-                                  radius: int) -> WindowDistribution:
-    """Frequencies of the vertex-rooted pullback windows (exact counts)."""
-    vals = rho.values[sigma.ball_images(ball(sigma.group, radius))]
-    return _window_distribution(vals, radius, _window_histogram(vals))
 
 
 def _window_histogram(vals: np.ndarray):
@@ -371,7 +340,7 @@ def _window_distribution(vals: np.ndarray, radius: int,
             pat = tuple(int(x) for x in vals[:, v])
             counts[pat] = counts.get(pat, 0) + 1
     probs = {pat: c / n for pat, c in counts.items()}
-    return WindowDistribution(radius=radius, probs=probs, counts=counts)
+    return WindowDistribution(radius=radius, probs=probs)
 
 
 def target_marginal_on(model: MeasureModel, group: GroupSpec, radius: int,
@@ -410,19 +379,6 @@ def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Pushforward of the finite-model law through a vertex map
 # ---------------------------------------------------------------------------
-
-
-def pushforward_window_distribution(model: MeasureModel,
-                                    sigma: SoficApproximation, v: int,
-                                    radius: int) -> WindowDistribution:
-    """Exact law of the radius-R window of Pi_v under the finite-model law.
-
-    Collisions sigma^g(v) = sigma^h(v) identify the coordinates g and h, so
-    the pushforward is supported on patterns constant on collision classes.
-    """
-    b = ball(sigma.group, radius)
-    image = [int(sigma.perm_of(g)[v]) for g in b.elements]
-    return _pushforward_on(model, b, image, _periodic_translates(model, sigma))
 
 
 def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],

@@ -15,8 +15,7 @@ magnitude sums are decided square-root-free.  Operators are compared on
 their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
 one step certificate (strict Gershgorin on the difference's support block,
-plus its least eigenvalue) serves both ``schedule_step_psd_check`` and
-``monotone_ids_report``.  Every depth is assembled by ``assemble_induced``
+plus its least eigenvalue) proves each step of ``monotone_ids_report``.  Every depth is assembled by ``assemble_induced``
 without a goodness report: it alone picks the radius 2M, and the model's
 goodness cache scans it once for all depths.
 """
@@ -343,23 +342,6 @@ class SchedulePsdStep:
     certified: bool
     min_eigenvalue: float
     n_zero_rows: int
-
-
-def schedule_step_psd_check(rule: LocalRule, sched: RationalSchedule, m: int,
-                            sigma: SoficApproximation, rho: Configuration
-                            ) -> SchedulePsdStep:
-    """Certify H_{m+1} - H_m >= 0: strict dominance on every nonzero row.
-
-    Rows zeroed by the goodness fallback stay identically zero in the
-    difference (assembly zeroes them at every depth), so the difference is
-    strictly positive definite on its support and positive semi-definite
-    overall; a certification failure indicates a schedule bug.
-    """
-    if m + 1 > sched.m_max:
-        raise ScheduleError("step m+1 exceeds the schedule depth")
-    h_m = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
-    h_next = assemble_induced(apply_schedule(rule, sched, m + 1), sigma, rho)
-    return _psd_step(m, h_m, h_next)
 
 
 def _psd_step(m: int, h_m: InducedOperator,

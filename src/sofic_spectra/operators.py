@@ -48,7 +48,6 @@ from .measures import (
     _digits,
     model_alphabet,
     periodic_groups,
-    sample_sites,
     site_law,
     site_law_size,
 )
@@ -1018,21 +1017,17 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
 class ExpectedMomentResult:
     k: int
     value: float
-    standard_error: float
-    mode: str
 
 
-def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
-                    mode: str = "exact", samples: int = 200,
-                    seed: int = 0) -> ExpectedMomentResult:
+def expected_moment(rule: LocalRule, model: MeasureModel,
+                    k: int) -> ExpectedMomentResult:
     """E[ (H^w)^k(e,e) ] over the model: the k-th density-of-states moment.
 
-    Exact mode enumerates the joint law of the window on the sites the walk
-    can read; Monte Carlo mode averages the closed-walk value over sampled
-    windows and reports a standard error.  Either way every window goes
-    through one batched closed-walk kernel on integer numerator arrays over
-    the rule tables' common denominator den (int64 when the largest row sum R
-    of den*c has R^k < 2^62, Python ints otherwise).
+    The joint law of the window on the sites the walk can read is
+    enumerated exactly, and every window goes through one batched
+    closed-walk kernel on integer numerator arrays over the rule tables'
+    common denominator den (int64 when the largest row sum R of den*c has
+    R^k < 2^62, Python ints otherwise).
     It shares no code with the matrix powers it checks.  Each value is the
     exact numerator divided by den**k in Python ints, i.e. correctly rounded.
     The walk structures and the enumerated law are built once per rule,
@@ -1041,31 +1036,18 @@ def expected_moment(rule: LocalRule, model: MeasureModel, k: int,
     if k < 1:
         raise ValueError("moment order must be >= 1")
     _check_model_group(model, rule)
-    space, big, read_sites = _walk_setup(rule, k)
-    if mode == "exact":
-        n_assign = site_law_size(model, len(read_sites))
-        if n_assign > DEFAULT_ENUM_BUDGET:
-            raise EnumerationBudgetError(
-                f"{n_assign} window assignments exceed budget; "
-                "retry with mode='mc'")
-        which, probs, big_vals = _exact_law(rule, model, k)
-        values = _moment_values(rule, space, big_vals, k)
-        total = 0.0
-        for j, prob in zip(which.tolist(), probs.tolist()):
-            total += prob * values[j]
-        return ExpectedMomentResult(k=k, value=total, standard_error=0.0,
-                                    mode="exact")
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
-    assignments = [
-        sample_sites(model, read_sites, np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(j,))))
-        for j in range(samples)]
-    arr = np.asarray(_moment_values(
-        rule, space, _window_symbols(rule, big, read_sites, assignments), k))
-    se = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return ExpectedMomentResult(k=k, value=float(arr.mean()),
-                                standard_error=se, mode="mc")
+    space, _, read_sites = _walk_setup(rule, k)
+    n_assign = site_law_size(model, len(read_sites))
+    if n_assign > DEFAULT_ENUM_BUDGET:
+        raise EnumerationBudgetError(
+            f"{n_assign} window assignments exceed budget "
+            f"{DEFAULT_ENUM_BUDGET}; lower the moment order")
+    which, probs, big_vals = _exact_law(rule, model, k)
+    values = _moment_values(rule, space, big_vals, k)
+    total = 0.0
+    for j, prob in zip(which.tolist(), probs.tolist()):
+        total += prob * values[j]
+    return ExpectedMomentResult(k=k, value=total)
 
 
 def _exact_law(rule: LocalRule, model: MeasureModel, k: int

@@ -1,13 +1,17 @@
 """Dense Hermitian spectra, counting functions, IDS curves and references.
 
-The one input is an exact InducedOperator.  Spectra come from LAPACK's
-dense Hermitian solvers on two paths.  The default computes eigenvalues only
-and certifies them a posteriori in O(nnz): sum lambda = tr H and
-sum lambda^2 = ||H||_F^2, with tr H and ||H||_F^2 read from the operator's
-stored entries rather than from the solver, and every |lambda| inside the
-row-sum (Gershgorin) bound.  With ``vectors=True`` eigenvectors are computed
-too, with residual and orthogonality diagnostics; the residual H v - lambda v
-is taken over the stored entries (sparse, O(nnz n)).  Both checks hold to
+The one input is an exact InducedOperator, which must be Hermitian: every
+solve first checks that each stored entry's transpose holds its conjugate
+(``check_hermitian``, O(nnz)), since LAPACK's Hermitian solvers read one
+triangle only and the trace identities below cannot see a wrong other
+triangle of equal magnitudes.  Spectra come from LAPACK's dense Hermitian
+solvers on two paths.  The default computes eigenvalues only and certifies
+them a posteriori in O(nnz): sum lambda = tr H and sum lambda^2 = ||H||_F^2,
+with tr H and ||H||_F^2 read from the operator's stored entries rather
+than from the solver, and every |lambda| inside the row-sum (Gershgorin)
+bound.  With ``vectors=True`` eigenvectors are computed too, with residual
+and orthogonality diagnostics; the residual H v - lambda v is taken over the
+stored entries (sparse, O(nnz n)).  Both checks hold to
 SOLVE_TOL.  Every operator is exact-rational, and a diagonal one (the empty
 and the zero operator too) bypasses floating point entirely so that
 eigenvalue atoms at rational energies are counted exactly: the spectrum is
@@ -81,8 +85,10 @@ def eigen_spectrum(op: InducedOperator, vectors: bool = False) -> Spectrum:
     only and certifies them in O(nnz) with the trace identities and the
     row-sum enclosure (``_certify_values``); ``vectors=True`` also computes
     eigenvectors and records the worst relative eigenpair residual and the
-    orthogonality defect.  Either check fails loudly above SOLVE_TOL.
+    orthogonality defect.  Either check fails loudly above SOLVE_TOL.  A
+    non-Hermitian operator raises AssemblyError before any solve.
     """
+    op.check_hermitian()
     if op.is_diagonal():
         return _exact_diagonal_spectrum(op.n, op.codes, op.values)
     if op.n > DEFAULT_DENSE_BUDGET:

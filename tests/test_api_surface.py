@@ -17,14 +17,21 @@ top-level class, counts as passed when some call in ``src/`` or
 by keyword, or gives it by position before any ``*`` argument.  Names are
 matched as above, and ``**`` arguments pass nothing.  A call in the tests is
 no use of its own: an option only tests set needs a reason in its allowlist.
+
+The README names only what exists: every identifier in one of its inline
+code spans that contains ``_`` or starts with a capital (Python keywords
+aside) is a def, class, name, attribute or argument in those programs, or a
+word of one of their string constants (a config key, a file name).
 """
 
 import ast
+import keyword
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sofic_spectra"
+PROGRAMS = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -32,29 +39,11 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 ALLOWED = {
     "from_entries": "the constructor of an explicit operator from its "
                     "(row, col) -> value entries, which tests build with",
-    "pullback_window": "the dict-based reference of the vectorized window "
-                       "pullback, which tests compare against",
-    "translate_window": "the dict-based reference of the shift action on "
-                        "windows, which tests compare against",
-    "empirical_window_distribution": "the dict-based reference of the "
-                                     "empirical window law, which tests "
-                                     "compare against",
-    "pushforward_window_distribution": "the dict-based reference of the "
-                                       "pushforward window law, which tests "
-                                       "compare against",
-    "schedule_step_psd_check": "the one-step certificate that the tests of "
-                               "hand-built schedules use",
     "binary_alphabet": "the README example's alphabet",
 }
 
 # defaulted parameter -> why it stays although only tests pass it
 ALLOWED_DEFAULTS = {
-    "operators.expected_moment(mode)": "the Monte Carlo oracle that "
-                                       "EnumerationBudgetError tells the "
-                                       "caller to retry with",
-    "operators.expected_moment(samples)": "the Monte Carlo oracle's sample "
-                                          "count",
-    "operators.expected_moment(seed)": "the Monte Carlo oracle's seed",
     "measures.le_diagnostic(finite_model)": "a finite law other than the "
                                             "target",
     "spectral.ids_curve(tie_tol)": "a float width that tests check at other "
@@ -86,8 +75,7 @@ def _definitions():
 
 def _referenced() -> set:
     names = set()
-    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
-    for path in paths:
+    for path in PROGRAMS:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -151,8 +139,7 @@ def _passed() -> tuple[set, dict]:
     """({(function name, keyword)}, {function name: most positional
     arguments before any * argument}) over every call."""
     keywords, positional = set(), {}
-    paths = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
-    for path in paths:
+    for path in PROGRAMS:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
@@ -180,3 +167,30 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                      or positional.get(function, 0) <= position)]
     # an allowlisted parameter must exist and still be passed by no caller
     assert sorted(unpassed) == sorted(ALLOWED_DEFAULTS)
+
+
+def _program_words() -> set:
+    words = set()
+    for path in PROGRAMS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                words.add(node.name)
+            elif isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+                words.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_readme_names_only_what_the_programs_define():
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(),
+                  flags=re.S)
+    named = {word for span in re.findall(r"`([^`]+)`", text)
+             for word in re.findall(r"[A-Za-z_]\w*", span)
+             if ("_" in word or word[0].isupper())
+             and not keyword.iskeyword(word)}
+    assert sorted(named - _program_words()) == []

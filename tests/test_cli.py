@@ -242,11 +242,11 @@ def test_product_sofic_pipeline(tmp_path):
 def test_product_takes_a_period_that_divides_its_moduli(tmp_path):
     from sofic_spectra.cli import build_objects
     from sofic_spectra.measures import (
-        pushforward_window_distribution,
         sample_configuration,
         sample_rng,
         target_marginal_on,
     )
+    from window_references import pushforward_window_distribution
     config = _diagnostics_config(
         sofic={"kind": "product", "sizes": [4, 8], "moduli": [4]},
         measure={"kind": "periodic", "period": [2], "pattern": [0, 1]},

@@ -16,7 +16,6 @@ from sofic_spectra.measures import (
     Configuration,
     IIDProduct,
     binary_alphabet,
-    pullback_window,
     sample_configuration,
 )
 from sofic_spectra.operators import (
@@ -37,6 +36,8 @@ from sofic_spectra.spectral import (
     punctured_mass,
     punctured_mass_bound,
 )
+
+from window_references import pullback_window
 
 
 # ---------------------------------------------------------------------------

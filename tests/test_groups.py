@@ -4,12 +4,12 @@ from sofic_spectra.groups import (
     BallCapacityError,
     GroupSpec,
     GroupValidationError,
-    PatternWindow,
     ball,
     free_group,
     lattice_group,
-    translate_window,
 )
+
+from window_references import PatternWindow, translate_window
 
 
 def test_lattice_ball_counts():

@@ -20,11 +20,8 @@ from sofic_spectra.measures import (
     WindowDistribution,
     binary_alphabet,
     check_fits,
-    empirical_window_distribution,
     lattice_periodic,
     le_diagnostic,
-    pullback_window,
-    pushforward_window_distribution,
     sample_configuration,
     site_law,
     target_marginal_on,
@@ -34,6 +31,15 @@ from sofic_spectra.sofic import (
     lattice_quotient,
     product_with_quotient,
     torus_approximation,
+)
+
+from window_references import (
+    decode,
+    empirical_window_distribution,
+    pullback_window,
+    pushforward_on,
+    pushforward_window_distribution,
+    window_counts,
 )
 
 Z1 = lattice_group(1)
@@ -163,7 +169,7 @@ def test_empirical_distribution_examples():
     rho = Configuration(values=np.array([0, 1, 0, 1]))
     dist = empirical_window_distribution(rho, sig, 1)
     assert dist.probs == {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
-    assert sum(dist.counts.values()) == 4
+    assert sum(window_counts(rho, sig, 1).values()) == 4
     const = Configuration(values=np.zeros(4, dtype=np.int64))
     point = empirical_window_distribution(const, sig, 1)
     assert point.probs == {(0, 0, 0): 1.0}
@@ -439,20 +445,11 @@ def test_site_law_keeps_repeated_translates():
         {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
 
 
-def _decode(code, base, length):
-    """Base-`base` digits of code, least significant first."""
-    out = []
-    for _ in range(length):
-        out.append(code % base)
-        code //= base
-    return tuple(out)
-
-
 def _per_code_iid_law(model, sites):
     """The i.i.d. branch of site_law as a per-code loop."""
     A = model.alphabet.size
     for code in range(A ** len(sites)):
-        assign = _decode(code, A, len(sites))
+        assign = decode(code, A, len(sites))
         p = 1.0
         for s in assign:
             p *= model.weights[s]
@@ -503,47 +500,6 @@ def test_target_marginal_budget_error_is_the_former_one():
 # ---------------------------------------------------------------------------
 
 
-def _former_pushforward_on(model, sigma, b, image, budget):
-    from sofic_spectra.measures import _periodic_base_values
-    if isinstance(model, IIDProduct):
-        classes = {}
-        for pos, u in enumerate(image):
-            classes.setdefault(u, []).append(pos)
-        reps = list(classes.values())
-        A = model.alphabet.size
-        if A ** len(reps) > budget:
-            raise EnumerationBudgetError("pushforward enumeration over budget")
-        probs = {}
-        pat = [0] * len(b)
-        for code in range(A ** len(reps)):
-            assign = _decode(code, A, len(reps))
-            p = 1.0
-            for s in assign:
-                p *= model.weights[s]
-            if p == 0:
-                continue
-            for cls, s in zip(reps, assign):
-                for pos in cls:
-                    pat[pos] = s
-            key = tuple(pat)
-            probs[key] = probs.get(key, 0.0) + p
-        return WindowDistribution(radius=b.radius, probs=probs)
-    if isinstance(model, PeriodicOrbit):
-        q = model.quotient.size
-        probs = {}
-        for t in range(q):
-            rho = _periodic_base_values(model, sigma, t)
-            pat = tuple(int(rho[u]) for u in image)
-            probs[pat] = probs.get(pat, 0.0) + 1.0 / q
-        return WindowDistribution(radius=b.radius, probs=probs)
-    probs = {}
-    for comp, w in zip(model.components, model.weights):
-        sub = _former_pushforward_on(comp, sigma, b, image, budget)
-        for pat, p in sub.probs.items():
-            probs[pat] = probs.get(pat, 0.0) + w * p
-    return WindowDistribution(radius=b.radius, probs=probs)
-
-
 def _former_pushforward_key(model, image):
     if isinstance(model, IIDProduct):
         first = {}
@@ -572,8 +528,7 @@ def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed,
             key = _former_pushforward_key(model, image)
             tv = cache.get(key)
             if tv is None:
-                push = _former_pushforward_on(model, sigma, b, list(image),
-                                              budget)
+                push = pushforward_on(model, sigma, b, list(image), budget)
                 tv = push.tv(target)
                 cache[key] = tv
             if tv < eps:

@@ -17,9 +17,9 @@ from sofic_spectra.monotone import (
     build_schedule,
     _difference,
     _float_difference_norm,
+    _psd_step,
     gershgorin_psd,
     monotone_ids_report,
-    schedule_step_psd_check,
     value_sets_of,
 )
 from sofic_spectra.operators import (
@@ -47,6 +47,14 @@ def crat(re, im=0):
 
 def zero_config(n):
     return Configuration(values=np.zeros(n, dtype=np.int64))
+
+
+def schedule_step_psd_check(rule, sched, m, sigma, rho):
+    """The certificate of step m -> m+1 of the schedule on (sigma, rho), as
+    monotone_ids_report computes it for each step."""
+    h_m = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
+    h_next = assemble_induced(apply_schedule(rule, sched, m + 1), sigma, rho)
+    return _psd_step(m, h_m, h_next)
 
 
 def test_value_sets_validation():

@@ -17,7 +17,6 @@ from sofic_spectra.measures import (
     Mixture,
     binary_alphabet,
     lattice_periodic,
-    pullback_window,
     sample_configuration,
 )
 import sofic_spectra.operators as operators_module
@@ -44,6 +43,8 @@ from sofic_spectra.sofic import (
     random_permutation_approximation,
     torus_approximation,
 )
+
+from window_references import pullback_window, translate_window
 
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
@@ -175,7 +176,6 @@ def test_goodness_radius_mismatch_error():
 def test_finite_level_equivariance():
     # pullback windows shift correctly: window at sigma^s(v) equals the
     # translated window at v, so entries repeat along the orbit
-    from sofic_spectra.groups import translate_window
     sig = torus_approximation(1, 12)
     rho = Configuration(values=np.arange(12) % 2)
     big = pullback_window(rho, sig, 3, 2)
@@ -253,18 +253,9 @@ def test_expected_moment_refuses_iid_over_budget_before_enumerating(
     monkeypatch.setattr(operators_module, "site_law", no_enumeration)
     rule = schrodinger_rule(lattice_group(2), BIN, [Fraction(0), Fraction(1)])
     iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
-    with pytest.raises(EnumerationBudgetError, match="retry with mode='mc'"):
+    with pytest.raises(EnumerationBudgetError,
+                       match="exceed budget 1000000; lower the moment order"):
         expected_moment(rule, iid, 6)
-
-
-def test_expected_moment_monte_carlo_cross_oracle():
-    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
-    iid = IIDProduct(alphabet=BIN, weights=(0.7, 0.3))
-    for k in (2, 3, 4):
-        exact = expected_moment(rule, iid, k)
-        mc = expected_moment(rule, iid, k, mode="mc", samples=400, seed=k)
-        assert mc.standard_error > 0
-        assert abs(mc.value - exact.value) <= 5 * mc.standard_error
 
 
 def test_power_diagonal_float_mode():
@@ -370,10 +361,6 @@ PINNED_IID = [
 PINNED_MIXTURE = [
     "-0x1.58e38e38e38e3p+0", "0x1.1e84bda12f684p+2", "-0x1.9edd3c0ca4588p+3",
     "0x1.56469598c1d7ep+5", "-0x1.1bcc33f8fa07cp+7", "0x1.e5b0a6afd12d7p+8"]
-PINNED_MC = {  # k: (value, standard error), samples=400, seed=k
-    2: ("0x1.3733333333333p+2", "0x1.6ac3ccd032080p-4"),
-    3: ("-0x1.d2314dbf86a31p+3", "0x1.5a98c0d75fcc4p-2"),
-    4: ("0x1.7b12a59c20de8p+5", "0x1.32829e5432507p+0")}
 
 
 def test_expected_moment_bit_identical_to_fraction_oracle():
@@ -385,9 +372,6 @@ def test_expected_moment_bit_identical_to_fraction_oracle():
             for k in range(1, 9)] == PINNED_IID
     assert [expected_moment(rule, mixture, k).value.hex()
             for k in range(1, 7)] == PINNED_MIXTURE
-    for k, (value, se) in PINNED_MC.items():
-        mc = expected_moment(rule, iid, k, mode="mc", samples=400, seed=k)
-        assert (mc.value.hex(), mc.standard_error.hex()) == (value, se)
 
 
 def _dense_fraction_power_diagonal(op, k):

@@ -11,6 +11,7 @@ from sofic_spectra.exact import ComplexRational
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Configuration, binary_alphabet
 from sofic_spectra.operators import (
+    AssemblyError,
     InducedOperator,
     assemble_graph_schrodinger,
     assemble_induced,
@@ -54,6 +55,19 @@ def test_eigen_zero_and_diag():
     spec = eigen_spectrum(operator_of(np.diag([3.0, 1.0, 2.0])))
     assert np.allclose(spec.values, [1, 2, 3])
     assert spec.residual <= 1e-12
+
+
+@pytest.mark.parametrize("entries", [
+    # diagonal, so the exact path would read only the real part of 1+i
+    {(0, 0): 1 + 1j, (1, 1): 2},
+    # equal magnitudes in both triangles: the values-only solve reads one
+    # and its trace identities hold, so it would return [0.382, 2.618]
+    {(0, 0): 1, (0, 1): 1j, (1, 0): 1j, (1, 1): 2}])
+@pytest.mark.parametrize("vectors", [False, True])
+def test_eigen_refuses_non_hermitian_operators(entries, vectors):
+    op = InducedOperator.from_entries(2, entries)
+    with pytest.raises(AssemblyError, match="Hermitian symmetry violated"):
+        eigen_spectrum(op, vectors=vectors)
 
 
 def test_eigen_exact_diagonal_path():
