@@ -218,7 +218,7 @@ _TYPE_TESTS = {
 }
 
 
-def _violations(x, schema: dict, path: str = "config"):
+def _violations(x, schema: dict, path: str):
     """Each way x breaks a schema of CONFIG_SCHEMA's keywords, lazily, as
     "<path> <reason>"; a schema with a description is broken at most once,
     as "<path>: <description>".
@@ -290,7 +290,7 @@ def _violations(x, schema: dict, path: str = "config"):
 def validate_config(config: dict) -> None:
     """Check a config against CONFIG_SCHEMA and the size schedule.  The
     first violation of the schema is a ConfigError naming its path."""
-    reason = next(_violations(config, CONFIG_SCHEMA), None)
+    reason = next(_violations(config, CONFIG_SCHEMA, "config"), None)
     if reason is not None:
         raise ConfigError(reason)
     sizes = config["sofic"]["sizes"]
@@ -334,7 +334,7 @@ def build_objects(config: dict) -> ConfigObjects:
         if "measure" not in config:
             return ConfigObjects(group, sigmas)
         path = "config.measure"
-        model = measure_from_config(config["measure"], group)
+        model = measure_from_config(config["measure"], group, path)
         alphabet = model_alphabet(model)
         for sigma in sigmas:
             check_fits(model, sigma)
@@ -390,7 +390,7 @@ def sofic_family(config: dict, group: GroupSpec) -> list[SoficApproximation]:
 
 
 def measure_from_config(cfg: dict, group: GroupSpec,
-                        path: str = "config.measure") -> MeasureModel:
+                        path: str) -> MeasureModel:
     """The measure at path; a period that is not one length per coordinate
     of the lattice is a ConfigError naming it."""
     if cfg["kind"] == "mixture":

@@ -165,7 +165,7 @@ class CayleyBall:
 
 
 @lru_cache(maxsize=None)
-def _ball_cached(group: GroupSpec, radius: int, capacity: int) -> CayleyBall:
+def _ball_cached(group: GroupSpec, radius: int) -> CayleyBall:
     e = group.identity()
     dist = {e: 0}
     frontier = [e]
@@ -177,9 +177,10 @@ def _ball_cached(group: GroupSpec, radius: int, capacity: int) -> CayleyBall:
                 if h not in dist:
                     dist[h] = r
                     nxt.append(h)
-                    if len(dist) > capacity:
+                    if len(dist) > DEFAULT_BALL_CAPACITY:
                         raise BallCapacityError(
-                            f"ball B(e,{radius}) exceeds capacity {capacity}")
+                            f"ball B(e,{radius}) exceeds capacity "
+                            f"{DEFAULT_BALL_CAPACITY}")
         frontier = nxt
     elements = tuple(sorted(dist.keys()))
     index = {g: i for i, g in enumerate(elements)}
@@ -194,9 +195,9 @@ def _ball_cached(group: GroupSpec, radius: int, capacity: int) -> CayleyBall:
                       edges=tuple(edges), word_lengths=lengths)
 
 
-def ball(group: GroupSpec, radius: int,
-         capacity: int = DEFAULT_BALL_CAPACITY) -> CayleyBall:
-    """Cayley ball B_S(e, R) with deterministic element order."""
+def ball(group: GroupSpec, radius: int) -> CayleyBall:
+    """Cayley ball B_S(e, R) with deterministic element order, refused
+    once it holds more than DEFAULT_BALL_CAPACITY elements."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return _ball_cached(group, radius, capacity)
+    return _ball_cached(group, radius)

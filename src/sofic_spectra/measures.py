@@ -4,8 +4,12 @@ Three model families: i.i.d. product laws, periodic-orbit laws (uniform on
 the orbit of a pattern that factors through a finite quotient of Z^d) and
 convex mixtures.  Each model knows how to sample finite configurations on a
 compatible sofic approximation (one whose lattice box the periods divide),
-how to compute exact radius-R cylinder marginals, and how to push a
-finite-model law forward through a vertex map identifying collided sites.
+from a numpy Generator, and how to push a law forward through a map of ball
+positions to sites, positions with one image collided.  The exact radius-R
+cylinder marginal of the infinite-volume law is that pushforward onto the
+ball's own sites, which never collide; the finite-model law is pushed
+through each vertex's ball image.  An i.i.d. pushforward enumerates at most
+DEFAULT_ENUM_BUDGET window patterns.
 """
 
 from __future__ import annotations
@@ -234,16 +238,10 @@ def sample_rng(master_seed: int, size_index: int,
         entropy=master_seed, spawn_key=(size_index, sample_index)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_configuration(model: MeasureModel, sigma: SoficApproximation,
-                         seed) -> Configuration:
-    """One configuration of the finite-model law on sigma's vertex set."""
-    rng = _as_rng(seed)
+                         rng: np.random.Generator) -> Configuration:
+    """One configuration of the finite-model law on sigma's vertex set,
+    drawn from rng (a pipeline passes sample_rng of its sample)."""
     return Configuration(values=_sample_values(model, sigma, rng))
 
 
@@ -343,27 +341,16 @@ def _window_distribution(vals: np.ndarray, radius: int,
     return WindowDistribution(radius=radius, probs=probs)
 
 
-def target_marginal_on(model: MeasureModel, group: GroupSpec, radius: int,
-                       budget: int = DEFAULT_ENUM_BUDGET) -> WindowDistribution:
-    """Exact radius-R cylinder marginal of the infinite-volume law: site_law
-    merged per pattern over the ball, a mixture weighting the merged
-    marginals of its components."""
+def target_marginal_on(model: MeasureModel, group: GroupSpec,
+                       radius: int) -> WindowDistribution:
+    """Exact radius-R cylinder marginal of the infinite-volume law: the
+    pushforward onto the ball's own sites, where no two positions collide;
+    a periodic part reads its translates at the cosets of the ball points."""
     b = ball(group, radius)
-    probs: dict = {}
-    if isinstance(model, Mixture):
-        for comp, w in zip(model.components, model.weights):
-            sub = target_marginal_on(comp, group, radius, budget)
-            for pat, p in sub.probs.items():
-                probs[pat] = probs.get(pat, 0.0) + w * p
-        return WindowDistribution(radius=b.radius, probs=probs)
-    A = model.alphabet.size
-    if isinstance(model, IIDProduct) and A ** len(b) > budget:
-        raise EnumerationBudgetError(
-            f"{A}^{len(b)} patterns exceed budget {budget}; "
-            "use Monte Carlo estimation instead")
-    for pat, p in site_law(model, b.elements):
-        probs[pat] = probs.get(pat, 0.0) + p
-    return WindowDistribution(radius=b.radius, probs=probs)
+    translates = {id(p): p.translate_table[
+        :, p.quotient.coset_of(np.array(b.elements, dtype=np.int64).T)]
+        for p in _periodic_parts(model)}
+    return _pushforward_on(model, b, list(range(len(b))), translates)
 
 
 def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
@@ -383,7 +370,9 @@ def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
 
 def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
                     translates: dict) -> WindowDistribution:
-    """translates is _periodic_translates of the model on the finite model."""
+    """Law of the pattern whose ball position i reads site image[i]:
+    positions with one image collide.  translates maps each periodic part
+    to its (q, sites) array of translates (_periodic_translates)."""
     if isinstance(model, IIDProduct):
         classes: dict[int, list[int]] = {}
         for pos, u in enumerate(image):
@@ -391,7 +380,9 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
         reps = list(classes.values())
         A = model.alphabet.size
         if A ** len(reps) > DEFAULT_ENUM_BUDGET:
-            raise EnumerationBudgetError("pushforward enumeration over budget")
+            raise EnumerationBudgetError(
+                f"{A}^{len(reps)} window patterns exceed budget "
+                f"{DEFAULT_ENUM_BUDGET}; lower the radius")
         probs: dict = {}
         pat = [0] * len(b)
         # one i.i.d. symbol per collision class

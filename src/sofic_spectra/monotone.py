@@ -303,31 +303,23 @@ def gershgorin_psd(op: InducedOperator,
     return GershgorinCertificate(certified=True, strict=strict)
 
 
-def _merged_codes(a: InducedOperator, b: InducedOperator
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keys, code_a, code_b) on the sorted union of both supports, keyed
-    row * n + col: each operator's code there, len(its values) where it
-    stores no entry."""
+def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
+    """a - b, entries in ascending (row, col) order.
+
+    The sorted row * n + col keys of both supports are merged, each
+    operator coded len(its values) where it stores no entry, and one
+    subtraction runs per distinct pair of codes; entries that cancel are
+    left out.
+    """
+    if a.n != b.n:
+        raise AssemblyError("difference needs two operators of equal size")
     key_a = a.rows * a.n + a.cols
-    key_b = b.rows * b.n + b.cols
-    keys, where = np.unique(np.concatenate([key_a, key_b]),
+    keys, where = np.unique(np.concatenate([key_a, b.rows * b.n + b.cols]),
                             return_inverse=True)
     code_a = np.full(len(keys), len(a.values))
     code_a[where[:len(key_a)]] = a.codes
     code_b = np.full(len(keys), len(b.values))
     code_b[where[len(key_a):]] = b.codes
-    return keys, code_a, code_b
-
-
-def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
-    """a - b, entries in ascending (row, col) order.
-
-    One subtraction per distinct pair of codes; entries that cancel are
-    left out.
-    """
-    if a.n != b.n:
-        raise AssemblyError("difference needs two operators of equal size")
-    keys, code_a, code_b = _merged_codes(a, b)
     width = len(b.values) + 1
     pairs, pick = np.unique(code_a * width + code_b, return_inverse=True)
     a_values, b_values = a.values + (CZERO,), b.values + (CZERO,)
@@ -437,7 +429,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
                                           count_target=ct,
                                           psd_certified=True))
         max_gap[m] = max((cm - ct) for cm, ct in zip(counts, target_counts)) / n
-        gap_op = _float_difference_norm(ops[m], target_op)
+        gap_op = _difference(ops[m], target_op).row_sum_bound()
         norm_gap[m] = gap_op
         norm_bound[m] = float((2 * c + 2) + 3 * d) * 4.0 ** (-m)
         if gap_op > norm_bound[m] + 1e-12:
@@ -448,16 +440,3 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
                              norm_gap_per_m=norm_gap,
                              norm_bound_per_m=norm_bound, psd_steps=psd_steps)
 
-
-def _float_difference_norm(a: InducedOperator, b: InducedOperator) -> float:
-    """Row-sum norm of a - b in floats, each row summed in ascending column
-    order."""
-    if not a.n:
-        return 0.0
-    keys, code_a, code_b = _merged_codes(a, b)
-    d = (np.append(a._complex_values, 0)[code_a]
-         - np.append(b._complex_values, 0)[code_b])
-    # np.hypot rounds like abs(complex); np.abs does not
-    sums = np.bincount(keys // a.n, weights=np.hypot(d.real, d.imag),
-                       minlength=a.n)
-    return float(sums.max())

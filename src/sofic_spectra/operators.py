@@ -20,7 +20,10 @@ rule as one row of codes per ball element, by window code (only _coded_rule
 makes its values exact), an operator as row, column and code arrays
 in row-major order, built once at assembly.  Every consumer reads the codes,
 so exact Gaussian-rational work runs once per distinct value and the rest is
-numpy.  ``tables`` and ``entries`` are read-only mappings derived from them.
+numpy.  Values are interned, so equal codes are equal values and cells are
+compared by their codes.  An operator's ``entries`` is a read-only
+(row, col) -> value mapping derived from its arrays; a rule's cell
+c(elements[i], w) is values[codes[i][w]].
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,15 +100,6 @@ class LocalRule:
         self.codes.setflags(write=False)
 
     @functools.cached_property
-    def tables(self) -> Mapping:
-        """Ball element -> read-only coefficient array by window code,
-        derived from the arrays."""
-        values = np.fromiter(self.values, dtype=object, count=len(self.values))
-        cells = values[self.codes]
-        cells.setflags(write=False)
-        return MappingProxyType(dict(zip(self.elements, cells)))
-
-    @functools.cached_property
     def _rows(self) -> dict:
         """Ball element -> its row of value codes."""
         return dict(zip(self.elements, self.codes))
@@ -118,9 +111,10 @@ class LocalRule:
 
     @functools.cached_property
     def influential_positions(self) -> list[int]:
-        """Ball positions that can change any coefficient of the rule."""
+        """Ball positions that can change any coefficient of the rule;
+        codes are compared, as equal codes are equal values."""
         A, K = self.alphabet.size, len(self.window_ball())
-        cells = np.array(list(self.tables.values())).reshape(-1, *[A] * K)
+        cells = self.codes.reshape(-1, *[A] * K)
         # after the axis of elements, numpy axes index window positions in
         # reverse code order
         return [pos for pos in range(K) if np.any(
@@ -450,15 +444,8 @@ class InducedOperator:
         """One complex per code: the float images of the values."""
         return np.array([v.to_complex() for v in self.values], dtype=complex)
 
-    def entry(self, i: int, j: int) -> ComplexRational:
-        t = self._index.get((i, j))
-        return CZERO if t is None else self.values[self.codes[t]]
-
     def is_diagonal(self) -> bool:
         return bool(np.array_equal(self.rows, self.cols))
-
-    def diagonal(self) -> list:
-        return [self.entry(i, i) for i in range(self.n)]
 
     def _float_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals): float64 vals if every entry is real, else complex."""

@@ -97,12 +97,9 @@ class SoficApproximation:
         self._word_cache[g] = arr
         return arr
 
-    def ball_images(self, b: CayleyBall,
-                    budget: int = DEFAULT_IMAGE_BUDGET) -> np.ndarray:
+    def ball_images(self, b: CayleyBall) -> np.ndarray:
         """Matrix images[i, v] = sigma^{g_i}(v) over the ball elements."""
-        if len(b) * self.n_vertices > budget:
-            raise BallCapacityError(
-                f"image matrix {len(b)}x{self.n_vertices} exceeds budget {budget}")
+        _check_image_budget(len(b), self.n_vertices)
         return np.stack([self.perm_of(g) for g in b.elements])
 
 
@@ -264,8 +261,7 @@ class GoodnessReport:
         return float(self.good.mean()) if len(self.good) else 0.0
 
 
-def good_vertices(sigma: SoficApproximation, radius: int,
-                  budget: int = DEFAULT_IMAGE_BUDGET) -> GoodnessReport:
+def good_vertices(sigma: SoficApproximation, radius: int) -> GoodnessReport:
     """Mark v good iff g -> sigma^g(v) is a labeled-ball isomorphism.
 
     Three vectorized stages: (1) every labeled Cayley-ball edge must commute
@@ -274,21 +270,26 @@ def good_vertices(sigma: SoficApproximation, radius: int,
     |B| images must be pairwise distinct, (3) no graph edge may leave the
     sphere and re-enter the image (no chords absent from the Cayley ball).
     Radius 0 is trivially good everywhere.  The read-only mask is scanned
-    once per model and radius; the image budget is checked on every call.
+    once per model and radius; DEFAULT_IMAGE_BUDGET is checked on every
+    call.
     """
     n = sigma.n_vertices
     if radius == 0:
         return GoodnessReport(radius=0, good=np.ones(n, dtype=bool))
     b = ball(sigma.group, radius)
+    _check_image_budget(len(b), n)
     cached = sigma._good_cache.get(radius)
     if cached is None:
-        cached = _scan_good(sigma, b, sigma.ball_images(b, budget=budget))
+        cached = _scan_good(sigma, b, sigma.ball_images(b))
         cached.setflags(write=False)
         sigma._good_cache[radius] = cached
-    elif len(b) * n > budget:
-        raise BallCapacityError(
-            f"image matrix {len(b)}x{n} exceeds budget {budget}")
     return GoodnessReport(radius=radius, good=cached)
+
+
+def _check_image_budget(size: int, n: int) -> None:
+    if size * n > DEFAULT_IMAGE_BUDGET:
+        raise BallCapacityError(f"image matrix {size}x{n} exceeds budget "
+                                f"{DEFAULT_IMAGE_BUDGET}")
 
 
 def _scan_good(sigma: SoficApproximation, b: CayleyBall,

@@ -16,10 +16,12 @@ SOLVE_TOL.  Every operator is exact-rational, and a diagonal one (the empty
 and the zero operator too) bypasses floating point entirely so that
 eigenvalue atoms at rational energies are counted exactly: the spectrum is
 counted once per distinct value, and counting functions and atom masses
-bisect the sorted exact values with Fraction comparisons only.  IDS curves
-are right-continuous step functions (finite volume) or piecewise-linear
-interpolants (analytic references); the Kolmogorov distance evaluates both
-on the merged breakpoint set including left limits.
+bisect the sorted exact values with Fraction comparisons only; a float
+counting function absorbs ties within TIE_TOL times the spectral scale.
+Every guard and tolerance here is a module constant, read at call time.
+IDS curves are right-continuous step functions (finite volume) or
+piecewise-linear interpolants (analytic references); the Kolmogorov distance
+evaluates both on the merged breakpoint set including left limits.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .operators import InducedOperator
 DEFAULT_DENSE_BUDGET = 4096
 SOLVE_TOL = 1e-8                # eigensolver certificate tolerance
 PUNCTURED_CLUSTER_TOL = 1e-9
+TIE_TOL = 1e-9                  # float counting ties, relative to the scale
+QUADRATURE_POINTS = 100_000     # theta-quadrature of the Z^2 reference
 
 
 class EigensolverError(RuntimeError):
@@ -181,28 +185,15 @@ def _exact_rank(spec: Spectrum, x, side: str) -> int:
     return find(spec.exact_values, Fraction(x))
 
 
-def counting_function(spec: Spectrum, beta,
-                      tie_tol: Optional[float] = None):
-    """Number of eigenvalues <= beta (ties absorbed within tie_tol).
-
-    For a sequence of points the counts come back as a list of ints, from
-    one vectorised search (float) or one bisection per point (exact).
-    """
-    if np.ndim(beta):
-        if spec.is_exact:
-            return [_exact_rank(spec, b, "right") for b in beta]
-        return _float_counts(spec, np.asarray(beta, dtype=float),
-                             tie_tol).tolist()
+def counting_function(spec: Spectrum, points: Sequence) -> list[int]:
+    """Number of eigenvalues <= each point, as a list of ints: one
+    bisection per point (exact), or one vectorised search with ties absorbed
+    within TIE_TOL * scale (float)."""
     if spec.is_exact:
-        return _exact_rank(spec, beta, "right")
-    return int(_float_counts(spec, float(beta), tie_tol))
-
-
-def _float_counts(spec: Spectrum, beta, tie_tol: Optional[float]):
-    """Float eigenvalues <= beta + tie_tol, for a float or an array of them."""
-    if tie_tol is None:
-        tie_tol = 1e-9 * spec.scale()
-    return np.searchsorted(spec.values, beta + tie_tol, side="right")
+        return [_exact_rank(spec, b, "right") for b in points]
+    return np.searchsorted(
+        spec.values, np.asarray(points, dtype=float) + TIE_TOL * spec.scale(),
+        side="right").tolist()
 
 
 def atom_mass(spec: Spectrum, alpha) -> float:
@@ -217,15 +208,16 @@ def atom_mass(spec: Spectrum, alpha) -> float:
                          <= 1e-8 * spec.scale()))
 
 
-def punctured_mass(spec: Spectrum, alpha: float, eps: float,
-                   cluster_tol: float = PUNCTURED_CLUSTER_TOL) -> float:
-    """Fraction of eigenvalues with cluster_tol < |lambda - alpha| < eps."""
-    if not 0 < cluster_tol < eps:
-        raise ValueError("need 0 < cluster_tol < eps")
+def punctured_mass(spec: Spectrum, alpha: float, eps: float) -> float:
+    """Fraction of eigenvalues with PUNCTURED_CLUSTER_TOL < |lambda - alpha|
+    < eps."""
+    if not PUNCTURED_CLUSTER_TOL < eps:
+        raise ValueError(f"need eps > PUNCTURED_CLUSTER_TOL "
+                         f"{PUNCTURED_CLUSTER_TOL}")
     if spec.n == 0:
         return 0.0
     d = np.abs(spec.values - float(alpha))
-    return float(np.mean((d > cluster_tol) & (d < eps)))
+    return float(np.mean((d > PUNCTURED_CLUSTER_TOL) & (d < eps)))
 
 
 def punctured_mass_bound(norm_bound: float, eps: float,
@@ -284,16 +276,11 @@ class IDSCurve:
         return np.where(idx >= 0, self.ys[np.maximum(idx, 0)], 0.0)
 
 
-def ids_curve(spec: Spectrum, grid: Optional[Sequence[float]] = None,
-              tie_tol: Optional[float] = None) -> IDSCurve:
+def ids_curve(spec: Spectrum, grid: Sequence[float]) -> IDSCurve:
     """Normalized counting function as a step curve on grid + breakpoints."""
     breaks = np.unique(spec.values)
-    if grid is not None:
-        xs = np.unique(np.concatenate([np.asarray(grid, dtype=float), breaks]))
-    else:
-        xs = breaks
-    ys = np.asarray(counting_function(spec, xs, tie_tol),
-                    dtype=float) / max(spec.n, 1)
+    xs = np.unique(np.concatenate([np.asarray(grid, dtype=float), breaks]))
+    ys = np.asarray(counting_function(spec, xs), dtype=float) / max(spec.n, 1)
     return IDSCurve(xs=xs, ys=ys, kind="step")
 
 
@@ -305,13 +292,13 @@ def kolmogorov_distance(a: IDSCurve, b: IDSCurve) -> float:
     return float(max(d1, d2))
 
 
-def reference_ids(kind: str, d: int, beta_grid: Sequence[float],
-                  quadrature_points: int = 100_000) -> IDSCurve:
+def reference_ids(kind: str, d: int, beta_grid: Sequence[float]) -> IDSCurve:
     """Analytic IDS reference curves.
 
     ``lattice_laplacian`` with d=1 is the arcsine law of the Z Laplacian,
     N(beta) = 1 - arccos(1 + beta/2)/pi on [-4, 0]; d=2 is the numerical
-    self-convolution via theta-quadrature (documented error <= 1e-4).
+    self-convolution via a QUADRATURE_POINTS-point theta-quadrature
+    (documented error <= 1e-4).
     """
     grid = np.asarray(sorted(beta_grid), dtype=float)
     if kind != "lattice_laplacian":
@@ -320,7 +307,7 @@ def reference_ids(kind: str, d: int, beta_grid: Sequence[float],
         ys = _arcsine_ids(grid)
         return IDSCurve(xs=grid, ys=ys, kind="linear")
     if d == 2:
-        phi = (np.arange(quadrature_points) + 0.5) * np.pi / quadrature_points
+        phi = (np.arange(QUADRATURE_POINTS) + 0.5) * np.pi / QUADRATURE_POINTS
         shift = 2.0 * np.cos(phi) - 2.0
         ys = np.empty(len(grid))
         for i, beta in enumerate(grid):

@@ -1,4 +1,5 @@
-"""Exact operators from dense arrays, for tests that build matrices directly.
+"""Exact operators from dense arrays, for tests that build matrices directly,
+and a rule's coefficient tables, for tests that read them cell by cell.
 
 Not a test module; the test modules import it by name.
 """
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from sofic_spectra.exact import ComplexRational
-from sofic_spectra.operators import InducedOperator
+from sofic_spectra.operators import InducedOperator, LocalRule
 
 
 def operator_of(a) -> InducedOperator:
@@ -33,3 +34,10 @@ def operator_of(a) -> InducedOperator:
     return InducedOperator(
         len(a), rows, cols, rank[codes],
         tuple(ComplexRational(Fraction(int(v))) for v in distinct[order]))
+
+
+def rule_tables(rule: LocalRule) -> dict:
+    """Ball element g -> object array of c(g, w) by window code w:
+    rule.values[rule.codes[i][w]] for the i-th element."""
+    values = np.fromiter(rule.values, dtype=object, count=len(rule.values))
+    return dict(zip(rule.elements, values[rule.codes]))

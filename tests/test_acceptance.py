@@ -162,7 +162,7 @@ def test_criterion_4_integer_punctured_law():
         norm = max(1.0, float(np.max(np.abs(spec.values))))
         for eps in (1e-2, 1e-4):
             checked += 1
-            mass = ss.punctured_mass(spec, 0.0, eps, cluster_tol=1e-9)
+            mass = ss.punctured_mass(spec, 0.0, eps)
             if mass > ss.punctured_mass_bound(norm, eps):
                 violations += 1
     elapsed = time.monotonic() - t0

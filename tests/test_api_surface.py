@@ -15,13 +15,17 @@ A parameter with a default, of a top-level function or of a method of a
 top-level class, counts as passed when some call in ``src/`` or
 ``perfbench/*.py`` to a name or attribute of that function's name gives it
 by keyword, or gives it by position before any ``*`` argument.  Names are
-matched as above, and ``**`` arguments pass nothing.  A call in the tests is
-no use of its own: an option only tests set needs a reason in its allowlist.
+matched as above, and ``**`` arguments pass nothing.  A call inside the body
+of a function of the same name (a recursion) passes nothing either, so a
+parameter that only its own function forwards counts as unpassed.  A call in
+the tests is no use of its own: an option only tests set needs a reason in
+its allowlist.
 
 The README names only what exists: every identifier in one of its inline
 code spans that contains ``_`` or starts with a capital (Python keywords
 aside) is a def, class, name, attribute or argument in those programs, or a
-word of one of their string constants (a config key, a file name).
+word of one of their string constants (a config key, a file name).  The
+code block of its library tour runs as written.
 """
 
 import ast
@@ -46,16 +50,6 @@ ALLOWED = {
 ALLOWED_DEFAULTS = {
     "measures.le_diagnostic(finite_model)": "a finite law other than the "
                                             "target",
-    "spectral.ids_curve(tie_tol)": "a float width that tests check at other "
-                                   "values until atom counts are certified",
-    "spectral.punctured_mass(cluster_tol)": "a float width that tests check "
-                                            "at other values until atom "
-                                            "counts are certified",
-    "spectral.reference_ids(quadrature_points)": "its error bound is tested "
-                                                 "at a coarser rule",
-    "groups.ball(capacity)": "a guard that tests shrink to reach the refusal",
-    "sofic.good_vertices(budget)": "a guard that tests shrink to reach the "
-                                   "refusal",
 }
 
 
@@ -135,20 +129,32 @@ def _defaulted_parameters():
                                a.arg, None)
 
 
+def _callee(call: ast.Call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def _passed() -> tuple[set, dict]:
     """({(function name, keyword)}, {function name: most positional
-    arguments before any * argument}) over every call."""
+    arguments before any * argument}) over every call that is not inside a
+    function of the callee's name."""
     keywords, positional = set(), {}
     for path in PROGRAMS:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text())
+        recursions = {id(node) for function in ast.walk(tree)
+                      if isinstance(function, FUNCTIONS)
+                      for node in ast.walk(function)
+                      if isinstance(node, ast.Call)
+                      and _callee(node) == function.name}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in recursions:
                 continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
+            name = _callee(node)
+            if name is None:
                 continue
             count = next((i for i, a in enumerate(node.args)
                           if isinstance(a, ast.Starred)), len(node.args))
@@ -194,3 +200,9 @@ def test_readme_names_only_what_the_programs_define():
              if ("_" in word or word[0].isupper())
              and not keyword.iskeyword(word)}
     assert sorted(named - _program_words()) == []
+
+
+def test_readme_library_tour_runs():
+    tour = re.search(r"## Library tour\s*```python\n(.*?)```",
+                     (ROOT / "README.md").read_text(), flags=re.S)
+    exec(compile(tour.group(1), "README.md", "exec"), {})

@@ -420,7 +420,7 @@ def _paths(x, prefix=()):
 
 def _first_violation(config):
     from sofic_spectra.cli import _violations
-    return next(_violations(config, CONFIG_SCHEMA), None)
+    return next(_violations(config, CONFIG_SCHEMA, "config"), None)
 
 
 def _jsonschema_errors(config):
@@ -599,9 +599,10 @@ def test_negative_seeds_are_config_errors(tmp_path, config, path):
 def test_structural_check_refuses_keywords_it_does_not_handle():
     from sofic_spectra.cli import _violations
     with pytest.raises(ValueError, match="does not handle 'maxItems'"):
-        next(_violations([1], {"type": "array", "maxItems": 3}))
+        next(_violations([1], {"type": "array", "maxItems": 3},
+                        "config"))
     with pytest.raises(ValueError, match="string enum"):
-        next(_violations(1, {"enum": [1, 2]}))
+        next(_violations(1, {"enum": [1, 2]}, "config"))
 
 
 def test_no_source_module_imports_jsonschema():

@@ -1,5 +1,6 @@
 import pytest
 
+import sofic_spectra.groups as groups_module
 from sofic_spectra.groups import (
     BallCapacityError,
     GroupSpec,
@@ -98,9 +99,11 @@ def test_word_metric_matches_ball_bfs():
                 assert d == expected
 
 
-def test_ball_capacity_error():
-    with pytest.raises(BallCapacityError):
-        ball(free_group(2), 8, capacity=100)
+def test_ball_capacity_error(monkeypatch):
+    monkeypatch.setattr(groups_module, "DEFAULT_BALL_CAPACITY", 100)
+    # the ball exceeds the default capacity too, so no call can have cached it
+    with pytest.raises(BallCapacityError, match="exceeds capacity 100$"):
+        ball(free_group(7), 6)
 
 
 def test_translate_window_examples():

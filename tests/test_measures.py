@@ -69,7 +69,7 @@ def test_non_finite_weights_are_refused(bad):
 def test_iid_point_mass_sample():
     sig = torus_approximation(1, 16)
     model = IIDProduct(alphabet=BIN, weights=(1.0, 0.0))
-    rho = sample_configuration(model, sig, 3)
+    rho = sample_configuration(model, sig, np.random.default_rng(3))
     assert np.all(rho.values == 0)
 
 
@@ -78,7 +78,7 @@ def test_periodic_sample_translates():
     sig = torus_approximation(1, 6)
     seen = set()
     for seed in range(40):
-        rho = sample_configuration(model, sig, seed)
+        rho = sample_configuration(model, sig, np.random.default_rng(seed))
         seen.add(tuple(rho.values.tolist()))
     assert seen == {(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)}
 
@@ -90,7 +90,7 @@ def test_periodic_orbit_uniformity():
     n_samples = 2000
     counts = {}
     for seed in range(n_samples):
-        rho = sample_configuration(model, sig, seed)
+        rho = sample_configuration(model, sig, np.random.default_rng(seed))
         key = tuple(rho.values.tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 2
@@ -102,7 +102,8 @@ def test_periodic_orbit_uniformity():
 def test_periodic_incompatible_torus():
     model = lattice_periodic(BIN, [2], [0, 1])
     with pytest.raises(SoficCompatibilityError):
-        sample_configuration(model, torus_approximation(1, 5), 0)
+        sample_configuration(model, torus_approximation(1, 5),
+                             np.random.default_rng(0))
 
 
 def test_periodic_law_needs_a_model_with_a_lattice_box():
@@ -118,7 +119,7 @@ def test_periodic_law_needs_a_model_with_a_lattice_box():
         with pytest.raises(SoficCompatibilityError, match="lattice box"):
             check_fits(model, sigma)
         with pytest.raises(SoficCompatibilityError, match="lattice box"):
-            sample_configuration(model, sigma, 0)
+            sample_configuration(model, sigma, np.random.default_rng(0))
     product = product_with_quotient(torus, lattice_quotient(1, [3]))
     with pytest.raises(SoficCompatibilityError, match=re.escape(
             "torus side 3 is not a multiple of the periods (2,)")):
@@ -148,7 +149,7 @@ def test_mixture_of_constants():
     sig = torus_approximation(1, 8)
     seen = set()
     for seed in range(30):
-        rho = sample_configuration(model, sig, seed)
+        rho = sample_configuration(model, sig, np.random.default_rng(seed))
         assert len(set(rho.values.tolist())) == 1
         seen.add(int(rho.values[0]))
     assert seen == {0, 1}
@@ -259,10 +260,11 @@ def test_lift_configuration():
     assert len({tuple(row) for row in checker.translate_table.tolist()}) == 2
 
 
-def test_enumeration_budget_error():
+def test_enumeration_budget_error(monkeypatch):
     model = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    monkeypatch.setattr(measures_module, "DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(EnumerationBudgetError):
-        target_marginal_on(model, Z1, 3, budget=10)
+        target_marginal_on(model, Z1, 3)
 
 
 def test_quotient_product_periodic_sampling():
@@ -274,7 +276,7 @@ def test_quotient_product_periodic_sampling():
     model = PeriodicOrbit(alphabet=BIN, quotient=quot, pattern=(0, 1))
     seen = set()
     for seed in range(20):
-        rho = sample_configuration(model, prod, seed)
+        rho = sample_configuration(model, prod, np.random.default_rng(seed))
         seen.add(tuple(rho.values.tolist()))
     assert seen == {(0, 1) * 4, (1, 0) * 4}
     target = target_marginal_on(model, Z1, 1)
@@ -318,8 +320,8 @@ def _old_target_marginal_on(model, b, budget):
         A = model.alphabet.size
         if A ** len(b) > budget:
             raise EnumerationBudgetError(
-                f"{A}^{len(b)} patterns exceed budget {budget}; "
-                "use Monte Carlo estimation instead")
+                f"{A}^{len(b)} window patterns exceed budget {budget}; "
+                "lower the radius")
         probs = {}
         for code in range(A ** len(b)):
             pat = []
@@ -423,8 +425,9 @@ def test_site_law_merge_matches_the_former_marginal(data, d, budget):
     radius = data.draw(st.integers(0, 3 if d == 1 else 2))
     b = ball(group, radius)
     old = _outcome(lambda: _old_target_marginal_on(model, b, budget))
-    new = _outcome(lambda: target_marginal_on(model, group, radius,
-                                              budget).probs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures_module, "DEFAULT_ENUM_BUDGET", budget)
+        new = _outcome(lambda: target_marginal_on(model, group, radius).probs)
     # == on every probability and the same insertion order
     assert new == old
     assert not isinstance(old, dict) or list(new) == list(old)
@@ -478,20 +481,22 @@ def test_iid_site_law_matches_the_per_code_loop(data, alphabet, n_sites,
     assert all(type(s) is int for a, _ in got for s in a)
 
 
-def test_target_marginal_budget_error_is_the_former_one():
+def test_target_marginal_budget_error_is_the_former_one(monkeypatch):
     iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
     per = lattice_periodic(BIN, [2], [0, 1])
     mix = Mixture(components=(per, iid), weights=(0.5, 0.5))
     b = ball(Z1, 3)
+    monkeypatch.setattr(measures_module, "DEFAULT_ENUM_BUDGET", 100)
     for model in (iid, mix):
         with pytest.raises(EnumerationBudgetError) as err:
-            target_marginal_on(model, Z1, 3, budget=100)
+            target_marginal_on(model, Z1, 3)
         assert _outcome(lambda: _old_target_marginal_on(model, b, 100)) == \
             ("budget", str(err.value)) == \
-            ("budget", "2^7 patterns exceed budget 100; "
-                       "use Monte Carlo estimation instead")
+            ("budget", "2^7 window patterns exceed budget 100; "
+                       "lower the radius")
     # a periodic law is never over budget
-    assert target_marginal_on(per, Z1, 3, budget=1).probs == \
+    monkeypatch.setattr(measures_module, "DEFAULT_ENUM_BUDGET", 1)
+    assert target_marginal_on(per, Z1, 3).probs == \
         _old_target_marginal_on(per, b, 1)
 
 
@@ -510,14 +515,13 @@ def _former_pushforward_key(model, image):
                          for c in model.components))
 
 
-def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed,
-                          budget=10**6):
+def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed):
     import math
 
     from sofic_spectra.measures import LeDiagnosticRow, sample_rng
     rows = []
     for size_index, sigma in enumerate(sigmas):
-        target = target_marginal_on(model, sigma.group, radius, budget)
+        target = target_marginal_on(model, sigma.group, radius)
         b = ball(sigma.group, radius)
         images = sigma.ball_images(b)
         cache = {}
@@ -528,7 +532,7 @@ def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed,
             key = _former_pushforward_key(model, image)
             tv = cache.get(key)
             if tv is None:
-                push = pushforward_on(model, sigma, b, list(image), budget)
+                push = pushforward_on(model, sigma, b, list(image))
                 tv = push.tv(target)
                 cache[key] = tv
             if tv < eps:

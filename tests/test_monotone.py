@@ -16,7 +16,6 @@ from sofic_spectra.monotone import (
     apply_schedule,
     build_schedule,
     _difference,
-    _float_difference_norm,
     _psd_step,
     gershgorin_psd,
     monotone_ids_report,
@@ -34,7 +33,7 @@ from sofic_spectra.operators import (
 from sofic_spectra.sofic import torus_approximation
 from sofic_spectra.spectral import eigen_spectrum
 
-from dense_operators import operator_of
+from dense_operators import operator_of, rule_tables
 
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
@@ -123,7 +122,7 @@ def test_apply_schedule_diagonal():
     sched = build_schedule(value_sets_of(rule), 3)
     out = apply_schedule(rule, sched, 2)
     e = Z1.identity()
-    assert out.tables[e][0] == crat(Fraction(7, 8))
+    assert rule_tables(out)[e][0] == crat(Fraction(7, 8))
     assert validate_local_rule(out).ok
 
 
@@ -131,7 +130,8 @@ def test_apply_schedule_zero_rule_vacuous():
     rule = table_rule(Z1, ONE, 0, [])
     sched = build_schedule(ValueSets(f1=(), f2=(), max_offdiag_per_row=0), 2)
     out = apply_schedule(rule, sched, 1)
-    assert all(v.is_zero() for t in out.tables.values() for v in t.tolist())
+    assert all(v.is_zero() for t in rule_tables(out).values()
+               for v in t.tolist())
 
 
 def test_apply_schedule_irrational_schrodinger():
@@ -142,7 +142,7 @@ def test_apply_schedule_irrational_schrodinger():
     for m in (1, 2, 3):
         out = apply_schedule(rule, sched, m)
         assert validate_local_rule(out).ok
-        diags.append(out.tables[Z1.identity()][0].re)
+        diags.append(rule_tables(out)[Z1.identity()][0].re)
     assert all(b > a for a, b in zip(diags, diags[1:]))
     assert all(float(d) < target for d in diags)
 
@@ -160,7 +160,7 @@ def test_zero_diagonal_beside_hopping_is_scheduled(rule):
     for m in (1, 2, 3):
         out = apply_schedule(rule, sched, m)
         assert validate_local_rule(out).ok
-        assert out.tables[Z1.identity()][0] == crat(
+        assert rule_tables(out)[Z1.identity()][0] == crat(
             sched.diagonal(m, CZERO))
     sig = torus_approximation(1, 6)
     rho = Configuration(values=np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size)
@@ -386,15 +386,11 @@ def test_difference_of_schedule_depths_matches_per_entry_loop():
 
 
 def _per_entry_norm(a, b):
-    """The per-entry loop _float_difference_norm replaced, with each row
-    summed in ascending column order."""
+    """Row-sum norm of a - b by a per-entry loop: each exact difference's
+    magnitude as a float, each row summed in ascending column order."""
     sums = np.zeros(a.n)
-    for (i, j) in sorted(set(a.entries) | set(b.entries)):
-        av = a.entries.get((i, j))
-        bv = b.entries.get((i, j))
-        fa = av.to_complex() if isinstance(av, ComplexRational) else complex(av or 0)
-        fb = bv.to_complex() if isinstance(bv, ComplexRational) else complex(bv or 0)
-        sums[i] += abs(fa - fb)
+    for (i, j), v in sorted(_per_entry_difference(a, b).items()):
+        sums[i] += float(v.abs2()) ** 0.5
     return float(sums.max()) if a.n else 0.0
 
 
@@ -433,14 +429,15 @@ def test_merged_difference_and_norm_match_per_entry_loops(n, data, layout,
         # b rebuilt from its float images, at their exact binary values
         b = InducedOperator.from_entries(
             n, {key: v.to_complex() for key, v in b.entries.items()})
-    assert _float_difference_norm(a, b).hex() == _per_entry_norm(a, b).hex()
+    assert _difference(a, b).row_sum_bound().hex() == \
+        _per_entry_norm(a, b).hex()
 
 
 def test_difference_norm_sums_rows_in_ascending_column_order():
     # 1 + 2^-53 + 2^-53 rounds to 1; 2^-53 + 2^-53 + 1 would be 1 + 2^-52
     tiny = crat(Fraction(1, 2**53))
     a = _exact_op(3, {(0, 2): tiny, (0, 0): crat(1), (0, 1): tiny})
-    assert _float_difference_norm(a, _exact_op(3, {})) == 1.0
+    assert _difference(a, _exact_op(3, {})).row_sum_bound() == 1.0
 
 
 def test_difference_norm_of_schedule_depths_matches_per_entry_loop():
@@ -451,7 +448,7 @@ def test_difference_norm_of_schedule_depths_matches_per_entry_loop():
     target = assemble_induced(rule, sig, rho)
     for m in range(1, 6):
         op = assemble_induced(apply_schedule(rule, sched, m), sig, rho)
-        assert _float_difference_norm(op, target).hex() == \
+        assert _difference(op, target).row_sum_bound().hex() == \
             _per_entry_norm(op, target).hex()
 
 

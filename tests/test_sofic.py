@@ -84,13 +84,16 @@ def test_goodness_is_scanned_once_per_model_and_radius(monkeypatch):
     assert scans == [2, 2, 1, 1, 2, 1, 3, 3] * 2
 
 
-def test_goodness_budget_is_checked_on_a_cached_radius():
+def test_goodness_budget_is_checked_on_a_cached_radius(monkeypatch):
     sig = random_permutation_approximation(2, 300, seed=5)
     need = len(ball(sig.group, 2)) * sig.n_vertices
-    first = good_vertices(sig, 2, budget=need)
+    monkeypatch.setattr(sofic_module, "DEFAULT_IMAGE_BUDGET", need)
+    first = good_vertices(sig, 2)
+    monkeypatch.setattr(sofic_module, "DEFAULT_IMAGE_BUDGET", need - 1)
     with pytest.raises(BallCapacityError, match="exceeds budget"):
-        good_vertices(sig, 2, budget=need - 1)
-    assert good_vertices(sig, 2, budget=need).good is first.good
+        good_vertices(sig, 2)
+    monkeypatch.setattr(sofic_module, "DEFAULT_IMAGE_BUDGET", need)
+    assert good_vertices(sig, 2).good is first.good
 
 
 def test_goodness_radius_zero_trivial():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sofic_spectra import spectral
-from sofic_spectra.exact import ComplexRational
+from sofic_spectra.exact import CZERO, ComplexRational
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Configuration, binary_alphabet
 from sofic_spectra.operators import (
@@ -108,18 +108,15 @@ def test_eigen_budget_is_checked_before_densifying(monkeypatch):
 
 def test_counting_examples():
     spec = torus_laplacian_spectrum(4)
-    assert counting_function(spec, -2) == 3
-    assert counting_function(spec, -5) == 0
-    assert counting_function(spec, 0) == 4
-    # Gershgorin containment: everything below the row-sum bound
-    assert counting_function(spec, 4.0) == 4
+    # at 4.0, Gershgorin containment: everything below the row-sum bound
+    assert counting_function(spec, [-2, -5, 0, 4.0]) == [3, 0, 4, 4]
 
 
 def test_counting_exact_ties():
     spec = Spectrum(values=np.array([0.5, 1.0]), residual=0.0,
                     exact_values=(Fraction(1, 2), Fraction(1)))
-    assert counting_function(spec, Fraction(1, 2)) == 1
-    assert counting_function(spec, Fraction(4999, 10000)) == 0
+    assert counting_function(spec, [Fraction(1, 2),
+                                    Fraction(4999, 10000)]) == [1, 0]
 
 
 def test_atom_mass_examples():
@@ -136,11 +133,12 @@ def test_atom_mass_examples():
 
 def test_punctured_mass_examples():
     spec = Spectrum(values=np.array([0.0, 0.5, 1.0]), residual=0.0)
-    assert punctured_mass(spec, 0.0, 0.6, 1e-9) == pytest.approx(1 / 3)
+    assert punctured_mass(spec, 0.0, 0.6) == pytest.approx(1 / 3)
     gap = Spectrum(values=np.array([-2.0, 2.0]), residual=0.0)
-    assert punctured_mass(gap, 0.0, 1.0, 1e-9) == 0.0
+    assert punctured_mass(gap, 0.0, 1.0) == 0.0
+    # eps must lie above the cluster tolerance
     with pytest.raises(ValueError):
-        punctured_mass(spec, 0.0, 1e-3, 1e-2)
+        punctured_mass(spec, 0.0, spectral.PUNCTURED_CLUSTER_TOL)
 
 
 def test_punctured_mass_bound_values():
@@ -161,11 +159,11 @@ def test_integer_punctured_law_small_ensemble():
         spec = eigen_spectrum(operator_of(h))
         r = max(1.0, float(np.max(np.abs(spec.values))) if n else 1.0)
         for eps in (1e-2, 1e-4):
-            assert punctured_mass(spec, 0.0, eps, 1e-9) <= \
+            assert punctured_mass(spec, 0.0, eps) <= \
                 punctured_mass_bound(r, eps)
 
 
-def test_rational_shift_reduction():
+def test_rational_shift_reduction(monkeypatch):
     # atoms at p/q of H match atoms at 0 of qH - pI with eps scaled by q
     rng = np.random.default_rng(3)
     h = rng.integers(-2, 3, size=(40, 40))
@@ -174,8 +172,11 @@ def test_rational_shift_reduction():
     p, q = 1, 2
     shifted = eigen_spectrum(operator_of(q * h - p * np.eye(40, dtype=int)))
     eps = 0.3
-    assert punctured_mass(spec, p / q, eps, 1e-9) == \
-        punctured_mass(shifted, 0.0, q * eps, q * 1e-9)
+    mass = punctured_mass(spec, p / q, eps)
+    # the cluster tolerance scales with the operator
+    monkeypatch.setattr(spectral, "PUNCTURED_CLUSTER_TOL",
+                        q * spectral.PUNCTURED_CLUSTER_TOL)
+    assert mass == punctured_mass(shifted, 0.0, q * eps)
 
 
 def test_moment_consistency_trace_vs_eigs():
@@ -184,7 +185,7 @@ def test_moment_consistency_trace_vs_eigs():
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
     sig = torus_approximation(1, 64)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.6, 0.4)),
-                               sig, 8)
+                               sig, np.random.default_rng(8))
     op = assemble_induced(rule, sig, rho)
     spec = eigen_spectrum(op)
     A = op.to_sparse()
@@ -206,8 +207,9 @@ def test_weyl_interlacing_direction():
     psd = r.T @ r
     sa = eigen_spectrum(operator_of(a))
     sb = eigen_spectrum(operator_of(a + psd))
-    for beta in np.linspace(-10, 10, 41):
-        assert counting_function(sb, beta) <= counting_function(sa, beta)
+    grid = np.linspace(-10, 10, 41)
+    assert all(b <= a for a, b in zip(counting_function(sa, grid),
+                                      counting_function(sb, grid)))
 
 
 def test_ids_curve_shape():
@@ -251,10 +253,11 @@ def test_torus_vs_arcsine_distance():
     assert kolmogorov_distance(curve, ref) <= 0.01
 
 
-def test_2d_reference_sanity():
+def test_2d_reference_sanity(monkeypatch):
     grid = np.linspace(-8.5, 0.5, 181)
-    ref2 = reference_ids("lattice_laplacian", 2, grid,
-                         quadrature_points=20000)
+    # the error bound holds at a coarser rule too
+    monkeypatch.setattr(spectral, "QUADRATURE_POINTS", 20000)
+    ref2 = reference_ids("lattice_laplacian", 2, grid)
     assert ref2.eval(np.array([-8.2]))[0] == 0.0
     assert ref2.eval(np.array([0.2]))[0] == pytest.approx(1.0, abs=1e-9)
     # spectrum of the 2d Laplacian is symmetric about -4
@@ -287,7 +290,8 @@ def test_exact_diagonal_spectrum_matches_sorted_diagonal(values, side,
             op.n, {key: ComplexRational(Fraction(str(v.re)))
                    for key, v in op.entries.items()})
     spec = eigen_spectrum(op)
-    want = tuple(sorted(v.re for v in op.diagonal()))
+    want = tuple(sorted(op.entries.get((i, i), CZERO).re
+                        for i in range(op.n)))
     assert spec.exact_values == want
     assert [x.hex() for x in spec.values] == [float(x).hex() for x in want]
 
@@ -300,27 +304,28 @@ def test_exact_counts_match_brute_force():
     points = [-3, 0, 3, 7, Fraction(1, 10), Fraction(1, 2), Fraction(1, 3),
               0.1, 0.5, 1 / 3, -2.0, 3.0, 0.30000000000000004, np.float64(0.5),
               float("inf"), float("-inf"), float("nan")]
-    for x in points:
+    for x, count in zip(points, counting_function(spec, points)):
         below = sum(1 for v in spec.exact_values if v <= x)
         at = sum(1 for v in spec.exact_values if v == x)
-        assert counting_function(spec, x) == below, x
+        assert count == below, x
         assert atom_mass(spec, x) == at / spec.n, x
     # a float is compared by its exact binary value: 0.5 is 1/2, 0.1 is not 1/10
     assert atom_mass(spec, 0.5) == atom_mass(spec, Fraction(1, 2)) == 2 / 7
     assert atom_mass(spec, 0.1) == 0.0 < atom_mass(spec, Fraction(1, 10))
-    assert counting_function(spec, 0.1) == 3
-    assert counting_function(spec, Fraction(1, 10) - Fraction(1, 10**30)) == 1
+    assert counting_function(
+        spec, [0.1, Fraction(1, 10) - Fraction(1, 10**30)]) == [3, 1]
 
 
-def test_ids_curve_float_path_matches_pointwise_counts():
+def test_ids_curve_float_path_matches_pointwise_counts(monkeypatch):
     rng = np.random.default_rng(5)
     values = np.sort(np.round(rng.normal(size=200), 2))
     spec = Spectrum(values=values, residual=0.0)
     grid = np.linspace(-3, 3, 301)
-    for tie_tol in (None, 0.0, 0.01):
-        curve = ids_curve(spec, grid, tie_tol)
+    for tie_tol in (spectral.TIE_TOL, 0.0, 0.01):
+        monkeypatch.setattr(spectral, "TIE_TOL", tie_tol)
+        curve = ids_curve(spec, grid)
         # the per-point loop the vectorised path replaced
-        tol = 1e-9 * spec.scale() if tie_tol is None else tie_tol
+        tol = tie_tol * spec.scale()
         want = [int(np.searchsorted(values, float(x) + tol, side="right"))
                 / spec.n for x in curve.xs]
         assert [y.hex() for y in curve.ys] == [float(y).hex() for y in want]
@@ -334,7 +339,7 @@ def test_operator_residual_uses_stored_entries(hopping):
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
     sig = torus_approximation(1, 40)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
-                               sig, 2)
+                               sig, np.random.default_rng(2))
     op = assemble_induced(rule, sig, rho)
     if hopping == "complex":
         half_i = ComplexRational(Fraction(0), Fraction(1, 2))
@@ -370,7 +375,7 @@ def _schrodinger_op(side=40, d=1, seed=2, hopping="real", dyadic=False):
     rule = schrodinger_rule(group, BIN, [Fraction(0), Fraction(5, 3)])
     sig = torus_approximation(d, side)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
-                               sig, seed)
+                               sig, np.random.default_rng(seed))
     op = assemble_induced(rule, sig, rho)
     if hopping == "complex":
         half_i = ComplexRational(Fraction(0), Fraction(1, 2))
@@ -457,19 +462,20 @@ def test_vectors_path_rejects_non_orthogonal_eigenvectors(monkeypatch):
         eigen_spectrum(op, vectors=True)
 
 
-def test_counting_function_on_a_grid_matches_pointwise():
+def test_counting_function_on_a_grid_matches_pointwise(monkeypatch):
     grid = np.linspace(-5, 2, 141)
     exact = Spectrum(values=np.array([-1.0, 0.5, 0.5, 1.0]), residual=0.0,
                      exact_values=(Fraction(-1), Fraction(1, 2),
                                    Fraction(1, 2), Fraction(1)))
     for spec in (eigen_spectrum(_schrodinger_op(side=30)), exact):
-        for tie_tol in (None, 0.0, 0.05):
-            got = counting_function(spec, grid, tie_tol)
+        for tie_tol in (spectral.TIE_TOL, 0.0, 0.05):
+            monkeypatch.setattr(spectral, "TIE_TOL", tie_tol)
+            got = counting_function(spec, grid)
             assert all(type(c) is int for c in got)
-            assert got == [counting_function(spec, b, tie_tol) for b in grid]
+            assert got == [counting_function(spec, [b])[0] for b in grid]
         points = [Fraction(1, 2), 0.5, float("inf"), -2]
         assert counting_function(spec, points) == \
-            [counting_function(spec, b) for b in points]
+            [counting_function(spec, [b])[0] for b in points]
 
 
 def test_values_only_and_vector_diagnostics():
