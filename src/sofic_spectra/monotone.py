@@ -15,9 +15,10 @@ magnitude sums are decided square-root-free.  Operators are compared on
 their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
 one step certificate (strict Gershgorin on the difference's support block,
-plus its least eigenvalue) proves each step of ``monotone_ids_report``.  Every depth is assembled by ``assemble_induced``
-without a goodness report: it alone picks the radius 2M, and the model's
-goodness cache scans it once for all depths.
+plus its least eigenvalue) proves each step of ``monotone_ids_report``.
+Every depth is assembled by ``assemble_induced`` without a goodness report:
+it alone picks the radius 2M, and the model's goodness cache scans it once
+for all depths.
 """
 
 from __future__ import annotations
@@ -277,13 +278,10 @@ def gershgorin_psd(op: InducedOperator,
 
     Rows repeat a handful of value patterns, so each row is keyed on
     (diagonal code, sorted off-diagonal codes) and each key is decided once;
-    codes are equal exactly when values are.
+    codes are equal exactly when values are.  The operator is Hermitian, so
+    its diagonal is real, as its constructor checks.
     """
-    op.check_hermitian()
     on_diag = op.rows == op.cols
-    for c in np.unique(op.codes[on_diag]).tolist():
-        if not op.values[c].is_real():
-            raise AssemblyError("non-real diagonal entry")
     diag = np.full(op.n, -1)            # -1: no stored diagonal, i.e. 0
     diag[op.rows[on_diag]] = op.codes[on_diag]
     off = np.flatnonzero(~on_diag)

@@ -400,7 +400,10 @@ class InducedOperator:
     repeats.  Every operator is exact: it keeps its distinct ComplexRational
     values once, as a tuple (see _intern), so exact work runs once per
     distinct value.  Codes are numbered by first appearance in row-major
-    order, and the arrays are read-only.
+    order, and the arrays are read-only.  The constructor refuses any other
+    order and, through check_hermitian, any operator that is not Hermitian,
+    so every operator that exists is Hermitian and its consumers check
+    nothing again.
     """
 
     n: int
@@ -416,6 +419,7 @@ class InducedOperator:
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("operator entries must be in strictly "
                              "increasing row-major order, no (row, col) twice")
+        self.check_hermitian()
 
     @classmethod
     def from_entries(cls, n: int, entries: dict) -> "InducedOperator":
@@ -454,7 +458,8 @@ class InducedOperator:
             values.real if self.is_real() else values)[self.codes]
 
     def check_hermitian(self) -> None:
-        """Every stored entry has a stored transpose equal to its conjugate.
+        """Every stored entry has a stored transpose equal to its conjugate,
+        so the diagonal is real; the constructor calls it once.
 
         Values are compared as codes: each distinct value maps to the code
         of its conjugate (-1 if absent).  The first bad pair in row-major
@@ -534,8 +539,8 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     """Strict finite-volume assembly: entries only between 2M-good vertices.
 
     H(w, v) = c(g, window at w) for v = sigma^g(w) with |g| <= M and both
-    endpoints 2M-good; zero otherwise.  Hermitian symmetry is asserted after
-    assembly (it is guaranteed by rule validation).
+    endpoints 2M-good; zero otherwise.  Rule validation guarantees Hermitian
+    symmetry, and the InducedOperator constructor checks it.
 
     This is the one place that picks the goodness radius 2M: package callers
     pass no report, and ``good_vertices`` scans each model and radius once.
@@ -563,9 +568,7 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     keys, pick = map(np.concatenate, zip(*parts))
     # each part is a sorted run, which a stable (merging) sort joins fast
     order = np.argsort(keys, kind="stable")
-    op = _value_coded(n, keys[order], pick[order], rule.values)
-    op.check_hermitian()
-    return op
+    return _value_coded(n, keys[order], pick[order], rule.values)
 
 
 def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
@@ -596,12 +599,10 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
     # the edge keys are sorted and hold no loop: merge the diagonal in
     diag_keys = np.arange(n) * (n + 1)
     slots = np.searchsorted(keys, diag_keys)
-    op = _value_coded(n, np.insert(keys, slots, diag_keys),
-                      np.insert(np.zeros(len(keys), dtype=np.int64), slots,
-                                1 + pair_of),
-                      [ComplexRational(Fraction(1))] + diag)
-    op.check_hermitian()
-    return op
+    return _value_coded(n, np.insert(keys, slots, diag_keys),
+                        np.insert(np.zeros(len(keys), dtype=np.int64), slots,
+                                  1 + pair_of),
+                        [ComplexRational(Fraction(1))] + diag)
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +647,10 @@ def _kernel_dtype(row_bound, k: int):
     entrywise magnitudes are submultiplicative, and so is the l1 norm
     |re| + |im| of a Gaussian integer, so every entry of |den*H|^j, and
     every partial sum of a j-step product or of a dot of an r-step row with
-    a c-step column (r + c = j), is at most R^j in each of its real and
-    imaginary parts.  int64 is therefore safe while R^k < 2^62, and anything
-    larger, such as the numerators of a float's dyadic value, runs on Python
-    ints (object arrays).
+    a conjugated c-step row (r + c = j), is at most R^j in each of its real
+    and imaginary parts.  int64 is therefore safe while R^k < 2^62, and
+    anything larger, such as the numerators of a float's dyadic value, runs
+    on Python ints (object arrays).
     """
     return np.int64 if row_bound ** k < _INT64_SAFE else object
 
@@ -666,38 +667,22 @@ def _longest_line(lines: np.ndarray) -> int:
     return int(np.diff(_line_starts(lines), append=len(lines)).max(initial=0))
 
 
-def _next_lines(lines: np.ndarray, keys: np.ndarray, order: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """(first, deg) of entry order[j]: where the line keys[j] starts among
-    the entries sorted by line, and how many entries it holds.  The keys
-    ascend, which keeps the binary searches short."""
-    lo = np.searchsorted(lines, keys)
-    first, deg = np.empty_like(lo), np.empty_like(lo)
-    first[order] = lo
-    deg[order] = np.searchsorted(lines, keys, side="right") - lo
-    return first, deg
-
-
-def _propagate(lines: np.ndarray, other: np.ndarray, spans, ent_re: np.ndarray,
+def _propagate(rows: np.ndarray, cols: np.ndarray, ent_re: np.ndarray,
                ent_im: np.ndarray, real: bool, n: int, s: np.ndarray,
                w: np.ndarray, x_re: np.ndarray, x_im: np.ndarray, steps: int):
-    """`steps` frontier steps through a compressed operator.
+    """`steps` row-frontier steps through an operator's row-major entries.
 
-    The entries are sorted by line (rows in CSR order, columns in CSC
-    order): lines[t] is the line of entry t and other[t] the index at its
-    other end.  The frontier holds (s, w, re, im) sorted by the key
-    s*n + w.  A step expands each triple through its line, multiplies by the
-    entry numerators and merges equal (s, other) keys with a stable sort and
-    np.add.reduceat, so each sum takes its terms in ascending w order.  The
-    sources' lines are searched for; after that a merged term keeps the
-    entry of its first term, and spans = (first, deg) of the line at each
-    entry's other end (see _next_lines; None for a single step) gives the
-    term's next line, so no array of length n is built.  A step costs
-    O(entries in the frontier's lines).
+    The frontier holds (s, w, re, im) sorted by the key s*n + w: x(s, w) is
+    entry w of row s of a power of the operator.  A step searches the rows
+    w (binary search, so no array of length n is built), expands each
+    triple through its row, multiplies by the entry numerators and merges
+    equal (s, col) keys with a stable sort and np.add.reduceat, so each sum
+    takes its terms in ascending w order.  A step costs O(entries in the
+    frontier's rows).
     """
-    first = np.searchsorted(lines, w)
-    deg = np.searchsorted(lines, w, side="right") - first
-    for step in range(steps):
+    for _ in range(steps):
+        first = np.searchsorted(rows, w)
+        deg = np.searchsorted(rows, w, side="right") - first
         src = np.repeat(np.arange(len(deg)), deg)
         ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
                                               deg)
@@ -707,7 +692,7 @@ def _propagate(lines: np.ndarray, other: np.ndarray, spans, ent_re: np.ndarray,
             g_im, e_im = x_im[src], ent_im[ent]
             t_re -= g_im * e_im
             t_im = g_re * e_im + g_im * e_re
-        # a stable argsort of the (s, other) keys: tagged with the term index
+        # a stable argsort of the (s, col) keys: tagged with the term index
         # they are distinct, and a value sort is far faster.  s is sorted, so
         # the keys are below width*n for width = s[-1] + 1 and the tagged
         # keys below width*n*len(src), which must fit int64
@@ -715,7 +700,7 @@ def _propagate(lines: np.ndarray, other: np.ndarray, spans, ent_re: np.ndarray,
             raise OverflowError(
                 f"frontier keys of {int(s[-1]) + 1} sources x {n} vertices "
                 f"x {len(src)} terms overflow int64")
-        tagged = s[src] * n + other[ent]
+        tagged = s[src] * n + cols[ent]
         tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
         key, order = np.divmod(tagged, len(tagged))
         merged = _line_starts(key)
@@ -723,9 +708,6 @@ def _propagate(lines: np.ndarray, other: np.ndarray, spans, ent_re: np.ndarray,
         x_re = np.add.reduceat(t_re[order], merged)
         if not real:
             x_im = np.add.reduceat(t_im[order], merged)
-        if step + 1 < steps:
-            kept = ent[order[merged]]
-            first, deg = spans[0][kept], spans[1][kept]
     return s, w, x_re, x_im
 
 
@@ -734,29 +716,26 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     """diag((den*H)^k) at the given vertices, den from the operator's entries.
 
     Returns (den, re, im) with length-len(vertices) numerator arrays.  It
-    meets in the middle: with c = floor(k/2) and r = k - c,
+    meets in the middle: with c = floor(k/2) and r = k - c, and H Hermitian
+    (as every InducedOperator is),
 
-        (den*H)^k(v, v) = sum_w (den*H)^r(v, w) * (den*H)^c(w, v).
+        (den*H)^k(v, v) = sum_w (den*H)^r(v, w) * conj((den*H)^c(v, w)).
 
     By finite propagation both factors live on the vertices a few steps from
-    v, so a row frontier (v's row of (den*H)^j, through the row-major
-    storage) walks r steps and a column frontier (v's column, through CSC
-    order) walks c steps from the same sources (see _propagate).  Each source
+    v, so one row frontier (v's row of (den*H)^j, through the row-major
+    storage; see _propagate) walks c steps and then r - c more.  Each source
     then takes one dot product over the keys the two frontiers share, its
-    terms in ascending w order.  No symmetry of H is assumed.  With dmax the
-    largest row or column count, a source's frontier expands to at most
-    min(nnz, dmax^r) terms in a step, so sources run in chunks of
-    B = _BATCH_CELLS // min(nnz, dmax^r) and a step holds at most
-    _BATCH_CELLS terms (one source per chunk when the bound is larger).
-    Nothing of length n is built, only arrays over entries and sources.
+    terms in ascending w order.  With dmax the largest row count, a source's
+    frontier expands to at most min(nnz, dmax^r) terms in a step, so sources
+    run in chunks of B = _BATCH_CELLS // min(nnz, dmax^r) and a step holds
+    at most _BATCH_CELLS terms (one source per chunk when the bound is
+    larger).  Nothing of length n is built, only arrays over entries and
+    sources.
     """
     n = op.n
     rows, cols, codes = op.rows, op.cols, op.codes
     den, val_re, val_im = _scaled_numerators(op.values)
-    # the entries are row-major; a stable sort by column keeps rows ascending
-    csc = np.argsort(cols, kind="stable")
-    csc_cols = cols[csc]
-    dmax = max(_longest_line(rows), _longest_line(csc_cols))
+    dmax = _longest_line(rows)
     # a row sum of magnitudes is at most dmax times the largest, so it adds
     # up on int64 when that fits
     mags = np.abs(val_re) + np.abs(val_im)
@@ -766,19 +745,9 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     dtype = _kernel_dtype(bound, k)
     ent_re, ent_im = val_re.astype(dtype)[codes], val_im.astype(dtype)[codes]
     real = not ent_im.any()
+    entries = (rows, cols, ent_re, ent_im, real, n)
     c = k // 2
     r = k - c
-    # (lines, other end, next line spans, entry numerators) of a row and of
-    # a column frontier.  The spans are looked up on ascending keys: the
-    # row entries' other ends ascend in CSC order, and the column entries'
-    # in row-major order, where entry j sits at inv[j] in CSC order
-    inv = np.empty_like(csc)
-    inv[csc] = np.arange(len(csc))
-    row_side = (rows, cols, _next_lines(rows, csc_cols, csc) if r > 1 else None,
-                ent_re, ent_im, real, n)
-    col_side = (csc_cols, rows[csc],
-                _next_lines(csc_cols, rows, inv) if c > 1 else None,
-                ent_re[csc], ent_im[csc], real, n)
     chunk = max(1, _BATCH_CELLS // max(1, min(len(rows), dmax ** r)))
     re = np.zeros(len(vertices), dtype=dtype)
     im = np.zeros(len(vertices), dtype=dtype)
@@ -788,9 +757,9 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
         unit = (np.arange(len(block)), block,
                 np.ones(len(block), dtype=dtype),
                 np.zeros(len(block), dtype=dtype))
-        s_r, w_r, r_re, r_im = _propagate(*row_side, *unit, r)
-        s_c, w_c, c_re, c_im = _propagate(*col_side, *unit, c)
-        # the shared keys: the column frontier's keys looked up in the row's
+        s_c, w_c, c_re, c_im = half = _propagate(*entries, *unit, c)
+        s_r, w_r, r_re, r_im = _propagate(*entries, *half, r - c)
+        # the shared keys: the c-step frontier's keys looked up in the r-step
         key_r = s_r * n + w_r
         key_c = s_c * n + w_c
         pos = np.searchsorted(key_r, key_c)
@@ -801,8 +770,8 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
         ir = pos[ic]
         p_re = r_re[ir] * c_re[ic]
         if not real:
-            p_re -= r_im[ir] * c_im[ic]
-            p_im = r_re[ir] * c_im[ic] + r_im[ir] * c_re[ic]
+            p_re += r_im[ir] * c_im[ic]
+            p_im = r_im[ir] * c_re[ic] - r_re[ir] * c_im[ic]
         src = s_c[ic]
         first = _line_starts(src)
         re[lo + src[first]] = np.add.reduceat(p_re, first)

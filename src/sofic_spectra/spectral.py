@@ -1,23 +1,24 @@
 """Dense Hermitian spectra, counting functions, IDS curves and references.
 
-The one input is an exact InducedOperator, which must be Hermitian: every
-solve first checks that each stored entry's transpose holds its conjugate
-(``check_hermitian``, O(nnz)), since LAPACK's Hermitian solvers read one
-triangle only and the trace identities below cannot see a wrong other
-triangle of equal magnitudes.  Spectra come from LAPACK's dense Hermitian
-solvers on two paths.  The default computes eigenvalues only and certifies
-them a posteriori in O(nnz): sum lambda = tr H and sum lambda^2 = ||H||_F^2,
-with tr H and ||H||_F^2 read from the operator's stored entries rather
-than from the solver, and every |lambda| inside the row-sum (Gershgorin)
-bound.  With ``vectors=True`` eigenvectors are computed too, with residual
-and orthogonality diagnostics; the residual H v - lambda v is taken over the
-stored entries (sparse, O(nnz n)).  Both checks hold to
-SOLVE_TOL.  Every operator is exact-rational, and a diagonal one (the empty
-and the zero operator too) bypasses floating point entirely so that
-eigenvalue atoms at rational energies are counted exactly: the spectrum is
-counted once per distinct value, and counting functions and atom masses
-bisect the sorted exact values with Fraction comparisons only; a float
-counting function absorbs ties within TIE_TOL times the spectral scale.
+The one input is an exact InducedOperator, which is Hermitian by
+construction: its constructor checks that each stored entry's transpose
+holds its conjugate (``check_hermitian``, O(nnz)).  That matters here, since
+LAPACK's Hermitian solvers read one triangle only and the trace identities
+below cannot see a wrong other triangle of equal magnitudes.  Spectra come
+from LAPACK's dense Hermitian solvers on two paths.  The default computes
+eigenvalues only and certifies them a posteriori in O(nnz): sum lambda =
+tr H and sum lambda^2 = ||H||_F^2, with tr H and ||H||_F^2 read from the
+operator's stored entries rather than from the solver, and every |lambda|
+inside the row-sum (Gershgorin) bound.  With ``vectors=True`` eigenvectors
+are computed too, with residual and orthogonality diagnostics; the residual
+H v - lambda v is taken over the stored entries (sparse, O(nnz n)).  Both
+checks hold to SOLVE_TOL.  Every operator is exact-rational, and a diagonal
+one (the empty and the zero operator too) bypasses floating point entirely
+so that eigenvalue atoms at rational energies are counted exactly: the
+spectrum is counted once per distinct value, and counting functions and
+atom masses bisect the sorted exact values with Fraction comparisons only.
+A float counting function absorbs ties within TIE_TOL times the spectral
+scale, and a float atom mass counts the eigenvalues within that width.
 Every guard and tolerance here is a module constant, read at call time.
 IDS curves are right-continuous step functions (finite volume) or
 piecewise-linear interpolants (analytic references); the Kolmogorov distance
@@ -89,10 +90,9 @@ def eigen_spectrum(op: InducedOperator, vectors: bool = False) -> Spectrum:
     only and certifies them in O(nnz) with the trace identities and the
     row-sum enclosure (``_certify_values``); ``vectors=True`` also computes
     eigenvectors and records the worst relative eigenpair residual and the
-    orthogonality defect.  Either check fails loudly above SOLVE_TOL.  A
-    non-Hermitian operator raises AssemblyError before any solve.
+    orthogonality defect.  Either check fails loudly above SOLVE_TOL.  The
+    operator is Hermitian, as its constructor checks.
     """
-    op.check_hermitian()
     if op.is_diagonal():
         return _exact_diagonal_spectrum(op.n, op.codes, op.values)
     if op.n > DEFAULT_DENSE_BUDGET:
@@ -198,14 +198,14 @@ def counting_function(spec: Spectrum, points: Sequence) -> list[int]:
 
 def atom_mass(spec: Spectrum, alpha) -> float:
     """Fraction of eigenvalues at alpha: exact if rational, else within
-    1e-8 * scale of alpha."""
+    TIE_TOL * scale of alpha, the ties counting_function absorbs."""
     if spec.n == 0:
         return 0.0
     if spec.is_exact:
         return (_exact_rank(spec, alpha, "right")
                 - _exact_rank(spec, alpha, "left")) / spec.n
     return float(np.mean(np.abs(spec.values - float(alpha))
-                         <= 1e-8 * spec.scale()))
+                         <= TIE_TOL * spec.scale()))
 
 
 def punctured_mass(spec: Spectrum, alpha: float, eps: float) -> float:

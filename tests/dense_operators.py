@@ -1,5 +1,6 @@
 """Exact operators from dense arrays, for tests that build matrices directly,
-and a rule's coefficient tables, for tests that read them cell by cell.
+random Hermitian entry dicts, for property tests of exact operators, and a
+rule's coefficient tables, for tests that read them cell by cell.
 
 Not a test module; the test modules import it by name.
 """
@@ -7,6 +8,7 @@ Not a test module; the test modules import it by name.
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sofic_spectra.exact import ComplexRational
 from sofic_spectra.operators import InducedOperator, LocalRule
@@ -34,6 +36,28 @@ def operator_of(a) -> InducedOperator:
     return InducedOperator(
         len(a), rows, cols, rank[codes],
         tuple(ComplexRational(Fraction(int(v))) for v in distinct[order]))
+
+
+@st.composite
+def hermitian_entries(draw, n, values, pairs=None) -> dict:
+    """A random Hermitian (row, col) -> ComplexRational dict on n vertices.
+
+    Some of the pairs i <= j (all of them by default) each draw a value v
+    from values: (i, j) holds v and (j, i) its conjugate, and a diagonal
+    entry holds the real part of v.  Stored zeros are kept.
+    """
+    if pairs is None:
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    entries = {}
+    for i, j in chosen:
+        v = draw(st.sampled_from(values))
+        if i == j:
+            entries[i, i] = ComplexRational(v.re)
+        else:
+            entries[i, j], entries[j, i] = v, v.conjugate()
+    return entries
 
 
 def rule_tables(rule: LocalRule) -> dict:

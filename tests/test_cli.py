@@ -935,3 +935,20 @@ def test_appending_sizes_preserves_earlier_luck_atoms_rows(tmp_path):
         long_rows = (tmp_path / "long" / name).read_text().splitlines()
         assert len(long_rows) > len(short_rows)
         assert long_rows[:len(short_rows)] == short_rows
+
+
+def test_cli_import_loads_neither_jsonschema_nor_scipy():
+    # both load on first use only, so a run's start-up pays for neither
+    import os
+    import subprocess
+    import sys
+
+    import sofic_spectra
+    src = str(Path(sofic_spectra.__file__).resolve().parents[1])
+    code = ("import sys, sofic_spectra.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'jsonschema', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

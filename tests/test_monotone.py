@@ -33,7 +33,7 @@ from sofic_spectra.operators import (
 from sofic_spectra.sofic import torus_approximation
 from sofic_spectra.spectral import eigen_spectrum
 
-from dense_operators import operator_of, rule_tables
+from dense_operators import hermitian_entries, operator_of, rule_tables
 
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
@@ -357,15 +357,17 @@ def _exact_op(n, entries):
 
 
 def test_difference_shares_one_value_per_pair_of_objects():
-    x, y, z = crat(1), crat(1), crat(1, 2)
+    x, y, z = crat(1), crat(1), crat(Fraction(1, 2))
     a = _exact_op(5, {(0, 0): x, (1, 1): x, (2, 2): x, (3, 3): x,
                       (0, 1): crat(0, 1), (1, 0): crat(0, -1)})
     b = _exact_op(5, {(2, 2): z, (0, 0): y, (1, 1): z, (3, 3): z,
-                      (4, 4): Fraction(2), (0, 1): crat(0, 1)})
+                      (4, 4): Fraction(2), (0, 1): crat(0, 1),
+                      (1, 0): crat(0, -1)})
     d = _difference(a, b)
     assert dict(d.entries) == _per_entry_difference(a, b)
     assert list(d.entries) == sorted(d.entries)
     assert (0, 0) not in d.entries            # x - y is zero
+    assert (0, 1) not in d.entries and (1, 0) not in d.entries
     assert d.entries[(1, 1)] is d.entries[(2, 2)] is d.entries[(3, 3)]
 
 
@@ -399,11 +401,8 @@ DIFF_VALUES = [crat(1), crat(-1), crat(Fraction(1, 3)), crat(Fraction(2, 7), 1),
                crat(Fraction(1, 2**53))]
 
 
-def _random_exact_op(data, n, keys):
-    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True,
-                                max_size=len(keys)) if keys else st.just([]))
-    return _exact_op(n, {key: data.draw(st.sampled_from(DIFF_VALUES))
-                         for key in chosen})
+def _random_exact_op(data, n, pairs=None):
+    return _exact_op(n, data.draw(hermitian_entries(n, DIFF_VALUES, pairs)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -411,17 +410,23 @@ def _random_exact_op(data, n, keys):
            ["overlapping", "disjoint", "equal support"]), float_b=st.booleans())
 def test_merged_difference_and_norm_match_per_entry_loops(n, data, layout,
                                                           float_b):
-    keys = [(i, j) for i in range(n) for j in range(n)]
-    a = _random_exact_op(data, n, keys)
+    a = _random_exact_op(data, n)
     if layout == "disjoint":
-        b = _random_exact_op(data, n, [k for k in keys if k not in a.entries])
+        b = _random_exact_op(data, n, [(i, j) for i in range(n)
+                                       for j in range(i, n)
+                                       if (i, j) not in a.entries])
     elif layout == "equal support":
-        # some entries cancel to zero, some do not
-        b = _exact_op(n, {key: v if data.draw(st.booleans())
-                          else data.draw(st.sampled_from(DIFF_VALUES))
-                          for key, v in a.entries.items()})
+        # some conjugate pairs cancel to zero, some do not
+        entries = {}
+        for (i, j), v in a.entries.items():
+            if i <= j:
+                if not data.draw(st.booleans()):
+                    v = data.draw(st.sampled_from(DIFF_VALUES))
+                    v = crat(v.re) if i == j else v
+                entries[i, j], entries[j, i] = v, v.conjugate()
+        b = _exact_op(n, entries)
     else:
-        b = _random_exact_op(data, n, keys)
+        b = _random_exact_op(data, n)
     d = _difference(a, b)
     assert dict(d.entries) == _per_entry_difference(a, b)
     assert list(d.entries) == sorted(d.entries)
@@ -436,7 +441,8 @@ def test_merged_difference_and_norm_match_per_entry_loops(n, data, layout,
 def test_difference_norm_sums_rows_in_ascending_column_order():
     # 1 + 2^-53 + 2^-53 rounds to 1; 2^-53 + 2^-53 + 1 would be 1 + 2^-52
     tiny = crat(Fraction(1, 2**53))
-    a = _exact_op(3, {(0, 2): tiny, (0, 0): crat(1), (0, 1): tiny})
+    a = _exact_op(3, {(0, 2): tiny, (0, 0): crat(1), (0, 1): tiny,
+                      (1, 0): tiny, (2, 0): tiny})
     assert _difference(a, _exact_op(3, {})).row_sum_bound() == 1.0
 
 
@@ -452,19 +458,13 @@ def test_difference_norm_of_schedule_depths_matches_per_entry_loop():
             _per_entry_norm(op, target).hex()
 
 
-def _ref_gershgorin(op, strict):
+def _ref_outcome(op, strict):
     """The per-row loop that row-pattern deduplication replaced."""
-    op.check_hermitian()
     rows = {i: [] for i in range(op.n)}
     diag = [Fraction(0)] * op.n
     for (i, j), v in op.entries.items():
         if i == j:
-            if isinstance(v, ComplexRational):
-                if v.im != 0:
-                    raise AssemblyError("non-real diagonal entry")
-                diag[i] = v.re
-            else:
-                diag[i] = Fraction(v)
+            diag[i] = v.re
         else:
             rows[i].append(v)
     for i in range(op.n):
@@ -474,19 +474,9 @@ def _ref_gershgorin(op, strict):
 
 
 def _gershgorin_outcome(op, strict):
-    try:
-        cert = gershgorin_psd(op, strict=strict)
-    except AssemblyError as err:
-        return str(err)
+    cert = gershgorin_psd(op, strict=strict)
     assert cert.strict == strict
     return cert.certified, cert.witness_row
-
-
-def _ref_outcome(op, strict):
-    try:
-        return _ref_gershgorin(op, strict)
-    except AssemblyError as err:
-        return str(err)
 
 
 # |1+i| and |1/2+i/3| are irrational, |3+4i| = 5 is not
@@ -515,7 +505,7 @@ def test_exact_gershgorin_matches_per_row_loop(n, data, strict):
     assert _gershgorin_outcome(op, strict) == _ref_outcome(op, strict)
 
 
-def test_exact_gershgorin_row_patterns_and_errors(monkeypatch):
+def test_exact_gershgorin_row_patterns_and_errors():
     def op(entries, n=4):
         return InducedOperator.from_entries(n, entries)
 
@@ -540,11 +530,8 @@ def test_exact_gershgorin_row_patterns_and_errors(monkeypatch):
     assert _gershgorin_outcome(multiset, False) == (False, 2)
     assert _gershgorin_outcome(boundary, False) == (True, None)
     assert _gershgorin_outcome(boundary, True) == (False, 0)
-    # a non-real diagonal fails the Hermitian check first; without it, the
-    # diagonal check itself still refuses the operator
-    non_real = op({(0, 0): crat(1), (1, 1): crat(1, 1)}, n=2)
-    assert _gershgorin_outcome(non_real, False) == _ref_outcome(
-        non_real, False) == "Hermitian symmetry violated at entry pair (1,1)"
-    monkeypatch.setattr(InducedOperator, "check_hermitian", lambda self: None)
-    assert _gershgorin_outcome(non_real, True) == _ref_outcome(
-        non_real, True) == "non-real diagonal entry"
+    # a non-real diagonal is refused when the operator is built, so no
+    # certificate ever reads one
+    with pytest.raises(AssemblyError, match=r"Hermitian symmetry violated "
+                                            r"at entry pair \(1,1\)$"):
+        op({(0, 0): crat(1), (1, 1): crat(1, 1)}, n=2)

@@ -44,7 +44,7 @@ from sofic_spectra.sofic import (
     torus_approximation,
 )
 
-from dense_operators import rule_tables
+from dense_operators import hermitian_entries, rule_tables
 from window_references import pullback_window, translate_window
 
 Z1 = lattice_group(1)
@@ -346,9 +346,13 @@ def test_expected_moment_free_group_tree():
 def test_hermitian_check_rejects_tampering():
     sig = torus_approximation(1, 8)
     op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
-    op = _with_entries(op, {(0, 1): ComplexRational(Fraction(2))})
-    with pytest.raises(AssemblyError):
-        op.check_hermitian()
+    two = ComplexRational(Fraction(2))
+    # one side of a pair is refused when the operator is built; the pair
+    # moved together is Hermitian again
+    with pytest.raises(AssemblyError, match=r"\(0,1\)$"):
+        _with_entries(op, {(0, 1): two})
+    dense = _with_entries(op, {(0, 1): two, (1, 0): two}).to_dense()
+    assert dense[0, 1] == dense[1, 0] == 2
 
 
 def test_row_sum_bound():
@@ -380,22 +384,28 @@ def test_expected_moment_bit_identical_to_fraction_oracle():
 
 
 def _dense_fraction_power_diagonal(op, k):
-    """diag(H^k) as Fractions, by dense products of the integer matrix den*H
-    (real operators only): int64 while every entry of |den*H|^k stays
-    below 2^62, Python ints otherwise."""
-    assert op.is_real()
-    den = math.lcm(*(v.re.denominator for v in op.values))
-    numerators = [v.re.numerator * (den // v.re.denominator)
-                  for v in op.values]
+    """diag(H^k) as Fractions, by dense products of the Gaussian-integer
+    matrix den*H, real and imaginary parts apart: int64 while every entry
+    of |den*H|^k stays below 2^62, Python ints otherwise.  H is Hermitian,
+    so the diagonal is real."""
+    den = math.lcm(*(f.denominator for v in op.values for f in (v.re, v.im)))
+    parts = []
+    for part in ("re", "im"):
+        parts.append([getattr(v, part).numerator
+                      * (den // getattr(v, part).denominator)
+                      for v in op.values])
     rows_abs = np.zeros(op.n, dtype=object)
-    np.add.at(rows_abs, op.rows, [abs(numerators[c]) for c in op.codes])
+    np.add.at(rows_abs, op.rows, [abs(parts[0][c]) + abs(parts[1][c])
+                                  for c in op.codes])
     dtype = np.int64 if max(rows_abs, default=0) ** k < 2 ** 62 else object
-    h = np.zeros((op.n, op.n), dtype=dtype)
-    h[op.rows, op.cols] = np.array(numerators, dtype=object)[op.codes]
-    power = h
+    h_re, h_im = np.zeros((2, op.n, op.n), dtype=dtype)
+    h_re[op.rows, op.cols] = np.array(parts[0], dtype=object)[op.codes]
+    h_im[op.rows, op.cols] = np.array(parts[1], dtype=object)[op.codes]
+    p_re, p_im = h_re, h_im
     for _ in range(k - 1):
-        power = power @ h
-    return [Fraction(int(x), den ** k) for x in np.diagonal(power).tolist()]
+        p_re, p_im = p_re @ h_re - p_im @ h_im, p_re @ h_im + p_im @ h_re
+    assert not np.diagonal(p_im).any()
+    return [Fraction(int(x), den ** k) for x in np.diagonal(p_re).tolist()]
 
 
 def test_power_kernels_fall_back_to_python_ints(monkeypatch):
@@ -439,21 +449,29 @@ def test_power_diagonal_detects_corrupted_entry(monkeypatch):
     sig = torus_approximation(1, 18)
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, np.random.default_rng(4))
-    delta = {(3, 3): ComplexRational(Fraction(1, 4)),
-             (3, 4): ComplexRational(Fraction(0), Fraction(1, 4))}
+    quarter_i = ComplexRational(Fraction(0), Fraction(1, 4))
+    clean = assemble_induced(rule, sig, rho)
+    # one side of the hopping pair alone is refused when the operator is built
+    with pytest.raises(AssemblyError, match=r"\(3,4\)$"):
+        _with_entries(clean, {(3, 4): clean.entries[3, 4] + quarter_i})
 
-    def corrupted(*args, **kwargs):
-        op = assemble_induced(*args, **kwargs)
-        return _with_entries(op, {key: op.entries[key] + d
-                                  for key, d in delta.items()})
+    def corrupting(delta):
+        def corrupted(*args, **kwargs):
+            op = assemble_induced(*args, **kwargs)
+            return _with_entries(op, {key: op.entries[key] + d
+                                      for key, d in delta.items()})
+        return corrupted
 
-    monkeypatch.setattr(operators_module, "assemble_induced", corrupted)
-    # k = 1 sees only the diagonal shift; k = 2 also sees the imaginary
-    # hopping error through H(3,4) H(4,3) = 1 + i/4
-    for k in (1, 2):
-        rep = power_diagonal_check(rule, sig, rho, k)
-        assert rep.max_discrepancy > 0
+    # k = 1 sees the diagonal shift and k = 2 the conjugate hopping pair,
+    # through H(3,4) H(4,3) = |1 + i/4|^2 = 1 + 1/16
+    monkeypatch.setattr(operators_module, "assemble_induced", corrupting(
+        {(3, 3): ComplexRational(Fraction(1, 4))}))
     assert power_diagonal_check(rule, sig, rho, 1).max_discrepancy == 0.25
+    assert power_diagonal_check(rule, sig, rho, 2).max_discrepancy > 0
+    monkeypatch.setattr(operators_module, "assemble_induced", corrupting(
+        {(3, 4): quarter_i, (4, 3): quarter_i.conjugate()}))
+    assert power_diagonal_check(rule, sig, rho, 1).max_discrepancy == 0.0
+    assert power_diagonal_check(rule, sig, rho, 2).max_discrepancy == 1 / 16
 
 
 def _hopping_rule(group, potential, hop):
@@ -615,22 +633,37 @@ def test_frontier_power_diagonal_matches_dense_blocks(model, kind, dyadic, k,
     _assert_same_power_diagonal(got, want)
 
 
+def _rng_hermitian_entries(rng, n, p, part):
+    """Each pair i <= j with probability p: part() + i part() at (i, j) and
+    its conjugate at (j, i), or a real part() on the diagonal."""
+    entries = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < p:
+                v = ComplexRational(part(), part() if i < j else Fraction(0))
+                entries[i, j], entries[j, i] = v, v.conjugate()
+    return entries
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 7), k=st.integers(1, 7), seed=st.integers(0, 2**16),
        scale=st.sampled_from([1, 10**5]), cells=st.sampled_from([1 << 17, 3]))
-def test_power_diagonal_on_random_non_symmetric_exact_operators(n, k, seed,
-                                                                scale, cells):
-    # random sparse real entries, stored zeros included, with no symmetry;
-    # scale 10^5 pushes R^k past 2^62 and onto Python ints
+def test_power_diagonal_on_random_hermitian_exact_operators(n, k, seed,
+                                                            scale, cells):
+    # random sparse Hermitian entries, stored zeros included: a real
+    # diagonal and complex conjugate pairs off it; scale 10^5 pushes R^k
+    # past 2^62 and onto Python ints
     rng = np.random.default_rng(seed)
-    entries = {(i, j): Fraction(int(rng.integers(-9, 10)) * scale,
-                                int(rng.integers(1, 7)))
-               for i in range(n) for j in range(n) if rng.random() < 0.5}
-    op = InducedOperator.from_entries(n, entries)
+    op = InducedOperator.from_entries(n, _rng_hermitian_entries(
+        rng, n, 0.5, lambda: Fraction(int(rng.integers(-9, 10)) * scale,
+                                      int(rng.integers(1, 7)))))
     vertices = rng.integers(0, n, size=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators_module, "_BATCH_CELLS", cells)
-        den, re, im = _matrix_power_diagonal(op, k, vertices)
+        got = _matrix_power_diagonal(op, k, vertices)
+        _assert_same_power_diagonal(
+            got, _ref_dense_power_diagonal(op, k, vertices))
+    den, re, im = got
     expect = _dense_fraction_power_diagonal(op, k)
     assert [Fraction(num, den ** k) for num in re.tolist()] == [
         expect[v] for v in vertices]
@@ -643,17 +676,19 @@ def test_power_diagonal_catches_non_hermitian_hopping_at_k3(monkeypatch):
     rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
                                sig, np.random.default_rng(5))
     v = 20
+    quarter = ComplexRational(Fraction(1, 4))
     clean = assemble_induced(rule, sig, rho)
+    # H(v+1, v) moved without its transpose is refused when it is built
+    with pytest.raises(AssemblyError, match=rf"\({v},{v + 1}\)$"):
+        _with_entries(clean, {(v + 1, v): clean.entries[v + 1, v] + quarter})
 
     def corrupted(*args, **kwargs):
-        # H(v+1, v) moves, its transpose H(v, v+1) does not
+        # H(v+1, v) and its transpose H(v, v+1) move together
         op = assemble_induced(*args, **kwargs)
-        return _with_entries(op, {(v + 1, v): op.entries[v + 1, v]
-                                  + ComplexRational(Fraction(1, 4))})
+        return _with_entries(op, {key: op.entries[key] + quarter
+                                  for key in [(v + 1, v), (v, v + 1)]})
 
     bad = corrupted(rule, sig, rho)
-    with pytest.raises(AssemblyError):
-        bad.check_hermitian()
     den, re, _ = _matrix_power_diagonal(bad, 3, np.array([v]))
     den_c, re_c, _ = _matrix_power_diagonal(clean, 3, np.array([v]))
     got = Fraction(re[0], den ** 3)
@@ -723,22 +758,23 @@ def _ref_to_sparse(op):
     return sp.csr_matrix((vals, (rows, cols)), shape=(op.n, op.n))
 
 
-def _ref_hermitian_violation(op):
-    """The first entry, in dict order, without a conjugate transpose."""
-    for (i, j), v in op.entries.items():
-        w = op.entries.get((j, i))
-        conj = None if w is None else w.conjugate()
-        if w is None or conj != v:
+def _ref_hermitian_violation(entries):
+    """The first entry of a (row, col) -> value dict, in row-major order,
+    without a conjugate transpose."""
+    for i, j in sorted(entries):
+        w = entries.get((j, i))
+        if w is None or _as_exact(w).conjugate() != _as_exact(entries[i, j]):
             return f"({i},{j})"
     return None
 
 
-def _hermitian_violation(op):
-    try:
-        op.check_hermitian()
-    except AssemblyError as err:
-        return str(err).rsplit(" ", 1)[-1]
-    return None
+def _assert_refused(n, entries):
+    """from_entries refuses the entries, naming the reference's pair."""
+    bad = _ref_hermitian_violation(entries)
+    assert bad is not None
+    with pytest.raises(AssemblyError) as err:
+        InducedOperator.from_entries(n, entries)
+    assert str(err.value) == f"Hermitian symmetry violated at entry pair {bad}"
 
 
 def _assert_same_dense(got, want):
@@ -762,7 +798,6 @@ def _assert_matches_reference(op):
     assert op.is_real() == _ref_is_real(op)
     _assert_same_dense(op.to_dense(), _ref_to_dense(op))
     _assert_same_sparse(op.to_sparse(), _ref_to_sparse(op))
-    assert _hermitian_violation(op) == _ref_hermitian_violation(op)
 
 
 @settings(max_examples=40, deadline=None)
@@ -790,14 +825,21 @@ def test_value_coded_methods_match_per_entry_loops(d, kind, dyadic, fresh,
                    for key, v in op.entries.items()})
     _assert_matches_reference(op)
     if op.entries:
-        # break one entry: its transpose no longer holds the conjugate
+        # one entry moved alone is refused when the operator is built
         keys = list(op.entries)
-        key = keys[tamper % len(keys)]
+        i, j = keys[tamper % len(keys)]
         bump = ComplexRational(Fraction(0), Fraction(1, 3))
-        op = _with_entries(op, {key: op.entries[key] + bump})
+        _assert_refused(op.n, {**op.entries, (i, j): op.entries[i, j] + bump})
+        # the conjugate pair moved together (a diagonal entry by a real
+        # bump), and then removed together, is Hermitian
+        if i == j:
+            bump = ComplexRational(Fraction(1, 3))
+        op = _with_entries(op, {(i, j): op.entries[i, j] + bump,
+                                (j, i): op.entries[j, i] + bump.conjugate()})
         _assert_matches_reference(op)
         entries = dict(op.entries)
-        del entries[key]
+        del entries[i, j]
+        entries.pop((j, i), None)
         op = InducedOperator.from_entries(op.n, entries)
         _assert_matches_reference(op)
 
@@ -825,28 +867,52 @@ def test_float_operator_zero_signs_and_nan():
             InducedOperator.from_entries(3, {**entries, (2, 2): bad})
 
 
-def test_check_hermitian_names_first_bad_pair_in_row_major_order():
-    half_i = ComplexRational(Fraction(0), Fraction(1, 2))
-    one = ComplexRational(Fraction(1))
+HALF_I = ComplexRational(Fraction(0), Fraction(1, 2))
+ONE = ComplexRational(Fraction(1))
+HERMITIAN_VALUES = [CZERO, ONE, HALF_I, ComplexRational(Fraction(-2, 3)),
+                    ComplexRational(Fraction(1, 3), Fraction(-5, 7))]
 
-    def op(entries):
-        return InducedOperator.from_entries(3, entries)
 
-    good = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i.conjugate(),
-               (1, 2): one, (2, 1): one})
-    good.check_hermitian()
+def _exact_dense(op):
+    """The n x n object array of the operator's exact values."""
+    out = np.full((op.n, op.n), CZERO, dtype=object)
+    for key, v in op.entries.items():
+        out[key] = v
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(), tamper=st.integers(0, 10**6),
+       drop=st.booleans())
+def test_check_hermitian_names_first_bad_pair_in_row_major_order(n, data,
+                                                                 tamper, drop):
+    from sofic_spectra.monotone import _difference
     # i/2 against i/2 is not a conjugate pair
-    same = op({(0, 0): one, (0, 1): half_i, (1, 0): half_i})
-    with pytest.raises(AssemblyError, match=r"\(0,1\)$"):
-        same.check_hermitian()
+    _assert_refused(3, {(0, 0): ONE, (0, 1): HALF_I, (1, 0): HALF_I})
     # the dict order is not kept: a missing transpose given first is named
     # after a conjugate mismatch that sorts first
-    missing = op({(1, 2): one, (0, 0): one, (1, 0): half_i, (0, 1): half_i})
-    with pytest.raises(AssemblyError, match=r"\(0,1\)$"):
-        missing.check_hermitian()
-    alone = op({(2, 2): one, (1, 2): one, (0, 0): one})
-    with pytest.raises(AssemblyError, match=r"\(1,2\)$"):
-        alone.check_hermitian()
+    _assert_refused(3, {(1, 2): ONE, (0, 0): ONE, (1, 0): HALF_I,
+                        (0, 1): HALF_I})
+    _assert_refused(3, {(2, 2): ONE, (1, 2): ONE, (0, 0): ONE})
+    # random Hermitian entries pass, and so does their difference
+    a, b = (data.draw(hermitian_entries(n, HERMITIAN_VALUES))
+            for _ in range(2))
+    op_a, op_b = (InducedOperator.from_entries(n, e) for e in (a, b))
+    assert dict(op_a.entries) == a
+    assert np.array_equal(_exact_dense(_difference(op_a, op_b)),
+                          _exact_dense(op_a) - _exact_dense(op_b))
+    if a:
+        # break one conjugate pair: change one side or drop it
+        i, j = sorted(a)[tamper % len(a)]
+        broken = dict(a)
+        if drop and i != j:
+            del broken[i, j]
+            first = (j, i)
+        else:
+            broken[i, j] = broken[i, j] + HALF_I
+            first = min((i, j), (j, i))
+        assert _ref_hermitian_violation(broken) == f"({first[0]},{first[1]})"
+        _assert_refused(n, broken)
 
 
 # Array storage: from_entries round trip and the graph assembly from arrays.
@@ -863,7 +929,6 @@ def _same_operator(a, b):
     assert (a.is_real(), a.is_diagonal()) == (b.is_real(), b.is_diagonal())
     _assert_same_dense(a.to_dense(), b.to_dense())
     _assert_same_sparse(a.to_sparse(), b.to_sparse())
-    assert _hermitian_violation(a) == _hermitian_violation(b)
     vertices = np.arange(a.n)
     _assert_same_power_diagonal(_matrix_power_diagonal(a, 3, vertices),
                                 _matrix_power_diagonal(b, 3, vertices))
@@ -894,9 +959,10 @@ def test_from_entries_round_trip(d, kind, dyadic, potential, hop, side, seed,
         op.entries[(0, 0)] = CZERO
     _same_operator(InducedOperator.from_entries(op.n, dict(op.entries)), op)
     if op.entries:
-        # a corrupted copy is rebuilt as faithfully
-        key = list(op.entries)[tamper % len(op.entries)]
-        bad = _with_entries(op, {key: op.entries[key] + op.entries[key]})
+        # a copy with one conjugate pair corrupted is rebuilt as faithfully
+        i, j = list(op.entries)[tamper % len(op.entries)]
+        bad = _with_entries(op, {key: op.entries[key] + op.entries[key]
+                                 for key in [(i, j), (j, i)]})
         _same_operator(InducedOperator.from_entries(
             bad.n, dict(bad.entries)), bad)
 
@@ -1068,11 +1134,12 @@ def _assert_row_major(op):
 @given(n=st.integers(0, 7), floats=st.booleans(), seed=st.integers(0, 2**16))
 def test_from_entries_stores_row_major(n, floats, seed):
     rng = np.random.default_rng(seed)
-    keys = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
-    rng.shuffle(keys)
-    values = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
-              for _ in keys]
-    entries = dict(zip(keys, map(complex, values) if floats else values))
+    # Hermitian entries, given in a shuffled order
+    items = list(_rng_hermitian_entries(
+        rng, n, 0.4, lambda: Fraction(int(rng.integers(-3, 4)),
+                                      int(rng.integers(1, 4)))).items())
+    rng.shuffle(items)
+    entries = {key: v.to_complex() if floats else v for key, v in items}
     op = InducedOperator.from_entries(n, entries)
     _assert_row_major(op)
     assert list(op.entries) == sorted(entries)

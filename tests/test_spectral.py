@@ -65,9 +65,10 @@ def test_eigen_zero_and_diag():
     {(0, 0): 1, (0, 1): 1j, (1, 0): 1j, (1, 1): 2}])
 @pytest.mark.parametrize("vectors", [False, True])
 def test_eigen_refuses_non_hermitian_operators(entries, vectors):
-    op = InducedOperator.from_entries(2, entries)
+    # the operator is refused when it is built, so no solve ever reads one
     with pytest.raises(AssemblyError, match="Hermitian symmetry violated"):
-        eigen_spectrum(op, vectors=vectors)
+        eigen_spectrum(InducedOperator.from_entries(2, entries),
+                       vectors=vectors)
 
 
 def test_eigen_exact_diagonal_path():
@@ -129,6 +130,16 @@ def test_atom_mass_examples():
     assert atom_mass(lap, 1.0) == 0.0
     zero = eigen_spectrum(operator_of(np.zeros((4, 4))))
     assert atom_mass(zero, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("offset, mass", [(5e-9, 0.0), (1e-9, 1 / 3)])
+def test_float_atom_mass_shares_the_counting_tie_width(offset, mass):
+    # the scale is 2, so both count 1 + offset at 1.0 when it lies within
+    # TIE_TOL * 2 = 2e-9 of it; 1 + 5e-9 lies outside, so neither sees an
+    # atom at 1.0
+    spec = Spectrum(values=np.array([0.0, 1.0 + offset, 2.0]), residual=0.0)
+    left, right = counting_function(spec, [1.0 - 1e-6, 1.0])
+    assert atom_mass(spec, 1.0) == (right - left) / spec.n == mass
 
 
 def test_punctured_mass_examples():
