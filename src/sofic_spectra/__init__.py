@@ -15,11 +15,9 @@ from .groups import (
 from .sofic import (
     FiniteQuotient,
     GoodnessReport,
-    LabeledFiniteGraph,
     SoficApproximation,
     SoficCompatibilityError,
     SoficDefectReport,
-    edge_graph,
     good_vertices,
     lattice_quotient,
     product_with_quotient,

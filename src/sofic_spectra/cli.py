@@ -3,11 +3,11 @@
 Four pipelines: sofic-diagnostics (goodness/defect/le statistics),
 weak-convergence (trace moments against the enumeration oracle plus IDS
 distances), luck-atoms (atom masses and the integer punctured-interval law)
-and monotone (rational schedule convergence).  The two sampled operator
-pipelines share one ensemble (`_ensemble`), which draws sample j of size i
-from `sample_rng(seed, i, j)`; monotone draws its one sample (j = 0) from the
-same stream.  Only `assemble_induced` picks the goodness radius of an
-induced operator; the pipelines pass it no report.  A run emits CSV/JSON
+and monotone (rational schedule convergence).  Every sampled pipeline draws
+sample j of size i from `sample_rng(seed, i, j)` through `sample_ensemble`.
+`_ensemble` assembles each sample on the sofic graph for graph_schrodinger,
+else by `assemble_induced`, which alone picks the goodness radius (the
+pipelines pass it no report).  A run emits CSV/JSON
 files with fixed 17-significant-digit float rendering plus a gnuplot script,
 and a manifest that pins config hash, seeds and outputs; re-running a
 manifest reproduces the data files byte for byte.  `run` checks a config
@@ -44,7 +44,7 @@ from .measures import (
     lattice_periodic,
     le_diagnostic,
     model_alphabet,
-    sample_configuration,
+    sample_ensemble,
     sample_rng,
 )
 from .monotone import build_schedule, monotone_ids_report, value_sets_of
@@ -126,7 +126,6 @@ _NUMBER = {"type": "number"}
 _MEASURE = {"alphabet": _STRINGS, "period": _INTEGERS, "pattern": _INTEGERS,
             "weights": {"type": "array", "items": {**_NUMBER, "minimum": 0}}}
 _MEASURE_NEEDS = {"iid": ["weights"], "periodic": ["period", "pattern"]}
-_GRAPH_KINDS = ["laplacian", "adjacency", "schrodinger", "graph_schrodinger"]
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -145,7 +144,7 @@ CONFIG_SCHEMA = {
                                              **_MEASURE_NEEDS)}},
             **_MEASURE_NEEDS, mixture=["components", "weights"]),
         "operator": _kinds("operator", {
-            "mode": {"enum": ["induced", "graph"]}, "M": _at_least(0),
+            "M": _at_least(0),
             "potential": {"type": "object"}, "values": {"type": "object"},
             "entries": {"type": "array", "items": {
                 "type": "object", "additionalProperties": False,
@@ -154,9 +153,6 @@ CONFIG_SCHEMA = {
                                "im": {"type": "string"}},
                 "allOf": [_needs("table entry", "g"),
                           _needs("table entry", "window")]}}},
-            _if({"mode": {"const": "graph"}}, {
-                **_kind(*_GRAPH_KINDS), "description": "graph assembly takes "
-                "a laplacian, adjacency or Schrodinger operator"}),
             laplacian=[], adjacency=[], schrodinger=["potential"],
             graph_schrodinger=["potential"], diagonal=["values"],
             table=["M", "entries"]),
@@ -195,9 +191,9 @@ CONFIG_SCHEMA = {
               group={"properties": {"kind": {"const": "lattice"},
                                     "d": {"maximum": 2}}}),
         _fact("the monotone pipeline uses the strict induced assembly",
-              {"pipeline": {"const": "monotone"}}, operator={"properties": {
-                  "kind": {"enum": _GRAPH_KINDS[:3] + ["diagonal", "table"]},
-                  "mode": {"const": "induced"}}}),
+              {"pipeline": {"const": "monotone"}}, operator=_kind(
+                  "laplacian", "adjacency", "schrodinger", "diagonal",
+                  "table")),
     ],
 }
 
@@ -416,18 +412,16 @@ def _parse_rational(text, key: str) -> Fraction:
 
 def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
                          ) -> tuple[LocalRule, Optional[list]]:
-    """Returns (rule, potential): the Schrodinger potential F when the
-    operator is assembled on the sofic graph, None for the induced
-    assembly.  Only a table rule is validated: the other kinds are
-    self-adjoint by construction."""
+    """Returns (rule, potential): the Schrodinger potential F of a
+    graph_schrodinger operator, which is assembled on the sofic graph, and
+    None for the induced assembly of every other kind.  Only a table rule is
+    validated: the other kinds are self-adjoint by construction."""
     kind = cfg["kind"]
     potential = None
     if kind == "laplacian":
         rule = laplacian_rule(group, alphabet)
-        potential = [Fraction(0)] * alphabet.size
     elif kind == "adjacency":
         rule = adjacency_rule(group, alphabet)
-        potential = [Fraction(group.n_generators)] * alphabet.size
     elif kind in ("schrodinger", "graph_schrodinger"):
         potential = _per_symbol(cfg, "potential", alphabet)
         rule = schrodinger_rule(group, alphabet, potential)
@@ -446,8 +440,7 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
         if witnesses:
             raise ValueError("table operator is not self-adjoint: element "
                              "{}, window {}".format(*witnesses[0]))
-    graph = kind == "graph_schrodinger" or cfg.get("mode") == "graph"
-    return rule, potential if graph else None
+    return rule, potential if kind == "graph_schrodinger" else None
 
 
 def _per_symbol(cfg: dict, key: str, alphabet: Alphabet) -> list[Fraction]:
@@ -460,21 +453,20 @@ def _per_symbol(cfg: dict, key: str, alphabet: Alphabet) -> list[Fraction]:
 
 
 def _ensemble(config: dict, objects: ConfigObjects, n_samples: int):
-    """Per size i, sigma and a generator assembling sample j = 0..n_samples-1
-    on sample_configuration(model, sigma, sample_rng(seed, i, j)): on the
-    sofic graph given a potential, else by assemble_induced, which picks the
-    goodness radius and scans it once per model."""
-    def operators(size_index, sigma):
-        for j in range(n_samples):
-            rho = sample_configuration(objects.model, sigma,
-                                       sample_rng(config["seed"], size_index, j))
+    """Per size, sigma and a generator assembling each of its n_samples
+    sample_ensemble configurations: on the sofic graph given a potential,
+    else by assemble_induced, which picks the goodness radius and scans it
+    once per model."""
+    def operators(sigma, samples):
+        for rho in samples:
             if objects.potential is None:
                 yield assemble_induced(objects.rule, sigma, rho)
             else:
                 yield assemble_graph_schrodinger(
                     sigma, rho, objects.rule.alphabet, objects.potential)
-    return ((sigma, operators(i, sigma))
-            for i, sigma in enumerate(objects.sigmas))
+    return ((sigma, operators(sigma, samples)) for sigma, samples in
+            sample_ensemble(objects.model, objects.sigmas, config["seed"],
+                            n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +667,8 @@ def _pipeline_monotone(config, objects, out):
     grid = _beta_grid(config)
     outputs = []
     summary_rows = []
-    for size_index, sigma in enumerate(objects.sigmas):
-        rho = sample_configuration(objects.model, sigma,
-                                   sample_rng(config["seed"], size_index, 0))
+    for sigma, (rho,) in sample_ensemble(objects.model, objects.sigmas,
+                                         config["seed"], 1):
         report = monotone_ids_report(objects.rule, sched, sigma, rho, grid)
         rows = [[r.m, r.beta, r.count_m / report.n, r.count_target / report.n,
                  r.psd_certified] for r in report.rows]

@@ -241,8 +241,19 @@ def sample_rng(master_seed: int, size_index: int,
 def sample_configuration(model: MeasureModel, sigma: SoficApproximation,
                          rng: np.random.Generator) -> Configuration:
     """One configuration of the finite-model law on sigma's vertex set,
-    drawn from rng (a pipeline passes sample_rng of its sample)."""
+    drawn from rng (sample_ensemble passes sample_rng of its sample)."""
     return Configuration(values=_sample_values(model, sigma, rng))
+
+
+def sample_ensemble(model: MeasureModel, sigmas: Sequence[SoficApproximation],
+                    seed: int, count: int):
+    """Per size i, sigma and a generator of its count configurations, sample j
+    drawn from sample_rng(seed, i, j): the one loop of every sampled run."""
+    def samples(size_index, sigma):
+        for j in range(count):
+            yield sample_configuration(model, sigma,
+                                       sample_rng(seed, size_index, j))
+    return ((sigma, samples(i, sigma)) for i, sigma in enumerate(sigmas))
 
 
 def _sample_values(model: MeasureModel, sigma: SoficApproximation,
@@ -427,14 +438,14 @@ class LeDiagnosticRow:
 
 def le_diagnostic(target_model: MeasureModel,
                   sigmas: Sequence[SoficApproximation],
-                  radius: int, eps: float, sample_count: int = 200,
-                  seed: int = 0, finite_model: Optional[MeasureModel] = None
+                  radius: int, eps: float, sample_count: int, seed: int,
+                  finite_model: Optional[MeasureModel] = None
                   ) -> list[LeDiagnosticRow]:
     """Locally-weak* and local-empirical convergence statistics per size.
 
     lw*: exact fraction of vertices whose pushforward marginal (of the finite
     law, collisions identified) is within eps in total variation of the
-    target marginal.  le: Monte Carlo fraction of sampled configurations
+    target marginal.  le: Monte Carlo fraction of sample_ensemble draws
     whose empirical window distribution is within eps of the target, with a
     95% binomial half-width.  ``finite_model`` defaults to the target law.
     """
@@ -445,7 +456,8 @@ def le_diagnostic(target_model: MeasureModel,
     if finite_model is None:
         finite_model = target_model
     rows = []
-    for size_index, sigma in enumerate(sigmas):
+    for sigma, samples in sample_ensemble(finite_model, sigmas, seed,
+                                          sample_count):
         target = target_marginal_on(target_model, sigma.group, radius)
         b = ball(sigma.group, radius)
         images = sigma.ball_images(b)
@@ -467,9 +479,7 @@ def le_diagnostic(target_model: MeasureModel,
         # histogram, so samples with equal histograms share one TV
         tv_of: dict = {}
         hits = 0
-        for j in range(sample_count):
-            rho = sample_configuration(finite_model, sigma,
-                                       sample_rng(seed, size_index, j))
+        for rho in samples:
             vals = rho.values[images]
             histogram = _window_histogram(vals)
             key = None if histogram is None else (

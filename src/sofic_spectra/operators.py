@@ -582,13 +582,14 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
     the distinct-neighbour edges and the nonzero diagonal; a float potential
     is taken at its exact binary value.
     """
-    from .sofic import edge_graph
     if len(potential) != alphabet.size:
         raise RuleValidationError("one potential value per symbol required")
     potential = [_as_exact(x) for x in potential]
-    graph = edge_graph(sigma)
     n = sigma.n_vertices
-    keys = np.unique(graph.src.astype(np.int64) * n + graph.dst)
+    verts = np.arange(n, dtype=np.int64)
+    # each edge (v, sigma^s(v)) once, loops dropped
+    keys = np.unique(np.concatenate(
+        [(verts * n + p)[p != verts] for p in sigma.perms]))
     deg = np.bincount(keys // n, minlength=n)
     # the diagonal -deg(v) + F(rho(v)), made once per (degree, symbol) pair
     pairs, pair_of = np.unique(deg * alphabet.size + rho.values,

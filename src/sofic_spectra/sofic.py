@@ -1,11 +1,12 @@
-"""Sofic approximations: permutation models, labeled graphs, goodness, defects.
+"""Sofic approximations: permutation models, goodness, defects.
 
-A sofic approximation stores one permutation of the vertex set per generator
-and extends to arbitrary group elements along canonical words; a model of Z^d
-may name the lattice box its vertices map onto.  A finite quotient of Z^d is
-such a box, acted on by coordinate arithmetic.  The labeled graph, the R-good
-vertex scan (labeled-ball isomorphism onto the Cayley ball) and the
-homomorphism/freeness defect statistics operate on permutation arrays.
+A sofic approximation stores one permutation of the vertex set per generator,
+whose arrows v -> sigma^s(v) are the edges of its labeled graph, and extends
+to arbitrary group elements along canonical words; a model of Z^d may name the
+lattice box its vertices map onto.  A finite quotient of Z^d is such a box,
+acted on by coordinate arithmetic.  The R-good vertex scan (labeled-ball
+isomorphism onto the Cayley ball) and the homomorphism/freeness defect
+statistics operate on permutation arrays.
 """
 
 from __future__ import annotations
@@ -212,38 +213,6 @@ def product_with_quotient(base: SoficApproximation,
         for i, p in enumerate(base.perms))
     return SoficApproximation(group=base.group, n_vertices=base.n_vertices * q,
                               perms=perms, box=quotient.moduli)
-
-
-# ---------------------------------------------------------------------------
-# Labeled graph
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LabeledFiniteGraph:
-    """Symmetric loop-free edge list with generator labels."""
-
-    n_vertices: int
-    src: np.ndarray
-    dst: np.ndarray
-    labels: np.ndarray
-
-
-def edge_graph(sigma: SoficApproximation) -> LabeledFiniteGraph:
-    """Edges {(v, sigma^s(v))} for all generators, loops removed."""
-    srcs, dsts, labs = [], [], []
-    n = sigma.n_vertices
-    verts = np.arange(n)
-    for i in range(sigma.group.n_generators):
-        img = sigma.perms[i]
-        keep = img != verts
-        srcs.append(verts[keep])
-        dsts.append(img[keep])
-        labs.append(np.full(keep.sum(), i, dtype=np.int64))
-    src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
-    dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64)
-    lab = np.concatenate(labs) if labs else np.empty(0, dtype=np.int64)
-    return LabeledFiniteGraph(n_vertices=n, src=src, dst=dst, labels=lab)
 
 
 # ---------------------------------------------------------------------------

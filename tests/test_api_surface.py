@@ -24,8 +24,11 @@ its allowlist.
 The README names only what exists: every identifier in one of its inline
 code spans that contains ``_`` or starts with a capital (Python keywords
 aside) is a def, class, name, attribute or argument in those programs, or a
-word of one of their string constants (a config key, a file name).  The
-code block of its library tour runs as written.
+word of one of their string constants (a config key, a file name).  A
+quoted config key in an inline code span (a quoted word that starts with a
+letter, followed by ``:``), and a span that is one quoted word, name a
+property or an enum or const value of ``cli.CONFIG_SCHEMA``.  The code
+block of its library tour runs as written.
 """
 
 import ast
@@ -200,6 +203,33 @@ def test_readme_names_only_what_the_programs_define():
              if ("_" in word or word[0].isupper())
              and not keyword.iskeyword(word)}
     assert sorted(named - _program_words()) == []
+
+
+def _schema_words(schema) -> set:
+    """Property names and enum and const values anywhere in a schema."""
+    words = set()
+    if isinstance(schema, dict):
+        words |= set(schema.get("properties", ()))
+        words |= set(schema.get("enum", ()))
+        if "const" in schema:
+            words.add(schema["const"])
+        schema = list(schema.values())
+    for sub in schema if isinstance(schema, list) else ():
+        words |= _schema_words(sub)
+    return words
+
+
+def test_readme_config_words_are_in_the_schema():
+    from sofic_spectra.cli import CONFIG_SCHEMA
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(),
+                  flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    named = {word for span in spans
+             for word in re.findall(r'"([A-Za-z]\w*)"\s*:', span)}
+    named |= {m.group(1) for span in spans
+              if (m := re.fullmatch(r'"([A-Za-z]\w*)"', span))}
+    assert named  # the config keys section is read
+    assert sorted(named - _schema_words(CONFIG_SCHEMA)) == []
 
 
 def test_readme_library_tour_runs():

@@ -312,22 +312,29 @@ def test_compare_refuses_a_failed_run(tmp_path, monkeypatch):
     assert main(["compare", str(path)]) == 1
 
 
-def test_graph_mode_takes_the_configured_potential(tmp_path):
-    # every vertex of these tori is 2-good, so the graph assembly with the
-    # potential of the kind equals the strict assembly: same data files
-    for kind in ("laplacian", "adjacency"):
-        outputs = []
-        for mode in ("induced", "graph"):
-            config = base_config(operator={"kind": kind, "mode": mode},
-                                 samples=1, k_max=2)
-            outputs.append(run(config, out_dir=tmp_path / kind / mode))
-        for name in outputs[0]["outputs"]:
+def test_graph_schrodinger_gives_laplacian_and_adjacency(tmp_path):
+    # every vertex of these tori is 2-good, so the graph assembly with
+    # potential 0 (or |S| = 2 on Z) equals the strict assembly of the
+    # laplacian (or adjacency) rule: same data files
+    for kind, value in (("laplacian", "0"), ("adjacency", "2")):
+        induced = run(base_config(operator={"kind": kind}, samples=1, k_max=2),
+                      out_dir=tmp_path / kind / "induced")
+        run(base_config(operator={"kind": "graph_schrodinger",
+                                  "potential": {"0": value, "1": value}},
+                        samples=1, k_max=2),
+            out_dir=tmp_path / kind / "graph")
+        for name in induced["outputs"]:
             assert (tmp_path / kind / "induced" / name).read_bytes() == \
                 (tmp_path / kind / "graph" / name).read_bytes(), name
-    diagonal = base_config(operator={"kind": "diagonal", "mode": "graph",
-                                     "values": {"0": "0", "1": "1"}})
-    with pytest.raises(ConfigError, match="graph assembly"):
-        run(diagonal, out_dir=tmp_path / "diagonal")
+
+
+def test_operator_mode_key_is_refused_before_any_output(tmp_path):
+    for mode in ("induced", "graph"):
+        config = base_config(operator={"kind": "laplacian", "mode": mode})
+        with pytest.raises(ConfigError) as got:
+            run(config, out_dir=tmp_path / mode)
+        assert str(got.value) == "config.operator has unexpected key 'mode'"
+        assert not (tmp_path / mode).exists()
 
 
 def test_main_exit_codes(tmp_path):
@@ -783,8 +790,7 @@ def _free_group_reference():
                   {"g": [0], "window": [0, 0, 5], "re": "1"}]}),
      re.escape("window (0, 0, 5) has a symbol outside 0..1")),
     (base_config(operator={"kind": "laplacian", "mode": "grpah"}),
-     re.escape("config.operator.mode is 'grpah', not one of "
-               "['induced', 'graph']")),
+     re.escape("config.operator has unexpected key 'mode'")),
     (_shipped("sofic_diagnostics", group={"kind": "lattice", "d": 2}),
      re.escape("config.measure.period needs one length per coordinate of "
                "Z^2, not 1")),
@@ -884,6 +890,7 @@ def test_eigenvector_solve_is_the_last_of_each_size(tmp_path, monkeypatch):
                          ids=["induced-torus", "graph-random-perm"])
 def test_ensemble_operators_are_the_seeded_samples(config):
     from sofic_spectra import cli
+    from sofic_spectra.measures import sample_configuration, sample_rng
     from sofic_spectra.operators import (
         assemble_graph_schrodinger,
         assemble_induced,
@@ -898,8 +905,8 @@ def test_ensemble_operators_are_the_seeded_samples(config):
         ops = list(operators)
         assert len(ops) == 3
         for j, op in enumerate(ops):
-            rho = cli.sample_configuration(
-                model, sigma, cli.sample_rng(config["seed"], i, j))
+            rho = sample_configuration(
+                model, sigma, sample_rng(config["seed"], i, j))
             if potential is None:
                 want = assemble_induced(rule, sigma, rho,
                                         good_vertices(sigma, 2 * rule.hopping))

@@ -26,7 +26,6 @@ from sofic_spectra.operators import (
 from sofic_spectra.monotone import gershgorin_psd
 from sofic_spectra.sofic import (
     SoficApproximation,
-    edge_graph,
     good_vertices,
     random_permutation_approximation,
     torus_approximation,
@@ -46,12 +45,14 @@ from window_references import pullback_window
 
 
 def _graph_ball(sigma, v, radius):
-    """Vertices within graph distance radius of v, plus labeled adjacency."""
-    graph = edge_graph(sigma)
+    """Vertices within graph distance radius of v, plus labeled adjacency:
+    each vertex's (neighbour, generator) pairs read off the permutations,
+    loops dropped and multi-edges collapsed."""
     adj = {}
-    for s, d, lab in zip(graph.src.tolist(), graph.dst.tolist(),
-                         graph.labels.tolist()):
-        adj.setdefault(s, set()).add((d, lab))
+    for lab, perm in enumerate(sigma.perms):
+        for x, y in enumerate(perm.tolist()):
+            if x != y:
+                adj.setdefault(x, set()).add((y, lab))
     dist = {v: 0}
     frontier = [v]
     while frontier:

@@ -23,6 +23,8 @@ from sofic_spectra.measures import (
     lattice_periodic,
     le_diagnostic,
     sample_configuration,
+    sample_ensemble,
+    sample_rng,
     site_law,
     target_marginal_on,
 )
@@ -248,6 +250,24 @@ def test_le_diagnostic_distinct_finite_model():
                          sample_count=5, seed=0, finite_model=finite)
     assert rows[0].lw_fraction == 0.0
     assert rows[0].le_fraction == 0.0
+
+
+@pytest.mark.parametrize("model", [
+    IIDProduct(alphabet=BIN, weights=(0.3, 0.7)),
+    lattice_periodic(BIN, [4], [0, 0, 1, 0]),
+    Mixture(components=(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                        lattice_periodic(BIN, [2], [0, 1])),
+            weights=(0.4, 0.6))], ids=["iid", "periodic", "mixture"])
+def test_sample_ensemble_draws_sample_j_of_size_i_from_its_stream(model):
+    sigmas = [torus_approximation(1, n) for n in (8, 16, 32)]
+    got = [(sigma, [rho.values.tolist() for rho in samples])
+           for sigma, samples in sample_ensemble(model, sigmas, 11, 6)]
+    assert len(got) == len(sigmas)
+    for i, (sigma, values) in enumerate(got):
+        assert sigma is sigmas[i]
+        assert values == [sample_configuration(
+            model, sigma, sample_rng(11, i, j)).values.tolist()
+            for j in range(6)]
 
 
 def test_lift_configuration():

@@ -151,7 +151,7 @@ def test_assembly_zeroes_at_bad_vertices():
     sig = torus_approximation(1, 4)
     op = assemble_induced(laplacian_rule(Z1), sig, zero_config(4))
     assert op.entries == {}
-    # the graph-mode construction carries the small-size circulant instead
+    # the graph construction carries the small-size circulant instead
     graph_op = assemble_graph_schrodinger(sig, zero_config(4), TRIV,
                                           [Fraction(0)])
     dense = graph_op.to_dense()
@@ -968,23 +968,22 @@ def test_from_entries_round_trip(d, kind, dyadic, potential, hop, side, seed,
 
 
 def _dict_graph_schrodinger(sigma, rho, potential):
-    """The per-vertex dict loop the array assembly replaced: the sorted edge
-    keys, then the nonzero diagonal -deg(v) + F(rho(v)) in vertex order
-    (an operator stores them in row-major order); a float potential at its
-    exact value."""
-    from sofic_spectra.sofic import edge_graph
-    graph = edge_graph(sigma)
+    """The per-vertex dict loop the array assembly replaced: each vertex's
+    distinct neighbours, read off the permutations in plain Python (loops
+    dropped, multi-edges collapsed), and the nonzero diagonal
+    -deg(v) + F(rho(v)); a float potential at its exact value."""
     n = sigma.n_vertices
-    keys = np.unique(graph.src.astype(np.int64) * n + graph.dst)
+    neighbours = [set() for _ in range(n)]
+    for perm in sigma.perms:
+        for v, u in enumerate(perm.tolist()):
+            if u != v:
+                neighbours[v].add(u)
     entries = {}
     one = ComplexRational(Fraction(1))
-    deg = np.zeros(n, dtype=np.int64)
-    for key in keys.tolist():
-        i, j = divmod(key, n)
-        entries[(i, j)] = one
-        deg[i] += 1
     for v in range(n):
-        val = ComplexRational(Fraction(int(-deg[v]))
+        for u in neighbours[v]:
+            entries[(v, u)] = one
+        val = ComplexRational(Fraction(-len(neighbours[v]))
                               + Fraction(potential[int(rho.values[v])]))
         if not val.is_zero():
             entries[(v, v)] = val

@@ -14,11 +14,12 @@ from sofic_spectra.groups import (
     free_group,
     lattice_group,
 )
+from sofic_spectra.measures import Alphabet, Configuration
+from sofic_spectra.operators import assemble_graph_schrodinger
 from sofic_spectra.sofic import (
     FiniteQuotient,
     SoficApproximation,
     SoficCompatibilityError,
-    edge_graph,
     good_vertices,
     lattice_quotient,
     product_with_quotient,
@@ -135,21 +136,24 @@ def test_torus_fixed_point_fractions():
     assert rep.fix_fractions[(1,)] == 0.0
 
 
-def _distinct_degrees(graph) -> np.ndarray:
-    """Number of distinct neighbours per vertex, multi-labels coalesced."""
-    neighbours = [set() for _ in range(graph.n_vertices)]
-    for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
-        neighbours[s].add(d)
-    return np.array([len(x) for x in neighbours])
+def _distinct_degrees(sigma) -> np.ndarray:
+    """Distinct neighbours per vertex in the edge graph of sigma (edges
+    (v, sigma^s(v)), loops dropped): the off-diagonal entries per row of the
+    graph operator with zero potential."""
+    n = sigma.n_vertices
+    op = assemble_graph_schrodinger(
+        sigma, Configuration(values=np.zeros(n, dtype=np.int64)),
+        Alphabet(symbols=("0",)), [0])
+    return np.bincount([i for i, j in op.entries if i != j], minlength=n)
 
 
 def test_edge_graph_examples():
-    g = edge_graph(torus_approximation(1, 4))
-    assert g.n_vertices == 4
-    assert np.all(_distinct_degrees(g) == 2)
-    g2 = edge_graph(torus_approximation(2, 3))
-    assert g2.n_vertices == 9
-    assert np.all(_distinct_degrees(g2) == 4)
+    deg = _distinct_degrees(torus_approximation(1, 4))
+    assert len(deg) == 4
+    assert np.all(deg == 2)
+    deg2 = _distinct_degrees(torus_approximation(2, 3))
+    assert len(deg2) == 9
+    assert np.all(deg2 == 4)
 
 
 def test_edge_graph_identity_perms_empty():
@@ -157,15 +161,12 @@ def test_edge_graph_identity_perms_empty():
     ident = np.arange(4)
     trivial = SoficApproximation(group=sig.group, n_vertices=4,
                                  perms=(ident, ident))
-    g = edge_graph(trivial)
-    assert len(g.src) == 0
-    assert np.all(_distinct_degrees(g) == 0)
+    assert np.all(_distinct_degrees(trivial) == 0)
 
 
 def test_degree_at_one_good_vertices():
     sig = random_permutation_approximation(2, 500, seed=3)
-    graph = edge_graph(sig)
-    deg = _distinct_degrees(graph)
+    deg = _distinct_degrees(sig)
     assert deg.max() <= 4
     good = good_vertices(sig, 1).good
     assert np.all(deg[good] == 4)

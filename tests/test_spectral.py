@@ -539,6 +539,7 @@ def test_written_ids_comes_from_eigenvector_solver(tmp_path):
     from pathlib import Path
 
     from sofic_spectra import cli
+    from sofic_spectra.measures import sample_configuration, sample_rng
     config = json.loads((Path(__file__).parent.parent / "configs"
                          / "weak_convergence.json").read_text())
     config.update(samples=3, k_max=2)
@@ -548,8 +549,8 @@ def test_written_ids_comes_from_eigenvector_solver(tmp_path):
     rule = objects.rule
     assert objects.potential is None
     for size_index, sigma in enumerate(objects.sigmas):
-        rho = cli.sample_configuration(
-            objects.model, sigma, cli.sample_rng(config["seed"], size_index, 0))
+        rho = sample_configuration(
+            objects.model, sigma, sample_rng(config["seed"], size_index, 0))
         op = cli.assemble_induced(rule, sigma, rho,
                                   cli.good_vertices(sigma, 2 * rule.hopping))
         w = np.linalg.eigh(op.to_dense())[0]
