@@ -7,17 +7,20 @@ and monotone (rational schedule convergence).  Every sampled pipeline draws
 sample j of size i from `sample_rng(seed, i, j)` through `sample_ensemble`.
 `_ensemble` assembles each sample on the sofic graph for graph_schrodinger,
 else by `assemble_induced`, which alone picks the goodness radius (the
-pipelines pass it no report).  A run emits CSV/JSON
-files with fixed 17-significant-digit float rendering plus a gnuplot script,
-and a manifest that pins config hash, seeds and outputs; re-running a
-manifest reproduces the data files byte for byte.  `run` checks a config
-and builds its objects before it makes the output directory, so a config
-fault writes nothing.
+pipelines pass it no report).  CONFIG_SCHEMA states each default once, and
+the pipelines read the config that `validate_config` returns, filled with
+the defaults that apply.  A run emits CSV/JSON files with fixed
+17-significant-digit float rendering plus a gnuplot script, and a manifest
+that pins the config and its hash, the filled config, seeds and outputs;
+re-running a manifest reproduces the data files byte for byte.  `run`
+checks a config and builds its objects before it makes the output
+directory, so a config fault writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -101,6 +104,16 @@ def _fact(description: str, condition: dict, **then: dict) -> dict:
     return _if(condition, {"properties": then, "description": description})
 
 
+def _members(**defaults) -> dict:
+    """An object that reads each key of defaults it omits at its value."""
+    return {"properties": {key: {"default": value}
+                           for key, value in defaults.items()}}
+
+
+def _defaults(condition: dict, **defaults) -> dict:
+    return _if(condition, _members(**defaults))
+
+
 def _needs(what: str, key: str) -> dict:
     return {"required": [key], "description": f"{what} config needs {key!r}"}
 
@@ -126,6 +139,10 @@ _NUMBER = {"type": "number"}
 _MEASURE = {"alphabet": _STRINGS, "period": _INTEGERS, "pattern": _INTEGERS,
             "weights": {"type": "array", "items": {**_NUMBER, "minimum": 0}}}
 _MEASURE_NEEDS = {"iid": ["weights"], "periodic": ["period", "pattern"]}
+# a mixture's alphabet is its components', so it takes no default
+_ALPHABET = _defaults({"kind": {"enum": ["iid", "periodic"]}},
+                      alphabet=["0", "1"])
+_BETA_GRID = {"min": -5.0, "max": 1.0, "points": 241}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -137,20 +154,21 @@ CONFIG_SCHEMA = {
                         lattice=["d"], free=["rank"]),
         "sofic": _kinds("sofic", {"sizes": {**_INTEGERS, "minItems": 1},
                                   "seed": _at_least(0), "moduli": _INTEGERS},
+                        _defaults({"kind": {"const": "random_perm"}}, seed=0),
                         torus=["sizes"], random_perm=["sizes"],
                         product=["sizes", "moduli"]),
         "measure": _kinds("measure", {**_MEASURE, "components": {
-            "type": "array", "items": _kinds("measure", _MEASURE,
+            "type": "array", "items": _kinds("measure", _MEASURE, _ALPHABET,
                                              **_MEASURE_NEEDS)}},
-            **_MEASURE_NEEDS, mixture=["components", "weights"]),
+            _ALPHABET, **_MEASURE_NEEDS, mixture=["components", "weights"]),
         "operator": _kinds("operator", {
             "M": _at_least(0),
             "potential": {"type": "object"}, "values": {"type": "object"},
             "entries": {"type": "array", "items": {
                 "type": "object", "additionalProperties": False,
                 "properties": {"g": _INTEGERS, "window": _INTEGERS,
-                               "re": {"type": "string"},
-                               "im": {"type": "string"}},
+                               "re": {"type": "string", "default": "0"},
+                               "im": {"type": "string", "default": "0"}},
                 "allOf": [_needs("table entry", "g"),
                           _needs("table entry", "window")]}}},
             laplacian=[], adjacency=[], schrodinger=["potential"],
@@ -174,7 +192,7 @@ CONFIG_SCHEMA = {
                      "properties": {"m_max": _at_least(1)}},
         "reference": {"enum": ["lattice_laplacian"]},
         "seed": _at_least(0),
-        "out_dir": {"type": "string"},
+        "out_dir": {"type": "string", "default": "results"},
     },
     # facts across objects, checked once each object passes on its own
     "allOf": [
@@ -194,6 +212,19 @@ CONFIG_SCHEMA = {
               {"pipeline": {"const": "monotone"}}, operator=_kind(
                   "laplacian", "adjacency", "schrodinger", "diagonal",
                   "table")),
+        # what a pipeline reads where the config omits it
+        _if({"pipeline": {"const": "sofic-diagnostics"}}, {"properties": {
+            "radii": {"default": {}, **_members(cylinder=1, goodness=2,
+                                                defect=2)}}}),
+        _defaults({"pipeline": {"const": "sofic-diagnostics"}, "measure": {}},
+                  eps=0.05, samples=200),
+        _defaults({"pipeline": {"const": "weak-convergence"}}, samples=10,
+                  k_max=4, beta_grid=_BETA_GRID),
+        _defaults({"pipeline": {"const": "luck-atoms"}}, samples=20,
+                  punctured_eps=[0.01], alpha_values=["0", "1"]),
+        _if({"pipeline": {"const": "monotone"}}, {"properties": {
+            "beta_grid": {"default": _BETA_GRID},
+            "monotone": {"default": {}, **_members(m_max=6)}}}),
     ],
 }
 
@@ -221,8 +252,9 @@ def _violations(x, schema: dict, path: str):
 
     Only the type tests are stricter than JSON Schema; every other keyword
     passes a value of a type it does not apply to, as in JSON Schema, so an
-    ``if`` that tests no type is decided as JSON Schema decides it.  A
-    keyword the check does not handle raises ValueError.
+    ``if`` that tests no type is decided as JSON Schema decides it, and a
+    ``default`` is no test.  A keyword the check does not handle raises
+    ValueError.
     """
     if "description" in schema:
         rest = {k: v for k, v in schema.items() if k != "description"}
@@ -242,7 +274,7 @@ def _violations(x, schema: dict, path: str):
                 raise ValueError(f"config check handles string {key} only")
             if x not in options:
                 yield f"{path} is {x!r}, not one of {options}"
-        elif key in ("if", "then"):     # "then" applies with its "if"
+        elif key in ("if", "then", "default"):  # "then" goes with its "if"
             if key == "if" and next(_violations(x, want, path), None) is None:
                 yield from _violations(x, schema.get("then", {}), path)
         elif key == "allOf":
@@ -283,8 +315,28 @@ def _violations(x, schema: dict, path: str):
             raise ValueError(f"config check does not handle {key!r}")
 
 
-def validate_config(config: dict) -> None:
-    """Check a config against CONFIG_SCHEMA and the size schedule.  The
+def _fill(x, schema: dict):
+    """x, with each default of schema that applies to it filled in place.
+    Branches fill before properties, so that an object a branch gave gets
+    its members' defaults."""
+    for sub in schema.get("allOf", ()):
+        _fill(x, sub)
+    if "if" in schema and next(_violations(x, schema["if"], ""), None) is None:
+        _fill(x, schema.get("then", {}))
+    if isinstance(x, dict):
+        for k, sub in schema.get("properties", {}).items():
+            if k not in x and "default" in sub:
+                x[k] = copy.deepcopy(sub["default"])
+            if k in x:
+                _fill(x[k], sub)
+    for y in x if isinstance(x, list) and "items" in schema else ():
+        _fill(y, schema["items"])
+    return x
+
+
+def validate_config(config: dict) -> dict:
+    """Check a config against CONFIG_SCHEMA and the size schedule, and
+    return a copy with every default that applies to it filled in.  The
     first violation of the schema is a ConfigError naming its path."""
     reason = next(_violations(config, CONFIG_SCHEMA, "config"), None)
     if reason is not None:
@@ -292,6 +344,7 @@ def validate_config(config: dict) -> None:
     sizes = config["sofic"]["sizes"]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("config.sofic.sizes must be strictly increasing")
+    return _fill(copy.deepcopy(config), CONFIG_SCHEMA)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +369,7 @@ class ConfigObjects:
 
 
 def build_objects(config: dict) -> ConfigObjects:
-    """The objects of a config that passes validate_config.  A constructor's
+    """The objects of a config that validate_config returned.  A constructor's
     refusal is a ConfigError naming the object, and so is a size the dense
     eigensolver would refuse (a rule with a nonzero off-identity
     coefficient keeps its operators off the exact diagonal path) and a
@@ -340,8 +393,9 @@ def build_objects(config: dict) -> ConfigObjects:
         rule, potential = operator_from_config(config["operator"], group,
                                                alphabet)
         path = "config"
-        alphas = tuple(_parse_rational(a, "alpha_values")
-                       for a in config.get("alpha_values", ["0", "1"]))
+        alphas = () if "alpha_values" not in config else tuple(
+            _parse_rational(a, "alpha_values")
+            for a in config["alpha_values"])
     except ConfigError:         # the period check names its own path
         raise
     except (ValueError, BallCapacityError) as err:
@@ -353,7 +407,7 @@ def build_objects(config: dict) -> ConfigObjects:
                 f"the dense eigensolver budget {DEFAULT_DENSE_BUDGET}")
     oracle = {}
     if config["pipeline"] == "weak-convergence":
-        k_max = config.get("k_max", 4)
+        k_max = config["k_max"]
         try:
             # the highest order reads the most sites, so it meets the
             # budget before any lower order is enumerated
@@ -373,7 +427,7 @@ def sofic_family(config: dict, group: GroupSpec) -> list[SoficApproximation]:
     for size_index, n in enumerate(scfg["sizes"]):
         if scfg["kind"] == "random_perm":
             seed = int(np.random.SeedSequence(
-                entropy=scfg.get("seed", 0),
+                entropy=scfg["seed"],
                 spawn_key=(size_index,)).generate_state(1)[0])
             sigmas.append(random_permutation_approximation(group.rank, n, seed))
             continue
@@ -394,7 +448,7 @@ def measure_from_config(cfg: dict, group: GroupSpec,
             measure_from_config(c, group, f"{path}.components[{i}]")
             for i, c in enumerate(cfg["components"])),
             weights=tuple(cfg["weights"]))
-    alpha = Alphabet(symbols=tuple(cfg.get("alphabet", ["0", "1"])))
+    alpha = Alphabet(symbols=tuple(cfg["alphabet"]))
     if cfg["kind"] == "iid":
         return IIDProduct(alphabet=alpha, weights=tuple(cfg["weights"]))
     if len(cfg["period"]) != group.d:
@@ -430,8 +484,8 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
     else:
         rule = table_rule(group, alphabet, cfg["M"], [
             (tuple(item["g"]), tuple(item["window"]),
-             ComplexRational(_parse_rational(item.get("re", "0"), "re"),
-                             _parse_rational(item.get("im", "0"), "im")))
+             ComplexRational(_parse_rational(item["re"], "re"),
+                             _parse_rational(item["im"], "im")))
             for item in cfg["entries"]])
         try:
             witnesses = validate_local_rule(rule).witnesses
@@ -527,9 +581,8 @@ set grid
 
 
 def _pipeline_sofic_diagnostics(config, objects, out):
-    radii = config.get("radii", {})
-    r_good = radii.get("goodness", 2)
-    r_defect = radii.get("defect", 2)
+    radii = config["radii"]
+    r_good, r_defect = radii["goodness"], radii["defect"]
     rows = []
     for sigma in objects.sigmas:
         rep = good_vertices(sigma, r_good)
@@ -542,10 +595,9 @@ def _pipeline_sofic_diagnostics(config, objects, out):
                "max_fix_defect"], rows)
     outputs = ["goodness.csv"]
     if objects.model is not None:
-        r_cyl = radii.get("cylinder", 1)
-        le_rows = le_diagnostic(objects.model, objects.sigmas, r_cyl,
-                                eps=config.get("eps", 0.05),
-                                sample_count=config.get("samples", 200),
+        le_rows = le_diagnostic(objects.model, objects.sigmas,
+                                radii["cylinder"], eps=config["eps"],
+                                sample_count=config["samples"],
                                 seed=config["seed"])
         write_csv(out / "le.csv",
                   ["n", "R", "eps", "lw_fraction", "le_fraction",
@@ -559,7 +611,7 @@ def _pipeline_sofic_diagnostics(config, objects, out):
 
 
 def _beta_grid(config) -> np.ndarray:
-    g = config.get("beta_grid", {"min": -5.0, "max": 1.0, "points": 241})
+    g = config["beta_grid"]
     return np.linspace(g["min"], g["max"], g["points"])
 
 
@@ -579,8 +631,7 @@ def _pipeline_weak_convergence(config, objects, out):
     moment_rows = []
     dist_rows = []
     curves = {}
-    for sigma, operators in _ensemble(config, objects,
-                                      config.get("samples", 10)):
+    for sigma, operators in _ensemble(config, objects, config["samples"]):
         # sample 0's spectrum is written (as its IDS): it keeps eigh, whose
         # rounding of degenerate eigenvalues the written breakpoints follow,
         # and is solved after samples 1..n-1, so that their values-only solves
@@ -625,8 +676,8 @@ def _pipeline_weak_convergence(config, objects, out):
 
 
 def _pipeline_luck_atoms(config, objects, out):
-    eps_list = config.get("punctured_eps", [1e-2])
-    n_samples = config.get("samples", 20)
+    eps_list = config["punctured_eps"]
+    n_samples = config["samples"]
     atom_rows = []
     punct_rows = []
     for sigma, operators in _ensemble(config, objects, n_samples):
@@ -662,8 +713,8 @@ def _pipeline_luck_atoms(config, objects, out):
 
 
 def _pipeline_monotone(config, objects, out):
-    m_max = config.get("monotone", {}).get("m_max", 6)
-    sched = build_schedule(value_sets_of(objects.rule), m_max)
+    sched = build_schedule(value_sets_of(objects.rule),
+                           config["monotone"]["m_max"])
     grid = _beta_grid(config)
     outputs = []
     summary_rows = []
@@ -710,9 +761,9 @@ def _write_gnuplot(out: Path, pipeline: str, outputs: list[str]) -> None:
 def run(config: dict, out_dir=None) -> dict:
     """Execute a pipeline config; returns the manifest dict.  Every config
     fault is a ConfigError raised before the output directory is made."""
-    validate_config(config)
-    objects = build_objects(config)
-    out = Path(out_dir if out_dir is not None else config.get("out_dir", "results"))
+    effective = validate_config(config)
+    objects = build_objects(effective)
+    out = Path(out_dir if out_dir is not None else effective["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     pipeline = config["pipeline"]
     stages = {
@@ -723,7 +774,7 @@ def run(config: dict, out_dir=None) -> dict:
     }
     t0 = time.monotonic()
     try:
-        outputs = stages[pipeline](config, objects, out)
+        outputs = stages[pipeline](effective, objects, out)
     except Exception as err:
         partial = {
             "config_hash": config_hash(config), "pipeline": pipeline,
@@ -738,7 +789,8 @@ def run(config: dict, out_dir=None) -> dict:
         "code_version": __version__,
         "config": config,
         "config_hash": config_hash(config),
-        "shared_hash": shared_hash(config),
+        "effective_config": effective,
+        "shared_hash": shared_hash(effective),
         "pipeline": pipeline,
         "sizes": config["sofic"]["sizes"],
         "per_size_seeds": [
@@ -758,7 +810,7 @@ def run(config: dict, out_dir=None) -> dict:
 
 
 def compare(manifest_paths: list) -> dict:
-    """Cross-run convergence table for runs sharing group/measure/operator."""
+    """Cross-run table for runs whose filled group/measure/operator agree."""
     manifests = []
     for p in manifest_paths:
         manifest = json.loads(Path(p).read_text())

@@ -27,11 +27,17 @@ aside) is a def, class, name, attribute or argument in those programs, or a
 word of one of their string constants (a config key, a file name).  A
 quoted config key in an inline code span (a quoted word that starts with a
 letter, followed by ``:``), and a span that is one quoted word, name a
-property or an enum or const value of ``cli.CONFIG_SCHEMA``.  The code
-block of its library tour runs as written.
+property or an enum or const value of ``cli.CONFIG_SCHEMA``, and its
+table of defaults states each default of that schema once, with the
+pipelines that read it.  The code block of its library tour runs as written.
+
+``cli`` states no config default outside ``CONFIG_SCHEMA``: it makes no
+two-argument ``.get`` call but on a schema, and each default of the schema
+passes the schema of its key.
 """
 
 import ast
+import json
 import keyword
 import re
 from pathlib import Path
@@ -219,10 +225,87 @@ def _schema_words(schema) -> set:
     return words
 
 
+def _schema_defaults(schema: dict, path=(), pipelines=None):
+    """(dotted path, default, pipelines that read it) of each default in a
+    schema; an item's path is its array's, and a default under no if on the
+    pipeline is read by every pipeline."""
+    from sofic_spectra.cli import PIPELINES
+    pipelines = pipelines or PIPELINES
+    for key, sub in schema.get("properties", {}).items():
+        if "default" in sub:
+            yield ".".join(path + (key,)), sub["default"], pipelines
+        yield from _schema_defaults(sub, path + (key,), pipelines)
+    if "items" in schema:
+        yield from _schema_defaults(schema["items"], path, pipelines)
+    for sub in schema.get("allOf", ()):
+        yield from _schema_defaults(sub, path, pipelines)
+    if "if" in schema:
+        test = schema["if"]["properties"].get("pipeline")
+        yield from _schema_defaults(
+            schema["then"], path, pipelines if test is None else
+            tuple(test.get("enum", [test.get("const")])))
+
+
+def _key_schema(schema: dict, path: str) -> dict:
+    """The schema of the key at a dotted path, an array standing for its
+    items."""
+    for key in path.split("."):
+        schema = schema.get("items", schema)["properties"][key]
+    return schema
+
+
+def _by_value(defaults) -> dict:
+    """{(path, default as JSON): the pipelines that read it at that value}"""
+    table = {}
+    for path, default, pipelines in defaults:
+        key = path, json.dumps(default, sort_keys=True)
+        table[key] = table.get(key, frozenset()) | frozenset(pipelines)
+    return table
+
+
+def test_each_schema_default_passes_the_schema_of_its_key():
+    from sofic_spectra.cli import CONFIG_SCHEMA, _violations
+    defaults = list(_schema_defaults(CONFIG_SCHEMA))
+    assert defaults
+    for path, default, _ in defaults:
+        assert list(_violations(default, _key_schema(CONFIG_SCHEMA, path),
+                                path)) == []
+
+
+def test_cli_states_no_config_default_outside_the_schema():
+    # a two-argument .get on a config object is a default the schema does
+    # not state; the schema walkers' reads of their schemas are no config
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    gets = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and len(node.args) + len(node.keywords) >= 2
+            and not (isinstance(node.func.value, ast.Name)
+                     and node.func.value.id == "schema")]
+    assert gets == []
+
+
 def test_readme_config_words_are_in_the_schema():
-    from sofic_spectra.cli import CONFIG_SCHEMA
+    from sofic_spectra.cli import CONFIG_SCHEMA, PIPELINES
     text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(),
                   flags=re.S)
+    # the table of defaults: key paths, the default as JSON, the pipelines
+    # that read it (none named: every pipeline)
+    table = re.search(r"^\| key \| default \| read by \|\n(?:\|.*\n)+",
+                      text, flags=re.M)
+    stated = [(path, json.loads(default),
+               tuple(p for p in PIPELINES if p in read_by) or PIPELINES)
+              for keys, default, read_by in re.findall(
+                  r"^\|([^|]*)\| `([^`]*)` \|([^|]*)\|$", table.group(0),
+                  flags=re.M)
+              for path in re.findall(r"`([^`]+)`", keys)]
+    assert len(_by_value(stated)) == len(stated)   # each stated once
+    # an object's {} default only opens it to its keys' defaults
+    assert _by_value(stated) == _by_value(
+        d for d in _schema_defaults(CONFIG_SCHEMA) if d[1] != {})
+    # the defaults' JSON is read against the schema's, not as config words
+    text = text.replace(table.group(0), "")
     spans = re.findall(r"`([^`]+)`", text)
     named = {word for span in spans
              for word in re.findall(r'"([A-Za-z]\w*)"\s*:', span)}

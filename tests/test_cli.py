@@ -256,7 +256,7 @@ def test_product_takes_a_period_that_divides_its_moduli(tmp_path):
             (tmp_path / "le.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[3], r[4]) for r in rows] == [("16", "1", "1"),
                                                  ("32", "1", "1")]
-    objects = build_objects(config)
+    objects = build_objects(validate_config(config))
     target = target_marginal_on(objects.model, objects.group, 1)
     for i, sigma in enumerate(objects.sigmas):
         n = sigma.n_vertices
@@ -402,6 +402,139 @@ def test_mixture_alphabet_comes_from_its_components(tmp_path, pipeline,
     disagree = _three_symbol_mixture(first=["a", "b", "c"])
     with pytest.raises(ConfigError, match="disagree on the alphabet"):
         run(dict(config, measure=disagree), out_dir=tmp_path / "bad")
+
+
+@pytest.mark.parametrize("top", [True, False], ids=["alphabet", "none"])
+def test_a_mixture_takes_no_alphabet_default(tmp_path, top):
+    # a mixture's alphabet is its components', so none is filled beside them
+    mixture = _three_symbol_mixture()
+    if not top:
+        del mixture["alphabet"]
+    config = base_config(pipeline="luck-atoms", measure=mixture,
+                         operator={"kind": "diagonal",
+                                   "values": {"0": "0", "1": "1", "2": "2"}},
+                         samples=2, alpha_values=["2"],
+                         sofic={"kind": "torus", "sizes": [8]})
+    manifest = run(config, out_dir=tmp_path)
+    assert manifest["effective_config"]["measure"] == mixture
+
+
+def test_compare_takes_runs_that_differ_in_a_spelled_out_default(tmp_path):
+    spelled = base_config(samples=2, k_max=2)
+    omitted = copy.deepcopy(spelled)
+    del omitted["measure"]["alphabet"]
+    run(spelled, out_dir=tmp_path / "spelled")
+    run(omitted, out_dir=tmp_path / "omitted")
+    assert (tmp_path / "spelled" / "moments.csv").read_bytes() == \
+        (tmp_path / "omitted" / "moments.csv").read_bytes()
+    table = compare([tmp_path / "spelled" / "manifest.json",
+                     tmp_path / "omitted" / "manifest.json"])
+    assert len(table["distances"]) == 4
+
+
+# ---------------------------------------------------------------------------
+# defaults: stated in CONFIG_SCHEMA, filled by validate_config
+# ---------------------------------------------------------------------------
+
+def _omitting(config, *keys):
+    return {k: v for k, v in config.items() if k not in keys}
+
+
+# per pipeline, a config that omits every key the schema defaults for it,
+# and the same config with those defaults spelled out
+_UNREAD = ("beta_grid", "samples", "k_max")
+DEFAULTED = {
+    "sofic-diagnostics": (
+        {"pipeline": "sofic-diagnostics",
+         "group": {"kind": "free", "rank": 2},
+         "sofic": {"kind": "random_perm", "sizes": [8, 16]},
+         "measure": {"kind": "iid", "weights": [0.5, 0.5]},
+         "seed": 3},
+        {"pipeline": "sofic-diagnostics",
+         "group": {"kind": "free", "rank": 2},
+         "sofic": {"kind": "random_perm", "sizes": [8, 16], "seed": 0},
+         "measure": {"kind": "iid", "weights": [0.5, 0.5],
+                     "alphabet": ["0", "1"]},
+         "radii": {"cylinder": 1, "goodness": 2, "defect": 2},
+         "eps": 0.05, "samples": 200, "seed": 3, "out_dir": "results"}),
+    "weak-convergence": (
+        _omitting(base_config(
+            measure={"kind": "iid", "weights": [0.7, 0.3]},
+            operator={"kind": "table", "M": 0, "entries": [
+                {"g": [0], "window": [0]},
+                {"g": [0], "window": [1], "re": "3/2"}]},
+            sofic={"kind": "torus", "sizes": [8, 16]}), *_UNREAD),
+        base_config(
+            measure={"kind": "iid", "weights": [0.7, 0.3],
+                     "alphabet": ["0", "1"]},
+            operator={"kind": "table", "M": 0, "entries": [
+                {"g": [0], "window": [0], "re": "0", "im": "0"},
+                {"g": [0], "window": [1], "re": "3/2", "im": "0"}]},
+            sofic={"kind": "torus", "sizes": [8, 16]},
+            beta_grid={"min": -5.0, "max": 1.0, "points": 241},
+            samples=10, k_max=4, out_dir="results")),
+    "luck-atoms": (
+        _omitting(base_config(
+            pipeline="luck-atoms",
+            measure={"kind": "mixture", "weights": [0.5, 0.5],
+                     "components": [
+                         {"kind": "iid", "weights": [0.5, 0.5]},
+                         {"kind": "periodic", "period": [2],
+                          "pattern": [0, 1]}]},
+            operator={"kind": "diagonal", "values": {"0": "0", "1": "1"}},
+            sofic={"kind": "torus", "sizes": [8, 16]}), *_UNREAD),
+        _omitting(base_config(
+            pipeline="luck-atoms",
+            measure={"kind": "mixture", "weights": [0.5, 0.5],
+                     "components": [
+                         {"kind": "iid", "weights": [0.5, 0.5],
+                          "alphabet": ["0", "1"]},
+                         {"kind": "periodic", "period": [2],
+                          "pattern": [0, 1], "alphabet": ["0", "1"]}]},
+            operator={"kind": "diagonal", "values": {"0": "0", "1": "1"}},
+            sofic={"kind": "torus", "sizes": [8, 16]}, samples=20,
+            punctured_eps=[0.01], alpha_values=["0", "1"],
+            out_dir="results"), "beta_grid", "k_max")),
+    "monotone": (
+        _omitting(base_config(
+            pipeline="monotone",
+            measure={"kind": "iid", "weights": [0.6, 0.4]},
+            sofic={"kind": "torus", "sizes": [8, 16]}), *_UNREAD),
+        _omitting(base_config(
+            pipeline="monotone",
+            measure={"kind": "iid", "weights": [0.6, 0.4],
+                     "alphabet": ["0", "1"]},
+            sofic={"kind": "torus", "sizes": [8, 16]},
+            beta_grid={"min": -5.0, "max": 1.0, "points": 241},
+            monotone={"m_max": 6}, out_dir="results"), "samples", "k_max")),
+}
+
+
+@pytest.mark.parametrize("pipeline", list(DEFAULTED))
+def test_omitted_defaults_run_as_if_spelled_out(tmp_path, pipeline):
+    omitted, spelled = copy.deepcopy(DEFAULTED[pipeline])
+    assert validate_config(spelled) == spelled
+    manifest = run(omitted, out_dir=tmp_path / "omitted")
+    assert omitted == DEFAULTED[pipeline][0]         # the caller's dict
+    assert manifest["config"] == omitted
+    assert manifest["effective_config"] == spelled
+    stored = json.loads((tmp_path / "omitted" / "manifest.json").read_text())
+    assert stored["effective_config"] == spelled
+    assert run(spelled, out_dir=tmp_path / "spelled")["outputs"] == \
+        manifest["outputs"]
+    for name in manifest["outputs"]:
+        assert (tmp_path / "omitted" / name).read_bytes() == \
+            (tmp_path / "spelled" / name).read_bytes(), name
+
+
+def test_filling_defaults_is_idempotent():
+    for config in [*SHIPPED, *(c for pair in DEFAULTED.values() for c in pair),
+                   base_config(measure=_three_symbol_mixture()),
+                   _graph_config()]:
+        given = copy.deepcopy(config)
+        once = validate_config(config)
+        assert config == given
+        assert validate_config(once) == once
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +1029,7 @@ def test_ensemble_operators_are_the_seeded_samples(config):
         assemble_induced,
     )
     from sofic_spectra.sofic import good_vertices
-    objects = cli.build_objects(config)
+    objects = cli.build_objects(validate_config(config))
     model, rule, potential = objects.model, objects.rule, objects.potential
     graph = config["operator"]["kind"] == "graph_schrodinger"
     assert (potential is None) != graph

@@ -545,6 +545,7 @@ def test_written_ids_comes_from_eigenvector_solver(tmp_path):
     config.update(samples=3, k_max=2)
     config["sofic"]["sizes"] = [16, 64]
     cli.run(config, out_dir=tmp_path / "run")
+    config = cli.validate_config(config)
     objects = cli.build_objects(config)
     rule = objects.rule
     assert objects.potential is None
