@@ -11,7 +11,7 @@ pipelines pass it no report).  CONFIG_SCHEMA states each default once, and
 the pipelines read the config that `validate_config` returns, filled with
 the defaults that apply.  A run emits CSV/JSON files with fixed
 17-significant-digit float rendering plus a gnuplot script, and a manifest
-that pins the config and its hash, the filled config, seeds and outputs;
+that pins the config and its hash, the filled config and the outputs;
 re-running a manifest reproduces the data files byte for byte.  `run`
 checks a config and builds its objects before it makes the output
 directory, so a config fault writes nothing.
@@ -48,7 +48,6 @@ from .measures import (
     le_diagnostic,
     model_alphabet,
     sample_ensemble,
-    sample_rng,
 )
 from .monotone import build_schedule, monotone_ids_report, value_sets_of
 from .operators import (
@@ -760,10 +759,13 @@ def _write_gnuplot(out: Path, pipeline: str, outputs: list[str]) -> None:
 
 def run(config: dict, out_dir=None) -> dict:
     """Execute a pipeline config; returns the manifest dict.  Every config
-    fault is a ConfigError raised before the output directory is made."""
+    fault is a ConfigError raised before the output directory is made.  A
+    run that fails in its pipeline writes the same manifest, with no
+    outputs and the error, before it re-raises."""
     effective = validate_config(config)
     objects = build_objects(effective)
     out = Path(out_dir if out_dir is not None else effective["out_dir"])
+    effective["out_dir"] = str(out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline = config["pipeline"]
     stages = {
@@ -772,35 +774,25 @@ def run(config: dict, out_dir=None) -> dict:
         "luck-atoms": _pipeline_luck_atoms,
         "monotone": _pipeline_monotone,
     }
-    t0 = time.monotonic()
-    try:
-        outputs = stages[pipeline](effective, objects, out)
-    except Exception as err:
-        partial = {
-            "config_hash": config_hash(config), "pipeline": pipeline,
-            "error": f"{type(err).__name__}: {err}", "outputs": [],
-        }
-        write_json(out / "manifest.json", partial)
-        raise
-    elapsed = time.monotonic() - t0
-    _write_gnuplot(out, pipeline, outputs)
-    outputs = outputs + ["plots.gp"]
     manifest = {
         "code_version": __version__,
         "config": config,
         "config_hash": config_hash(config),
         "effective_config": effective,
         "shared_hash": shared_hash(effective),
-        "pipeline": pipeline,
-        "sizes": config["sofic"]["sizes"],
-        "per_size_seeds": [
-            [int(sample_rng(config["seed"], i, 0).bit_generator.seed_seq
-                 .generate_state(1)[0])]
-            for i in range(len(config["sofic"]["sizes"]))],
-        "outputs": outputs,
-        "wall_clock_seconds": elapsed,
+        "outputs": [],
     }
-    write_json(out / "manifest.json", manifest)
+    t0 = time.monotonic()
+    try:
+        outputs = stages[pipeline](effective, objects, out)
+        _write_gnuplot(out, pipeline, outputs)
+        manifest["outputs"] = outputs + ["plots.gp"]
+    except BaseException as err:
+        manifest["error"] = f"{type(err).__name__}: {err}"
+        raise
+    finally:
+        manifest["wall_clock_seconds"] = time.monotonic() - t0
+        write_json(out / "manifest.json", manifest)
     return manifest
 
 

@@ -494,7 +494,7 @@ class InducedOperator:
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self._float_coo()
-        out = np.zeros((self.n, self.n), dtype=vals.dtype)
+        out = np.zeros((self.n, self.n), dtype=vals.dtype, order="F")
         out[rows, cols] = vals
         return out
 

@@ -39,6 +39,10 @@ def base_config(**overrides):
     return config
 
 
+MANIFEST_KEYS = {"code_version", "config", "config_hash", "effective_config",
+                 "shared_hash", "outputs", "wall_clock_seconds"}
+
+
 def test_validate_config_errors():
     with pytest.raises(ConfigError):
         validate_config(base_config(pipeline="nope"))
@@ -301,11 +305,20 @@ def test_compare_refuses_a_failed_run(tmp_path, monkeypatch):
     # output directory, leaves the manifest of a failed run
     from sofic_spectra import cli
     monkeypatch.setattr(cli, "punctured_mass", lambda *args: 0.5)
+    config = _luck_atoms({"0": "0", "1": "1"}, [0.01])
     with pytest.raises(RuntimeError, match="punctured-interval bound"):
-        run(_luck_atoms({"0": "0", "1": "1"}, [0.01]), out_dir=tmp_path)
+        run(config, out_dir=tmp_path)
     path = tmp_path / "manifest.json"
-    error = json.loads(path.read_text())["error"]
+    failed = json.loads(path.read_text())
+    error = failed.pop("error")
     assert error.startswith("RuntimeError: ")
+    # the record of a successful run, with no outputs
+    assert set(failed) == MANIFEST_KEYS
+    assert failed["config"] == config
+    assert failed["effective_config"] == dict(
+        validate_config(config), out_dir=str(tmp_path))
+    assert failed["config_hash"] == config_hash(config)
+    assert failed["outputs"] == []
     with pytest.raises(ConfigError) as err:
         compare([path])
     assert str(path) in str(err.value) and error in str(err.value)
@@ -363,10 +376,25 @@ def test_manifest_contents(tmp_path):
     config = base_config(samples=1, k_max=1)
     manifest = run(config, out_dir=tmp_path)
     stored = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(stored) == MANIFEST_KEYS
     assert stored["config_hash"] == manifest["config_hash"]
-    assert stored["pipeline"] == "weak-convergence"
+    assert stored["effective_config"]["out_dir"] == str(tmp_path)
     assert set(stored["outputs"]) == set(manifest["outputs"])
-    assert len(stored["per_size_seeds"]) == 2
+
+
+def test_manifest_names_the_directory_it_was_written_to(tmp_path,
+                                                        monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(base_config(samples=1, k_max=1)))
+    out = tmp_path / "elsewhere"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    stored = json.loads((out / "manifest.json").read_text())
+    assert stored["effective_config"]["out_dir"] == str(out)
+    # without --out, the directory the config names, here its default
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(cfg)]) == 0
+    stored = json.loads((tmp_path / "results" / "manifest.json").read_text())
+    assert stored["effective_config"]["out_dir"] == "results"
 
 
 def _three_symbol_mixture(**component_alphabets):
@@ -517,9 +545,10 @@ def test_omitted_defaults_run_as_if_spelled_out(tmp_path, pipeline):
     manifest = run(omitted, out_dir=tmp_path / "omitted")
     assert omitted == DEFAULTED[pipeline][0]         # the caller's dict
     assert manifest["config"] == omitted
-    assert manifest["effective_config"] == spelled
+    ran = dict(spelled, out_dir=str(tmp_path / "omitted"))
+    assert manifest["effective_config"] == ran
     stored = json.loads((tmp_path / "omitted" / "manifest.json").read_text())
-    assert stored["effective_config"] == spelled
+    assert stored["effective_config"] == ran
     assert run(spelled, out_dir=tmp_path / "spelled")["outputs"] == \
         manifest["outputs"]
     for name in manifest["outputs"]:

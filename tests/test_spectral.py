@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import lcm
 
@@ -397,6 +398,30 @@ def _schrodinger_op(side=40, d=1, seed=2, hopping="real", dyadic=False):
         op = InducedOperator.from_entries(
             op.n, {key: v.to_complex() for key, v in op.entries.items()})
     return op
+
+
+@pytest.mark.parametrize("hopping", ["real", "complex"])
+def test_dense_operator_is_column_major_and_solves_as_before(
+        monkeypatch, hopping):
+    # LAPACK reads column-major arrays; numpy copies a row-major one into
+    # that layout first, so both layouts give the solver the same buffer
+    op = _schrodinger_op(side=200, hopping=hopping)
+    dense = op.to_dense()
+    rows = np.ascontiguousarray(dense)
+    assert dense.flags.f_contiguous and not rows.flags.f_contiguous
+    assert np.array_equal(dense, rows)
+    assert _matrix_hash(dense) == \
+        hashlib.sha256(rows.tobytes()).hexdigest()[:16]
+    values, vectors = eigen_spectrum(op), eigen_spectrum(op, vectors=True)
+    assert values.values.tobytes() == np.linalg.eigvalsh(rows).tobytes()
+    assert vectors.values.tobytes() == \
+        np.sort(np.linalg.eigh(rows)[0]).tobytes()
+    monkeypatch.setattr(InducedOperator, "to_dense", lambda self: rows)
+    for spec, again in ((values, eigen_spectrum(op)),
+                        (vectors, eigen_spectrum(op, vectors=True))):
+        assert spec.values.tobytes() == again.values.tobytes()
+        assert (spec.residual, spec.orthogonality) == \
+            (again.residual, again.orthogonality)
 
 
 def _fake_eigvalsh(monkeypatch, change):
