@@ -51,7 +51,6 @@ from .measures import (
 )
 from .monotone import build_schedule, monotone_ids_report, value_sets_of
 from .operators import (
-    InducedOperator,
     LocalRule,
     adjacency_rule,
     assemble_graph_schrodinger,
@@ -61,6 +60,7 @@ from .operators import (
     laplacian_rule,
     schrodinger_rule,
     table_rule,
+    trace_moments,
     validate_local_rule,
 )
 from .sofic import (
@@ -614,16 +614,6 @@ def _beta_grid(config) -> np.ndarray:
     return np.linspace(g["min"], g["max"], g["points"])
 
 
-def _trace_moments(op: InducedOperator, k_max: int) -> list[float]:
-    """tr(H^k) / n for k = 1..k_max, from sparse powers."""
-    A = power = op.to_sparse()
-    moments = [A.diagonal().sum().real / op.n]
-    for _ in range(k_max - 1):
-        power = power @ A
-        moments.append(power.diagonal().sum().real / op.n)
-    return moments
-
-
 def _pipeline_weak_convergence(config, objects, out):
     k_max = len(objects.oracle)
     grid = _beta_grid(config)
@@ -636,12 +626,12 @@ def _pipeline_weak_convergence(config, objects, out):
         # and is solved after samples 1..n-1, so that their values-only solves
         # do not run on the heap it fragments; its operator is the one held
         first = next(operators)
-        moments = [_trace_moments(first, k_max)]
+        moments = [trace_moments(first, k_max)]
         for op in operators:
             eigen_spectrum(op)
-            moments.append(_trace_moments(op, k_max))
+            moments.append(trace_moments(op, k_max))
         spec = eigen_spectrum(first, vectors=True)
-        for k, emp in enumerate(np.array(moments).T, start=1):
+        for k, emp in enumerate(np.array(moments, dtype=float).T, start=1):
             se = float(emp.std(ddof=1) / np.sqrt(len(emp))) if len(emp) > 1 else 0.0
             # the oracle is exact, so its standard error is 0
             moment_rows.append([sigma.n_vertices, k, float(emp.mean()), se,

@@ -443,17 +443,12 @@ class InducedOperator:
         """Entry number of each (row, col), built on the first lookup."""
         return dict(zip(self.entries, range(len(self.rows))))
 
-    @functools.cached_property
-    def _complex_values(self) -> np.ndarray:
-        """One complex per code: the float images of the values."""
-        return np.array([v.to_complex() for v in self.values], dtype=complex)
-
     def is_diagonal(self) -> bool:
         return bool(np.array_equal(self.rows, self.cols))
 
     def _float_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, vals): float64 vals if every entry is real, else complex."""
-        values = self._complex_values
+        values = np.array([v.to_complex() for v in self.values], dtype=complex)
         return self.rows, self.cols, (
             values.real if self.is_real() else values)[self.codes]
 
@@ -779,6 +774,20 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
         if not real:
             im[lo + src[first]] = np.add.reduceat(p_im, first)
     return den, re, im
+
+
+def trace_moments(op: InducedOperator, k_max: int) -> list[Fraction]:
+    """tr(H^k) / n for k = 1..k_max, exactly: the sum of diag((den*H)^k)
+    over every vertex, in Python ints since n int64 terms can overflow, over
+    den**k * n.  H is Hermitian, so a nonzero imaginary part of the diagonal
+    is a kernel fault."""
+    moments = []
+    for k in range(1, k_max + 1):
+        den, re, im = _matrix_power_diagonal(op, k, np.arange(op.n))
+        if im.any():
+            raise ArithmeticError(f"diag(H^{k}) has a nonzero imaginary part")
+        moments.append(Fraction(sum(re.tolist()), den ** k * op.n))
+    return moments
 
 
 @dataclass

@@ -7,8 +7,8 @@ LAPACK's Hermitian solvers read one triangle only and the trace identities
 below cannot see a wrong other triangle of equal magnitudes.  Spectra come
 from LAPACK's dense Hermitian solvers on two paths.  The default computes
 eigenvalues only and certifies them a posteriori in O(nnz): sum lambda =
-tr H and sum lambda^2 = ||H||_F^2, with tr H and ||H||_F^2 read from the
-operator's stored entries rather than from the solver, and every |lambda|
+tr H and sum lambda^2 = ||H||_F^2 = tr H^2, both exact from the stored
+entries (``trace_moments``), never from the solver, and every |lambda|
 inside the row-sum (Gershgorin) bound.  With ``vectors=True`` eigenvectors
 are computed too, with residual and orthogonality diagnostics; the residual
 H v - lambda v is taken over the stored entries (sparse, O(nnz n)).  Both
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .operators import InducedOperator
+from .operators import InducedOperator, trace_moments
 
 DEFAULT_DENSE_BUDGET = 4096
 SOLVE_TOL = 1e-8                # eigensolver certificate tolerance
@@ -131,16 +131,14 @@ def _certify_values(op: InducedOperator, dense: np.ndarray,
     """Trace-identity defect of eigenvalues w of op, checked against
     SOLVE_TOL (dense only names the matrix in errors).
 
-    tr H and ||H||_F^2 come from the operator's stored entries (O(nnz)),
-    never from the solver.  The defect
+    tr H and ||H||_F^2 = tr H^2 are the floats of exact traces of the
+    stored entries (trace_moments, O(nnz)), never the solver's.  The defect
     max(|sum w - tr H| / scale, |sum w^2 - ||H||_F^2| / scale^2) exceeds the
     tolerance as soon as one eigenvalue is off by more than SOLVE_TOL *
     scale; every eigenvalue must also lie in the row-sum (Gershgorin)
     enclosure.
     """
-    rows, cols, vals = op._float_coo()
-    trace = float(np.sum(vals[rows == cols].real))
-    frob2 = float(np.sum(vals.real ** 2 + vals.imag ** 2))
+    trace, frob2 = (float(op.n * m) for m in trace_moments(op, 2))
     bound = op.row_sum_bound()
     top = float(np.max(np.abs(w)))
     scale = max(1.0, top)

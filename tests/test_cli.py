@@ -1048,6 +1048,47 @@ def test_eigenvector_solve_is_the_last_of_each_size(tmp_path, monkeypatch):
     assert calls == [(n, j == 3) for n in (16, 32) for j in range(4)]
 
 
+def test_only_the_eigenpair_residual_builds_a_sparse_matrix(tmp_path,
+                                                            monkeypatch):
+    # the moments of every sample come from the exact kernel; sample 0's
+    # residual H v - lambda v is the one sparse product of each size
+    from sofic_spectra.operators import InducedOperator
+    to_sparse = InducedOperator.to_sparse
+    sizes = []
+
+    def recorded(op):
+        sizes.append(op.n)
+        return to_sparse(op)
+
+    monkeypatch.setattr(InducedOperator, "to_sparse", recorded)
+    run(base_config(samples=3), out_dir=tmp_path)
+    assert sizes == [16, 32]
+
+
+@pytest.mark.parametrize("name", ["kesten_free_group", "weak_convergence"])
+def test_exact_moments_round_to_the_sparse_power_floats(name):
+    # the float of each exact moment is bit-equal to tr(A^k) / n from scipy
+    # sparse powers, which moments.csv was first computed from
+    from sofic_spectra import cli
+    from sofic_spectra.operators import trace_moments
+    config = validate_config(
+        json.loads((REPO / "configs" / f"{name}.json").read_text()))
+    objects = cli.build_objects(config)
+    checked = 0
+    for _, operators in cli._ensemble(config, objects, config["samples"]):
+        for op in operators:
+            a = power = op.to_sparse()
+            want = []
+            for k in range(1, config["k_max"] + 1):
+                if k > 1:
+                    power = power @ a
+                want.append(float(power.diagonal().sum().real / op.n).hex())
+            got = trace_moments(op, config["k_max"])
+            assert [float(m).hex() for m in got] == want
+            checked += 1
+    assert checked == config["samples"] * len(config["sofic"]["sizes"])
+
+
 @pytest.mark.parametrize("config", [base_config(), _graph_config()],
                          ids=["induced-torus", "graph-random-perm"])
 def test_ensemble_operators_are_the_seeded_samples(config):

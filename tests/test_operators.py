@@ -36,6 +36,7 @@ from sofic_spectra.operators import (
     power_diagonal_check,
     schrodinger_rule,
     table_rule,
+    trace_moments,
     validate_local_rule,
 )
 from sofic_spectra.sofic import (
@@ -716,6 +717,78 @@ def test_power_diagonal_walks_cancelling_to_zero():
     assert re.tolist() == [-4, 0, 4] * 10 and not im.any()
     rep = power_diagonal_check(rule, sig, rho, 3)
     assert rep.n_tested == 30 and rep.max_discrepancy == 0.0
+
+
+def _trace_case(name):
+    """An operator on at most 30 vertices, by case name.  F2 takes 200:
+    its random-permutation models on 30 vertices had no 2-good vertex (none
+    of 200 seeds)."""
+    iid = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    if name == "zero":
+        return InducedOperator.from_entries(12, {})
+    if name == "stored zeros":
+        return InducedOperator.from_entries(
+            4, {(0, 0): 0, (1, 3): 0, (3, 1): 0})
+    if name == "F2 random perm":
+        # about 28% of the vertices are 2-good: assembly zeroes the others
+        group = free_group(2)
+        sig = random_permutation_approximation(2, 200, 0)
+        assert 0 < good_vertices(sig, 2).good.mean() < 1
+        rule = schrodinger_rule(group, BIN, [Fraction(0), Fraction(5, 3)])
+    elif name == "potential 0, 5/3":
+        sig = torus_approximation(1, 30)
+        rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
+    else:
+        # i/2 to the right and -i/2 back, so r != c at odd k reads both;
+        # the dyadic rule takes the floats of 1/3 and -5/7 at their values
+        sig = torus_approximation(1, 30)
+        rule = _rule_of("complex hopping", Z1,
+                        (Fraction(1, 3), Fraction(-5, 7)), Fraction(1),
+                        dyadic=name == "dyadic complex hopping")
+    rho = sample_configuration(iid, sig, np.random.default_rng(11))
+    return assemble_induced(rule, sig, rho)
+
+
+@pytest.mark.parametrize("name", [
+    "potential 0, 5/3", "complex hopping", "dyadic complex hopping",
+    "F2 random perm", "zero", "stored zeros"])
+def test_trace_moments_are_exact_traces_of_dense_powers(name):
+    op = _trace_case(name)
+    got = trace_moments(op, 6)
+    assert all(isinstance(m, Fraction) for m in got)
+    assert got == [sum(_dense_fraction_power_diagonal(op, k), Fraction(0))
+                   / op.n for k in range(1, 7)]
+    if name.startswith("dyadic"):
+        assert _matrix_power_diagonal(op, 6, np.arange(op.n))[1].dtype == \
+            object
+    # scipy sparse powers as a float reference, within 1e-12 of the trace
+    # of the entrywise |H|^k, which bounds their cancellation
+    a = power = op.to_sparse()
+    a_abs = power_abs = abs(a)
+    for k, m in enumerate(got, start=1):
+        if k > 1:
+            power, power_abs = power @ a, power_abs @ a_abs
+        want = power.diagonal().sum().real / op.n
+        scale = power_abs.diagonal().sum() / op.n
+        assert abs(float(m) - want) <= 1e-12 * scale
+
+
+def test_trace_moments_refuse_an_imaginary_diagonal(monkeypatch):
+    op = _trace_case("potential 0, 5/3")
+    kernel = _matrix_power_diagonal
+
+    def tilted(op, k, vertices):
+        den, re, im = kernel(op, k, vertices)
+        if k == 3:
+            im[-1] += 1
+        return den, re, im
+
+    monkeypatch.setattr(operators_module, "_matrix_power_diagonal", tilted)
+    with pytest.raises(ArithmeticError,
+                       match=r"diag\(H\^3\) has a nonzero imaginary part"):
+        trace_moments(op, 4)
+    monkeypatch.undo()
+    assert len(trace_moments(op, 4)) == 4
 
 
 def _with_entries(op, changed):

@@ -18,6 +18,7 @@ from sofic_spectra.operators import (
     assemble_induced,
     diagonal_rule,
     laplacian_rule,
+    trace_moments,
 )
 from sofic_spectra.sofic import torus_approximation
 from sofic_spectra.spectral import (
@@ -469,6 +470,29 @@ def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, dyadic):
     with pytest.raises(EigensolverError,
                        match=f"row-sum bound .*{_matrix_hash(dense)}"):
         eigen_spectrum(op)
+
+
+def test_certificate_references_are_the_exact_traces(monkeypatch):
+    # in floats the stored diagonal 2^53, 1, -2^53 sums to 0 (2^53 + 1
+    # rounds to 2^53), while tr H = 1 exactly; w below sums to 1.0 and
+    # sum w^2 rounds to 2^107, the float of ||H||_F^2 = 2^107 + 3
+    big = 2 ** 53
+    op = InducedOperator.from_entries(3, {
+        (0, 0): big, (0, 1): 1, (1, 0): 1, (1, 1): 1, (2, 2): -big})
+    dense = op.to_dense()
+    assert float(np.sum(np.diagonal(dense))) == 0.0
+    w = np.array([-2.0 ** 53, 1.0, 2.0 ** 53])
+    assert float(np.sum(w)) == 1.0 and float(np.dot(w, w)) == 2.0 ** 107
+    calls = []
+
+    def recorded(op, k_max):
+        calls.append((op, k_max))
+        return trace_moments(op, k_max)
+
+    monkeypatch.setattr(spectral, "trace_moments", recorded)
+    # the float diagonal sum would give a defect of 2^-53
+    assert spectral._certify_values(op, dense, w) == 0.0
+    assert calls == [(op, 2)]
 
 
 def test_values_only_reports_lapack_failure(monkeypatch):
