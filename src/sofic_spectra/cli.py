@@ -621,10 +621,10 @@ def _pipeline_weak_convergence(config, objects, out):
     dist_rows = []
     curves = {}
     for sigma, operators in _ensemble(config, objects, config["samples"]):
-        # sample 0's spectrum is written (as its IDS): it keeps eigh, whose
-        # rounding of degenerate eigenvalues the written breakpoints follow,
-        # and is solved after samples 1..n-1, so that their values-only solves
-        # do not run on the heap it fragments; its operator is the one held
+        # sample 0's IDS is written and follows eigh's rounding of degenerate
+        # eigenvalues, so eigh solves it (eigenvectors unused), after samples
+        # 1..n-1 so that their solves do not run on the heap it fragments;
+        # its operator is the one held
         first = next(operators)
         moments = [trace_moments(first, k_max)]
         for op in operators:

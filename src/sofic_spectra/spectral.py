@@ -5,14 +5,14 @@ construction: its constructor checks that each stored entry's transpose
 holds its conjugate (``check_hermitian``, O(nnz)).  That matters here, since
 LAPACK's Hermitian solvers read one triangle only and the trace identities
 below cannot see a wrong other triangle of equal magnitudes.  Spectra come
-from LAPACK's dense Hermitian solvers on two paths.  The default computes
-eigenvalues only and certifies them a posteriori in O(nnz): sum lambda =
+from LAPACK's dense Hermitian solvers, and every float spectrum has one
+certificate, checked a posteriori in O(nnz) to SOLVE_TOL: sum lambda =
 tr H and sum lambda^2 = ||H||_F^2 = tr H^2, both exact from the stored
 entries (``trace_moments``), never from the solver, and every |lambda|
-inside the row-sum (Gershgorin) bound.  With ``vectors=True`` eigenvectors
-are computed too, with residual and orthogonality diagnostics; the residual
-H v - lambda v is taken over the stored entries (sparse, O(nnz n)).  Both
-checks hold to SOLVE_TOL.  Every operator is exact-rational, and a diagonal
+inside the row-sum (Gershgorin) bound.  The default solver computes
+eigenvalues only; ``vectors=True`` solves with ``eigh`` and discards its
+eigenvectors, since written IDS breakpoints follow eigh's rounding of
+degenerate eigenvalues.  Every operator is exact-rational, and a diagonal
 one (the empty and the zero operator too) bypasses floating point entirely
 so that eigenvalue atoms at rational energies are counted exactly: the
 spectrum is counted once per distinct value, and counting functions and
@@ -52,18 +52,16 @@ class EigensolverError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Sorted eigenvalues with solver diagnostics.
+    """Sorted eigenvalues and their certificate.
 
     ``exact_values`` (sorted Fractions) is set for diagonal operators; float
     values are then just their float images.  ``residual`` is the
-    trace-identity defect of a values-only solve or the worst relative
-    eigenpair residual; ``orthogonality`` is None unless eigenvectors were
-    computed.
+    trace-identity defect of a float solve, or 0.0 on the exact diagonal
+    path.
     """
 
     values: np.ndarray
     residual: float
-    orthogonality: Optional[float] = None
     exact_values: Optional[tuple] = None
 
     @property
@@ -86,12 +84,14 @@ def eigen_spectrum(op: InducedOperator, vectors: bool = False) -> Spectrum:
     """Full spectrum of a Hermitian operator (dense LAPACK path).
 
     Diagonal operators are solved exactly, others densely up to size
-    DEFAULT_DENSE_BUDGET.  By default the float path computes eigenvalues
-    only and certifies them in O(nnz) with the trace identities and the
-    row-sum enclosure (``_certify_values``); ``vectors=True`` also computes
-    eigenvectors and records the worst relative eigenpair residual and the
-    orthogonality defect.  Either check fails loudly above SOLVE_TOL.  The
-    operator is Hermitian, as its constructor checks.
+    DEFAULT_DENSE_BUDGET.  The float path certifies the eigenvalues in
+    O(nnz) with the trace identities and the row-sum enclosure
+    (``_certify_values``), which fails loudly above SOLVE_TOL.  By default it
+    computes eigenvalues only.  ``vectors=True`` solves with ``eigh`` and
+    discards the eigenvectors: eigh rounds degenerate eigenvalues otherwise
+    than ``eigvalsh``, and the IDS breakpoints sample 0 of weak-convergence
+    writes follow eigh's values.  The operator is Hermitian, as its
+    constructor checks.
     """
     if op.is_diagonal():
         return _exact_diagonal_spectrum(op.n, op.codes, op.values)
@@ -105,25 +105,8 @@ def eigen_spectrum(op: InducedOperator, vectors: bool = False) -> Spectrum:
         raise EigensolverError(
             f"eigensolver failed to converge (matrix {_matrix_hash(dense)})"
         ) from err
-    if not vectors:
-        return Spectrum(values=solved,
-                        residual=_certify_values(op, dense, solved))
-    w, vecs = solved
-    scale = max(1.0, float(np.max(np.abs(w))))
-    # H V over the stored entries is O(nnz n)
-    hv = op.to_sparse() @ vecs
-    hv -= vecs * w
-    resid = float(np.linalg.norm(hv, axis=0).max()) / scale
-    del hv
-    gram = vecs.conj().T @ vecs
-    gram[np.diag_indices(op.n)] -= 1
-    ortho = float(np.abs(gram).max())
-    for name, defect in (("residual", resid), ("orthogonality defect", ortho)):
-        if defect > SOLVE_TOL:
-            raise EigensolverError(
-                f"{name} {defect:.3e} above tolerance {SOLVE_TOL:.3e} "
-                f"(matrix {_matrix_hash(dense)})")
-    return Spectrum(values=np.sort(w), residual=resid, orthogonality=ortho)
+    w = solved[0] if vectors else solved
+    return Spectrum(values=w, residual=_certify_values(op, dense, w))
 
 
 def _certify_values(op: InducedOperator, dense: np.ndarray,
@@ -186,12 +169,15 @@ def _exact_rank(spec: Spectrum, x, side: str) -> int:
 def counting_function(spec: Spectrum, points: Sequence) -> list[int]:
     """Number of eigenvalues <= each point, as a list of ints: one
     bisection per point (exact), or one vectorised search with ties absorbed
-    within TIE_TOL * scale (float)."""
+    within TIE_TOL * scale (float).  No eigenvalue is <= NaN on either
+    path."""
     if spec.is_exact:
         return [_exact_rank(spec, b, "right") for b in points]
-    return np.searchsorted(
-        spec.values, np.asarray(points, dtype=float) + TIE_TOL * spec.scale(),
-        side="right").tolist()
+    x = np.asarray(points, dtype=float)
+    # searchsorted sorts NaN above every value
+    counts = np.searchsorted(spec.values, x + TIE_TOL * spec.scale(),
+                             side="right")
+    return np.where(np.isnan(x), 0, counts).tolist()
 
 
 def atom_mass(spec: Spectrum, alpha) -> float:

@@ -1048,10 +1048,10 @@ def test_eigenvector_solve_is_the_last_of_each_size(tmp_path, monkeypatch):
     assert calls == [(n, j == 3) for n in (16, 32) for j in range(4)]
 
 
-def test_only_the_eigenpair_residual_builds_a_sparse_matrix(tmp_path,
-                                                            monkeypatch):
-    # the moments of every sample come from the exact kernel; sample 0's
-    # residual H v - lambda v is the one sparse product of each size
+def test_weak_convergence_builds_no_sparse_matrix(tmp_path, monkeypatch):
+    # the moments of every sample come from the exact kernel and every
+    # spectrum is certified by its trace identities, so no step of a run
+    # needs the operator's sparse matrix
     from sofic_spectra.operators import InducedOperator
     to_sparse = InducedOperator.to_sparse
     sizes = []
@@ -1062,7 +1062,7 @@ def test_only_the_eigenpair_residual_builds_a_sparse_matrix(tmp_path,
 
     monkeypatch.setattr(InducedOperator, "to_sparse", recorded)
     run(base_config(samples=3), out_dir=tmp_path)
-    assert sizes == [16, 32]
+    assert sizes == []
 
 
 @pytest.mark.parametrize("name", ["kesten_free_group", "weak_convergence"])
@@ -1147,18 +1147,28 @@ def test_appending_sizes_preserves_earlier_luck_atoms_rows(tmp_path):
         assert long_rows[:len(short_rows)] == short_rows
 
 
-def test_cli_import_loads_neither_jsonschema_nor_scipy():
-    # both load on first use only, so a run's start-up pays for neither
+def test_cli_import_loads_neither_jsonschema_nor_scipy(tmp_path):
+    # both load on first use only, so a run's start-up pays for neither;
+    # and no pipeline uses scipy, so a run, one with a written eigh spectrum
+    # and one on a random-permutation graph included, leaves it unloaded
     import os
     import subprocess
     import sys
 
     import sofic_spectra
     src = str(Path(sofic_spectra.__file__).resolve().parents[1])
-    code = ("import sys, sofic_spectra.cli; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} "
-            "& {'jsonschema', 'scipy'}))")
-    out = subprocess.run([sys.executable, "-c", code], cwd=src,
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = ("sorted({m.split('.')[0] for m in sys.modules} "
+              "& {'jsonschema', 'scipy'})")
+    code = (f"import json, sys, sofic_spectra.cli as cli; print({loaded}); "
+            "cli.run(json.loads(sys.argv[1]), out_dir=sys.argv[3]); "
+            "cli.run(json.loads(sys.argv[2]), out_dir=sys.argv[4]); "
+            "print('scipy' in sys.modules)")
+    weak = (REPO / "configs" / "weak_convergence.json").read_text()
+    out = subprocess.run(
+        [sys.executable, "-c", code, weak, json.dumps(_graph_config()),
+         str(tmp_path / "weak"), str(tmp_path / "graph")], cwd=src,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]", "False"]
+    assert (tmp_path / "weak" / "ids_1024.json").exists()
+    assert (tmp_path / "graph" / "ids_20.json").exists()

@@ -329,6 +329,18 @@ def test_exact_counts_match_brute_force():
         spec, [0.1, Fraction(1, 10) - Fraction(1, 10**30)]) == [3, 1]
 
 
+def test_float_and_exact_counts_agree_off_the_finite_line():
+    # no eigenvalue is <= NaN; searchsorted alone would sort NaN above all
+    exact = (Fraction(-1), Fraction(1, 2), Fraction(1, 2))
+    values = np.array([float(x) for x in exact])
+    points = [float("nan"), float("inf"), float("-inf")]
+    float_counts = counting_function(Spectrum(values=values, residual=0.0),
+                                     points)
+    exact_counts = counting_function(
+        Spectrum(values=values, residual=0.0, exact_values=exact), points)
+    assert float_counts == exact_counts == [0, 3, 0]
+
+
 def test_ids_curve_float_path_matches_pointwise_counts(monkeypatch):
     rng = np.random.default_rng(5)
     values = np.sort(np.round(rng.normal(size=200), 2))
@@ -342,35 +354,6 @@ def test_ids_curve_float_path_matches_pointwise_counts(monkeypatch):
         want = [int(np.searchsorted(values, float(x) + tol, side="right"))
                 / spec.n for x in curve.xs]
         assert [y.hex() for y in curve.ys] == [float(y).hex() for y in want]
-
-
-@pytest.mark.parametrize("hopping", ["real", "complex"])
-def test_operator_residual_uses_stored_entries(hopping):
-    from sofic_spectra.exact import ComplexRational
-    from sofic_spectra.measures import IIDProduct, sample_configuration
-    from sofic_spectra.operators import schrodinger_rule
-    rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
-    sig = torus_approximation(1, 40)
-    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
-                               sig, np.random.default_rng(2))
-    op = assemble_induced(rule, sig, rho)
-    if hopping == "complex":
-        half_i = ComplexRational(Fraction(0), Fraction(1, 2))
-        entries = dict(op.entries)
-        entries[(3, 4)] = entries[(3, 4)] + half_i
-        entries[(4, 3)] = entries[(4, 3)] - half_i
-        op = InducedOperator.from_entries(op.n, entries)
-    dense = op.to_dense()
-    from_op = eigen_spectrum(op, vectors=True)
-    w, vecs = np.linalg.eigh(dense)
-    gram = vecs.conj().T @ vecs - np.eye(op.n)
-    assert np.array_equal(from_op.values, np.sort(w))
-    assert from_op.orthogonality == float(np.abs(gram).max())
-    assert from_op.residual <= 1e-13
-    # the same quantity as the dense product, up to summation order
-    scale = max(1.0, float(np.abs(w).max()))
-    want = np.linalg.norm(dense @ vecs - vecs * w, axis=0).max() / scale
-    assert abs(from_op.residual - want) <= 1e-14
 
 
 # Values-only solves: the trace-identity certificate and where it is used.
@@ -415,30 +398,36 @@ def test_dense_operator_is_column_major_and_solves_as_before(
         hashlib.sha256(rows.tobytes()).hexdigest()[:16]
     values, vectors = eigen_spectrum(op), eigen_spectrum(op, vectors=True)
     assert values.values.tobytes() == np.linalg.eigvalsh(rows).tobytes()
-    assert vectors.values.tobytes() == \
-        np.sort(np.linalg.eigh(rows)[0]).tobytes()
+    assert vectors.values.tobytes() == np.linalg.eigh(rows)[0].tobytes()
     monkeypatch.setattr(InducedOperator, "to_dense", lambda self: rows)
     for spec, again in ((values, eigen_spectrum(op)),
                         (vectors, eigen_spectrum(op, vectors=True))):
         assert spec.values.tobytes() == again.values.tobytes()
-        assert (spec.residual, spec.orthogonality) == \
-            (again.residual, again.orthogonality)
+        assert spec.residual == again.residual
 
 
-def _fake_eigvalsh(monkeypatch, change):
-    real_eigvalsh = np.linalg.eigvalsh
+def _fake_solver(monkeypatch, driver, change):
+    """Make np.linalg's driver return its eigenvalues changed in place by
+    change; eigh keeps its eigenvectors.  Returns the vectors flag of
+    eigen_spectrum that reaches that driver."""
+    real = getattr(np.linalg, driver)
 
     def fake(a):
-        w = real_eigvalsh(a).copy()
+        solved = real(a)
+        w = (solved[0] if driver == "eigh" else solved).copy()
         change(w)
-        return w
-    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+        return (w, solved[1]) if driver == "eigh" else w
+    monkeypatch.setattr(np.linalg, driver, fake)
+    return driver == "eigh"
+
+
+FAULTS = ["move 1e-6", "move 2e-8", "negate", "opposite pair"]
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
-@pytest.mark.parametrize("fault", ["move 1e-6", "move 2e-8", "negate",
-                                   "opposite pair"])
-def test_values_only_detects_wrong_eigenvalues(monkeypatch, dyadic, fault):
+@pytest.mark.parametrize("fault", FAULTS)
+def test_values_only_detects_wrong_eigenvalues(monkeypatch, dyadic, fault,
+                                               driver="eigvalsh"):
     op = _schrodinger_op(hopping="complex", dyadic=dyadic)
     dense = op.to_dense()
     scale = max(1.0, float(np.abs(np.linalg.eigvalsh(dense)).max()))
@@ -452,24 +441,42 @@ def test_values_only_detects_wrong_eigenvalues(monkeypatch, dyadic, fault):
         else:
             w[-1] += 1e-6 * scale   # keeps sum w, breaks sum w^2
             w[0] -= 1e-6 * scale
-    _fake_eigvalsh(monkeypatch, move)
+    vectors = _fake_solver(monkeypatch, driver, move)
     with pytest.raises(EigensolverError,
                        match=f"trace-identity .*{_matrix_hash(dense)}"):
-        eigen_spectrum(op)
+        eigen_spectrum(op, vectors=vectors)
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
-def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, dyadic):
+def test_values_only_detects_value_outside_row_sum_bound(monkeypatch, dyadic,
+                                                         driver="eigvalsh"):
     op = _schrodinger_op(dyadic=dyadic)
     dense = op.to_dense()
     bound = op.row_sum_bound()
 
     def push(w):
         w[-1] = bound * (1 + 1e-6)
-    _fake_eigvalsh(monkeypatch, push)
+    vectors = _fake_solver(monkeypatch, driver, push)
     with pytest.raises(EigensolverError,
                        match=f"row-sum bound .*{_matrix_hash(dense)}"):
-        eigen_spectrum(op)
+        eigen_spectrum(op, vectors=vectors)
+
+
+# eigh's eigenvalues go through the same certificate; its eigenvectors are
+# left as solved and play no part
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_eigh_values_are_certified(monkeypatch, dyadic, fault):
+    test_values_only_detects_wrong_eigenvalues(monkeypatch, dyadic, fault,
+                                               driver="eigh")
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_eigh_values_are_in_the_row_sum_bound(monkeypatch, dyadic):
+    test_values_only_detects_value_outside_row_sum_bound(monkeypatch, dyadic,
+                                                         driver="eigh")
 
 
 def test_certificate_references_are_the_exact_traces(monkeypatch):
@@ -505,23 +512,6 @@ def test_values_only_reports_lapack_failure(monkeypatch):
         eigen_spectrum(op)
 
 
-def test_vectors_path_rejects_non_orthogonal_eigenvectors(monkeypatch):
-    # e_0 twice beside an eigenvector of the swap block: H v = lambda v
-    # holds exactly for each column, so the residual is 0, but the Gram
-    # matrix has an off-diagonal 1
-    s = 0.5 ** 0.5
-
-    def repeated(a):
-        return (np.array([-1.0, 1.0, 1.0]),
-                np.array([[0.0, 1.0, 1.0], [s, 0.0, 0.0], [-s, 0.0, 0.0]]))
-    monkeypatch.setattr(np.linalg, "eigh", repeated)
-    op = operator_of(np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
-    with pytest.raises(EigensolverError,
-                       match=f"orthogonality defect 1.000e\\+00 .*"
-                             f"{_matrix_hash(op.to_dense())}"):
-        eigen_spectrum(op, vectors=True)
-
-
 def test_counting_function_on_a_grid_matches_pointwise(monkeypatch):
     grid = np.linspace(-5, 2, 141)
     exact = Spectrum(values=np.array([-1.0, 0.5, 0.5, 1.0]), residual=0.0,
@@ -540,16 +530,13 @@ def test_counting_function_on_a_grid_matches_pointwise(monkeypatch):
 
 def test_values_only_and_vector_diagnostics():
     op = _schrodinger_op()
-    values_only = eigen_spectrum(op)
-    with_vectors = eigen_spectrum(op, vectors=True)
-    assert values_only.orthogonality is None
-    assert 0.0 <= with_vectors.orthogonality <= 1e-12
-    assert values_only.residual <= 1e-12
+    for vectors in (False, True):
+        assert eigen_spectrum(op, vectors=vectors).residual <= 1e-12
     # the empty operator is diagonal: both paths solve it exactly
     empty = operator_of(np.zeros((0, 0)))
     for vectors in (False, True):
         spec = eigen_spectrum(empty, vectors=vectors)
-        assert spec.is_exact and spec.n == 0 and spec.orthogonality is None
+        assert spec.is_exact and spec.n == 0 and spec.residual == 0.0
 
 
 @settings(max_examples=40, deadline=None)
