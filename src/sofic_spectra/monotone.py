@@ -15,7 +15,10 @@ magnitude sums are decided square-root-free.  Operators are compared on
 their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
 one step certificate (strict Gershgorin on the difference's support block,
-plus its least eigenvalue) proves each step of ``monotone_ids_report``.
+plus its least eigenvalue) proves each step of ``monotone_ids_report``; a
+step it cannot certify raises ScheduleError, so the report's steps and
+rows are certified without saying so.  The configuration is the integer
+array of symbol indices per vertex that ``sample_configuration`` draws.
 Every depth is assembled by ``assemble_induced`` without a goodness report:
 it alone picks the radius 2M, and the model's goodness cache scans it once
 for all depths.
@@ -33,7 +36,6 @@ import numpy as np
 
 from .exact import CZERO, ComplexRational, sum_abs_le
 from .groups import ball
-from .measures import Configuration
 from .operators import (
     AssemblyError,
     InducedOperator,
@@ -263,7 +265,6 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
 @dataclass
 class GershgorinCertificate:
     certified: bool
-    strict: bool
     witness_row: Optional[int] = None
 
     def __bool__(self) -> bool:
@@ -296,9 +297,8 @@ def gershgorin_psd(op: InducedOperator,
                 [op.values[c] for c in key[1]],
                 op.values[d].re if d >= 0 else Fraction(0), strict=strict)
         if not verdicts[key]:
-            return GershgorinCertificate(certified=False, strict=strict,
-                                         witness_row=i)
-    return GershgorinCertificate(certified=True, strict=strict)
+            return GershgorinCertificate(certified=False, witness_row=i)
+    return GershgorinCertificate(certified=True)
 
 
 def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
@@ -328,10 +328,10 @@ def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
 
 @dataclass
 class SchedulePsdStep:
+    """A step m -> m + 1 that _psd_step certified (it raises otherwise)."""
+
     m: int
-    certified: bool
     min_eigenvalue: float
-    n_zero_rows: int
 
 
 def _psd_step(m: int, h_m: InducedOperator,
@@ -352,8 +352,7 @@ def _psd_step(m: int, h_m: InducedOperator,
                 f"schedule step {m}->{m+1} failed strict certification at "
                 f"row {cert.witness_row}; this indicates a schedule bug")
     min_eig = float(eigen_spectrum(diff).values[0]) if nnz else 0.0
-    return SchedulePsdStep(m=m, certified=True, min_eigenvalue=min_eig,
-                           n_zero_rows=diff.n - len(support))
+    return SchedulePsdStep(m=m, min_eigenvalue=min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,6 @@ class MonotoneReportRow:
     beta: float
     count_m: int
     count_target: int
-    psd_certified: bool
 
 
 @dataclass
@@ -381,7 +379,7 @@ class MonotoneIDSReport:
 
 
 def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
-                        sigma: SoficApproximation, rho: Configuration,
+                        sigma: SoficApproximation, rho: np.ndarray,
                         beta_grid: Sequence[float]) -> MonotoneIDSReport:
     """Counting functions at depths 1..sched.m_max of the schedule, with
     certified Weyl direction.
@@ -424,8 +422,7 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
         prev_counts = counts
         for b, cm, ct in zip(grid, counts, target_counts):
             rows.append(MonotoneReportRow(m=m, beta=b, count_m=cm,
-                                          count_target=ct,
-                                          psd_certified=True))
+                                          count_target=ct))
         max_gap[m] = max((cm - ct) for cm, ct in zip(counts, target_counts)) / n
         gap_op = _difference(ops[m], target_op).row_sum_bound()
         norm_gap[m] = gap_op

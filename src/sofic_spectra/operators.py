@@ -7,7 +7,10 @@ is exact: its entries are Gaussian rationals, and a float or complex
 coefficient is taken at its exact binary value (a dyadic rational), as the
 paper reaches real coefficients through rational approximants.
 
-Two finite-volume constructions ship.  ``assemble_induced`` copies
+``validate_local_rule`` returns the witnesses of a rule that is not
+self-adjoint, none for one that is.  Two finite-volume constructions ship,
+both reading a configuration as the integer array of symbol indices per
+vertex that ``sample_configuration`` draws.  ``assemble_induced`` copies
 coefficients between pairs of 2M-good vertices and zeroes everything else
 (the strict existence construction).  ``assemble_graph_schrodinger`` builds
 the graph Laplacian of the sofic graph plus a diagonal potential, the
@@ -43,7 +46,6 @@ from .exact import CZERO, ComplexRational
 from .groups import CayleyBall, Element, GroupSpec, ball
 from .measures import (
     Alphabet,
-    Configuration,
     DEFAULT_ENUM_BUDGET,
     EnumerationBudgetError,
     MeasureModel,
@@ -313,14 +315,9 @@ def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RuleValidationReport:
-    ok: bool
-    witnesses: list            # offending (g, window tuple) pairs
-
-
-def validate_local_rule(rule: LocalRule) -> RuleValidationReport:
-    """Finite self-adjointness certificate.
+def validate_local_rule(rule: LocalRule) -> list:
+    """Finite self-adjointness certificate: the offending (g, window tuple)
+    pairs, none when the rule passes.
 
     Checks, for every g in the hopping ball and every window w on B(e, 2M),
     that c(g, w|_M) equals the conjugate of c(g^{-1}, (g.w)|_M), and that the
@@ -365,7 +362,7 @@ def validate_local_rule(rule: LocalRule) -> RuleValidationReport:
             witnesses.append((g, tuple(digits[:, bad[0]].tolist())))
         if g == e and not real[rule._rows.get(e, no_table)].all():
             witnesses.append((e, "non-real diagonal value"))
-    return RuleValidationReport(ok=not witnesses, witnesses=witnesses)
+    return witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +515,18 @@ def _value_coded(n: int, keys: np.ndarray, pick: np.ndarray,
 
 
 def window_codes(rule: LocalRule, sigma: SoficApproximation,
-                 rho: Configuration) -> np.ndarray:
+                 rho: np.ndarray) -> np.ndarray:
     """Window code at every vertex: code_v = sum_i rho(sigma^{g_i}(v)) A^i."""
     b = rule.window_ball()
     A = rule.alphabet.size
     images = sigma.ball_images(b)
-    vals = rho.values[images].astype(np.int64)
+    vals = rho[images].astype(np.int64)
     weights = A ** np.arange(len(b), dtype=np.int64)
     return (vals * weights[:, None]).sum(axis=0)
 
 
 def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
-                     rho: Configuration,
+                     rho: np.ndarray,
                      goodness: Optional[GoodnessReport] = None) -> InducedOperator:
     """Strict finite-volume assembly: entries only between 2M-good vertices.
 
@@ -548,7 +545,7 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     if goodness.radius != 2 * M:
         raise AssemblyError(
             f"assembly needs goodness at radius {2*M}, got {goodness.radius}")
-    if rho.n_vertices != sigma.n_vertices:
+    if len(rho) != sigma.n_vertices:
         raise AssemblyError("configuration size does not match the model")
     windows = window_codes(rule, sigma, rho)
     good = goodness.good
@@ -566,7 +563,7 @@ def assemble_induced(rule: LocalRule, sigma: SoficApproximation,
     return _value_coded(n, keys[order], pick[order], rule.values)
 
 
-def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
+def assemble_graph_schrodinger(sigma: SoficApproximation, rho: np.ndarray,
                                alphabet: Alphabet,
                                potential: Sequence) -> InducedOperator:
     """Graph Laplacian of (V_n, E_n) plus the diagonal potential F(rho(v)).
@@ -587,7 +584,7 @@ def assemble_graph_schrodinger(sigma: SoficApproximation, rho: Configuration,
         [(verts * n + p)[p != verts] for p in sigma.perms]))
     deg = np.bincount(keys // n, minlength=n)
     # the diagonal -deg(v) + F(rho(v)), made once per (degree, symbol) pair
-    pairs, pair_of = np.unique(deg * alphabet.size + rho.values,
+    pairs, pair_of = np.unique(deg * alphabet.size + rho,
                                return_inverse=True)
     degs, syms = np.divmod(pairs, alphabet.size)
     diag = [ComplexRational(Fraction(-d)) + potential[s]
@@ -926,7 +923,7 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
 
 
 def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
-                         rho: Configuration, k: int) -> PowerDiagonalReport:
+                         rho: np.ndarray, k: int) -> PowerDiagonalReport:
     """Compare (H_n^rho)^k(v,v) with the closed-walk value of the pulled-back
     operator at every (floor(k/2) + 2)M-good vertex.
 
@@ -956,7 +953,7 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     vertices = np.flatnonzero(good_vertices(sigma, (k // 2 + 2) * M).good)
     den_m, m_re, m_im = _matrix_power_diagonal(op, k, vertices)
     space, big, _ = _walk_setup(rule, k)
-    big_vals = rho.values[sigma.ball_images(big)[:, vertices]]
+    big_vals = rho[sigma.ball_images(big)[:, vertices]]
     den_w, w_re, w_im = _walk_values(rule, space, big_vals, k)
     scale_m, scale_w = den_m ** k, den_w ** k
     max_disc = 0.0
@@ -981,7 +978,6 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
 
 @dataclass
 class ExpectedMomentResult:
-    k: int
     value: float
 
 
@@ -1013,7 +1009,7 @@ def expected_moment(rule: LocalRule, model: MeasureModel,
     total = 0.0
     for j, prob in zip(which.tolist(), probs.tolist()):
         total += prob * values[j]
-    return ExpectedMomentResult(k=k, value=total)
+    return ExpectedMomentResult(value=total)
 
 
 def _exact_law(rule: LocalRule, model: MeasureModel, k: int

@@ -238,15 +238,12 @@ def good_vertices(sigma: SoficApproximation, radius: int) -> GoodnessReport:
     graph morphism and forces its image to exhaust the graph ball), (2) the
     |B| images must be pairwise distinct, (3) no graph edge may leave the
     sphere and re-enter the image (no chords absent from the Cayley ball).
-    Radius 0 is trivially good everywhere.  The read-only mask is scanned
-    once per model and radius; DEFAULT_IMAGE_BUDGET is checked on every
-    call.
+    At radius 0 the ball is {e}, with no edges and no chords, so every
+    vertex is good.  The read-only mask is scanned once per model and
+    radius; DEFAULT_IMAGE_BUDGET is checked on every call.
     """
-    n = sigma.n_vertices
-    if radius == 0:
-        return GoodnessReport(radius=0, good=np.ones(n, dtype=bool))
     b = ball(sigma.group, radius)
-    _check_image_budget(len(b), n)
+    _check_image_budget(len(b), sigma.n_vertices)
     cached = sigma._good_cache.get(radius)
     if cached is None:
         cached = _scan_good(sigma, b, sigma.ball_images(b))
@@ -300,11 +297,10 @@ def _scan_good(sigma: SoficApproximation, b: CayleyBall,
 
 @dataclass
 class SoficDefectReport:
-    radius: int
-    hom_fractions: dict     # (g, h) -> fraction of v with sigma^g sigma^h != sigma^{gh}
-    fix_fractions: dict     # g -> fraction of v with sigma^g(v) == v
-    max_hom_defect: float
-    max_fix_defect: float
+    max_hom_defect: float   # max over g, h of the fraction of v with
+                            # sigma^g sigma^h (v) != sigma^{gh} (v)
+    max_fix_defect: float   # max over g != e of the fraction of v with
+                            # sigma^g(v) == v
 
 
 def sofic_defect(sigma: SoficApproximation, radius: int) -> SoficDefectReport:
@@ -312,25 +308,12 @@ def sofic_defect(sigma: SoficApproximation, radius: int) -> SoficDefectReport:
     if radius < 1:
         raise ValueError("defect radius must be >= 1")
     b = ball(sigma.group, radius)
-    hom = {}
-    for g in b.elements:
-        pg = sigma.perm_of(g)
-        for h in b.elements:
-            ph = sigma.perm_of(h)
-            pgh = sigma.perm_of(sigma.group.multiply(g, h))
-            hom[(g, h)] = float(np.mean(pg[ph] != pgh))
+    perm, multiply = sigma.perm_of, sigma.group.multiply
+    hom = [float(np.mean(perm(g)[perm(h)] != perm(multiply(g, h))))
+           for g in b.elements for h in b.elements]
     ident = np.arange(sigma.n_vertices)
     e = sigma.group.identity()
-    fix = {}
-    for g in b.elements:
-        if g == e:
-            continue
-        fix[g] = float(np.mean(sigma.perm_of(g) == ident))
-    return SoficDefectReport(
-        radius=radius,
-        hom_fractions=hom,
-        fix_fractions=fix,
-        max_hom_defect=max(hom.values()) if hom else 0.0,
-        max_fix_defect=max(fix.values()) if fix else 0.0,
-    )
+    fix = [float(np.mean(perm(g) == ident)) for g in b.elements if g != e]
+    return SoficDefectReport(max_hom_defect=max(hom),
+                             max_fix_defect=max(fix, default=0.0))
 

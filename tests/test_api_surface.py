@@ -1,5 +1,6 @@
-"""Every definition in the package has a caller outside the tests, and every
-parameter with a default is passed by some call.
+"""Every definition in the package has a caller outside the tests, every
+parameter with a default is passed by some call, and every record field is
+read.
 
 The package's own modules (``src/``) and the benchmark's programs
 (``perfbench/*.py``) are parsed with ``ast``.  A top-level function or class,
@@ -20,6 +21,11 @@ of a function of the same name (a recursion) passes nothing either, so a
 parameter that only its own function forwards counts as unpassed.  A call in
 the tests is no use of its own: an option only tests set needs a reason in
 its allowlist.
+
+A field of a top-level dataclass counts as read when some program reads an
+attribute of its name (matched by name, as above; a string such as a CSV
+header reads nothing).  A field only tests read needs a reason in its
+allowlist.
 
 The README names only what exists: every identifier in one of its inline
 code spans that contains ``_`` or starts with a capital (Python keywords
@@ -319,3 +325,51 @@ def test_readme_library_tour_runs():
     tour = re.search(r"## Library tour\s*```python\n(.*?)```",
                      (ROOT / "README.md").read_text(), flags=re.S)
     exec(compile(tour.group(1), "README.md", "exec"), {})
+
+
+# record field -> why it stays although only tests read it
+ALLOWED_FIELDS = {
+    "monotone.SchedulePsdStep.min_eigenvalue": "the least eigenvalue of a "
+        "step's difference; its solves are pinned by the benchmark's trace "
+        "counts until the benchmark is re-pinned",
+    "monotone.MonotoneIDSReport.psd_steps": "the certified steps, whose "
+        "difference solves are pinned like min_eigenvalue's",
+    "spectral.Spectrum.residual": "the trace-identity defect of a float "
+        "solve, which the run manifest is to record",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _record_fields():
+    """(qualified name, name) of each field of the package's top-level
+    dataclasses."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        name = item.target.id
+                        yield f"{path.stem}.{node.name}.{name}", name
+
+
+def _attributes_read() -> set:
+    """Names read as attributes in the programs: a string such as a CSV
+    header or a config key reads no field."""
+    return {node.attr for path in PROGRAMS
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    read = _attributes_read()
+    unread = [qualified for qualified, name in _record_fields()
+              if name not in read]
+    # an allowlisted field must exist and still be read by no program
+    assert sorted(unread) == sorted(ALLOWED_FIELDS)

@@ -265,7 +265,7 @@ def test_product_takes_a_period_that_divides_its_moduli(tmp_path):
     for i, sigma in enumerate(objects.sigmas):
         n = sigma.n_vertices
         seen = {tuple(sample_configuration(objects.model, sigma,
-                                           sample_rng(1, i, j)).values)
+                                           sample_rng(1, i, j)))
                 for j in range(20)}
         assert seen == {(0, 1) * (n // 2), (1, 0) * (n // 2)}
         for v in range(n):
@@ -1087,6 +1087,30 @@ def test_exact_moments_round_to_the_sparse_power_floats(name):
             assert [float(m).hex() for m in got] == want
             checked += 1
     assert checked == config["samples"] * len(config["sofic"]["sizes"])
+
+
+def test_exact_moment_gate_on_the_torus_laplacian():
+    # a point-mass law and the Laplacian on tori where every vertex is
+    # (floor(k/2) + 2)M-good for k <= 6: each empirical moment is the
+    # oracle's, exactly.  L = -4 sin^2(theta/2) in Fourier space, so
+    # tr L^k / n = (-1)^k binom(2k, k) once the torus is longer than k
+    from sofic_spectra import cli
+    from sofic_spectra.operators import trace_moments
+    from sofic_spectra.sofic import good_vertices
+    config = validate_config(json.loads(
+        (REPO / "configs" / "weak_convergence.json").read_text()))
+    objects = cli.build_objects(config)
+    want = [-2, 6, -20, 70, -252, 924]
+    assert want == [(-1) ** k * math.comb(2 * k, k) for k in range(1, 7)]
+    checked = []
+    for sigma, operators in cli._ensemble(config, objects, 1):
+        assert good_vertices(sigma, 5).fraction == 1.0
+        got = trace_moments(next(operators), 6)
+        assert got == want
+        assert [float(m) for m in got] == [objects.oracle[k].value
+                                           for k in range(1, 7)]
+        checked.append(sigma.n_vertices)
+    assert checked == [64, 256, 1024]
 
 
 @pytest.mark.parametrize("config", [base_config(), _graph_config()],

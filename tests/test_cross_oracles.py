@@ -13,7 +13,6 @@ import numpy as np
 from sofic_spectra.exact import CZERO, ComplexRational
 from sofic_spectra.groups import ball, free_group, lattice_group
 from sofic_spectra.measures import (
-    Configuration,
     IIDProduct,
     binary_alphabet,
     sample_configuration,
@@ -226,7 +225,7 @@ def test_monotone_double_limit_stabilizes():
         vals = {}
         for n in (32, 64, 128):
             sigma = torus_approximation(1, n)
-            rho = Configuration(values=np.zeros(n, dtype=np.int64))
+            rho = np.zeros(n, dtype=np.int64)
             op = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
             spec = eigen_spectrum(op)
             vals[n] = np.array(counting_function(spec, grid)) / n
@@ -235,7 +234,7 @@ def test_monotone_double_limit_stabilizes():
         per_m[m] = vals[128]
     target = eigen_spectrum(assemble_induced(
         rule, torus_approximation(1, 128),
-        Configuration(values=np.zeros(128, dtype=np.int64))))
+        np.zeros(128, dtype=np.int64)))
     tvals = np.array(counting_function(target, grid)) / 128
     # deeper schedule sits closer to the target, from above
     gap2 = np.max(per_m[2] - tvals)

@@ -12,7 +12,6 @@ import sofic_spectra.sofic as sofic_module
 from sofic_spectra.groups import ball, lattice_group
 from sofic_spectra.measures import (
     Alphabet,
-    Configuration,
     EnumerationBudgetError,
     IIDProduct,
     Mixture,
@@ -72,7 +71,7 @@ def test_iid_point_mass_sample():
     sig = torus_approximation(1, 16)
     model = IIDProduct(alphabet=BIN, weights=(1.0, 0.0))
     rho = sample_configuration(model, sig, np.random.default_rng(3))
-    assert np.all(rho.values == 0)
+    assert np.all(rho == 0)
 
 
 def test_periodic_sample_translates():
@@ -81,7 +80,7 @@ def test_periodic_sample_translates():
     seen = set()
     for seed in range(40):
         rho = sample_configuration(model, sig, np.random.default_rng(seed))
-        seen.add(tuple(rho.values.tolist()))
+        seen.add(tuple(rho.tolist()))
     assert seen == {(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)}
 
 
@@ -93,7 +92,7 @@ def test_periodic_orbit_uniformity():
     counts = {}
     for seed in range(n_samples):
         rho = sample_configuration(model, sig, np.random.default_rng(seed))
-        key = tuple(rho.values.tolist())
+        key = tuple(rho.tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 2
     sd = (n_samples * 0.5 * 0.5) ** 0.5
@@ -152,28 +151,28 @@ def test_mixture_of_constants():
     seen = set()
     for seed in range(30):
         rho = sample_configuration(model, sig, np.random.default_rng(seed))
-        assert len(set(rho.values.tolist())) == 1
-        seen.add(int(rho.values[0]))
+        assert len(set(rho.tolist())) == 1
+        seen.add(int(rho[0]))
     assert seen == {0, 1}
 
 
 def test_pullback_window_examples():
     sig = torus_approximation(1, 8)
-    rho = Configuration(values=np.arange(8) % 2)
+    rho = np.arange(8) % 2
     w = pullback_window(rho, sig, 0, 2)
     assert w.values == (0, 1, 0, 1, 0)    # positions -2..2
-    const = Configuration(values=np.zeros(8, dtype=np.int64))
+    const = np.zeros(8, dtype=np.int64)
     assert set(pullback_window(const, sig, 3, 2).values) == {0}
     assert pullback_window(rho, sig, 5, 0).values == (1,)
 
 
 def test_empirical_distribution_examples():
     sig = torus_approximation(1, 4)
-    rho = Configuration(values=np.array([0, 1, 0, 1]))
+    rho = np.array([0, 1, 0, 1])
     dist = empirical_window_distribution(rho, sig, 1)
     assert dist.probs == {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
     assert sum(window_counts(rho, sig, 1).values()) == 4
-    const = Configuration(values=np.zeros(4, dtype=np.int64))
+    const = np.zeros(4, dtype=np.int64)
     point = empirical_window_distribution(const, sig, 1)
     assert point.probs == {(0, 0, 0): 1.0}
 
@@ -260,13 +259,13 @@ def test_le_diagnostic_distinct_finite_model():
             weights=(0.4, 0.6))], ids=["iid", "periodic", "mixture"])
 def test_sample_ensemble_draws_sample_j_of_size_i_from_its_stream(model):
     sigmas = [torus_approximation(1, n) for n in (8, 16, 32)]
-    got = [(sigma, [rho.values.tolist() for rho in samples])
+    got = [(sigma, [rho.tolist() for rho in samples])
            for sigma, samples in sample_ensemble(model, sigmas, 11, 6)]
     assert len(got) == len(sigmas)
     for i, (sigma, values) in enumerate(got):
         assert sigma is sigmas[i]
         assert values == [sample_configuration(
-            model, sigma, sample_rng(11, i, j)).values.tolist()
+            model, sigma, sample_rng(11, i, j)).tolist()
             for j in range(6)]
 
 
@@ -297,7 +296,7 @@ def test_quotient_product_periodic_sampling():
     seen = set()
     for seed in range(20):
         rho = sample_configuration(model, prod, np.random.default_rng(seed))
-        seen.add(tuple(rho.values.tolist()))
+        seen.add(tuple(rho.tolist()))
     assert seen == {(0, 1) * 4, (1, 0) * 4}
     target = target_marginal_on(model, Z1, 1)
     push = pushforward_window_distribution(model, prod, 0, 1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sofic_spectra.exact import CZERO, ComplexRational, sum_abs_le
 from sofic_spectra.groups import lattice_group
-from sofic_spectra.measures import Alphabet, Configuration, binary_alphabet
+from sofic_spectra.measures import Alphabet, binary_alphabet
 from sofic_spectra.monotone import (
     RationalSchedule,
     ScheduleError,
@@ -45,7 +45,7 @@ def crat(re, im=0):
 
 
 def zero_config(n):
-    return Configuration(values=np.zeros(n, dtype=np.int64))
+    return np.zeros(n, dtype=np.int64)
 
 
 def schedule_step_psd_check(rule, sched, m, sigma, rho):
@@ -123,7 +123,7 @@ def test_apply_schedule_diagonal():
     out = apply_schedule(rule, sched, 2)
     e = Z1.identity()
     assert rule_tables(out)[e][0] == crat(Fraction(7, 8))
-    assert validate_local_rule(out).ok
+    assert validate_local_rule(out) == []
 
 
 def test_apply_schedule_zero_rule_vacuous():
@@ -141,7 +141,7 @@ def test_apply_schedule_irrational_schrodinger():
     diags = []
     for m in (1, 2, 3):
         out = apply_schedule(rule, sched, m)
-        assert validate_local_rule(out).ok
+        assert validate_local_rule(out) == []
         diags.append(rule_tables(out)[Z1.identity()][0].re)
     assert all(b > a for a, b in zip(diags, diags[1:]))
     assert all(float(d) < target for d in diags)
@@ -159,13 +159,14 @@ def test_zero_diagonal_beside_hopping_is_scheduled(rule):
     sched = build_schedule(vs, 3)
     for m in (1, 2, 3):
         out = apply_schedule(rule, sched, m)
-        assert validate_local_rule(out).ok
+        assert validate_local_rule(out) == []
         assert rule_tables(out)[Z1.identity()][0] == crat(
             sched.diagonal(m, CZERO))
     sig = torus_approximation(1, 6)
-    rho = Configuration(values=np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size)
+    rho = np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size
+    # _psd_step raises ScheduleError on a step it cannot certify
     for m in (1, 2):
-        assert schedule_step_psd_check(rule, sched, m, sig, rho).certified
+        assert schedule_step_psd_check(rule, sched, m, sig, rho).m == m
 
 
 def test_apply_schedule_value_mismatch():
@@ -242,10 +243,9 @@ def test_schedule_step_psd_diagonal_rule():
     rule = diagonal_rule(Z1, BIN, [Fraction(1), Fraction(3)])
     sched = build_schedule(value_sets_of(rule), 4)
     sig = torus_approximation(1, 10)
-    rho = Configuration(values=np.arange(10) % 2)
+    rho = np.arange(10) % 2
     for m in (1, 2, 3):
         step = schedule_step_psd_check(rule, sched, m, sig, rho)
-        assert step.certified
         assert step.min_eigenvalue > 0
 
 
@@ -262,7 +262,7 @@ def test_schedule_step_handbuilt_constant_offdiagonal():
         sched.b[(m, one)] = one
     sig = torus_approximation(1, 8)
     step = schedule_step_psd_check(rule, sched, 1, sig, zero_config(8))
-    assert step.certified and step.min_eigenvalue > 0
+    assert step.min_eigenvalue > 0
 
 
 def test_schedule_step_zero_rows_allowed():
@@ -272,8 +272,10 @@ def test_schedule_step_zero_rows_allowed():
     sched = build_schedule(value_sets_of(rule), 2)
     sig = torus_approximation(1, 4)
     step = schedule_step_psd_check(rule, sched, 1, sig, zero_config(4))
-    assert step.certified
-    assert step.n_zero_rows == 4
+    assert step.min_eigenvalue == 0.0
+    h_1, h_2 = (assemble_induced(apply_schedule(rule, sched, m), sig,
+                                 zero_config(4)) for m in (1, 2))
+    assert len(_difference(h_2, h_1).rows) == 0
 
 
 def test_monotone_report_sqrt2():
@@ -282,7 +284,7 @@ def test_monotone_report_sqrt2():
     sig = torus_approximation(1, 64)
     grid = np.linspace(-5, 2, 141)
     rep = monotone_ids_report(rule, sched, sig, zero_config(64), grid)
-    assert all(s.certified and s.min_eigenvalue > 0 for s in rep.psd_steps)
+    assert all(s.min_eigenvalue > 0 for s in rep.psd_steps)
     gaps = [rep.max_gap_per_m[m] for m in sorted(rep.max_gap_per_m)]
     assert gaps[-1] <= gaps[0]
     assert rep.max_gap_per_m[6] <= 0.05
@@ -313,12 +315,10 @@ def test_weyl_monotonicity_along_random_schedules(potential, m_max, side,
     rule = schrodinger_rule(Z1, alphabet, potential + [math.sqrt(2)])
     sched = build_schedule(value_sets_of(rule), m_max)
     sig = torus_approximation(1, side)
-    rho = Configuration(
-        values=np.random.default_rng(seed).integers(0, alphabet.size, side))
+    rho = np.random.default_rng(seed).integers(0, alphabet.size, side)
     grid = np.linspace(-4, 6, 41)
     rep = monotone_ids_report(rule, sched, sig, rho, grid)
     assert [s.m for s in rep.psd_steps] == list(range(1, m_max))
-    assert all(s.certified for s in rep.psd_steps)
     counts = {(r.m, r.beta): r.count_m for r in rep.rows}
     for m in range(2, m_max + 1):
         for b in grid:
@@ -375,7 +375,7 @@ def test_difference_of_schedule_depths_matches_per_entry_loop():
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
     sched = build_schedule(value_sets_of(rule), 4)
     sig = torus_approximation(1, 40)
-    rho = Configuration(values=np.arange(40) % 3 % 2)
+    rho = np.arange(40) % 3 % 2
     ops = [assemble_induced(apply_schedule(rule, sched, m), sig, rho)
            for m in (1, 2)]
     d = _difference(ops[1], ops[0])
@@ -450,7 +450,7 @@ def test_difference_norm_of_schedule_depths_matches_per_entry_loop():
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
     sched = build_schedule(value_sets_of(rule), 5)
     sig = torus_approximation(1, 40)
-    rho = Configuration(values=np.arange(40) % 3 % 2)
+    rho = np.arange(40) % 3 % 2
     target = assemble_induced(rule, sig, rho)
     for m in range(1, 6):
         op = assemble_induced(apply_schedule(rule, sched, m), sig, rho)
@@ -475,7 +475,6 @@ def _ref_outcome(op, strict):
 
 def _gershgorin_outcome(op, strict):
     cert = gershgorin_psd(op, strict=strict)
-    assert cert.strict == strict
     return cert.certified, cert.witness_row
 
 

@@ -14,7 +14,7 @@ from sofic_spectra.groups import (
     free_group,
     lattice_group,
 )
-from sofic_spectra.measures import Alphabet, Configuration
+from sofic_spectra.measures import Alphabet
 from sofic_spectra.operators import assemble_graph_schrodinger
 from sofic_spectra.sofic import (
     FiniteQuotient,
@@ -41,7 +41,6 @@ def test_torus_exact_homomorphism():
     sig = torus_approximation(2, 3)
     rep = sofic_defect(sig, 2)
     assert rep.max_hom_defect == 0.0
-    assert all(f == 0.0 for f in rep.hom_fractions.values())
 
 
 def test_torus_goodness_thresholds():
@@ -73,7 +72,7 @@ def test_goodness_is_scanned_once_per_model_and_radius(monkeypatch):
               lambda: torus_approximation(2, 6)]
     for make in models:
         sig = make()
-        for radius in (2, 1, 2, 1, 3):
+        for radius in (2, 1, 0, 2, 1, 0, 3):
             cached = good_vertices(sig, radius)
             fresh = good_vertices(make(), radius)
             assert cached.radius == fresh.radius == radius
@@ -82,7 +81,7 @@ def test_goodness_is_scanned_once_per_model_and_radius(monkeypatch):
             with pytest.raises(ValueError):
                 cached.good[0] = not cached.good[0]
     # each radius once on the kept model, and once per fresh model
-    assert scans == [2, 2, 1, 1, 2, 1, 3, 3] * 2
+    assert scans == [2, 2, 1, 1, 0, 0, 2, 1, 0, 3, 3] * 2
 
 
 def test_goodness_budget_is_checked_on_a_cached_radius(monkeypatch):
@@ -100,6 +99,11 @@ def test_goodness_budget_is_checked_on_a_cached_radius(monkeypatch):
 def test_goodness_radius_zero_trivial():
     sig = torus_approximation(1, 4)
     assert good_vertices(sig, 0).fraction == 1.0
+    # B(e, 0) = {e} has no edges, so a vertex every generator fixes is good
+    single = random_permutation_approximation(2, 1, seed=0)
+    assert good_vertices(single, 0).fraction == 1.0
+    assert good_vertices(random_permutation_approximation(
+        2, 300, seed=5), 0).fraction == 1.0
 
 
 def test_random_permutation_determinism_and_degenerate():
@@ -131,9 +135,8 @@ def test_defect_small_across_seeds():
 
 def test_torus_fixed_point_fractions():
     sig = torus_approximation(1, 4)
-    rep = sofic_defect(sig, 2)
-    assert rep.fix_fractions[(2,)] == 0.0
-    assert rep.fix_fractions[(1,)] == 0.0
+    # no nonzero element of B(e, 2) fixes a vertex of the 4-cycle
+    assert sofic_defect(sig, 2).max_fix_defect == 0.0
 
 
 def _distinct_degrees(sigma) -> np.ndarray:
@@ -142,7 +145,7 @@ def _distinct_degrees(sigma) -> np.ndarray:
     graph operator with zero potential."""
     n = sigma.n_vertices
     op = assemble_graph_schrodinger(
-        sigma, Configuration(values=np.zeros(n, dtype=np.int64)),
+        sigma, np.zeros(n, dtype=np.int64),
         Alphabet(symbols=("0",)), [0])
     return np.bincount([i for i, j in op.entries if i != j], minlength=n)
 
@@ -215,9 +218,12 @@ def test_product_preserves_defect():
     prod_rep = sofic_defect(prod, 2)
     assert base_rep.max_hom_defect > 0
     assert base_rep.max_hom_defect == prod_rep.max_hom_defect
-    for g_el, frac in base_rep.fix_fractions.items():
-        # freeness can only improve in the product
-        assert prod_rep.fix_fractions[g_el] <= frac + 1e-12
+    # freeness can only improve in the product, element by element
+    def fixed(sigma, g):
+        return np.mean(sigma.perm_of(g) == np.arange(sigma.n_vertices))
+    for g_el in ball(base.group, 2).elements:
+        if g_el != base.group.identity():
+            assert fixed(prod, g_el) <= fixed(base, g_el) + 1e-12
 
 
 @pytest.mark.parametrize("moduli, match", [

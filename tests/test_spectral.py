@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sofic_spectra import spectral
 from sofic_spectra.exact import CZERO, ComplexRational
 from sofic_spectra.groups import lattice_group
-from sofic_spectra.measures import Configuration, binary_alphabet
+from sofic_spectra.measures import binary_alphabet
 from sofic_spectra.operators import (
     AssemblyError,
     InducedOperator,
@@ -44,7 +44,7 @@ BIN = binary_alphabet()
 
 def torus_laplacian_spectrum(n):
     sig = torus_approximation(1, n)
-    rho = Configuration(values=np.zeros(n, dtype=np.int64))
+    rho = np.zeros(n, dtype=np.int64)
     from sofic_spectra.measures import Alphabet
     op = assemble_graph_schrodinger(sig, rho, Alphabet(symbols=("0",)),
                                     [Fraction(0)])
@@ -76,7 +76,7 @@ def test_eigen_refuses_non_hermitian_operators(entries, vectors):
 def test_eigen_exact_diagonal_path():
     rule = diagonal_rule(Z1, BIN, [Fraction(1, 3), Fraction(2)])
     sig = torus_approximation(1, 6)
-    rho = Configuration(values=np.array([0, 1] * 3))
+    rho = np.array([0, 1] * 3)
     spec = eigen_spectrum(assemble_induced(rule, sig, rho))
     assert spec.is_exact
     assert spec.exact_values == (Fraction(1, 3),) * 3 + (Fraction(2),) * 3
@@ -99,7 +99,7 @@ def test_eigen_budget_is_checked_before_densifying(monkeypatch):
     monkeypatch.setattr(spectral, "DEFAULT_DENSE_BUDGET", budget)
     sig = torus_approximation(1, budget + 1)
     op = assemble_induced(laplacian_rule(Z1), sig,
-                          Configuration(values=np.zeros(budget + 1, dtype=int)))
+                          np.zeros(budget + 1, dtype=int))
 
     def no_dense(self):
         raise AssertionError("to_dense called")
@@ -277,7 +277,7 @@ def test_2d_reference_sanity(monkeypatch):
     assert ref2.eval(np.array([-4.0]))[0] == pytest.approx(0.5, abs=1e-3)
     # against an actual 2d torus eigensolve
     sig = torus_approximation(2, 30)
-    rho = Configuration(values=np.zeros(900, dtype=np.int64))
+    rho = np.zeros(900, dtype=np.int64)
     op = assemble_induced(laplacian_rule(lattice_group(2)), sig, rho)
     curve = ids_curve(eigen_spectrum(op), grid)
     assert kolmogorov_distance(curve, ref2) <= 0.08
@@ -295,8 +295,8 @@ def test_exact_diagonal_spectrum_matches_sorted_diagonal(values, side,
     from sofic_spectra.exact import ComplexRational
     rule = diagonal_rule(Z1, BIN, list(values))
     sig = torus_approximation(1, side)
-    rho = Configuration(values=np.array([(pattern >> v) & 1
-                                         for v in range(side)]))
+    rho = np.array([(pattern >> v) & 1
+                                         for v in range(side)])
     op = assemble_induced(rule, sig, rho)
     if fresh:
         op = InducedOperator.from_entries(

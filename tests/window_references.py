@@ -48,7 +48,7 @@ def translate_window(group, g, window: PatternWindow,
 def pullback_window(rho, sigma, v: int, radius: int) -> PatternWindow:
     """Window g -> rho(sigma^g(v)) on the Cayley ball, canonical order."""
     b = ball(sigma.group, radius)
-    vals = tuple(int(rho.values[sigma.perm_of(g)[v]]) for g in b.elements)
+    vals = tuple(int(rho[sigma.perm_of(g)[v]]) for g in b.elements)
     return PatternWindow(radius=radius, values=vals)
 
 
