@@ -601,10 +601,11 @@ def _pipeline_sofic_diagnostics(config, objects, out):
         write_csv(out / "le.csv",
                   ["n", "R", "eps", "lw_fraction", "le_fraction",
                    "le_halfwidth"],
-                  [[r.n, r.radius, r.eps,
+                  [[sigma.n_vertices, radii["cylinder"], config["eps"],
                     _check_fraction(r.lw_fraction, "lw fraction"),
                     _check_fraction(r.le_fraction, "le fraction"),
-                    r.le_halfwidth] for r in le_rows])
+                    r.le_halfwidth]
+                   for sigma, r in zip(objects.sigmas, le_rows)])
         outputs.append("le.csv")
     return outputs
 
@@ -710,17 +711,19 @@ def _pipeline_monotone(config, objects, out):
     for sigma, (rho,) in sample_ensemble(objects.model, objects.sigmas,
                                          config["seed"], 1):
         report = monotone_ids_report(objects.rule, sched, sigma, rho, grid)
+        n = sigma.n_vertices
         # monotone_ids_report raises on any step it cannot certify
-        rows = [[r.m, r.beta, r.count_m / report.n, r.count_target / report.n,
-                 True] for r in report.rows]
-        name = f"monotone_{sigma.n_vertices}.csv"
+        rows = [[m, b, count / n, target / n, True]
+                for m, counts in enumerate(report.counts.tolist(), 1)
+                for b, count, target in zip(grid, counts,
+                                            report.target_counts.tolist())]
+        name = f"monotone_{n}.csv"
         write_csv(out / name, ["m", "beta", "N_m", "N_target",
                                "psd_certified"], rows)
         outputs.append(name)
-        for m in sorted(report.max_gap_per_m):
-            summary_rows.append([sigma.n_vertices, m, report.max_gap_per_m[m],
-                                 report.norm_gap_per_m[m],
-                                 report.norm_bound_per_m[m]])
+        max_gaps = (report.counts - report.target_counts).max(axis=1) / n
+        summary_rows += [[n, m, *gaps] for m, gaps in enumerate(
+            zip(max_gaps, report.norm_gaps, report.norm_bounds), 1)]
     write_csv(out / "monotone_summary.csv",
               ["n", "m", "max_gap", "norm_gap", "norm_bound"], summary_rows)
     outputs.append("monotone_summary.csv")

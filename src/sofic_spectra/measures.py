@@ -414,9 +414,6 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
 
 @dataclass
 class LeDiagnosticRow:
-    n: int
-    radius: int
-    eps: float
     lw_fraction: float
     le_fraction: float
     le_halfwidth: float
@@ -479,8 +476,7 @@ def le_diagnostic(target_model: MeasureModel,
                 hits += 1
         f = hits / sample_count
         half = 1.96 * math.sqrt(max(f * (1 - f), 1e-12) / sample_count)
-        rows.append(LeDiagnosticRow(n=n, radius=radius, eps=eps,
-                                    lw_fraction=lw_fraction,
+        rows.append(LeDiagnosticRow(lw_fraction=lw_fraction,
                                     le_fraction=f, le_halfwidth=half))
     return rows
 

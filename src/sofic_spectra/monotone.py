@@ -16,12 +16,12 @@ their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
 one step certificate (strict Gershgorin on the difference's support block,
 plus its least eigenvalue) proves each step of ``monotone_ids_report``; a
-step it cannot certify raises ScheduleError, so the report's steps and
-rows are certified without saying so.  The configuration is the integer
-array of symbol indices per vertex that ``sample_configuration`` draws.
-Every depth is assembled by ``assemble_induced`` without a goodness report:
-it alone picks the radius 2M, and the model's goodness cache scans it once
-for all depths.
+step it cannot certify raises ScheduleError, so the report's count arrays
+(one row of N_m per depth) come from certified steps without saying so.
+The configuration is the integer array of symbol indices per vertex that
+``sample_configuration`` draws.  Every depth is assembled by
+``assemble_induced`` without a goodness report: it alone picks the radius
+2M, and the model's goodness cache scans it once for all depths.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .operators import (
     assemble_induced,
 )
 from .sofic import SoficApproximation
-from .spectral import Spectrum, counting_function, eigen_spectrum
+from .spectral import counting_function, eigen_spectrum
 
 
 class ScheduleError(ValueError):
@@ -326,18 +326,10 @@ def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
     return _value_coded(a.n, keys, pick, diffs)
 
 
-@dataclass
-class SchedulePsdStep:
-    """A step m -> m + 1 that _psd_step certified (it raises otherwise)."""
-
-    m: int
-    min_eigenvalue: float
-
-
 def _psd_step(m: int, h_m: InducedOperator,
-              h_next: InducedOperator) -> SchedulePsdStep:
+              h_next: InducedOperator) -> float:
     """Certify h_next - h_m >= 0 by strict dominance on the support block of
-    the difference, and record the difference's least eigenvalue."""
+    the difference, and return the difference's least eigenvalue."""
     diff = _difference(h_next, h_m)
     nnz = len(diff.rows)
     support, inverse = np.unique(np.concatenate([diff.rows, diff.cols]),
@@ -351,8 +343,7 @@ def _psd_step(m: int, h_m: InducedOperator,
             raise ScheduleError(
                 f"schedule step {m}->{m+1} failed strict certification at "
                 f"row {cert.witness_row}; this indicates a schedule bug")
-    min_eig = float(eigen_spectrum(diff).values[0]) if nnz else 0.0
-    return SchedulePsdStep(m=m, min_eigenvalue=min_eig)
+    return float(eigen_spectrum(diff).values[0]) if nnz else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +352,21 @@ def _psd_step(m: int, h_m: InducedOperator,
 
 
 @dataclass
-class MonotoneReportRow:
-    m: int
-    beta: float
-    count_m: int
-    count_target: int
-
-
-@dataclass
 class MonotoneIDSReport:
-    n: int
-    rows: list
-    max_gap_per_m: dict         # m -> max_beta (N_m - N_target)/n
-    norm_gap_per_m: dict        # m -> row-sum norm of H_m - H_target
-    norm_bound_per_m: dict      # m -> proven dyadic bound on that norm
-    psd_steps: list
+    """Counting functions of the depths of a schedule on one beta grid.
+
+    Row m - 1 of ``counts`` is N_m at the grid points and ``target_counts``
+    is N_target there (eigenvalue counts, not yet divided by n).  Each list
+    is indexed by depth - 1: the row-sum norm of H_m - H_target with its
+    proven dyadic bound, and the least eigenvalue of the certified step
+    H_{m+1} - H_m.
+    """
+
+    counts: np.ndarray          # (m_max, grid points) ints
+    target_counts: np.ndarray   # (grid points,) ints
+    norm_gaps: list
+    norm_bounds: list
+    step_min_eigenvalues: list
 
 
 def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
@@ -385,53 +376,38 @@ def monotone_ids_report(rule: LocalRule, sched: RationalSchedule,
     certified Weyl direction.
 
     Asserts N_m(beta) nonincreasing in m at every grid point (hard failure
-    otherwise: it would contradict the certified PSD steps) and reports the
-    decay of max_beta (N_m - N_target) together with exact operator-norm
-    gaps and their proven dyadic bounds.
+    otherwise: it would contradict the certified PSD steps) and returns the
+    counts together with exact operator-norm gaps and their proven dyadic
+    bounds.
     """
-    m_max = sched.m_max
     target_op = assemble_induced(rule, sigma, rho)
-    target_spec = eigen_spectrum(target_op)
     grid = [float(b) for b in beta_grid]
-    target_counts = counting_function(target_spec, grid)
-
-    ops: dict[int, InducedOperator] = {}
-    specs: dict[int, Spectrum] = {}
-    for m in range(1, m_max + 1):
-        ops[m] = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
-        specs[m] = eigen_spectrum(ops[m])
-
-    psd_steps = [_psd_step(m, ops[m], ops[m + 1]) for m in range(1, m_max)]
-
-    rows = []
-    max_gap: dict[int, float] = {}
-    norm_gap: dict[int, float] = {}
-    norm_bound: dict[int, float] = {}
-    prev_counts = None
-    n = sigma.n_vertices
+    target_counts = np.array(counting_function(eigen_spectrum(target_op),
+                                               grid))
+    ops = [assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
+           for m in range(1, sched.m_max + 1)]
+    counts = np.array([counting_function(eigen_spectrum(op), grid)
+                       for op in ops])
+    step_min_eigenvalues = [_psd_step(m, h_m, h_next) for m, (h_m, h_next)
+                            in enumerate(zip(ops, ops[1:]), 1)]
+    # the first rise in depth-then-grid order: row i is the step i+1 -> i+2
+    rises = np.argwhere(np.diff(counts, axis=0) > 0)
+    if len(rises):
+        i, j = rises[0].tolist()
+        raise MonotonicityError(
+            f"N_{i+2}({grid[j]}) = {counts[i + 1, j]} > "
+            f"N_{i+1}({grid[j]}) = {counts[i, j]} despite certified PSD steps")
     d = sched.values.max_offdiag_per_row
     c = sched.gap_constant
-    for m in range(1, m_max + 1):
-        counts = counting_function(specs[m], grid)
-        if prev_counts is not None:
-            for b, now, before in zip(grid, counts, prev_counts):
-                if now > before:
-                    raise MonotonicityError(
-                        f"N_{m}({b}) = {now} > N_{m-1}({b}) = {before} "
-                        "despite certified PSD steps")
-        prev_counts = counts
-        for b, cm, ct in zip(grid, counts, target_counts):
-            rows.append(MonotoneReportRow(m=m, beta=b, count_m=cm,
-                                          count_target=ct))
-        max_gap[m] = max((cm - ct) for cm, ct in zip(counts, target_counts)) / n
-        gap_op = _difference(ops[m], target_op).row_sum_bound()
-        norm_gap[m] = gap_op
-        norm_bound[m] = float((2 * c + 2) + 3 * d) * 4.0 ** (-m)
-        if gap_op > norm_bound[m] + 1e-12:
+    norm_gaps, norm_bounds = [], []
+    for m, op in enumerate(ops, 1):
+        gap = _difference(op, target_op).row_sum_bound()
+        bound = float((2 * c + 2) + 3 * d) * 4.0 ** (-m)
+        if gap > bound + 1e-12:
             raise ScheduleError(
-                f"operator-norm gap {gap_op:.3e} exceeds the dyadic bound "
-                f"{norm_bound[m]:.3e} at depth {m}")
-    return MonotoneIDSReport(n=n, rows=rows, max_gap_per_m=max_gap,
-                             norm_gap_per_m=norm_gap,
-                             norm_bound_per_m=norm_bound, psd_steps=psd_steps)
-
+                f"operator-norm gap {gap:.3e} exceeds the dyadic bound "
+                f"{bound:.3e} at depth {m}")
+        norm_gaps.append(gap)
+        norm_bounds.append(bound)
+    return MonotoneIDSReport(counts, target_counts, norm_gaps, norm_bounds,
+                             step_min_eigenvalues)

@@ -216,9 +216,9 @@ def test_criterion_6_monotone_schedule():
     # uncertified step or a counting-function increase, so reaching the
     # report means every step is certified and zero violations
     report = ss.monotone_ids_report(rule, sched, sigma, rho, grid)
-    all_certified = len(report.psd_steps) == 7
-    strict_numeric = all(s.min_eigenvalue > 0 for s in report.psd_steps)
-    gap8 = report.max_gap_per_m[8]
+    all_certified = len(report.step_min_eigenvalues) == 7
+    strict_numeric = all(e > 0 for e in report.step_min_eigenvalues)
+    gap8 = (report.counts[7] - report.target_counts).max() / n
     for m in range(1, 8):
         h_m = ss.assemble_induced(ss.apply_schedule(rule, sched, m), sigma, rho)
         h_next = ss.assemble_induced(ss.apply_schedule(rule, sched, m + 1),

@@ -329,11 +329,9 @@ def test_readme_library_tour_runs():
 
 # record field -> why it stays although only tests read it
 ALLOWED_FIELDS = {
-    "monotone.SchedulePsdStep.min_eigenvalue": "the least eigenvalue of a "
-        "step's difference; its solves are pinned by the benchmark's trace "
-        "counts until the benchmark is re-pinned",
-    "monotone.MonotoneIDSReport.psd_steps": "the certified steps, whose "
-        "difference solves are pinned like min_eigenvalue's",
+    "monotone.MonotoneIDSReport.step_min_eigenvalues": "the least "
+        "eigenvalue of each step's difference; its solves are pinned by the "
+        "benchmark's trace counts until the benchmark is re-pinned",
     "spectral.Spectrum.residual": "the trace-identity defect of a float "
         "solve, which the run manifest is to record",
 }

@@ -565,8 +565,7 @@ def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed):
                 hits += 1
         f = hits / sample_count
         half = 1.96 * math.sqrt(max(f * (1 - f), 1e-12) / sample_count)
-        rows.append(LeDiagnosticRow(n=n, radius=radius, eps=eps,
-                                    lw_fraction=good_hits / n,
+        rows.append(LeDiagnosticRow(lw_fraction=good_hits / n,
                                     le_fraction=f, le_halfwidth=half))
     return rows
 

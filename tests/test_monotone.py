@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from sofic_spectra.exact import CZERO, ComplexRational, sum_abs_le
 from sofic_spectra.groups import lattice_group
 from sofic_spectra.measures import Alphabet, binary_alphabet
+from sofic_spectra import monotone
 from sofic_spectra.monotone import (
+    MonotonicityError,
     RationalSchedule,
     ScheduleError,
     ValueSets,
@@ -54,6 +56,23 @@ def schedule_step_psd_check(rule, sched, m, sigma, rho):
     h_m = assemble_induced(apply_schedule(rule, sched, m), sigma, rho)
     h_next = assemble_induced(apply_schedule(rule, sched, m + 1), sigma, rho)
     return _psd_step(m, h_m, h_next)
+
+
+def _max_gaps(report, n):
+    """max over beta of (N_m - N_target) / n, indexed by depth - 1."""
+    return (report.counts - report.target_counts).max(axis=1) / n
+
+
+def _diagonal_schedule(rule, diagonals, gap_constant):
+    """A hand-built schedule of a one-value diagonal rule: depth m + 1 takes
+    diagonals[m], with none of build_schedule's checks."""
+    vs = value_sets_of(rule)
+    (f,) = vs.f1
+    sched = RationalSchedule(m_max=len(diagonals), values=vs,
+                             gap_constant=gap_constant)
+    for m, a in enumerate(diagonals, 1):
+        sched.a[(m, f)] = a
+    return sched
 
 
 def test_value_sets_validation():
@@ -166,7 +185,7 @@ def test_zero_diagonal_beside_hopping_is_scheduled(rule):
     rho = np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size
     # _psd_step raises ScheduleError on a step it cannot certify
     for m in (1, 2):
-        assert schedule_step_psd_check(rule, sched, m, sig, rho).m == m
+        schedule_step_psd_check(rule, sched, m, sig, rho)
 
 
 def test_apply_schedule_value_mismatch():
@@ -245,8 +264,7 @@ def test_schedule_step_psd_diagonal_rule():
     sig = torus_approximation(1, 10)
     rho = np.arange(10) % 2
     for m in (1, 2, 3):
-        step = schedule_step_psd_check(rule, sched, m, sig, rho)
-        assert step.min_eigenvalue > 0
+        assert schedule_step_psd_check(rule, sched, m, sig, rho) > 0
 
 
 def test_schedule_step_handbuilt_constant_offdiagonal():
@@ -261,8 +279,7 @@ def test_schedule_step_handbuilt_constant_offdiagonal():
         sched.a[(m, f)] = Fraction(-1) - Fraction(1, 2 ** m)
         sched.b[(m, one)] = one
     sig = torus_approximation(1, 8)
-    step = schedule_step_psd_check(rule, sched, 1, sig, zero_config(8))
-    assert step.min_eigenvalue > 0
+    assert schedule_step_psd_check(rule, sched, 1, sig, zero_config(8)) > 0
 
 
 def test_schedule_step_zero_rows_allowed():
@@ -271,8 +288,7 @@ def test_schedule_step_zero_rows_allowed():
     rule = schrodinger_rule(Z1, ONE, [Fraction(1)])
     sched = build_schedule(value_sets_of(rule), 2)
     sig = torus_approximation(1, 4)
-    step = schedule_step_psd_check(rule, sched, 1, sig, zero_config(4))
-    assert step.min_eigenvalue == 0.0
+    assert schedule_step_psd_check(rule, sched, 1, sig, zero_config(4)) == 0.0
     h_1, h_2 = (assemble_induced(apply_schedule(rule, sched, m), sig,
                                  zero_config(4)) for m in (1, 2))
     assert len(_difference(h_2, h_1).rows) == 0
@@ -284,14 +300,13 @@ def test_monotone_report_sqrt2():
     sig = torus_approximation(1, 64)
     grid = np.linspace(-5, 2, 141)
     rep = monotone_ids_report(rule, sched, sig, zero_config(64), grid)
-    assert all(s.min_eigenvalue > 0 for s in rep.psd_steps)
-    gaps = [rep.max_gap_per_m[m] for m in sorted(rep.max_gap_per_m)]
+    assert all(e > 0 for e in rep.step_min_eigenvalues)
+    gaps = _max_gaps(rep, 64)
     assert gaps[-1] <= gaps[0]
-    assert rep.max_gap_per_m[6] <= 0.05
-    for m in rep.norm_gap_per_m:
-        assert rep.norm_gap_per_m[m] <= rep.norm_bound_per_m[m]
-        if m > 1:
-            assert rep.norm_gap_per_m[m] < rep.norm_gap_per_m[m - 1]
+    assert gaps[5] <= 0.05
+    norm_gaps = np.array(rep.norm_gaps)
+    assert (norm_gaps <= rep.norm_bounds).all()
+    assert (np.diff(norm_gaps) < 0).all()
 
 
 def test_monotone_report_rational_target():
@@ -300,7 +315,7 @@ def test_monotone_report_rational_target():
     sig = torus_approximation(1, 32)
     grid = np.linspace(-4, 4, 81)
     rep = monotone_ids_report(rule, sched, sig, zero_config(32), grid)
-    assert rep.max_gap_per_m[8] <= 0.07
+    assert _max_gaps(rep, 32)[7] <= 0.07
 
 
 @settings(max_examples=15, deadline=None)
@@ -318,11 +333,11 @@ def test_weyl_monotonicity_along_random_schedules(potential, m_max, side,
     rho = np.random.default_rng(seed).integers(0, alphabet.size, side)
     grid = np.linspace(-4, 6, 41)
     rep = monotone_ids_report(rule, sched, sig, rho, grid)
-    assert [s.m for s in rep.psd_steps] == list(range(1, m_max))
-    counts = {(r.m, r.beta): r.count_m for r in rep.rows}
-    for m in range(2, m_max + 1):
-        for b in grid:
-            assert counts[m, b] <= counts[m - 1, b]
+    assert len(rep.step_min_eigenvalues) == m_max - 1
+    assert rep.counts.shape == (m_max, len(grid))
+    # H_m <= H_{m+1} <= H, so N_{m+1} <= N_m and N_m >= N_target at every beta
+    assert (np.diff(rep.counts, axis=0) <= 0).all()
+    assert (rep.counts >= rep.target_counts).all()
 
 
 def test_monotone_diagonal_counting_jumps():
@@ -332,9 +347,48 @@ def test_monotone_diagonal_counting_jumps():
     grid = [0.9]
     rep = monotone_ids_report(rule, sched, sig, zero_config(6), grid)
     # a(m) crosses 0.9 between m=2 (7/8) and m=3 (31/32)
-    by_m = {r.m: r.count_m for r in rep.rows}
-    assert by_m[1] == 6 and by_m[2] == 6
-    assert by_m[3] == 0 and by_m[4] == 0
+    assert rep.counts[:, 0].tolist() == [6, 6, 0, 0]
+
+
+def test_monotone_report_raises_on_the_first_rise(monkeypatch):
+    # diagonals that fall with depth: N_2 rises at beta = 0 and N_3 at
+    # beta = -1; with the step certificate bypassed, the first rise in
+    # depth-then-grid order is named
+    monkeypatch.setattr(monotone, "_psd_step", lambda m, h_m, h_next: 0.0)
+    rule = diagonal_rule(Z1, ONE, [Fraction(1)])
+    sched = _diagonal_schedule(rule, [Fraction(1, 2), Fraction(-1, 2),
+                                      Fraction(-3, 2)], Fraction(1000))
+    with pytest.raises(MonotonicityError) as err:
+        monotone_ids_report(rule, sched, torus_approximation(1, 6),
+                            zero_config(6), [-1.0, 0.0, 1.0])
+    assert str(err.value) == ("N_2(0.0) = 6 > N_1(0.0) = 0 despite "
+                              "certified PSD steps")
+
+
+def test_monotone_report_raises_on_a_norm_gap_beyond_its_bound():
+    # every depth sits 11 below the target 1, far beyond the dyadic bound
+    # 4 * 4^-m of gap constant 1; the steps are zero and certified
+    rule = diagonal_rule(Z1, ONE, [Fraction(1)])
+    sched = _diagonal_schedule(rule, [Fraction(-10)] * 2, Fraction(1))
+    with pytest.raises(ScheduleError, match="exceeds the dyadic bound .* "
+                                            "at depth 1"):
+        monotone_ids_report(rule, sched, torus_approximation(1, 6),
+                            zero_config(6), [0.0])
+
+
+def test_schedule_step_raises_where_the_drift_beats_the_gap():
+    # the off-diagonal falls by 1 between depths 1 and 2 while the diagonal
+    # rises by 1/4: no row of the step is strictly dominant
+    rule = schrodinger_rule(Z1, ONE, [Fraction(1)])
+    vs = value_sets_of(rule)
+    one, f = crat(1), crat(-1)
+    sched = RationalSchedule(m_max=2, values=vs, gap_constant=Fraction(1))
+    sched.a[(1, f)], sched.a[(2, f)] = Fraction(-3, 2), Fraction(-5, 4)
+    sched.b[(1, one)], sched.b[(2, one)] = crat(2), one
+    with pytest.raises(ScheduleError, match="step 1->2 failed strict "
+                                            "certification .* schedule bug"):
+        schedule_step_psd_check(rule, sched, 1, torus_approximation(1, 8),
+                                zero_config(8))
 
 
 def _per_entry_difference(a, b):
