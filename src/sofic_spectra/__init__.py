@@ -31,13 +31,13 @@ from .measures import (
     IIDProduct,
     Mixture,
     PeriodicOrbit,
-    WindowDistribution,
     binary_alphabet,
     lattice_periodic,
     le_diagnostic,
     model_alphabet,
     sample_configuration,
     target_marginal_on,
+    total_variation,
 )
 from .operators import (
     AssemblyError,

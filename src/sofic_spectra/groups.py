@@ -87,11 +87,6 @@ class GroupSpec:
             return tuple(-a for a in g)
         return tuple(a ^ 1 for a in reversed(g))
 
-    def word_length(self, g: Element) -> int:
-        if self.kind == "lattice":
-            return sum(abs(a) for a in g)
-        return len(g)
-
     def canonical_word(self, g: Element) -> tuple[int, ...]:
         """Generator indices (w_1, ..., w_k) whose product w_1 w_2 ... w_k = g.
 
@@ -139,7 +134,6 @@ class CayleyBall:
     ordered pair with elements[j] = s * elements[i].
     """
 
-    group: GroupSpec
     radius: int
     elements: tuple
     edges: tuple  # (src_index, dst_index, generator_index)
@@ -191,8 +185,8 @@ def _ball_cached(group: GroupSpec, radius: int) -> CayleyBall:
             if h in index:
                 edges.append((index[g], index[h], i))
     lengths = tuple(dist[g] for g in elements)
-    return CayleyBall(group=group, radius=radius, elements=elements,
-                      edges=tuple(edges), word_lengths=lengths)
+    return CayleyBall(radius=radius, elements=elements, edges=tuple(edges),
+                      word_lengths=lengths)
 
 
 def ball(group: GroupSpec, radius: int) -> CayleyBall:

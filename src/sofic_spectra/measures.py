@@ -10,7 +10,9 @@ sites, positions with one image collided.  The exact radius-R
 cylinder marginal of the infinite-volume law is that pushforward onto the
 ball's own sites, which never collide; the finite-model law is pushed
 through each vertex's ball image.  An i.i.d. pushforward enumerates at most
-DEFAULT_ENUM_BUDGET window patterns.
+DEFAULT_ENUM_BUDGET window patterns.  A window law is a dict from pattern
+(the tuple of symbol indices in ball order) to probability, and
+``total_variation`` is the distance the lw*/le diagnostic compares.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .groups import CayleyBall, GroupSpec, ball
+from .groups import GroupSpec, ball
 from .sofic import (
     FiniteQuotient,
     SoficApproximation,
@@ -297,17 +299,10 @@ def _cosets(quotient: FiniteQuotient,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WindowDistribution:
-    """Probabilities over radius-R patterns (tuples of symbol indices)."""
-
-    radius: int
-    probs: dict
-
-    def tv(self, other: "WindowDistribution") -> float:
-        keys = set(self.probs) | set(other.probs)
-        return 0.5 * sum(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0))
-                         for k in keys)
+def total_variation(p: dict, q: dict) -> float:
+    """Total variation distance of two window laws (pattern -> probability)."""
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0))
+                     for k in set(p) | set(q))
 
 
 def _window_histogram(vals: np.ndarray):
@@ -322,8 +317,7 @@ def _window_histogram(vals: np.ndarray):
     return (base, *np.unique(codes, return_counts=True))
 
 
-def _window_distribution(vals: np.ndarray, radius: int,
-                         histogram) -> WindowDistribution:
+def _window_distribution(vals: np.ndarray, histogram) -> dict:
     size, n = vals.shape
     counts: dict = {}
     if histogram is not None:
@@ -334,12 +328,11 @@ def _window_distribution(vals: np.ndarray, radius: int,
         for v in range(n):
             pat = tuple(int(x) for x in vals[:, v])
             counts[pat] = counts.get(pat, 0) + 1
-    probs = {pat: c / n for pat, c in counts.items()}
-    return WindowDistribution(radius=radius, probs=probs)
+    return {pat: c / n for pat, c in counts.items()}
 
 
 def target_marginal_on(model: MeasureModel, group: GroupSpec,
-                       radius: int) -> WindowDistribution:
+                       radius: int) -> dict:
     """Exact radius-R cylinder marginal of the infinite-volume law: the
     pushforward onto the ball's own sites, where no two positions collide;
     a periodic part reads its translates at the cosets of the ball points."""
@@ -347,7 +340,7 @@ def target_marginal_on(model: MeasureModel, group: GroupSpec,
     translates = {id(p): p.translate_table[
         :, p.quotient.coset_of(np.array(b.elements, dtype=np.int64).T)]
         for p in _periodic_parts(model)}
-    return _pushforward_on(model, b, list(range(len(b))), translates)
+    return _pushforward_on(model, list(range(len(b))), translates)
 
 
 def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
@@ -365,8 +358,8 @@ def _digits(codes: np.ndarray, base: int, length: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
-                    translates: dict) -> WindowDistribution:
+def _pushforward_on(model: MeasureModel, image: list[int],
+                    translates: dict) -> dict:
     """Law of the pattern whose ball position i reads site image[i]:
     positions with one image collide.  translates maps each periodic part
     to its (q, sites) array of translates (_periodic_translates)."""
@@ -381,7 +374,7 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
                 f"{A}^{len(reps)} window patterns exceed budget "
                 f"{DEFAULT_ENUM_BUDGET}; lower the radius")
         probs: dict = {}
-        pat = [0] * len(b)
+        pat = [0] * len(image)
         # one i.i.d. symbol per collision class
         for assign, p in site_law(model, reps):
             for cls, s in zip(reps, assign):
@@ -389,21 +382,21 @@ def _pushforward_on(model: MeasureModel, b: CayleyBall, image: list[int],
                     pat[pos] = s
             key = tuple(pat)
             probs[key] = probs.get(key, 0.0) + p
-        return WindowDistribution(radius=b.radius, probs=probs)
+        return probs
     if isinstance(model, PeriodicOrbit):
         q = model.quotient.size
         probs = {}
         for pat in translates[id(model)][:, image].tolist():
             pat = tuple(pat)
             probs[pat] = probs.get(pat, 0.0) + 1.0 / q
-        return WindowDistribution(radius=b.radius, probs=probs)
+        return probs
     if isinstance(model, Mixture):
         probs = {}
         for comp, w in zip(model.components, model.weights):
-            sub = _pushforward_on(comp, b, image, translates)
-            for pat, p in sub.probs.items():
+            sub = _pushforward_on(comp, image, translates)
+            for pat, p in sub.items():
                 probs[pat] = probs.get(pat, 0.0) + w * p
-        return WindowDistribution(radius=b.radius, probs=probs)
+        return probs
     raise TypeError(f"unknown model {type(model)!r}")
 
 
@@ -453,9 +446,9 @@ def le_diagnostic(target_model: MeasureModel,
                                    return_counts=True)
         good_hits = 0
         for v, m in zip(first.tolist(), mult.tolist()):
-            push = _pushforward_on(finite_model, b, images[:, v].tolist(),
+            push = _pushforward_on(finite_model, images[:, v].tolist(),
                                    translates)
-            if push.tv(target) < eps:
+            if total_variation(push, target) < eps:
                 good_hits += m
         lw_fraction = good_hits / n
         # the window distribution is a function of the window-code
@@ -469,7 +462,8 @@ def le_diagnostic(target_model: MeasureModel,
                 histogram[0], histogram[1].tobytes(), histogram[2].tobytes())
             tv = tv_of.get(key)
             if tv is None:
-                tv = _window_distribution(vals, radius, histogram).tv(target)
+                tv = total_variation(_window_distribution(vals, histogram),
+                                     target)
                 if key is not None:
                     tv_of[key] = tv
             if tv < eps:

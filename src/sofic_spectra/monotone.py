@@ -254,7 +254,7 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
                               else sched.offdiagonal(m, values[c]))
     return _coded_rule(rule.group, rule.alphabet, rule.hopping,
                        dict(zip(rows, picks.reshape(keys.shape))),
-                       candidates, f"{rule.name}@m{m}")
+                       candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,14 @@ so exact Gaussian-rational work runs once per distinct value and the rest is
 numpy.  Values are interned, so equal codes are equal values and cells are
 compared by their codes.  An operator's ``entries`` is a read-only
 (row, col) -> value mapping derived from its arrays; a rule's cell
-c(elements[i], w) is values[codes[i][w]].
+c(elements[i], w) is values[codes[i][w]].  A rule is that table over its
+group, alphabet and hopping range, and carries nothing else.  The
+closed-walk oracles walk in a Cayley ball and index their sites in the
+ball's order, reading element indices and word lengths off the ball.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -93,7 +95,6 @@ class LocalRule:
     elements: tuple
     codes: np.ndarray       # (len(elements), n_window_codes) value codes
     values: tuple
-    name: str = "rule"
     # reach -> _walk_setup; (model, reach) -> _exact_law
     _walks: dict = field(default_factory=dict, init=False, repr=False)
     _laws: dict = field(default_factory=dict, init=False, repr=False)
@@ -212,7 +213,7 @@ def _as_exact(x) -> ComplexRational:
 
 
 def _coded_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
-                picks: dict, candidates: list, name: str) -> LocalRule:
+                picks: dict, candidates: list) -> LocalRule:
     """The rule with c(g, w) = candidates[picks[g][w]].
 
     The one place rule values become exact (see _as_exact): the rule keeps
@@ -227,7 +228,7 @@ def _coded_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
     flat, values = _compact(cand_codes[codes.ravel()], distinct)
     return LocalRule(group=group, alphabet=alphabet, hopping=hopping,
                      elements=tuple(elements), codes=flat.reshape(codes.shape),
-                     values=tuple(values), name=name)
+                     values=tuple(values))
 
 
 def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
@@ -249,8 +250,7 @@ def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
         picks.setdefault(group.generator(i), np.full(A ** len(b), A))
     shift = ComplexRational(Fraction(-deg))
     return _coded_rule(group, alphabet, 1, picks,
-                       [shift + _as_exact(x) for x in potential] + [1],
-                       "schrodinger")
+                       [shift + _as_exact(x) for x in potential] + [1])
 
 
 def laplacian_rule(group: GroupSpec,
@@ -258,9 +258,7 @@ def laplacian_rule(group: GroupSpec,
     """Combinatorial graph Laplacian as a rule (potential identically zero)."""
     if alphabet is None:
         alphabet = Alphabet(symbols=("0",))
-    return dataclasses.replace(
-        schrodinger_rule(group, alphabet, [Fraction(0)] * alphabet.size),
-        name="laplacian")
+    return schrodinger_rule(group, alphabet, [Fraction(0)] * alphabet.size)
 
 
 def adjacency_rule(group: GroupSpec,
@@ -269,9 +267,7 @@ def adjacency_rule(group: GroupSpec,
     if alphabet is None:
         alphabet = Alphabet(symbols=("0",))
     deg = group.n_generators
-    return dataclasses.replace(
-        schrodinger_rule(group, alphabet, [Fraction(deg)] * alphabet.size),
-        name="adjacency")
+    return schrodinger_rule(group, alphabet, [Fraction(deg)] * alphabet.size)
 
 
 def diagonal_rule(group: GroupSpec, alphabet: Alphabet,
@@ -281,7 +277,7 @@ def diagonal_rule(group: GroupSpec, alphabet: Alphabet,
         raise RuleValidationError("one value per symbol required")
     return _coded_rule(group, alphabet, 0,
                        {group.identity(): np.arange(alphabet.size)},
-                       list(values), "diagonal")
+                       list(values))
 
 
 def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
@@ -307,7 +303,7 @@ def table_rule(group: GroupSpec, alphabet: Alphabet, hopping: int,
                 f"element {g}, window {tuple(window)} is given twice")
         row[code] = len(candidates)
         candidates.append(value)
-    return _coded_rule(group, alphabet, hopping, picks, candidates, "table")
+    return _coded_rule(group, alphabet, hopping, picks, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -789,11 +785,10 @@ def trace_moments(op: InducedOperator, k_max: int) -> list[Fraction]:
 
 @dataclass
 class _WalkSpace:
-    """Static closed-walk structure on the Cayley ball B(e, floor(k/2) M)."""
+    """Static closed-walk structure on the Cayley ball B(e, floor(k/2) M):
+    the walk sites are the elements of ``ball``, indexed in its order."""
 
-    sites: list                  # ball elements
-    site_index: dict
-    max_len: list                # word length per site
+    ball: CayleyBall
     transitions: list            # per site: list of (dst_index, step element)
     window_positions: list       # per site: big-ball index of h*site per h in B(M)
 
@@ -803,23 +798,18 @@ def _walk_space(group: GroupSpec, M: int, k: int) -> _WalkSpace:
     walk_ball = ball(group, reach)
     big = ball(group, reach + M)
     step_ball = ball(group, M)
-    sites = list(walk_ball.elements)
-    site_index = {g: i for i, g in enumerate(sites)}
     transitions = []
     window_positions = []
-    for x in sites:
+    for x in walk_ball.elements:
         trans = []
         for u in step_ball.elements:
             y = group.multiply(u, x)
-            j = site_index.get(y)
-            if j is not None:
-                trans.append((j, u))
+            if y in walk_ball:
+                trans.append((walk_ball.index(y), u))
         transitions.append(trans)
         window_positions.append([big.index(group.multiply(h, x))
                                  for h in step_ball.elements])
-    return _WalkSpace(sites=sites, site_index=site_index,
-                      max_len=[group.word_length(g) for g in sites],
-                      transitions=transitions,
+    return _WalkSpace(ball=walk_ball, transitions=transitions,
                       window_positions=window_positions)
 
 
@@ -841,7 +831,7 @@ def _walk_setup(rule: LocalRule, k: int
         step_ball = ball(group, M)
         read_sites: list[Element] = []
         seen: set = set()
-        for x in space.sites:
+        for x in space.ball.elements:
             for pos in rule.influential_positions:
                 site = group.multiply(step_ball.elements[pos], x)
                 if site not in seen:
@@ -877,8 +867,9 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
     den, tables, real, dtype = _rule_numerators(rule, k)
     A = rule.alphabet.size
     M = rule.hopping
-    e_idx = space.site_index[rule.group.identity()]
-    n_sites = len(space.sites)
+    e_idx = space.ball.index(rule.group.identity())
+    n_sites = len(space.ball)
+    lengths = space.ball.word_lengths
     B = big_vals.shape[1]
     re = np.zeros(B, dtype=dtype)
     im = np.zeros(B, dtype=dtype)
@@ -899,7 +890,7 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
                 a_re, a_im = a
                 for y, u in space.transitions[x]:
                     table = tables.get(u)
-                    if table is None or space.max_len[y] > limit:
+                    if table is None or lengths[y] > limit:
                         continue
                     # H(x, u x) = c(u, window at x)
                     c_re = table[0][codes[x]]

@@ -25,7 +25,10 @@ its allowlist.
 A field of a top-level dataclass counts as read when some program reads an
 attribute of its name (matched by name, as above; a string such as a CSV
 header reads nothing).  A field only tests read needs a reason in its
-allowlist.
+allowlist.  A field shares its name with every field of that name in another
+class, so a dead field counts as read when a live field of its name is read:
+a window law's ``radius`` (beside ``CayleyBall.radius``) and
+``CayleyBall.group`` (beside ``SoficApproximation.group``) once hid this way.
 
 The README names only what exists: every identifier in one of its inline
 code spans that contains ``_`` or starts with a capital (Python keywords

@@ -249,6 +249,7 @@ def test_product_takes_a_period_that_divides_its_moduli(tmp_path):
         sample_configuration,
         sample_rng,
         target_marginal_on,
+        total_variation,
     )
     from window_references import pushforward_window_distribution
     config = _diagnostics_config(
@@ -270,7 +271,7 @@ def test_product_takes_a_period_that_divides_its_moduli(tmp_path):
         assert seen == {(0, 1) * (n // 2), (1, 0) * (n // 2)}
         for v in range(n):
             push = pushforward_window_distribution(objects.model, sigma, v, 1)
-            assert push.tv(target) == 0.0
+            assert total_variation(push, target) == 0.0
 
 
 def test_ids_json_emitted(tmp_path):

@@ -10,7 +10,7 @@ from sofic_spectra.groups import (
     lattice_group,
 )
 
-from window_references import PatternWindow, translate_window
+from window_references import PatternWindow, translate_window, word_length
 
 
 def test_lattice_ball_counts():
@@ -62,7 +62,11 @@ def test_multiply_examples():
     binv_a = f2.multiply(binv, a)
     assert f2.multiply(ab, binv_a) == (0, 0)
     assert f2.inverse((0, 2)) == (3, 1)
-    assert f2.word_length((0, 2, 0)) == 3
+
+
+def test_word_length_reference_examples():
+    assert word_length(free_group(2), (0, 2, 0)) == 3
+    assert word_length(lattice_group(2), (2, -3)) == 5
 
 
 def test_ball_edge_labels_involution():
@@ -77,6 +81,9 @@ def test_word_metric_matches_ball_bfs():
     # BFS distance inside B(e,4) equals |g h^-1| from normal forms
     for group in (lattice_group(2), free_group(2)):
         b = ball(group, 4)
+        # the BFS word lengths are the closed-form ones
+        assert b.word_lengths == tuple(word_length(group, g)
+                                       for g in b.elements)
         adj = {i: [] for i in range(len(b))}
         for (i, j, _) in b.edges:
             adj[i].append(j)
@@ -94,8 +101,8 @@ def test_word_metric_matches_ball_bfs():
             g = b.elements[src]
             for tgt, d in dist.items():
                 h = b.elements[tgt]
-                expected = group.word_length(
-                    group.multiply(h, group.inverse(g)))
+                expected = word_length(
+                    group, group.multiply(h, group.inverse(g)))
                 assert d == expected
 
 

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 import sofic_spectra.measures as measures_module
 import sofic_spectra.sofic as sofic_module
-from sofic_spectra.groups import ball, lattice_group
+from sofic_spectra.groups import ball, free_group, lattice_group
 from sofic_spectra.measures import (
     Alphabet,
     EnumerationBudgetError,
     IIDProduct,
     Mixture,
     PeriodicOrbit,
-    WindowDistribution,
     binary_alphabet,
     check_fits,
     lattice_periodic,
@@ -26,6 +25,7 @@ from sofic_spectra.measures import (
     sample_rng,
     site_law,
     target_marginal_on,
+    total_variation,
 )
 from sofic_spectra.sofic import (
     SoficCompatibilityError,
@@ -170,27 +170,80 @@ def test_empirical_distribution_examples():
     sig = torus_approximation(1, 4)
     rho = np.array([0, 1, 0, 1])
     dist = empirical_window_distribution(rho, sig, 1)
-    assert dist.probs == {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
+    assert dist == {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
     assert sum(window_counts(rho, sig, 1).values()) == 4
     const = np.zeros(4, dtype=np.int64)
     point = empirical_window_distribution(const, sig, 1)
-    assert point.probs == {(0, 0, 0): 1.0}
+    assert point == {(0, 0, 0): 1.0}
 
 
 def test_target_marginal_iid_uniform():
     model = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
     dist = target_marginal_on(model, Z1, 1)
-    assert len(dist.probs) == 8
-    assert all(abs(p - 0.125) < 1e-15 for p in dist.probs.values())
+    assert len(dist) == 8
+    assert all(abs(p - 0.125) < 1e-15 for p in dist.values())
 
 
 def test_target_marginal_periodic():
     model = lattice_periodic(BIN, [2], [0, 1])
     dist = target_marginal_on(model, Z1, 1)
-    assert dist.probs == {(0, 1, 0): 0.5, (1, 0, 1): 0.5}
+    assert dist == {(0, 1, 0): 0.5, (1, 0, 1): 0.5}
     point = lattice_periodic(BIN, [1], [1])
     d2 = target_marginal_on(point, Z1, 1)
-    assert d2.probs == {(1, 1, 1): 1.0}
+    assert d2 == {(1, 1, 1): 1.0}
+
+
+def _target_marginal_cases():
+    coin = IIDProduct(alphabet=BIN, weights=(0.3, 0.7))
+    fair = IIDProduct(alphabet=BIN, weights=(0.5, 0.5))
+    per1 = lattice_periodic(BIN, [3], [0, 1, 1])
+    per2 = lattice_periodic(BIN, [2, 2], [0, 1, 1, 0])
+    # periodic laws factor through a lattice quotient, so F2 gets none
+    return [
+        (coin, lattice_group(1), 2), (per1, lattice_group(1), 2),
+        (Mixture(components=(coin, per1), weights=(0.25, 0.75)),
+         lattice_group(1), 2),
+        (coin, lattice_group(2), 1), (per2, lattice_group(2), 1),
+        (Mixture(components=(per2, fair), weights=(0.4, 0.6)),
+         lattice_group(2), 1),
+        (coin, free_group(2), 1),
+        (Mixture(components=(coin, fair), weights=(0.5, 0.5)),
+         free_group(2), 1),
+    ]
+
+
+@pytest.mark.parametrize("model, group, radius", _target_marginal_cases())
+def test_target_marginal_is_a_law_on_the_ball_patterns(model, group, radius):
+    law = target_marginal_on(model, group, radius)
+    assert type(law) is dict
+    assert all(len(pat) == len(ball(group, radius)) for pat in law)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+
+
+def _law(draw, patterns):
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(patterns),
+                            max_size=len(patterns)))
+    return {pat: w / sum(weights) for pat, w in zip(patterns, weights)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_total_variation_is_a_metric_on_window_laws(data):
+    pool = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              min_size=2, max_size=9, unique=True))
+    # three laws on overlapping subsets of one pool of patterns
+    p, q, r = (_law(data.draw, data.draw(st.lists(
+        st.sampled_from(pool), min_size=1, unique=True))) for _ in range(3))
+    for a, b in ((p, q), (q, r), (p, r)):
+        assert -1e-12 <= total_variation(a, b) <= 1 + 1e-12
+        assert abs(total_variation(a, b) - total_variation(b, a)) < 1e-12
+    assert total_variation(p, dict(p)) == 0.0
+    assert total_variation(p, r) <= \
+        total_variation(p, q) + total_variation(q, r) + 1e-12
+    # laws on disjoint pattern sets are at distance 1
+    cut = data.draw(st.integers(1, len(pool) - 1))
+    left, right = _law(data.draw, pool[:cut]), _law(data.draw, pool[cut:])
+    assert abs(total_variation(left, right) - 1.0) < 1e-12
 
 
 def test_marginal_coherence_shell_sum():
@@ -203,10 +256,10 @@ def test_marginal_coherence_shell_sum():
         # marginal on the radius-1 positions, summing over the outer shell
         take = [ball(Z1, 2).index(g) for g in ball(Z1, 1).elements]
         marginal: dict = {}
-        for pat, p in big.probs.items():
+        for pat, p in big.items():
             sub = tuple(pat[i] for i in take)
             marginal[sub] = marginal.get(sub, 0.0) + p
-        assert WindowDistribution(radius=1, probs=marginal).tv(small) < 1e-12
+        assert total_variation(marginal, small) < 1e-12
 
 
 def test_pushforward_at_good_vertices_equals_target():
@@ -215,7 +268,7 @@ def test_pushforward_at_good_vertices_equals_target():
     target = target_marginal_on(model, Z1, 2)
     for v in (0, 5, 11):
         push = pushforward_window_distribution(model, sig, v, 2)
-        assert push.tv(target) == 0.0
+        assert total_variation(push, target) == 0.0
 
 
 def test_pushforward_collision_identification():
@@ -224,9 +277,9 @@ def test_pushforward_collision_identification():
     model = IIDProduct(alphabet=BIN, weights=(0.7, 0.3))
     sig = torus_approximation(1, 2)
     push = pushforward_window_distribution(model, sig, 0, 1)
-    assert set(push.probs) == {(a, b, a) for a in (0, 1) for b in (0, 1)}
-    assert abs(push.probs[(1, 0, 1)] - 0.3 * 0.7) < 1e-15
-    assert abs(sum(push.probs.values()) - 1.0) < 1e-12
+    assert set(push) == {(a, b, a) for a in (0, 1) for b in (0, 1)}
+    assert abs(push[(1, 0, 1)] - 0.3 * 0.7) < 1e-15
+    assert abs(sum(push.values()) - 1.0) < 1e-12
 
 
 def test_le_diagnostic_exact_cases():
@@ -271,9 +324,9 @@ def test_sample_ensemble_draws_sample_j_of_size_i_from_its_stream(model):
 
 def test_lift_configuration():
     const = lattice_periodic(BIN, [1], [1])
-    assert target_marginal_on(const, Z1, 1).probs == {(1, 1, 1): 1.0}
+    assert target_marginal_on(const, Z1, 1) == {(1, 1, 1): 1.0}
     period2 = lattice_periodic(BIN, [2], [0, 1])
-    assert target_marginal_on(period2, Z1, 1).probs == \
+    assert target_marginal_on(period2, Z1, 1) == \
         {(0, 1, 0): 0.5, (1, 0, 1): 0.5}
     checker = lattice_periodic(BIN, [2, 2], [0, 1, 1, 0])
     assert len({tuple(row) for row in checker.translate_table.tolist()}) == 2
@@ -300,7 +353,7 @@ def test_quotient_product_periodic_sampling():
     assert seen == {(0, 1) * 4, (1, 0) * 4}
     target = target_marginal_on(model, Z1, 1)
     push = pushforward_window_distribution(model, prod, 0, 1)
-    assert push.tv(target) == 0.0
+    assert total_variation(push, target) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +499,7 @@ def test_site_law_merge_matches_the_former_marginal(data, d, budget):
     old = _outcome(lambda: _old_target_marginal_on(model, b, budget))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures_module, "DEFAULT_ENUM_BUDGET", budget)
-        new = _outcome(lambda: target_marginal_on(model, group, radius).probs)
+        new = _outcome(lambda: target_marginal_on(model, group, radius))
     # == on every probability and the same insertion order
     assert new == old
     assert not isinstance(old, dict) or list(new) == list(old)
@@ -463,7 +516,7 @@ def test_site_law_keeps_repeated_translates():
     law = list(site_law(model, sites))
     assert law == list(_old_assignment_law(model, sites))
     assert [p for _, p in law] == [0.25] * 4
-    assert target_marginal_on(model, Z1, 1).probs == \
+    assert target_marginal_on(model, Z1, 1) == \
         {(1, 0, 1): 0.5, (0, 1, 0): 0.5}
 
 
@@ -515,7 +568,7 @@ def test_target_marginal_budget_error_is_the_former_one(monkeypatch):
                        "lower the radius")
     # a periodic law is never over budget
     monkeypatch.setattr(measures_module, "DEFAULT_ENUM_BUDGET", 1)
-    assert target_marginal_on(per, Z1, 3).probs == \
+    assert target_marginal_on(per, Z1, 3) == \
         _old_target_marginal_on(per, b, 1)
 
 
@@ -552,7 +605,7 @@ def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed):
             tv = cache.get(key)
             if tv is None:
                 push = pushforward_on(model, sigma, b, list(image))
-                tv = push.tv(target)
+                tv = total_variation(push, target)
                 cache[key] = tv
             if tv < eps:
                 good_hits += 1
@@ -560,8 +613,9 @@ def _former_le_diagnostic(model, sigmas, radius, eps, sample_count, seed):
         for j in range(sample_count):
             rho = sample_configuration(model, sigma,
                                        sample_rng(seed, size_index, j))
-            if empirical_window_distribution(rho, sigma, radius).tv(target) \
-                    < eps:
+            if total_variation(
+                    empirical_window_distribution(rho, sigma, radius),
+                    target) < eps:
                 hits += 1
         f = hits / sample_count
         half = 1.96 * math.sqrt(max(f * (1 - f), 1e-12) / sample_count)

@@ -14,9 +14,16 @@ from sofic_spectra.measures import (
     EnumerationBudgetError,
     IIDProduct,
     PeriodicOrbit,
-    WindowDistribution,
     _periodic_base_values,
 )
+
+
+def word_length(group, g) -> int:
+    """Closed-form word length of a canonical element: the L1 norm of a
+    lattice vector, the length of a reduced free word."""
+    if group.kind == "lattice":
+        return sum(abs(a) for a in g)
+    return len(g)
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ def translate_window(group, g, window: PatternWindow,
     The input window must live on B_S(e, radius + |g|); the result value at h
     is the input value at h*g, matching the right-translation shift action.
     """
-    need = radius + group.word_length(g)
+    need = radius + word_length(group, g)
     if window.radius < need:
         raise ValueError(
             f"window radius {window.radius} insufficient, need {need}")
@@ -58,12 +65,11 @@ def window_counts(rho, sigma, radius: int) -> Counter:
                    for v in range(sigma.n_vertices))
 
 
-def empirical_window_distribution(rho, sigma,
-                                  radius: int) -> WindowDistribution:
+def empirical_window_distribution(rho, sigma, radius: int) -> dict:
     """Frequencies of the vertex-rooted pullback windows."""
     n = sigma.n_vertices
-    return WindowDistribution(radius=radius, probs={
-        pat: c / n for pat, c in window_counts(rho, sigma, radius).items()})
+    return {pat: c / n
+            for pat, c in window_counts(rho, sigma, radius).items()}
 
 
 def decode(code: int, base: int, length: int) -> tuple:
@@ -76,7 +82,7 @@ def decode(code: int, base: int, length: int) -> tuple:
 
 
 def pushforward_on(model, sigma, b, image: list,
-                   budget: int = DEFAULT_ENUM_BUDGET) -> WindowDistribution:
+                   budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Law of the pattern u -> rho(image[u]) on the ball b under the
     finite-model law on sigma: one i.i.d. symbol per collision class, or one
     periodic translate at a time."""
@@ -102,7 +108,7 @@ def pushforward_on(model, sigma, b, image: list,
                     pat[pos] = s
             key = tuple(pat)
             probs[key] = probs.get(key, 0.0) + p
-        return WindowDistribution(radius=b.radius, probs=probs)
+        return probs
     if isinstance(model, PeriodicOrbit):
         q = model.quotient.size
         probs = {}
@@ -110,17 +116,17 @@ def pushforward_on(model, sigma, b, image: list,
             rho = _periodic_base_values(model, sigma, t)
             pat = tuple(int(rho[u]) for u in image)
             probs[pat] = probs.get(pat, 0.0) + 1.0 / q
-        return WindowDistribution(radius=b.radius, probs=probs)
+        return probs
     probs = {}
     for comp, w in zip(model.components, model.weights):
         sub = pushforward_on(comp, sigma, b, image, budget)
-        for pat, p in sub.probs.items():
+        for pat, p in sub.items():
             probs[pat] = probs.get(pat, 0.0) + w * p
-    return WindowDistribution(radius=b.radius, probs=probs)
+    return probs
 
 
 def pushforward_window_distribution(model, sigma, v: int,
-                                    radius: int) -> WindowDistribution:
+                                    radius: int) -> dict:
     """Exact law of the radius-R window of Pi_v under the finite-model law.
 
     Collisions sigma^g(v) = sigma^h(v) identify the coordinates g and h, so
