@@ -37,12 +37,6 @@ class ComplexRational:
     def __neg__(self) -> "ComplexRational":
         return ComplexRational(-self.re, -self.im)
 
-    def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def conjugate(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
 

@@ -62,9 +62,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
-
 
 def binary_alphabet() -> Alphabet:
     return Alphabet(symbols=("0", "1"))

@@ -14,7 +14,7 @@ is an exact InducedOperator), are verified in exact rational arithmetic;
 magnitude sums are decided square-root-free.  Operators are compared on
 their value-coded arrays: a difference merges the sorted row * n + col keys
 of both operators and subtracts once per distinct pair of value codes, and
-one step certificate (strict Gershgorin on the difference's support block,
+one step certificate (strict Gershgorin on the rows the difference stores,
 plus its least eigenvalue) proves each step of ``monotone_ids_report``; a
 step it cannot certify raises ScheduleError, so the report's count arrays
 (one row of N_m per depth) come from certified steps without saying so.
@@ -267,20 +267,21 @@ class GershgorinCertificate:
     certified: bool
     witness_row: Optional[int] = None
 
-    def __bool__(self) -> bool:
-        return self.certified
-
 
 def gershgorin_psd(op: InducedOperator,
                    strict: bool = False) -> GershgorinCertificate:
     """Diagonal-dominance certificate for positive (semi-)definiteness,
-    decided exactly and square-root-free, row by row.  Certified (non-strict)
-    implies min eigenvalue >= 0; strict implies > 0.
+    decided exactly and square-root-free on the rows the operator stores.
+    Certified (non-strict) implies min eigenvalue >= 0; strict implies > 0
+    on the span of the stored rows.
 
+    The operator is Hermitian, as its constructor checks, so its diagonal is
+    real and a row it does not store is a zero row and column: its unit
+    vector is a 0-eigenvector, orthogonal to the stored rows' span, and the
+    row is not decided.  A stored row of zeros fails strict dominance.
     Rows repeat a handful of value patterns, so each row is keyed on
     (diagonal code, sorted off-diagonal codes) and each key is decided once;
-    codes are equal exactly when values are.  The operator is Hermitian, so
-    its diagonal is real, as its constructor checks.
+    codes are equal exactly when values are.
     """
     on_diag = op.rows == op.cols
     diag = np.full(op.n, -1)            # -1: no stored diagonal, i.e. 0
@@ -290,7 +291,8 @@ def gershgorin_psd(op: InducedOperator,
     bounds = np.searchsorted(op.rows[off], np.arange(op.n + 1)).tolist()
     off_codes = op.codes[off].tolist()
     verdicts: dict = {}
-    for i, d in enumerate(diag.tolist()):
+    stored = np.unique(op.rows)
+    for i, d in zip(stored.tolist(), diag[stored].tolist()):
         key = (d, tuple(off_codes[bounds[i]:bounds[i + 1]]))
         if key not in verdicts:
             verdicts[key] = sum_abs_le(
@@ -328,22 +330,16 @@ def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
 
 def _psd_step(m: int, h_m: InducedOperator,
               h_next: InducedOperator) -> float:
-    """Certify h_next - h_m >= 0 by strict dominance on the support block of
-    the difference, and return the difference's least eigenvalue."""
+    """Certify h_next - h_m >= 0 by strict dominance on the rows the
+    difference stores, and return the difference's least eigenvalue (0.0
+    for an empty difference, whose spectrum is exact)."""
     diff = _difference(h_next, h_m)
-    nnz = len(diff.rows)
-    support, inverse = np.unique(np.concatenate([diff.rows, diff.cols]),
-                                 return_inverse=True)
-    if nnz:
-        # the relabelling increases, so the block keeps row-major order
-        block = InducedOperator(len(support), inverse[:nnz],
-                                inverse[nnz:], diff.codes, diff.values)
-        cert = gershgorin_psd(block, strict=True)
-        if not cert.certified:
-            raise ScheduleError(
-                f"schedule step {m}->{m+1} failed strict certification at "
-                f"row {cert.witness_row}; this indicates a schedule bug")
-    return float(eigen_spectrum(diff).values[0]) if nnz else 0.0
+    cert = gershgorin_psd(diff, strict=True)
+    if not cert.certified:
+        raise ScheduleError(
+            f"schedule step {m}->{m+1} failed strict certification at "
+            f"row {cert.witness_row}; this indicates a schedule bug")
+    return float(eigen_spectrum(diff).values[0])
 
 
 # ---------------------------------------------------------------------------

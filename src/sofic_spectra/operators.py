@@ -25,7 +25,7 @@ in row-major order, built once at assembly.  Every consumer reads the codes,
 so exact Gaussian-rational work runs once per distinct value and the rest is
 numpy.  Values are interned, so equal codes are equal values and cells are
 compared by their codes.  An operator's ``entries`` is a read-only
-(row, col) -> value mapping derived from its arrays; a rule's cell
+(row, col) -> value dict built once from its arrays; a rule's cell
 c(elements[i], w) is values[codes[i][w]].  A rule is that table over its
 group, alphabet and hopping range, and carries nothing else.  The
 closed-walk oracles walk in a Cayley ball and index their sites in the
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Mapping
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -253,19 +253,13 @@ def schrodinger_rule(group: GroupSpec, alphabet: Alphabet,
                        [shift + _as_exact(x) for x in potential] + [1])
 
 
-def laplacian_rule(group: GroupSpec,
-                   alphabet: Optional[Alphabet] = None) -> LocalRule:
+def laplacian_rule(group: GroupSpec, alphabet: Alphabet) -> LocalRule:
     """Combinatorial graph Laplacian as a rule (potential identically zero)."""
-    if alphabet is None:
-        alphabet = Alphabet(symbols=("0",))
     return schrodinger_rule(group, alphabet, [Fraction(0)] * alphabet.size)
 
 
-def adjacency_rule(group: GroupSpec,
-                   alphabet: Optional[Alphabet] = None) -> LocalRule:
+def adjacency_rule(group: GroupSpec, alphabet: Alphabet) -> LocalRule:
     """Cayley-graph adjacency: the Laplacian shifted by +|S| I."""
-    if alphabet is None:
-        alphabet = Alphabet(symbols=("0",))
     deg = group.n_generators
     return schrodinger_rule(group, alphabet, [Fraction(deg)] * alphabet.size)
 
@@ -366,23 +360,6 @@ def validate_local_rule(rule: LocalRule) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _Entries(Mapping):
-    """Read-only (row, col) -> value view of an operator, in entry order."""
-
-    def __init__(self, op: "InducedOperator"):
-        self._op = op
-
-    def __len__(self) -> int:
-        return len(self._op.rows)
-
-    def __iter__(self):
-        return zip(self._op.rows.tolist(), self._op.cols.tolist())
-
-    def __getitem__(self, key) -> ComplexRational:
-        op = self._op
-        return op.values[op.codes[op._index[key]]]
-
-
 @dataclass(frozen=True, eq=False)
 class InducedOperator:
     """Sparse Hermitian finite-volume operator, stored value-coded.
@@ -426,15 +403,14 @@ class InducedOperator:
         codes, values = _intern([_as_exact(values[t]) for t in order.tolist()])
         return cls(n, rows[order], cols[order], codes, tuple(values))
 
-    @property
-    def entries(self) -> Mapping:
-        """(row, col) -> value, derived from the arrays; its length is nnz."""
-        return _Entries(self)
-
     @functools.cached_property
-    def _index(self) -> dict:
-        """Entry number of each (row, col), built on the first lookup."""
-        return dict(zip(self.entries, range(len(self.rows))))
+    def entries(self) -> types.MappingProxyType:
+        """Read-only (row, col) -> value dict in row-major order, built from
+        the arrays on the first read; its length is nnz."""
+        values = self.values
+        return types.MappingProxyType(dict(zip(
+            zip(self.rows.tolist(), self.cols.tolist()),
+            [values[c] for c in self.codes.tolist()])))
 
     def is_diagonal(self) -> bool:
         return bool(np.array_equal(self.rows, self.cols))

@@ -205,7 +205,7 @@ def punctured_mass(spec: Spectrum, alpha: float, eps: float) -> float:
 
 
 def punctured_mass_bound(norm_bound: float, eps: float,
-                         denominator: int = 1) -> float:
+                         denominator: int) -> float:
     """log(R)/log(1/(D*eps)): determinant-arithmetic bound on punctured mass
     at 0.
 

@@ -50,7 +50,7 @@ def _zero_rho(n):
 
 def test_criterion_1_arcsine_ids():
     t0 = time.monotonic()
-    lap = ss.laplacian_rule(Z1)
+    lap = ss.laplacian_rule(Z1, TRIV)
     tolerances = {64: 0.05, 256: 0.02, 1024: 0.005}
     distances = {}
     for n, tol in tolerances.items():
@@ -163,7 +163,7 @@ def test_criterion_4_integer_punctured_law():
         for eps in (1e-2, 1e-4):
             checked += 1
             mass = ss.punctured_mass(spec, 0.0, eps)
-            if mass > ss.punctured_mass_bound(norm, eps):
+            if mass > ss.punctured_mass_bound(norm, eps, 1):
                 violations += 1
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 120.0

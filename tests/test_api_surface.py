@@ -20,7 +20,14 @@ matched as above, and ``**`` arguments pass nothing.  A call inside the body
 of a function of the same name (a recursion) passes nothing either, so a
 parameter that only its own function forwards counts as unpassed.  A call in
 the tests is no use of its own: an option only tests set needs a reason in
-its allowlist.
+its allowlist.  Conversely, each such parameter must be left at its default
+by some call of those programs, matched and with recursions skipped in the
+same way, that gives it neither by keyword nor by position and has no * or
+** argument: a default that every program call overrides is an option only
+tests leave out, and needs a reason in its own allowlist.  Matching by name
+lets a call to another function of the same name count, so ``cli.run``'s
+``out_dir``, which every program call of ``cli.run`` gives, is not seen: the
+benchmark's ``subprocess.run`` calls share its callee name.
 
 A field of a top-level dataclass counts as read when some program reads an
 attribute of its name (matched by name, as above; a string such as a CSV
@@ -68,6 +75,17 @@ ALLOWED = {
 ALLOWED_DEFAULTS = {
     "measures.le_diagnostic(finite_model)": "a finite law other than the "
                                             "target",
+}
+
+_NON_STRICT = ("the non-strict certificate is asked for by no program, only "
+               "by acceptance criteria 1-2, whose boundary certificates "
+               "criterion 8 re-checks")
+
+# defaulted parameter -> why its default stays although every program call
+# gives the parameter
+ALLOWED_EXPLICIT = {
+    "monotone.gershgorin_psd(strict)": _NON_STRICT,
+    "exact.sum_abs_le(strict)": _NON_STRICT,
 }
 
 
@@ -156,11 +174,9 @@ def _callee(call: ast.Call):
     return None
 
 
-def _passed() -> tuple[set, dict]:
-    """({(function name, keyword)}, {function name: most positional
-    arguments before any * argument}) over every call that is not inside a
-    function of the callee's name."""
-    keywords, positional = set(), {}
+def _calls():
+    """(callee name, call) of every call in the programs to a name or an
+    attribute that is not inside a function of the callee's name."""
     for path in PROGRAMS:
         tree = ast.parse(path.read_text())
         recursions = {id(node) for function in ast.walk(tree)
@@ -169,15 +185,25 @@ def _passed() -> tuple[set, dict]:
                       if isinstance(node, ast.Call)
                       and _callee(node) == function.name}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or id(node) in recursions:
-                continue
-            name = _callee(node)
-            if name is None:
-                continue
-            count = next((i for i, a in enumerate(node.args)
-                          if isinstance(a, ast.Starred)), len(node.args))
-            positional[name] = max(positional.get(name, 0), count)
-            keywords |= {(name, k.arg) for k in node.keywords if k.arg}
+            if isinstance(node, ast.Call) and id(node) not in recursions:
+                name = _callee(node)
+                if name is not None:
+                    yield name, node
+
+
+def _positional(call: ast.Call) -> int:
+    """The positional arguments a call gives before any * argument."""
+    return next((i for i, a in enumerate(call.args)
+                 if isinstance(a, ast.Starred)), len(call.args))
+
+
+def _passed() -> tuple[set, dict]:
+    """({(function name, keyword)}, {function name: most positional
+    arguments before any * argument}) over the calls of _calls."""
+    keywords, positional = set(), {}
+    for name, node in _calls():
+        positional[name] = max(positional.get(name, 0), _positional(node))
+        keywords |= {(name, k.arg) for k in node.keywords if k.arg}
     return keywords, positional
 
 
@@ -191,6 +217,27 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                      or positional.get(function, 0) <= position)]
     # an allowlisted parameter must exist and still be passed by no caller
     assert sorted(unpassed) == sorted(ALLOWED_DEFAULTS)
+
+
+def _leaves_default(call: ast.Call, name: str, position) -> bool:
+    """The call gives the parameter neither by keyword nor by position, and
+    has no * or ** argument that could give it."""
+    return (_positional(call) == len(call.args)
+            and all(k.arg is not None and k.arg != name
+                    for k in call.keywords)
+            and (position is None or len(call.args) <= position))
+
+
+def test_every_defaulted_parameter_is_left_at_its_default_somewhere():
+    calls = list(_calls())
+    always_passed = [f"{qualified}({name})"
+                     for qualified, function, name, position
+                     in _defaulted_parameters()
+                     if not any(callee == function
+                                and _leaves_default(call, name, position)
+                                for callee, call in calls)]
+    # an allowlisted parameter must exist and still be given by every call
+    assert sorted(always_passed) == sorted(ALLOWED_EXPLICIT)
 
 
 def _program_words() -> set:

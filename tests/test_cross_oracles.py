@@ -279,4 +279,4 @@ def test_punctured_bound_has_teeth():
     spec = Spectrum(values=np.sort(vals), residual=0.0)
     mass = punctured_mass(spec, 0.0, 1e-2)
     assert mass == 0.9
-    assert mass > punctured_mass_bound(1.0, 1e-2)
+    assert mass > punctured_mass_bound(1.0, 1e-2, 1)

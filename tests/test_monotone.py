@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sofic_spectra.exact import CZERO, ComplexRational, sum_abs_le
-from sofic_spectra.groups import lattice_group
+from sofic_spectra.groups import free_group, lattice_group
 from sofic_spectra.measures import Alphabet, binary_alphabet
 from sofic_spectra import monotone
 from sofic_spectra.monotone import (
@@ -32,7 +32,11 @@ from sofic_spectra.operators import (
     table_rule,
     validate_local_rule,
 )
-from sofic_spectra.sofic import torus_approximation
+from sofic_spectra.sofic import (
+    good_vertices,
+    random_permutation_approximation,
+    torus_approximation,
+)
 from sofic_spectra.spectral import eigen_spectrum
 
 from dense_operators import hermitian_entries, operator_of, rule_tables
@@ -284,7 +288,7 @@ def test_schedule_step_handbuilt_constant_offdiagonal():
 
 def test_schedule_step_zero_rows_allowed():
     # torus(1,4) has no 2-good vertices: differences are identically zero,
-    # still PSD (support-strict check is vacuous)
+    # still PSD (strict dominance on no stored row is vacuous)
     rule = schrodinger_rule(Z1, ONE, [Fraction(1)])
     sched = build_schedule(value_sets_of(rule), 2)
     sig = torus_approximation(1, 4)
@@ -292,6 +296,38 @@ def test_schedule_step_zero_rows_allowed():
     h_1, h_2 = (assemble_induced(apply_schedule(rule, sched, m), sig,
                                  zero_config(4)) for m in (1, 2))
     assert len(_difference(h_2, h_1).rows) == 0
+
+
+def test_strict_gershgorin_decides_only_the_stored_rows():
+    # row 1 stores nothing: a zero row and column, whose unit vector is a
+    # 0-eigenvector beside the positive definite block on rows 0 and 2
+    two, one = crat(2), crat(1)
+    op = InducedOperator.from_entries(3, {(0, 0): two, (0, 2): one,
+                                          (2, 0): one, (2, 2): two})
+    assert gershgorin_psd(op, strict=True).certified
+    assert np.allclose(eigen_spectrum(op).values, [0, 1, 3])
+    assert not op.to_dense()[:, 1].any()
+    # a stored row of zeros is decided, and fails strict dominance
+    stored_zero = InducedOperator.from_entries(
+        3, {(0, 0): two, (1, 1): crat(0), (2, 2): two})
+    cert = gershgorin_psd(stored_zero, strict=True)
+    assert not cert.certified and cert.witness_row == 1
+    assert gershgorin_psd(stored_zero).certified
+
+
+def test_schedule_step_certified_beside_vertices_that_are_not_good():
+    # the rows of vertices that are not 2-good are empty in every depth, so
+    # their difference rows are too, and the step is certified on the rest
+    f2 = free_group(2)
+    rule = schrodinger_rule(f2, BIN, [Fraction(0), Fraction(5, 3)])
+    sched = build_schedule(value_sets_of(rule), 2)
+    sig = random_permutation_approximation(2, 200, 0)
+    assert good_vertices(sig, 2).fraction < 1
+    rho = np.arange(200) % 2
+    h_1, h_2 = (assemble_induced(apply_schedule(rule, sched, m), sig, rho)
+                for m in (1, 2))
+    assert len(np.unique(_difference(h_2, h_1).rows)) < 200
+    assert abs(schedule_step_psd_check(rule, sched, 1, sig, rho)) < 1e-9
 
 
 def test_monotone_report_sqrt2():
@@ -513,16 +549,17 @@ def test_difference_norm_of_schedule_depths_matches_per_entry_loop():
 
 
 def _ref_outcome(op, strict):
-    """The per-row loop that row-pattern deduplication replaced."""
-    rows = {i: [] for i in range(op.n)}
-    diag = [Fraction(0)] * op.n
+    """The per-row loop that row-pattern deduplication replaced, over the
+    rows that store an entry, in ascending order."""
+    rows, diag = {}, {}
     for (i, j), v in op.entries.items():
+        off = rows.setdefault(i, [])
         if i == j:
             diag[i] = v.re
         else:
-            rows[i].append(v)
-    for i in range(op.n):
-        if not sum_abs_le(rows[i], diag[i], strict=strict):
+            off.append(v)
+    for i, off in rows.items():
+        if not sum_abs_le(off, diag.get(i, Fraction(0)), strict=strict):
             return False, i
     return True, None
 

@@ -78,7 +78,7 @@ def test_schrodinger_rule_values():
 
 
 def test_validate_laplacian():
-    rule = laplacian_rule(Z1)
+    rule = laplacian_rule(Z1, TRIV)
     assert validate_local_rule(rule) == []
     assert rule.realized_value_sets() == ({ComplexRational(Fraction(-2))},
                                           {ComplexRational(Fraction(1))})
@@ -107,7 +107,7 @@ def test_validate_diagonal_rule_any_real():
 
 def test_assemble_circulant():
     sig = torus_approximation(1, 8)
-    op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
+    op = assemble_induced(laplacian_rule(Z1, TRIV), sig, zero_config(8))
     dense = op.to_dense()
     expect = -2 * np.eye(8) + np.eye(8, k=1) + np.eye(8, k=-1)
     expect[0, 7] = expect[7, 0] = 1
@@ -148,7 +148,7 @@ def test_assembly_zero_pattern_invariant():
 def test_assembly_zeroes_at_bad_vertices():
     # n=4 torus has no 2-good vertex, so the strict assembly is empty
     sig = torus_approximation(1, 4)
-    op = assemble_induced(laplacian_rule(Z1), sig, zero_config(4))
+    op = assemble_induced(laplacian_rule(Z1, TRIV), sig, zero_config(4))
     assert op.entries == {}
     # the graph construction carries the small-size circulant instead
     graph_op = assemble_graph_schrodinger(sig, zero_config(4), TRIV,
@@ -171,7 +171,7 @@ def test_graph_mode_matches_strict_on_good_torus():
 def test_goodness_radius_mismatch_error():
     sig = torus_approximation(1, 8)
     with pytest.raises(AssemblyError):
-        assemble_induced(laplacian_rule(Z1), sig, zero_config(8),
+        assemble_induced(laplacian_rule(Z1, TRIV), sig, zero_config(8),
                          good_vertices(sig, 3))
 
 
@@ -197,9 +197,9 @@ def test_power_diagonal_trivial_k1():
 
 def test_power_diagonal_laplacian_k2():
     sig = torus_approximation(1, 12)
-    rep = power_diagonal_check(laplacian_rule(Z1), sig, zero_config(12), 2)
+    rep = power_diagonal_check(laplacian_rule(Z1, TRIV), sig, zero_config(12), 2)
     assert rep.max_discrepancy == 0.0
-    op = assemble_induced(laplacian_rule(Z1), sig, zero_config(12))
+    op = assemble_induced(laplacian_rule(Z1, TRIV), sig, zero_config(12))
     dense = op.to_dense()
     assert np.allclose(np.diag(dense @ dense), 6.0)
 
@@ -216,7 +216,7 @@ def test_power_diagonal_diagonal_rule_k3():
 
 
 def test_expected_moment_examples():
-    lap = laplacian_rule(Z1)
+    lap = laplacian_rule(Z1, TRIV)
     triv = IIDProduct(alphabet=TRIV, weights=(1.0,))
     assert expected_moment(lap, triv, 1).value == -2.0
     assert expected_moment(lap, triv, 2).value == 6.0
@@ -344,7 +344,7 @@ def test_expected_moment_free_group_tree():
 
 def test_hermitian_check_rejects_tampering():
     sig = torus_approximation(1, 8)
-    op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
+    op = assemble_induced(laplacian_rule(Z1, TRIV), sig, zero_config(8))
     two = ComplexRational(Fraction(2))
     # one side of a pair is refused when the operator is built; the pair
     # moved together is Hermitian again
@@ -356,7 +356,7 @@ def test_hermitian_check_rejects_tampering():
 
 def test_row_sum_bound():
     sig = torus_approximation(1, 8)
-    op = assemble_induced(laplacian_rule(Z1), sig, zero_config(8))
+    op = assemble_induced(laplacian_rule(Z1, TRIV), sig, zero_config(8))
     assert op.row_sum_bound() == 4.0
 
 
@@ -1234,6 +1234,22 @@ def test_every_constructor_stores_row_major():
     float_graph = assemble_graph_schrodinger(sig, rho, BIN, [1.0, 2.5])
     for op in (strict, graph, float_graph, _difference(strict, graph)):
         _assert_row_major(op)
+
+
+def test_entries_is_one_read_only_dict_in_row_major_order():
+    sig = random_permutation_approximation(2, 40, 1)
+    rho = sample_configuration(IIDProduct(alphabet=BIN, weights=(0.5, 0.5)),
+                               sig, np.random.default_rng(1))
+    op = assemble_induced(schrodinger_rule(
+        free_group(2), BIN, [Fraction(0), Fraction(5, 3)]), sig, rho)
+    entries = op.entries
+    assert op.entries is entries
+    with pytest.raises(TypeError):
+        entries[0, 0] = CZERO
+    keys = list(zip(op.rows.tolist(), op.cols.tolist()))
+    assert list(entries) == keys == sorted(keys)
+    assert entries == {key: op.values[c]
+                       for key, c in zip(keys, op.codes.tolist())}
 
 
 def test_operator_rejects_unsorted_or_repeated_entries():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sofic_spectra import spectral
 from sofic_spectra.exact import CZERO, ComplexRational
 from sofic_spectra.groups import lattice_group
-from sofic_spectra.measures import binary_alphabet
+from sofic_spectra.measures import Alphabet, binary_alphabet
 from sofic_spectra.operators import (
     AssemblyError,
     InducedOperator,
@@ -40,14 +40,13 @@ from dense_operators import operator_of
 
 Z1 = lattice_group(1)
 BIN = binary_alphabet()
+TRIV = Alphabet(symbols=("0",))
 
 
 def torus_laplacian_spectrum(n):
     sig = torus_approximation(1, n)
     rho = np.zeros(n, dtype=np.int64)
-    from sofic_spectra.measures import Alphabet
-    op = assemble_graph_schrodinger(sig, rho, Alphabet(symbols=("0",)),
-                                    [Fraction(0)])
+    op = assemble_graph_schrodinger(sig, rho, TRIV, [Fraction(0)])
     return eigen_spectrum(op)
 
 
@@ -98,7 +97,7 @@ def test_eigen_budget_is_checked_before_densifying(monkeypatch):
     budget = 5
     monkeypatch.setattr(spectral, "DEFAULT_DENSE_BUDGET", budget)
     sig = torus_approximation(1, budget + 1)
-    op = assemble_induced(laplacian_rule(Z1), sig,
+    op = assemble_induced(laplacian_rule(Z1, TRIV), sig,
                           np.zeros(budget + 1, dtype=int))
 
     def no_dense(self):
@@ -155,12 +154,12 @@ def test_punctured_mass_examples():
 
 
 def test_punctured_mass_bound_values():
-    assert punctured_mass_bound(2.0, 1 / 16) == pytest.approx(0.25)
-    assert punctured_mass_bound(1.0, 0.5) == 0.0
+    assert punctured_mass_bound(2.0, 1 / 16, 1) == pytest.approx(0.25)
+    assert punctured_mass_bound(1.0, 0.5, 1) == 0.0
     with pytest.raises(ValueError):
-        punctured_mass_bound(0.5, 0.1)
+        punctured_mass_bound(0.5, 0.1, 1)
     with pytest.raises(ValueError):
-        punctured_mass_bound(2.0, 1.5)
+        punctured_mass_bound(2.0, 1.5, 1)
 
 
 def test_integer_punctured_law_small_ensemble():
@@ -173,7 +172,7 @@ def test_integer_punctured_law_small_ensemble():
         r = max(1.0, float(np.max(np.abs(spec.values))) if n else 1.0)
         for eps in (1e-2, 1e-4):
             assert punctured_mass(spec, 0.0, eps) <= \
-                punctured_mass_bound(r, eps)
+                punctured_mass_bound(r, eps, 1)
 
 
 def test_rational_shift_reduction(monkeypatch):
@@ -278,7 +277,7 @@ def test_2d_reference_sanity(monkeypatch):
     # against an actual 2d torus eigensolve
     sig = torus_approximation(2, 30)
     rho = np.zeros(900, dtype=np.int64)
-    op = assemble_induced(laplacian_rule(lattice_group(2)), sig, rho)
+    op = assemble_induced(laplacian_rule(lattice_group(2), TRIV), sig, rho)
     curve = ids_curve(eigen_spectrum(op), grid)
     assert kolmogorov_distance(curve, ref2) <= 0.08
 
