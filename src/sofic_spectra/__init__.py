@@ -69,7 +69,6 @@ from .spectral import (
     reference_ids,
 )
 from .monotone import (
-    GershgorinCertificate,
     MonotoneIDSReport,
     MonotonicityError,
     RationalSchedule,

@@ -751,11 +751,12 @@ def _write_gnuplot(out: Path, pipeline: str, outputs: list[str]) -> None:
     (out / "plots.gp").write_text(GNUPLOT_TEMPLATE.format(plots="\n".join(plots)))
 
 
-def run(config: dict, out_dir=None) -> dict:
-    """Execute a pipeline config; returns the manifest dict.  Every config
-    fault is a ConfigError raised before the output directory is made.  A
-    run that fails in its pipeline writes the same manifest, with no
-    outputs and the error, before it re-raises."""
+def run(config: dict, out_dir) -> dict:
+    """Execute a pipeline config into out_dir (None: the config's
+    ``out_dir``); returns the manifest dict.  Every config fault is a
+    ConfigError raised before the output directory is made.  A run that
+    fails in its pipeline writes the same manifest, with no outputs and the
+    error, before it re-raises."""
     effective = validate_config(config)
     objects = build_objects(effective)
     out = Path(out_dir if out_dir is not None else effective["out_dir"])

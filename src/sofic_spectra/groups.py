@@ -139,7 +139,7 @@ class CayleyBall:
     edges: tuple  # (src_index, dst_index, generator_index)
     word_lengths: tuple
 
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index",

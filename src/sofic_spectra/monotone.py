@@ -9,11 +9,13 @@ diagonal dominance of the difference operator, so consecutive induced
 operators increase in the positive-semidefinite order and their eigenvalue
 counting functions decrease pointwise (Weyl monotonicity).
 
-All schedule inequalities, and every Gershgorin certificate (its one input
-is an exact InducedOperator), are verified in exact rational arithmetic;
-magnitude sums are decided square-root-free.  Operators are compared on
-their value-coded arrays: a difference merges the sorted row * n + col keys
-of both operators and subtracts once per distinct pair of value codes, and
+A schedule is its two tables of approximants, filled before the record is
+built.  All schedule inequalities, and every Gershgorin certificate (its one
+input is an exact InducedOperator, its result the first failing row or
+None), are verified in exact rational arithmetic; magnitude sums are
+decided square-root-free.  Operators are compared on their value-coded
+arrays: a difference merges the sorted row * n + col keys of both
+operators and subtracts once per distinct pair of value codes, and
 one step certificate (strict Gershgorin on the rows the difference stores,
 plus its least eigenvalue) proves each step of ``monotone_ids_report``; a
 step it cannot certify raises ScheduleError, so the report's count arrays
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -104,25 +106,15 @@ def value_sets_of(rule: LocalRule) -> ValueSets:
 
 @dataclass
 class RationalSchedule:
-    """Dyadic rational approximants a(m, f), b(m, h) for m = 1..m_max."""
+    """Dyadic rational approximants a(m, f), b(m, h) for m = 1..m_max, of
+    every value of ``values``: ``apply_schedule`` reads them for a rule whose
+    value sets it has checked are the schedule's."""
 
     m_max: int
     values: ValueSets
-    gap_constant: Fraction                  # c in the diagonal offset 2c 4^-m
-    a: dict = field(default_factory=dict)   # (m, f) -> Fraction
-    b: dict = field(default_factory=dict)   # (m, h) -> ComplexRational
-
-    def diagonal(self, m: int, f) -> Fraction:
-        try:
-            return self.a[(m, f)]
-        except KeyError:
-            raise ScheduleError(f"diagonal value {f!r} not in schedule") from None
-
-    def offdiagonal(self, m: int, h) -> ComplexRational:
-        try:
-            return self.b[(m, h)]
-        except KeyError:
-            raise ScheduleError(f"off-diagonal value {h!r} not in schedule") from None
+    gap_constant: Fraction      # c in the diagonal offset 2c 4^-m
+    a: dict                     # (m, f) -> Fraction
+    b: dict                     # (m, h) -> ComplexRational
 
 
 def build_schedule(values: ValueSets, m_max: int) -> RationalSchedule:
@@ -144,7 +136,7 @@ def build_schedule(values: ValueSets, m_max: int) -> RationalSchedule:
             "off-diagonal drift; this rule has an identically zero diagonal")
     d = values.max_offdiag_per_row
     c = Fraction(1) + 6 * d * len(reps)
-    sched = RationalSchedule(m_max=m_max, values=values, gap_constant=c)
+    a_table, b_table = {}, {}
     for m in range(1, m_max + 1):
         q = Fraction(4) ** m
         nudge = Fraction(1, 4 ** (m + 1))
@@ -152,7 +144,7 @@ def build_schedule(values: ValueSets, m_max: int) -> RationalSchedule:
             a = Fraction(math.floor(f.re * q)) / q - 2 * c / q
             if a == 0:
                 a -= nudge
-            sched.a[(m, f)] = a
+            a_table[(m, f)] = a
         for h in reps:
             bre = Fraction(math.ceil(h.re * q) + 1) / q
             if h.im > 0:
@@ -162,9 +154,10 @@ def build_schedule(values: ValueSets, m_max: int) -> RationalSchedule:
             if bre == 0 and bim == 0:
                 bre -= nudge
             bb = ComplexRational(bre, bim)
-            sched.b[(m, h)] = bb
+            b_table[(m, h)] = bb
             if h.im != 0:
-                sched.b[(m, h.conjugate())] = bb.conjugate()
+                b_table[(m, h.conjugate())] = bb.conjugate()
+    sched = RationalSchedule(m_max, values, c, a_table, b_table)
     _verify_schedule(sched)
     return sched
 
@@ -248,10 +241,9 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
     candidates = []
     for on_diagonal, c in (divmod(p, len(values)) for p in pairs.tolist()):
         if on_diagonal and (zero_scheduled or not zeros[c]):
-            candidates.append(sched.diagonal(m, values[c]))
+            candidates.append(sched.a[(m, values[c])])
         else:
-            candidates.append(0 if zeros[c]
-                              else sched.offdiagonal(m, values[c]))
+            candidates.append(0 if zeros[c] else sched.b[(m, values[c])])
     return _coded_rule(rule.group, rule.alphabet, rule.hopping,
                        dict(zip(rows, picks.reshape(keys.shape))),
                        candidates)
@@ -262,18 +254,14 @@ def apply_schedule(rule: LocalRule, sched: RationalSchedule, m: int) -> LocalRul
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GershgorinCertificate:
-    certified: bool
-    witness_row: Optional[int] = None
-
-
 def gershgorin_psd(op: InducedOperator,
-                   strict: bool = False) -> GershgorinCertificate:
+                   strict: bool = False) -> Optional[int]:
     """Diagonal-dominance certificate for positive (semi-)definiteness,
-    decided exactly and square-root-free on the rows the operator stores.
-    Certified (non-strict) implies min eigenvalue >= 0; strict implies > 0
-    on the span of the stored rows.
+    decided exactly and square-root-free on the rows the operator stores:
+    the first stored row whose dominance fails, or None when every stored
+    row passes (row 0 is falsy: compare with None).  None (non-strict)
+    implies min eigenvalue >= 0; strict implies > 0 on the span of the
+    stored rows.
 
     The operator is Hermitian, as its constructor checks, so its diagonal is
     real and a row it does not store is a zero row and column: its unit
@@ -299,8 +287,8 @@ def gershgorin_psd(op: InducedOperator,
                 [op.values[c] for c in key[1]],
                 op.values[d].re if d >= 0 else Fraction(0), strict=strict)
         if not verdicts[key]:
-            return GershgorinCertificate(certified=False, witness_row=i)
-    return GershgorinCertificate(certified=True)
+            return i
+    return None
 
 
 def _difference(a: InducedOperator, b: InducedOperator) -> InducedOperator:
@@ -334,11 +322,11 @@ def _psd_step(m: int, h_m: InducedOperator,
     difference stores, and return the difference's least eigenvalue (0.0
     for an empty difference, whose spectrum is exact)."""
     diff = _difference(h_next, h_m)
-    cert = gershgorin_psd(diff, strict=True)
-    if not cert.certified:
+    witness = gershgorin_psd(diff, strict=True)
+    if witness is not None:
         raise ScheduleError(
             f"schedule step {m}->{m+1} failed strict certification at "
-            f"row {cert.witness_row}; this indicates a schedule bug")
+            f"row {witness}; this indicates a schedule bug")
     return float(eigen_spectrum(diff).values[0])
 
 

@@ -59,8 +59,8 @@ class SoficApproximation:
     perms: tuple
     box: Optional[tuple] = None
 
-    _word_cache: dict = field(default_factory=dict, repr=False)
-    _good_cache: dict = field(default_factory=dict, repr=False)
+    _word_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _good_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_vertices

@@ -232,7 +232,7 @@ class IDSCurve:
 
     xs: np.ndarray
     ys: np.ndarray
-    kind: str = "step"          # "step" (right-continuous) | "linear"
+    kind: str                   # "step" (right-continuous) | "linear"
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):

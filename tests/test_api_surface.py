@@ -12,22 +12,24 @@ caller there too, or a reason in the allowlist below.  Dunders count as
 used.  A method shares its name with every other method of that name, so a
 dead method whose name some live method also bears is not seen here.
 
-A parameter with a default, of a top-level function or of a method of a
-top-level class, counts as passed when some call in ``src/`` or
-``perfbench/*.py`` to a name or attribute of that function's name gives it
-by keyword, or gives it by position before any ``*`` argument.  Names are
-matched as above, and ``**`` arguments pass nothing.  A call inside the body
-of a function of the same name (a recursion) passes nothing either, so a
-parameter that only its own function forwards counts as unpassed.  A call in
+A parameter with a default, of a top-level function, of a method of a
+top-level class or of a top-level dataclass's constructor (its init fields
+in order, under the class's name; a ``field(init=False)`` is none), counts
+as passed when some call in ``src/`` or ``perfbench/*.py`` to a name or
+attribute of that function's name gives it by keyword, or gives it by
+position before any ``*`` argument.  Names are matched as above, and ``**``
+arguments pass nothing.  A call inside the body of a function of the same
+name (a recursion) passes nothing either, so a parameter that only its own
+function forwards counts as unpassed.  A call in
 the tests is no use of its own: an option only tests set needs a reason in
 its allowlist.  Conversely, each such parameter must be left at its default
 by some call of those programs, matched and with recursions skipped in the
 same way, that gives it neither by keyword nor by position and has no * or
 ** argument: a default that every program call overrides is an option only
 tests leave out, and needs a reason in its own allowlist.  Matching by name
-lets a call to another function of the same name count, so ``cli.run``'s
-``out_dir``, which every program call of ``cli.run`` gives, is not seen: the
-benchmark's ``subprocess.run`` calls share its callee name.
+lets a call to another function of the same name count, but an attribute of
+a module bound by ``import X``, X not the package (``subprocess.run``, say),
+is no callee.
 
 A field of a top-level dataclass counts as read when some program reads an
 attribute of its name (matched by name, as above; a string such as a CSV
@@ -132,10 +134,37 @@ def test_allowlisted_names_are_defined_and_otherwise_unused():
         assert name in defined and name not in used
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _init_fields(node: ast.ClassDef):
+    """(name, has a default) of each field of a dataclass that its
+    constructor takes, in order: a field(init=False) is not taken."""
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "field"):
+            options = {k.arg: k.value for k in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            yield item.target.id, bool({"default", "default_factory"}
+                                       & set(options))
+        else:
+            yield item.target.id, value is not None
+
+
 def _defaulted_parameters():
     """(qualified name, function name, parameter, position) of each parameter
     with a default; position counts the arguments a call passes before it,
-    and is None for a keyword-only parameter."""
+    and is None for a keyword-only parameter.  A dataclass's constructor
+    takes its init fields, in order, under the class's name."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, FUNCTIONS):
@@ -146,6 +175,11 @@ def _defaulted_parameters():
                     isinstance(d, ast.Name) and d.id == "staticmethod"
                     for d in item.decorator_list))
                     for item in node.body if isinstance(item, FUNCTIONS)]
+                if _is_dataclass(node):
+                    for position, (name, default) in enumerate(
+                            _init_fields(node)):
+                        if default:
+                            yield prefix, node.name, name, position
             else:
                 continue
             for function, bound in functions:
@@ -176,16 +210,25 @@ def _callee(call: ast.Call):
 
 def _calls():
     """(callee name, call) of every call in the programs to a name or an
-    attribute that is not inside a function of the callee's name."""
+    attribute that is not inside a function of the callee's name.  An
+    attribute of a module bound by ``import X``, X not the package (such as
+    ``subprocess.run``), is no callee."""
     for path in PROGRAMS:
         tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name.split(".")[0]
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names
+                   if alias.name.split(".")[0] != "sofic_spectra"}
         recursions = {id(node) for function in ast.walk(tree)
                       if isinstance(function, FUNCTIONS)
                       for node in ast.walk(function)
                       if isinstance(node, ast.Call)
                       and _callee(node) == function.name}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in recursions:
+            if (isinstance(node, ast.Call) and id(node) not in recursions
+                    and not (isinstance(node.func, ast.Attribute)
+                             and isinstance(node.func.value, ast.Name)
+                             and node.func.value.id in modules)):
                 name = _callee(node)
                 if name is not None:
                     yield name, node
@@ -385,12 +428,6 @@ ALLOWED_FIELDS = {
     "spectral.Spectrum.residual": "the trace-identity defect of a float "
         "solve, which the run manifest is to record",
 }
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass" for d in node.decorator_list)
 
 
 def _record_fields():

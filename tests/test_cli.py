@@ -54,7 +54,7 @@ def test_validate_config_errors():
     validate_config(base_config())
 
 
-def test_config_schema_is_a_valid_schema():
+def test_config_schema_is_a_valid_schema(tmp_path):
     import jsonschema
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
         CONFIG_SCHEMA)
@@ -90,7 +90,7 @@ def test_config_schema_is_a_valid_schema():
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, CONFIG_SCHEMA)
         with pytest.raises(ConfigError) as got:
-            run(bad)
+            run(bad, tmp_path)
         want = "config.sofic: product sofic config needs 'moduli'" \
             if key == "moduli" else f"config needs '{key}'"
         assert str(got.value) == want

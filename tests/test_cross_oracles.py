@@ -260,7 +260,7 @@ def test_gershgorin_exact_beats_float_ties():
         (1, 0): ComplexRational(Fraction(3), Fraction(-4)),
     }
     op = InducedOperator.from_entries(2, entries)
-    assert gershgorin_psd(op, strict=True).certified
+    assert gershgorin_psd(op, strict=True) is None
     float_diag = float(Fraction(5) + margin)
     assert not (float_diag > 5.0)         # the float tie the exact path avoids
     below = {
@@ -270,7 +270,7 @@ def test_gershgorin_exact_beats_float_ties():
         (1, 0): ComplexRational(Fraction(3), Fraction(-4)),
     }
     op2 = InducedOperator.from_entries(2, below)
-    assert not gershgorin_psd(op2).certified
+    assert gershgorin_psd(op2) == 0
 
 
 def test_punctured_bound_has_teeth():

@@ -72,11 +72,9 @@ def _diagonal_schedule(rule, diagonals, gap_constant):
     diagonals[m], with none of build_schedule's checks."""
     vs = value_sets_of(rule)
     (f,) = vs.f1
-    sched = RationalSchedule(m_max=len(diagonals), values=vs,
-                             gap_constant=gap_constant)
-    for m, a in enumerate(diagonals, 1):
-        sched.a[(m, f)] = a
-    return sched
+    return RationalSchedule(len(diagonals), vs, gap_constant,
+                            {(m, f): a for m, a in enumerate(diagonals, 1)},
+                            {})
 
 
 def test_value_sets_validation():
@@ -95,22 +93,22 @@ def test_dyadic_schedule_examples():
     vs = ValueSets(f1=(crat(1),), f2=(), max_offdiag_per_row=0)
     sched = build_schedule(vs, 3)
     assert sched.gap_constant == 1
-    assert [sched.diagonal(m, crat(1)) for m in (1, 2, 3)] == \
+    assert [sched.a[(m, crat(1))] for m in (1, 2, 3)] == \
         [Fraction(1, 2), Fraction(7, 8), Fraction(31, 32)]
     i_val = crat(0, 1)
     vs2 = ValueSets(f1=(crat(1),), f2=(i_val, crat(0, -1)),
                     max_offdiag_per_row=1)
     sched2 = build_schedule(vs2, 2)
-    assert sched2.offdiagonal(1, i_val) == crat(Fraction(1, 4), Fraction(5, 4))
-    assert sched2.offdiagonal(2, i_val) == crat(Fraction(1, 16), Fraction(17, 16))
-    assert sched2.offdiagonal(1, crat(0, -1)) == \
+    assert sched2.b[(1, i_val)] == crat(Fraction(1, 4), Fraction(5, 4))
+    assert sched2.b[(2, i_val)] == crat(Fraction(1, 16), Fraction(17, 16))
+    assert sched2.b[(1, crat(0, -1))] == \
         crat(Fraction(1, 4), Fraction(-5, 4))
 
 
 def test_schedule_rational_target_increases_strictly():
     q = crat(Fraction(7, 5))
     sched = build_schedule(ValueSets(f1=(q,), f2=(), max_offdiag_per_row=0), 6)
-    vals = [sched.diagonal(m, q) for m in range(1, 7)]
+    vals = [sched.a[(m, q)] for m in range(1, 7)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v < Fraction(7, 5) for v in vals)
     assert all(v != 0 for v in vals)
@@ -120,8 +118,8 @@ def test_schedule_zero_nudge():
     # f = 1/2, c = 1: floor(2)/4 - 2/4 = 0 lands on zero and gets nudged
     f = crat(Fraction(1, 2))
     sched = build_schedule(ValueSets(f1=(f,), f2=(), max_offdiag_per_row=0), 2)
-    assert sched.diagonal(1, f) == -Fraction(1, 16)
-    assert sched.diagonal(2, f) > sched.diagonal(1, f)
+    assert sched.a[(1, f)] == -Fraction(1, 16)
+    assert sched.a[(2, f)] > sched.a[(1, f)]
 
 
 def test_schedule_real_offdiagonal_stays_real():
@@ -129,10 +127,10 @@ def test_schedule_real_offdiagonal_stays_real():
     vs = ValueSets(f1=(crat(-2),), f2=(one,), max_offdiag_per_row=2)
     sched = build_schedule(vs, 4)
     for m in range(1, 5):
-        b = sched.offdiagonal(m, one)
+        b = sched.b[(m, one)]
         assert b.is_real()
         assert b.re > 1
-    assert sched.offdiagonal(4, one).re - 1 == Fraction(1, 256)
+    assert sched.b[(4, one)].re - 1 == Fraction(1, 256)
 
 
 def test_schedule_requires_diagonal_values():
@@ -184,7 +182,7 @@ def test_zero_diagonal_beside_hopping_is_scheduled(rule):
         out = apply_schedule(rule, sched, m)
         assert validate_local_rule(out) == []
         assert rule_tables(out)[Z1.identity()][0] == crat(
-            sched.diagonal(m, CZERO))
+            sched.a[(m, CZERO)])
     sig = torus_approximation(1, 6)
     rho = np.array([0, 0, 0, 1, 1, 1]) % rule.alphabet.size
     # _psd_step raises ScheduleError on a step it cannot certify
@@ -193,20 +191,27 @@ def test_zero_diagonal_beside_hopping_is_scheduled(rule):
 
 
 def test_apply_schedule_value_mismatch():
-    rule = diagonal_rule(Z1, ONE, [Fraction(2)])
-    sched = build_schedule(
-        ValueSets(f1=(crat(1),), f2=(), max_offdiag_per_row=0), 2)
-    with pytest.raises(ScheduleError):
-        apply_schedule(rule, sched, 1)
+    # the check stands before every read of the schedule's tables: neither
+    # 2 nor the second rule's diagonal value -2 + 2 = 0 has an approximant
+    mismatched = [
+        (diagonal_rule(Z1, ONE, [Fraction(2)]),
+         ValueSets(f1=(crat(1),), f2=(), max_offdiag_per_row=0)),
+        (schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(2)]),
+         value_sets_of(schrodinger_rule(Z1, BIN,
+                                        [Fraction(0), Fraction(5, 3)]))),
+    ]
+    for rule, values in mismatched:
+        with pytest.raises(ScheduleError, match="^rule value sets do not "
+                                                "match the schedule$"):
+            apply_schedule(rule, build_schedule(values, 2), 1)
 
 
 def test_gershgorin_float_examples():
-    assert gershgorin_psd(operator_of(np.eye(3)), strict=True).certified
+    assert gershgorin_psd(operator_of(np.eye(3)), strict=True) is None
     assert gershgorin_psd(operator_of(np.array([[2.0, 1.0],
-                                                [1.0, 2.0]]))).certified
+                                                [1.0, 2.0]]))) is None
     indefinite = operator_of(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    cert = gershgorin_psd(indefinite)
-    assert not cert.certified and cert.witness_row == 0
+    assert gershgorin_psd(indefinite) == 0
     spec = eigen_spectrum(indefinite)
     assert np.allclose(spec.values, [-1, 3])
 
@@ -217,8 +222,8 @@ def test_gershgorin_exact_boundary():
     entries = {(0, 0): crat(5), (1, 1): crat(5),
                (0, 1): crat(3, 4), (1, 0): crat(3, -4)}
     op = InducedOperator.from_entries(2, entries)
-    assert gershgorin_psd(op).certified
-    assert not gershgorin_psd(op, strict=True).certified
+    assert gershgorin_psd(op) is None
+    assert gershgorin_psd(op, strict=True) == 0
 
 
 DYADICS = st.builds(lambda k, j: Fraction(k, 2 ** j), st.integers(-16, 16),
@@ -253,10 +258,10 @@ def test_gershgorin_soundness_against_eigensolver(n, data, strict, low):
                       if row == i), Fraction(0))
         entries[i, i] = ComplexRational(radius + slack[i])
     op = InducedOperator.from_entries(n, entries)
-    cert = gershgorin_psd(op, strict=strict)
+    witness = gershgorin_psd(op, strict=strict)
     if min(slack) > 0 or (min(slack) == 0 and not strict):
-        assert cert.certified
-    if cert.certified:
+        assert witness is None
+    if witness is None:
         spec = eigen_spectrum(op)
         scale = max(1.0, float(np.max(np.abs(spec.values))))
         assert spec.values[0] >= -1e-10 * scale
@@ -278,10 +283,10 @@ def test_schedule_step_handbuilt_constant_offdiagonal():
     vs = value_sets_of(rule)
     one = crat(1)
     f = crat(-1)
-    sched = RationalSchedule(m_max=3, values=vs, gap_constant=Fraction(1))
-    for m in (1, 2, 3):
-        sched.a[(m, f)] = Fraction(-1) - Fraction(1, 2 ** m)
-        sched.b[(m, one)] = one
+    sched = RationalSchedule(
+        3, vs, Fraction(1),
+        {(m, f): Fraction(-1) - Fraction(1, 2 ** m) for m in (1, 2, 3)},
+        {(m, one): one for m in (1, 2, 3)})
     sig = torus_approximation(1, 8)
     assert schedule_step_psd_check(rule, sched, 1, sig, zero_config(8)) > 0
 
@@ -304,15 +309,14 @@ def test_strict_gershgorin_decides_only_the_stored_rows():
     two, one = crat(2), crat(1)
     op = InducedOperator.from_entries(3, {(0, 0): two, (0, 2): one,
                                           (2, 0): one, (2, 2): two})
-    assert gershgorin_psd(op, strict=True).certified
+    assert gershgorin_psd(op, strict=True) is None
     assert np.allclose(eigen_spectrum(op).values, [0, 1, 3])
     assert not op.to_dense()[:, 1].any()
     # a stored row of zeros is decided, and fails strict dominance
     stored_zero = InducedOperator.from_entries(
         3, {(0, 0): two, (1, 1): crat(0), (2, 2): two})
-    cert = gershgorin_psd(stored_zero, strict=True)
-    assert not cert.certified and cert.witness_row == 1
-    assert gershgorin_psd(stored_zero).certified
+    assert gershgorin_psd(stored_zero, strict=True) == 1
+    assert gershgorin_psd(stored_zero) is None
 
 
 def test_schedule_step_certified_beside_vertices_that_are_not_good():
@@ -418,9 +422,10 @@ def test_schedule_step_raises_where_the_drift_beats_the_gap():
     rule = schrodinger_rule(Z1, ONE, [Fraction(1)])
     vs = value_sets_of(rule)
     one, f = crat(1), crat(-1)
-    sched = RationalSchedule(m_max=2, values=vs, gap_constant=Fraction(1))
-    sched.a[(1, f)], sched.a[(2, f)] = Fraction(-3, 2), Fraction(-5, 4)
-    sched.b[(1, one)], sched.b[(2, one)] = crat(2), one
+    sched = RationalSchedule(
+        2, vs, Fraction(1),
+        {(1, f): Fraction(-3, 2), (2, f): Fraction(-5, 4)},
+        {(1, one): crat(2), (2, one): one})
     with pytest.raises(ScheduleError, match="step 1->2 failed strict "
                                             "certification .* schedule bug"):
         schedule_step_psd_check(rule, sched, 1, torus_approximation(1, 8),
@@ -560,13 +565,8 @@ def _ref_outcome(op, strict):
             off.append(v)
     for i, off in rows.items():
         if not sum_abs_le(off, diag.get(i, Fraction(0)), strict=strict):
-            return False, i
-    return True, None
-
-
-def _gershgorin_outcome(op, strict):
-    cert = gershgorin_psd(op, strict=strict)
-    return cert.certified, cert.witness_row
+            return i
+    return None
 
 
 # |1+i| and |1/2+i/3| are irrational, |3+4i| = 5 is not
@@ -592,7 +592,7 @@ def test_exact_gershgorin_matches_per_row_loop(n, data, strict):
         entries[i, j] = v
         entries[j, i] = v.conjugate()
     op = InducedOperator.from_entries(n, entries)
-    assert _gershgorin_outcome(op, strict) == _ref_outcome(op, strict)
+    assert gershgorin_psd(op, strict=strict) == _ref_outcome(op, strict)
 
 
 def test_exact_gershgorin_row_patterns_and_errors():
@@ -614,12 +614,12 @@ def test_exact_gershgorin_row_patterns_and_errors():
                    (2, 2): crat(Fraction(3, 2)), (3, 3): crat(5)})
     for case in (same_offdiag, boundary, multiset):
         for strict in (False, True):
-            assert _gershgorin_outcome(case, strict) == _ref_outcome(case,
-                                                                     strict)
-    assert _gershgorin_outcome(same_offdiag, False) == (False, 2)
-    assert _gershgorin_outcome(multiset, False) == (False, 2)
-    assert _gershgorin_outcome(boundary, False) == (True, None)
-    assert _gershgorin_outcome(boundary, True) == (False, 0)
+            assert gershgorin_psd(case, strict=strict) == _ref_outcome(
+                case, strict)
+    assert gershgorin_psd(same_offdiag) == 2
+    assert gershgorin_psd(multiset) == 2
+    assert gershgorin_psd(boundary) is None
+    assert gershgorin_psd(boundary, strict=True) == 0
     # a non-real diagonal is refused when the operator is built, so no
     # certificate ever reads one
     with pytest.raises(AssemblyError, match=r"Hermitian symmetry violated "

@@ -1416,9 +1416,9 @@ def _per_cell_schedule(tables, e, n_codes, sched, m):
         new = np.full(len(table), CZERO, dtype=object)
         for code, v in enumerate(table.tolist()):
             if g == e and (CZERO in f1 or not v.is_zero()):
-                new[code] = ComplexRational(sched.diagonal(m, v))
+                new[code] = ComplexRational(sched.a[(m, v)])
             elif not v.is_zero():
-                new[code] = sched.offdiagonal(m, v)
+                new[code] = sched.b[(m, v)]
         out[g] = new
     return out, (f1, f2)
 
