@@ -634,8 +634,8 @@ def _longest_line(lines: np.ndarray) -> int:
 
 def _propagate(rows: np.ndarray, cols: np.ndarray, ent_re: np.ndarray,
                ent_im: np.ndarray, real: bool, n: int, s: np.ndarray,
-               w: np.ndarray, x_re: np.ndarray, x_im: np.ndarray, steps: int):
-    """`steps` row-frontier steps through an operator's row-major entries.
+               w: np.ndarray, x_re: np.ndarray, x_im: np.ndarray):
+    """One row-frontier step through an operator's row-major entries.
 
     The frontier holds (s, w, re, im) sorted by the key s*n + w: x(s, w) is
     entry w of row s of a power of the operator.  A step searches the rows
@@ -645,57 +645,55 @@ def _propagate(rows: np.ndarray, cols: np.ndarray, ent_re: np.ndarray,
     takes its terms in ascending w order.  A step costs O(entries in the
     frontier's rows).
     """
-    for _ in range(steps):
-        first = np.searchsorted(rows, w)
-        deg = np.searchsorted(rows, w, side="right") - first
-        src = np.repeat(np.arange(len(deg)), deg)
-        ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg,
-                                              deg)
-        g_re, e_re = x_re[src], ent_re[ent]
-        t_re = g_re * e_re
-        if not real:
-            g_im, e_im = x_im[src], ent_im[ent]
-            t_re -= g_im * e_im
-            t_im = g_re * e_im + g_im * e_re
-        # a stable argsort of the (s, col) keys: tagged with the term index
-        # they are distinct, and a value sort is far faster.  s is sorted, so
-        # the keys are below width*n for width = s[-1] + 1 and the tagged
-        # keys below width*n*len(src), which must fit int64
-        if len(src) and (int(s[-1]) + 1) * n * len(src) > 2 ** 63:
-            raise OverflowError(
-                f"frontier keys of {int(s[-1]) + 1} sources x {n} vertices "
-                f"x {len(src)} terms overflow int64")
-        tagged = s[src] * n + cols[ent]
-        tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
-        key, order = np.divmod(tagged, len(tagged))
-        merged = _line_starts(key)
-        s, w = np.divmod(key[merged], n)
-        x_re = np.add.reduceat(t_re[order], merged)
-        if not real:
-            x_im = np.add.reduceat(t_im[order], merged)
+    first = np.searchsorted(rows, w)
+    deg = np.searchsorted(rows, w, side="right") - first
+    src = np.repeat(np.arange(len(deg)), deg)
+    ent = np.arange(len(src)) + np.repeat(first - np.cumsum(deg) + deg, deg)
+    g_re, e_re = x_re[src], ent_re[ent]
+    t_re = g_re * e_re
+    if not real:
+        g_im, e_im = x_im[src], ent_im[ent]
+        t_re -= g_im * e_im
+        t_im = g_re * e_im + g_im * e_re
+    # a stable argsort of the (s, col) keys: tagged with the term index
+    # they are distinct, and a value sort is far faster.  s is sorted, so
+    # the keys are below width*n for width = s[-1] + 1 and the tagged
+    # keys below width*n*len(src), which must fit int64
+    if len(src) and (int(s[-1]) + 1) * n * len(src) > 2 ** 63:
+        raise OverflowError(
+            f"frontier keys of {int(s[-1]) + 1} sources x {n} vertices "
+            f"x {len(src)} terms overflow int64")
+    tagged = s[src] * n + cols[ent]
+    tagged = np.sort(tagged * len(tagged) + np.arange(len(tagged)))
+    key, order = np.divmod(tagged, len(tagged))
+    merged = _line_starts(key)
+    s, w = np.divmod(key[merged], n)
+    x_re = np.add.reduceat(t_re[order], merged)
+    if not real:
+        x_im = np.add.reduceat(t_im[order], merged)
     return s, w, x_re, x_im
 
 
-def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
-                           ) -> tuple[int, np.ndarray, np.ndarray]:
-    """diag((den*H)^k) at the given vertices, den from the operator's entries.
-
-    Returns (den, re, im) with length-len(vertices) numerator arrays.  It
-    meets in the middle: with c = floor(k/2) and r = k - c, and H Hermitian
-    (as every InducedOperator is),
+def _power_diagonals(op: InducedOperator, orders, vertices: np.ndarray
+                     ) -> tuple[int, np.ndarray, np.ndarray]:
+    """diag((den*H)^k) at the given vertices for each k in orders, den from
+    the operator's entries, as (den, re, im) with numerator arrays whose row
+    i holds order orders[i].  It meets in the middle: with c = floor(k/2)
+    and r = k - c, and H Hermitian (as every InducedOperator is),
 
         (den*H)^k(v, v) = sum_w (den*H)^r(v, w) * conj((den*H)^c(v, w)).
 
     By finite propagation both factors live on the vertices a few steps from
     v, so one row frontier (v's row of (den*H)^j, through the row-major
-    storage; see _propagate) walks c steps and then r - c more.  Each source
-    then takes one dot product over the keys the two frontiers share, its
-    terms in ascending w order.  With dmax the largest row count, a source's
-    frontier expands to at most min(nnz, dmax^r) terms in a step, so sources
-    run in chunks of B = _BATCH_CELLS // min(nnz, dmax^r) and a step holds
-    at most _BATCH_CELLS terms (one source per chunk when the bound is
-    larger).  Nothing of length n is built, only arrays over entries and
-    sources.
+    storage; see _propagate) walks h = ceil(max(orders)/2) steps, keeping
+    each frontier F_0..F_h.  Each source then takes, per order, one dot
+    product of F_r with conj(F_c) over their shared keys, its terms in
+    ascending w order.  The dtype is set once, by the highest order.  With
+    dmax the largest row count, a source's frontier expands to at most
+    min(nnz, dmax^h) terms in a step, so sources run in chunks of
+    B = _BATCH_CELLS // min(nnz, dmax^h) and a frontier holds at most
+    _BATCH_CELLS terms (one source per chunk when the bound is larger).
+    Nothing of length n is built, only arrays over entries and sources.
     """
     n = op.n
     rows, cols, codes = op.rows, op.cols, op.codes
@@ -707,55 +705,54 @@ def _matrix_power_diagonal(op: InducedOperator, k: int, vertices: np.ndarray
     mags = mags.astype(_kernel_dtype(mags.max(initial=0) * dmax, 1))
     bound = max(np.add.reduceat(mags[codes], _line_starts(rows)).tolist(),
                 default=0)
-    dtype = _kernel_dtype(bound, k)
+    dtype = _kernel_dtype(bound, max(orders))
     ent_re, ent_im = val_re.astype(dtype)[codes], val_im.astype(dtype)[codes]
     real = not ent_im.any()
     entries = (rows, cols, ent_re, ent_im, real, n)
-    c = k // 2
-    r = k - c
-    chunk = max(1, _BATCH_CELLS // max(1, min(len(rows), dmax ** r)))
-    re = np.zeros(len(vertices), dtype=dtype)
-    im = np.zeros(len(vertices), dtype=dtype)
+    h = (max(orders) + 1) // 2
+    chunk = max(1, _BATCH_CELLS // max(1, min(len(rows), dmax ** h)))
+    re, im = np.zeros((2, len(orders), len(vertices)), dtype=dtype)
     for lo in range(0, len(vertices), chunk):
         block = vertices[lo:lo + chunk]
         # one unit triple per source, already sorted by s*n + w
-        unit = (np.arange(len(block)), block,
-                np.ones(len(block), dtype=dtype),
-                np.zeros(len(block), dtype=dtype))
-        s_c, w_c, c_re, c_im = half = _propagate(*entries, *unit, c)
-        s_r, w_r, r_re, r_im = _propagate(*entries, *half, r - c)
-        # the shared keys: the c-step frontier's keys looked up in the r-step
-        key_r = s_r * n + w_r
-        key_c = s_c * n + w_c
-        pos = np.searchsorted(key_r, key_c)
-        ic = np.flatnonzero(pos < len(key_r))
-        ic = ic[key_r[pos[ic]] == key_c[ic]]
-        if not len(ic):
-            continue
-        ir = pos[ic]
-        p_re = r_re[ir] * c_re[ic]
-        if not real:
-            p_re += r_im[ir] * c_im[ic]
-            p_im = r_im[ir] * c_re[ic] - r_re[ir] * c_im[ic]
-        src = s_c[ic]
-        first = _line_starts(src)
-        re[lo + src[first]] = np.add.reduceat(p_re, first)
-        if not real:
-            im[lo + src[first]] = np.add.reduceat(p_im, first)
+        frontiers = [(np.arange(len(block)), block,
+                      np.ones(len(block), dtype=dtype),
+                      np.zeros(len(block), dtype=dtype))]
+        for _ in range(h):
+            frontiers.append(_propagate(*entries, *frontiers[-1]))
+        for i, k in enumerate(orders):
+            s_c, w_c, c_re, c_im = frontiers[k // 2]
+            s_r, w_r, r_re, r_im = frontiers[k - k // 2]
+            # the shared keys: F_c's keys looked up in F_r's
+            key_r, key_c = s_r * n + w_r, s_c * n + w_c
+            pos = np.searchsorted(key_r, key_c)
+            ic = np.flatnonzero(pos < len(key_r))
+            ic = ic[key_r[pos[ic]] == key_c[ic]]
+            ir = pos[ic]
+            p_re = r_re[ir] * c_re[ic]
+            if not real:
+                p_re += r_im[ir] * c_im[ic]
+                p_im = r_im[ir] * c_re[ic] - r_re[ir] * c_im[ic]
+            src = s_c[ic]
+            first = _line_starts(src)
+            re[i, lo + src[first]] = np.add.reduceat(p_re, first)
+            if not real:
+                im[i, lo + src[first]] = np.add.reduceat(p_im, first)
     return den, re, im
 
 
 def trace_moments(op: InducedOperator, k_max: int) -> list[Fraction]:
-    """tr(H^k) / n for k = 1..k_max, exactly: the sum of diag((den*H)^k)
-    over every vertex, in Python ints since n int64 terms can overflow, over
-    den**k * n.  H is Hermitian, so a nonzero imaginary part of the diagonal
-    is a kernel fault."""
+    """tr(H^k) / n for k = 1..k_max, exactly, from one kernel call: the sum
+    of diag((den*H)^k) over every vertex, in Python ints since n int64
+    terms can overflow, over den**k * n.  H is Hermitian, so a nonzero
+    imaginary part of the diagonal is a kernel fault."""
+    orders = range(1, k_max + 1)
+    den, re, im = _power_diagonals(op, orders, np.arange(op.n))
     moments = []
-    for k in range(1, k_max + 1):
-        den, re, im = _matrix_power_diagonal(op, k, np.arange(op.n))
-        if im.any():
+    for k, row_re, row_im in zip(orders, re, im):
+        if row_im.any():
             raise ArithmeticError(f"diag(H^{k}) has a nonzero imaginary part")
-        moments.append(Fraction(sum(re.tolist()), den ** k * op.n))
+        moments.append(Fraction(sum(row_re.tolist()), den ** k * op.n))
     return moments
 
 
@@ -903,22 +900,23 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     coefficients.
 
     The two sides are independent kernels on integer numerator arrays, real
-    and imaginary parts apart: the matrix side propagates a sparse frontier
-    of den_op*H_n applied k times to the unit vectors of the tested vertices
-    (den_op from the assembled entries), at a cost per step proportional to
-    the entries the frontier touches; the walk side propagates den_rule*c
-    along closed walks in the Cayley ball.  Each side runs on int64 when its
-    largest row sum R has R^k < 2^62, and on Python ints otherwise.  Every
-    rule is exact, a float coefficient at its binary value, so the sides are
-    compared exactly, as num_m * den_w^k == num_w * den_m^k; only differing
-    pairs get a float discrepancy.
+    and imaginary parts apart: the matrix side walks a sparse row frontier
+    of den_op*H_n from the unit vectors of the tested vertices for ceil(k/2)
+    steps and meets in the middle (den_op from the assembled entries), at a
+    cost per step proportional to the entries the frontier touches; the
+    walk side propagates den_rule*c along closed walks in the Cayley ball.
+    Each side runs on int64 when its largest row sum R has R^k < 2^62, and
+    on Python ints otherwise.  Every rule is exact, a float coefficient at
+    its binary value, so the sides are compared exactly, as
+    num_m * den_w^k == num_w * den_m^k; only differing pairs get a float
+    discrepancy.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
     M = rule.hopping
     op = assemble_induced(rule, sigma, rho)
     vertices = np.flatnonzero(good_vertices(sigma, (k // 2 + 2) * M).good)
-    den_m, m_re, m_im = _matrix_power_diagonal(op, k, vertices)
+    den_m, (m_re,), (m_im,) = _power_diagonals(op, (k,), vertices)
     space, big, _ = _walk_setup(rule, k)
     big_vals = rho[sigma.ball_images(big)[:, vertices]]
     den_w, w_re, w_im = _walk_values(rule, space, big_vals, k)

@@ -23,7 +23,7 @@ from sofic_spectra.operators import (
     AssemblyError,
     InducedOperator,
     RuleValidationError,
-    _matrix_power_diagonal,
+    _power_diagonals,
     _walk_space,
     _walk_values,
     adjacency_rule,
@@ -243,7 +243,7 @@ def test_expected_moment_budget_counts_the_law_support(k):
     sig = torus_approximation(2, 10)
     op = assemble_induced(rule, sig, sample_configuration(
         per, sig, np.random.default_rng(0)))
-    den, re, _ = _matrix_power_diagonal(op, k, np.arange(sig.n_vertices))
+    den, re, _ = _one_order(op, k, np.arange(sig.n_vertices))
     want = Fraction(sum(re.tolist()), den ** k * sig.n_vertices)
     assert got == pytest.approx(float(want), rel=1e-12)
 
@@ -422,17 +422,28 @@ def test_power_kernels_fall_back_to_python_ints(monkeypatch):
     assert re.dtype == object
     assert [Fraction(num, den ** k) for num in re.tolist()] == expect
     assert not im.any()
-    den_m, re_m, _ = _matrix_power_diagonal(op, k, np.arange(9))
+    den_m, re_m, _ = _one_order(op, k, np.arange(9))
     assert re_m.dtype == object
     assert [Fraction(num, den_m ** k) for num in re_m.tolist()] == expect
     # a few cells per batch: one source per chunk, in any order, repeated
     monkeypatch.setattr(operators_module, "_BATCH_CELLS", 5)
     vertices = np.array([4, 0, 8, 3, 4])
-    got = _matrix_power_diagonal(op, k, vertices)
+    got = _one_order(op, k, vertices)
     assert got[1].dtype == object
     _assert_same_power_diagonal(got, _ref_dense_power_diagonal(op, k, vertices))
     assert [Fraction(num, den_m ** k) for num in got[1].tolist()] == [
         expect[v] for v in vertices]
+    # every order from one walk: row j - 1 is the one-order call's row, on
+    # real, complex and dyadic (object dtype) entries
+    for case in (op, _trace_case("complex hopping"),
+                 _trace_case("dyadic complex hopping")):
+        den, re, im = _power_diagonals(case, range(1, k + 1), vertices)
+        for j in range(1, k + 1):
+            one = _one_order(case, j, vertices)
+            assert one[0] == den
+            assert one[1].tolist() == re[j - 1].tolist()
+            assert one[2].tolist() == im[j - 1].tolist()
+    assert re.dtype == object and not im.any()
     monkeypatch.undo()
 
     sig = torus_approximation(1, 50)     # (k/2 + 2)M-good everywhere
@@ -595,6 +606,13 @@ def _ref_dense_power_diagonal(op, k, vertices):
     return den, re, im
 
 
+def _one_order(op, k, vertices):
+    """(den, re, im) of diag((den*H)^k): row 0 of the kernel asked for the
+    one order k."""
+    den, (re,), (im,) = _power_diagonals(op, (k,), vertices)
+    return den, re, im
+
+
 def _assert_same_power_diagonal(got, want):
     """Equal denominators, dtypes and numerators."""
     assert got[0] == want[0]
@@ -627,7 +645,7 @@ def test_frontier_power_diagonal_matches_dense_blocks(model, kind, dyadic, k,
                 else np.arange(op.n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators_module, "_BATCH_CELLS", cells)
-        got = _matrix_power_diagonal(op, k, vertices)
+        got = _one_order(op, k, vertices)
         want = _ref_dense_power_diagonal(op, k, vertices)
     _assert_same_power_diagonal(got, want)
 
@@ -659,7 +677,7 @@ def test_power_diagonal_on_random_hermitian_exact_operators(n, k, seed,
     vertices = rng.integers(0, n, size=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators_module, "_BATCH_CELLS", cells)
-        got = _matrix_power_diagonal(op, k, vertices)
+        got = _one_order(op, k, vertices)
         _assert_same_power_diagonal(
             got, _ref_dense_power_diagonal(op, k, vertices))
     den, re, im = got
@@ -688,8 +706,8 @@ def test_power_diagonal_catches_non_hermitian_hopping_at_k3(monkeypatch):
                                   for key in [(v + 1, v), (v, v + 1)]})
 
     bad = corrupted(rule, sig, rho)
-    den, re, _ = _matrix_power_diagonal(bad, 3, np.array([v]))
-    den_c, re_c, _ = _matrix_power_diagonal(clean, 3, np.array([v]))
+    den, re, _ = _one_order(bad, 3, np.array([v]))
+    den_c, re_c, _ = _one_order(clean, 3, np.array([v]))
     got = Fraction(re[0], den ** 3)
     assert got == _dense_fraction_power_diagonal(bad, 3)[v]
     assert got != Fraction(re_c[0], den_c ** 3)
@@ -709,7 +727,7 @@ def test_power_diagonal_walks_cancelling_to_zero():
     rho = np.tile([0, 1, 2], 10)
     op = assemble_induced(rule, sig, rho)
     vertices = np.arange(op.n)
-    den, re, im = _matrix_power_diagonal(op, 3, vertices)
+    den, re, im = _one_order(op, 3, vertices)
     _assert_same_power_diagonal(
         (den, re, im), _ref_dense_power_diagonal(op, 3, vertices))
     assert re.tolist() == [-4, 0, 4] * 10 and not im.any()
@@ -757,8 +775,8 @@ def test_trace_moments_are_exact_traces_of_dense_powers(name):
     assert got == [sum(_dense_fraction_power_diagonal(op, k), Fraction(0))
                    / op.n for k in range(1, 7)]
     if name.startswith("dyadic"):
-        assert _matrix_power_diagonal(op, 6, np.arange(op.n))[1].dtype == \
-            object
+        assert _power_diagonals(op, range(1, 7), np.arange(op.n))[1].dtype \
+            == object
     # scipy sparse powers as a float reference, within 1e-12 of the trace
     # of the entrywise |H|^k, which bounds their cancellation
     a = power = op.to_sparse()
@@ -773,20 +791,37 @@ def test_trace_moments_are_exact_traces_of_dense_powers(name):
 
 def test_trace_moments_refuse_an_imaginary_diagonal(monkeypatch):
     op = _trace_case("potential 0, 5/3")
-    kernel = _matrix_power_diagonal
+    kernel = _power_diagonals
 
-    def tilted(op, k, vertices):
-        den, re, im = kernel(op, k, vertices)
-        if k == 3:
-            im[-1] += 1
+    def tilted(op, orders, vertices):
+        den, re, im = kernel(op, orders, vertices)
+        im[orders.index(3), -1] += 1
         return den, re, im
 
-    monkeypatch.setattr(operators_module, "_matrix_power_diagonal", tilted)
+    monkeypatch.setattr(operators_module, "_power_diagonals", tilted)
     with pytest.raises(ArithmeticError,
                        match=r"diag\(H\^3\) has a nonzero imaginary part"):
         trace_moments(op, 4)
     monkeypatch.undo()
     assert len(trace_moments(op, 4)) == 4
+
+
+def test_trace_moments_walk_each_step_once(monkeypatch):
+    # one frontier walk of ceil(k_max/2) steps serves every order
+    op = _trace_case("potential 0, 5/3")
+    steps = []
+    step = operators_module._propagate
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(operators_module, "_propagate", counted)
+    trace_moments(op, 6)
+    assert len(steps) == 3
+    steps.clear()
+    trace_moments(op, 2)
+    assert len(steps) == 1
 
 
 def _with_entries(op, changed):
@@ -1001,8 +1036,8 @@ def _same_operator(a, b):
     _assert_same_dense(a.to_dense(), b.to_dense())
     _assert_same_sparse(a.to_sparse(), b.to_sparse())
     vertices = np.arange(a.n)
-    _assert_same_power_diagonal(_matrix_power_diagonal(a, 3, vertices),
-                                _matrix_power_diagonal(b, 3, vertices))
+    _assert_same_power_diagonal(_one_order(a, 3, vertices),
+                                _one_order(b, 3, vertices))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1280,11 +1315,11 @@ def test_frontier_keys_refuse_int64_overflow(monkeypatch):
     sources = np.zeros(2 ** 17, dtype=np.int64)
     tracemalloc.start()
     try:
-        den, re, im = _matrix_power_diagonal(op, 2, sources)
+        den, re, im = _one_order(op, 2, sources)
         assert den == 1 and (re == 4).all() and not im.any()
         monkeypatch.setattr(operators_module, "_BATCH_CELLS", 2 ** 18)
         with pytest.raises(OverflowError, match="overflow int64"):
-            _matrix_power_diagonal(op, 2, np.zeros(2 ** 18, dtype=np.int64))
+            _one_order(op, 2, np.zeros(2 ** 18, dtype=np.int64))
         assert tracemalloc.get_traced_memory()[1] < 2 ** 27
     finally:
         tracemalloc.stop()
