@@ -74,7 +74,7 @@ from .sofic import (
 )
 from .spectral import (
     DEFAULT_DENSE_BUDGET,
-    PUNCTURED_CLUSTER_TOL,
+    TIE_TOL,
     atom_mass,
     eigen_spectrum,
     ids_curve,
@@ -186,7 +186,7 @@ CONFIG_SCHEMA = {
         "eps": {**_NUMBER, "exclusiveMinimum": 0},
         "alpha_values": _STRINGS,
         "punctured_eps": {"type": "array", "items": {
-            **_NUMBER, "exclusiveMinimum": PUNCTURED_CLUSTER_TOL}},
+            **_NUMBER, "exclusiveMinimum": TIE_TOL}},
         "monotone": {"type": "object", "additionalProperties": False,
                      "properties": {"m_max": _at_least(1)}},
         "reference": {"enum": ["lattice_laplacian"]},
@@ -616,7 +616,7 @@ def _beta_grid(config) -> np.ndarray:
 
 
 def _pipeline_weak_convergence(config, objects, out):
-    k_max = len(objects.oracle)
+    k_max = config["k_max"]
     grid = _beta_grid(config)
     moment_rows = []
     dist_rows = []

@@ -27,9 +27,11 @@ numpy.  Values are interned, so equal codes are equal values and cells are
 compared by their codes.  An operator's ``entries`` is a read-only
 (row, col) -> value dict built once from its arrays; a rule's cell
 c(elements[i], w) is values[codes[i][w]].  A rule is that table over its
-group, alphabet and hopping range, and carries nothing else.  The
-closed-walk oracles walk in a Cayley ball and index their sites in the
-ball's order, reading element indices and word lengths off the ball.
+group, alphabet and hopping range, and its one cache, ``_walks``, holds the
+closed-walk oracles' walk record per reach: the walk ball, the transitions,
+the window positions and read sites of its windows, and each model's
+enumerated law.  The oracles index their sites in the Cayley ball's order,
+reading element indices and word lengths off the ball.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import CZERO, ComplexRational
-from .groups import CayleyBall, Element, GroupSpec, ball
+from .groups import CayleyBall, GroupSpec, ball
 from .measures import (
     Alphabet,
     DEFAULT_ENUM_BUDGET,
@@ -85,8 +87,8 @@ class LocalRule:
 
     values holds the rule's distinct ComplexRationals once, as a tuple (a
     float given to a constructor is there at its exact binary value; see
-    _coded_rule).  Frozen, with read-only arrays, so what the moment oracles
-    derive from a rule is built once per rule (see _walk_setup).
+    _coded_rule).  Frozen, with read-only arrays, so the moment oracles'
+    walk record (see _walk_record) is built once per rule and reach.
     """
 
     group: GroupSpec
@@ -95,9 +97,8 @@ class LocalRule:
     elements: tuple
     codes: np.ndarray       # (len(elements), n_window_codes) value codes
     values: tuple
-    # reach -> _walk_setup; (model, reach) -> _exact_law
+    # reach -> _WalkRecord
     _walks: dict = field(default_factory=dict, init=False, repr=False)
-    _laws: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.codes.setflags(write=False)
@@ -756,93 +757,71 @@ def trace_moments(op: InducedOperator, k_max: int) -> list[Fraction]:
     return moments
 
 
-@dataclass
-class _WalkSpace:
-    """Static closed-walk structure on the Cayley ball B(e, floor(k/2) M):
-    the walk sites are the elements of ``ball``, indexed in its order."""
+@dataclass(frozen=True, eq=False)
+class _WalkRecord:
+    """A rule's closed walks of reach = floor(k/2) M, so k = 2j and 2j + 1
+    share it: the walk sites are the elements of ``ball`` = B(e, reach),
+    indexed in its order, and every window a walk reads lies in ``big`` =
+    B(e, reach + M).  ``read_sites`` are the sites that feed some
+    influential window digit of some walk site, in order of first use, and
+    ``laws`` holds each model's enumerated law on them (see
+    expected_moment)."""
 
     ball: CayleyBall
+    big: CayleyBall
     transitions: list            # per site: list of (dst_index, step element)
-    window_positions: list       # per site: big-ball index of h*site per h in B(M)
+    window_positions: list       # per site: big-ball index of u*site per u in B(M)
+    read_sites: list
+    laws: dict                   # model -> (which, probs, big_vals)
 
 
-def _walk_space(group: GroupSpec, M: int, k: int) -> _WalkSpace:
-    reach = (k // 2) * M
-    walk_ball = ball(group, reach)
-    big = ball(group, reach + M)
-    step_ball = ball(group, M)
-    transitions = []
-    window_positions = []
-    for x in walk_ball.elements:
-        trans = []
-        for u in step_ball.elements:
-            y = group.multiply(u, x)
-            if y in walk_ball:
-                trans.append((walk_ball.index(y), u))
-        transitions.append(trans)
-        window_positions.append([big.index(group.multiply(h, x))
-                                 for h in step_ball.elements])
-    return _WalkSpace(ball=walk_ball, transitions=transitions,
-                      window_positions=window_positions)
-
-
-def _walk_setup(rule: LocalRule, k: int
-                ) -> tuple[_WalkSpace, CayleyBall, list]:
-    """(walk space, big ball B(e, reach + M), read sites) of the rule's
-    k-step closed walks, reach = floor(k/2) M.
-
-    The read sites are the sites that feed some influential window digit of
-    some walk site.  All three are built once per rule and reach, so k = 2j
-    and 2j + 1 share them.
-    """
+def _walk_record(rule: LocalRule, k: int) -> _WalkRecord:
+    """The rule's walk record for k-step walks, built once per rule and
+    reach in one pass over the walk ball that forms each product u*x (u in
+    B(e, M), x a walk site) once."""
     M = rule.hopping
     reach = (k // 2) * M
-    setup = rule._walks.get(reach)
-    if setup is None:
+    record = rule._walks.get(reach)
+    if record is None:
         group = rule.group
-        space = _walk_space(group, M, k)
-        step_ball = ball(group, M)
-        read_sites: list[Element] = []
-        seen: set = set()
-        for x in space.ball.elements:
-            for pos in rule.influential_positions:
-                site = group.multiply(step_ball.elements[pos], x)
-                if site not in seen:
-                    seen.add(site)
-                    read_sites.append(site)
-        setup = (space, ball(group, reach + M), read_sites)
-        rule._walks[reach] = setup
-    return setup
+        walk_ball, big = ball(group, reach), ball(group, reach + M)
+        steps = ball(group, M).elements
+        transitions, window_positions, read_sites = [], [], {}
+        for x in walk_ball.elements:
+            products = [group.multiply(u, x) for u in steps]
+            transitions.append([(walk_ball.index(y), u)
+                                for u, y in zip(steps, products)
+                                if y in walk_ball])
+            window_positions.append([big.index(y) for y in products])
+            read_sites.update(dict.fromkeys(
+                products[pos] for pos in rule.influential_positions))
+        record = _WalkRecord(walk_ball, big, transitions, window_positions,
+                             list(read_sites), {})
+        rule._walks[reach] = record
+    return record
 
 
-def _rule_numerators(rule: LocalRule, k: int) -> tuple[int, dict, bool, object]:
-    """Rule tables as den*c numerator arrays indexed by window code.
-
-    Returns (den, {g: (re, im)}, real, dtype) for a k-step walk; tables that
-    are identically zero are left out.
-    """
-    den, tables, bound, real = rule._numerators
-    dtype = _kernel_dtype(bound, k)
-    return den, {g: (re.astype(dtype), im.astype(dtype))
-                 for g, (re, im) in tables.items()}, real, dtype
-
-
-def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
+def _walk_values(rule: LocalRule, record: _WalkRecord, big_vals: np.ndarray,
                  k: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Closed-walk values (H^w)^k(e, e) inside the walk ball for B windows w.
 
-    big_vals[i, b] is the symbol of window b at element i of B(e, kM/2+M).
+    big_vals[i, b] is the symbol of window b at element i of record.big.
     Returns (den, re, im) with length-B numerator arrays over den**k, den
-    being the common denominator of the rule tables.  The state is one
-    length-B vector per walk site; Python loops run only over steps, sites
-    and transitions, in batches of at most _BATCH_CELLS cells.
+    being the common denominator of the rule tables, which enter as den*c
+    numerator arrays by window code (tables that are identically zero left
+    out).  The state is one length-B vector per walk site; Python loops run
+    only over steps, sites and transitions, in batches of at most
+    _BATCH_CELLS cells.
     """
-    den, tables, real, dtype = _rule_numerators(rule, k)
+    den, tables, bound, real = rule._numerators
+    dtype = _kernel_dtype(bound, k)
+    tables = {g: (re.astype(dtype), im.astype(dtype))
+              for g, (re, im) in tables.items()}
     A = rule.alphabet.size
     M = rule.hopping
-    e_idx = space.ball.index(rule.group.identity())
-    n_sites = len(space.ball)
-    lengths = space.ball.word_lengths
+    e_idx = record.ball.index(rule.group.identity())
+    n_sites = len(record.ball)
+    lengths = record.ball.word_lengths
     B = big_vals.shape[1]
     re = np.zeros(B, dtype=dtype)
     im = np.zeros(B, dtype=dtype)
@@ -851,7 +830,7 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
         block = big_vals[:, lo:lo + batch].astype(np.int64)
         width = block.shape[1]
         codes = [sum(block[p] * A ** i for i, p in enumerate(positions))
-                 for positions in space.window_positions]
+                 for positions in record.window_positions]
         state: list = [None] * n_sites
         state[e_idx] = [np.ones(width, dtype=dtype), np.zeros(width, dtype=dtype)]
         for step in range(1, k + 1):
@@ -861,7 +840,7 @@ def _walk_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
                 if a is None:
                     continue
                 a_re, a_im = a
-                for y, u in space.transitions[x]:
+                for y, u in record.transitions[x]:
                     table = tables.get(u)
                     if table is None or lengths[y] > limit:
                         continue
@@ -917,9 +896,9 @@ def power_diagonal_check(rule: LocalRule, sigma: SoficApproximation,
     op = assemble_induced(rule, sigma, rho)
     vertices = np.flatnonzero(good_vertices(sigma, (k // 2 + 2) * M).good)
     den_m, (m_re,), (m_im,) = _power_diagonals(op, (k,), vertices)
-    space, big, _ = _walk_setup(rule, k)
-    big_vals = rho[sigma.ball_images(big)[:, vertices]]
-    den_w, w_re, w_im = _walk_values(rule, space, big_vals, k)
+    record = _walk_record(rule, k)
+    big_vals = rho[sigma.ball_images(record.big)[:, vertices]]
+    den_w, w_re, w_im = _walk_values(rule, record, big_vals, k)
     scale_m, scale_w = den_m ** k, den_w ** k
     max_disc = 0.0
     for got_re, got_im, want_re, want_im in zip(
@@ -958,66 +937,46 @@ def expected_moment(rule: LocalRule, model: MeasureModel,
     It shares no code with the matrix powers it checks.  Each value is the
     exact numerator divided by den**k in Python ints, i.e. correctly rounded.
     The walk structures and the enumerated law are built once per rule,
-    model and reach floor(k/2) M (see _walk_setup and _exact_law).
+    model and reach floor(k/2) M, in the rule's walk record (see
+    _walk_record).  The law is kept as (which, probs, big_vals) in
+    site_law order: assignment t has probability probs[t] and is distinct
+    assignment which[t], numbered by first appearance, and big_vals[i, j]
+    is the symbol at element i of the big ball under distinct assignment j
+    (every site but the read sites holds 0).
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
     _check_model_group(model, rule)
-    space, _, read_sites = _walk_setup(rule, k)
+    record = _walk_record(rule, k)
+    read_sites = record.read_sites
     n_assign = site_law_size(model, len(read_sites))
     if n_assign > DEFAULT_ENUM_BUDGET:
         raise EnumerationBudgetError(
             f"{n_assign} window assignments exceed budget "
             f"{DEFAULT_ENUM_BUDGET}; lower the moment order")
-    which, probs, big_vals = _exact_law(rule, model, k)
-    values = _moment_values(rule, space, big_vals, k)
-    total = 0.0
-    for j, prob in zip(which.tolist(), probs.tolist()):
-        total += prob * values[j]
-    return ExpectedMomentResult(value=total)
-
-
-def _exact_law(rule: LocalRule, model: MeasureModel, k: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(which, probs, big_vals): the model's law on the read sites of k-step
-    walks, in site_law order.  Assignment t has probability probs[t] and is
-    distinct assignment which[t], numbered by first appearance; big_vals
-    holds the distinct assignments' windows (see _window_symbols).  Built
-    once per rule, model and reach."""
-    reach = (k // 2) * rule.hopping
-    cached = rule._laws.get((model, reach))
-    if cached is None:
-        _, big, read_sites = _walk_setup(rule, k)
+    law = record.laws.get(model)
+    if law is None:
         index: dict = {}
         which, probs = [], []
         for assignment, prob in site_law(model, read_sites):
             which.append(index.setdefault(assignment, len(index)))
             probs.append(prob)
-        cached = (np.array(which, dtype=np.int64), np.array(probs),
-                  _window_symbols(rule, big, read_sites, list(index)))
-        rule._laws[(model, reach)] = cached
-    return cached
-
-
-def _window_symbols(rule: LocalRule, big: CayleyBall, read_sites: list,
-                    assignments: list) -> np.ndarray:
-    """big_vals[i, j]: the symbol at element i of the big ball under
-    assignment j of symbols to the read sites; every other site holds 0."""
-    symbols = np.array(assignments, dtype=np.int64).reshape(
-        len(assignments), len(read_sites))
-    big_vals = np.zeros((len(big), len(assignments)),
-                        dtype=np.min_scalar_type(rule.alphabet.size - 1))
-    big_vals[[big.index(site) for site in read_sites]] = symbols.T
-    big_vals.setflags(write=False)
-    return big_vals
-
-
-def _moment_values(rule: LocalRule, space: _WalkSpace, big_vals: np.ndarray,
-                   k: int) -> list:
-    """Closed-walk value as a float for each window column of big_vals."""
-    den, re, _ = _walk_values(rule, space, big_vals, k)
+        symbols = np.array(list(index), dtype=np.int64).reshape(
+            len(index), len(read_sites))
+        big_vals = np.zeros((len(record.big), len(index)),
+                            dtype=np.min_scalar_type(rule.alphabet.size - 1))
+        big_vals[[record.big.index(site) for site in read_sites]] = symbols.T
+        big_vals.setflags(write=False)
+        law = record.laws[model] = (np.array(which, dtype=np.int64),
+                                    np.array(probs), big_vals)
+    which, probs, big_vals = law
+    den, re, _ = _walk_values(rule, record, big_vals, k)
     scale = den ** k
-    return [num / scale for num in re.tolist()]
+    values = [num / scale for num in re.tolist()]
+    total = 0.0
+    for j, prob in zip(which.tolist(), probs.tolist()):
+        total += prob * values[j]
+    return ExpectedMomentResult(value=total)
 
 
 def _check_model_group(model: MeasureModel, rule: LocalRule) -> None:

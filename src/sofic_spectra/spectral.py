@@ -18,9 +18,11 @@ so that eigenvalue atoms at rational energies are counted exactly: the
 spectrum is counted once per distinct value, and counting functions and
 atom masses bisect the sorted exact values with Fraction comparisons only.
 A float counting function absorbs ties within TIE_TOL times the spectral
-scale, and a float atom mass counts the eigenvalues within that width.
+scale, a float atom mass counts the eigenvalues within that width, and
+the punctured mass leaves out exactly what the atom mass counts.
 Every guard and tolerance here is a module constant, read at call time.
-IDS curves are right-continuous step functions (finite volume) or
+IDS curves are right-continuous step functions (finite volume), an exact
+eigenvalue breaking at the least float at or above it, or
 piecewise-linear interpolants (analytic references); the Kolmogorov distance
 evaluates both on the merged breakpoint set including left limits.
 """
@@ -41,7 +43,6 @@ from .operators import InducedOperator, trace_moments
 
 DEFAULT_DENSE_BUDGET = 4096
 SOLVE_TOL = 1e-8                # eigensolver certificate tolerance
-PUNCTURED_CLUSTER_TOL = 1e-9
 TIE_TOL = 1e-9                  # float counting ties, relative to the scale
 QUADRATURE_POINTS = 100_000     # theta-quadrature of the Z^2 reference
 
@@ -193,15 +194,20 @@ def atom_mass(spec: Spectrum, alpha) -> float:
 
 
 def punctured_mass(spec: Spectrum, alpha: float, eps: float) -> float:
-    """Fraction of eigenvalues with PUNCTURED_CLUSTER_TOL < |lambda - alpha|
-    < eps."""
-    if not PUNCTURED_CLUSTER_TOL < eps:
-        raise ValueError(f"need eps > PUNCTURED_CLUSTER_TOL "
-                         f"{PUNCTURED_CLUSTER_TOL}")
+    """Fraction of eigenvalues with |lambda - alpha| < eps that atom_mass
+    does not count at alpha: exact comparisons on the exact path, else
+    TIE_TOL * scale < |lambda - alpha|."""
+    if not TIE_TOL < eps:
+        raise ValueError(f"need eps > TIE_TOL {TIE_TOL}")
     if spec.n == 0:
         return 0.0
+    if spec.is_exact:
+        a, e = Fraction(alpha), Fraction(eps)
+        below = _exact_rank(spec, a, "left") - _exact_rank(spec, a - e, "right")
+        above = _exact_rank(spec, a + e, "left") - _exact_rank(spec, a, "right")
+        return (below + above) / spec.n
     d = np.abs(spec.values - float(alpha))
-    return float(np.mean((d > PUNCTURED_CLUSTER_TOL) & (d < eps)))
+    return float(np.mean((d > TIE_TOL * spec.scale()) & (d < eps)))
 
 
 def punctured_mass_bound(norm_bound: float, eps: float,
@@ -260,9 +266,22 @@ class IDSCurve:
         return np.where(idx >= 0, self.ys[np.maximum(idx, 0)], 0.0)
 
 
+def _float_at_or_above(x: Fraction) -> float:
+    """The least float >= x."""
+    f = float(x)
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
 def ids_curve(spec: Spectrum, grid: Sequence[float]) -> IDSCurve:
-    """Normalized counting function as a step curve on grid + breakpoints."""
-    breaks = np.unique(spec.values)
+    """Normalized counting function as a step curve on grid + breakpoints.
+
+    An exact eigenvalue's breakpoint is the least float >= it, the first
+    float whose exact count includes it."""
+    if spec.is_exact:
+        breaks = [_float_at_or_above(x)
+                  for x, _ in itertools.groupby(spec.exact_values)]
+    else:
+        breaks = np.unique(spec.values)
     xs = np.unique(np.concatenate([np.asarray(grid, dtype=float), breaks]))
     ys = np.asarray(counting_function(spec, xs), dtype=float) / max(spec.n, 1)
     return IDSCurve(xs=xs, ys=ys, kind="step")

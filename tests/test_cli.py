@@ -283,6 +283,23 @@ def test_ids_json_emitted(tmp_path):
     assert len(data["beta"]) == len(data["value"])
 
 
+def test_exact_ids_jumps_at_each_eigenvalue(tmp_path):
+    # every eigenvalue is 0 or 1/3, and float(1/3) lies below 1/3: the
+    # curve breaks at the least float above 1/3 and reaches 1 there
+    run(base_config(sofic={"kind": "torus", "sizes": [12]},
+                    measure={"kind": "iid", "weights": [0.5, 0.5],
+                             "alphabet": ["0", "1"]},
+                    operator={"kind": "diagonal",
+                              "values": {"0": "0", "1": "1/3"}},
+                    beta_grid={"min": -1, "max": 1, "points": 3}, samples=1),
+        out_dir=tmp_path)
+    rows = [[float(x) for x in row.split(",")] for row in
+            (tmp_path / "ids_12.csv").read_text().splitlines()[1:]]
+    third = math.nextafter(1 / 3, math.inf)
+    assert [beta for beta, _ in rows] == [-1.0, 0.0, third, 1.0]
+    assert rows[2][1] == 1.0 and 0 < rows[1][1] < 1
+
+
 def test_compare(tmp_path):
     config = base_config(reference="lattice_laplacian",
                          measure={"kind": "iid", "weights": [1.0],

@@ -24,7 +24,7 @@ from sofic_spectra.operators import (
     InducedOperator,
     RuleValidationError,
     _power_diagonals,
-    _walk_space,
+    _walk_record,
     _walk_values,
     adjacency_rule,
     assemble_graph_schrodinger,
@@ -417,8 +417,9 @@ def test_power_kernels_fall_back_to_python_ints(monkeypatch):
     expect = _dense_fraction_power_diagonal(op, k)
     # on the 9-cycle no closed 6-walk wraps and the radius-4 window is the
     # whole torus, so every vertex sees the closed-walk value
-    big_vals = rho[sig.ball_images(ball(Z1, 4))]
-    den, re, im = _walk_values(rule, _walk_space(Z1, 1, k), big_vals, k)
+    record = _walk_record(rule, k)
+    big_vals = rho[sig.ball_images(record.big)]
+    den, re, im = _walk_values(rule, record, big_vals, k)
     assert re.dtype == object
     assert [Fraction(num, den ** k) for num in re.tolist()] == expect
     assert not im.any()
@@ -1150,12 +1151,10 @@ def _range_two_rule(group):
 def _walk_values_at(rule, sig, rho, k, radius):
     """The radius-good vertices, and the closed-walk value at each of them as
     a Fraction."""
-    M = rule.hopping
     vertices = np.flatnonzero(good_vertices(sig, radius).good)
-    big = ball(rule.group, (k // 2) * M + M)
-    big_vals = rho[sig.ball_images(big)[:, vertices]]
-    den, re, im = _walk_values(rule, _walk_space(rule.group, M, k), big_vals,
-                               k)
+    record = _walk_record(rule, k)
+    big_vals = rho[sig.ball_images(record.big)[:, vertices]]
+    den, re, im = _walk_values(rule, record, big_vals, k)
     assert not im.any()
     return vertices, [Fraction(num, den ** k) for num in re.tolist()]
 
@@ -1325,23 +1324,24 @@ def test_frontier_keys_refuse_int64_overflow(monkeypatch):
         tracemalloc.stop()
 
 
-# expected_moment builds its walk structures once per rule, model and reach.
+# expected_moment builds its walk record once per rule and reach, and each
+# model's law once per record.
 
 
 def test_expected_moment_caches_per_reach():
-    from sofic_spectra.operators import _walk_setup
     import dataclasses
     rule = schrodinger_rule(Z1, BIN, [Fraction(0), Fraction(5, 3)])
     iid = IIDProduct(alphabet=BIN, weights=(0.7, 0.3))
     values = [expected_moment(rule, iid, k).value for k in range(1, 9)]
     assert sorted(rule._walks) == [0, 1, 2, 3, 4]
-    assert sorted(rule._laws) == [(iid, r) for r in range(5)]
-    assert _walk_setup(rule, 4) is _walk_setup(rule, 5)
+    assert [list(record.laws) for record in rule._walks.values()] == [
+        [iid]] * 5
+    assert _walk_record(rule, 4) is _walk_record(rule, 5)
     # an equal model hits the cache, and the values do not move
     same = IIDProduct(alphabet=BIN, weights=[0.7, 0.3])
     assert [expected_moment(rule, same, k).value
             for k in range(1, 9)] == values
-    assert len(rule._laws) == 5
+    assert sum(len(record.laws) for record in rule._walks.values()) == 5
     # the rule is frozen, and its arrays read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
         rule.hopping = 2
@@ -1349,6 +1349,37 @@ def test_expected_moment_caches_per_reach():
         rule.codes[0, 0] = rule.codes[0, 1]
     with pytest.raises(TypeError):
         rule.values[0] = rule.values[1]
+
+
+def test_walk_record_forms_each_product_once(monkeypatch):
+    # one product u*x per u in B(e, M) and walk site x serves the
+    # transitions, the window positions and the read sites, on rules whose
+    # every window position is influential
+    from sofic_spectra.groups import GroupSpec
+    multiply = GroupSpec.multiply
+    calls = []
+
+    def counted(self, g, h):
+        calls.append((g, h))
+        return multiply(self, g, h)
+
+    for group in (Z1, lattice_group(2), free_group(2)):
+        steps = ball(group, 1)
+        rule = table_rule(group, BIN, 1, [
+            (group.identity(), w, sum(w))
+            for w in itertools.product(range(2), repeat=len(steps))])
+        assert rule.influential_positions == list(range(len(steps)))
+        for reach in range(3):
+            # balls are cached: build them before counting
+            walk_ball, _ = ball(group, reach), ball(group, reach + 1)
+            calls.clear()
+            monkeypatch.setattr(GroupSpec, "multiply", counted)
+            record = _walk_record(rule, 2 * reach + 1)
+            assert _walk_record(rule, 2 * reach) is record
+            monkeypatch.undo()
+            assert len(calls) == len(walk_ball) * len(steps)
+            assert sorted(calls) == sorted(itertools.product(
+                steps.elements, walk_ball.elements))
 
 
 # ---------------------------------------------------------------------------

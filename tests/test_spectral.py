@@ -148,9 +148,25 @@ def test_punctured_mass_examples():
     assert punctured_mass(spec, 0.0, 0.6) == pytest.approx(1 / 3)
     gap = Spectrum(values=np.array([-2.0, 2.0]), residual=0.0)
     assert punctured_mass(gap, 0.0, 1.0) == 0.0
-    # eps must lie above the cluster tolerance
+    # eps must lie above the tie width
     with pytest.raises(ValueError):
-        punctured_mass(spec, 0.0, spectral.PUNCTURED_CLUSTER_TOL)
+        punctured_mass(spec, 0.0, spectral.TIE_TOL)
+
+
+def test_punctured_mass_leaves_out_what_atom_mass_counts():
+    # scale 4: atom_mass counts 0 and 2e-9 (within TIE_TOL * 4), and only
+    # -1e-3 is left for the punctured interval; 3 of the 4 lie within eps
+    spec = Spectrum(values=np.array([-1e-3, 0.0, 2e-9, 4.0]), residual=0.0)
+    assert atom_mass(spec, 0.0) == 0.5
+    assert punctured_mass(spec, 0.0, 0.01) == 0.25
+    # the exact path compares exactly: 1/10^10 is no atom at 0 and lies in
+    # the punctured interval, 1/2 lies on its edge
+    exact = eigen_spectrum(InducedOperator.from_entries(4, {
+        (0, 0): Fraction(-1, 1000), (1, 1): Fraction(1, 10 ** 10),
+        (2, 2): Fraction(1, 2)}))
+    assert exact.is_exact
+    assert atom_mass(exact, 0) == 0.25
+    assert punctured_mass(exact, 0.0, 0.5) == 0.5
 
 
 def test_punctured_mass_bound_values():
@@ -175,7 +191,7 @@ def test_integer_punctured_law_small_ensemble():
                 punctured_mass_bound(r, eps, 1)
 
 
-def test_rational_shift_reduction(monkeypatch):
+def test_rational_shift_reduction():
     # atoms at p/q of H match atoms at 0 of qH - pI with eps scaled by q
     rng = np.random.default_rng(3)
     h = rng.integers(-2, 3, size=(40, 40))
@@ -184,11 +200,9 @@ def test_rational_shift_reduction(monkeypatch):
     p, q = 1, 2
     shifted = eigen_spectrum(operator_of(q * h - p * np.eye(40, dtype=int)))
     eps = 0.3
-    mass = punctured_mass(spec, p / q, eps)
-    # the cluster tolerance scales with the operator
-    monkeypatch.setattr(spectral, "PUNCTURED_CLUSTER_TOL",
-                        q * spectral.PUNCTURED_CLUSTER_TOL)
-    assert mass == punctured_mass(shifted, 0.0, q * eps)
+    # the tie width scales with the spectrum, as the operator does
+    assert punctured_mass(spec, p / q, eps) == punctured_mass(shifted, 0.0,
+                                                              q * eps)
 
 
 def test_moment_consistency_trace_vs_eigs():
