@@ -497,11 +497,15 @@ def operator_from_config(cfg: dict, group: GroupSpec, alphabet: Alphabet
 
 
 def _per_symbol(cfg: dict, key: str, alphabet: Alphabet) -> list[Fraction]:
-    """The operator's map cfg[key], read once per symbol of the alphabet."""
+    """The operator's map cfg[key], read once per symbol of the alphabet:
+    a key that is no symbol of it is refused."""
     table = cfg[key]
     for s in alphabet.symbols:
         if s not in table:
             raise ValueError(f"{key!r} gives no value for symbol {s!r}")
+    for s in table:
+        if s not in alphabet.symbols:
+            raise ValueError(f"{key!r} names {s!r}, no symbol of the alphabet")
     return [_parse_rational(table[s], key) for s in alphabet.symbols]
 
 

@@ -23,6 +23,10 @@ DEFAULT_BALL_CAPACITY = 10**6
 class BallCapacityError(RuntimeError):
     """Cayley ball would exceed the configured element budget."""
 
+    def __init__(self, radius: int):
+        super().__init__(f"ball B(e,{radius}) exceeds capacity "
+                         f"{DEFAULT_BALL_CAPACITY}")
+
 
 class GroupValidationError(ValueError):
     """Unknown group kind, or a lattice dimension or free rank below 1."""
@@ -172,9 +176,7 @@ def _ball_cached(group: GroupSpec, radius: int) -> CayleyBall:
                     dist[h] = r
                     nxt.append(h)
                     if len(dist) > DEFAULT_BALL_CAPACITY:
-                        raise BallCapacityError(
-                            f"ball B(e,{radius}) exceeds capacity "
-                            f"{DEFAULT_BALL_CAPACITY}")
+                        raise BallCapacityError(radius)
         frontier = nxt
     elements = tuple(sorted(dist.keys()))
     index = {g: i for i, g in enumerate(elements)}
@@ -191,7 +193,10 @@ def _ball_cached(group: GroupSpec, radius: int) -> CayleyBall:
 
 def ball(group: GroupSpec, radius: int) -> CayleyBall:
     """Cayley ball B_S(e, R) with deterministic element order, refused
-    once it holds more than DEFAULT_BALL_CAPACITY elements."""
+    once it holds more than DEFAULT_BALL_CAPACITY elements, cached or not."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return _ball_cached(group, radius)
+    b = _ball_cached(group, radius)
+    if len(b) > DEFAULT_BALL_CAPACITY:
+        raise BallCapacityError(radius)
+    return b

@@ -12,7 +12,8 @@ ball's own sites, which never collide; the finite-model law is pushed
 through each vertex's ball image.  An i.i.d. pushforward enumerates at most
 DEFAULT_ENUM_BUDGET window patterns.  A window law is a dict from pattern
 (the tuple of symbol indices in ball order) to probability, and
-``total_variation`` is the distance the lw*/le diagnostic compares.
+``total_variation`` is the distance the lw*/le diagnostic compares; a
+sample's law is read off its distinct windows with their counts.
 """
 
 from __future__ import annotations
@@ -302,30 +303,23 @@ def total_variation(p: dict, q: dict) -> float:
                      for k in set(p) | set(q))
 
 
-def _window_histogram(vals: np.ndarray):
-    """(base, distinct window codes ascending, their counts) of the window
-    columns of vals (|B|, n), in base max value + 1; None when a code could
-    reach 2^62."""
+def _distinct_columns(vals: np.ndarray):
+    """(first index, count) of each distinct column of a nonnegative int
+    array (n columns, n * (max + 1) <= 2^62), ascending in the column's
+    base-(max + 1) code, row 0 least significant: Horner's rule from the
+    last row, the codes replaced by their order-keeping ranks before a step
+    could reach 2^62."""
     base = int(vals.max()) + 1 if vals.size else 1
-    if base ** len(vals) >= 2**62:
-        return None
-    weights = base ** np.arange(len(vals), dtype=np.int64)
-    codes = (vals.astype(np.int64) * weights[:, None]).sum(axis=0)
-    return (base, *np.unique(codes, return_counts=True))
-
-
-def _window_distribution(vals: np.ndarray, histogram) -> dict:
-    size, n = vals.shape
-    counts: dict = {}
-    if histogram is not None:
-        base, uniq, cnt = histogram
-        counts = dict(zip(map(tuple, _digits(uniq, base, size).T.tolist()),
-                          cnt.tolist()))
-    else:
-        for v in range(n):
-            pat = tuple(int(x) for x in vals[:, v])
-            counts[pat] = counts.get(pat, 0) + 1
-    return {pat: c / n for pat, c in counts.items()}
+    codes = np.zeros(vals.shape[1], dtype=np.int64)
+    top = 1                     # every code lies below top
+    for row in vals[::-1]:
+        if top * base > 2**62:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            top = len(distinct)
+        codes = codes * base + row
+        top *= base
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return first, counts
 
 
 def target_marginal_on(model: MeasureModel, group: GroupSpec,
@@ -419,8 +413,8 @@ def le_diagnostic(target_model: MeasureModel,
     lw*: exact fraction of vertices whose pushforward marginal (of the finite
     law, collisions identified) is within eps in total variation of the
     target marginal.  le: Monte Carlo fraction of sample_ensemble draws
-    whose empirical window distribution is within eps of the target, with a
-    95% binomial half-width.  ``finite_model`` defaults to the target law.
+    whose empirical window law is within eps of the target, with a 95%
+    binomial half-width.  ``finite_model`` defaults to the target law.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -439,8 +433,7 @@ def le_diagnostic(target_model: MeasureModel,
         # the pushforward at v is a function of its key column, so it is
         # computed once per distinct column, at the column's first vertex
         keys = _pushforward_keys(finite_model, images, translates)
-        _, first, mult = np.unique(keys.T, axis=0, return_index=True,
-                                   return_counts=True)
+        first, mult = _distinct_columns(keys)
         good_hits = 0
         for v, m in zip(first.tolist(), mult.tolist()):
             push = _pushforward_on(finite_model, images[:, v].tolist(),
@@ -448,22 +441,20 @@ def le_diagnostic(target_model: MeasureModel,
             if total_variation(push, target) < eps:
                 good_hits += m
         lw_fraction = good_hits / n
-        # the window distribution is a function of the window-code
-        # histogram, so samples with equal histograms share one TV
+        # the window law is a function of the distinct windows and their
+        # counts, so samples that share them share one TV
         tv_of: dict = {}
         hits = 0
         for rho in samples:
             vals = rho[images]
-            histogram = _window_histogram(vals)
-            key = None if histogram is None else (
-                histogram[0], histogram[1].tobytes(), histogram[2].tobytes())
-            tv = tv_of.get(key)
-            if tv is None:
-                tv = total_variation(_window_distribution(vals, histogram),
-                                     target)
-                if key is not None:
-                    tv_of[key] = tv
-            if tv < eps:
+            first, counts = _distinct_columns(vals)
+            windows = vals[:, first]
+            key = (windows.tobytes(), counts.tobytes())
+            if key not in tv_of:
+                tv_of[key] = total_variation(
+                    dict(zip(map(tuple, windows.T.tolist()),
+                             (c / n for c in counts.tolist()))), target)
+            if tv_of[key] < eps:
                 hits += 1
         f = hits / sample_count
         half = 1.96 * math.sqrt(max(f * (1 - f), 1e-12) / sample_count)

@@ -15,8 +15,8 @@ eigenvectors, since written IDS breakpoints follow eigh's rounding of
 degenerate eigenvalues.  Every operator is exact-rational, and a diagonal
 one (the empty and the zero operator too) bypasses floating point entirely
 so that eigenvalue atoms at rational energies are counted exactly: the
-spectrum is counted once per distinct value, and counting functions and
-atom masses bisect the sorted exact values with Fraction comparisons only.
+spectrum is its distinct values with the count below each, and counting
+functions and atom masses bisect them with Fraction comparisons only.
 A float counting function absorbs ties within TIE_TOL times the spectral
 scale, a float atom mass counts the eigenvalues within that width, and
 the punctured mass leaves out exactly what the atom mass counts.
@@ -55,15 +55,15 @@ class EigensolverError(RuntimeError):
 class Spectrum:
     """Sorted eigenvalues and their certificate.
 
-    ``exact_values`` (sorted Fractions) is set for diagonal operators; float
-    values are then just their float images.  ``residual`` is the
-    trace-identity defect of a float solve, or 0.0 on the exact diagonal
-    path.
+    ``exact`` is set for diagonal operators: (distinct, below), the distinct
+    eigenvalues as ascending Fractions and the count of eigenvalues below
+    each, n last; float values are their float images.  ``residual`` is the
+    trace-identity defect of a float solve, or 0.0 on the exact path.
     """
 
     values: np.ndarray
     residual: float
-    exact_values: Optional[tuple] = None
+    exact: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -71,7 +71,7 @@ class Spectrum:
 
     @property
     def is_exact(self) -> bool:
-        return self.exact_values is not None
+        return self.exact is not None
 
     def scale(self) -> float:
         return max(1.0, float(np.max(np.abs(self.values))) if self.n else 0.0)
@@ -146,12 +146,11 @@ def _exact_diagonal_spectrum(n: int, codes: np.ndarray, values: tuple
     counts: dict = {Fraction(0): n - len(codes)}
     for v, c in zip(values, np.bincount(codes, minlength=len(values)).tolist()):
         counts[v.re] = counts.get(v.re, 0) + c
-    distinct = [x for x in sorted(counts) if counts[x]]
+    distinct = tuple(x for x in sorted(counts) if counts[x])
     mult = [counts[x] for x in distinct]
-    exact = tuple(itertools.chain.from_iterable(
-        itertools.repeat(x, m) for x, m in zip(distinct, mult)))
     vals = np.repeat(np.array([float(x) for x in distinct]), mult)
-    return Spectrum(values=vals, residual=0.0, exact_values=exact)
+    return Spectrum(values=vals, residual=0.0, exact=(
+        distinct, tuple(itertools.accumulate(mult, initial=0))))
 
 
 def _exact_rank(spec: Spectrum, x, side: str) -> int:
@@ -163,8 +162,9 @@ def _exact_rank(spec: Spectrum, x, side: str) -> int:
     """
     if isinstance(x, float) and not math.isfinite(x):
         return spec.n if x > 0 else 0
+    distinct, below = spec.exact
     find = bisect.bisect_right if side == "right" else bisect.bisect_left
-    return find(spec.exact_values, Fraction(x))
+    return below[find(distinct, Fraction(x))]
 
 
 def counting_function(spec: Spectrum, points: Sequence) -> list[int]:
@@ -278,8 +278,7 @@ def ids_curve(spec: Spectrum, grid: Sequence[float]) -> IDSCurve:
     An exact eigenvalue's breakpoint is the least float >= it, the first
     float whose exact count includes it."""
     if spec.is_exact:
-        breaks = [_float_at_or_above(x)
-                  for x, _ in itertools.groupby(spec.exact_values)]
+        breaks = [_float_at_or_above(x) for x in spec.exact[0]]
     else:
         breaks = np.unique(spec.values)
     xs = np.unique(np.concatenate([np.asarray(grid, dtype=float), breaks]))

@@ -1007,6 +1007,14 @@ def _free_group_reference():
                                   "pattern": [0, 1]}),
      re.escape("config.measure: torus side 3 is not a multiple of the "
                "periods (2,)")),
+    (_shipped("luck_atoms", operator={"kind": "diagonal", "values": {
+        "0": "0", "1": "1", "2": "7"}}),
+     re.escape("config.operator: 'values' names '2', no symbol of the "
+               "alphabet")),
+    (_shipped("monotone", operator={"kind": "schrodinger", "potential": {
+        "0": "0", "1": "5/3", "x": "1"}}),
+     re.escape("config.operator: 'potential' names 'x', no symbol of the "
+               "alphabet")),
 ])
 def test_config_faults_fail_before_any_solve(tmp_path, monkeypatch, config,
                                              match):

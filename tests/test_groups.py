@@ -108,9 +108,19 @@ def test_word_metric_matches_ball_bfs():
 
 def test_ball_capacity_error(monkeypatch):
     monkeypatch.setattr(groups_module, "DEFAULT_BALL_CAPACITY", 100)
-    # the ball exceeds the default capacity too, so no call can have cached it
+    # B(e, 6) of F_7 has over 5 * 10^6 elements: the search stops at the
+    # capacity instead of building it
     with pytest.raises(BallCapacityError, match="exceeds capacity 100$"):
         ball(free_group(7), 6)
+
+
+def test_a_cached_ball_is_checked_on_every_call(monkeypatch):
+    assert len(ball(free_group(2), 3)) == 53
+    monkeypatch.setattr(groups_module, "DEFAULT_BALL_CAPACITY", 10)
+    for radius in (3, 4):
+        with pytest.raises(BallCapacityError,
+                           match=f"B\\(e,{radius}\\) exceeds capacity 10$"):
+            ball(free_group(2), radius)
 
 
 def test_translate_window_examples():

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sofic_spectra.measures as measures_module
@@ -638,6 +638,7 @@ def _le_cases():
     checker = lattice_periodic(BIN, [2, 2], [0, 1, 1, 0])
     coin = IIDProduct(alphabet=BIN, weights=(0.6, 0.4))
     both = (1, 2)
+    cyclic = (0, 1, 2, 1, 2, 2, 2, 0, 0)
     return [
         (per, tori, both), (iid, tori, both),
         (Mixture(components=(iid, per, per), weights=(0.5, 0.25, 0.25)),
@@ -652,10 +653,16 @@ def _le_cases():
         # enumerate the target marginal quickly
         (coin, [random_permutation_approximation(2, n, seed=n)
                 for n in (5, 9)], (1,)),
+        # Z^2 balls of 41 and 61 elements on 3 symbols: 3^|B| > 2^62, so
+        # the window codes are rank-compressed on the way
+        (Mixture(components=(lattice_periodic(tri, [3, 3], cyclic),
+                             lattice_periodic(tri, [3, 3], cyclic[::-1])),
+                 weights=(0.8, 0.2)),
+         [torus_approximation(2, n) for n in (3, 6)], (4, 5)),
     ]
 
 
-@pytest.mark.parametrize("case", range(9))
+@pytest.mark.parametrize("case", range(10))
 def test_le_diagnostic_matches_the_former_loops(case):
     model, sigmas, radii = _le_cases()[case]
     for radius in radii:
@@ -663,6 +670,27 @@ def test_le_diagnostic_matches_the_former_loops(case):
             args = (model, sigmas, radius, eps)
             assert le_diagnostic(*args, sample_count=24, seed=4) == \
                 _former_le_diagnostic(*args, sample_count=24, seed=4)
+
+
+@settings(max_examples=60, deadline=None)
+@example(rows=80, n=40, top=2, seed=0)
+@given(rows=st.integers(0, 80), n=st.integers(1, 40),
+       top=st.sampled_from([0, 1, 2, 6, 2**20]), seed=st.integers(0, 2**16))
+def test_distinct_columns_match_a_dict_of_tuples(rows, n, top, seed):
+    # 3^80 and (2^20 + 1)^4 exceed 2^62, so those codes are rank-compressed
+    from sofic_spectra.measures import _distinct_columns
+    rng = np.random.default_rng(seed)
+    # columns drawn from a small pool, so most of them repeat
+    pool = rng.integers(0, top + 1, size=(rows, 6))
+    vals = pool[:, rng.integers(6, size=n)]
+    first, counts = _distinct_columns(vals)
+    ref: dict = {}
+    for v, col in enumerate(map(tuple, vals.T.tolist())):
+        ref.setdefault(col, [v, 0])[1] += 1
+    # code order, row 0 least significant: the reversed columns ascending
+    order = sorted(ref, key=lambda col: col[::-1])
+    assert first.tolist() == [ref[col][0] for col in order]
+    assert counts.tolist() == [ref[col][1] for col in order]
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_eigen_exact_diagonal_path():
     rho = np.array([0, 1] * 3)
     spec = eigen_spectrum(assemble_induced(rule, sig, rho))
     assert spec.is_exact
-    assert spec.exact_values == (Fraction(1, 3),) * 3 + (Fraction(2),) * 3
+    assert spec.exact == ((Fraction(1, 3), Fraction(2)), (0, 3, 6))
     assert spec.residual == 0.0
 
 
@@ -116,7 +116,7 @@ def test_counting_examples():
 
 def test_counting_exact_ties():
     spec = Spectrum(values=np.array([0.5, 1.0]), residual=0.0,
-                    exact_values=(Fraction(1, 2), Fraction(1)))
+                    exact=((Fraction(1, 2), Fraction(1)), (0, 1, 2)))
     assert counting_function(spec, [Fraction(1, 2),
                                     Fraction(4999, 10000)]) == [1, 0]
 
@@ -316,9 +316,10 @@ def test_exact_diagonal_spectrum_matches_sorted_diagonal(values, side,
             op.n, {key: ComplexRational(Fraction(str(v.re)))
                    for key, v in op.entries.items()})
     spec = eigen_spectrum(op)
-    want = tuple(sorted(op.entries.get((i, i), CZERO).re
-                        for i in range(op.n)))
-    assert spec.exact_values == want
+    want = sorted(op.entries.get((i, i), CZERO).re for i in range(op.n))
+    distinct = tuple(sorted(set(want)))
+    assert spec.exact == (distinct, tuple(
+        [want.index(x) for x in distinct] + [op.n]))
     assert [x.hex() for x in spec.values] == [float(x).hex() for x in want]
 
 
@@ -326,13 +327,14 @@ def test_exact_counts_match_brute_force():
     exact = (Fraction(-2), Fraction(1, 10), Fraction(1, 10), Fraction(1, 3),
              Fraction(1, 2), Fraction(1, 2), Fraction(3))
     spec = Spectrum(values=np.array([float(x) for x in exact]), residual=0.0,
-                    exact_values=exact)
+                    exact=((Fraction(-2), Fraction(1, 10), Fraction(1, 3),
+                            Fraction(1, 2), Fraction(3)), (0, 1, 3, 4, 6, 7)))
     points = [-3, 0, 3, 7, Fraction(1, 10), Fraction(1, 2), Fraction(1, 3),
               0.1, 0.5, 1 / 3, -2.0, 3.0, 0.30000000000000004, np.float64(0.5),
               float("inf"), float("-inf"), float("nan")]
     for x, count in zip(points, counting_function(spec, points)):
-        below = sum(1 for v in spec.exact_values if v <= x)
-        at = sum(1 for v in spec.exact_values if v == x)
+        below = sum(1 for v in exact if v <= x)
+        at = sum(1 for v in exact if v == x)
         assert count == below, x
         assert atom_mass(spec, x) == at / spec.n, x
     # a float is compared by its exact binary value: 0.5 is 1/2, 0.1 is not 1/10
@@ -344,13 +346,13 @@ def test_exact_counts_match_brute_force():
 
 def test_float_and_exact_counts_agree_off_the_finite_line():
     # no eigenvalue is <= NaN; searchsorted alone would sort NaN above all
-    exact = (Fraction(-1), Fraction(1, 2), Fraction(1, 2))
-    values = np.array([float(x) for x in exact])
+    values = np.array([-1.0, 0.5, 0.5])
     points = [float("nan"), float("inf"), float("-inf")]
     float_counts = counting_function(Spectrum(values=values, residual=0.0),
                                      points)
     exact_counts = counting_function(
-        Spectrum(values=values, residual=0.0, exact_values=exact), points)
+        Spectrum(values=values, residual=0.0,
+                 exact=((Fraction(-1), Fraction(1, 2)), (0, 1, 3))), points)
     assert float_counts == exact_counts == [0, 3, 0]
 
 
@@ -528,8 +530,8 @@ def test_values_only_reports_lapack_failure(monkeypatch):
 def test_counting_function_on_a_grid_matches_pointwise(monkeypatch):
     grid = np.linspace(-5, 2, 141)
     exact = Spectrum(values=np.array([-1.0, 0.5, 0.5, 1.0]), residual=0.0,
-                     exact_values=(Fraction(-1), Fraction(1, 2),
-                                   Fraction(1, 2), Fraction(1)))
+                     exact=((Fraction(-1), Fraction(1, 2), Fraction(1)),
+                            (0, 1, 3, 4)))
     for spec in (eigen_spectrum(_schrodinger_op(side=30)), exact):
         for tie_tol in (spectral.TIE_TOL, 0.0, 0.05):
             monkeypatch.setattr(spectral, "TIE_TOL", tie_tol)
